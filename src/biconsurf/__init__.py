@@ -1,7 +1,7 @@
 """Numerical toolkit for curvature identities of biconservative surfaces.
 
 Subpackages by responsibility: :mod:`biconsurf.grid` (parameter grids and
-flat stencils), :mod:`biconsurf.kernels` (compiled stencil backends),
+flat stencils), :mod:`biconsurf.kernels` (difference stencil),
 :mod:`biconsurf.ambient` (target spaces), :mod:`biconsurf.immersion`
 (fundamental forms and derived geometry), :mod:`biconsurf.tensors`
 (covariant calculus on conformal charts), :mod:`biconsurf.checks`

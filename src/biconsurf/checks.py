@@ -8,8 +8,6 @@ difference jets at O(h^2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .ambient import curvature_operator, split_tangent_normal
@@ -24,7 +22,6 @@ from .immersion import (
 from .tensors import (
     ConformalChart,
     codazzi_defect_coords,
-    cov_derivative,
     cov_deriv_inner,
     divergence_coords,
     grad_norm_sq,
@@ -114,11 +111,11 @@ def biconservativity_residuals(geom: SurfaceGeometry) -> dict:
 
     Returns coordinate vector fields keyed ``cond1`` .. ``cond4`` (each zero
     iff the surface is biconservative), the divergence-route gap of the
-    stress tensor, and the trace identity for nabla A_H.
+    stress tensor, and the trace identity for nabla A_H. A report uses the
+    copy cached as ``geom.biconservativity``.
     """
-    S2 = stress_bienergy(geom.A_H, geom.Hsq)
-    div_S2 = divergence_coords(geom.grid, S2, geom.gamma, geom.ginv)
-    div_AH = divergence_coords(geom.grid, geom.A_H, geom.gamma, geom.ginv)
+    div_S2 = divergence_coords(geom.nabla_S2, geom.ginv)
+    div_AH = divergence_coords(geom.nabla_AH, geom.ginv)
     gH = geom.grad_scalar(geom.Hsq)
     div_S2_formula = -2.0 * gH + 4.0 * div_AH
 
@@ -145,15 +142,14 @@ def equivalence_matrix(
 ) -> dict:
     """Residuals of the four equivalent surface conditions and the pairwise
     implication table: any two conditions passing must imply the others."""
-    res = biconservativity_residuals(geom)
+    res = geom.biconservativity
     _, r1 = vector_norms(res["cond1"], geom)
     _, r2 = vector_norms(res["grad_Hsq"], geom)
     if chart is not None:
         r3 = float(np.max(np.abs(holomorphicity_residual(chart, geom.A_H))))
     else:
         r3 = None
-    defect = codazzi_defect_coords(geom.grid, geom.A_H, geom.gamma)
-    _, r4 = vector_norms(defect, geom)
+    _, r4 = vector_norms(codazzi_defect_coords(geom.nabla_AH), geom)
 
     residuals = {"biconservative": r1, "cmc": r2, "hopf_holomorphic": r3, "codazzi": r4}
     avail = {k: v for k, v in residuals.items() if v is not None}
@@ -181,13 +177,12 @@ def simons_residual(geom: SurfaceGeometry, chart: ConformalChart, bicons_tol: fl
     biconservativity residual at ``bicons_tol`` the result is flagged, not
     rejected.
     """
-    res = biconservativity_residuals(geom)
-    _, bicons_linf = vector_norms(res["cond1"], geom)
+    _, bicons_linf = vector_norms(geom.biconservativity["cond1"], geom)
     tau2 = 4.0 * geom.Hsq  # |tau(phi)|^2 = 4 |H|^2
-    S2 = stress_bienergy(geom.A_H, geom.Hsq)
+    S2 = geom.S2
     S2_sq = tensor_inner(chart, S2, S2)
     K = geom.K
-    nabla_S2 = cov_derivative(chart, S2)
+    nabla_S2 = geom.chart_nabla(chart, "S2")
     sharp = np.einsum("...ij,...j->...i", S2, grad_vec(chart, tau2))
     lhs = 0.5 * laplacian(chart, S2_sq)
     rhs = (
@@ -212,9 +207,8 @@ def integral_formula_check(geom: SurfaceGeometry, chart: ConformalChart) -> dict
         raise ValueError("integral formulas need a doubly periodic (torus) grid")
     dv = geom.area_element
     tau2 = 4.0 * geom.Hsq
-    S2 = stress_bienergy(geom.A_H, geom.Hsq)
-    S2_sq = tensor_inner(chart, S2, S2)
-    nabla_S2 = cov_derivative(chart, S2)
+    S2_sq = tensor_inner(chart, geom.S2, geom.S2)
+    nabla_S2 = geom.chart_nabla(chart, "S2")
     K = geom.K
 
     lhs_s2 = integrate(
@@ -223,7 +217,7 @@ def integral_formula_check(geom: SurfaceGeometry, chart: ConformalChart) -> dict
     )
     rhs_s2 = integrate(geom.grid, grad_norm_sq(chart, tau2) * dv)
 
-    nabla_AH = cov_derivative(chart, geom.A_H)
+    nabla_AH = geom.chart_nabla(chart, "A_H")
     AH_sq = shape_operator_norm_sq(geom)
     lhs_ah = integrate(
         geom.grid,

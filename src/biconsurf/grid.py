@@ -99,15 +99,7 @@ def fd_derivative(grid: Grid, field: np.ndarray, axis: int, order: int = 1) -> n
     field = np.asarray(field)
     if field.shape[:2] != grid.shape:
         raise ValueError(f"field shape {field.shape} does not match grid {grid.shape}")
-    h = grid.spacing(axis)
-    periodic = grid.periodic(axis)
-    if field.ndim == 2:
-        return kernels.derivative(field, h, axis, order, periodic)
-    flat = field.reshape(grid.nu, grid.nv, -1)
-    out = np.empty_like(flat, dtype=np.complex128 if np.iscomplexobj(flat) else np.float64)
-    for c in range(flat.shape[2]):
-        out[:, :, c] = kernels.derivative(flat[:, :, c], h, axis, order, periodic)
-    return out.reshape(field.shape)
+    return kernels.derivative(field, grid.spacing(axis), axis, order, grid.periodic(axis))
 
 
 def flat_gradient(grid: Grid, field: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ambient import Ambient, curvature_operator, split_tangent_normal
+from .ambient import Ambient, _dot, curvature_operator, split_tangent_normal
 from .grid import Grid, fd_derivative
 from .tensors import cov_derivative_coords
 
@@ -34,10 +34,6 @@ EPS_PU_FD = 1e-2
 
 class DegenerateImmersionError(ValueError):
     """The immersion condition det g > 0 fails at some node."""
-
-
-def _dot(a, b):
-    return np.einsum("...k,...k->...", a, b)
 
 
 @dataclass(frozen=True)
@@ -122,15 +118,43 @@ class SurfaceGeometry:
         return np.sqrt(self.det_g)
 
     @cached_property
+    def S2(self) -> np.ndarray:
+        """Stress-bienergy tensor, mixed (1,1) components."""
+        from .checks import stress_bienergy
+
+        return stress_bienergy(self.A_H, self.Hsq)
+
+    @cached_property
     def nabla_AH(self) -> np.ndarray:
         """(nabla_a A_H)^i_j: FD of mixed components plus exact Gamma terms."""
         return cov_derivative_coords(self.grid, self.A_H, self.gamma)
+
+    @cached_property
+    def nabla_S2(self) -> np.ndarray:
+        """(nabla_a S2)^i_j with the surface Christoffels."""
+        return cov_derivative_coords(self.grid, self.S2, self.gamma)
 
     @cached_property
     def principal(self):
         from .checks import principal_curvatures
 
         return principal_curvatures(self.A_H, self.Hsq, source=self.jet.source)
+
+    @cached_property
+    def biconservativity(self) -> dict:
+        from . import checks
+
+        return checks.biconservativity_residuals(self)
+
+    def chart_nabla(self, chart, name: str) -> np.ndarray:
+        """nabla of the field ``name`` ("S2" or "A_H") with the Christoffels of
+        an isothermal ``chart``; cached as long as the same chart is asked for."""
+        memo = self.__dict__.get("_chart_nabla")
+        if memo is None or memo[0] is not chart:
+            memo = self.__dict__["_chart_nabla"] = (chart, {})
+        if name not in memo[1]:
+            memo[1][name] = cov_derivative_coords(chart.grid, getattr(self, name), chart.gamma)
+        return memo[1][name]
 
     def vec_norm_sq(self, V: np.ndarray) -> np.ndarray:
         """g(V, V) for coordinate vector components."""
@@ -174,24 +198,6 @@ def second_fundamental_form(jet: ImmersionJet, g: np.ndarray, ginv: np.ndarray) 
 def mean_curvature(B: np.ndarray, ginv: np.ndarray):
     H = 0.5 * np.einsum("...ij,...ijk->...k", ginv, B)
     return H, _dot(H, H)
-
-
-def shape_operator(geom_or_tuple, xi: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Shape operator A_xi as mixed (1,1) components; xi must be normal."""
-    if isinstance(geom_or_tuple, SurfaceGeometry):
-        jet, g, ginv, B = (
-            geom_or_tuple.jet,
-            geom_or_tuple.g,
-            geom_or_tuple.ginv,
-            geom_or_tuple.B,
-        )
-    else:
-        jet, g, ginv, B = geom_or_tuple
-    scale = 1.0 + np.sqrt(np.max(_dot(xi, xi))) * np.sqrt(np.max(np.abs(g)))
-    worst = np.max(np.abs(np.einsum("...ak,...k->...a", jet.d1, xi)))
-    if worst > tol * scale:
-        raise ValueError(f"shape-operator direction not normal (residual {worst:.3e})")
-    return np.einsum("...ik,...kjm,...m->...ij", ginv, B, xi)
 
 
 def normal_connection_H(jet: ImmersionJet, g: np.ndarray, ginv: np.ndarray, H: np.ndarray) -> np.ndarray:
@@ -244,16 +250,7 @@ def _ambient_dH_exact(jet: ImmersionJet, ginv: np.ndarray) -> np.ndarray:
                 _dot(jet.d1[..., a, :], m)[..., None] * jet.pos
                 + pm[..., None] * jet.d1[..., a, :]
             ) / r2
-        out[..., a, :] = dPm + _project_off_tangent_raw(jet, ginv, dm, sphere)
-    return out
-
-
-def _project_off_tangent_raw(jet, ginv, W, sphere):
-    coef = np.einsum("...ab,...bk,...k->...a", ginv, jet.d1, W)
-    out = W - np.einsum("...a,...ak->...k", coef, jet.d1)
-    if sphere:
-        r2 = jet.space.radius**2
-        out = out - (_dot(out, jet.pos) / r2)[..., None] * jet.pos
+        out[..., a, :] = dPm + _project_off_tangent(jet, ginv, dm)
     return out
 
 

@@ -1,166 +1,52 @@
-"""Finite-difference stencil kernels.
+"""Finite-difference stencil.
 
-Second-order stencils along one axis of a 2D node array: central differences
-everywhere on periodic axes, one-sided second-order stencils at the two
-boundary rows of non-periodic axes.
-
-The hot loops have a numba ``@njit`` implementation and a pure-numpy
-fallback. The backend is chosen once at import time: set the environment
-variable ``BICONSURF_DISABLE_NUMBA`` (any non-empty value) to force the
-numpy path; the numpy path is also used automatically when numba is not
-importable. ``backend_name()`` reports the active choice, and every public
-function accepts ``backend=`` to override it per call (used by the tests
-and the benchmark).
+Second-order stencils along axis 0 or 1 of a node array with any number of
+trailing component axes: central differences everywhere on periodic axes,
+one-sided second-order stencils at the two boundary rows of non-periodic
+axes. A complex array is differenced through its float64 view, real and
+imaginary parts as one more trailing axis, so both parts see exactly the
+real arithmetic.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_FORCED_OFF = bool(os.environ.get("BICONSURF_DISABLE_NUMBA"))
-
-try:
-    if _FORCED_OFF:
-        raise ImportError("numba disabled by BICONSURF_DISABLE_NUMBA")
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via env flag
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-_DEFAULT_BACKEND = "numba" if _HAVE_NUMBA else "numpy"
 
 
 def backend_name() -> str:
-    """Name of the backend used when ``backend=None``."""
-    return _DEFAULT_BACKEND
+    """Name of the stencil implementation."""
+    return "numpy"
 
 
-# ---------------------------------------------------------------------------
-# numpy implementations (axis 0 of a 2D array)
-# ---------------------------------------------------------------------------
-
-
-def _np_d1_periodic(f, h):
-    return (np.roll(f, -1, axis=0) - np.roll(f, 1, axis=0)) / (2.0 * h)
-
-
-def _np_d2_periodic(f, h):
-    return (np.roll(f, -1, axis=0) - 2.0 * f + np.roll(f, 1, axis=0)) / (h * h)
-
-
-def _np_d1_clamped(f, h):
-    out = np.empty_like(f)
-    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
-    out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
+def _stencil(f, h, axis, order, periodic):
+    out = np.empty(f.shape)
+    src, dst = np.moveaxis(f, axis, 0), np.moveaxis(out, axis, 0)
+    if order == 1:
+        den = 2.0 * h
+        dst[1:-1] = (src[2:] - src[:-2]) / den
+        if periodic:
+            dst[0] = (src[1] - src[-1]) / den
+            dst[-1] = (src[0] - src[-2]) / den
+        else:
+            dst[0] = (-3.0 * src[0] + 4.0 * src[1] - src[2]) / den
+            dst[-1] = (3.0 * src[-1] - 4.0 * src[-2] + src[-3]) / den
+    else:
+        den = h * h
+        dst[1:-1] = (src[2:] - 2.0 * src[1:-1] + src[:-2]) / den
+        if periodic:
+            dst[0] = (src[1] - 2.0 * src[0] + src[-1]) / den
+            dst[-1] = (src[0] - 2.0 * src[-1] + src[-2]) / den
+        else:
+            dst[0] = (2.0 * src[0] - 5.0 * src[1] + 4.0 * src[2] - src[3]) / den
+            dst[-1] = (2.0 * src[-1] - 5.0 * src[-2] + 4.0 * src[-3] - src[-4]) / den
     return out
 
 
-def _np_d2_clamped(f, h):
-    out = np.empty_like(f)
-    out[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / (h * h)
-    out[0] = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / (h * h)
-    out[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) / (h * h)
-    return out
+def derivative(f, h, axis, order, periodic):
+    """Differentiate a real or complex node array along axis 0 or 1.
 
-
-# ---------------------------------------------------------------------------
-# numba kernels (same stencils, explicit loops)
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _nb_d1_periodic(f, h, out):  # pragma: no cover - compiled
-    n, m = f.shape
-    inv = 1.0 / (2.0 * h)
-    for i in range(n):
-        ip = i + 1 if i + 1 < n else 0
-        im = i - 1 if i > 0 else n - 1
-        for j in range(m):
-            out[i, j] = (f[ip, j] - f[im, j]) * inv
-
-
-@njit(cache=True)
-def _nb_d2_periodic(f, h, out):  # pragma: no cover - compiled
-    n, m = f.shape
-    inv = 1.0 / (h * h)
-    for i in range(n):
-        ip = i + 1 if i + 1 < n else 0
-        im = i - 1 if i > 0 else n - 1
-        for j in range(m):
-            out[i, j] = (f[ip, j] - 2.0 * f[i, j] + f[im, j]) * inv
-
-
-@njit(cache=True)
-def _nb_d1_clamped(f, h, out):  # pragma: no cover - compiled
-    n, m = f.shape
-    inv = 1.0 / (2.0 * h)
-    for j in range(m):
-        out[0, j] = (-3.0 * f[0, j] + 4.0 * f[1, j] - f[2, j]) * inv
-        out[n - 1, j] = (3.0 * f[n - 1, j] - 4.0 * f[n - 2, j] + f[n - 3, j]) * inv
-    for i in range(1, n - 1):
-        for j in range(m):
-            out[i, j] = (f[i + 1, j] - f[i - 1, j]) * inv
-
-
-@njit(cache=True)
-def _nb_d2_clamped(f, h, out):  # pragma: no cover - compiled
-    n, m = f.shape
-    inv = 1.0 / (h * h)
-    for j in range(m):
-        out[0, j] = (2.0 * f[0, j] - 5.0 * f[1, j] + 4.0 * f[2, j] - f[3, j]) * inv
-        out[n - 1, j] = (
-            2.0 * f[n - 1, j] - 5.0 * f[n - 2, j] + 4.0 * f[n - 3, j] - f[n - 4, j]
-        ) * inv
-    for i in range(1, n - 1):
-        for j in range(m):
-            out[i, j] = (f[i + 1, j] - 2.0 * f[i, j] + f[i - 1, j]) * inv
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-_NB = {
-    (1, True): _nb_d1_periodic,
-    (2, True): _nb_d2_periodic,
-    (1, False): _nb_d1_clamped,
-    (2, False): _nb_d2_clamped,
-}
-_NP = {
-    (1, True): _np_d1_periodic,
-    (2, True): _np_d2_periodic,
-    (1, False): _np_d1_clamped,
-    (2, False): _np_d2_clamped,
-}
-
-
-def _axis0_derivative(f, h, order, periodic, backend):
-    if backend is None:
-        backend = _DEFAULT_BACKEND
-    if backend == "numba" and _HAVE_NUMBA:
-        out = np.empty_like(f)
-        _NB[(order, periodic)](np.ascontiguousarray(f), h, out)
-        return out
-    return _NP[(order, periodic)](f, h)
-
-
-def derivative(f, h, axis, order, periodic, backend=None):
-    """Differentiate a 2D real or complex node array along one axis.
-
-    ``order`` is 1 or 2; truncation is O(h^2) for smooth fields.
+    ``order`` is 1 or 2; truncation is O(h^2) for smooth fields. Axes after
+    the first two are components and are differenced independently.
     """
     if order not in (1, 2):
         raise ValueError(f"derivative order must be 1 or 2, got {order}")
@@ -170,21 +56,6 @@ def derivative(f, h, axis, order, periodic, backend=None):
     if f.shape[axis] < 4:
         raise ValueError("need at least 4 nodes along the differentiated axis")
     if np.iscomplexobj(f):
-        re = derivative(f.real, h, axis, order, periodic, backend)
-        im = derivative(f.imag, h, axis, order, periodic, backend)
-        return re + 1j * im
-    f = np.asarray(f, dtype=np.float64)
-    if axis == 1:
-        g = _axis0_derivative(f.T, h, order, periodic, backend)
-        return np.ascontiguousarray(g.T)
-    return _axis0_derivative(f, h, order, periodic, backend)
-
-
-def warmup():
-    """Trigger JIT compilation of all numba kernels (no-op on numpy path)."""
-    if not _HAVE_NUMBA:
-        return
-    f = np.zeros((4, 4))
-    for order in (1, 2):
-        for periodic in (True, False):
-            _axis0_derivative(f, 1.0, order, periodic, "numba")
+        parts = np.ascontiguousarray(f, dtype=np.complex128)[..., None].view(np.float64)
+        return _stencil(parts, h, axis, order, periodic).view(np.complex128)[..., 0]
+    return _stencil(np.asarray(f, dtype=np.float64), h, axis, order, periodic)

@@ -16,9 +16,8 @@ import numpy as np
 
 from . import checks
 from .grid import Grid
-from .immersion import ImmersionJet, SurfaceGeometry, compute_geometry
+from .immersion import ImmersionJet, compute_geometry
 from .tensors import (
-    ConformalChart,
     NonIsothermalError,
     codazzi_defect_coords,
     conformal_chart_from_metric,
@@ -139,7 +138,7 @@ def build_geometry_report(
         field = np.where(mask, np.abs(field), 0.0)
         return checks.weighted_l2(field, geom), float(np.max(field))
 
-    res = checks.biconservativity_residuals(geom)
+    res = geom.biconservativity
     named = [
         ("stress_divergence", "stress-divergence", res["cond1"]),
         ("trace_balance", "trace-balance", res["cond2"]),
@@ -163,7 +162,7 @@ def build_geometry_report(
     rep.add("normal_derivative_H", "normal-derivative-H",
             *scalar_norms(dperp_mag))
 
-    S2 = checks.stress_bienergy(geom.A_H, geom.Hsq)
+    S2 = geom.S2
     tr_gap = np.abs(S2[..., 0, 0] + S2[..., 1, 1] - 4.0 * geom.Hsq)
     rep.add("stress_trace", "stress-trace",
             *scalar_norms(tr_gap))
@@ -189,7 +188,7 @@ def build_geometry_report(
                 *scalar_norms(simons))
         rep.flags["simons_assumes_biconservative_violated"] = simons_flagged
 
-    defect = codazzi_defect_coords(geom.grid, geom.A_H, geom.gamma)
+    defect = codazzi_defect_coords(nab)
     l2, linf = checks.vector_norms(defect, geom, mask)
     rep.add("codazzi_defect", "codazzi-defect", l2, linf)
 
@@ -357,13 +356,3 @@ def report_to_csv(rep: GeometryReport) -> str:
         lines.append(f"{r.name},{r.paper_ref},{format(r.l2, '.17g')},{format(r.linf, '.17g')}")
     return "\n".join(lines) + "\n"
 
-
-def emit_report(rep: GeometryReport, fmt: str, path: str) -> None:
-    if fmt == "json":
-        text = report_to_json(rep)
-    elif fmt == "csv":
-        text = report_to_csv(rep)
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)

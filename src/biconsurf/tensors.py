@@ -109,15 +109,14 @@ def cov_derivative_coords(grid: Grid, T: np.ndarray, gamma: np.ndarray) -> np.nd
     return dT + corr1 - corr2
 
 
-def codazzi_defect_coords(grid: Grid, T: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """(nabla_x T)(dy) - (nabla_y T)(dx), coordinate vector components."""
-    S = cov_derivative_coords(grid, T, gamma)
+def codazzi_defect_coords(S: np.ndarray) -> np.ndarray:
+    """(nabla_x T)(dy) - (nabla_y T)(dx) from S = nabla T, coordinate vector
+    components."""
     return S[..., 0, :, 1] - S[..., 1, :, 0]
 
 
-def divergence_coords(grid: Grid, T: np.ndarray, gamma: np.ndarray, ginv: np.ndarray) -> np.ndarray:
-    """Div T = trace of nabla T, coordinate vector components (Div T)^i."""
-    S = cov_derivative_coords(grid, T, gamma)
+def divergence_coords(S: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+    """Div T = trace of S = nabla T, coordinate vector components (Div T)^i."""
     return np.einsum("...ab,...aib->...i", ginv, S)
 
 
@@ -131,35 +130,39 @@ def cov_derivative(chart: ConformalChart, T: np.ndarray) -> np.ndarray:
 
 
 def codazzi_defect(chart: ConformalChart, T: np.ndarray) -> np.ndarray:
-    return codazzi_defect_coords(chart.grid, T, chart.gamma)
+    return codazzi_defect_coords(cov_derivative(chart, T))
 
 
 def tensor_trace(T: np.ndarray) -> np.ndarray:
     return T[..., 0, 0] + T[..., 1, 1]
 
 
+def _trace_route(chart: ConformalChart, S: np.ndarray) -> np.ndarray:
+    return chart.em2r[..., None] * (S[..., 0, :, 0] + S[..., 1, :, 1])
+
+
 def divergence_routes(chart: ConformalChart, T: np.ndarray):
     """Div T by the trace route and by the grad-trace-minus-Z route."""
     S = cov_derivative(chart, T)
-    trace_route = chart.em2r[..., None] * (S[..., 0, :, 0] + S[..., 1, :, 1])
-
-    t = tensor_trace(T)
-    grad_t = chart.em2r[..., None] * flat_gradient(chart.grid, t)
-    D = S[..., 0, :, 1] - S[..., 1, :, 0]
+    grad_t = grad_vec(chart, tensor_trace(T))
+    D = codazzi_defect_coords(S)
     Z = np.empty_like(D)
     Z[..., 0] = chart.em2r * D[..., 1]
     Z[..., 1] = -chart.em2r * D[..., 0]
-    return trace_route, grad_t - Z
+    return _trace_route(chart, S), grad_t - Z
 
 
 def divergence(chart: ConformalChart, T: np.ndarray, consistency_tol: float | None = None) -> np.ndarray:
+    """Div T by the trace route; with ``consistency_tol``, checked against the
+    lemma route."""
+    if consistency_tol is None:
+        return _trace_route(chart, cov_derivative(chart, T))
     trace_route, lemma_route = divergence_routes(chart, T)
-    if consistency_tol is not None:
-        gap = np.max(np.sqrt(vec_norm_sq(chart, trace_route - lemma_route)))
-        if gap > consistency_tol:
-            raise InternalConsistencyError(
-                f"divergence routes disagree by {gap:.3e} > {consistency_tol:.3e}"
-            )
+    gap = np.max(np.sqrt(vec_norm_sq(chart, trace_route - lemma_route)))
+    if gap > consistency_tol:
+        raise InternalConsistencyError(
+            f"divergence routes disagree by {gap:.3e} > {consistency_tol:.3e}"
+        )
     return trace_route
 
 
@@ -180,13 +183,16 @@ def hopf_differential(chart: ConformalChart, T: np.ndarray) -> np.ndarray:
     )
 
 
-def holomorphicity_residual_routes(chart: ConformalChart, T: np.ndarray):
-    """d/dzbar of the Hopf function: direct FD route and closed-formula route."""
+def holomorphicity_residual(chart: ConformalChart, T: np.ndarray) -> np.ndarray:
+    """d/dzbar of the Hopf function, by finite differences of the function."""
     hopf = hopf_differential(chart, T)
-    direct = 0.5 * (
+    return 0.5 * (
         fd_derivative(chart.grid, hopf, 0, 1) + 1j * fd_derivative(chart.grid, hopf, 1, 1)
     )
 
+
+def holomorphicity_residual_routes(chart: ConformalChart, T: np.ndarray):
+    """d/dzbar of the Hopf function: direct FD route and closed-formula route."""
     t = tensor_trace(T)
     tx = fd_derivative(chart.grid, t, 0, 1)
     ty = fd_derivative(chart.grid, t, 1, 1)
@@ -194,11 +200,7 @@ def holomorphicity_residual_routes(chart: ConformalChart, T: np.ndarray):
     div_x = chart.e2r * div[..., 0]  # <Div T, d_x>
     div_y = chart.e2r * div[..., 1]
     closed = (chart.e2r / 8.0) * (-tx + 2.0 * div_x + 1j * (ty - 2.0 * div_y))
-    return direct, closed
-
-
-def holomorphicity_residual(chart: ConformalChart, T: np.ndarray) -> np.ndarray:
-    return holomorphicity_residual_routes(chart, T)[0]
+    return holomorphicity_residual(chart, T), closed
 
 
 def rough_laplacian(chart: ConformalChart, T: np.ndarray) -> np.ndarray:

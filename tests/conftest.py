@@ -1,14 +1,6 @@
 import numpy as np
 import pytest
 
-from biconsurf import kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # compile the stencil kernels once so timing-sensitive tests are fair
-    kernels.warmup()
-
 
 @pytest.fixture
 def rng():

@@ -1,34 +1,47 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from biconsurf import kernels
 
 CASES = [(o, p, a) for o in (1, 2) for p in (True, False) for a in (0, 1)]
 
 
+def _per_slice(f, h, axis, order, periodic):
+    """Reference: the stencil written out on each 1D line along ``axis``."""
+    out = np.empty(f.shape)
+    lines, dest = np.moveaxis(f, axis, -1), np.moveaxis(out, axis, -1)
+    for idx in np.ndindex(lines.shape[:-1]):
+        x = lines[idx]
+        if periodic:
+            nxt, prv = np.roll(x, -1), np.roll(x, 1)
+            y = (nxt - prv) / (2.0 * h) if order == 1 else (nxt - 2.0 * x + prv) / (h * h)
+        elif order == 1:
+            y = np.empty_like(x)
+            y[1:-1] = (x[2:] - x[:-2]) / (2.0 * h)
+            y[0] = (-3.0 * x[0] + 4.0 * x[1] - x[2]) / (2.0 * h)
+            y[-1] = (3.0 * x[-1] - 4.0 * x[-2] + x[-3]) / (2.0 * h)
+        else:
+            y = np.empty_like(x)
+            y[1:-1] = (x[2:] - 2.0 * x[1:-1] + x[:-2]) / (h * h)
+            y[0] = (2.0 * x[0] - 5.0 * x[1] + 4.0 * x[2] - x[3]) / (h * h)
+            y[-1] = (2.0 * x[-1] - 5.0 * x[-2] + 4.0 * x[-3] - x[-4]) / (h * h)
+        dest[idx] = y
+    return out
+
+
 @pytest.mark.parametrize("order,periodic,axis", CASES)
-def test_backends_agree(order, periodic, axis, rng):
-    f = rng.standard_normal((17, 23))
-    a = kernels.derivative(f, 0.37, axis, order, periodic, backend="numba")
-    b = kernels.derivative(f, 0.37, axis, order, periodic, backend="numpy")
-    np.testing.assert_allclose(a, b, atol=1e-12, rtol=0)
+def test_components_match_per_slice(order, periodic, axis, rng):
+    f = rng.standard_normal((11, 13, 2, 3))
+    d = kernels.derivative(f, 0.37, axis, order, periodic)
+    np.testing.assert_array_equal(d, _per_slice(f, 0.37, axis, order, periodic))
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    seed=st.integers(0, 2**31),
-    order=st.sampled_from([1, 2]),
-    periodic=st.booleans(),
-    axis=st.sampled_from([0, 1]),
-    n=st.integers(4, 12),
-    m=st.integers(4, 12),
-)
-def test_backends_agree_property(seed, order, periodic, axis, n, m):
-    f = np.random.default_rng(seed).standard_normal((n, m))
-    a = kernels.derivative(f, 0.1, axis, order, periodic, backend="numba")
-    b = kernels.derivative(f, 0.1, axis, order, periodic, backend="numpy")
-    np.testing.assert_allclose(a, b, atol=1e-10, rtol=0)
+@pytest.mark.parametrize("order,periodic,axis", CASES)
+def test_complex_matches_parts(order, periodic, axis, rng):
+    f = rng.standard_normal((11, 13, 2)) + 1j * rng.standard_normal((11, 13, 2))
+    d = kernels.derivative(f, 0.37, axis, order, periodic)
+    np.testing.assert_array_equal(d.real, _per_slice(f.real, 0.37, axis, order, periodic))
+    np.testing.assert_array_equal(d.imag, _per_slice(f.imag, 0.37, axis, order, periodic))
 
 
 @pytest.mark.parametrize("periodic", [True, False])
@@ -66,9 +79,8 @@ def test_polynomials_exact_nonperiodic():
 def test_complex_input(rng):
     f = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
     d = kernels.derivative(f, 0.2, 1, 1, periodic=True)
-    np.testing.assert_allclose(
-        d, kernels.derivative(f.real, 0.2, 1, 1, True) + 1j * kernels.derivative(f.imag, 0.2, 1, 1, True)
-    )
+    np.testing.assert_array_equal(d.real, kernels.derivative(f.real, 0.2, 1, 1, True))
+    np.testing.assert_array_equal(d.imag, kernels.derivative(f.imag, 0.2, 1, 1, True))
 
 
 def test_axis1_matches_transposed_axis0(rng):
@@ -89,4 +101,4 @@ def test_validation_errors():
 
 
 def test_backend_name_reports_active():
-    assert kernels.backend_name() in ("numba", "numpy")
+    assert kernels.backend_name() == "numpy"

@@ -67,6 +67,43 @@ class TestGeometryReport:
         assert r.flags["is_biconservative"]  # under the wider fd tolerance
 
 
+class TestWorkCounts:
+    """Each covariant derivative and the biconservativity suite run once per
+    report: nabla S2 and nabla A_H with the surface Christoffels, nabla S2
+    with the chart's (Simons and the integral formulas share it), and nabla
+    A_H with the chart's (integral formulas, doubly periodic grids only)."""
+
+    @pytest.mark.parametrize(
+        "name,params,fd,chart,expect",
+        [
+            ("helix_line_r4", {"k": 1.0, "tau": 0.5}, False, True, 3),
+            ("product_torus", {"r1": 1.0, "r2": 2.0}, False, True, 4),
+            ("cylinder", {"r": 1.0, "stretch": 0.3}, True, False, 2),
+        ],
+    )
+    def test_one_evaluation_per_identity(self, monkeypatch, name, params, fd, chart, expect):
+        from biconsurf import checks, immersion, tensors
+
+        calls = {"cov": 0, "bicons": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        cov = counted("cov", tensors.cov_derivative_coords)
+        monkeypatch.setattr(tensors, "cov_derivative_coords", cov)
+        monkeypatch.setattr(immersion, "cov_derivative_coords", cov)
+        monkeypatch.setattr(checks, "biconservativity_residuals",
+                            counted("bicons", checks.biconservativity_residuals))
+        jet = make_builtin(name, n=32, **params)
+        r = rp.build_geometry_report(tabulate(jet) if fd else jet, name)
+        assert r.meta["isothermal_chart"] is chart
+        assert calls == {"cov": expect, "bicons": 1}
+
+
 class TestSerialization:
     def test_json_deterministic(self, helix_report):
         a = rp.report_to_json(helix_report)
