@@ -56,22 +56,26 @@ def interior_mask(grid, margin: int) -> np.ndarray:
 
 
 def weighted_l2(field: np.ndarray, geom: SurfaceGeometry, mask=None) -> float:
+    """Area-weighted RMS of a scalar field over the nodes in ``mask``."""
     dv = geom.area_element
     f2 = np.asarray(field) ** 2
     if mask is not None:
         f2 = np.where(mask, f2, 0.0)
         dv = np.where(mask, dv, 0.0)
-    num = integrate(geom.grid, f2 * geom.area_element)
-    den = integrate(geom.grid, dv)
-    return float(np.sqrt(num / den))
+    return float(np.sqrt(integrate(geom.grid, f2 * dv) / integrate(geom.grid, dv)))
+
+
+def scalar_norms(field: np.ndarray, geom: SurfaceGeometry, mask=None) -> tuple[float, float]:
+    """(L2, Linf) of |field| over the nodes in ``mask``."""
+    mag = np.abs(field)
+    if mask is not None:
+        mag = np.where(mask, mag, 0.0)
+    return weighted_l2(mag, geom, mask), float(np.max(mag))
 
 
 def vector_norms(V: np.ndarray, geom: SurfaceGeometry, mask=None) -> tuple[float, float]:
     """(L2, Linf) of the pointwise g-norm of a coordinate vector field."""
-    mag = np.sqrt(np.maximum(geom.vec_norm_sq(V), 0.0))
-    if mask is not None:
-        mag = np.where(mask, mag, 0.0)
-    return weighted_l2(mag, geom), float(np.max(mag))
+    return scalar_norms(np.sqrt(np.maximum(geom.vec_norm_sq(V), 0.0)), geom, mask)
 
 
 def stress_bienergy(A_H: np.ndarray, Hsq: np.ndarray) -> np.ndarray:

@@ -135,8 +135,7 @@ def build_geometry_report(
     rep.meta["boundary_margin"] = margin
 
     def scalar_norms(field):
-        field = np.where(mask, np.abs(field), 0.0)
-        return checks.weighted_l2(field, geom), float(np.max(field))
+        return checks.scalar_norms(field, geom, mask)
 
     res = geom.biconservativity
     named = [

@@ -266,3 +266,16 @@ class TestInteriorMask:
         field[0, :] = 1e6  # junk on the boundary only
         mask = checks.interior_mask(geom.grid, 1)
         assert checks.weighted_l2(field, geom, mask=mask) == 0.0
+
+    def test_masked_l2_normalized_by_interior_area(self):
+        # constant 1 inside the mask, junk outside: the RMS over the
+        # interior is 1, whatever the area of the masked band
+        geom = compute_geometry(make_builtin("graph", n=16))
+        mask = checks.interior_mask(geom.grid, 3)
+        field = np.where(mask, -1.0, 1e6)
+        assert checks.scalar_norms(field, geom, mask) == (1.0, 1.0)
+        V = np.zeros(geom.grid.shape + (2,))
+        V[..., 0] = np.where(mask, 1.0 / np.sqrt(geom.g[..., 0, 0]), 1e6)
+        l2, linf = checks.vector_norms(V, geom, mask)
+        assert l2 == pytest.approx(1.0, rel=1e-12)
+        assert linf == pytest.approx(1.0, rel=1e-12)
