@@ -142,6 +142,7 @@ class SurfaceGeometry:
 
     @cached_property
     def biconservativity(self) -> dict:
+        """The residual fields of :func:`checks.biconservativity_residuals`."""
         from . import checks
 
         return checks.biconservativity_residuals(self)
