@@ -16,10 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class DegenerateFrameError(ValueError):
-    """Tangent basis is (numerically) linearly dependent."""
-
-
 def _dot(a, b):
     return np.einsum("...k,...k->...", a, b)
 
@@ -81,22 +77,3 @@ def curvature_operator(space: Ambient, X, Y, Z, position=None, tol: float = 1e-8
         return np.zeros(np.broadcast_shapes(X.shape, Y.shape, Z.shape))
     return c * (_dot(Y, Z)[..., None] * X - _dot(X, Z)[..., None] * Y)
 
-
-def split_tangent_normal(tangent_basis, W, tol: float = 1e-12):
-    """Split an ambient vector into tangential and normal parts.
-
-    ``tangent_basis`` has shape ``(..., 2, n)`` (two surface tangent vectors
-    per node); ``W`` has shape ``(..., n)``. Returns ``(W_tan, W_nor)`` with
-    ``W = W_tan + W_nor`` and ``W_nor`` orthogonal to the span.
-    """
-    basis = np.asarray(tangent_basis, dtype=np.float64)
-    W = np.asarray(W, dtype=np.float64)
-    gram = np.einsum("...ak,...bk->...ab", basis, basis)
-    det = gram[..., 0, 0] * gram[..., 1, 1] - gram[..., 0, 1] * gram[..., 1, 0]
-    scale = gram[..., 0, 0] * gram[..., 1, 1]
-    if np.any(det <= tol * np.maximum(scale, 1e-300)):
-        raise DegenerateFrameError("tangent basis numerically degenerate")
-    rhs = np.einsum("...ak,...k->...a", basis, W)
-    coef = np.linalg.solve(gram, rhs[..., None])[..., 0]
-    W_tan = np.einsum("...a,...ak->...k", coef, basis)
-    return W_tan, W - W_tan

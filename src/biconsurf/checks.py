@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ambient import curvature_operator, split_tangent_normal
+from .ambient import curvature_operator
 from .grid import integrate
 from .immersion import (
     EPS_PU_ANALYTIC,
     EPS_PU_FD,
     SurfaceGeometry,
+    tangent_coords,
     trace_A_dperpH,
     trace_RN_H,
 )
@@ -261,9 +262,7 @@ def parallel_AH_checks(geom: SurfaceGeometry, tol: float) -> dict:
             np.einsum("...cm,...m->...c", geom.B[..., :, 1, :], geom.dperpH[..., 0, :])
             - np.einsum("...cm,...m->...c", geom.B[..., :, 0, :], geom.dperpH[..., 1, :]),
         )
-        R = _rn_xy_h(geom)
-        tang, _ = split_tangent_normal(geom.jet.d1, R)
-        rhs = np.einsum("...ab,...bk,...k->...a", geom.ginv, geom.jet.d1, tang)
+        rhs = tangent_coords(geom.jet, geom.ginv, _rn_xy_h(geom))
         _, out["commutation_linf"] = vector_norms(lhs - rhs, geom)
         tA = trace_A_dperpH(geom)
         tR = trace_RN_H(geom)

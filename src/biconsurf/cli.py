@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 import math
 import sys
+from contextlib import contextmanager
+from dataclasses import replace
 
 import click
 import numpy as np
@@ -26,6 +28,19 @@ EXIT_NUMERICAL = 4
 
 class ConfigError(ValueError):
     pass
+
+
+@contextmanager
+def _exit_on_error():
+    """Map configuration errors to exit 3 and numerical failures to exit 4."""
+    try:
+        yield
+    except ConfigError as exc:
+        click.echo(f"config error: {exc}", err=True)
+        sys.exit(EXIT_CONFIG)
+    except (DegenerateImmersionError, FloatingPointError) as exc:
+        click.echo(f"numerical failure: {exc}", err=True)
+        sys.exit(EXIT_NUMERICAL)
 
 
 def _load_config(path: str | None) -> dict:
@@ -50,6 +65,22 @@ def _parse_grid_size(text: str) -> tuple[int, int]:
     if nu < 4 or nv < 4:
         raise ConfigError("grid sizes must be >= 4")
     return nu, nv
+
+
+def _parse_params(specs, base: dict) -> dict:
+    """``base`` updated by ``key=value`` specs; a value that parses as a float
+    becomes one, any other value stays a string (e.g. ``chart=polar``)."""
+    params = dict(base)
+    for spec in specs:
+        try:
+            key, val = spec.split("=")
+        except ValueError as exc:
+            raise ConfigError(f"bad --param {spec!r}") from exc
+        try:
+            params[key.strip()] = float(val)
+        except ValueError:
+            params[key.strip()] = val.strip()
+    return params
 
 
 def _parse_periodic(text: str) -> tuple[bool, bool]:
@@ -121,32 +152,28 @@ def _load_surface_file(path: str):
     raise ConfigError("surface entry needs either 'builtin' or 'positions'")
 
 
+def _builtin_jet(name: str, params: dict, size, periodic=None):
+    """Builtin jet on its default grid resized to ``size`` (NU, NV), with the
+    ``periodic`` (u, v) flags if given; bad parameters raise ConfigError."""
+    try:
+        nu, nv = size
+        grid = replace(corpus.default_grid(name, n=nu, params=params), nu=nu, nv=nv)
+        if periodic is not None:
+            grid = replace(grid, periodic_u=periodic[0], periodic_v=periodic[1])
+        return corpus.make_builtin(name, grid=grid, **params)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _resolve_jet(cfg: dict):
     """Build an immersion jet from merged config; returns (jet, label)."""
     surface = cfg.get("surface")
     if surface is None:
         raise ConfigError("no surface given (use --surface or a config file)")
     if isinstance(surface, str) and surface in corpus.BUILTIN_MAKERS:
-        params = dict(cfg.get("params", {}))
-        grid = None
-        if "grid_size" in cfg:
-            nu, nv = cfg["grid_size"]
-            grid = corpus.default_grid(surface, n=nu, params=params)
-            if (grid.nu, grid.nv) != (nu, nv):
-                grid = Grid(
-                    grid.u_min, grid.u_max, grid.v_min, grid.v_max,
-                    nu, nv, grid.periodic_u, grid.periodic_v,
-                )
-        if "periodic" in cfg and grid is not None:
-            pu, pv = cfg["periodic"]
-            grid = Grid(
-                grid.u_min, grid.u_max, grid.v_min, grid.v_max,
-                grid.nu, grid.nv, pu, pv,
-            )
-        try:
-            jet = corpus.make_builtin(surface, grid=grid, **params)
-        except (corpus.SurfaceConfigError, TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+        jet = _builtin_jet(
+            surface, cfg.get("params", {}), cfg.get("grid_size", (64, 64)), cfg.get("periodic")
+        )
         if cfg.get("fd_jets"):
             jet = corpus.tabulate(jet)
         return jet, surface
@@ -221,15 +248,8 @@ def main():
 def verify(config_path, surface, grid_size, periodic, params, fd_jets, output, fmt,
            tol_analytic, tol_fd, dump_fields, assert_flags, assert_residuals):
     """Run the residual suite on a surface and emit a report."""
-    try:
+    with _exit_on_error():
         cfg = _load_config(config_path)
-        param_map = dict(cfg.get("params", {}))
-        for spec in params:
-            try:
-                key, val = spec.split("=")
-                param_map[key.strip()] = float(val)
-            except ValueError as exc:
-                raise ConfigError(f"bad --param {spec!r}") from exc
         cfg = _merge(
             cfg,
             surface=surface,
@@ -242,13 +262,8 @@ def verify(config_path, surface, grid_size, periodic, params, fd_jets, output, f
             tol_fd=tol_fd,
             dump_fields=dump_fields or cfg.get("dump_fields", False),
         )
-        cfg["params"] = param_map
+        cfg["params"] = _parse_params(params, cfg.get("params", {}))
         jet, label = _resolve_jet(cfg)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-
-    try:
         rep = report_mod.build_geometry_report(
             jet,
             surface_label=label,
@@ -256,19 +271,11 @@ def verify(config_path, surface, grid_size, periodic, params, fd_jets, output, f
             tol_fd=cfg.get("tol_fd", 1e-3),
             dump_fields=bool(cfg.get("dump_fields", False)),
         )
-    except (DegenerateImmersionError, FloatingPointError) as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        sys.exit(EXIT_NUMERICAL)
-
-    _emit(rep, cfg.get("format", "json"), cfg.get("output"))
-    try:
+        _emit(rep, cfg.get("format", "json"), cfg.get("output"))
         failures = _check_assertions(
             rep, list(assert_flags) + list(cfg.get("assert_flags", [])),
             list(assert_residuals) + list(cfg.get("assert_residuals", [])),
         )
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
     if failures:
         for f in failures:
             click.echo(f"assertion failed: {f}", err=True)
@@ -371,15 +378,8 @@ def estimate_order(coarse: float, fine: float) -> object:
 @click.option("--output", default=None, type=click.Path())
 def convergence(config_path, surface, grid_size, levels, params, fd_jets, output):
     """Refinement study: residual norms and estimated decay orders per level."""
-    try:
+    with _exit_on_error():
         cfg = _load_config(config_path)
-        param_map = dict(cfg.get("params", {}))
-        for spec in params:
-            try:
-                key, val = spec.split("=")
-                param_map[key.strip()] = float(val)
-            except ValueError as exc:
-                raise ConfigError(f"bad --param {spec!r}") from exc
         cfg = _merge(
             cfg,
             surface=surface,
@@ -388,7 +388,7 @@ def convergence(config_path, surface, grid_size, levels, params, fd_jets, output
             fd_jets=fd_jets or cfg.get("fd_jets", False),
             output=output,
         )
-        cfg["params"] = param_map
+        param_map = _parse_params(params, cfg.get("params", {}))
         nlevels = int(cfg.get("levels", 3))
         if nlevels < 3:
             raise ConfigError("need at least 3 refinement levels")
@@ -396,11 +396,7 @@ def convergence(config_path, surface, grid_size, levels, params, fd_jets, output
         if name not in corpus.BUILTIN_MAKERS:
             raise ConfigError(f"convergence needs a builtin surface, got {name!r}")
         nu0, _ = cfg.get("grid_size", (32, 32))
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-
-    table = run_convergence(name, param_map, nu0, nlevels, bool(cfg.get("fd_jets")))
+        table = run_convergence(name, param_map, nu0, nlevels, bool(cfg.get("fd_jets")))
     text = json.dumps(table, indent=2, sort_keys=False) + "\n"
     if cfg.get("output"):
         with open(cfg["output"], "w", encoding="utf-8", newline="\n") as fh:
@@ -410,12 +406,13 @@ def convergence(config_path, surface, grid_size, levels, params, fd_jets, output
 
 
 def run_convergence(name: str, params: dict, n0: int, levels: int, fd_jets: bool) -> dict:
-    """Residual L-inf per refinement level plus decay-order estimates."""
+    """Residual L-inf per refinement level plus decay-order estimates; bad
+    builtin parameters raise ConfigError."""
     per_level = []
     hs = []
     for level in range(levels):
         n = n0 * 2**level
-        jet = corpus.make_builtin(name, n=n, **params)
+        jet = _builtin_jet(name, params, (n, n))
         if fd_jets:
             jet = corpus.tabulate(jet)
         rep = report_mod.build_geometry_report(jet, surface_label=name)

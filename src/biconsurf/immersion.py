@@ -6,22 +6,25 @@ from analytic closures (round-off accurate) or finite-differenced from a
 position table. :func:`compute_geometry` derives the induced metric, second
 fundamental form, mean curvature vector, shape operator, surface
 Christoffel symbols, the normal connection applied to H, and the Gauss
-curvature.
+curvature, all in the coordinate frame (d_u X, d_v X). One helper,
+:func:`tangent_coords`, gives the tangent part of an ambient vector; normal
+parts subtract it (and the radial part, on a sphere).
 
-With analytic third derivatives the derivative of H is computed by exact
-per-node algebra (differentiating the metric inverse and the tangent
-projector), so identities built on nabla-perp H hold at round-off; without
-them, fields are differentiated by O(h^2) finite differences.
+With analytic third derivatives, nabla-perp H comes from
+nabla-perp_a H = 1/2 tr nabla-perp_a B, the derivative of B written with
+the surface Christoffels, so identities built on nabla-perp H hold at
+round-off; without them, H is differentiated by O(h^2) finite differences.
+K comes from the Gauss equation in coordinates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .ambient import Ambient, _dot, curvature_operator, split_tangent_normal
+from .ambient import Ambient, _dot, curvature_operator
 from .grid import Grid, fd_derivative
 from .tensors import cov_derivative_coords
 
@@ -31,9 +34,13 @@ from .tensors import cov_derivative_coords
 EPS_PU_ANALYTIC = 1e-6
 EPS_PU_FD = 1e-2
 
+# det g <= DEGENERACY_TOL g_uu g_vv (the squared sine of the angle between
+# d_u X and d_v X) marks the immersion as degenerate.
+DEGENERACY_TOL = 1e-12
+
 
 class DegenerateImmersionError(ValueError):
-    """The immersion condition det g > 0 fails at some node."""
+    """The immersion condition det g > 0 fails (numerically) at some node."""
 
 
 @dataclass(frozen=True)
@@ -82,8 +89,9 @@ def jet_from_positions(grid: Grid, pos: np.ndarray, space: Ambient) -> Immersion
 def induced_metric(jet: ImmersionJet) -> np.ndarray:
     g = np.einsum("...ak,...bk->...ab", jet.d1, jet.d1)
     det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2
-    if np.any(det <= 0):
-        idx = np.argwhere(det <= 0)[0]
+    bad = det <= DEGENERACY_TOL * g[..., 0, 0] * g[..., 1, 1]
+    if np.any(bad):
+        idx = np.argwhere(bad)[0]
         raise DegenerateImmersionError(f"immersion degenerate at node {tuple(idx)}")
     return g
 
@@ -161,10 +169,6 @@ class SurfaceGeometry:
         """g(V, V) for coordinate vector components."""
         return np.einsum("...ij,...i,...j->...", self.g, V, V)
 
-    def tensor_norm_sq(self, T: np.ndarray) -> np.ndarray:
-        """|T|^2 for mixed (1,1) components."""
-        return np.einsum("...ab,...ik,...ia,...kb->...", self.ginv, self.g, T, T)
-
     def nabla_norm_sq(self, S: np.ndarray) -> np.ndarray:
         """|nabla T|^2 for S[..., a, i, j] = (nabla_a T)^i_j."""
         return np.einsum(
@@ -177,23 +181,27 @@ class SurfaceGeometry:
         return np.einsum("...ij,...j->...i", self.ginv, df)
 
 
+def tangent_coords(jet: ImmersionJet, ginv: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Coordinates g^{ab} <d_b X, W> of the part of W tangent to the surface.
+
+    W has shape (nu, nv, ..., n): component axes sit between the node axes
+    and the vector axis, and the result ends in the coordinate index a.
+    """
+    return np.einsum("xyab,xybk,xy...k->xy...a", ginv, jet.d1, W)
+
+
 def _project_off_tangent(jet: ImmersionJet, ginv: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Remove the part of W tangent to the surface (and radial, on a sphere)."""
-    coef = np.einsum("...ab,...bk,...k->...a", ginv, jet.d1, W)
-    out = W - np.einsum("...a,...ak->...k", coef, jet.d1)
+    out = W - np.einsum("xy...a,xyak->xy...k", tangent_coords(jet, ginv, W), jet.d1)
     if jet.space.kind == "sphere":
-        r2 = jet.space.radius**2
-        out = out - (_dot(out, jet.pos) / r2)[..., None] * jet.pos
+        pos = jet.pos.reshape(jet.grid.shape + (1,) * (W.ndim - 3) + (-1,))
+        out = out - (_dot(out, pos) / jet.space.radius**2)[..., None] * pos
     return out
 
 
-def second_fundamental_form(jet: ImmersionJet, g: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+def second_fundamental_form(jet: ImmersionJet, ginv: np.ndarray) -> np.ndarray:
     """B(d_i, d_j) = normal part of the second parameter derivatives."""
-    B = np.empty_like(jet.d2)
-    for i in range(2):
-        for j in range(2):
-            B[..., i, j, :] = _project_off_tangent(jet, ginv, jet.d2[..., i, j, :])
-    return B
+    return _project_off_tangent(jet, ginv, jet.d2)
 
 
 def mean_curvature(B: np.ndarray, ginv: np.ndarray):
@@ -201,58 +209,28 @@ def mean_curvature(B: np.ndarray, ginv: np.ndarray):
     return H, _dot(H, H)
 
 
-def normal_connection_H(jet: ImmersionJet, g: np.ndarray, ginv: np.ndarray, H: np.ndarray) -> np.ndarray:
+def normal_connection_H(
+    jet: ImmersionJet, ginv: np.ndarray, H: np.ndarray, B: np.ndarray, gamma: np.ndarray
+) -> np.ndarray:
     """nabla-perp_{d_a} H for a = u, v, shape (nu, nv, 2, n).
 
-    Uses exact algebraic differentiation when third derivatives are
-    available, finite differences of the H field otherwise.
+    With third derivatives this is 1/2 tr nabla-perp_a B in closed form:
+    P-perp(d_a B_ij) = P-perp(d_a d_i d_j X) - Gamma^k_ij B_ak and
+    d_a g^{ij} = -g^{ip} Gamma^j_ap - g^{jp} Gamma^i_ap give
+    1/2 P-perp(g^{ij} d_a d_i d_j X) - 1/2 g^{ij} Gamma^k_ij B_ak
+    - g^{ip} Gamma^j_ap B_ij. Otherwise the H field is finite-differenced.
     """
-    if jet.has_third:
-        DH = _ambient_dH_exact(jet, ginv)
-    else:
+    if not jet.has_third:
         DH = np.stack([fd_derivative(jet.grid, H, a, 1) for a in (0, 1)], axis=-2)
-        if jet.space.kind == "sphere":
-            # ambient covariant derivative in the sphere: project off radial
-            r2 = jet.space.radius**2
-            for a in range(2):
-                DH[..., a, :] -= (_dot(DH[..., a, :], jet.pos) / r2)[..., None] * jet.pos
-    out = np.empty_like(DH)
-    for a in range(2):
-        out[..., a, :] = _project_off_tangent(jet, ginv, DH[..., a, :])
-    return out
-
-
-def _ambient_dH_exact(jet: ImmersionJet, ginv: np.ndarray) -> np.ndarray:
-    """Ambient derivative D_a H by exact per-node algebra (needs d3)."""
-    sphere = jet.space.kind == "sphere"
-    r2 = jet.space.radius**2 if sphere else None
-    m = 0.5 * np.einsum("...ij,...ijk->...k", ginv, jet.d2)
-    out = np.empty(jet.grid.shape + (2, jet.pos.shape[-1]))
-    for a in range(2):
-        # d_a g_{kl} and d_a g^{ij}
-        dg = np.einsum("...km,...lm->...kl", jet.d2[..., a, :, :], jet.d1)
-        dg = dg + np.swapaxes(dg, -1, -2)
-        dginv = -np.einsum("...ik,...kl,...lj->...ij", ginv, dg, ginv)
-        # d_a m
-        dm = 0.5 * np.einsum("...ij,...ijk->...k", dginv, jet.d2) + 0.5 * np.einsum(
-            "...ij,...ijk->...k", ginv, jet.d3[..., a, :]
-        )
-        # d_a of the normal projector applied to m: P = I - X_i g^{ij} X_j^T (- radial)
-        xm = np.einsum("...jk,...k->...j", jet.d1, m)  # <X_j, m>
-        dxm = np.einsum("...jk,...k->...j", jet.d2[..., a, :, :], m)
-        dPm = -(
-            np.einsum("...ik,...ij,...j->...k", jet.d2[..., a, :, :], ginv, xm)
-            + np.einsum("...ik,...ij,...j->...k", jet.d1, dginv, xm)
-            + np.einsum("...ik,...ij,...j->...k", jet.d1, ginv, dxm)
-        )
-        if sphere:
-            pm = _dot(m, jet.pos)
-            dPm -= (
-                _dot(jet.d1[..., a, :], m)[..., None] * jet.pos
-                + pm[..., None] * jet.d1[..., a, :]
-            ) / r2
-        out[..., a, :] = dPm + _project_off_tangent(jet, ginv, dm)
-    return out
+        return _project_off_tangent(jet, ginv, DH)
+    d3_trace = _project_off_tangent(jet, ginv, np.einsum("xyij,xyaijk->xyak", ginv, jet.d3))
+    gamma_trace = np.einsum("xyij,xykij->xyk", ginv, gamma)
+    dginv = np.einsum("xyip,xyjap->xyaij", ginv, gamma)
+    return (
+        0.5 * d3_trace
+        - 0.5 * np.einsum("xyk,xyakn->xyan", gamma_trace, B)
+        - np.einsum("xyaij,xyijn->xyan", dginv, B)
+    )
 
 
 def surface_christoffels(jet: ImmersionJet, ginv: np.ndarray) -> np.ndarray:
@@ -261,28 +239,10 @@ def surface_christoffels(jet: ImmersionJet, ginv: np.ndarray) -> np.ndarray:
     return np.einsum("...kl,...ijl->...kij", ginv, inner)
 
 
-def _orthonormal_frame_coefs(g: np.ndarray):
-    """Gram-Schmidt on (d_u, d_v), started from d_u: coordinate coefficients."""
-    g11 = g[..., 0, 0]
-    g12 = g[..., 0, 1]
-    g22 = g[..., 1, 1]
-    e1 = np.zeros(g.shape[:-2] + (2,))
-    e2 = np.zeros_like(e1)
-    s1 = np.sqrt(g11)
-    e1[..., 0] = 1.0 / s1
-    w = np.sqrt(g22 - g12**2 / g11)
-    e2[..., 0] = -g12 / (g11 * w)
-    e2[..., 1] = 1.0 / w
-    return e1, e2
-
-
 def gauss_curvature_extrinsic(jet: ImmersionJet, g: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """K from the Gauss equation in an orthonormal tangent frame."""
-    e1, e2 = _orthonormal_frame_coefs(g)
-    B11 = np.einsum("...i,...j,...ijk->...k", e1, e1, B)
-    B22 = np.einsum("...i,...j,...ijk->...k", e2, e2, B)
-    B12 = np.einsum("...i,...j,...ijk->...k", e1, e2, B)
-    K = _dot(B11, B22) - _dot(B12, B12)
+    """K = (<B_uu, B_vv> - |B_uv|^2) / det g + c, the Gauss equation in coordinates."""
+    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2
+    K = (_dot(B[..., 0, 0, :], B[..., 1, 1, :]) - _dot(B[..., 0, 1, :], B[..., 0, 1, :])) / det
     # ambient sectional curvature term; space forms give the constant c
     return K + jet.space.curvature
 
@@ -297,28 +257,20 @@ def trace_RN_H(geom: SurfaceGeometry) -> np.ndarray:
     """trace (R^N(., H) .)^T, coordinate vector components."""
     if geom.space.curvature == 0.0:
         return np.zeros(geom.grid.shape + (2,))
-    vec = np.zeros(geom.grid.shape + (geom.jet.pos.shape[-1],))
-    for a in range(2):
-        for b in range(2):
-            R = curvature_operator(
-                geom.space, geom.jet.d1[..., a, :], geom.H, geom.jet.d1[..., b, :]
-            )
-            vec += geom.ginv[..., a, b, None] * R
-    tang, _ = split_tangent_normal(geom.jet.d1, vec)
-    # express in the coordinate basis
-    coef = np.einsum(
-        "...ab,...bk,...k->...a", geom.ginv, geom.jet.d1, tang
+    d1 = geom.jet.d1
+    R = curvature_operator(
+        geom.space, d1[..., :, None, :], geom.H[..., None, None, :], d1[..., None, :, :]
     )
-    return coef
+    return tangent_coords(geom.jet, geom.ginv, np.einsum("...ab,...abk->...k", geom.ginv, R))
 
 
 def compute_geometry(jet: ImmersionJet) -> SurfaceGeometry:
     g = induced_metric(jet)
     ginv = np.linalg.inv(g)
-    B = second_fundamental_form(jet, g, ginv)
+    B = second_fundamental_form(jet, ginv)
     H, Hsq = mean_curvature(B, ginv)
     A_H = np.einsum("...ik,...kjm,...m->...ij", ginv, B, H)
     gamma = surface_christoffels(jet, ginv)
-    dperpH = normal_connection_H(jet, g, ginv, H)
+    dperpH = normal_connection_H(jet, ginv, H, B, gamma)
     K = gauss_curvature_extrinsic(jet, g, B)
     return SurfaceGeometry(jet, g, ginv, B, H, Hsq, A_H, gamma, dperpH, K)

@@ -73,8 +73,9 @@ class GeometryReport:
     flags: dict = field(default_factory=dict)
     fields: dict | None = None  # raw per-node fields, only on request
 
-    def add(self, name: str, ref: str, l2: float, linf: float):
-        self.residuals.append(ResidualEntry(name, ref, float(l2), float(linf)))
+    def add(self, name: str, l2: float, linf: float):
+        """Append a residual; its REFERENCE_INDEX key is ``name`` with dashes."""
+        self.residuals.append(ResidualEntry(name, name.replace("_", "-"), float(l2), float(linf)))
 
     def residual(self, name: str) -> ResidualEntry:
         for r in self.residuals:
@@ -139,69 +140,56 @@ def build_geometry_report(
 
     res = geom.biconservativity
     named = [
-        ("stress_divergence", "stress-divergence", res["cond1"]),
-        ("trace_balance", "trace-balance", res["cond2"]),
-        ("gradient_trace_balance", "gradient-trace-balance", res["cond3"]),
-        ("codazzi_trace_balance", "codazzi-trace-balance", res["cond4"]),
-        ("divergence_route_gap", "divergence-route-gap", res["divergence_route_gap"]),
-        ("trace_nabla_identity", "trace-nabla-identity", res["trace_identity"]),
-        ("grad_mean_curvature_sq", "grad-mean-curvature-sq", res["grad_Hsq"]),
+        ("stress_divergence", "cond1"),
+        ("trace_balance", "cond2"),
+        ("gradient_trace_balance", "cond3"),
+        ("codazzi_trace_balance", "cond4"),
+        ("divergence_route_gap", "divergence_route_gap"),
+        ("trace_nabla_identity", "trace_identity"),
+        ("grad_mean_curvature_sq", "grad_Hsq"),
     ]
-    for name, ref, vec in named:
-        l2, linf = checks.vector_norms(vec, geom, mask)
-        rep.add(name, ref, l2, linf)
+    for name, key in named:
+        rep.add(name, *checks.vector_norms(res[key], geom, mask))
 
     nab = geom.nabla_AH
     nab_mag = np.sqrt(np.maximum(geom.nabla_norm_sq(nab), 0.0))
-    rep.add("nabla_shape_operator", "nabla-shape-operator",
-            *scalar_norms(nab_mag))
+    rep.add("nabla_shape_operator", *scalar_norms(nab_mag))
 
     dperp_mag = np.sqrt(np.maximum(
         np.einsum("...ab,...am,...bm->...", geom.ginv, geom.dperpH, geom.dperpH), 0.0))
-    rep.add("normal_derivative_H", "normal-derivative-H",
-            *scalar_norms(dperp_mag))
+    rep.add("normal_derivative_H", *scalar_norms(dperp_mag))
 
     S2 = geom.S2
     tr_gap = np.abs(S2[..., 0, 0] + S2[..., 1, 1] - 4.0 * geom.Hsq)
-    rep.add("stress_trace", "stress-trace",
-            *scalar_norms(tr_gap))
+    rep.add("stress_trace", *scalar_norms(tr_gap))
 
     lam1, lam2, mu, pu_mask = geom.principal
     sum_gap = np.abs(lam1 + lam2 - 2.0 * geom.Hsq)
-    rep.add("eigenvalue_sum", "eigenvalue-sum",
-            *scalar_norms(sum_gap))
+    rep.add("eigenvalue_sum", *scalar_norms(sum_gap))
 
     if chart is not None:
         S2_sq = tensor_inner(chart, S2, S2)
         AH_sq = checks.shape_operator_norm_sq(geom)
         norm_gap = np.abs(S2_sq - 16.0 * AH_sq + 24.0 * geom.Hsq**2)
-        rep.add("stress_norm", "stress-norm",
-                *scalar_norms(norm_gap))
+        rep.add("stress_norm", *scalar_norms(norm_gap))
 
         hol = np.abs(holomorphicity_residual(chart, geom.A_H))
-        rep.add("hopf_holomorphicity", "hopf-holomorphicity",
-                *scalar_norms(hol))
+        rep.add("hopf_holomorphicity", *scalar_norms(hol))
 
         simons, simons_flagged = checks.simons_residual(geom, chart, bicons_tol=tol)
-        rep.add("simons", "simons",
-                *scalar_norms(simons))
+        rep.add("simons", *scalar_norms(simons))
         rep.flags["simons_assumes_biconservative_violated"] = simons_flagged
 
-    defect = codazzi_defect_coords(nab)
-    l2, linf = checks.vector_norms(defect, geom, mask)
-    rep.add("codazzi_defect", "codazzi-defect", l2, linf)
+    rep.add("codazzi_defect", *checks.vector_norms(codazzi_defect_coords(nab), geom, mask))
 
     pos = checks.positivity_quantity(geom)
     deficit = np.maximum(-pos, 0.0)
-    rep.add("positivity_deficit", "positivity-deficit",
-            *scalar_norms(deficit))
+    rep.add("positivity_deficit", *scalar_norms(deficit))
 
     if geom.grid.doubly_periodic and chart is not None:
         integ = checks.integral_formula_check(geom, chart)
-        rep.add("integral_shape_operator", "integral-shape-operator",
-                abs(integ["int_AH_gap"]), abs(integ["int_AH_gap"]))
-        rep.add("integral_stress", "integral-stress",
-                abs(integ["int_S2_gap"]), abs(integ["int_S2_gap"]))
+        rep.add("integral_shape_operator", abs(integ["int_AH_gap"]), abs(integ["int_AH_gap"]))
+        rep.add("integral_stress", abs(integ["int_S2_gap"]), abs(integ["int_S2_gap"]))
     else:
         rep.meta["integral_formulas"] = "skipped: grid not doubly periodic" \
             if not geom.grid.doubly_periodic else "skipped: no isothermal chart"
@@ -255,11 +243,9 @@ def build_mu_report(sol, dump_fields: bool = False) -> GeometryReport:
     }
     rep = GeometryReport(meta)
     F = mu_residual(prob.grid, sol.mu, prob.H, prob.KN)
-    rep.add("gap_equation", "gap-equation",
-            float(np.sqrt(np.mean(F**2))), float(np.max(np.abs(F))))
+    rep.add("gap_equation", float(np.sqrt(np.mean(F**2))), float(np.max(np.abs(F))))
     gc = gauss_consistency(sol)
-    rep.add("gauss_consistency", "gauss-consistency",
-            float(np.sqrt(np.mean(gc**2))), float(np.max(np.abs(gc))))
+    rep.add("gauss_consistency", float(np.sqrt(np.mean(gc**2))), float(np.max(np.abs(gc))))
     rep.flags["converged"] = sol.converged
     rep.summaries = {
         "mu_min": float(np.min(sol.mu)),

@@ -3,11 +3,9 @@ import pytest
 
 from biconsurf.ambient import (
     Ambient,
-    DegenerateFrameError,
     curvature_operator,
     euclidean,
     sphere,
-    split_tangent_normal,
 )
 
 
@@ -61,26 +59,3 @@ def test_curvature_operator_tangency_check():
     with pytest.raises(ValueError, match="tangent"):
         curvature_operator(s, radial, tangent, tangent, position=p)
 
-
-def test_split_tangent_normal(rng):
-    basis = rng.standard_normal((6, 2, 4))
-    W = rng.standard_normal((6, 4))
-    tan, nor = split_tangent_normal(basis, W)
-    np.testing.assert_allclose(tan + nor, W, atol=1e-12)
-    # normal part orthogonal to both basis vectors
-    np.testing.assert_allclose(
-        np.einsum("...ak,...k->...a", basis, nor), 0.0, atol=1e-10
-    )
-    # tangential input is returned unchanged
-    t = 0.3 * basis[:, 0] - 1.7 * basis[:, 1]
-    tan2, nor2 = split_tangent_normal(basis, t)
-    np.testing.assert_allclose(tan2, t, atol=1e-9)
-    np.testing.assert_allclose(nor2, 0.0, atol=1e-9)
-
-
-def test_split_degenerate_basis():
-    basis = np.zeros((1, 2, 3))
-    basis[0, 0] = [1.0, 0.0, 0.0]
-    basis[0, 1] = [2.0, 0.0, 0.0]
-    with pytest.raises(DegenerateFrameError):
-        split_tangent_normal(basis, np.array([[0.0, 1.0, 0.0]]))

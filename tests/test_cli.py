@@ -80,6 +80,48 @@ class TestVerify:
         )
         assert res.exit_code == EXIT_CONFIG
 
+    def test_string_param(self, runner, tmp_path):
+        res = runner.invoke(main, ["verify", "--surface", "sphere", "--param", "chart=polar"])
+        assert res.exit_code == 0, res.output
+        f = tmp_path / "polar.json"
+        f.write_text(json.dumps({"surface": "sphere", "params": {"chart": "polar"}}))
+        via_config = runner.invoke(main, ["verify", "--config", str(f)])
+        assert via_config.exit_code == 0, via_config.output
+        assert res.output == via_config.output
+
+    @pytest.mark.parametrize("args", [
+        ["verify", "--surface", "cylinder", "--grid", "8x8", "--param", "r=-1"],
+        ["convergence", "--surface", "cylinder", "--param", "q=1"],
+        ["convergence", "--surface", "cylinder", "--param", "r=-1"],
+    ])
+    def test_bad_builtin_param_is_config_error(self, runner, args):
+        res = runner.invoke(main, args)
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert "config error:" in res.stderr
+
+    def test_periodic_applies_to_default_grid(self, runner):
+        base = ["verify", "--surface", "helix_line_r4", "--periodic", "u"]
+        res = runner.invoke(main, base)
+        assert res.exit_code == 0, res.output
+        grid = json.loads(res.output)["meta"]["grid"]
+        assert (grid["nu"], grid["periodic_u"], grid["periodic_v"]) == (64, True, False)
+        assert res.output == runner.invoke(main, base + ["--grid", "64x64"]).output
+
+    def test_degenerate_table_exit_code(self, runner, tmp_path):
+        # a plane whose tangents d_u X and d_v X are 1e-7 rad apart
+        u = np.linspace(0.0, 1.0, 8)
+        U, V = np.meshgrid(u, u, indexing="ij")
+        pos = np.stack([U + np.cos(1e-7) * V, np.sin(1e-7) * V, 0.0 * U], axis=-1)
+        cfg = {
+            "grid": {"u": [0.0, 1.0, 8, False], "v": [0.0, 1.0, 8, False]},
+            "surface": {"positions": pos.reshape(-1, 3).tolist()},
+        }
+        f = tmp_path / "flat.json"
+        f.write_text(json.dumps(cfg))
+        res = runner.invoke(main, ["verify", "--surface", str(f)])
+        assert res.exit_code == EXIT_NUMERICAL
+        assert "numerical failure:" in res.stderr
+
     def test_bad_assertion_spec_exit_code(self, runner):
         res = runner.invoke(
             main,

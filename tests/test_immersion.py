@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 
 from biconsurf.ambient import euclidean, sphere
-from biconsurf.corpus import make_builtin, tabulate
-from biconsurf.grid import build_grid
+from biconsurf.checks import interior_mask
+from biconsurf.corpus import load_tabulated, make_builtin, tabulate
+from biconsurf.grid import build_grid, fd_derivative
 from biconsurf.immersion import (
     DegenerateImmersionError,
     ImmersionJet,
+    _project_off_tangent,
     compute_geometry,
     induced_metric,
     jet_from_positions,
+    tangent_coords,
 )
 
 
@@ -18,6 +21,65 @@ def plane_jet(n=16):
     U, V = g.mesh()
     pos = np.stack([U, V, np.zeros_like(U)], axis=-1)
     return jet_from_positions(g, pos, euclidean(3))
+
+
+def frame_jet(rng, space, shape=(4, 5)):
+    """Jet with random positions and tangent frames (tangent to the sphere
+    when ``space`` is one); only pos and d1 are meaningful."""
+    n = space.embedding_dim
+    pos = rng.standard_normal(shape + (n,))
+    d1 = rng.standard_normal(shape + (2, n))
+    if space.kind == "sphere":
+        pos *= space.radius / np.linalg.norm(pos, axis=-1, keepdims=True)
+        radial = np.einsum("...ak,...k->...a", d1, pos) / space.radius**2
+        d1 -= radial[..., None] * pos[..., None, :]
+    grid = build_grid((0.0, 1.0), (0.0, 1.0), *shape)
+    return ImmersionJet(grid, space, pos, d1, np.zeros(shape + (2, 2, n)))
+
+
+class TestProjection:
+    def test_project_off_tangent_random_frames(self, rng):
+        jet = frame_jet(rng, euclidean(4))
+        ginv = np.linalg.inv(induced_metric(jet))
+        W = rng.standard_normal(jet.pos.shape)
+        nor = _project_off_tangent(jet, ginv, W)
+        tan = np.einsum("...a,...ak->...k", tangent_coords(jet, ginv, W), jet.d1)
+        np.testing.assert_allclose(tan + nor, W, atol=1e-12)
+        # normal part orthogonal to both frame vectors
+        np.testing.assert_allclose(np.einsum("...ak,...k->...a", jet.d1, nor), 0.0, atol=1e-10)
+        # tangential input: coordinates recovered, normal part vanishes
+        t = 0.3 * jet.d1[..., 0, :] - 1.7 * jet.d1[..., 1, :]
+        coords = tangent_coords(jet, ginv, t)
+        np.testing.assert_allclose(coords[..., 0], 0.3, atol=1e-9)
+        np.testing.assert_allclose(coords[..., 1], -1.7, atol=1e-9)
+        np.testing.assert_allclose(_project_off_tangent(jet, ginv, t), 0.0, atol=1e-9)
+
+    def test_project_off_tangent_sphere_removes_radial(self, rng):
+        space = sphere(3, 2.0)
+        jet = frame_jet(rng, space)
+        ginv = np.linalg.inv(induced_metric(jet))
+        W = rng.standard_normal(jet.pos.shape)
+        nor = _project_off_tangent(jet, ginv, W)
+        np.testing.assert_allclose(np.einsum("...ak,...k->...a", jet.d1, nor), 0.0, atol=1e-10)
+        np.testing.assert_allclose(np.einsum("...k,...k->...", jet.pos, nor), 0.0, atol=1e-10)
+        # W = tangent + radial + normal, each part recovered
+        radial = np.einsum("...k,...k->...", W, jet.pos)[..., None] * jet.pos / space.radius**2
+        tan = np.einsum("...a,...ak->...k", tangent_coords(jet, ginv, W), jet.d1)
+        np.testing.assert_allclose(tan + radial + nor, W, atol=1e-12)
+        np.testing.assert_allclose(_project_off_tangent(jet, ginv, tan + radial), 0.0, atol=1e-9)
+
+    def test_component_axes_match_per_slice(self, rng):
+        jet = frame_jet(rng, sphere(3, 1.0))
+        ginv = np.linalg.inv(induced_metric(jet))
+        W = rng.standard_normal(jet.grid.shape + (2, 3, 4))
+        coords = tangent_coords(jet, ginv, W)
+        nor = _project_off_tangent(jet, ginv, W)
+        assert coords.shape == jet.grid.shape + (2, 3, 2)
+        for i in range(2):
+            for j in range(3):
+                w = W[..., i, j, :]
+                np.testing.assert_array_equal(coords[..., i, j, :], tangent_coords(jet, ginv, w))
+                np.testing.assert_array_equal(nor[..., i, j, :], _project_off_tangent(jet, ginv, w))
 
 
 class TestPlane:
@@ -146,6 +208,32 @@ class TestSphereAmbient:
         np.testing.assert_allclose(radial, 0.0, atol=1e-10)
 
 
+class TestGraph:
+    """z = f(u, v) = u^2 - v^3: dperp H is of order 1, K is not constant."""
+
+    def test_exact_dperpH_matches_fd_of_H(self):
+        errs, hs = [], []
+        for n in (64, 128):
+            jet = make_builtin("graph", n=n)
+            geom = compute_geometry(jet)
+            DH = np.stack([fd_derivative(jet.grid, geom.H, a, 1) for a in (0, 1)], axis=-2)
+            fd = _project_off_tangent(jet, geom.ginv, DH)
+            mask = interior_mask(jet.grid, 3)
+            scale = np.max(np.linalg.norm(geom.dperpH, axis=-1)[mask])
+            assert scale > 1.0
+            errs.append(np.max(np.linalg.norm(geom.dperpH - fd, axis=-1)[mask]) / scale)
+            hs.append(jet.grid.hu)
+        assert errs[1] < 1e-2
+        assert np.log(errs[0] / errs[1]) / np.log(hs[0] / hs[1]) >= 1.8
+
+    def test_gauss_curvature_closed_form(self):
+        jet = make_builtin("graph", n=48)
+        U, V = jet.grid.mesh()
+        fu, fv, fuu, fvv, fuv = 2.0 * U, -3.0 * V**2, 2.0, -6.0 * V, 0.0
+        K = (fuu * fvv - fuv**2) / (1.0 + fu**2 + fv**2) ** 2
+        np.testing.assert_allclose(compute_geometry(jet).K, K, rtol=0, atol=1e-12)
+
+
 class TestFiniteDifferenceJets:
     def test_tabulated_sphere_converges(self):
         errs = []
@@ -170,6 +258,14 @@ class TestDegeneracy:
         jet = jet_from_positions(g, pos, euclidean(3))
         with pytest.raises(DegenerateImmersionError):
             induced_metric(jet)
+
+    def test_nearly_parallel_tangents_rejected(self):
+        g = build_grid((0.0, 1.0), (0.0, 1.0), 8, 8)
+        U, V = g.mesh()
+        angle = 1e-7  # between d_u X and d_v X: det g / (g_uu g_vv) = 1e-14
+        pos = np.stack([U + np.cos(angle) * V, np.sin(angle) * V, np.zeros_like(U)], axis=-1)
+        with pytest.raises(DegenerateImmersionError):
+            load_tabulated(g, pos, euclidean(3))
 
     def test_shape_validation(self):
         g = build_grid((0.0, 1.0), (0.0, 1.0), 8, 8)

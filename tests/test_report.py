@@ -23,6 +23,13 @@ class TestResidualEntry:
         with pytest.raises(ValueError):
             rp.ResidualEntry("x", "simons", -1.0, 0.0)
 
+    def test_add_derives_reference_key(self):
+        r = rp.GeometryReport({})
+        r.add("normal_derivative_H", 1.0, 2.0)
+        assert r.residuals[0].paper_ref == "normal-derivative-H"
+        with pytest.raises(ValueError):
+            r.add("not_a_residual", 0.0, 0.0)
+
     def test_reference_index_covers_emitted_names(self, helix_report):
         for entry in helix_report.residuals:
             assert entry.paper_ref in rp.REFERENCE_INDEX
