@@ -10,7 +10,9 @@ directly.
 
 from __future__ import annotations
 
+import inspect
 import math
+import numbers
 
 import numpy as np
 
@@ -246,21 +248,28 @@ BUILTIN_MAKERS = {
 }
 
 
+def _radius(params: dict, key: str) -> float:
+    """A radius that scales a default extent; a value the maker rejects (not a
+    positive finite number) leaves the extent unscaled, so the maker reports it."""
+    r = params.get(key, 1.0)
+    return r if isinstance(r, numbers.Real) and 0 < r < math.inf else 1.0
+
+
 def default_grid(name: str, n: int = 64, params: dict | None = None) -> Grid:
     """Canonical parameter domain for each builtin, n nodes per axis."""
     params = params or {}
     if name == "helix_line_r4":
         return build_grid((0.0, 2.0 * math.pi), (0.0, 1.0), n, n)
     if name == "cylinder":
-        r = params.get("r", 1.0)
+        r = _radius(params, "r")
         return build_grid((0.0, 2.0 * math.pi * r), (0.0, 1.0), n, n, periodic_u=True)
     if name == "sphere":
         if params.get("chart", "mercator") == "polar":
             return build_grid((0.4, math.pi - 0.4), (0.0, 2.0 * math.pi), n, n, periodic_v=True)
         return build_grid((0.0, 2.0 * math.pi), (-1.2, 1.2), n, n, periodic_u=True)
     if name == "product_torus":
-        r1 = params.get("r1", 1.0)
-        r2 = params.get("r2", 1.0)
+        r1 = _radius(params, "r1")
+        r2 = _radius(params, "r2")
         return build_grid(
             (0.0, 2.0 * math.pi * r1),
             (0.0, 2.0 * math.pi * r2),
@@ -329,9 +338,17 @@ def _torus_lambdas(r1: float, r2: float):
 def make_builtin(name: str, grid: Grid | None = None, n: int = 64, **params) -> ImmersionJet:
     if name not in BUILTIN_MAKERS:
         raise SurfaceConfigError(f"unknown builtin surface {name!r}")
+    maker = BUILTIN_MAKERS[name]
+    signature = inspect.signature(maker).parameters
+    for key, val in params.items():
+        # a parameter the maker defaults to a float must be a finite number
+        if key in signature and isinstance(signature[key].default, float) \
+                and not (isinstance(val, numbers.Real) and math.isfinite(val)):
+            raise SurfaceConfigError(
+                f"{name} parameter {key} must be a finite number, got {val!r}")
     if grid is None:
         grid = default_grid(name, n, params)
-    return BUILTIN_MAKERS[name](grid, **params)
+    return maker(grid, **params)
 
 
 def tabulate(jet: ImmersionJet) -> ImmersionJet:

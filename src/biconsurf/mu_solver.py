@@ -153,7 +153,9 @@ def solve_mu(
         J = _jacobian(grid, mu, problem.H, problem.KN, ops)
         rhs = -F.ravel()
         with np.errstate(all="ignore"):
-            step = spla.spsolve(J, rhs)
+            # J is structurally symmetric (periodic 5-point L, Dx, Dy), so the
+            # minimum-degree ordering of J^T + J suits it better than COLAMD
+            step = spla.spsolve(J, rhs, permc_spec="MMD_AT_PLUS_A")
         if not np.all(np.isfinite(step)):
             step = spla.lsmr(J, rhs, atol=1e-14, btol=1e-14)[0]
             if not np.all(np.isfinite(step)):

@@ -309,7 +309,15 @@ def _emit(obj, out: io.StringIO, indent: int):
             out.write(",\n" if i < len(obj) - 1 else "\n")
         out.write(pad + "]")
     elif isinstance(obj, np.ndarray):
-        _emit(obj.tolist(), out, indent)
+        if obj.ndim > 1:
+            _emit(list(obj), out, indent)
+        elif obj.ndim == 1 and obj.dtype == np.float64 and obj.size and np.isfinite(obj).all():
+            # one join per row; what _fmt writes for a finite float
+            inner = pad + "  "
+            out.write("[\n" + inner + (",\n" + inner).join(map("{:.17g}".format, obj.tolist()))
+                      + "\n" + pad + "]")
+        else:
+            _emit(obj.tolist(), out, indent)
     else:
         out.write(_fmt(obj))
 

@@ -99,6 +99,19 @@ class TestVerify:
         assert res.exit_code == EXIT_CONFIG, res.output
         assert "config error:" in res.stderr
 
+    @pytest.mark.parametrize("surface,param,message", [
+        ("cylinder", "r=-1", "cylinder radius must be positive"),
+        ("cylinder", "r=wat", "cylinder parameter r must be a finite number, got 'wat'"),
+        ("cylinder", "r=nan", "cylinder parameter r must be a finite number, got nan"),
+        ("product_torus", "r1=-1", "torus radii must be positive"),
+    ])
+    def test_bad_builtin_param_message_from_maker(self, runner, surface, param, message):
+        # the parameters are checked before they size the default grid
+        res = runner.invoke(
+            main, ["verify", "--surface", surface, "--grid", "8x8", "--param", param])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert res.stderr == f"config error: {message}\n"
+
     def test_periodic_applies_to_default_grid(self, runner):
         base = ["verify", "--surface", "helix_line_r4", "--periodic", "u"]
         res = runner.invoke(main, base)

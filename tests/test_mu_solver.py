@@ -94,6 +94,17 @@ class TestNewton:
         hist = sol.residual_history
         assert all(b < a for a, b in zip(hist, hist[1:]))
 
+    @pytest.mark.parametrize("H,KN,iterations", [(1.0, 0.0, 8), (1.1, 0.3, 4)])
+    def test_iteration_counts_pinned(self, H, KN, iterations):
+        # the README problem excites the near-null sin x sin y mode; the
+        # generic (H, K_N) does not.  The LU column ordering must not change
+        # the Newton path.
+        sol = solve_mu(make_problem(H=H, KN=KN))
+        assert sol.converged
+        assert sol.iterations == iterations
+        F = mu_residual(sol.problem.grid, sol.mu, H, KN)
+        assert np.max(np.abs(F)) <= 1e-10
+
     def test_exact_start_zero_iterations(self):
         sol = solve_mu(make_problem(amp=0.0))
         assert sol.converged

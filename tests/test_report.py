@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from biconsurf import report as rp
 from biconsurf.corpus import make_builtin, tabulate
-from biconsurf.mu_solver import MuProblem, constant_root, solve_mu
+from biconsurf.mu_solver import MuProblem, constant_root, mu_residual, solve_mu
 from biconsurf.grid import build_grid
 
 
@@ -147,6 +148,86 @@ class TestSerialization:
         r = rp.GeometryReport(meta={"x": float("nan")}, residuals=[], summaries={}, flags={})
         doc = json.loads(rp.report_to_json(r))
         assert doc["meta"]["x"] == "nan"
+
+
+def _emit_reference(obj, indent=0):
+    """The element-by-element route: every array through ``tolist()`` first."""
+
+    def as_lists(o):
+        if isinstance(o, dict):
+            return {k: as_lists(v) for k, v in o.items()}
+        if isinstance(o, (list, tuple)):
+            return [as_lists(v) for v in o]
+        return o.tolist() if isinstance(o, np.ndarray) else o
+
+    out = io.StringIO()
+    rp._emit(as_lists(obj), out, indent)
+    return out.getvalue()
+
+
+def _emit_direct(obj, indent=0):
+    out = io.StringIO()
+    rp._emit(obj, out, indent)
+    return out.getvalue()
+
+
+EDGE_FIELDS = {
+    "signed_zero_and_extremes": np.array([[-0.0, 5e-324, 1e300], [-1e300, -5e-324, 0.0]]),
+    "integer_valued": np.array([[1.0, -2.0, 3e16], [2.0**53, 1e21, 100.0]]),
+    "non_finite_rows": np.array([[1.5, np.nan, 2.5], [np.inf, -np.inf, 0.1], [0.1, 0.2, 0.3]]),
+    "one_d": np.linspace(-1.0, 1.0, 7),
+    "three_d": np.arange(24.0).reshape(2, 3, 4) / 7.0,
+    "int32": np.arange(-3, 3, dtype=np.int32).reshape(2, 3),
+    "bool": np.array([[True, False], [False, True]]),
+    "empty": np.zeros((0,)),
+    "empty_rows": np.zeros((2, 0)),
+}
+
+
+class TestFieldSerialization:
+    """Arrays are written one row at a time; the bytes must equal those of
+    the element-by-element route."""
+
+    def test_report_fields_match_reference(self):
+        r = rp.GeometryReport(meta={"surface": "edge"}, fields=dict(EDGE_FIELDS))
+        doc = {"meta": r.meta, "residuals": [], "summaries": {}, "flags": {}, "fields": EDGE_FIELDS}
+        assert rp.report_to_json(r) == _emit_reference(doc) + "\n"
+
+    @pytest.mark.parametrize("key", sorted(EDGE_FIELDS))
+    def test_each_array_matches_reference(self, key):
+        arr = EDGE_FIELDS[key]
+        assert _emit_direct(arr) == _emit_reference(arr)
+
+    @pytest.mark.parametrize("indent", [0, 1, 3])
+    def test_nested_fields_match_reference(self, indent):
+        doc = {"outer": {"inner": [EDGE_FIELDS["non_finite_rows"], {"f": EDGE_FIELDS["three_d"]}]}}
+        assert _emit_direct(doc, indent) == _emit_reference(doc, indent)
+
+    def test_dumped_geometry_fields_match_reference(self):
+        jet = tabulate(make_builtin("cylinder", n=16, r=1.2, stretch=0.3))
+        r = rp.build_geometry_report(jet, "cylinder", dump_fields=True)
+        fields = {k: np.asarray(v) for k, v in r.fields.items()}
+        expect = _emit_reference({"fields": fields})
+        assert _emit_direct({"fields": fields}) == expect
+        assert rp.report_to_json(r).endswith(expect[1:] + "\n")
+
+    def test_solve_mu_dump_round_trips(self):
+        from click.testing import CliRunner
+
+        from biconsurf.cli import main
+
+        res = CliRunner().invoke(main, ["solve-mu", "--H", "1.0", "--KN", "0.0", "--grid",
+                                        "16x16", "--perturb", "0.1", "--dump-fields"])
+        assert res.exit_code == 0, res.output
+        doc = json.loads(res.output)
+        g = build_grid((0.0, 2 * np.pi), (0.0, 2 * np.pi), 16, 16, True, True)
+        U, V = g.mesh()
+        sol = solve_mu(MuProblem(g, 1.0, 0.0, 2.0 * (1.0 + 0.1 * np.sin(U) * np.sin(V))))
+        F = mu_residual(g, sol.mu, 1.0, 0.0)
+        for key, want in (("mu", sol.mu), ("residual", F)):
+            got = np.array(doc["fields"][key], dtype=np.float64)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), key
 
 
 class TestMuReport:

@@ -1,0 +1,171 @@
+"""Compare the CLI outputs of two biconsurf source trees, case by case.
+
+Usage::
+
+    python tools/compare_reports.py OLD_SRC NEW_SRC [--case NAME ...] [--list]
+
+``OLD_SRC`` and ``NEW_SRC`` are directories holding the ``biconsurf``
+package (a checkout's ``src``).  Every case runs ``python -m biconsurf.cli``
+once per tree, each in a fresh interpreter, on the same input files.  The
+cases cover every builtin surface (two parameter sets each except the graph,
+the polar sphere through a config file), analytic and ``--fd-jets``, with
+``--dump-fields``, at 32^2 and 96^2; two ``solve-mu`` runs; one
+``convergence`` study; one CSV report; and a tabulated torus in the sphere
+S^3(1) at 32^2 and 64^2.
+
+For each case it prints both exit codes, whether stdout is byte-identical,
+the largest |diff| over the numbers in stdout, the largest relative diff
+over those above 1e-8 in magnitude, and any non-numeric difference.  It
+exits 1 when an exit code, stderr or a non-numeric byte of stdout differs,
+or when any number moves by more than 1e-12 max(1, |x|).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import re
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+
+TOL = 1e-12
+REL_FLOOR = 1e-8
+
+# a JSON or CSV number that is not part of a name such as "lambda1_min"
+NUMBER = re.compile(r"(?<![\w.])-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?(?![\w.])")
+
+VERIFY_SETS = [
+    ("helix", ["--surface", "helix_line_r4"]),
+    ("helix_tau", ["--surface", "helix_line_r4", "--param", "tau=0.5"]),
+    ("cylinder", ["--surface", "cylinder"]),
+    ("cylinder_stretch", ["--surface", "cylinder", "--param", "stretch=0.3"]),
+    ("torus", ["--surface", "product_torus"]),
+    ("torus_r2", ["--surface", "product_torus", "--param", "r1=1.0", "--param", "r2=1.5"]),
+    ("sphere", ["--surface", "sphere"]),
+    ("sphere_polar", ["--config", "polar_sphere.json"]),
+    ("graph", ["--surface", "graph"]),
+]
+
+
+def cases() -> dict[str, list[str]]:
+    """Case name -> CLI arguments, run with the inputs of ``write_inputs``."""
+    out = {}
+    for label, args in VERIFY_SETS:
+        for n in (32, 96):
+            for jets, extra in (("an", []), ("fd", ["--fd-jets"])):
+                out[f"{label}_{jets}{n}"] = (
+                    ["verify", *args, "--grid", f"{n}x{n}", "--dump-fields", *extra])
+    solve = ["solve-mu", "--grid", "64x64", "--perturb", "0.1", "--dump-fields"]
+    out["solve_mu"] = [*solve, "--H", "1", "--KN", "0"]
+    out["solve_mu_generic"] = [*solve, "--H", "1.1", "--KN", "0.3"]
+    out["convergence"] = ["convergence", "--surface", "cylinder", "--grid", "16x16",
+                          "--levels", "3", "--param", "stretch=0.3", "--fd-jets"]
+    out["csv_helix"] = ["verify", "--surface", "helix_line_r4", "--grid", "32x32",
+                        "--param", "tau=0.5", "--format", "csv"]
+    for n in (32, 64):
+        out[f"torus_s3_{n}"] = ["verify", "--surface", f"torus_s3_{n}.json"]
+    return out
+
+
+def _torus_in_s3(n: int, r1: float = 0.6, r2: float = 0.8) -> dict:
+    """Surface file: S^1(r1) x S^1(r2) with r1^2 + r2^2 = 1, tabulated."""
+    u = 2.0 * math.pi * r1 * np.arange(n) / n
+    v = 2.0 * math.pi * r2 * np.arange(n) / n
+    U, V = np.meshgrid(u, v, indexing="ij")
+    pos = np.stack([r1 * np.cos(U / r1), r1 * np.sin(U / r1),
+                    r2 * np.cos(V / r2), r2 * np.sin(V / r2)], axis=-1)
+    return {
+        "grid": {"u": [0.0, 2.0 * math.pi * r1, n, True],
+                 "v": [0.0, 2.0 * math.pi * r2, n, True]},
+        "ambient": {"kind": "sphere", "dim": 3, "radius": 1.0},
+        "surface": {"positions": pos.reshape(-1, 4).tolist()},
+    }
+
+
+def write_inputs(workdir: str):
+    docs = {"polar_sphere.json": {"surface": "sphere", "params": {"chart": "polar"}}}
+    for n in (32, 64):
+        docs[f"torus_s3_{n}.json"] = _torus_in_s3(n)
+    for name, doc in docs.items():
+        with open(os.path.join(workdir, name), "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+
+
+def run_case(src: str, args: list[str], workdir: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    return subprocess.run([sys.executable, "-m", "biconsurf.cli", *args], cwd=workdir,
+                          env=env, capture_output=True, text=True, timeout=600)
+
+
+def compare_text(old: str, new: str) -> dict:
+    """Largest |diff| and relative diff of the numbers, and whether the text
+    between the numbers (and their count) is the same."""
+    old_parts, new_parts = NUMBER.split(old), NUMBER.split(new)
+    old_nums, new_nums = NUMBER.findall(old), NUMBER.findall(new)
+    same_text = old_parts == new_parts and len(old_nums) == len(new_nums)
+    max_abs = max_rel = 0.0
+    within = True
+    if same_text:
+        for a_s, b_s in zip(old_nums, new_nums):
+            a, b = float(a_s), float(b_s)
+            d = abs(a - b)
+            max_abs = max(max_abs, d)
+            if max(abs(a), abs(b)) > REL_FLOOR:
+                max_rel = max(max_rel, d / max(abs(a), abs(b)))
+            within = within and d <= TOL * max(1.0, abs(a))
+    return {"identical": old == new, "same_text": same_text,
+            "max_abs": max_abs, "max_rel": max_rel, "within": within}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("old_src")
+    ap.add_argument("new_src")
+    ap.add_argument("--case", action="append", default=None,
+                    help="run only this case (repeatable)")
+    ap.add_argument("--list", action="store_true", help="print the case names and exit")
+    opts = ap.parse_args(argv)
+
+    table = cases()
+    if opts.list:
+        print("\n".join(table))
+        return 0
+    names = opts.case or list(table)
+    unknown = [n for n in names if n not in table]
+    if unknown:
+        ap.error(f"unknown case(s) {unknown}; see --list")
+
+    failed = []
+    print(f"{'case':24} {'exit':>5}  {'stdout':10} {'max|d|':>9} {'max rel d':>9}  note")
+    with tempfile.TemporaryDirectory() as workdir:
+        write_inputs(workdir)
+        for name in names:
+            old = run_case(opts.old_src, table[name], workdir)
+            new = run_case(opts.new_src, table[name], workdir)
+            cmp = compare_text(old.stdout, new.stdout)
+            notes = []
+            if old.returncode != new.returncode:
+                notes.append("exit code differs")
+            if old.stderr != new.stderr:
+                notes.append("stderr differs")
+            if not cmp["same_text"]:
+                notes.append("non-numeric stdout differs")
+            elif not cmp["within"]:
+                notes.append(f"a number moved by more than {TOL:g} max(1, |x|)")
+            if notes:
+                failed.append(name)
+            print(f"{name:24} {old.returncode:>2}/{new.returncode:<2}  "
+                  f"{'identical' if cmp['identical'] else 'differs':10} "
+                  f"{cmp['max_abs']:9.2g} {cmp['max_rel']:9.2g}  {'; '.join(notes)}")
+    print(f"{len(names) - len(failed)} of {len(names)} cases agree"
+          + (f"; failed: {', '.join(failed)}" if failed else ""))
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
