@@ -92,11 +92,14 @@ def principal_curvatures(A_H: np.ndarray, Hsq: np.ndarray, source: str = "analyt
 
     The mixed-component matrix of a g-symmetric operator is similar to a
     symmetric one, so its eigenvalues are real; tiny negative discriminants
-    from round-off are clamped.
+    from round-off are clamped. The discriminant is written as
+    (a - d)^2 + 4 bc, not tr^2 - 4 det: on an umbilical operator the latter
+    cancels two O(|A|^2) terms and leaves the gap at sqrt(round-off).
     """
-    tr = A_H[..., 0, 0] + A_H[..., 1, 1]
-    det = A_H[..., 0, 0] * A_H[..., 1, 1] - A_H[..., 0, 1] * A_H[..., 1, 0]
-    disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
+    a, b = A_H[..., 0, 0], A_H[..., 0, 1]
+    c, d = A_H[..., 1, 0], A_H[..., 1, 1]
+    tr = a + d
+    disc = np.sqrt(np.maximum((a - d) ** 2 + 4.0 * b * c, 0.0))
     lam1 = 0.5 * (tr + disc)
     lam2 = 0.5 * (tr - disc)
     mu = lam1 - lam2

@@ -29,8 +29,10 @@ from .grid import Grid, fd_derivative
 from .tensors import cov_derivative_coords
 
 # Pseudoumbilical classification thresholds for the eigenvalue gap of A_H.
-# The gap is the square root of a clamped discriminant, so round-off shows
-# up at the sqrt(machine-eps) scale; tabulated jets add an O(h^2) error.
+# The gap is sqrt((a - d)^2 + 4 bc) of the mixed components, so analytic jets
+# put it at round-off (about 1e-15 on the round sphere); the analytic
+# threshold leaves room for ill-scaled charts. Tabulated jets add an O(h^2)
+# error.
 EPS_PU_ANALYTIC = 1e-6
 EPS_PU_FD = 1e-2
 

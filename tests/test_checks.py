@@ -4,6 +4,7 @@ import pytest
 from biconsurf import checks
 from biconsurf.corpus import make_builtin, tabulate
 from biconsurf.immersion import compute_geometry
+from biconsurf.report import build_geometry_report
 from biconsurf.tensors import conformal_chart_from_metric, flat_chart
 
 
@@ -55,6 +56,15 @@ class TestPrincipalCurvatures:
         _, _, mu, pu = checks.principal_curvatures(geom.A_H, geom.Hsq)
         np.testing.assert_allclose(mu, 0.0, atol=1e-7)
         assert pu.all()
+
+    @pytest.mark.parametrize(
+        "name,params", [("sphere", {}), ("product_torus", {"r1": 1.0, "r2": 1.0})]
+    )
+    def test_umbilical_gap_at_round_off(self, name, params):
+        # tr^2 - 4 det cancels to round-off and its sqrt left mu near 1e-8
+        rep = build_geometry_report(make_builtin(name, n=96, **params))
+        assert rep.summaries["mu_max"] <= 1e-12
+        assert rep.summaries["pseudoumbilical_fraction"] == 1.0
 
     def test_fd_source_widens_threshold(self):
         geom = compute_geometry(tabulate(make_builtin("sphere", n=96, r=1.0)))
