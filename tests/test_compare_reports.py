@@ -36,3 +36,38 @@ def test_compare_text_bounds():
     assert not cmp(base, base.replace("32", "33"))["within"]
     assert not cmp(base, base.replace("lambda1", "lambda2"))["same_text"]
     assert not cmp(base, base.replace('"nan"', '"inf"'))["same_text"]
+
+
+def test_compare_text_locates_largest_excess():
+    cmp = _tool().compare_text
+    old = '{\n  "summaries": {\n    "mu_max": 2.9e-08,\n    "K_max": 1.5\n  },\n' \
+          '  "fields": {\n    "mu": [\n      0.25,\n      3e-08\n    ]\n  }\n}\n'
+    # the field entry moved furthest past the bar; the summary moved less
+    new = old.replace("2.9e-08", "1e-09").replace("3e-08", "4e-16")
+    res = cmp(old, new)
+    assert not res["within"] and res["where"] == (9, "mu")
+    # within the bar: no location
+    assert cmp(old, old.replace("1.5", "1.5000000000001"))["where"] is None
+    # CSV has no JSON key before the number
+    csv = "name,paper_ref,l2,linf\nsimons,simons,1e-3,2e-3\n"
+    assert cmp(csv, csv.replace("2e-3", "3e-3"))["where"] == (2, None)
+
+
+def _fake_tree(root, text):
+    pkg = root / "biconsurf"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "cli.py").write_text(f"print({text!r}, end='')\n")
+    return str(root)
+
+
+def test_report_names_line_and_key(tmp_path):
+    old = '{\n  "meta": {\n    "n": 32\n  },\n  "summaries": {\n    "mu_max": 2e-08\n  }\n}\n'
+    new = old.replace("2e-08", "1e-15")
+    res = subprocess.run(
+        [sys.executable, str(TOOL), _fake_tree(tmp_path / "old", old),
+         _fake_tree(tmp_path / "new", new), "--case", "csv_helix"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert res.returncode == 1
+    assert "largest at line 6 after key 'mu_max'" in res.stdout

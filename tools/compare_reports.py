@@ -15,7 +15,9 @@ S^3(1) at 32^2 and 64^2.
 
 For each case it prints both exit codes, whether stdout is byte-identical,
 the largest |diff| over the numbers in stdout, the largest relative diff
-over those above 1e-8 in magnitude, and any non-numeric difference.  It
+over those above 1e-8 in magnitude, and any non-numeric difference; for a
+case past the bar, also where the number furthest past it sits (its line in
+the old stdout and the nearest JSON key before it).  It
 exits 1 when an exit code, stderr or a non-numeric byte of stdout differs,
 or when any number moves by more than 1e-12 max(1, |x|).
 """
@@ -38,6 +40,8 @@ REL_FLOOR = 1e-8
 
 # a JSON or CSV number that is not part of a name such as "lambda1_min"
 NUMBER = re.compile(r"(?<![\w.])-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?(?![\w.])")
+# a JSON object key, as report_to_json writes it
+JSON_KEY = re.compile(r'"([^"\\]*)": ')
 
 VERIFY_SETS = [
     ("helix", ["--surface", "helix_line_r4"]),
@@ -102,24 +106,34 @@ def run_case(src: str, args: list[str], workdir: str) -> subprocess.CompletedPro
                           env=env, capture_output=True, text=True, timeout=600)
 
 
+def locate(text: str, pos: int) -> tuple[int, str | None]:
+    """Line number of character ``pos`` and the last JSON key before it."""
+    keys = JSON_KEY.findall(text, 0, pos)
+    return text.count("\n", 0, pos) + 1, keys[-1] if keys else None
+
+
 def compare_text(old: str, new: str) -> dict:
-    """Largest |diff| and relative diff of the numbers, and whether the text
-    between the numbers (and their count) is the same."""
+    """Largest |diff| and relative diff of the numbers, whether the text
+    between the numbers (and their count) is the same, and where (line, key)
+    the number furthest past the bar sits in ``old``."""
     old_parts, new_parts = NUMBER.split(old), NUMBER.split(new)
-    old_nums, new_nums = NUMBER.findall(old), NUMBER.findall(new)
+    old_nums, new_nums = list(NUMBER.finditer(old)), NUMBER.findall(new)
     same_text = old_parts == new_parts and len(old_nums) == len(new_nums)
-    max_abs = max_rel = 0.0
-    within = True
+    max_abs = max_rel = worst = 0.0
+    where = None
     if same_text:
-        for a_s, b_s in zip(old_nums, new_nums):
-            a, b = float(a_s), float(b_s)
+        for a_m, b_s in zip(old_nums, new_nums):
+            a, b = float(a_m.group()), float(b_s)
             d = abs(a - b)
             max_abs = max(max_abs, d)
             if max(abs(a), abs(b)) > REL_FLOOR:
                 max_rel = max(max_rel, d / max(abs(a), abs(b)))
-            within = within and d <= TOL * max(1.0, abs(a))
+            excess = d / (TOL * max(1.0, abs(a)))
+            if excess > max(worst, 1.0):
+                worst, where = excess, locate(old, a_m.start())
     return {"identical": old == new, "same_text": same_text,
-            "max_abs": max_abs, "max_rel": max_rel, "within": within}
+            "max_abs": max_abs, "max_rel": max_rel, "within": where is None,
+            "where": where}
 
 
 def main(argv=None) -> int:
@@ -156,7 +170,10 @@ def main(argv=None) -> int:
             if not cmp["same_text"]:
                 notes.append("non-numeric stdout differs")
             elif not cmp["within"]:
-                notes.append(f"a number moved by more than {TOL:g} max(1, |x|)")
+                line, key = cmp["where"]
+                notes.append(f"a number moved by more than {TOL:g} max(1, |x|); "
+                             f"largest at line {line}"
+                             + (f" after key {key!r}" if key is not None else ""))
             if notes:
                 failed.append(name)
             print(f"{name:24} {old.returncode:>2}/{new.returncode:<2}  "
