@@ -81,7 +81,7 @@ def vector_norms(V: np.ndarray, geom: SurfaceGeometry, mask=None) -> tuple[float
 
 def stress_bienergy(A_H: np.ndarray, Hsq: np.ndarray) -> np.ndarray:
     """S2 = -2 |H|^2 I + 4 A_H (mixed components, m = 2)."""
-    S2 = 4.0 * np.asarray(A_H).copy()
+    S2 = 4.0 * np.asarray(A_H)  # a new array in the memory order of A_H
     S2[..., 0, 0] -= 2.0 * Hsq
     S2[..., 1, 1] -= 2.0 * Hsq
     return S2

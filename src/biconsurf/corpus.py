@@ -17,7 +17,7 @@ import numbers
 import numpy as np
 
 from .ambient import Ambient, euclidean
-from .grid import Grid, build_grid
+from .grid import Grid, build_grid, node_array
 from .immersion import ImmersionJet, induced_metric, jet_from_positions
 
 
@@ -26,11 +26,7 @@ class SurfaceConfigError(ValueError):
 
 
 def _empty(grid: Grid, n: int):
-    pos = np.zeros(grid.shape + (n,))
-    d1 = np.zeros(grid.shape + (2, n))
-    d2 = np.zeros(grid.shape + (2, 2, n))
-    d3 = np.zeros(grid.shape + (2, 2, 2, n))
-    return pos, d1, d2, d3
+    return tuple(node_array(grid, (2,) * order + (n,)) for order in range(4))
 
 
 def make_helix_line_r4(grid: Grid, k: float = 1.0, tau: float = 0.0, offset: float = 0.0) -> ImmersionJet:
@@ -193,26 +189,24 @@ def _sphere_polar(grid: Grid, r: float) -> ImmersionJet:
     C = [np.cos(V), -np.sin(V), -np.cos(V), np.sin(V)]
     S = [np.sin(V), np.cos(V), -np.sin(V), -np.cos(V)]
 
-    def comp(i, j):
-        out = np.empty(grid.shape + (3,))
+    def comp(out, i, j):
         out[..., 0] = r * A[i] * C[j]
         out[..., 1] = r * A[i] * S[j]
         out[..., 2] = r * Bc[i] if j == 0 else 0.0
-        return out
 
-    pos = comp(0, 0)
-    d1 = np.stack([comp(1, 0), comp(0, 1)], axis=-2)
-    d2 = np.empty(grid.shape + (2, 2, 3))
-    d3 = np.empty(grid.shape + (2, 2, 2, 3))
+    pos, d1, d2, d3 = _empty(grid, 3)
+    comp(pos, 0, 0)
+    comp(d1[..., 0, :], 1, 0)
+    comp(d1[..., 1, :], 0, 1)
     for i in range(2):
         for j in range(2):
             du = (i == 0) + (j == 0)
-            d2[..., i, j, :] = comp(du, 2 - du)
+            comp(d2[..., i, j, :], du, 2 - du)
     for i in range(2):
         for j in range(2):
             for kk in range(2):
                 du = (i == 0) + (j == 0) + (kk == 0)
-                d3[..., i, j, kk, :] = comp(du, 3 - du)
+                comp(d3[..., i, j, kk, :], du, 3 - du)
     return ImmersionJet(grid, euclidean(3), pos, d1, d2, d3)
 
 

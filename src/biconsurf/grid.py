@@ -5,8 +5,17 @@ A :class:`Grid` is a uniform node lattice over ``[u_min, u_max] x
 the left one and the spacing is ``extent / n``; on a non-periodic axis the
 endpoints are both nodes and the spacing is ``extent / (n - 1)``.
 
-Fields are stored node-major as ``(nu, nv)`` numpy arrays (axis 0 = u,
-axis 1 = v); vector and tensor fields append component axes.
+Fields are indexed node-major: the logical shape of a field is ``(nu, nv)``
+(axis 0 = u, axis 1 = v), and vector and tensor fields append component
+axes, ``(nu, nv, comps...)``. Memory order is a separate matter: the package
+allocates its fields with :func:`node_array`, whose buffer is C-ordered as
+``(comps..., nu, nv)``, so the node axes are innermost in memory. Each
+component is then one contiguous node field, and the small-index
+contractions (``np.einsum`` over ``"...ij,...jk"``) run their inner loops
+over all nodes instead of over a component axis of length 2. ``np.einsum``
+and elementwise operations keep that layout in their outputs. Layout
+affects only speed: any strided array, such as a C-ordered one from a
+caller, gives the same values.
 """
 
 from __future__ import annotations
@@ -87,6 +96,12 @@ class Grid:
         )
 
 
+def node_array(grid: Grid, comps: tuple[int, ...] = ()) -> np.ndarray:
+    """Zero field of logical shape ``grid.shape + comps`` with the node axes
+    innermost in memory: a view of a C-ordered ``comps + grid.shape`` buffer."""
+    return np.moveaxis(np.zeros(tuple(comps) + grid.shape), (-2, -1), (0, 1))
+
+
 def build_grid(u_bounds, v_bounds, nu, nv, periodic_u=False, periodic_v=False) -> Grid:
     return Grid(u_bounds[0], u_bounds[1], v_bounds[0], v_bounds[1], nu, nv, periodic_u, periodic_v)
 
@@ -103,10 +118,11 @@ def fd_derivative(grid: Grid, field: np.ndarray, axis: int, order: int = 1) -> n
 
 
 def flat_gradient(grid: Grid, field: np.ndarray) -> np.ndarray:
-    """(f_x, f_y) stacked on a trailing axis."""
-    return np.stack(
-        [fd_derivative(grid, field, 0, 1), fd_derivative(grid, field, 1, 1)], axis=-1
-    )
+    """(f_x, f_y) on a trailing axis."""
+    out = node_array(grid, np.shape(field)[2:] + (2,))
+    for a in (0, 1):
+        out[..., a] = fd_derivative(grid, field, a, 1)
+    return out
 
 
 def flat_laplacian(grid: Grid, field: np.ndarray) -> np.ndarray:

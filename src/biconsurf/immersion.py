@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .ambient import Ambient, _dot, curvature_operator
-from .grid import Grid, fd_derivative
+from .grid import Grid, fd_derivative, flat_gradient, node_array
 from .tensors import cov_derivative_coords
 
 # Pseudoumbilical classification thresholds for the eigenvalue gap of A_H.
@@ -77,14 +77,13 @@ class ImmersionJet:
 def jet_from_positions(grid: Grid, pos: np.ndarray, space: Ambient) -> ImmersionJet:
     """Finite-difference jet from a tabulated position field."""
     pos = np.asarray(pos, dtype=np.float64)
-    d1 = np.stack([fd_derivative(grid, pos, a, 1) for a in (0, 1)], axis=-2)
-    xuu = fd_derivative(grid, pos, 0, 2)
-    xvv = fd_derivative(grid, pos, 1, 2)
-    xuv = fd_derivative(grid, d1[..., 0, :], 1, 1)
-    d2 = np.empty(grid.shape + (2, 2, pos.shape[-1]))
-    d2[..., 0, 0, :] = xuu
-    d2[..., 0, 1, :] = d2[..., 1, 0, :] = xuv
-    d2[..., 1, 1, :] = xvv
+    n = pos.shape[-1]
+    d1 = node_array(grid, (2, n))
+    d2 = node_array(grid, (2, 2, n))
+    for a in (0, 1):
+        d1[..., a, :] = fd_derivative(grid, pos, a, 1)
+        d2[..., a, a, :] = fd_derivative(grid, pos, a, 2)
+    d2[..., 0, 1, :] = d2[..., 1, 0, :] = fd_derivative(grid, d1[..., 0, :], 1, 1)
     return ImmersionJet(grid, space, pos, d1, d2, None, source="finite-difference")
 
 
@@ -179,8 +178,7 @@ class SurfaceGeometry:
 
     def grad_scalar(self, f: np.ndarray) -> np.ndarray:
         """grad f, coordinate vector components."""
-        df = np.stack([fd_derivative(self.grid, f, a, 1) for a in (0, 1)], axis=-1)
-        return np.einsum("...ij,...j->...i", self.ginv, df)
+        return np.einsum("...ij,...j->...i", self.ginv, flat_gradient(self.grid, f))
 
 
 def tangent_coords(jet: ImmersionJet, ginv: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -223,7 +221,9 @@ def normal_connection_H(
     - g^{ip} Gamma^j_ap B_ij. Otherwise the H field is finite-differenced.
     """
     if not jet.has_third:
-        DH = np.stack([fd_derivative(jet.grid, H, a, 1) for a in (0, 1)], axis=-2)
+        DH = node_array(jet.grid, (2,) + H.shape[2:])
+        for a in (0, 1):
+            DH[..., a, :] = fd_derivative(jet.grid, H, a, 1)
         return _project_off_tangent(jet, ginv, DH)
     d3_trace = _project_off_tangent(jet, ginv, np.einsum("xyij,xyaijk->xyak", ginv, jet.d3))
     gamma_trace = np.einsum("xyij,xykij->xyk", ginv, gamma)
@@ -258,7 +258,7 @@ def trace_A_dperpH(geom: SurfaceGeometry) -> np.ndarray:
 def trace_RN_H(geom: SurfaceGeometry) -> np.ndarray:
     """trace (R^N(., H) .)^T, coordinate vector components."""
     if geom.space.curvature == 0.0:
-        return np.zeros(geom.grid.shape + (2,))
+        return node_array(geom.grid, (2,))
     d1 = geom.jet.d1
     R = curvature_operator(
         geom.space, d1[..., :, None, :], geom.H[..., None, None, :], d1[..., None, :, :]
@@ -268,7 +268,8 @@ def trace_RN_H(geom: SurfaceGeometry) -> np.ndarray:
 
 def compute_geometry(jet: ImmersionJet) -> SurfaceGeometry:
     g = induced_metric(jet)
-    ginv = np.linalg.inv(g)
+    ginv = node_array(jet.grid, (2, 2))
+    ginv[...] = np.linalg.inv(g)  # inv returns C order; re-lay once
     B = second_fundamental_form(jet, ginv)
     H, Hsq = mean_curvature(B, ginv)
     A_H = np.einsum("...ik,...kjm,...m->...ij", ginv, B, H)

@@ -19,7 +19,7 @@ def backend_name() -> str:
 
 
 def _stencil(f, h, axis, order, periodic):
-    out = np.empty(f.shape)
+    out = np.empty_like(f)  # keeps the memory order of f
     src, dst = np.moveaxis(f, axis, 0), np.moveaxis(out, axis, 0)
     if order == 1:
         den = 2.0 * h
@@ -46,7 +46,8 @@ def derivative(f, h, axis, order, periodic):
     """Differentiate a real or complex node array along axis 0 or 1.
 
     ``order`` is 1 or 2; truncation is O(h^2) for smooth fields. Axes after
-    the first two are components and are differenced independently.
+    the first two are components and are differenced independently. The
+    result has the memory order of ``f``.
     """
     if order not in (1, 2):
         raise ValueError(f"derivative order must be 1 or 2, got {order}")
@@ -56,6 +57,6 @@ def derivative(f, h, axis, order, periodic):
     if f.shape[axis] < 4:
         raise ValueError("need at least 4 nodes along the differentiated axis")
     if np.iscomplexobj(f):
-        parts = np.ascontiguousarray(f, dtype=np.complex128)[..., None].view(np.float64)
+        parts = np.asarray(f, dtype=np.complex128)[..., None].view(np.float64)
         return _stencil(parts, h, axis, order, periodic).view(np.complex128)[..., 0]
     return _stencil(np.asarray(f, dtype=np.float64), h, axis, order, periodic)

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import Grid, fd_derivative, flat_gradient, flat_laplacian, integrate
+from .grid import Grid, fd_derivative, flat_gradient, flat_laplacian, integrate, node_array
 
 
 class NonIsothermalError(ValueError):
@@ -84,7 +84,7 @@ def christoffel_isothermal(chart: ConformalChart) -> np.ndarray:
     """Christoffel symbols Gamma[k, i, j] = Gamma^k_{ij} of the conformal metric."""
     rx = fd_derivative(chart.grid, chart.rho, 0, 1)
     ry = fd_derivative(chart.grid, chart.rho, 1, 1)
-    gamma = np.zeros(chart.grid.shape + (2, 2, 2))
+    gamma = node_array(chart.grid, (2, 2, 2))
     gamma[..., 0, 0, 0] = rx
     gamma[..., 0, 0, 1] = ry
     gamma[..., 0, 1, 0] = ry
@@ -103,7 +103,9 @@ def christoffel_isothermal(chart: ConformalChart) -> np.ndarray:
 
 def cov_derivative_coords(grid: Grid, T: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """(nabla_a T)^i_j as S[..., a, i, j], from FD of components plus Gamma terms."""
-    dT = np.stack([fd_derivative(grid, T, 0, 1), fd_derivative(grid, T, 1, 1)], axis=-3)
+    dT = node_array(grid, (2,) + T.shape[2:])
+    for a in (0, 1):
+        dT[:, :, a] = fd_derivative(grid, T, a, 1)
     corr1 = np.einsum("...iak,...kj->...aij", gamma, T)
     corr2 = np.einsum("...kaj,...ik->...aij", gamma, T)
     return dT + corr1 - corr2
@@ -207,7 +209,9 @@ def rough_laplacian(chart: ConformalChart, T: np.ndarray) -> np.ndarray:
     """Delta^R T = -trace_g grad^2 T, mixed components."""
     S = cov_derivative(chart, T)
     gamma = chart.gamma
-    dS = np.stack([fd_derivative(chart.grid, S, 0, 1), fd_derivative(chart.grid, S, 1, 1)], axis=-4)
+    dS = node_array(chart.grid, (2,) + S.shape[2:])
+    for a in (0, 1):
+        dS[:, :, a] = fd_derivative(chart.grid, S, a, 1)
     term_i = np.einsum("...iak,...bkj->...abij", gamma, S)
     term_j = np.einsum("...kaj,...bik->...abij", gamma, S)
     term_c = np.einsum("...cab,...cij->...abij", gamma, S)
@@ -257,13 +261,11 @@ def vec_divergence(chart: ConformalChart, V: np.ndarray) -> np.ndarray:
 
 def hessian(chart: ConformalChart, f: np.ndarray) -> np.ndarray:
     """Covariant Hessian, (0,2) components."""
-    fx = fd_derivative(chart.grid, f, 0, 1)
-    fy = fd_derivative(chart.grid, f, 1, 1)
-    H = np.empty(chart.grid.shape + (2, 2))
+    grads = flat_gradient(chart.grid, f)
+    H = node_array(chart.grid, (2, 2))
     H[..., 0, 0] = fd_derivative(chart.grid, f, 0, 2)
     H[..., 1, 1] = fd_derivative(chart.grid, f, 1, 2)
-    H[..., 0, 1] = H[..., 1, 0] = fd_derivative(chart.grid, fx, 1, 1)
-    grads = np.stack([fx, fy], axis=-1)
+    H[..., 0, 1] = H[..., 1, 0] = fd_derivative(chart.grid, grads[..., 0], 1, 1)
     H -= np.einsum("...kij,...k->...ij", chart.gamma, grads)
     return H
 

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from biconsurf.grid import Grid, build_grid, fd_derivative, flat_gradient, flat_laplacian, integrate
+from biconsurf.grid import (
+    Grid,
+    build_grid,
+    fd_derivative,
+    flat_gradient,
+    flat_laplacian,
+    integrate,
+    node_array,
+)
 
 
 def test_spacing_periodic_vs_open():
@@ -78,3 +86,11 @@ def test_shape_mismatch_raises():
     g = build_grid((0.0, 1.0), (0.0, 1.0), 8, 8)
     with pytest.raises(ValueError):
         fd_derivative(g, np.zeros((7, 8)), 0, 1)
+
+
+def test_node_array_layout():
+    g = build_grid((0.0, 1.0), (0.0, 2.0), 5, 7)
+    a = node_array(g, (2, 3))
+    assert a.shape == (5, 7, 2, 3) and not a.any()
+    assert np.moveaxis(a, (0, 1), (-2, -1)).flags.c_contiguous
+    assert node_array(g).flags.c_contiguous and node_array(g).shape == (5, 7)

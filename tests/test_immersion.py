@@ -272,3 +272,53 @@ class TestDegeneracy:
         with pytest.raises(ValueError):
             ImmersionJet(g, euclidean(3), np.zeros((8, 8, 2)), np.zeros((8, 8, 2, 3)),
                          np.zeros((8, 8, 2, 2, 3)))
+
+
+def _nodes_innermost(a):
+    """Node axes last and C-contiguous in memory: a (comps..., nu, nv) buffer."""
+    return np.moveaxis(a, (0, 1), (-2, -1)).flags.c_contiguous
+
+
+def _layout_fields(geom):
+    out = {f: getattr(geom, f) for f in ("g", "ginv", "B", "H", "Hsq", "A_H", "gamma",
+                                         "dperpH", "K")}
+    out.update(S2=geom.S2, nabla_AH=geom.nabla_AH, nabla_S2=geom.nabla_S2)
+    out.update({f"biconservativity[{k}]": v for k, v in geom.biconservativity.items()})
+    jet = geom.jet
+    out.update({f"jet.{k}": getattr(jet, k) for k in ("pos", "d1", "d2", "d3")
+                if getattr(jet, k) is not None})
+    return out
+
+
+LAYOUT_JETS = {
+    "helix_line_r4": lambda: make_builtin("helix_line_r4", n=16, tau=0.5),
+    "cylinder": lambda: make_builtin("cylinder", n=16),
+    "sphere": lambda: make_builtin("sphere", n=16),
+    "sphere_polar": lambda: make_builtin("sphere", n=16, chart="polar"),
+    "product_torus": lambda: make_builtin("product_torus", n=16, r1=1.0, r2=1.5),
+    "graph": lambda: make_builtin("graph", n=16),
+    "cylinder_fd": lambda: tabulate(make_builtin("cylinder", n=16, stretch=0.3)),
+}
+
+
+class TestLayout:
+    @pytest.mark.parametrize("label", list(LAYOUT_JETS))
+    def test_fields_keep_nodes_innermost(self, label):
+        geom = compute_geometry(LAYOUT_JETS[label]())
+        fields = _layout_fields(geom)
+        for name, arr in fields.items():
+            assert arr.shape[:2] == geom.grid.shape, name
+        assert [n for n, a in fields.items() if not _nodes_innermost(a)] == []
+
+    @pytest.mark.parametrize("label", ["sphere", "cylinder_fd"])
+    def test_c_order_input_gives_same_values(self, label):
+        jet = LAYOUT_JETS[label]()
+        c_jet = ImmersionJet(jet.grid, jet.space, *(
+            None if a is None else np.ascontiguousarray(a)
+            for a in (jet.pos, jet.d1, jet.d2, jet.d3)), source=jet.source)
+        assert c_jet.d1.flags.c_contiguous and not _nodes_innermost(c_jet.d1)
+        ref, got = _layout_fields(compute_geometry(jet)), _layout_fields(compute_geometry(c_jet))
+        for name in ref:
+            scale = max(1.0, float(np.max(np.abs(ref[name]))))
+            np.testing.assert_allclose(got[name], ref[name], rtol=0, atol=1e-12 * scale,
+                                       err_msg=name)

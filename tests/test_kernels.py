@@ -102,3 +102,22 @@ def test_validation_errors():
 
 def test_backend_name_reports_active():
     assert kernels.backend_name() == "numpy"
+
+
+def _nodes_innermost(a):
+    return np.moveaxis(a, (0, 1), (-2, -1)).flags.c_contiguous
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("order,periodic,axis", CASES)
+def test_layout_kept_and_values_bitwise(order, periodic, axis, dtype, rng):
+    f = rng.standard_normal((11, 13, 2, 3)).astype(dtype)
+    if dtype is np.complex128:
+        f = f + 1j * rng.standard_normal(f.shape)
+    # the same values in a (2, 3, 11, 13) C-order buffer: node axes innermost
+    g = np.moveaxis(np.ascontiguousarray(np.moveaxis(f, (0, 1), (-2, -1))), (-2, -1), (0, 1))
+    assert _nodes_innermost(g) and not _nodes_innermost(f)
+    dc = kernels.derivative(f, 0.37, axis, order, periodic)
+    dn = kernels.derivative(g, 0.37, axis, order, periodic)
+    assert dc.flags.c_contiguous and _nodes_innermost(dn)
+    np.testing.assert_array_equal(dn, dc)
