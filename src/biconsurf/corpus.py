@@ -334,9 +334,14 @@ def make_builtin(name: str, grid: Grid | None = None, n: int = 64, **params) -> 
         raise SurfaceConfigError(f"unknown builtin surface {name!r}")
     maker = BUILTIN_MAKERS[name]
     signature = inspect.signature(maker).parameters
+    accepted = [key for key in signature if key != "grid"]
+    unknown = [key for key in params if key not in accepted]
+    if unknown:
+        raise SurfaceConfigError(
+            f"{name} has no parameter {unknown[0]!r}; it accepts {', '.join(accepted)}")
     for key, val in params.items():
         # a parameter the maker defaults to a float must be a finite number
-        if key in signature and isinstance(signature[key].default, float) \
+        if isinstance(signature[key].default, float) \
                 and not (isinstance(val, numbers.Real) and math.isfinite(val)):
             raise SurfaceConfigError(
                 f"{name} parameter {key} must be a finite number, got {val!r}")

@@ -44,14 +44,17 @@ class MuProblem:
     def __post_init__(self):
         if not self.grid.doubly_periodic:
             raise ValueError("mu problem requires a doubly periodic grid")
-        if self.H <= 0:
-            raise ValueError("|H| must be positive")
+        # written so that NaN fails each test
+        if not 0 < self.H < np.inf:
+            raise ValueError(f"|H| must be a positive finite number, got {self.H!r}")
         KN = np.broadcast_to(np.asarray(self.KN, dtype=np.float64), self.grid.shape).copy()
+        if not np.all(np.isfinite(KN)):
+            raise ValueError("K_N must be finite everywhere")
         mu0 = np.asarray(self.mu0, dtype=np.float64)
         if mu0.shape != self.grid.shape:
             raise ValueError("mu0 shape does not match grid")
-        if np.any(mu0 <= 0):
-            raise ValueError("mu0 must be positive everywhere")
+        if not np.all((mu0 > 0) & (mu0 < np.inf)):
+            raise ValueError("mu0 must be positive and finite everywhere")
         object.__setattr__(self, "KN", KN)
         object.__setattr__(self, "mu0", mu0)
 

@@ -112,6 +112,12 @@ class TestVerify:
         assert res.exit_code == EXIT_CONFIG, res.output
         assert res.stderr == f"config error: {message}\n"
 
+    @pytest.mark.parametrize("command", ["verify", "convergence"])
+    def test_unknown_builtin_param_names_accepted(self, runner, command):
+        res = runner.invoke(main, [command, "--surface", "cylinder", "--param", "q=1"])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert res.stderr == "config error: cylinder has no parameter 'q'; it accepts r, stretch\n"
+
     def test_periodic_applies_to_default_grid(self, runner):
         base = ["verify", "--surface", "helix_line_r4", "--periodic", "u"]
         res = runner.invoke(main, base)
@@ -213,6 +219,17 @@ class TestSolveMu:
     def test_bad_grid_spec(self, runner):
         res = runner.invoke(main, ["solve-mu", "--grid", "banana"])
         assert res.exit_code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("option,value,message", [
+        ("--H", "nan", "|H| must be a positive finite number, got nan"),
+        ("--mu0", "nan", "mu0 must be positive and finite everywhere"),
+        ("--KN", "inf", "K_N must be finite everywhere"),
+    ])
+    def test_non_finite_input_is_config_error(self, runner, option, value, message):
+        # NaN passed the sign tests and reached Newton as a singular Jacobian
+        res = runner.invoke(main, ["solve-mu", "--grid", "8x8", option, value])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert res.stderr == f"config error: {message}\n"
 
 
 class TestConvergence:
