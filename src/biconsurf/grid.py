@@ -118,10 +118,11 @@ def fd_derivative(grid: Grid, field: np.ndarray, axis: int, order: int = 1) -> n
 
 
 def flat_gradient(grid: Grid, field: np.ndarray) -> np.ndarray:
-    """(f_x, f_y) on a trailing axis."""
-    out = node_array(grid, np.shape(field)[2:] + (2,))
+    """Flat partial derivatives (f_x, f_y) on axis 2, ahead of the field's
+    component axes: ``out[:, :, a, ...] = d_a f`` (the last axis for a scalar)."""
+    out = node_array(grid, (2,) + np.shape(field)[2:])
     for a in (0, 1):
-        out[..., a] = fd_derivative(grid, field, a, 1)
+        out[:, :, a] = fd_derivative(grid, field, a, 1)
     return out
 
 

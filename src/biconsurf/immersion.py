@@ -77,11 +77,9 @@ class ImmersionJet:
 def jet_from_positions(grid: Grid, pos: np.ndarray, space: Ambient) -> ImmersionJet:
     """Finite-difference jet from a tabulated position field."""
     pos = np.asarray(pos, dtype=np.float64)
-    n = pos.shape[-1]
-    d1 = node_array(grid, (2, n))
-    d2 = node_array(grid, (2, 2, n))
+    d1 = flat_gradient(grid, pos)
+    d2 = node_array(grid, (2, 2, pos.shape[-1]))
     for a in (0, 1):
-        d1[..., a, :] = fd_derivative(grid, pos, a, 1)
         d2[..., a, a, :] = fd_derivative(grid, pos, a, 2)
     d2[..., 0, 1, :] = d2[..., 1, 0, :] = fd_derivative(grid, d1[..., 0, :], 1, 1)
     return ImmersionJet(grid, space, pos, d1, d2, None, source="finite-difference")
@@ -221,10 +219,7 @@ def normal_connection_H(
     - g^{ip} Gamma^j_ap B_ij. Otherwise the H field is finite-differenced.
     """
     if not jet.has_third:
-        DH = node_array(jet.grid, (2,) + H.shape[2:])
-        for a in (0, 1):
-            DH[..., a, :] = fd_derivative(jet.grid, H, a, 1)
-        return _project_off_tangent(jet, ginv, DH)
+        return _project_off_tangent(jet, ginv, flat_gradient(jet.grid, H))
     d3_trace = _project_off_tangent(jet, ginv, np.einsum("xyij,xyaijk->xyak", ginv, jet.d3))
     gamma_trace = np.einsum("xyij,xykij->xyk", ginv, gamma)
     dginv = np.einsum("xyip,xyjap->xyaij", ginv, gamma)

@@ -103,9 +103,7 @@ def christoffel_isothermal(chart: ConformalChart) -> np.ndarray:
 
 def cov_derivative_coords(grid: Grid, T: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """(nabla_a T)^i_j as S[..., a, i, j], from FD of components plus Gamma terms."""
-    dT = node_array(grid, (2,) + T.shape[2:])
-    for a in (0, 1):
-        dT[:, :, a] = fd_derivative(grid, T, a, 1)
+    dT = flat_gradient(grid, T)
     corr1 = np.einsum("...iak,...kj->...aij", gamma, T)
     corr2 = np.einsum("...kaj,...ik->...aij", gamma, T)
     return dT + corr1 - corr2
@@ -209,9 +207,7 @@ def rough_laplacian(chart: ConformalChart, T: np.ndarray) -> np.ndarray:
     """Delta^R T = -trace_g grad^2 T, mixed components."""
     S = cov_derivative(chart, T)
     gamma = chart.gamma
-    dS = node_array(chart.grid, (2,) + S.shape[2:])
-    for a in (0, 1):
-        dS[:, :, a] = fd_derivative(chart.grid, S, a, 1)
+    dS = flat_gradient(chart.grid, S)
     term_i = np.einsum("...iak,...bkj->...abij", gamma, S)
     term_j = np.einsum("...kaj,...bik->...abij", gamma, S)
     term_c = np.einsum("...cab,...cij->...abij", gamma, S)
