@@ -2,8 +2,9 @@
 formulas, parallel shape-operator diagnostics, space-form target derivation.
 
 All residuals are reported both as area-weighted L2 and as L-infinity norms
-of pointwise g-norms; "analytic" jets put them at round-off, finite
-difference jets at O(h^2).
+of pointwise g-norms, taken over the interior nodes of the geometry
+(``SurfaceGeometry.interior``) whoever asks; "analytic" jets put them at
+round-off, finite difference jets at O(h^2).
 """
 
 from __future__ import annotations
@@ -38,45 +39,23 @@ class NonConstantCurvaturesError(ValueError):
     """Space-form target derivation requires constant principal curvatures."""
 
 
-def interior_mask(grid, margin: int) -> np.ndarray:
-    """Boolean node mask excluding ``margin`` rows at each non-periodic edge.
-
-    Finite-difference jets carry one-sided-stencil error bands at open
-    boundaries; differencing those fields again does not converge there, so
-    residual norms of derived identities are restricted to the interior.
-    """
-    mask = np.ones(grid.shape, dtype=bool)
-    if margin > 0:
-        if not grid.periodic_u:
-            mask[:margin] = False
-            mask[-margin:] = False
-        if not grid.periodic_v:
-            mask[:, :margin] = False
-            mask[:, -margin:] = False
-    return mask
-
-
-def weighted_l2(field: np.ndarray, geom: SurfaceGeometry, mask=None) -> float:
-    """Area-weighted RMS of a scalar field over the nodes in ``mask``."""
-    dv = geom.area_element
-    f2 = np.asarray(field) ** 2
-    if mask is not None:
-        f2 = np.where(mask, f2, 0.0)
-        dv = np.where(mask, dv, 0.0)
+def weighted_l2(field: np.ndarray, geom: SurfaceGeometry) -> float:
+    """Area-weighted RMS of a scalar field over ``geom.interior``."""
+    inside = geom.interior
+    f2 = np.where(inside, np.asarray(field) ** 2, 0.0)
+    dv = np.where(inside, geom.area_element, 0.0)
     return float(np.sqrt(integrate(geom.grid, f2 * dv) / integrate(geom.grid, dv)))
 
 
-def scalar_norms(field: np.ndarray, geom: SurfaceGeometry, mask=None) -> tuple[float, float]:
-    """(L2, Linf) of |field| over the nodes in ``mask``."""
-    mag = np.abs(field)
-    if mask is not None:
-        mag = np.where(mask, mag, 0.0)
-    return weighted_l2(mag, geom, mask), float(np.max(mag))
+def scalar_norms(field: np.ndarray, geom: SurfaceGeometry) -> tuple[float, float]:
+    """(L2, Linf) of |field| over ``geom.interior``."""
+    mag = np.where(geom.interior, np.abs(field), 0.0)
+    return weighted_l2(mag, geom), float(np.max(mag))
 
 
-def vector_norms(V: np.ndarray, geom: SurfaceGeometry, mask=None) -> tuple[float, float]:
+def vector_norms(V: np.ndarray, geom: SurfaceGeometry) -> tuple[float, float]:
     """(L2, Linf) of the pointwise g-norm of a coordinate vector field."""
-    return scalar_norms(np.sqrt(np.maximum(geom.vec_norm_sq(V), 0.0)), geom, mask)
+    return scalar_norms(np.sqrt(np.maximum(geom.vec_norm_sq(V), 0.0)), geom)
 
 
 def stress_bienergy(A_H: np.ndarray, Hsq: np.ndarray) -> np.ndarray:
@@ -153,10 +132,9 @@ def equivalence_matrix(
     res = geom.biconservativity
     _, r1 = vector_norms(res["cond1"], geom)
     _, r2 = vector_norms(res["grad_Hsq"], geom)
+    r3 = None
     if chart is not None:
-        r3 = float(np.max(np.abs(holomorphicity_residual(chart, geom.A_H))))
-    else:
-        r3 = None
+        _, r3 = scalar_norms(holomorphicity_residual(chart, geom.A_H), geom)
     _, r4 = vector_norms(codazzi_defect_coords(geom.nabla_AH), geom)
 
     residuals = {"biconservative": r1, "cmc": r2, "hopf_holomorphic": r3, "codazzi": r4}
@@ -190,7 +168,7 @@ def simons_residual(geom: SurfaceGeometry, chart: ConformalChart, bicons_tol: fl
     S2 = geom.S2
     S2_sq = tensor_inner(chart, S2, S2)
     K = geom.K
-    nabla_S2 = geom.chart_nabla(chart, "S2")
+    nabla_S2 = geom.nabla_S2
     sharp = np.einsum("...ij,...j->...i", S2, grad_vec(chart, tau2))
     lhs = 0.5 * laplacian(chart, S2_sq)
     rhs = (
@@ -216,7 +194,7 @@ def integral_formula_check(geom: SurfaceGeometry, chart: ConformalChart) -> dict
     dv = geom.area_element
     tau2 = 4.0 * geom.Hsq
     S2_sq = tensor_inner(chart, geom.S2, geom.S2)
-    nabla_S2 = geom.chart_nabla(chart, "S2")
+    nabla_S2 = geom.nabla_S2
     K = geom.K
 
     lhs_s2 = integrate(
@@ -225,7 +203,7 @@ def integral_formula_check(geom: SurfaceGeometry, chart: ConformalChart) -> dict
     )
     rhs_s2 = integrate(geom.grid, grad_norm_sq(chart, tau2) * dv)
 
-    nabla_AH = geom.chart_nabla(chart, "A_H")
+    nabla_AH = geom.nabla_AH
     AH_sq = shape_operator_norm_sq(geom)
     lhs_ah = integrate(
         geom.grid,
@@ -244,13 +222,11 @@ def parallel_AH_checks(geom: SurfaceGeometry, tol: float) -> dict:
     """Norm of nabla A_H plus the consequences that must follow when it vanishes:
     constant eigenvalues, the curvature-commutation identity, the trace
     cancellation, and pseudoumbilical-or-flat."""
-    nab = geom.nabla_AH
-    mag = np.sqrt(np.maximum(geom.nabla_norm_sq(nab), 0.0))
-    linf = float(np.max(mag))
+    l2, linf = scalar_norms(np.sqrt(np.maximum(geom.nabla_norm_sq(geom.nabla_AH), 0.0)), geom)
     lam1, lam2, mu, _ = geom.principal
 
     out = {
-        "nabla_AH_l2": weighted_l2(mag, geom),
+        "nabla_AH_l2": l2,
         "nabla_AH_linf": linf,
         "is_parallel": linf <= tol,
     }

@@ -131,10 +131,11 @@ def _load_surface_file(path: str):
     grid = _grid_from_dict(doc["grid"])
     surf = doc["surface"]
     if "builtin" in surf:
-        name = surf["builtin"]
-        params = surf.get("params", {})
+        name, params = surf["builtin"], surf.get("params", {})
+        if not isinstance(params, dict):
+            raise ConfigError("surface params must be a JSON object")
         try:
-            jet = corpus.make_builtin(name, grid=grid, **params)
+            jet = corpus.build_builtin(name, grid, params)
         except (corpus.SurfaceConfigError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
         return jet, name
@@ -160,7 +161,7 @@ def _builtin_jet(name: str, params: dict, size, periodic=None):
         grid = replace(corpus.default_grid(name, n=nu, params=params), nu=nu, nv=nv)
         if periodic is not None:
             grid = replace(grid, periodic_u=periodic[0], periodic_v=periodic[1])
-        return corpus.make_builtin(name, grid=grid, **params)
+        return corpus.build_builtin(name, grid, params)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -255,12 +256,12 @@ def verify(config_path, surface, grid_size, periodic, params, fd_jets, output, f
             surface=surface,
             grid_size=_parse_grid_size(grid_size) if grid_size else None,
             periodic=_parse_periodic(periodic) if periodic else None,
-            fd_jets=fd_jets or cfg.get("fd_jets", False),
+            fd_jets=fd_jets,
             output=output,
             format=fmt,
             tol_analytic=tol_analytic,
             tol_fd=tol_fd,
-            dump_fields=dump_fields or cfg.get("dump_fields", False),
+            dump_fields=dump_fields,
         )
         cfg["params"] = _parse_params(params, cfg.get("params", {}))
         jet, label = _resolve_jet(cfg)
@@ -307,7 +308,7 @@ def solve_mu_cmd(config_path, H, KN, grid_size, mu0, perturb, tol_newton, max_it
             mu0=mu0, perturb=perturb,
             tol_newton=tol_newton, max_iter=max_iter,
             output=output, format=fmt,
-            dump_fields=dump_fields or cfg.get("dump_fields", False),
+            dump_fields=dump_fields,
         )
         Hval = float(cfg.get("H", 1.0))
         KNval = float(cfg.get("KN", 0.0))
@@ -385,7 +386,7 @@ def convergence(config_path, surface, grid_size, levels, params, fd_jets, output
             surface=surface,
             grid_size=_parse_grid_size(grid_size) if grid_size else None,
             levels=levels,
-            fd_jets=fd_jets or cfg.get("fd_jets", False),
+            fd_jets=fd_jets,
             output=output,
         )
         param_map = _parse_params(params, cfg.get("params", {}))

@@ -330,6 +330,16 @@ def _torus_lambdas(r1: float, r2: float):
 
 
 def make_builtin(name: str, grid: Grid | None = None, n: int = 64, **params) -> ImmersionJet:
+    """Builtin ``name`` on ``grid`` (by default its canonical domain, n nodes
+    per axis) with the surface parameters as keywords."""
+    if grid is None:
+        grid = default_grid(name, n, params)
+    return build_builtin(name, grid, params)
+
+
+def build_builtin(name: str, grid: Grid, params: dict) -> ImmersionJet:
+    """Builtin ``name`` on ``grid``; ``params`` is checked against the
+    parameters its maker accepts, so no key is taken for anything else."""
     if name not in BUILTIN_MAKERS:
         raise SurfaceConfigError(f"unknown builtin surface {name!r}")
     maker = BUILTIN_MAKERS[name]
@@ -345,8 +355,6 @@ def make_builtin(name: str, grid: Grid | None = None, n: int = 64, **params) -> 
                 and not (isinstance(val, numbers.Real) and math.isfinite(val)):
             raise SurfaceConfigError(
                 f"{name} parameter {key} must be a finite number, got {val!r}")
-    if grid is None:
-        grid = default_grid(name, n, params)
     return maker(grid, **params)
 
 

@@ -131,6 +131,19 @@ def flat_laplacian(grid: Grid, field: np.ndarray) -> np.ndarray:
     return fd_derivative(grid, field, 0, 2) + fd_derivative(grid, field, 1, 2)
 
 
+def interior_mask(grid: Grid, margin: int) -> np.ndarray:
+    """Boolean node mask excluding ``margin`` rows at each non-periodic edge."""
+    mask = np.ones(grid.shape, dtype=bool)
+    if margin > 0:
+        if not grid.periodic_u:
+            mask[:margin] = False
+            mask[-margin:] = False
+        if not grid.periodic_v:
+            mask[:, :margin] = False
+            mask[:, -margin:] = False
+    return mask
+
+
 def integrate(grid: Grid, field: np.ndarray) -> float:
     """Integral of a scalar node field over the parameter rectangle.
 

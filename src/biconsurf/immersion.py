@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .ambient import Ambient, _dot, curvature_operator
-from .grid import Grid, fd_derivative, flat_gradient, node_array
+from .grid import Grid, fd_derivative, flat_gradient, interior_mask, node_array
 from .tensors import cov_derivative_coords
 
 # Pseudoumbilical classification thresholds for the eigenvalue gap of A_H.
@@ -39,6 +39,10 @@ EPS_PU_FD = 1e-2
 # det g <= DEGENERACY_TOL g_uu g_vv (the squared sine of the angle between
 # d_u X and d_v X) marks the immersion as degenerate.
 DEGENERACY_TOL = 1e-12
+
+# Rows skipped at each open edge by every norm on an FD jet: its one-sided
+# stencil bands do not converge when differenced again.
+FD_BOUNDARY_MARGIN = 3
 
 
 class DegenerateImmersionError(ValueError):
@@ -116,6 +120,18 @@ class SurfaceGeometry:
     def space(self) -> Ambient:
         return self.jet.space
 
+    @property
+    def boundary_margin(self) -> int:
+        """Rows :attr:`interior` leaves out at each open edge."""
+        return 0 if self.jet.source == "analytic" else FD_BOUNDARY_MARGIN
+
+    @cached_property
+    def interior(self) -> np.ndarray:
+        """The nodes every residual norm is taken over: all of them on an
+        analytic jet, all but ``boundary_margin`` rows at each open edge on
+        an FD jet."""
+        return interior_mask(self.grid, self.boundary_margin)
+
     @cached_property
     def det_g(self) -> np.ndarray:
         return self.g[..., 0, 0] * self.g[..., 1, 1] - self.g[..., 0, 1] ** 2
@@ -153,16 +169,6 @@ class SurfaceGeometry:
         from . import checks
 
         return checks.biconservativity_residuals(self)
-
-    def chart_nabla(self, chart, name: str) -> np.ndarray:
-        """nabla of the field ``name`` ("S2" or "A_H") with the Christoffels of
-        an isothermal ``chart``; cached as long as the same chart is asked for."""
-        memo = self.__dict__.get("_chart_nabla")
-        if memo is None or memo[0] is not chart:
-            memo = self.__dict__["_chart_nabla"] = (chart, {})
-        if name not in memo[1]:
-            memo[1][name] = cov_derivative_coords(chart.grid, getattr(self, name), chart.gamma)
-        return memo[1][name]
 
     def vec_norm_sq(self, V: np.ndarray) -> np.ndarray:
         """g(V, V) for coordinate vector components."""

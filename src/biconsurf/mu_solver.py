@@ -150,8 +150,7 @@ def solve_mu(
     norm = np.linalg.norm(F)
     sol.residual_history.append(float(np.max(np.abs(F))))
     for it in range(max_iter):
-        if np.max(np.abs(F)) <= tol_newton:
-            sol.converged = True
+        if sol.residual_history[-1] <= tol_newton:
             break
         J = _jacobian(grid, mu, problem.H, problem.KN, ops)
         rhs = -F.ravel()
@@ -180,12 +179,9 @@ def solve_mu(
         sol.residual_history.append(float(np.max(np.abs(F))))
         if not accepted:
             break
-    else:
-        sol.converged = bool(np.max(np.abs(F)) <= tol_newton)
 
     sol.mu = mu
-    if np.max(np.abs(F)) <= tol_newton:
-        sol.converged = True
+    sol.converged = sol.residual_history[-1] <= tol_newton
     return sol
 
 

@@ -129,14 +129,8 @@ def build_geometry_report(
         chart = None
     rep.meta["isothermal_chart"] = chart is not None
 
-    # one-sided stencil bands at open boundaries do not converge when
-    # differenced again, so FD-jet norms are taken over the interior
-    margin = 0 if jet.source == "analytic" else 3
-    mask = checks.interior_mask(jet.grid, margin)
-    rep.meta["boundary_margin"] = margin
-
-    def scalar_norms(field):
-        return checks.scalar_norms(field, geom, mask)
+    # FD-jet norms skip the one-sided stencil bands at open boundaries
+    rep.meta["boundary_margin"] = geom.boundary_margin
 
     res = geom.biconservativity
     named = [
@@ -149,42 +143,42 @@ def build_geometry_report(
         ("grad_mean_curvature_sq", "grad_Hsq"),
     ]
     for name, key in named:
-        rep.add(name, *checks.vector_norms(res[key], geom, mask))
+        rep.add(name, *checks.vector_norms(res[key], geom))
 
     nab = geom.nabla_AH
     nab_mag = np.sqrt(np.maximum(geom.nabla_norm_sq(nab), 0.0))
-    rep.add("nabla_shape_operator", *scalar_norms(nab_mag))
+    rep.add("nabla_shape_operator", *checks.scalar_norms(nab_mag, geom))
 
     dperp_mag = np.sqrt(np.maximum(
         np.einsum("...ab,...am,...bm->...", geom.ginv, geom.dperpH, geom.dperpH), 0.0))
-    rep.add("normal_derivative_H", *scalar_norms(dperp_mag))
+    rep.add("normal_derivative_H", *checks.scalar_norms(dperp_mag, geom))
 
     S2 = geom.S2
-    tr_gap = np.abs(S2[..., 0, 0] + S2[..., 1, 1] - 4.0 * geom.Hsq)
-    rep.add("stress_trace", *scalar_norms(tr_gap))
+    tr_gap = S2[..., 0, 0] + S2[..., 1, 1] - 4.0 * geom.Hsq
+    rep.add("stress_trace", *checks.scalar_norms(tr_gap, geom))
 
     lam1, lam2, mu, pu_mask = geom.principal
-    sum_gap = np.abs(lam1 + lam2 - 2.0 * geom.Hsq)
-    rep.add("eigenvalue_sum", *scalar_norms(sum_gap))
+    sum_gap = lam1 + lam2 - 2.0 * geom.Hsq
+    rep.add("eigenvalue_sum", *checks.scalar_norms(sum_gap, geom))
 
     if chart is not None:
         S2_sq = tensor_inner(chart, S2, S2)
         AH_sq = checks.shape_operator_norm_sq(geom)
-        norm_gap = np.abs(S2_sq - 16.0 * AH_sq + 24.0 * geom.Hsq**2)
-        rep.add("stress_norm", *scalar_norms(norm_gap))
+        norm_gap = S2_sq - 16.0 * AH_sq + 24.0 * geom.Hsq**2
+        rep.add("stress_norm", *checks.scalar_norms(norm_gap, geom))
 
-        hol = np.abs(holomorphicity_residual(chart, geom.A_H))
-        rep.add("hopf_holomorphicity", *scalar_norms(hol))
+        hol = holomorphicity_residual(chart, geom.A_H)
+        rep.add("hopf_holomorphicity", *checks.scalar_norms(hol, geom))
 
         simons, simons_flagged = checks.simons_residual(geom, chart, bicons_tol=tol)
-        rep.add("simons", *scalar_norms(simons))
+        rep.add("simons", *checks.scalar_norms(simons, geom))
         rep.flags["simons_assumes_biconservative_violated"] = simons_flagged
 
-    rep.add("codazzi_defect", *checks.vector_norms(codazzi_defect_coords(nab), geom, mask))
+    rep.add("codazzi_defect", *checks.vector_norms(codazzi_defect_coords(nab), geom))
 
     pos = checks.positivity_quantity(geom)
     deficit = np.maximum(-pos, 0.0)
-    rep.add("positivity_deficit", *scalar_norms(deficit))
+    rep.add("positivity_deficit", *checks.scalar_norms(deficit, geom))
 
     if geom.grid.doubly_periodic and chart is not None:
         integ = checks.integral_formula_check(geom, chart)

@@ -3,7 +3,8 @@ import pytest
 
 from biconsurf import checks
 from biconsurf.corpus import make_builtin, tabulate
-from biconsurf.immersion import compute_geometry
+from biconsurf.grid import interior_mask
+from biconsurf.immersion import FD_BOUNDARY_MARGIN, compute_geometry
 from biconsurf.report import build_geometry_report
 from biconsurf.tensors import conformal_chart_from_metric, flat_chart
 
@@ -260,32 +261,63 @@ class TestSpaceformTarget:
 class TestInteriorMask:
     def test_periodic_axes_untouched(self):
         geom, _ = geom_and_chart("product_torus", n=16, r1=1.0, r2=1.0)
-        mask = checks.interior_mask(geom.grid, 3)
+        mask = interior_mask(geom.grid, 3)
         assert mask.all()
 
     def test_open_axes_trimmed(self):
         geom = compute_geometry(make_builtin("graph", n=16))
-        mask = checks.interior_mask(geom.grid, 2)
+        mask = interior_mask(geom.grid, 2)
         assert not mask[0].any() and not mask[-1].any()
         assert not mask[:, 1].any()
         assert mask[2:-2, 2:-2].all()
 
+    def test_geometry_interior_follows_jet_source(self):
+        jet = make_builtin("graph", n=16)
+        assert compute_geometry(jet).interior.all()
+        geom = compute_geometry(tabulate(jet))
+        assert geom.boundary_margin == FD_BOUNDARY_MARGIN == 3
+        np.testing.assert_array_equal(geom.interior, interior_mask(geom.grid, 3))
+
     def test_masked_norms_ignore_boundary(self):
-        geom = compute_geometry(make_builtin("graph", n=16))
+        geom = compute_geometry(tabulate(make_builtin("graph", n=16)))
         field = np.zeros(geom.grid.shape)
-        field[0, :] = 1e6  # junk on the boundary only
-        mask = checks.interior_mask(geom.grid, 1)
-        assert checks.weighted_l2(field, geom, mask=mask) == 0.0
+        field[:3, :] = 1e6  # junk in the boundary band only
+        assert checks.weighted_l2(field, geom) == 0.0
+        assert checks.scalar_norms(field, geom) == (0.0, 0.0)
 
     def test_masked_l2_normalized_by_interior_area(self):
-        # constant 1 inside the mask, junk outside: the RMS over the
+        # constant 1 inside the interior, junk outside: the RMS over the
         # interior is 1, whatever the area of the masked band
-        geom = compute_geometry(make_builtin("graph", n=16))
-        mask = checks.interior_mask(geom.grid, 3)
-        field = np.where(mask, -1.0, 1e6)
-        assert checks.scalar_norms(field, geom, mask) == (1.0, 1.0)
+        geom = compute_geometry(tabulate(make_builtin("graph", n=16)))
+        field = np.where(geom.interior, -1.0, 1e6)
+        assert checks.scalar_norms(field, geom) == (1.0, 1.0)
         V = np.zeros(geom.grid.shape + (2,))
-        V[..., 0] = np.where(mask, 1.0 / np.sqrt(geom.g[..., 0, 0]), 1e6)
-        l2, linf = checks.vector_norms(V, geom, mask)
+        V[..., 0] = np.where(geom.interior, 1.0 / np.sqrt(geom.g[..., 0, 0]), 1e6)
+        l2, linf = checks.vector_norms(V, geom)
         assert l2 == pytest.approx(1.0, rel=1e-12)
         assert linf == pytest.approx(1.0, rel=1e-12)
+
+
+class TestOneMaskForEveryCaller:
+    """On FD jets the report, the Simons gate and the equivalence matrix all
+    take their norms over the same interior nodes."""
+
+    @pytest.fixture(scope="class")
+    def fd_helix(self):
+        jet = tabulate(make_builtin("helix_line_r4", n=32))
+        return jet, build_geometry_report(jet, "helix_line_r4")
+
+    def test_simons_gate_agrees_with_verdict(self, fd_helix):
+        _, rep = fd_helix
+        flags = rep.flags
+        assert flags["simons_assumes_biconservative_violated"] == (not flags["is_biconservative"])
+
+    def test_equivalence_matrix_reads_report_norms(self, fd_helix):
+        jet, rep = fd_helix
+        geom = compute_geometry(jet)
+        chart = conformal_chart_from_metric(geom.grid, geom.g, tol=1.0)
+        eq = checks.equivalence_matrix(geom, chart, 1e-3, 1e-3)["residuals"]
+        assert eq["biconservative"] == rep.residual("stress_divergence").linf
+        assert eq["cmc"] == rep.residual("grad_mean_curvature_sq").linf
+        assert eq["codazzi"] == rep.residual("codazzi_defect").linf
+        assert eq["hopf_holomorphic"] == rep.residual("hopf_holomorphicity").linf

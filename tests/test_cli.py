@@ -118,6 +118,28 @@ class TestVerify:
         assert res.exit_code == EXIT_CONFIG, res.output
         assert res.stderr == "config error: cylinder has no parameter 'q'; it accepts r, stretch\n"
 
+    @pytest.mark.parametrize("key", ["grid", "n"])
+    def test_param_named_like_a_builder_keyword(self, runner, key):
+        res = runner.invoke(
+            main, ["verify", "--surface", "sphere", "--grid", "8x8", "--param", f"{key}=5"])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert res.stderr == f"config error: sphere has no parameter {key!r}; it accepts r, chart\n"
+
+    @pytest.mark.parametrize("params,message", [
+        ({"grid": 3}, "sphere has no parameter 'grid'; it accepts r, chart"),
+        ([], "surface params must be a JSON object"),
+    ])
+    def test_surface_file_bad_params(self, runner, tmp_path, params, message):
+        cfg = {
+            "grid": {"u": [0.0, 6.283185307179586, 8, True], "v": [-1.2, 1.2, 8, False]},
+            "surface": {"builtin": "sphere", "params": params},
+        }
+        f = tmp_path / "surf.json"
+        f.write_text(json.dumps(cfg))
+        res = runner.invoke(main, ["verify", "--surface", str(f)])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert res.stderr == f"config error: {message}\n"
+
     def test_periodic_applies_to_default_grid(self, runner):
         base = ["verify", "--surface", "helix_line_r4", "--periodic", "u"]
         res = runner.invoke(main, base)

@@ -53,6 +53,18 @@ def test_compare_text_locates_largest_excess():
     assert cmp(csv, csv.replace("2e-3", "3e-3"))["where"] == (2, None)
 
 
+def test_compare_text_locates_first_text_difference():
+    cmp = _tool().compare_text
+    old = '{\n  "residuals": {\n    "simons": 8.4e-3\n  },\n' \
+          '  "flags": {\n    "is_cmc": true,\n    "violated": true\n  }\n}\n'
+    # a number moves first, but the text difference is what is located
+    res = cmp(old, old.replace("8.4e-3", "8.3e-3").replace('violated": true', 'violated": false'))
+    assert not res["same_text"] and not res["within"]
+    assert res["where"] == (7, "violated")
+    # a number more or less is located where the texts part
+    assert cmp(old, old.replace('"is_cmc": true', '"is_cmc": 1'))["where"] == (6, "is_cmc")
+
+
 def _fake_tree(root, text):
     pkg = root / "biconsurf"
     pkg.mkdir(parents=True)
@@ -71,3 +83,16 @@ def test_report_names_line_and_key(tmp_path):
     )
     assert res.returncode == 1
     assert "largest at line 6 after key 'mu_max'" in res.stdout
+
+
+def test_report_names_first_text_difference(tmp_path):
+    old = '{\n  "meta": {\n    "n": 32\n  },\n  "flags": {\n    "is_cmc": true\n  }\n}\n'
+    new = old.replace("32", "33").replace("true", "false")
+    res = subprocess.run(
+        [sys.executable, str(TOOL), _fake_tree(tmp_path / "old", old),
+         _fake_tree(tmp_path / "new", new), "--case", "csv_helix"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert res.returncode == 1
+    assert "non-numeric stdout differs; first text difference at line 6 after key 'is_cmc'" \
+        in res.stdout

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from biconsurf.ambient import euclidean, sphere
-from biconsurf.checks import interior_mask
 from biconsurf.corpus import load_tabulated, make_builtin, tabulate
-from biconsurf.grid import build_grid, fd_derivative
+from biconsurf.grid import build_grid, fd_derivative, interior_mask
 from biconsurf.immersion import (
     DegenerateImmersionError,
     ImmersionJet,

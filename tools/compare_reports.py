@@ -16,8 +16,9 @@ S^3(1) at 32^2 and 64^2.
 For each case it prints both exit codes, whether stdout is byte-identical,
 the largest |diff| over the numbers in stdout, the largest relative diff
 over those above 1e-8 in magnitude, and any non-numeric difference; for a
-case past the bar, also where the number furthest past it sits (its line in
-the old stdout and the nearest JSON key before it).  It
+case past the bar, also where the first text difference or else the number
+furthest past the bar sits (its line in the old stdout and the nearest JSON
+key before it).  It
 exits 1 when an exit code, stderr or a non-numeric byte of stdout differs,
 or when any number moves by more than 1e-12 max(1, |x|).
 """
@@ -115,13 +116,23 @@ def locate(text: str, pos: int) -> tuple[int, str | None]:
 def compare_text(old: str, new: str) -> dict:
     """Largest |diff| and relative diff of the numbers, whether the text
     between the numbers (and their count) is the same, and where (line, key)
-    the number furthest past the bar sits in ``old``."""
+    in ``old`` the first differing byte of that text sits, or, when it is
+    the same, the number furthest past the bar."""
     old_parts, new_parts = NUMBER.split(old), NUMBER.split(new)
     old_nums, new_nums = list(NUMBER.finditer(old)), NUMBER.findall(new)
     same_text = old_parts == new_parts and len(old_nums) == len(new_nums)
     max_abs = max_rel = worst = 0.0
     where = None
-    if same_text:
+    if not same_text:
+        # the first differing byte of the text between the numbers
+        pos = len(old)
+        for i, (a_part, b_part) in enumerate(zip(old_parts, new_parts)):
+            if a_part != b_part:
+                start = old_nums[i - 1].end() if i else 0
+                pos = start + len(os.path.commonprefix([a_part, b_part]))
+                break
+        where = locate(old, pos)
+    else:
         for a_m, b_s in zip(old_nums, new_nums):
             a, b = float(a_m.group()), float(b_s)
             d = abs(a - b)
@@ -167,13 +178,12 @@ def main(argv=None) -> int:
                 notes.append("exit code differs")
             if old.stderr != new.stderr:
                 notes.append("stderr differs")
-            if not cmp["same_text"]:
-                notes.append("non-numeric stdout differs")
-            elif not cmp["within"]:
+            if cmp["where"] is not None:
                 line, key = cmp["where"]
-                notes.append(f"a number moved by more than {TOL:g} max(1, |x|); "
-                             f"largest at line {line}"
-                             + (f" after key {key!r}" if key is not None else ""))
+                at = f"at line {line}" + (f" after key {key!r}" if key is not None else "")
+                notes.append(f"non-numeric stdout differs; first text difference {at}"
+                             if not cmp["same_text"] else
+                             f"a number moved by more than {TOL:g} max(1, |x|); largest {at}")
             if notes:
                 failed.append(name)
             print(f"{name:24} {old.returncode:>2}/{new.returncode:<2}  "
