@@ -156,14 +156,17 @@ def equivalence_matrix(
     }
 
 
-def simons_residual(geom: SurfaceGeometry, chart: ConformalChart, bicons_tol: float = 1e-6):
+def simons_residual(geom: SurfaceGeometry, chart: ConformalChart, bicons_tol: float = 1e-6,
+                    bicons_linf: float | None = None):
     """Pointwise residual of the Simons-type identity for S2.
 
     Valid only on biconservative input; if the surface fails the
     biconservativity residual at ``bicons_tol`` the result is flagged, not
-    rejected.
+    rejected. ``bicons_linf`` is the L-inf of the stress divergence
+    (``vector_norms`` of ``cond1``) when the caller has already taken it.
     """
-    _, bicons_linf = vector_norms(geom.biconservativity["cond1"], geom)
+    if bicons_linf is None:
+        _, bicons_linf = vector_norms(geom.biconservativity["cond1"], geom)
     tau2 = 4.0 * geom.Hsq  # |tau(phi)|^2 = 4 |H|^2
     S2 = geom.S2
     S2_sq = tensor_inner(chart, S2, S2)

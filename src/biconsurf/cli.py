@@ -70,6 +70,8 @@ def _parse_grid_size(text: str) -> tuple[int, int]:
 def _parse_params(specs, base: dict) -> dict:
     """``base`` updated by ``key=value`` specs; a value that parses as a float
     becomes one, any other value stays a string (e.g. ``chart=polar``)."""
+    if not isinstance(base, dict):
+        raise ConfigError("surface params must be a JSON object")
     params = dict(base)
     for spec in specs:
         try:

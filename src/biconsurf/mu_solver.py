@@ -9,16 +9,29 @@ positive (geometer's) operator -(d_xx + d_yy); this sign is the one under
 which the conformal reconstruction g = (1/mu) (dx^2 + dy^2) reproduces the
 Gauss relation K = K_N + |H|^2 - mu^2 / (4 |H|^2) identically.
 
-The Jacobian of the discrete residual is assembled exactly (sparse periodic
-stencil couplings plus a diagonal reaction term); steps are damped by
-backtracking on the residual norm and clipped away from mu <= 0. Near a
-constant iterate on a fully periodic grid the linearization can be
-(near-)singular; the solver then falls back to a least-squares step.
+The Jacobian of the discrete residual is exact: a diagonal reaction term
+plus the couplings of the periodic 5-point stencil. Its sparsity never
+changes, so the pattern is built once per solve and each Newton step only
+fills the five entries of every row from five coefficient vectors.
+
+The same fixed pattern fixes the elimination order. Each step factors the
+Jacobian symmetrically permuted into a geometric nested-dissection order of
+the torus (built once per solve, together with the index that gathers the
+natural-order data into the permuted matrix), and SuperLU is told to keep
+that order (``permc_spec="NATURAL"``): on these grid matrices it gives
+cheaper factorizations than SuperLU's own minimum-degree orderings, and
+recomputing an order every step would repeat the same work. Row pivoting
+is SuperLU's as before.
+
+Steps are damped by backtracking on the residual norm and clipped away from
+mu <= 0. Near a constant iterate on a fully periodic grid the linearization
+can be (near-)singular; the solver then falls back to a least-squares step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -78,48 +91,117 @@ def mu_residual(grid: Grid, mu: np.ndarray, H: float, KN) -> np.ndarray:
     return mu * lap + grad_sq + react
 
 
-def _circulant_d1(n: int, h: float) -> sp.csr_matrix:
-    e = np.ones(n)
-    D = sp.diags([e, -e], [1, -1], shape=(n, n), format="lil")
-    D[0, n - 1] = -1.0
-    D[n - 1, 0] = 1.0
-    return (D / (2.0 * h)).tocsr()
+# slots of the five stencil entries within each row of the Jacobian's data
+_CENTRE, _U_MINUS, _U_PLUS, _V_MINUS, _V_PLUS = range(5)
 
 
-def _circulant_d2(n: int, h: float) -> sp.csr_matrix:
-    e = np.ones(n)
-    D = sp.diags([e, -2.0 * e, e], [1, 0, -1], shape=(n, n), format="lil")
-    D[0, n - 1] = 1.0
-    D[n - 1, 0] = 1.0
-    return (D / (h * h)).tocsr()
+class _Operators(NamedTuple):
+    """The fixed sparsity of the Jacobian, built once per solve.
+
+    Both patterns have five entries in every row and every column, so they
+    share ``indptr = 5 * arange(n + 1)``."""
+
+    indptr: np.ndarray
+    indices: np.ndarray  # natural-order CSR columns, five slots per row
+    perm: np.ndarray  # nested-dissection order: unknown k is node perm[k]
+    gather: np.ndarray  # J.data[gather] is the data of J[perm][:, perm] in CSC
+    nd_indices: np.ndarray  # CSC rows of J[perm][:, perm]
 
 
-def _operators(grid: Grid):
-    Iu = sp.identity(grid.nu, format="csr")
-    Iv = sp.identity(grid.nv, format="csr")
-    Dx = sp.kron(_circulant_d1(grid.nu, grid.hu), Iv, format="csr")
-    Dy = sp.kron(Iu, _circulant_d1(grid.nv, grid.hv), format="csr")
-    L = sp.kron(_circulant_d2(grid.nu, grid.hu), Iv, format="csr") + sp.kron(
-        Iu, _circulant_d2(grid.nv, grid.hv), format="csr"
-    )
-    return Dx, Dy, L
+def _rectangle_order(h: int, w: int, memo: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Nested-dissection order of an h x w block of the lattice as (row,
+    column) offsets: bisect across the longer side, both halves first, the
+    separating line last.  Blocks of at most 2 x 2, where that order is the
+    natural one, end the recursion."""
+    if (h, w) in memo:
+        return memo[h, w]
+    if h <= 2 and w <= 2:
+        rows, cols = np.divmod(np.arange(h * w), max(w, 1))
+    elif h >= w:
+        m = h // 2
+        r1, c1 = _rectangle_order(m, w, memo)
+        r2, c2 = _rectangle_order(h - m - 1, w, memo)
+        rows = np.concatenate((r1, r2 + m + 1, np.full(w, m)))
+        cols = np.concatenate((c1, c2, np.arange(w)))
+    else:
+        m = w // 2
+        r1, c1 = _rectangle_order(h, m, memo)
+        r2, c2 = _rectangle_order(h, w - m - 1, memo)
+        rows = np.concatenate((r1, r2, np.arange(h)))
+        cols = np.concatenate((c1, c2 + m + 1, np.full(h, m)))
+    memo[h, w] = rows, cols
+    return rows, cols
 
 
-def _jacobian(grid: Grid, mu: np.ndarray, H: float, KN: np.ndarray, ops) -> sp.csr_matrix:
-    Dx, Dy, L = ops
+def _nested_dissection(nu: int, nv: int) -> np.ndarray:
+    """Geometric nested-dissection order of the doubly periodic nu x nv
+    lattice (George 1973), as natural flat indices.
+
+    Rows 0 and nu//2 cut the torus into two cylinders, and columns 0 and
+    nv//2 cut each cylinder into two rectangles; each cut is ordered after
+    the pieces it separates."""
+    node = np.arange(nu * nv).reshape(nu, nv)
+    memo: dict = {}
+    parts = []
+    for r0, r1 in ((1, nu // 2), (nu // 2 + 1, nu)):
+        for c0, c1 in ((1, nv // 2), (nv // 2 + 1, nv)):
+            rows, cols = _rectangle_order(r1 - r0, c1 - c0, memo)
+            parts.append(node[r0 + rows, c0 + cols])
+        parts += [node[r0:r1, 0], node[r0:r1, nv // 2]]
+    parts += [node[0], node[nu // 2]]
+    return np.concatenate(parts)
+
+
+def _operators(grid: Grid) -> _Operators:
+    nu, nv = grid.shape
+    n = nu * nv
+    i, j = np.divmod(np.arange(n), nv)
+    cols = np.empty((n, 5), dtype=np.int32)
+    cols[:, _CENTRE] = i * nv + j
+    cols[:, _U_MINUS] = ((i - 1) % nu) * nv + j
+    cols[:, _U_PLUS] = ((i + 1) % nu) * nv + j
+    cols[:, _V_MINUS] = i * nv + (j - 1) % nv
+    cols[:, _V_PLUS] = i * nv + (j + 1) % nv
+    indices = cols.ravel()
+
+    perm = _nested_dissection(nu, nv)
+    rank = np.empty(n, dtype=np.int32)
+    rank[perm] = np.arange(n, dtype=np.int32)
+    nd_rows = np.repeat(rank, 5)
+    nd_cols = rank[indices]
+    gather = np.lexsort((nd_rows, nd_cols))  # column-major, rows sorted
+    indptr = np.arange(0, 5 * n + 1, 5, dtype=np.int32)
+    return _Operators(indptr, indices, perm, gather, nd_rows[gather])
+
+
+def _jacobian(grid: Grid, mu: np.ndarray, H: float, KN: np.ndarray,
+              ops: _Operators) -> sp.csr_matrix:
+    """dF/dmu in natural order, filled on the fixed pattern of ``ops``: the
+    5-point stencil of -mu (d_xx + d_yy) + 2 grad mu . grad, plus
+    -(mu_xx + mu_yy) and the derivative of the reaction term on the diagonal."""
     m = mu.ravel()
     lap_mu = flat_laplacian(grid, mu).ravel()
     grad = flat_gradient(grid, mu)
-    gx = grad[..., 0].ravel()
-    gy = grad[..., 1].ravel()
+    cu, cv = 1.0 / (grid.hu * grid.hu), 1.0 / (grid.hv * grid.hv)
+    bu = grad[..., 0].ravel() / grid.hu  # 2 mu_x / (2 h_u)
+    bv = grad[..., 1].ravel() / grid.hv
     react_p = 2.0 * (KN.ravel() + H * H) - 3.0 * m * m / (2.0 * H * H)
-    J = (
-        -sp.diags(lap_mu)
-        - sp.diags(m) @ L
-        + 2.0 * (sp.diags(gx) @ Dx + sp.diags(gy) @ Dy)
-        + sp.diags(react_p)
-    )
-    return J.tocsr()
+    data = np.empty((m.size, 5))
+    data[:, _CENTRE] = -lap_mu + 2.0 * (cu + cv) * m + react_p
+    data[:, _U_MINUS] = -cu * m - bu
+    data[:, _U_PLUS] = -cu * m + bu
+    data[:, _V_MINUS] = -cv * m - bv
+    data[:, _V_PLUS] = -cv * m + bv
+    return sp.csr_matrix((data.ravel(), ops.indices, ops.indptr), shape=(m.size, m.size))
+
+
+def _nd_solve(J: sp.csr_matrix, rhs: np.ndarray, ops: _Operators) -> np.ndarray:
+    """J^{-1} rhs by SuperLU, factoring J[perm][:, perm] in the order given."""
+    J_nd = sp.csc_matrix((J.data[ops.gather], ops.nd_indices, ops.indptr), shape=J.shape)
+    y = spla.spsolve(J_nd, rhs[ops.perm], permc_spec="NATURAL")
+    step = np.empty_like(y)
+    step[ops.perm] = y
+    return step
 
 
 @dataclass
@@ -155,9 +237,7 @@ def solve_mu(
         J = _jacobian(grid, mu, problem.H, problem.KN, ops)
         rhs = -F.ravel()
         with np.errstate(all="ignore"):
-            # J is structurally symmetric (periodic 5-point L, Dx, Dy), so the
-            # minimum-degree ordering of J^T + J suits it better than COLAMD
-            step = spla.spsolve(J, rhs, permc_spec="MMD_AT_PLUS_A")
+            step = _nd_solve(J, rhs, ops)
         if not np.all(np.isfinite(step)):
             step = spla.lsmr(J, rhs, atol=1e-14, btol=1e-14)[0]
             if not np.all(np.isfinite(step)):

@@ -170,7 +170,8 @@ def build_geometry_report(
         hol = holomorphicity_residual(chart, geom.A_H)
         rep.add("hopf_holomorphicity", *checks.scalar_norms(hol, geom))
 
-        simons, simons_flagged = checks.simons_residual(geom, chart, bicons_tol=tol)
+        simons, simons_flagged = checks.simons_residual(
+            geom, chart, bicons_tol=tol, bicons_linf=rep.residual("stress_divergence").linf)
         rep.add("simons", *checks.scalar_norms(simons, geom))
         rep.flags["simons_assumes_biconservative_violated"] = simons_flagged
 

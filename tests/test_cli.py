@@ -140,6 +140,14 @@ class TestVerify:
         assert res.exit_code == EXIT_CONFIG, res.output
         assert res.stderr == f"config error: {message}\n"
 
+    @pytest.mark.parametrize("command", ["verify", "convergence"])
+    def test_config_params_not_an_object(self, runner, tmp_path, command):
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps({"surface": "sphere", "params": [1, 2]}))
+        res = runner.invoke(main, [command, "--config", str(f), "--grid", "8x8"])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert res.stderr == "config error: surface params must be a JSON object\n"
+
     def test_periodic_applies_to_default_grid(self, runner):
         base = ["verify", "--surface", "helix_line_r4", "--periodic", "u"]
         res = runner.invoke(main, base)

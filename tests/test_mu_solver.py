@@ -1,7 +1,12 @@
+import types
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from biconsurf.grid import build_grid
+from biconsurf import mu_solver
+from biconsurf.grid import build_grid, flat_gradient, flat_laplacian
 from biconsurf.mu_solver import (
     MuProblem,
     SolverError,
@@ -15,12 +20,12 @@ from biconsurf.mu_solver import (
 TWO_PI = 2.0 * np.pi
 
 
-def torus_grid(n=64):
-    return build_grid((0.0, TWO_PI), (0.0, TWO_PI), n, n, True, True)
+def torus_grid(n=64, nv=None):
+    return build_grid((0.0, TWO_PI), (0.0, TWO_PI), n, nv or n, True, True)
 
 
-def make_problem(n=64, H=1.0, KN=0.0, amp=0.1, base=None):
-    g = torus_grid(n)
+def make_problem(n=64, H=1.0, KN=0.0, amp=0.1, base=None, nv=None):
+    g = torus_grid(n, nv)
     U, V = g.mesh()
     if base is None:
         base = constant_root(H, KN)
@@ -135,6 +140,94 @@ class TestNewton:
         sol = solve_mu(prob, max_iter=5)
         assert len(sol.residual_history) >= 1
         assert np.isfinite(sol.final_residual_linf)
+
+
+def _circulant(n, offsets, values):
+    # periodic banded n x n matrix with values[k] on the wrapped diagonal offsets[k]
+    i = np.arange(n)
+    rows = np.concatenate([i] * len(offsets))
+    cols = np.concatenate([(i + o) % n for o in offsets])
+    vals = np.concatenate([np.full(n, v) for v in values])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def kron_jacobian(g, mu, H, KN):
+    """The Jacobian assembled from diags and Kronecker-product operators."""
+    d1 = [_circulant(n, (1, -1), (1.0 / (2.0 * h), -1.0 / (2.0 * h)))
+          for n, h in ((g.nu, g.hu), (g.nv, g.hv))]
+    d2 = [_circulant(n, (1, 0, -1), (1.0 / (h * h), -2.0 / (h * h), 1.0 / (h * h)))
+          for n, h in ((g.nu, g.hu), (g.nv, g.hv))]
+    Iu, Iv = sp.identity(g.nu), sp.identity(g.nv)
+    Dx, Dy = sp.kron(d1[0], Iv), sp.kron(Iu, d1[1])
+    L = sp.kron(d2[0], Iv) + sp.kron(Iu, d2[1])
+    m = mu.ravel()
+    grad = flat_gradient(g, mu)
+    lap_mu = flat_laplacian(g, mu).ravel()
+    react_p = 2.0 * (np.ravel(KN) + H * H) - 3.0 * m * m / (2.0 * H * H)
+    return (
+        -sp.diags(lap_mu)
+        - sp.diags(m) @ L
+        + 2.0 * (sp.diags(grad[..., 0].ravel()) @ Dx + sp.diags(grad[..., 1].ravel()) @ Dy)
+        + sp.diags(react_p)
+    ).tocsr()
+
+
+class TestLinearLayer:
+    @pytest.mark.parametrize("shape", [(4, 4), (5, 7), (4, 9), (9, 64), (33, 65), (128, 128)])
+    def test_nested_dissection_is_permutation(self, shape):
+        nu, nv = shape
+        p = mu_solver._nested_dissection(nu, nv)
+        np.testing.assert_array_equal(np.sort(p), np.arange(nu * nv))
+        # the two rows that cut the torus into cylinders come last
+        np.testing.assert_array_equal(
+            p[-2 * nv:], np.concatenate([np.arange(nv), (nu // 2) * nv + np.arange(nv)]))
+
+    @pytest.mark.parametrize("shape", [(16, 16), (12, 20)])
+    def test_jacobian_matches_kron_assembly(self, shape):
+        g = torus_grid(*shape)
+        U, V = g.mesh()
+        mu = 2.0 + 0.2 * np.sin(U) * np.cos(2 * V) + 0.1 * np.cos(3 * U + V)
+        KN = 0.2 * np.cos(U) * np.cos(2 * V)
+        J = mu_solver._jacobian(g, mu, 1.3, KN, mu_solver._operators(g))
+        ref = kron_jacobian(g, mu, 1.3, KN)
+        assert J.nnz == ref.nnz == 5 * g.nu * g.nv
+        assert abs(J - ref).max() <= 1e-13 * abs(ref).max()
+
+    def test_nd_step_matches_minimum_degree(self):
+        prob = make_problem()
+        g, mu = prob.grid, prob.mu0
+        ops = mu_solver._operators(g)
+        J = mu_solver._jacobian(g, mu, prob.H, prob.KN, ops)
+        rhs = -mu_residual(g, mu, prob.H, prob.KN).ravel()
+        ref = spla.spsolve(J.tocsc(), rhs, permc_spec="MMD_AT_PLUS_A")
+        step = mu_solver._nd_solve(J, rhs, ops)
+        assert np.max(np.abs(step - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+    def test_work_counts(self, monkeypatch):
+        calls = {"operators": 0}
+        specs = []
+        operators = mu_solver._operators
+
+        def counted_operators(grid):
+            calls["operators"] += 1
+            return operators(grid)
+
+        def spsolve(A, b, permc_spec=None):
+            specs.append(permc_spec)
+            return spla.spsolve(A, b, permc_spec=permc_spec)
+
+        monkeypatch.setattr(mu_solver, "_operators", counted_operators)
+        monkeypatch.setattr(mu_solver, "spla", types.SimpleNamespace(spsolve=spsolve, lsmr=spla.lsmr))
+        sol = solve_mu(make_problem(n=32))
+        assert sol.converged and sol.iterations > 0
+        assert calls["operators"] == 1
+        assert specs == ["NATURAL"] * sol.iterations
+
+    def test_non_square_iteration_count_pinned(self):
+        # odd and unequal sizes take other branches of the dissection
+        sol = solve_mu(make_problem(n=24, nv=40))
+        assert sol.converged
+        assert sol.iterations == 5
 
 
 class TestReconstruction:

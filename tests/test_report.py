@@ -79,7 +79,8 @@ class TestWorkCounts:
     """Each covariant derivative and the biconservativity suite run once per
     report: nabla S2 and nabla A_H, both with the surface Christoffels of the
     jet, whether or not the metric has an isothermal chart. The Simons
-    residual and the integral formulas reuse them."""
+    residual and the integral formulas reuse them, and the Simons gate reuses
+    the report's stress-divergence norm."""
 
     @pytest.mark.parametrize(
         "name,params,fd,chart,expect",
@@ -92,7 +93,7 @@ class TestWorkCounts:
     def test_one_evaluation_per_identity(self, monkeypatch, name, params, fd, chart, expect):
         from biconsurf import checks, immersion, tensors
 
-        calls = {"cov": 0, "bicons": 0}
+        calls = {"cov": 0, "bicons": 0, "cond1_norm": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -100,6 +101,15 @@ class TestWorkCounts:
                 return fn(*args, **kwargs)
 
             return wrapper
+
+        norms = checks.vector_norms
+
+        def vector_norms(field, geom):
+            if field is vars(geom).get("biconservativity", {}).get("cond1"):
+                calls["cond1_norm"] += 1
+            return norms(field, geom)
+
+        monkeypatch.setattr(checks, "vector_norms", vector_norms)
 
         cov = counted("cov", tensors.cov_derivative_coords)
         monkeypatch.setattr(tensors, "cov_derivative_coords", cov)
@@ -109,7 +119,7 @@ class TestWorkCounts:
         jet = make_builtin(name, n=32, **params)
         r = rp.build_geometry_report(tabulate(jet) if fd else jet, name)
         assert r.meta["isothermal_chart"] is chart
-        assert calls == {"cov": expect, "bicons": 1}
+        assert calls == {"cov": expect, "bicons": 1, "cond1_norm": 1}
 
 
 class TestSerialization:

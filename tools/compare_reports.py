@@ -9,7 +9,8 @@ package (a checkout's ``src``).  Every case runs ``python -m biconsurf.cli``
 once per tree, each in a fresh interpreter, on the same input files.  The
 cases cover every builtin surface (two parameter sets each except the graph,
 the polar sphere through a config file), analytic and ``--fd-jets``, with
-``--dump-fields``, at 32^2 and 96^2; two ``solve-mu`` runs; one
+``--dump-fields``, at 32^2 and 96^2; four ``solve-mu`` runs (two at 64^2,
+one on an unequal and one on an odd grid); one
 ``convergence`` study; one CSV report; and a tabulated torus in the sphere
 S^3(1) at 32^2 and 64^2.
 
@@ -68,6 +69,10 @@ def cases() -> dict[str, list[str]]:
     solve = ["solve-mu", "--grid", "64x64", "--perturb", "0.1", "--dump-fields"]
     out["solve_mu"] = [*solve, "--H", "1", "--KN", "0"]
     out["solve_mu_generic"] = [*solve, "--H", "1.1", "--KN", "0.3"]
+    # an unequal and an odd grid take other branches of the dissection order
+    for nu, nv in ((40, 72), (33, 48)):
+        out[f"solve_mu_{nu}x{nv}"] = ["solve-mu", "--grid", f"{nu}x{nv}", "--perturb", "0.1",
+                                      "--dump-fields", "--H", "1", "--KN", "0"]
     out["convergence"] = ["convergence", "--surface", "cylinder", "--grid", "16x16",
                           "--levels", "3", "--param", "stretch=0.3", "--fd-jets"]
     out["csv_helix"] = ["verify", "--surface", "helix_line_r4", "--grid", "32x32",
