@@ -20,8 +20,8 @@ the torus (built once per solve, together with the index that gathers the
 natural-order data into the permuted matrix), and SuperLU is told to keep
 that order (``permc_spec="NATURAL"``): on these grid matrices it gives
 cheaper factorizations than SuperLU's own minimum-degree orderings, and
-recomputing an order every step would repeat the same work. Row pivoting
-is SuperLU's as before.
+recomputing an order every step would repeat the same work. SuperLU still
+chooses the row pivots.
 
 Steps are damped by backtracking on the residual norm and clipped away from
 mu <= 0. Near a constant iterate on a fully periodic grid the linearization
