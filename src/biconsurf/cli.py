@@ -185,6 +185,25 @@ def _resolve_jet(cfg: dict):
     raise ConfigError(f"bad surface entry {surface!r}")
 
 
+def _number(cfg: dict, key: str, default, from_flag: bool, integer: bool = False):
+    """``cfg[key]`` (or ``default``) as a positive finite float, or with
+    ``integer`` as an int >= 0; anything else is a ConfigError that names the
+    flag or, when ``from_flag`` is false, the config key."""
+    val = cfg.get(key, default)
+    try:
+        num = float(val)
+    except (TypeError, ValueError):
+        num = math.nan
+    if integer:
+        ok, want = math.isfinite(num) and num >= 0 and num.is_integer(), "an integer >= 0"
+    else:
+        ok, want = math.isfinite(num) and num > 0, "a positive finite number"
+    if isinstance(val, bool) or not ok:
+        where = "--" + key.replace("_", "-") if from_flag else f"{key!r} in --config"
+        raise ConfigError(f"{where} must be {want}, got {val!r}")
+    return int(num) if integer else num
+
+
 def _merge(cfg: dict, **overrides) -> dict:
     merged = dict(cfg)
     for key, val in overrides.items():
@@ -266,12 +285,14 @@ def verify(config_path, surface, grid_size, periodic, params, fd_jets, output, f
             dump_fields=dump_fields,
         )
         cfg["params"] = _parse_params(params, cfg.get("params", {}))
+        tol_a = _number(cfg, "tol_analytic", 1e-8, tol_analytic is not None)
+        tol_f = _number(cfg, "tol_fd", 1e-3, tol_fd is not None)
         jet, label = _resolve_jet(cfg)
         rep = report_mod.build_geometry_report(
             jet,
             surface_label=label,
-            tol_analytic=cfg.get("tol_analytic", 1e-8),
-            tol_fd=cfg.get("tol_fd", 1e-3),
+            tol_analytic=tol_a,
+            tol_fd=tol_f,
             dump_fields=bool(cfg.get("dump_fields", False)),
         )
         _emit(rep, cfg.get("format", "json"), cfg.get("output"))
@@ -312,6 +333,8 @@ def solve_mu_cmd(config_path, H, KN, grid_size, mu0, perturb, tol_newton, max_it
             output=output, format=fmt,
             dump_fields=dump_fields,
         )
+        tol = _number(cfg, "tol_newton", 1e-10, tol_newton is not None)
+        iters = _number(cfg, "max_iter", 30, max_iter is not None, integer=True)
         Hval = float(cfg.get("H", 1.0))
         KNval = float(cfg.get("KN", 0.0))
         nu, nv = cfg.get("grid_size", (64, 64))
@@ -329,11 +352,7 @@ def solve_mu_cmd(config_path, H, KN, grid_size, mu0, perturb, tol_newton, max_it
         sys.exit(EXIT_CONFIG)
 
     try:
-        sol = mu_solver.solve_mu(
-            problem,
-            tol_newton=float(cfg.get("tol_newton", 1e-10)),
-            max_iter=int(cfg.get("max_iter", 30)),
-        )
+        sol = mu_solver.solve_mu(problem, tol_newton=tol, max_iter=iters)
     except mu_solver.SolverError as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(EXIT_NUMERICAL)
@@ -392,7 +411,7 @@ def convergence(config_path, surface, grid_size, levels, params, fd_jets, output
             output=output,
         )
         param_map = _parse_params(params, cfg.get("params", {}))
-        nlevels = int(cfg.get("levels", 3))
+        nlevels = _number(cfg, "levels", 3, levels is not None, integer=True)
         if nlevels < 3:
             raise ConfigError("need at least 3 refinement levels")
         name = cfg.get("surface")

@@ -15,6 +15,11 @@ nabla-perp_a H = 1/2 tr nabla-perp_a B, the derivative of B written with
 the surface Christoffels, so identities built on nabla-perp H hold at
 round-off; without them, H is differentiated by O(h^2) finite differences.
 K comes from the Gauss equation in coordinates.
+
+The metric is inverted in closed form, ``g^{-1} = adj g / det g``, with the
+``det g`` that the degeneracy test takes, written straight into a
+node-innermost array. Every contraction takes two operands at a time: a
+chain of two-operand ``np.einsum`` calls, each one small sum over all nodes.
 """
 
 from __future__ import annotations
@@ -89,20 +94,23 @@ def jet_from_positions(grid: Grid, pos: np.ndarray, space: Ambient) -> Immersion
     return ImmersionJet(grid, space, pos, d1, d2, None, source="finite-difference")
 
 
-def induced_metric(jet: ImmersionJet) -> np.ndarray:
+def induced_metric(jet: ImmersionJet) -> tuple[np.ndarray, np.ndarray]:
+    """The metric g_ab = <d_a X, d_b X> and its determinant; raises
+    :class:`DegenerateImmersionError` where det g is numerically zero."""
     g = np.einsum("...ak,...bk->...ab", jet.d1, jet.d1)
     det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2
     bad = det <= DEGENERACY_TOL * g[..., 0, 0] * g[..., 1, 1]
     if np.any(bad):
         idx = np.argwhere(bad)[0]
         raise DegenerateImmersionError(f"immersion degenerate at node {tuple(idx)}")
-    return g
+    return g, det
 
 
 @dataclass
 class SurfaceGeometry:
     jet: ImmersionJet
     g: np.ndarray  # (0,2) metric
+    det_g: np.ndarray  # det g, as the degeneracy test took it
     ginv: np.ndarray
     B: np.ndarray  # (nu, nv, 2, 2, n) ambient-vector valued
     H: np.ndarray  # (nu, nv, n)
@@ -131,10 +139,6 @@ class SurfaceGeometry:
         analytic jet, all but ``boundary_margin`` rows at each open edge on
         an FD jet."""
         return interior_mask(self.grid, self.boundary_margin)
-
-    @cached_property
-    def det_g(self) -> np.ndarray:
-        return self.g[..., 0, 0] * self.g[..., 1, 1] - self.g[..., 0, 1] ** 2
 
     @cached_property
     def area_element(self) -> np.ndarray:
@@ -172,13 +176,21 @@ class SurfaceGeometry:
 
     def vec_norm_sq(self, V: np.ndarray) -> np.ndarray:
         """g(V, V) for coordinate vector components."""
-        return np.einsum("...ij,...i,...j->...", self.g, V, V)
+        return np.einsum("...i,...i->...", np.einsum("...ij,...j->...i", self.g, V), V)
 
     def nabla_norm_sq(self, S: np.ndarray) -> np.ndarray:
-        """|nabla T|^2 for S[..., a, i, j] = (nabla_a T)^i_j."""
-        return np.einsum(
-            "...ab,...ik,...jl,...aij,...bkl->...", self.ginv, self.g, self.ginv, S, S
-        )
+        """|nabla T|^2 = g^{ab} g_ik g^{jl} S_a^i_j S_b^k_l for
+        S[..., a, i, j] = (nabla_a T)^i_j, one derivative index a at a time:
+        T_a = g^{ab} S_b, M_a = g T_a, then the sum of (M_a g^{-1})^ij S_a^ij.
+        Two scratch fields of four components serve both values of a."""
+        out = node_array(self.grid)
+        T, M = node_array(self.grid, (2, 2)), node_array(self.grid, (2, 2))
+        for a in (0, 1):
+            np.einsum("...b,...bkl->...kl", self.ginv[..., a, :], S, out=T)
+            np.einsum("...ik,...kl->...il", self.g, T, out=M)
+            np.einsum("...il,...jl->...ij", M, self.ginv, out=T)
+            out += np.einsum("...ij,...ij->...", T, S[..., a, :, :])
+        return out
 
     def grad_scalar(self, f: np.ndarray) -> np.ndarray:
         """grad f, coordinate vector components."""
@@ -191,7 +203,7 @@ def tangent_coords(jet: ImmersionJet, ginv: np.ndarray, W: np.ndarray) -> np.nda
     W has shape (nu, nv, ..., n): component axes sit between the node axes
     and the vector axis, and the result ends in the coordinate index a.
     """
-    return np.einsum("xyab,xybk,xy...k->xy...a", ginv, jet.d1, W)
+    return np.einsum("xyab,xy...b->xy...a", ginv, np.einsum("xybk,xy...k->xy...b", jet.d1, W))
 
 
 def _project_off_tangent(jet: ImmersionJet, ginv: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -242,9 +254,8 @@ def surface_christoffels(jet: ImmersionJet, ginv: np.ndarray) -> np.ndarray:
     return np.einsum("...kl,...ijl->...kij", ginv, inner)
 
 
-def gauss_curvature_extrinsic(jet: ImmersionJet, g: np.ndarray, B: np.ndarray) -> np.ndarray:
+def gauss_curvature_extrinsic(jet: ImmersionJet, det: np.ndarray, B: np.ndarray) -> np.ndarray:
     """K = (<B_uu, B_vv> - |B_uv|^2) / det g + c, the Gauss equation in coordinates."""
-    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2
     K = (_dot(B[..., 0, 0, :], B[..., 1, 1, :]) - _dot(B[..., 0, 1, :], B[..., 0, 1, :])) / det
     # ambient sectional curvature term; space forms give the constant c
     return K + jet.space.curvature
@@ -253,7 +264,8 @@ def gauss_curvature_extrinsic(jet: ImmersionJet, g: np.ndarray, B: np.ndarray) -
 def trace_A_dperpH(geom: SurfaceGeometry) -> np.ndarray:
     """trace A_{nabla-perp H}, coordinate vector components."""
     inner = np.einsum("...cbm,...am->...acb", geom.B, geom.dperpH)  # <B_cb, xi_a>
-    return np.einsum("...ab,...ic,...acb->...i", geom.ginv, geom.ginv, inner)
+    return np.einsum("...ic,...c->...i", geom.ginv,
+                     np.einsum("...ab,...acb->...c", geom.ginv, inner))
 
 
 def trace_RN_H(geom: SurfaceGeometry) -> np.ndarray:
@@ -268,13 +280,15 @@ def trace_RN_H(geom: SurfaceGeometry) -> np.ndarray:
 
 
 def compute_geometry(jet: ImmersionJet) -> SurfaceGeometry:
-    g = induced_metric(jet)
-    ginv = node_array(jet.grid, (2, 2))
-    ginv[...] = np.linalg.inv(g)  # inv returns C order; re-lay once
+    g, det = induced_metric(jet)
+    ginv = node_array(jet.grid, (2, 2))  # adj g / det g
+    ginv[..., 0, 0] = g[..., 1, 1] / det
+    ginv[..., 1, 1] = g[..., 0, 0] / det
+    ginv[..., 0, 1] = ginv[..., 1, 0] = -g[..., 0, 1] / det
     B = second_fundamental_form(jet, ginv)
     H, Hsq = mean_curvature(B, ginv)
-    A_H = np.einsum("...ik,...kjm,...m->...ij", ginv, B, H)
+    A_H = np.einsum("...ik,...kj->...ij", ginv, np.einsum("...kjm,...m->...kj", B, H))
     gamma = surface_christoffels(jet, ginv)
     dperpH = normal_connection_H(jet, ginv, H, B, gamma)
-    K = gauss_curvature_extrinsic(jet, g, B)
-    return SurfaceGeometry(jet, g, ginv, B, H, Hsq, A_H, gamma, dperpH, K)
+    K = gauss_curvature_extrinsic(jet, det, B)
+    return SurfaceGeometry(jet, g, det, ginv, B, H, Hsq, A_H, gamma, dperpH, K)

@@ -149,8 +149,9 @@ def build_geometry_report(
     nab_mag = np.sqrt(np.maximum(geom.nabla_norm_sq(nab), 0.0))
     rep.add("nabla_shape_operator", *checks.scalar_norms(nab_mag, geom))
 
-    dperp_mag = np.sqrt(np.maximum(
-        np.einsum("...ab,...am,...bm->...", geom.ginv, geom.dperpH, geom.dperpH), 0.0))
+    dperp_mag = np.sqrt(np.maximum(np.einsum(
+        "...ab,...ab->...", geom.ginv,
+        np.einsum("...am,...bm->...ab", geom.dperpH, geom.dperpH)), 0.0))
     rep.add("normal_derivative_H", *checks.scalar_norms(dperp_mag, geom))
 
     S2 = geom.S2

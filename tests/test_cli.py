@@ -148,6 +148,37 @@ class TestVerify:
         assert res.exit_code == EXIT_CONFIG, res.output
         assert res.stderr == "config error: surface params must be a JSON object\n"
 
+    @pytest.mark.parametrize("option,value", [
+        ("--tol-analytic", "nan"), ("--tol-analytic", "-1"), ("--tol-fd", "-1"),
+        ("--tol-fd", "inf"), ("--tol-analytic", "0"),
+    ])
+    def test_bad_tolerance_flag_is_config_error(self, runner, option, value):
+        # these ran to the end with every flag false and "tolerance": "nan"
+        res = runner.invoke(main, ["verify", "--surface", "sphere", "--grid", "8x8",
+                                   option, value])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert res.stderr == (f"config error: {option} must be a positive finite number, "
+                              f"got {float(value)!r}\n")
+
+    @pytest.mark.parametrize("key,value", [
+        ("tol_analytic", "abc"), ("tol_fd", None), ("tol_analytic", True), ("tol_fd", -1e-3),
+    ])
+    def test_bad_tolerance_in_config_is_config_error(self, runner, tmp_path, key, value):
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps({"surface": "sphere", key: value}))
+        res = runner.invoke(main, ["verify", "--config", str(f), "--grid", "8x8"])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert res.stderr == (f"config error: {key!r} in --config must be a positive finite "
+                              f"number, got {value!r}\n")
+
+    def test_flag_tolerance_overrides_config(self, runner, tmp_path):
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps({"surface": "sphere", "tol_analytic": 1e-6}))
+        base = ["verify", "--config", str(f), "--grid", "8x8"]
+        assert json.loads(runner.invoke(main, base).output)["meta"]["tolerance"] == 1e-6
+        res = runner.invoke(main, base + ["--tol-analytic", "1e-7"])
+        assert json.loads(res.output)["meta"]["tolerance"] == 1e-7
+
     def test_periodic_applies_to_default_grid(self, runner):
         base = ["verify", "--surface", "helix_line_r4", "--periodic", "u"]
         res = runner.invoke(main, base)
@@ -262,6 +293,41 @@ class TestSolveMu:
         assert res.stderr == f"config error: {message}\n"
 
 
+    @pytest.mark.parametrize("option,value,message", [
+        ("--tol-newton", "-1", "--tol-newton must be a positive finite number, got -1.0"),
+        ("--tol-newton", "nan", "--tol-newton must be a positive finite number, got nan"),
+        ("--max-iter", "-3", "--max-iter must be an integer >= 0, got -3"),
+    ])
+    def test_bad_newton_flag_is_config_error(self, runner, option, value, message):
+        # these ran all Newton steps and exited 4
+        res = runner.invoke(main, ["solve-mu", "--grid", "8x8", option, value])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert res.stderr == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("key,value,want", [
+        ("tol_newton", "x", "a positive finite number"),
+        ("tol_newton", 0, "a positive finite number"),
+        ("max_iter", 2.5, "an integer >= 0"),
+        ("max_iter", "many", "an integer >= 0"),
+        ("max_iter", True, "an integer >= 0"),
+    ])
+    def test_bad_newton_setting_in_config_is_config_error(self, runner, tmp_path, key, value,
+                                                          want):
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps({key: value}))
+        res = runner.invoke(main, ["solve-mu", "--config", str(f), "--grid", "8x8"])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert res.stderr == f"config error: {key!r} in --config must be {want}, got {value!r}\n"
+
+    def test_numeric_strings_in_config_still_accepted(self, runner, tmp_path):
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps({"tol_newton": "1e-9", "max_iter": "20"}))
+        res = runner.invoke(main, ["solve-mu", "--config", str(f), "--grid", "16x16",
+                                   "--perturb", "0.1"])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["flags"]["converged"] is True
+
+
 class TestConvergence:
     def test_stretched_cylinder_orders(self, runner):
         res = runner.invoke(
@@ -286,6 +352,16 @@ class TestConvergence:
         assert res.exit_code == 0, res.output
         doc = json.loads(res.output)
         assert doc["orders"]["stress_divergence"] == "exact"
+
+    @pytest.mark.parametrize("value", ["x", 3.5])
+    def test_bad_levels_in_config_is_config_error(self, runner, tmp_path, value):
+        # a string ended in a ValueError traceback, 3.5 was truncated to 3
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps({"surface": "cylinder", "levels": value}))
+        res = runner.invoke(main, ["convergence", "--config", str(f), "--grid", "8x8"])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert res.stderr == (f"config error: 'levels' in --config must be an integer >= 0, "
+                              f"got {value!r}\n")
 
 
 class TestOrderEstimate:

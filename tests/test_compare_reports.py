@@ -53,6 +53,22 @@ def test_compare_text_locates_largest_excess():
     assert cmp(csv, csv.replace("2e-3", "3e-3"))["where"] == (2, None)
 
 
+def test_compare_text_lists_every_number_past_the_bar():
+    cmp = _tool().compare_text
+    old = '{\n  "summaries": {\n    "mu_max": 2.9e-08,\n    "K_max": 1.5\n  },\n' \
+          '  "fields": {\n    "mu": [\n      0.25,\n      3e-08\n    ]\n  }\n}\n'
+    # two numbers past the bar, one within it
+    new = old.replace("2.9e-08", "1e-09").replace("1.5", "1.5000000000001") \
+        .replace("3e-08", "4e-16")
+    past = cmp(old, new)["past"]
+    assert [p[:4] for p in past] == [(3, "mu_max", "2.9e-08", "1e-09"),
+                                     (9, "mu", "3e-08", "4e-16")]
+    assert [p[4] for p in past] == [abs(2.9e-08 - 1e-09), abs(3e-08 - 4e-16)]
+    assert cmp(old, old.replace("1.5", "1.5000000000001"))["past"] == []
+    # a text difference lists no numbers
+    assert cmp(old, new.replace("K_max", "K_min"))["past"] == []
+
+
 def test_compare_text_locates_first_text_difference():
     cmp = _tool().compare_text
     old = '{\n  "residuals": {\n    "simons": 8.4e-3\n  },\n' \
@@ -96,3 +112,18 @@ def test_report_names_first_text_difference(tmp_path):
     assert res.returncode == 1
     assert "non-numeric stdout differs; first text difference at line 6 after key 'is_cmc'" \
         in res.stdout
+
+
+def test_report_lists_every_number_past_the_bar(tmp_path):
+    old = '{\n  "meta": {\n    "n": 32\n  },\n  "summaries": {\n    "mu_min": 1e-08,\n' \
+          '    "mu_max": 2e-08\n  }\n}\n'
+    new = old.replace("1e-08", "3e-08").replace("2e-08", "1e-15")
+    res = subprocess.run(
+        [sys.executable, str(TOOL), _fake_tree(tmp_path / "old", old),
+         _fake_tree(tmp_path / "new", new), "--case", "csv_helix"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert res.returncode == 1
+    assert "largest at line 6 after key 'mu_min'" in res.stdout
+    assert "    line 6 'mu_min': 1e-08 -> 3e-08, |d| 2e-08\n" \
+           "    line 7 'mu_max': 2e-08 -> 1e-15, |d| 2e-08\n" in res.stdout

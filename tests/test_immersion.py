@@ -39,7 +39,7 @@ def frame_jet(rng, space, shape=(4, 5)):
 class TestProjection:
     def test_project_off_tangent_random_frames(self, rng):
         jet = frame_jet(rng, euclidean(4))
-        ginv = np.linalg.inv(induced_metric(jet))
+        ginv = np.linalg.inv(induced_metric(jet)[0])
         W = rng.standard_normal(jet.pos.shape)
         nor = _project_off_tangent(jet, ginv, W)
         tan = np.einsum("...a,...ak->...k", tangent_coords(jet, ginv, W), jet.d1)
@@ -56,7 +56,7 @@ class TestProjection:
     def test_project_off_tangent_sphere_removes_radial(self, rng):
         space = sphere(3, 2.0)
         jet = frame_jet(rng, space)
-        ginv = np.linalg.inv(induced_metric(jet))
+        ginv = np.linalg.inv(induced_metric(jet)[0])
         W = rng.standard_normal(jet.pos.shape)
         nor = _project_off_tangent(jet, ginv, W)
         np.testing.assert_allclose(np.einsum("...ak,...k->...a", jet.d1, nor), 0.0, atol=1e-10)
@@ -69,7 +69,7 @@ class TestProjection:
 
     def test_component_axes_match_per_slice(self, rng):
         jet = frame_jet(rng, sphere(3, 1.0))
-        ginv = np.linalg.inv(induced_metric(jet))
+        ginv = np.linalg.inv(induced_metric(jet)[0])
         W = rng.standard_normal(jet.grid.shape + (2, 3, 4))
         coords = tangent_coords(jet, ginv, W)
         nor = _project_off_tangent(jet, ginv, W)
@@ -79,6 +79,42 @@ class TestProjection:
                 w = W[..., i, j, :]
                 np.testing.assert_array_equal(coords[..., i, j, :], tangent_coords(jet, ginv, w))
                 np.testing.assert_array_equal(nor[..., i, j, :], _project_off_tangent(jet, ginv, w))
+
+
+def random_metric_geometry(rng, shape=(16, 16)):
+    """Geometry of random tangent frames in R^4: a random SPD metric whose
+    g_uv is nowhere small (the builtin charts are mostly orthogonal, where a
+    closed-form inverse matches LAPACK bitwise)."""
+    jet = frame_jet(rng, euclidean(4), shape)
+    jet.d1[..., 1, :] += 2.0 * jet.d1[..., 0, :]
+    return compute_geometry(jet)
+
+
+def ref_nabla_norm_sq(g, S):
+    """|nabla T|^2 as one five-operand contraction with a LAPACK inverse."""
+    ginv = np.linalg.inv(g)
+    return np.einsum("...ab,...ik,...jl,...aij,...bkl->...", ginv, g, ginv, S, S)
+
+
+class TestClosedFormAlgebra:
+    def test_inverse_matches_lapack_on_random_metric(self, rng):
+        geom = random_metric_geometry(rng)
+        assert np.min(np.abs(geom.g[..., 0, 1]) / np.sqrt(geom.det_g)) > 1e-3
+        np.testing.assert_allclose(geom.ginv, np.linalg.inv(geom.g), rtol=1e-13, atol=0)
+        # the determinant handed on is the one the metric has
+        np.testing.assert_allclose(geom.det_g, np.linalg.det(geom.g), rtol=1e-13)
+
+    def test_nabla_norm_sq_matches_five_operand_contraction(self, rng):
+        geom = random_metric_geometry(rng)
+        S = rng.standard_normal(geom.grid.shape + (2, 2, 2))
+        np.testing.assert_allclose(geom.nabla_norm_sq(S), ref_nabla_norm_sq(geom.g, S),
+                                   rtol=1e-13, atol=0)
+
+    def test_graph_inverse_matches_lapack(self):
+        # a builtin chart with g_uv != 0, unlike the diagonal helix metric
+        geom = compute_geometry(make_builtin("graph", n=32))
+        assert np.max(np.abs(geom.g[..., 0, 1])) > 1.0
+        np.testing.assert_allclose(geom.ginv, np.linalg.inv(geom.g), rtol=1e-13, atol=0)
 
 
 class TestPlane:
@@ -279,9 +315,11 @@ def _nodes_innermost(a):
 
 
 def _layout_fields(geom):
-    out = {f: getattr(geom, f) for f in ("g", "ginv", "B", "H", "Hsq", "A_H", "gamma",
-                                         "dperpH", "K")}
+    out = {f: getattr(geom, f) for f in ("g", "det_g", "ginv", "B", "H", "Hsq", "A_H",
+                                         "gamma", "dperpH", "K")}
     out.update(S2=geom.S2, nabla_AH=geom.nabla_AH, nabla_S2=geom.nabla_S2)
+    out.update({f"nabla_norm_sq({k})": geom.nabla_norm_sq(out[k])
+                for k in ("nabla_AH", "nabla_S2")})
     out.update({f"biconservativity[{k}]": v for k, v in geom.biconservativity.items()})
     jet = geom.jet
     out.update({f"jet.{k}": getattr(jet, k) for k in ("pos", "d1", "d2", "d3")

@@ -19,7 +19,9 @@ the largest |diff| over the numbers in stdout, the largest relative diff
 over those above 1e-8 in magnitude, and any non-numeric difference; for a
 case past the bar, also where the first text difference or else the number
 furthest past the bar sits (its line in the old stdout and the nearest JSON
-key before it).  It
+key before it).  Below such a case it lists every number past the bar, one
+per line: its line, the nearest JSON key, the old and the new value and
+|d|.  It
 exits 1 when an exit code, stderr or a non-numeric byte of stdout differs,
 or when any number moves by more than 1e-12 max(1, |x|).
 """
@@ -27,6 +29,7 @@ or when any number moves by more than 1e-12 max(1, |x|).
 from __future__ import annotations
 
 import argparse
+import bisect
 import json
 import math
 import os
@@ -112,22 +115,33 @@ def run_case(src: str, args: list[str], workdir: str) -> subprocess.CompletedPro
                           env=env, capture_output=True, text=True, timeout=600)
 
 
-def locate(text: str, pos: int) -> tuple[int, str | None]:
-    """Line number of character ``pos`` and the last JSON key before it."""
-    keys = JSON_KEY.findall(text, 0, pos)
-    return text.count("\n", 0, pos) + 1, keys[-1] if keys else None
+def locator(text: str):
+    """A function mapping a character position of ``text`` to its line number
+    and the last JSON key before it, by bisection over indexes built once."""
+    breaks = [m.start() for m in re.finditer("\n", text)]
+    keys = list(JSON_KEY.finditer(text))
+    key_ends = [m.end() for m in keys]
+
+    def locate(pos: int) -> tuple[int, str | None]:
+        k = bisect.bisect_right(key_ends, pos)
+        return bisect.bisect_left(breaks, pos) + 1, keys[k - 1].group(1) if k else None
+
+    return locate
 
 
 def compare_text(old: str, new: str) -> dict:
     """Largest |diff| and relative diff of the numbers, whether the text
     between the numbers (and their count) is the same, and where (line, key)
     in ``old`` the first differing byte of that text sits, or, when it is
-    the same, the number furthest past the bar."""
+    the same, the number furthest past the bar. ``past`` lists every number
+    past the bar, in order, as (line, key, old text, new text, |d|)."""
     old_parts, new_parts = NUMBER.split(old), NUMBER.split(new)
     old_nums, new_nums = list(NUMBER.finditer(old)), NUMBER.findall(new)
     same_text = old_parts == new_parts and len(old_nums) == len(new_nums)
     max_abs = max_rel = worst = 0.0
     where = None
+    past = []
+    locate = locator(old)
     if not same_text:
         # the first differing byte of the text between the numbers
         pos = len(old)
@@ -136,7 +150,7 @@ def compare_text(old: str, new: str) -> dict:
                 start = old_nums[i - 1].end() if i else 0
                 pos = start + len(os.path.commonprefix([a_part, b_part]))
                 break
-        where = locate(old, pos)
+        where = locate(pos)
     else:
         for a_m, b_s in zip(old_nums, new_nums):
             a, b = float(a_m.group()), float(b_s)
@@ -145,11 +159,13 @@ def compare_text(old: str, new: str) -> dict:
             if max(abs(a), abs(b)) > REL_FLOOR:
                 max_rel = max(max_rel, d / max(abs(a), abs(b)))
             excess = d / (TOL * max(1.0, abs(a)))
-            if excess > max(worst, 1.0):
-                worst, where = excess, locate(old, a_m.start())
+            if excess > 1.0:
+                past.append((*locate(a_m.start()), a_m.group(), b_s, d))
+                if excess > worst:
+                    worst, where = excess, past[-1][:2]
     return {"identical": old == new, "same_text": same_text,
             "max_abs": max_abs, "max_rel": max_rel, "within": where is None,
-            "where": where}
+            "where": where, "past": past}
 
 
 def main(argv=None) -> int:
@@ -194,6 +210,8 @@ def main(argv=None) -> int:
             print(f"{name:24} {old.returncode:>2}/{new.returncode:<2}  "
                   f"{'identical' if cmp['identical'] else 'differs':10} "
                   f"{cmp['max_abs']:9.2g} {cmp['max_rel']:9.2g}  {'; '.join(notes)}")
+            for line, key, a, b, d in cmp["past"]:
+                print(f"    line {line} {key!r}: {a} -> {b}, |d| {d:.2g}")
     print(f"{len(names) - len(failed)} of {len(names)} cases agree"
           + (f"; failed: {', '.join(failed)}" if failed else ""))
     return 1 if failed else 0
