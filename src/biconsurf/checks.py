@@ -41,10 +41,8 @@ class NonConstantCurvaturesError(ValueError):
 
 def weighted_l2(field: np.ndarray, geom: SurfaceGeometry) -> float:
     """Area-weighted RMS of a scalar field over ``geom.interior``."""
-    inside = geom.interior
-    f2 = np.where(inside, np.asarray(field) ** 2, 0.0)
-    dv = np.where(inside, geom.area_element, 0.0)
-    return float(np.sqrt(integrate(geom.grid, f2 * dv) / integrate(geom.grid, dv)))
+    f2_dv = np.where(geom.interior, np.asarray(field) ** 2 * geom.area_element, 0.0)
+    return float(np.sqrt(integrate(geom.grid, f2_dv) / geom.interior_area))
 
 
 def scalar_norms(field: np.ndarray, geom: SurfaceGeometry) -> tuple[float, float]:

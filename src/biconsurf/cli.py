@@ -24,6 +24,7 @@ from .immersion import DegenerateImmersionError
 EXIT_ASSERTION = 2
 EXIT_CONFIG = 3
 EXIT_NUMERICAL = 4
+FORMATS = ("json", "csv")
 
 
 class ConfigError(ValueError):
@@ -95,13 +96,27 @@ def _parse_periodic(text: str) -> tuple[bool, bool]:
 
 def _ambient_from_dict(d: dict) -> Ambient:
     kind = d.get("kind", "euclidean")
-    dim = int(d.get("dim", 3))
+    raw = d.get("dim", 3)
+    try:
+        dim = int(raw)
+        ok = not isinstance(raw, bool) and dim == float(raw)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ConfigError(f"ambient 'dim' must be an integer, got {raw!r}")
     if kind == "euclidean":
         return euclidean(dim)
     if kind == "sphere":
         if "radius" not in d:
             raise ConfigError("sphere ambient needs a radius")
-        return sphere(dim, float(d["radius"]))
+        try:
+            radius = float(d["radius"])
+        except (TypeError, ValueError):
+            radius = math.nan
+        if not 0 < radius < math.inf:
+            raise ConfigError(f"ambient 'radius' must be a positive finite number, "
+                              f"got {d['radius']!r}")
+        return sphere(dim, radius)
     raise ConfigError(f"unknown ambient kind {kind!r}")
 
 
@@ -212,6 +227,13 @@ def _merge(cfg: dict, **overrides) -> dict:
     return merged
 
 
+def _format(cfg: dict) -> str:
+    fmt = cfg.get("format", "json")
+    if fmt not in FORMATS:
+        raise ConfigError(f"'format' must be one of {', '.join(FORMATS)}, got {fmt!r}")
+    return fmt
+
+
 def _emit(rep, fmt: str, output: str | None):
     text = report_mod.report_to_json(rep) if fmt == "json" else report_mod.report_to_csv(rep)
     if output:
@@ -261,7 +283,7 @@ def main():
 @click.option("--param", "params", multiple=True, help="builtin parameter, e.g. k=1.0")
 @click.option("--fd-jets", is_flag=True, help="replace analytic jets by finite differences")
 @click.option("--output", default=None, type=click.Path())
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default=None)
+@click.option("--format", "fmt", type=click.Choice(FORMATS), default=None)
 @click.option("--tol-analytic", type=float, default=None)
 @click.option("--tol-fd", type=float, default=None)
 @click.option("--dump-fields", is_flag=True)
@@ -285,6 +307,7 @@ def verify(config_path, surface, grid_size, periodic, params, fd_jets, output, f
             dump_fields=dump_fields,
         )
         cfg["params"] = _parse_params(params, cfg.get("params", {}))
+        out_format = _format(cfg)
         tol_a = _number(cfg, "tol_analytic", 1e-8, tol_analytic is not None)
         tol_f = _number(cfg, "tol_fd", 1e-3, tol_fd is not None)
         jet, label = _resolve_jet(cfg)
@@ -295,7 +318,7 @@ def verify(config_path, surface, grid_size, periodic, params, fd_jets, output, f
             tol_fd=tol_f,
             dump_fields=bool(cfg.get("dump_fields", False)),
         )
-        _emit(rep, cfg.get("format", "json"), cfg.get("output"))
+        _emit(rep, out_format, cfg.get("output"))
         failures = _check_assertions(
             rep, list(assert_flags) + list(cfg.get("assert_flags", [])),
             list(assert_residuals) + list(cfg.get("assert_residuals", [])),
@@ -317,7 +340,7 @@ def verify(config_path, surface, grid_size, periodic, params, fd_jets, output, f
 @click.option("--tol-newton", type=float, default=None)
 @click.option("--max-iter", type=int, default=None)
 @click.option("--output", default=None, type=click.Path())
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default=None)
+@click.option("--format", "fmt", type=click.Choice(FORMATS), default=None)
 @click.option("--dump-fields", is_flag=True)
 def solve_mu_cmd(config_path, H, KN, grid_size, mu0, perturb, tol_newton, max_iter,
                  output, fmt, dump_fields):
@@ -333,6 +356,7 @@ def solve_mu_cmd(config_path, H, KN, grid_size, mu0, perturb, tol_newton, max_it
             output=output, format=fmt,
             dump_fields=dump_fields,
         )
+        out_format = _format(cfg)
         tol = _number(cfg, "tol_newton", 1e-10, tol_newton is not None)
         iters = _number(cfg, "max_iter", 30, max_iter is not None, integer=True)
         Hval = float(cfg.get("H", 1.0))
@@ -358,7 +382,7 @@ def solve_mu_cmd(config_path, H, KN, grid_size, mu0, perturb, tol_newton, max_it
         sys.exit(EXIT_NUMERICAL)
 
     rep = report_mod.build_mu_report(sol, dump_fields=bool(cfg.get("dump_fields", False)))
-    _emit(rep, cfg.get("format", "json"), cfg.get("output"))
+    _emit(rep, out_format, cfg.get("output"))
     if not sol.converged:
         click.echo("numerical failure: Newton iteration did not converge", err=True)
         sys.exit(EXIT_NUMERICAL)

@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .ambient import Ambient, _dot, curvature_operator
-from .grid import Grid, fd_derivative, flat_gradient, interior_mask, node_array
+from .grid import Grid, fd_derivative, flat_gradient, integrate, interior_mask, node_array
 from .tensors import cov_derivative_coords
 
 # Pseudoumbilical classification thresholds for the eigenvalue gap of A_H.
@@ -143,6 +143,11 @@ class SurfaceGeometry:
     @cached_property
     def area_element(self) -> np.ndarray:
         return np.sqrt(self.det_g)
+
+    @cached_property
+    def interior_area(self) -> float:
+        """Area of the :attr:`interior` nodes."""
+        return integrate(self.grid, np.where(self.interior, self.area_element, 0.0))
 
     @cached_property
     def S2(self) -> np.ndarray:

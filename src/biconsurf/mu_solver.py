@@ -14,23 +14,34 @@ plus the couplings of the periodic 5-point stencil. Its sparsity never
 changes, so the pattern is built once per solve and each Newton step only
 fills the five entries of every row from five coefficient vectors.
 
-The same fixed pattern fixes the elimination order. Each step factors the
+Each Newton step is solved by GMRES on that Jacobian, right-preconditioned
+by its constant-coefficient part mean(mu) lam_h + mean(-Lap_0 mu + react'),
+where lam_h is the symbol of the periodic 5-point -(d_xx + d_yy): the
+preconditioner is diagonal in Fourier space and applied with two real FFTs
+(Knoll & Keyes 2004, *Jacobian-free Newton-Krylov methods*). It is nearly
+singular on the same low modes as the Jacobian (sin x sin y on the README
+problem), so it carries that mode rather than fighting it. A Krylov step is
+taken only when it is finite and its normwise backward error
+||J s - b|| / (||J||_inf ||s|| + ||b||) is at most ``BACKWARD_ERROR_TOL``,
+the accuracy of a direct solve; the Newton path is then that of a direct
+solver. Otherwise (far from constant, e.g. an iterate near ``MU_FLOOR``,
+the constant-coefficient model fails) the step falls back to SuperLU on the
 Jacobian symmetrically permuted into a geometric nested-dissection order of
-the torus (built once per solve, together with the index that gathers the
-natural-order data into the permuted matrix), and SuperLU is told to keep
-that order (``permc_spec="NATURAL"``): on these grid matrices it gives
-cheaper factorizations than SuperLU's own minimum-degree orderings, and
-recomputing an order every step would repeat the same work. SuperLU still
-chooses the row pivots.
+the torus, kept by SuperLU (``permc_spec="NATURAL"``): on these grid
+matrices it factors cheaper than SuperLU's own minimum-degree orderings.
+SuperLU still chooses the row pivots. The order is built on the first
+fallback, at most once per solve.
 
 Steps are damped by backtracking on the residual norm and clipped away from
 mu <= 0. Near a constant iterate on a fully periodic grid the linearization
-can be (near-)singular; the solver then falls back to a least-squares step.
+can be (near-)singular; when SuperLU fails too, the solver takes a
+least-squares step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -41,6 +52,8 @@ from .grid import Grid, flat_gradient, flat_laplacian
 from .tensors import ConformalChart, gauss_curvature_conformal
 
 MU_FLOOR = 1e-8
+# largest normwise backward error of an accepted Krylov step
+BACKWARD_ERROR_TOL = 1e-14
 
 
 class SolverError(RuntimeError):
@@ -95,17 +108,48 @@ def mu_residual(grid: Grid, mu: np.ndarray, H: float, KN) -> np.ndarray:
 _CENTRE, _U_MINUS, _U_PLUS, _V_MINUS, _V_PLUS = range(5)
 
 
-class _Operators(NamedTuple):
-    """The fixed sparsity of the Jacobian, built once per solve.
+class _NDOrder(NamedTuple):
+    """The nested-dissection order of the LU fallback."""
 
-    Both patterns have five entries in every row and every column, so they
-    share ``indptr = 5 * arange(n + 1)``."""
-
-    indptr: np.ndarray
-    indices: np.ndarray  # natural-order CSR columns, five slots per row
-    perm: np.ndarray  # nested-dissection order: unknown k is node perm[k]
+    perm: np.ndarray  # unknown k is node perm[k]
     gather: np.ndarray  # J.data[gather] is the data of J[perm][:, perm] in CSC
     nd_indices: np.ndarray  # CSC rows of J[perm][:, perm]
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+class _Operators:
+    """What the Newton steps of one solve share: the fixed sparsity of the
+    Jacobian, the Fourier symbol of the preconditioner and, built on first
+    use, the order of the LU fallback.
+
+    Both sparsity patterns have five entries in every row and every column,
+    so they share ``indptr = 5 * arange(n + 1)``. Every Jacobian of the
+    solve holds these very arrays, and the natural-order ``indices`` are not
+    sorted within rows, so they are read-only: canonicalizing one Jacobian
+    in place (``abs(J)``, ``J.sort_indices()``) raises instead of reordering
+    the pattern under all the others."""
+
+    def __init__(self, grid: Grid, indptr: np.ndarray, indices: np.ndarray,
+                 symbol: np.ndarray):
+        self.grid = grid
+        self.indptr, self.indices, self.symbol = _read_only(indptr, indices, symbol)
+
+    @cached_property
+    def nd(self) -> _NDOrder:
+        nu, nv = self.grid.shape
+        n = nu * nv
+        perm = _nested_dissection(nu, nv)
+        rank = np.empty(n, dtype=np.int32)
+        rank[perm] = np.arange(n, dtype=np.int32)
+        nd_rows = np.repeat(rank, 5)
+        nd_cols = rank[self.indices]
+        gather = np.lexsort((nd_rows, nd_cols))  # column-major, rows sorted
+        return _NDOrder(*_read_only(perm, gather, nd_rows[gather]))
 
 
 def _rectangle_order(h: int, w: int, memo: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -162,16 +206,11 @@ def _operators(grid: Grid) -> _Operators:
     cols[:, _U_PLUS] = ((i + 1) % nu) * nv + j
     cols[:, _V_MINUS] = i * nv + (j - 1) % nv
     cols[:, _V_PLUS] = i * nv + (j + 1) % nv
-    indices = cols.ravel()
-
-    perm = _nested_dissection(nu, nv)
-    rank = np.empty(n, dtype=np.int32)
-    rank[perm] = np.arange(n, dtype=np.int32)
-    nd_rows = np.repeat(rank, 5)
-    nd_cols = rank[indices]
-    gather = np.lexsort((nd_rows, nd_cols))  # column-major, rows sorted
     indptr = np.arange(0, 5 * n + 1, 5, dtype=np.int32)
-    return _Operators(indptr, indices, perm, gather, nd_rows[gather])
+    # lam_h = 4 sin^2(k h / 2) / h^2 per axis, on the rfft2 frequencies
+    lam_u = (2.0 * np.sin(np.pi * np.arange(nu) / nu) / grid.hu) ** 2
+    lam_v = (2.0 * np.sin(np.pi * np.arange(nv // 2 + 1) / nv) / grid.hv) ** 2
+    return _Operators(grid, indptr, cols.ravel(), lam_u[:, None] + lam_v)
 
 
 def _jacobian(grid: Grid, mu: np.ndarray, H: float, KN: np.ndarray,
@@ -195,12 +234,37 @@ def _jacobian(grid: Grid, mu: np.ndarray, H: float, KN: np.ndarray,
     return sp.csr_matrix((data.ravel(), ops.indices, ops.indptr), shape=(m.size, m.size))
 
 
+def _krylov_solve(J: sp.csr_matrix, rhs: np.ndarray, mu_mean: float,
+                  ops: _Operators) -> np.ndarray | None:
+    """J^{-1} rhs by GMRES right-preconditioned with the constant-coefficient
+    Jacobian mu_mean lam_h + c, or None when the step misses
+    ``BACKWARD_ERROR_TOL``. The stencil couplings of each row of J sum to
+    zero, so c = mean(-Lap_0 mu + react') is the mean row sum of J."""
+    shape = ops.grid.shape
+    P = mu_mean * ops.symbol + J.data.sum() / J.shape[0]
+
+    def precondition(y):
+        return np.fft.irfft2(np.fft.rfft2(y.reshape(shape)) / P, s=shape).ravel()
+
+    norm_J = np.abs(J.data).reshape(-1, 5).sum(axis=1).max()
+    norm_b = np.linalg.norm(rhs)
+    atol = 0.1 * BACKWARD_ERROR_TOL * (norm_J * np.linalg.norm(precondition(rhs)) + norm_b)
+    JP = spla.LinearOperator(J.shape, matvec=lambda y: J @ precondition(y), dtype=np.float64)
+    y = spla.gmres(JP, rhs, restart=40, maxiter=3, rtol=0.0, atol=atol)[0]
+    step = precondition(y)
+    if not np.all(np.isfinite(step)):
+        return None
+    backward_error = np.linalg.norm(J @ step - rhs) / (norm_J * np.linalg.norm(step) + norm_b)
+    return step if backward_error <= BACKWARD_ERROR_TOL else None
+
+
 def _nd_solve(J: sp.csr_matrix, rhs: np.ndarray, ops: _Operators) -> np.ndarray:
     """J^{-1} rhs by SuperLU, factoring J[perm][:, perm] in the order given."""
-    J_nd = sp.csc_matrix((J.data[ops.gather], ops.nd_indices, ops.indptr), shape=J.shape)
-    y = spla.spsolve(J_nd, rhs[ops.perm], permc_spec="NATURAL")
+    nd = ops.nd
+    J_nd = sp.csc_matrix((J.data[nd.gather], nd.nd_indices, ops.indptr), shape=J.shape)
+    y = spla.spsolve(J_nd, rhs[nd.perm], permc_spec="NATURAL")
     step = np.empty_like(y)
-    step[ops.perm] = y
+    step[nd.perm] = y
     return step
 
 
@@ -237,7 +301,9 @@ def solve_mu(
         J = _jacobian(grid, mu, problem.H, problem.KN, ops)
         rhs = -F.ravel()
         with np.errstate(all="ignore"):
-            step = _nd_solve(J, rhs, ops)
+            step = _krylov_solve(J, rhs, float(np.mean(mu)), ops)
+            if step is None:
+                step = _nd_solve(J, rhs, ops)
         if not np.all(np.isfinite(step)):
             step = spla.lsmr(J, rhs, atol=1e-14, btol=1e-14)[0]
             if not np.all(np.isfinite(step)):

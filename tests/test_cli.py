@@ -258,6 +258,43 @@ class TestVerify:
         res = runner.invoke(main, ["verify", "--surface", str(f)])
         assert res.exit_code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("ambient,message", [
+        ({"kind": "euclidean", "dim": "x"}, "ambient 'dim' must be an integer, got 'x'"),
+        ({"kind": "euclidean", "dim": 3.5}, "ambient 'dim' must be an integer, got 3.5"),
+        ({"kind": "euclidean", "dim": None}, "ambient 'dim' must be an integer, got None"),
+        ({"kind": "sphere", "dim": 3, "radius": "r"},
+         "ambient 'radius' must be a positive finite number, got 'r'"),
+    ])
+    def test_surface_file_bad_ambient(self, runner, tmp_path, ambient, message):
+        # a non-integer dim used to end in a ValueError traceback and exit 1
+        jet = make_builtin("cylinder", n=8, r=1.0)
+        cfg = {
+            "grid": {"u": [jet.grid.u_min, jet.grid.u_max, 8, True],
+                     "v": [jet.grid.v_min, jet.grid.v_max, 8, False]},
+            "surface": {"positions": jet.pos.reshape(-1, 3).tolist()},
+            "ambient": ambient,
+        }
+        f = tmp_path / "tab.json"
+        f.write_text(json.dumps(cfg))
+        res = runner.invoke(main, ["verify", "--surface", str(f)])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert res.stderr == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("command,args", [
+        ("verify", ["--config", "cfg.json"]),
+        ("solve-mu", ["--config", "cfg.json", "--grid", "8x8"]),
+    ])
+    def test_unknown_config_format_is_config_error(self, runner, tmp_path, monkeypatch,
+                                                   command, args):
+        # any format but "json" used to be written as CSV
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            {"surface": "sphere", "grid_size": [8, 8], "format": "xml"}))
+        res = runner.invoke(main, [command, *args])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert res.stdout == ""
+        assert res.stderr == "config error: 'format' must be one of json, csv, got 'xml'\n"
+
 
 class TestSolveMu:
     def test_default_problem_converges(self, runner):

@@ -204,24 +204,109 @@ class TestLinearLayer:
         assert np.max(np.abs(step - ref)) <= 1e-11 * np.max(np.abs(ref))
 
     def test_work_counts(self, monkeypatch):
-        calls = {"operators": 0}
-        specs = []
+        # one Krylov solve per Newton step; no LU or least-squares fallback,
+        # and so no nested-dissection order, on the README problem
+        calls = {"operators": 0, "gmres": 0, "spsolve": 0, "lsmr": 0}
+        built = []
         operators = mu_solver._operators
 
         def counted_operators(grid):
             calls["operators"] += 1
-            return operators(grid)
+            built.append(operators(grid))
+            return built[-1]
 
-        def spsolve(A, b, permc_spec=None):
-            specs.append(permc_spec)
-            return spla.spsolve(A, b, permc_spec=permc_spec)
+        def counted(name):
+            def fn(*args, **kwargs):
+                calls[name] += 1
+                return getattr(spla, name)(*args, **kwargs)
+            return fn
 
         monkeypatch.setattr(mu_solver, "_operators", counted_operators)
-        monkeypatch.setattr(mu_solver, "spla", types.SimpleNamespace(spsolve=spsolve, lsmr=spla.lsmr))
+        monkeypatch.setattr(mu_solver, "spla", types.SimpleNamespace(
+            LinearOperator=spla.LinearOperator,
+            **{name: counted(name) for name in ("gmres", "spsolve", "lsmr")}))
         sol = solve_mu(make_problem(n=32))
         assert sol.converged and sol.iterations > 0
-        assert calls["operators"] == 1
-        assert specs == ["NATURAL"] * sol.iterations
+        assert calls == {"operators": 1, "gmres": sol.iterations, "spsolve": 0, "lsmr": 0}
+        assert "nd" not in vars(built[0])
+
+    @pytest.mark.parametrize("n,nv", [(64, None), (24, 40)])
+    def test_krylov_step_is_a_direct_solve(self, n, nv):
+        prob = make_problem(n=n, nv=nv)
+        g, mu = prob.grid, prob.mu0
+        ops = mu_solver._operators(g)
+        J = mu_solver._jacobian(g, mu, prob.H, prob.KN, ops)
+        rhs = -mu_residual(g, mu, prob.H, prob.KN).ravel()
+        step = mu_solver._krylov_solve(J, rhs, float(np.mean(mu)), ops)
+        assert step is not None
+        norm_J = abs(kron_jacobian(g, mu, prob.H, prob.KN)).sum(axis=1).max()
+        backward_error = (np.linalg.norm(J @ step - rhs)
+                          / (norm_J * np.linalg.norm(step) + np.linalg.norm(rhs)))
+        assert backward_error <= mu_solver.BACKWARD_ERROR_TOL
+        # the README Jacobian is nearly singular on sin x sin y: a backward
+        # error of 1.4e-15 there is a forward difference of 1.3e-11
+        ref = mu_solver._nd_solve(J, rhs, ops)
+        assert np.max(np.abs(step - ref)) <= 2e-11 * np.max(np.abs(ref))
+
+    def test_lu_fallback_keeps_the_newton_path(self, monkeypatch):
+        # far from constant the iterate reaches MU_FLOOR, where the
+        # constant-coefficient preconditioner misses the backward-error bar
+        g = torus_grid(64)
+        U, V = g.mesh()
+        prob = MuProblem(g, 1.0, 0.0, 2.0 * np.exp(0.5 * np.sin(3 * U) * np.cos(5 * V)))
+        fallbacks = []
+        dissections = []
+        nd_solve, dissect = mu_solver._nd_solve, mu_solver._nested_dissection
+
+        def counted_nd_solve(J, rhs, ops):
+            fallbacks.append(1)
+            return nd_solve(J, rhs, ops)
+
+        def counted_dissection(nu, nv):
+            dissections.append(1)
+            return dissect(nu, nv)
+
+        monkeypatch.setattr(mu_solver, "_nd_solve", counted_nd_solve)
+        monkeypatch.setattr(mu_solver, "_nested_dissection", counted_dissection)
+        sol = solve_mu(prob)
+        assert 1 <= len(fallbacks) < sol.iterations
+        assert len(dissections) == 1
+
+        fallbacks.clear()
+        dissections.clear()
+        monkeypatch.setattr(mu_solver, "_krylov_solve", lambda *args: None)
+        lu = solve_mu(prob)
+        assert len(fallbacks) == lu.iterations
+        assert len(dissections) == 1  # once per solve, not once per step
+        assert (sol.iterations, sol.converged) == (lu.iterations, lu.converged)
+        # the Krylov steps agree with the LU ones to round-off
+        np.testing.assert_allclose(sol.residual_history, lu.residual_history, rtol=1e-10)
+        np.testing.assert_allclose(sol.mu, lu.mu, rtol=1e-10)
+
+    def test_shared_pattern_survives_canonicalization(self):
+        # every Jacobian of a solve holds the same index arrays; sorting one
+        # of them in place must raise, not reorder the pattern of the next
+        g = torus_grid(12, 20)
+        U, V = g.mesh()
+        ops = mu_solver._operators(g)
+        mu = 2.0 + 0.2 * np.sin(U) * np.cos(2 * V)
+        KN = 0.2 * np.cos(U) * np.cos(2 * V)
+        for canonicalize in (abs, sp.csr_matrix.sort_indices, sp.csr_matrix.sum_duplicates):
+            J = mu_solver._jacobian(g, mu, 1.3, KN, ops)
+            try:
+                canonicalize(J)
+            except ValueError:
+                pass
+            mu = mu + 0.1 * np.cos(U + V)
+            J = mu_solver._jacobian(g, mu, 1.3, KN, ops)
+            ref = kron_jacobian(g, mu, 1.3, KN)
+            assert abs(J - ref).max() <= 1e-13 * abs(ref).max()
+
+    def test_readme_128_iteration_count_pinned(self):
+        # the benchmark's README problem
+        sol = solve_mu(make_problem(n=128))
+        assert sol.converged
+        assert sol.iterations == 11
 
     def test_non_square_iteration_count_pinned(self):
         # odd and unequal sizes take other branches of the dissection

@@ -9,8 +9,9 @@ package (a checkout's ``src``).  Every case runs ``python -m biconsurf.cli``
 once per tree, each in a fresh interpreter, on the same input files.  The
 cases cover every builtin surface (two parameter sets each except the graph,
 the polar sphere through a config file), analytic and ``--fd-jets``, with
-``--dump-fields``, at 32^2 and 96^2; four ``solve-mu`` runs (two at 64^2,
-one on an unequal and one on an odd grid); one
+``--dump-fields``, at 32^2 and 96^2; five ``solve-mu`` runs (two at 64^2,
+one on an unequal and one on an odd grid, and the benchmark's 128^2 README
+problem); one
 ``convergence`` study; one CSV report; and a tabulated torus in the sphere
 S^3(1) at 32^2 and 64^2.
 
@@ -76,6 +77,9 @@ def cases() -> dict[str, list[str]]:
     for nu, nv in ((40, 72), (33, 48)):
         out[f"solve_mu_{nu}x{nv}"] = ["solve-mu", "--grid", f"{nu}x{nv}", "--perturb", "0.1",
                                       "--dump-fields", "--H", "1", "--KN", "0"]
+    # the benchmark's input: 11 Newton steps through the near-null sin x sin y mode
+    out["solve_mu_128"] = ["solve-mu", "--H", "1.0", "--KN", "0.0", "--grid", "128x128",
+                           "--perturb", "0.1", "--tol-newton", "1e-10"]
     out["convergence"] = ["convergence", "--surface", "cylinder", "--grid", "16x16",
                           "--levels", "3", "--param", "stretch=0.3", "--fd-jets"]
     out["csv_helix"] = ["verify", "--surface", "helix_line_r4", "--grid", "32x32",
