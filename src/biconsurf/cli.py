@@ -384,7 +384,11 @@ def solve_mu_cmd(config_path, H, KN, grid_size, mu0, perturb, tol_newton, max_it
     rep = report_mod.build_mu_report(sol, dump_fields=bool(cfg.get("dump_fields", False)))
     _emit(rep, out_format, cfg.get("output"))
     if not sol.converged:
-        click.echo("numerical failure: Newton iteration did not converge", err=True)
+        msg = "numerical failure: Newton iteration did not converge"
+        if np.max(sol.mu) <= mu_solver.MU_FLOOR:
+            msg += (f"; mu collapsed onto the trivial root mu = 0"
+                    f" (every node at MU_FLOOR = {mu_solver.MU_FLOOR:g})")
+        click.echo(msg, err=True)
         sys.exit(EXIT_NUMERICAL)
 
 

@@ -25,12 +25,8 @@ taken only when it is finite and its normwise backward error
 ||J s - b|| / (||J||_inf ||s|| + ||b||) is at most ``BACKWARD_ERROR_TOL``,
 the accuracy of a direct solve; the Newton path is then that of a direct
 solver. Otherwise (far from constant, e.g. an iterate near ``MU_FLOOR``,
-the constant-coefficient model fails) the step falls back to SuperLU on the
-Jacobian symmetrically permuted into a geometric nested-dissection order of
-the torus, kept by SuperLU (``permc_spec="NATURAL"``): on these grid
-matrices it factors cheaper than SuperLU's own minimum-degree orderings.
-SuperLU still chooses the row pivots. The order is built on the first
-fallback, at most once per solve.
+the constant-coefficient model fails) the step falls back to SuperLU,
+ordered by minimum degree on J^T + J (``permc_spec="MMD_AT_PLUS_A"``).
 
 Steps are damped by backtracking on the residual norm and clipped away from
 mu <= 0. Near a constant iterate on a fully periodic grid the linearization
@@ -41,7 +37,6 @@ least-squares step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -108,92 +103,20 @@ def mu_residual(grid: Grid, mu: np.ndarray, H: float, KN) -> np.ndarray:
 _CENTRE, _U_MINUS, _U_PLUS, _V_MINUS, _V_PLUS = range(5)
 
 
-class _NDOrder(NamedTuple):
-    """The nested-dissection order of the LU fallback."""
-
-    perm: np.ndarray  # unknown k is node perm[k]
-    gather: np.ndarray  # J.data[gather] is the data of J[perm][:, perm] in CSC
-    nd_indices: np.ndarray  # CSC rows of J[perm][:, perm]
-
-
-def _read_only(*arrays):
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
-class _Operators:
+class _Operators(NamedTuple):
     """What the Newton steps of one solve share: the fixed sparsity of the
-    Jacobian, the Fourier symbol of the preconditioner and, built on first
-    use, the order of the LU fallback.
+    Jacobian and the Fourier symbol of the preconditioner.
 
-    Both sparsity patterns have five entries in every row and every column,
-    so they share ``indptr = 5 * arange(n + 1)``. Every Jacobian of the
-    solve holds these very arrays, and the natural-order ``indices`` are not
-    sorted within rows, so they are read-only: canonicalizing one Jacobian
-    in place (``abs(J)``, ``J.sort_indices()``) raises instead of reordering
-    the pattern under all the others."""
+    Every Jacobian of the solve holds these very index arrays, and the
+    natural-order ``indices`` are not sorted within rows, so they are
+    read-only: canonicalizing one Jacobian in place (``abs(J)``,
+    ``J.sort_indices()``) raises instead of reordering the pattern under all
+    the others."""
 
-    def __init__(self, grid: Grid, indptr: np.ndarray, indices: np.ndarray,
-                 symbol: np.ndarray):
-        self.grid = grid
-        self.indptr, self.indices, self.symbol = _read_only(indptr, indices, symbol)
-
-    @cached_property
-    def nd(self) -> _NDOrder:
-        nu, nv = self.grid.shape
-        n = nu * nv
-        perm = _nested_dissection(nu, nv)
-        rank = np.empty(n, dtype=np.int32)
-        rank[perm] = np.arange(n, dtype=np.int32)
-        nd_rows = np.repeat(rank, 5)
-        nd_cols = rank[self.indices]
-        gather = np.lexsort((nd_rows, nd_cols))  # column-major, rows sorted
-        return _NDOrder(*_read_only(perm, gather, nd_rows[gather]))
-
-
-def _rectangle_order(h: int, w: int, memo: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Nested-dissection order of an h x w block of the lattice as (row,
-    column) offsets: bisect across the longer side, both halves first, the
-    separating line last.  Blocks of at most 2 x 2, where that order is the
-    natural one, end the recursion."""
-    if (h, w) in memo:
-        return memo[h, w]
-    if h <= 2 and w <= 2:
-        rows, cols = np.divmod(np.arange(h * w), max(w, 1))
-    elif h >= w:
-        m = h // 2
-        r1, c1 = _rectangle_order(m, w, memo)
-        r2, c2 = _rectangle_order(h - m - 1, w, memo)
-        rows = np.concatenate((r1, r2 + m + 1, np.full(w, m)))
-        cols = np.concatenate((c1, c2, np.arange(w)))
-    else:
-        m = w // 2
-        r1, c1 = _rectangle_order(h, m, memo)
-        r2, c2 = _rectangle_order(h, w - m - 1, memo)
-        rows = np.concatenate((r1, r2, np.arange(h)))
-        cols = np.concatenate((c1, c2 + m + 1, np.full(h, m)))
-    memo[h, w] = rows, cols
-    return rows, cols
-
-
-def _nested_dissection(nu: int, nv: int) -> np.ndarray:
-    """Geometric nested-dissection order of the doubly periodic nu x nv
-    lattice (George 1973), as natural flat indices.
-
-    Rows 0 and nu//2 cut the torus into two cylinders, and columns 0 and
-    nv//2 cut each cylinder into two rectangles; each cut is ordered after
-    the pieces it separates."""
-    node = np.arange(nu * nv).reshape(nu, nv)
-    memo: dict = {}
-    parts = []
-    for r0, r1 in ((1, nu // 2), (nu // 2 + 1, nu)):
-        for c0, c1 in ((1, nv // 2), (nv // 2 + 1, nv)):
-            rows, cols = _rectangle_order(r1 - r0, c1 - c0, memo)
-            parts.append(node[r0 + rows, c0 + cols])
-        parts += [node[r0:r1, 0], node[r0:r1, nv // 2]]
-    parts += [node[0], node[nu // 2]]
-    return np.concatenate(parts)
+    grid: Grid
+    indptr: np.ndarray
+    indices: np.ndarray
+    symbol: np.ndarray
 
 
 def _operators(grid: Grid) -> _Operators:
@@ -210,7 +133,10 @@ def _operators(grid: Grid) -> _Operators:
     # lam_h = 4 sin^2(k h / 2) / h^2 per axis, on the rfft2 frequencies
     lam_u = (2.0 * np.sin(np.pi * np.arange(nu) / nu) / grid.hu) ** 2
     lam_v = (2.0 * np.sin(np.pi * np.arange(nv // 2 + 1) / nv) / grid.hv) ** 2
-    return _Operators(grid, indptr, cols.ravel(), lam_u[:, None] + lam_v)
+    ops = _Operators(grid, indptr, cols.ravel(), lam_u[:, None] + lam_v)
+    for a in ops[1:]:
+        a.flags.writeable = False
+    return ops
 
 
 def _jacobian(grid: Grid, mu: np.ndarray, H: float, KN: np.ndarray,
@@ -258,16 +184,6 @@ def _krylov_solve(J: sp.csr_matrix, rhs: np.ndarray, mu_mean: float,
     return step if backward_error <= BACKWARD_ERROR_TOL else None
 
 
-def _nd_solve(J: sp.csr_matrix, rhs: np.ndarray, ops: _Operators) -> np.ndarray:
-    """J^{-1} rhs by SuperLU, factoring J[perm][:, perm] in the order given."""
-    nd = ops.nd
-    J_nd = sp.csc_matrix((J.data[nd.gather], nd.nd_indices, ops.indptr), shape=J.shape)
-    y = spla.spsolve(J_nd, rhs[nd.perm], permc_spec="NATURAL")
-    step = np.empty_like(y)
-    step[nd.perm] = y
-    return step
-
-
 @dataclass
 class MuSolution:
     problem: MuProblem
@@ -303,7 +219,7 @@ def solve_mu(
         with np.errstate(all="ignore"):
             step = _krylov_solve(J, rhs, float(np.mean(mu)), ops)
             if step is None:
-                step = _nd_solve(J, rhs, ops)
+                step = spla.spsolve(J.tocsc(), rhs, permc_spec="MMD_AT_PLUS_A")
         if not np.all(np.isfinite(step)):
             step = spla.lsmr(J, rhs, atol=1e-14, btol=1e-14)[0]
             if not np.all(np.isfinite(step)):

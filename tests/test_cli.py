@@ -313,6 +313,19 @@ class TestSolveMu:
                    "--mu0", "1.0", "--max-iter", "3"]
         )
         assert res.exit_code == EXIT_NUMERICAL
+        assert res.stderr == "numerical failure: Newton iteration did not converge\n"
+
+    def test_collapse_onto_trivial_root_is_named(self, runner):
+        # from mu0 = 0.2 (root 2) every node is clipped to MU_FLOOR, where
+        # the residual is 2 MU_FLOOR (K_N + H^2) and the line search stalls
+        res = runner.invoke(main, ["solve-mu", "--mu0", "0.2", "--perturb", "0.1",
+                                   "--grid", "32x32"])
+        assert res.exit_code == EXIT_NUMERICAL, res.output
+        summaries = json.loads(res.stdout)["summaries"]
+        assert summaries["mu_min"] == summaries["mu_max"] == 1e-8
+        assert res.stderr == (
+            "numerical failure: Newton iteration did not converge; mu collapsed onto"
+            " the trivial root mu = 0 (every node at MU_FLOOR = 1e-08)\n")
 
     def test_bad_grid_spec(self, runner):
         res = runner.invoke(main, ["solve-mu", "--grid", "banana"])

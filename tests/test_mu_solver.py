@@ -102,8 +102,7 @@ class TestNewton:
     @pytest.mark.parametrize("H,KN,iterations", [(1.0, 0.0, 8), (1.1, 0.3, 4)])
     def test_iteration_counts_pinned(self, H, KN, iterations):
         # the README problem excites the near-null sin x sin y mode; the
-        # generic (H, K_N) does not.  The LU column ordering must not change
-        # the Newton path.
+        # generic (H, K_N) does not
         sol = solve_mu(make_problem(H=H, KN=KN))
         assert sol.converged
         assert sol.iterations == iterations
@@ -173,15 +172,6 @@ def kron_jacobian(g, mu, H, KN):
 
 
 class TestLinearLayer:
-    @pytest.mark.parametrize("shape", [(4, 4), (5, 7), (4, 9), (9, 64), (33, 65), (128, 128)])
-    def test_nested_dissection_is_permutation(self, shape):
-        nu, nv = shape
-        p = mu_solver._nested_dissection(nu, nv)
-        np.testing.assert_array_equal(np.sort(p), np.arange(nu * nv))
-        # the two rows that cut the torus into cylinders come last
-        np.testing.assert_array_equal(
-            p[-2 * nv:], np.concatenate([np.arange(nv), (nu // 2) * nv + np.arange(nv)]))
-
     @pytest.mark.parametrize("shape", [(16, 16), (12, 20)])
     def test_jacobian_matches_kron_assembly(self, shape):
         g = torus_grid(*shape)
@@ -193,27 +183,15 @@ class TestLinearLayer:
         assert J.nnz == ref.nnz == 5 * g.nu * g.nv
         assert abs(J - ref).max() <= 1e-13 * abs(ref).max()
 
-    def test_nd_step_matches_minimum_degree(self):
-        prob = make_problem()
-        g, mu = prob.grid, prob.mu0
-        ops = mu_solver._operators(g)
-        J = mu_solver._jacobian(g, mu, prob.H, prob.KN, ops)
-        rhs = -mu_residual(g, mu, prob.H, prob.KN).ravel()
-        ref = spla.spsolve(J.tocsc(), rhs, permc_spec="MMD_AT_PLUS_A")
-        step = mu_solver._nd_solve(J, rhs, ops)
-        assert np.max(np.abs(step - ref)) <= 1e-11 * np.max(np.abs(ref))
-
     def test_work_counts(self, monkeypatch):
-        # one Krylov solve per Newton step; no LU or least-squares fallback,
-        # and so no nested-dissection order, on the README problem
+        # one Krylov solve per Newton step; no LU or least-squares fallback
+        # on the README problem
         calls = {"operators": 0, "gmres": 0, "spsolve": 0, "lsmr": 0}
-        built = []
         operators = mu_solver._operators
 
         def counted_operators(grid):
             calls["operators"] += 1
-            built.append(operators(grid))
-            return built[-1]
+            return operators(grid)
 
         def counted(name):
             def fn(*args, **kwargs):
@@ -228,7 +206,6 @@ class TestLinearLayer:
         sol = solve_mu(make_problem(n=32))
         assert sol.converged and sol.iterations > 0
         assert calls == {"operators": 1, "gmres": sol.iterations, "spsolve": 0, "lsmr": 0}
-        assert "nd" not in vars(built[0])
 
     @pytest.mark.parametrize("n,nv", [(64, None), (24, 40)])
     def test_krylov_step_is_a_direct_solve(self, n, nv):
@@ -245,7 +222,7 @@ class TestLinearLayer:
         assert backward_error <= mu_solver.BACKWARD_ERROR_TOL
         # the README Jacobian is nearly singular on sin x sin y: a backward
         # error of 1.4e-15 there is a forward difference of 1.3e-11
-        ref = mu_solver._nd_solve(J, rhs, ops)
+        ref = spla.spsolve(J.tocsc(), rhs, permc_spec="MMD_AT_PLUS_A")
         assert np.max(np.abs(step - ref)) <= 2e-11 * np.max(np.abs(ref))
 
     def test_lu_fallback_keeps_the_newton_path(self, monkeypatch):
@@ -255,33 +232,53 @@ class TestLinearLayer:
         U, V = g.mesh()
         prob = MuProblem(g, 1.0, 0.0, 2.0 * np.exp(0.5 * np.sin(3 * U) * np.cos(5 * V)))
         fallbacks = []
-        dissections = []
-        nd_solve, dissect = mu_solver._nd_solve, mu_solver._nested_dissection
 
-        def counted_nd_solve(J, rhs, ops):
+        def counted_spsolve(*args, **kwargs):
             fallbacks.append(1)
-            return nd_solve(J, rhs, ops)
+            return spla.spsolve(*args, **kwargs)
 
-        def counted_dissection(nu, nv):
-            dissections.append(1)
-            return dissect(nu, nv)
-
-        monkeypatch.setattr(mu_solver, "_nd_solve", counted_nd_solve)
-        monkeypatch.setattr(mu_solver, "_nested_dissection", counted_dissection)
+        monkeypatch.setattr(mu_solver, "spla", types.SimpleNamespace(
+            LinearOperator=spla.LinearOperator, gmres=spla.gmres, lsmr=spla.lsmr,
+            spsolve=counted_spsolve))
         sol = solve_mu(prob)
         assert 1 <= len(fallbacks) < sol.iterations
-        assert len(dissections) == 1
 
         fallbacks.clear()
-        dissections.clear()
         monkeypatch.setattr(mu_solver, "_krylov_solve", lambda *args: None)
         lu = solve_mu(prob)
         assert len(fallbacks) == lu.iterations
-        assert len(dissections) == 1  # once per solve, not once per step
         assert (sol.iterations, sol.converged) == (lu.iterations, lu.converged)
         # the Krylov steps agree with the LU ones to round-off
         np.testing.assert_allclose(sol.residual_history, lu.residual_history, rtol=1e-10)
         np.testing.assert_allclose(sol.mu, lu.mu, rtol=1e-10)
+
+    def test_least_squares_tier(self, monkeypatch):
+        # when the Krylov step misses the bar and SuperLU returns NaN, each
+        # Newton step is the least-squares one; when that is not finite either
+        # the solve stops with a SolverError
+        lsmr_calls = []
+
+        def counted_lsmr(*args, **kwargs):
+            lsmr_calls.append(1)
+            return spla.lsmr(*args, **kwargs)
+
+        def nan_spsolve(A, b, **kwargs):
+            return np.full_like(b, np.nan)
+
+        monkeypatch.setattr(mu_solver, "_krylov_solve", lambda *args: None)
+        monkeypatch.setattr(mu_solver, "spla", types.SimpleNamespace(
+            LinearOperator=spla.LinearOperator, gmres=spla.gmres, spsolve=nan_spsolve,
+            lsmr=counted_lsmr))
+        sol = solve_mu(make_problem(n=16, H=1.1, KN=0.3), max_iter=3)
+        assert sol.iterations >= 1 and len(lsmr_calls) == sol.iterations
+        assert sol.residual_history[-1] < sol.residual_history[0]
+
+        def nan_lsmr(A, b, **kwargs):
+            return (np.full_like(b, np.nan),)
+
+        monkeypatch.setattr(mu_solver.spla, "lsmr", nan_lsmr)
+        with pytest.raises(SolverError, match="^singular Jacobian at iteration 0$"):
+            solve_mu(make_problem(n=16, H=1.1, KN=0.3))
 
     def test_shared_pattern_survives_canonicalization(self):
         # every Jacobian of a solve holds the same index arrays; sorting one
@@ -309,7 +306,7 @@ class TestLinearLayer:
         assert sol.iterations == 11
 
     def test_non_square_iteration_count_pinned(self):
-        # odd and unequal sizes take other branches of the dissection
+        # an unequal grid: h_u != h_v in the stencil and in the preconditioner
         sol = solve_mu(make_problem(n=24, nv=40))
         assert sol.converged
         assert sol.iterations == 5

@@ -9,9 +9,9 @@ package (a checkout's ``src``).  Every case runs ``python -m biconsurf.cli``
 once per tree, each in a fresh interpreter, on the same input files.  The
 cases cover every builtin surface (two parameter sets each except the graph,
 the polar sphere through a config file), analytic and ``--fd-jets``, with
-``--dump-fields``, at 32^2 and 96^2; five ``solve-mu`` runs (two at 64^2,
-one on an unequal and one on an odd grid, and the benchmark's 128^2 README
-problem); one
+``--dump-fields``, at 32^2 and 96^2; seven ``solve-mu`` runs (two at 64^2,
+one on an unequal and one on an odd grid, the benchmark's 128^2 README
+problem, and two whose Newton steps fall back to SuperLU); one
 ``convergence`` study; one CSV report; and a tabulated torus in the sphere
 S^3(1) at 32^2 and 64^2.
 
@@ -73,13 +73,23 @@ def cases() -> dict[str, list[str]]:
     solve = ["solve-mu", "--grid", "64x64", "--perturb", "0.1", "--dump-fields"]
     out["solve_mu"] = [*solve, "--H", "1", "--KN", "0"]
     out["solve_mu_generic"] = [*solve, "--H", "1.1", "--KN", "0.3"]
-    # an unequal and an odd grid take other branches of the dissection order
+    # unequal and odd grids: h_u != h_v, and no Nyquist mode along an odd axis
     for nu, nv in ((40, 72), (33, 48)):
         out[f"solve_mu_{nu}x{nv}"] = ["solve-mu", "--grid", f"{nu}x{nv}", "--perturb", "0.1",
                                       "--dump-fields", "--H", "1", "--KN", "0"]
     # the benchmark's input: 11 Newton steps through the near-null sin x sin y mode
     out["solve_mu_128"] = ["solve-mu", "--H", "1.0", "--KN", "0.0", "--grid", "128x128",
                            "--perturb", "0.1", "--tol-newton", "1e-10"]
+    # far from constant, where Newton steps fall back to SuperLU: K_N = -2 has
+    # no positive constant root and exits 4 after 2 fallbacks; the strong
+    # perturbation converges to a non-constant mu through 15.  Any translate of
+    # that mu solves the equation too, so where Newton stops along them rests
+    # on round-off: its nodes move by up to 1.7e-8 relative with the SuperLU
+    # ordering, and it is compared on its summaries only (no --dump-fields).
+    out["solve_mu_lu_negative_KN"] = ["solve-mu", "--H", "1", "--KN", "-2", "--mu0", "1",
+                                      "--perturb", "0.1", "--grid", "64x64", "--dump-fields"]
+    out["solve_mu_lu_perturb"] = ["solve-mu", "--H", "1", "--KN", "-0.5", "--perturb", "0.9",
+                                  "--grid", "32x32"]
     out["convergence"] = ["convergence", "--surface", "cylinder", "--grid", "16x16",
                           "--levels", "3", "--param", "stretch=0.3", "--fd-jets"]
     out["csv_helix"] = ["verify", "--surface", "helix_line_r4", "--grid", "32x32",
