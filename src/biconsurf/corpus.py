@@ -3,9 +3,10 @@
 Every builtin returns an :class:`ImmersionJet` with exact derivatives up to
 third order, so downstream identity checks run at round-off accuracy. The
 registry also records closed-form expected values used as oracles by the
-tests. Parametrizations are chosen isothermal whenever possible (arclength
-circles, Mercator sphere) so the conformal-chart machinery applies
-directly.
+tests. Every identity is checked in the coordinates of the jet, so a
+parametrization need not be isothermal: the polar sphere and the stretched
+cylinder are not. Only the Hopf row of a report needs an isothermal chart
+(arclength circles, Mercator sphere).
 """
 
 from __future__ import annotations

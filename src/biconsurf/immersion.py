@@ -16,6 +16,12 @@ the surface Christoffels, so identities built on nabla-perp H hold at
 round-off; without them, H is differentiated by O(h^2) finite differences.
 K comes from the Gauss equation in coordinates.
 
+:class:`SurfaceGeometry` also holds the operators the residual suite takes
+in the coordinates of the jet, isothermal or not: the gradient and |df|^2
+through g^{-1}, the Laplacian as minus the trace of the covariant Hessian,
+the divergence (1/sqrt g) d_a(sqrt g V^a), tr(S T), and |nabla T|^2, cached
+for A_H and S2.
+
 The metric is inverted in closed form, ``g^{-1} = adj g / det g``, with the
 ``det g`` that the degeneracy test takes, written straight into a
 node-innermost array. Every contraction takes two operands at a time: a
@@ -117,6 +123,7 @@ class SurfaceGeometry:
     Hsq: np.ndarray  # |H|^2
     A_H: np.ndarray  # mixed (1,1) components
     gamma: np.ndarray  # surface Christoffels Gamma[k, i, j]
+    gamma_trace: np.ndarray  # g^{ij} Gamma^k_ij, zero in an isothermal chart
     dperpH: np.ndarray  # (nu, nv, 2, n), nabla-perp_{d_a} H
     K: np.ndarray  # extrinsic Gauss curvature
 
@@ -167,6 +174,16 @@ class SurfaceGeometry:
         return cov_derivative_coords(self.grid, self.S2, self.gamma)
 
     @cached_property
+    def nabla_AH_norm_sq(self) -> np.ndarray:
+        """|nabla A_H|^2, taken once for every row and check that reads it."""
+        return self.nabla_norm_sq(self.nabla_AH)
+
+    @cached_property
+    def nabla_S2_norm_sq(self) -> np.ndarray:
+        """|nabla S2|^2, taken once for every row and check that reads it."""
+        return self.nabla_norm_sq(self.nabla_S2)
+
+    @cached_property
     def principal(self):
         from .checks import principal_curvatures
 
@@ -201,6 +218,37 @@ class SurfaceGeometry:
         """grad f, coordinate vector components."""
         return np.einsum("...ij,...j->...i", self.ginv, flat_gradient(self.grid, f))
 
+    def grad_norm_sq(self, f: np.ndarray) -> np.ndarray:
+        """|df|^2 = g^{ab} d_a f d_b f."""
+        df = flat_gradient(self.grid, f)
+        return np.einsum("...a,...a->...", np.einsum("...ab,...b->...a", self.ginv, df), df)
+
+    def laplacian(self, f: np.ndarray) -> np.ndarray:
+        """Geometer's Laplacian Delta f = -g^{ab} (d_a d_b f - Gamma^k_ab d_k f),
+        minus the trace of the covariant Hessian. In an isothermal chart
+        g^{ab} Gamma^k_ab vanishes and this is the chart stencil
+        -e^{-2 rho} (f_uu + f_vv)."""
+        grid, ginv = self.grid, self.ginv
+        df = flat_gradient(grid, f)
+        out = ginv[..., 0, 0] * fd_derivative(grid, f, 0, 2)
+        out += ginv[..., 1, 1] * fd_derivative(grid, f, 1, 2)
+        out += 2.0 * ginv[..., 0, 1] * fd_derivative(grid, df[..., 0], 1, 1)
+        out -= np.einsum("...k,...k->...", self.gamma_trace, df)
+        return np.negative(out, out=out)
+
+    def div_vector(self, V: np.ndarray) -> np.ndarray:
+        """div V = (1/sqrt g) d_a (sqrt g V^a) for coordinate components V^a."""
+        dv = self.area_element
+        out = fd_derivative(self.grid, dv * V[..., 0], 0, 1)
+        out += fd_derivative(self.grid, dv * V[..., 1], 1, 1)
+        out /= dv
+        return out
+
+    @staticmethod
+    def tensor_inner(S: np.ndarray, T: np.ndarray) -> np.ndarray:
+        """<S, T> = tr(S T) of two g-self-adjoint (1,1) fields, mixed components."""
+        return np.einsum("...ij,...ji->...", S, T)
+
 
 def tangent_coords(jet: ImmersionJet, ginv: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Coordinates g^{ab} <d_b X, W> of the part of W tangent to the surface.
@@ -231,7 +279,8 @@ def mean_curvature(B: np.ndarray, ginv: np.ndarray):
 
 
 def normal_connection_H(
-    jet: ImmersionJet, ginv: np.ndarray, H: np.ndarray, B: np.ndarray, gamma: np.ndarray
+    jet: ImmersionJet, ginv: np.ndarray, H: np.ndarray, B: np.ndarray, gamma: np.ndarray,
+    gamma_trace: np.ndarray,
 ) -> np.ndarray:
     """nabla-perp_{d_a} H for a = u, v, shape (nu, nv, 2, n).
 
@@ -244,7 +293,6 @@ def normal_connection_H(
     if not jet.has_third:
         return _project_off_tangent(jet, ginv, flat_gradient(jet.grid, H))
     d3_trace = _project_off_tangent(jet, ginv, np.einsum("xyij,xyaijk->xyak", ginv, jet.d3))
-    gamma_trace = np.einsum("xyij,xykij->xyk", ginv, gamma)
     dginv = np.einsum("xyip,xyjap->xyaij", ginv, gamma)
     return (
         0.5 * d3_trace
@@ -294,6 +342,7 @@ def compute_geometry(jet: ImmersionJet) -> SurfaceGeometry:
     H, Hsq = mean_curvature(B, ginv)
     A_H = np.einsum("...ik,...kj->...ij", ginv, np.einsum("...kjm,...m->...kj", B, H))
     gamma = surface_christoffels(jet, ginv)
-    dperpH = normal_connection_H(jet, ginv, H, B, gamma)
+    gamma_trace = np.einsum("xyij,xykij->xyk", ginv, gamma)
+    dperpH = normal_connection_H(jet, ginv, H, B, gamma, gamma_trace)
     K = gauss_curvature_extrinsic(jet, det, B)
-    return SurfaceGeometry(jet, g, det, ginv, B, H, Hsq, A_H, gamma, dperpH, K)
+    return SurfaceGeometry(jet, g, det, ginv, B, H, Hsq, A_H, gamma, gamma_trace, dperpH, K)

@@ -249,25 +249,19 @@ def solve_mu(
 
 @dataclass
 class ReconstructedGeometry:
-    chart: ConformalChart  # rho = -(log mu)/2, g = (1/mu)(dx^2 + dy^2)
-    A_H: np.ndarray  # mixed (1,1) components, diag(lam1, lam2)
+    """Principal curvatures of the shape operator A_H = diag(lam1, lam2) in
+    the reconstructed chart g = (1/mu)(dx^2 + dy^2)."""
+
     lam1: np.ndarray
     lam2: np.ndarray
 
 
 def reconstruct_geometry(sol: MuSolution) -> ReconstructedGeometry:
-    """Metric and shape operator of the gap solution: lam_{1,2} = |H|^2 +/- mu/2."""
+    """Principal curvatures of the gap solution: lam_{1,2} = |H|^2 +/- mu/2."""
     if not sol.converged:
         raise SolverError("reconstruction requires a converged solution")
     H = sol.problem.H
-    rho = -0.5 * np.log(sol.mu)
-    chart = ConformalChart(sol.problem.grid, rho)
-    lam1 = H * H + 0.5 * sol.mu
-    lam2 = H * H - 0.5 * sol.mu
-    A_H = np.zeros(sol.problem.grid.shape + (2, 2))
-    A_H[..., 0, 0] = lam1
-    A_H[..., 1, 1] = lam2
-    return ReconstructedGeometry(chart, A_H, lam1, lam2)
+    return ReconstructedGeometry(H * H + 0.5 * sol.mu, H * H - 0.5 * sol.mu)
 
 
 def gauss_consistency(sol: MuSolution) -> np.ndarray:

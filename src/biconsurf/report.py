@@ -22,7 +22,6 @@ from .tensors import (
     codazzi_defect_coords,
     conformal_chart_from_metric,
     holomorphicity_residual,
-    tensor_inner,
 )
 
 # Documentation index: every residual name used in reports maps to a short
@@ -118,8 +117,9 @@ def build_geometry_report(
         meta["ambient"]["radius"] = jet.space.radius
     rep = GeometryReport(meta)
 
-    # FD jets perturb the metric components at truncation level, so the
-    # isothermal test must scale with the grid spacing.
+    # The conformal chart serves the Hopf row alone. FD jets perturb the
+    # metric components at truncation level, so the isothermal test must
+    # scale with the grid spacing.
     chart_tol = 1e-6 if jet.source == "analytic" else max(
         1e-6, 5.0 * (jet.grid.hu**2 + jet.grid.hv**2)
     )
@@ -132,6 +132,8 @@ def build_geometry_report(
     # FD-jet norms skip the one-sided stencil bands at open boundaries
     rep.meta["boundary_margin"] = geom.boundary_margin
 
+    # Each row passes its field straight to the norm, so no node field
+    # outlives the row that reads it.
     res = geom.biconservativity
     named = [
         ("stress_divergence", "cond1"),
@@ -145,51 +147,42 @@ def build_geometry_report(
     for name, key in named:
         rep.add(name, *checks.vector_norms(res[key], geom))
 
-    nab = geom.nabla_AH
-    nab_mag = np.sqrt(np.maximum(geom.nabla_norm_sq(nab), 0.0))
-    rep.add("nabla_shape_operator", *checks.scalar_norms(nab_mag, geom))
-
-    dperp_mag = np.sqrt(np.maximum(np.einsum(
+    rep.add("nabla_shape_operator", *checks.scalar_norms(
+        np.sqrt(np.maximum(geom.nabla_AH_norm_sq, 0.0)), geom))
+    rep.add("normal_derivative_H", *checks.scalar_norms(np.sqrt(np.maximum(np.einsum(
         "...ab,...ab->...", geom.ginv,
-        np.einsum("...am,...bm->...ab", geom.dperpH, geom.dperpH)), 0.0))
-    rep.add("normal_derivative_H", *checks.scalar_norms(dperp_mag, geom))
-
-    S2 = geom.S2
-    tr_gap = S2[..., 0, 0] + S2[..., 1, 1] - 4.0 * geom.Hsq
-    rep.add("stress_trace", *checks.scalar_norms(tr_gap, geom))
-
-    lam1, lam2, mu, pu_mask = geom.principal
-    sum_gap = lam1 + lam2 - 2.0 * geom.Hsq
-    rep.add("eigenvalue_sum", *checks.scalar_norms(sum_gap, geom))
+        np.einsum("...am,...bm->...ab", geom.dperpH, geom.dperpH)), 0.0)), geom))
+    rep.add("stress_trace", *checks.scalar_norms(
+        geom.S2[..., 0, 0] + geom.S2[..., 1, 1] - 4.0 * geom.Hsq, geom))
+    rep.add("eigenvalue_sum", *checks.scalar_norms(
+        np.add(*geom.principal[:2]) - 2.0 * geom.Hsq, geom))
+    rep.add("stress_norm", *checks.scalar_norms(
+        geom.tensor_inner(geom.S2, geom.S2) - 16.0 * checks.shape_operator_norm_sq(geom)
+        + 24.0 * geom.Hsq**2, geom))
 
     if chart is not None:
-        S2_sq = tensor_inner(chart, S2, S2)
-        AH_sq = checks.shape_operator_norm_sq(geom)
-        norm_gap = S2_sq - 16.0 * AH_sq + 24.0 * geom.Hsq**2
-        rep.add("stress_norm", *checks.scalar_norms(norm_gap, geom))
+        rep.add("hopf_holomorphicity", *checks.scalar_norms(
+            holomorphicity_residual(chart, geom.A_H), geom))
+    del chart
 
-        hol = holomorphicity_residual(chart, geom.A_H)
-        rep.add("hopf_holomorphicity", *checks.scalar_norms(hol, geom))
+    simons, simons_flagged = checks.simons_residual(
+        geom, bicons_tol=tol, bicons_linf=rep.residual("stress_divergence").linf)
+    rep.add("simons", *checks.scalar_norms(simons, geom))
+    del simons
+    rep.flags["simons_assumes_biconservative_violated"] = simons_flagged
 
-        simons, simons_flagged = checks.simons_residual(
-            geom, chart, bicons_tol=tol, bicons_linf=rep.residual("stress_divergence").linf)
-        rep.add("simons", *checks.scalar_norms(simons, geom))
-        rep.flags["simons_assumes_biconservative_violated"] = simons_flagged
+    rep.add("codazzi_defect", *checks.vector_norms(codazzi_defect_coords(geom.nabla_AH), geom))
+    rep.add("positivity_deficit", *checks.scalar_norms(
+        np.maximum(-checks.positivity_quantity(geom), 0.0), geom))
 
-    rep.add("codazzi_defect", *checks.vector_norms(codazzi_defect_coords(nab), geom))
-
-    pos = checks.positivity_quantity(geom)
-    deficit = np.maximum(-pos, 0.0)
-    rep.add("positivity_deficit", *checks.scalar_norms(deficit, geom))
-
-    if geom.grid.doubly_periodic and chart is not None:
-        integ = checks.integral_formula_check(geom, chart)
+    if geom.grid.doubly_periodic:
+        integ = checks.integral_formula_check(geom)
         rep.add("integral_shape_operator", abs(integ["int_AH_gap"]), abs(integ["int_AH_gap"]))
         rep.add("integral_stress", abs(integ["int_S2_gap"]), abs(integ["int_S2_gap"]))
     else:
-        rep.meta["integral_formulas"] = "skipped: grid not doubly periodic" \
-            if not geom.grid.doubly_periodic else "skipped: no isothermal chart"
+        rep.meta["integral_formulas"] = "skipped: grid not doubly periodic"
 
+    lam1, lam2, mu, pu_mask = geom.principal
     rep.summaries = {
         "H_min": float(np.min(np.sqrt(geom.Hsq))),
         "H_max": float(np.max(np.sqrt(geom.Hsq))),

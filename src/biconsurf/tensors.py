@@ -1,12 +1,14 @@
 """Intrinsic calculus for symmetric (1,1) tensor fields on 2D charts.
 
 Tensor fields are passed as ``(nu, nv, 2, 2)`` arrays of mixed components
-``T[i, j] = T^i_j`` (g-symmetric operators). The main chart is the
+``T[i, j] = T^i_j`` (g-symmetric operators). The general-coordinate core
+(covariant derivative, Codazzi defect, divergence) takes explicit
+``ginv``/``gamma`` arrays and serves immersed surfaces in any
+parametrization; the scalar operators of a surface in its own coordinates
+are methods of ``immersion.SurfaceGeometry``. The rest works on an
 isothermal :class:`ConformalChart` with metric ``g = e^{2 rho} (dx^2 +
-dy^2)``; the general-coordinate entry points that only need Christoffel
-symbols (covariant derivative, Codazzi defect, divergence) accept explicit
-``ginv``/``gamma`` arrays so the same core serves immersed surfaces in an
-arbitrary parametrization.
+dy^2)``: a report needs one only for the Hopf function and its d/dzbar,
+and the gap-equation solver for the curvature of its reconstructed metric.
 
 Sign conventions: the function Laplacian used in the geometric identities
 is the positive (geometer's) operator ``Delta f = -div grad f``; the rough
@@ -235,11 +237,6 @@ def vec_norm_sq(chart: ConformalChart, V: np.ndarray) -> np.ndarray:
 def grad_vec(chart: ConformalChart, f: np.ndarray) -> np.ndarray:
     """grad f, coordinate vector components g^{ij} f_j."""
     return chart.em2r[..., None] * flat_gradient(chart.grid, f)
-
-
-def grad_norm_sq(chart: ConformalChart, f: np.ndarray) -> np.ndarray:
-    df = flat_gradient(chart.grid, f)
-    return chart.em2r * np.einsum("...k,...k->...", df, df)
 
 
 def laplacian(chart: ConformalChart, f: np.ndarray) -> np.ndarray:

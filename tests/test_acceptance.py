@@ -124,8 +124,7 @@ def test_a4_simons_identity():
     for name, params in [("sphere", {"r": 1.0}), ("cylinder", {"r": 1.0}),
                          ("helix_line_r4", {"k": 1.0, "tau": 0.5})]:
         geom = compute_geometry(make_builtin(name, n=64, **params))
-        chart = conformal_chart_from_metric(geom.grid, geom.g)
-        field, flagged = checks.simons_residual(geom, chart)
+        field, flagged = checks.simons_residual(geom)
         assert not flagged
         linf = float(np.max(np.abs(field)))
         assert linf <= 1e-9, name
@@ -142,8 +141,7 @@ def test_a5_integral_formulas_and_positivity():
     """Compact-surface integral formulas close on the flat torus; the
     pointwise positivity quantity is nonnegative on the whole corpus."""
     geom = compute_geometry(make_builtin("product_torus", n=64, r1=1.0, r2=2.0))
-    chart = conformal_chart_from_metric(geom.grid, geom.g)
-    out = checks.integral_formula_check(geom, chart)
+    out = checks.integral_formula_check(geom)
     assert abs(out["int_S2_gap"]) <= 1e-9
     assert abs(out["int_AH_gap"]) <= 1e-9
 

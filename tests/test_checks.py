@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from biconsurf import checks
-from biconsurf.corpus import make_builtin, tabulate
-from biconsurf.grid import interior_mask
+from biconsurf.ambient import euclidean
+from biconsurf.cli import estimate_order, run_convergence
+from biconsurf.corpus import load_tabulated, make_builtin, tabulate
+from biconsurf.grid import build_grid, interior_mask
 from biconsurf.immersion import FD_BOUNDARY_MARGIN, compute_geometry
 from biconsurf.report import build_geometry_report
 from biconsurf.tensors import conformal_chart_from_metric, flat_chart
@@ -142,33 +144,69 @@ class TestSimons:
             ("sphere", {"r": 1.0}),
             ("cylinder", {"r": 1.0}),
             ("helix_line_r4", {"k": 1.0, "tau": 0.5}),
+            # no isothermal chart: the identity is taken in the jet's coordinates
+            ("sphere", {"r": 1.0, "chart": "polar"}),
+            ("cylinder", {"r": 1.0, "stretch": 0.3}),
         ],
     )
     def test_pointwise_residual_analytic(self, name, params):
-        geom, chart = geom_and_chart(name, n=48, **params)
-        field, flagged = checks.simons_residual(geom, chart)
+        geom = compute_geometry(make_builtin(name, n=48, **params))
+        field, flagged = checks.simons_residual(geom)
         assert not flagged
         assert np.max(np.abs(field)) < 1e-9
 
     def test_flag_on_non_biconservative_input(self):
-        geom, chart = geom_and_chart("cylinder", n=24, r=1.0)
+        geom = compute_geometry(make_builtin("cylinder", n=24, r=1.0))
         # tighten the gate until the round-off residual trips it
-        _, flagged = checks.simons_residual(geom, chart, bicons_tol=1e-30)
+        _, flagged = checks.simons_residual(geom, bicons_tol=1e-30)
         assert flagged
+
+    def test_graph_report_is_flagged(self):
+        rep = build_geometry_report(make_builtin("graph", n=32), "graph")
+        assert not rep.meta["isothermal_chart"]
+        assert rep.flags["simons_assumes_biconservative_violated"]
+
+    def test_fd_stretched_cylinder_converges(self):
+        conv = run_convergence("cylinder", {"r": 1.0, "stretch": 0.3}, 32, 3, True)
+        o = conv["orders"]["simons"]
+        assert o != "exact" and min(o) >= 1.8, conv["residuals"]["simons"]
+
+
+def stretched_torus(n, r1=1.0, r2=2.0, stretch=0.3):
+    """FD jet of S^1(r1) x S^1(r2) in R^4 at the angles (u + stretch sin u, v):
+    doubly periodic, metric diag(r1^2 (1 + stretch cos u)^2, r2^2), which is
+    not isothermal."""
+    grid = build_grid((0.0, 2.0 * np.pi), (0.0, 2.0 * np.pi), n, n, True, True)
+    U, V = grid.mesh()
+    th = U + stretch * np.sin(U)
+    pos = np.stack([r1 * np.cos(th), r1 * np.sin(th), r2 * np.cos(V), r2 * np.sin(V)], axis=-1)
+    return load_tabulated(grid, pos.reshape(-1, 4), euclidean(4))
 
 
 class TestIntegralFormulas:
     def test_torus_both_formulas(self):
-        geom, chart = geom_and_chart("product_torus", n=48, r1=1.0, r2=2.0)
-        out = checks.integral_formula_check(geom, chart)
+        geom = compute_geometry(make_builtin("product_torus", n=48, r1=1.0, r2=2.0))
+        out = checks.integral_formula_check(geom)
         assert abs(out["int_S2_gap"]) < 1e-9
         assert abs(out["int_AH_gap"]) < 1e-9
         assert out["positivity_min"] >= -1e-12
 
     def test_requires_doubly_periodic(self):
-        geom, chart = geom_and_chart("cylinder", n=16, r=1.0)
+        geom = compute_geometry(make_builtin("cylinder", n=16, r=1.0))
         with pytest.raises(ValueError):
-            checks.integral_formula_check(geom, chart)
+            checks.integral_formula_check(geom)
+
+    def test_stretched_torus_rows_decay(self):
+        gaps = {"integral_stress": [], "integral_shape_operator": []}
+        for n in (32, 64, 128):
+            rep = build_geometry_report(stretched_torus(n), "torus_stretch")
+            assert not rep.meta["isothermal_chart"]
+            assert "integral_formulas" not in rep.meta
+            for key, series in gaps.items():
+                series.append(rep.residual(key).linf)
+        for key, series in gaps.items():
+            orders = [estimate_order(a, b) for a, b in zip(series, series[1:])]
+            assert min(orders) >= 2.0, (key, series)
 
     @pytest.mark.parametrize(
         "name,params",

@@ -76,11 +76,12 @@ class TestGeometryReport:
 
 
 class TestWorkCounts:
-    """Each covariant derivative and the biconservativity suite run once per
-    report: nabla S2 and nabla A_H, both with the surface Christoffels of the
-    jet, whether or not the metric has an isothermal chart. The Simons
-    residual and the integral formulas reuse them, and the Simons gate reuses
-    the report's stress-divergence norm."""
+    """Each covariant derivative, each |nabla T|^2 and the biconservativity
+    suite run once per report: nabla S2 and nabla A_H, both with the surface
+    Christoffels of the jet, whether or not the metric has an isothermal
+    chart. The Simons residual, the integral formulas and the
+    nabla_shape_operator row reuse them, and the Simons gate reuses the
+    report's stress-divergence norm."""
 
     @pytest.mark.parametrize(
         "name,params,fd,chart,expect",
@@ -93,7 +94,7 @@ class TestWorkCounts:
     def test_one_evaluation_per_identity(self, monkeypatch, name, params, fd, chart, expect):
         from biconsurf import checks, immersion, tensors
 
-        calls = {"cov": 0, "bicons": 0, "cond1_norm": 0}
+        calls = {"cov": 0, "bicons": 0, "cond1_norm": 0, "nabla_norm": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -116,10 +117,16 @@ class TestWorkCounts:
         monkeypatch.setattr(immersion, "cov_derivative_coords", cov)
         monkeypatch.setattr(checks, "biconservativity_residuals",
                             counted("bicons", checks.biconservativity_residuals))
+        monkeypatch.setattr(immersion.SurfaceGeometry, "nabla_norm_sq",
+                            counted("nabla_norm", immersion.SurfaceGeometry.nabla_norm_sq))
         jet = make_builtin(name, n=32, **params)
         r = rp.build_geometry_report(tabulate(jet) if fd else jet, name)
         assert r.meta["isothermal_chart"] is chart
+        assert calls.pop("nabla_norm") <= 2
         assert calls == {"cov": expect, "bicons": 1, "cond1_norm": 1}
+        names = {e.name for e in r.residuals}
+        assert {"stress_norm", "simons"} <= names
+        assert "simons_assumes_biconservative_violated" in r.flags
 
 
 class TestSerialization:

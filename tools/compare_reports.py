@@ -12,8 +12,10 @@ the polar sphere through a config file), analytic and ``--fd-jets``, with
 ``--dump-fields``, at 32^2 and 96^2; seven ``solve-mu`` runs (two at 64^2,
 one on an unequal and one on an odd grid, the benchmark's 128^2 README
 problem, and two whose Newton steps fall back to SuperLU); one
-``convergence`` study; one CSV report; and a tabulated torus in the sphere
-S^3(1) at 32^2 and 64^2.
+``convergence`` study; one CSV report; a tabulated torus in the sphere
+S^3(1) at 32^2 and 64^2; and, at 32^2 and 64^2, a tabulated product torus in
+R^4 at the angles (u + 0.3 sin u, v), the only doubly periodic input with no
+isothermal chart.  That is 49 cases.
 
 For each case it prints both exit codes, whether stdout is byte-identical,
 the largest |diff| over the numbers in stdout, the largest relative diff
@@ -96,6 +98,7 @@ def cases() -> dict[str, list[str]]:
                         "--param", "tau=0.5", "--format", "csv"]
     for n in (32, 64):
         out[f"torus_s3_{n}"] = ["verify", "--surface", f"torus_s3_{n}.json"]
+        out[f"torus_stretch_{n}"] = ["verify", "--surface", f"torus_stretch_{n}.json"]
     return out
 
 
@@ -114,10 +117,26 @@ def _torus_in_s3(n: int, r1: float = 0.6, r2: float = 0.8) -> dict:
     }
 
 
+def _torus_stretch(n: int, r1: float = 1.0, r2: float = 2.0, stretch: float = 0.3) -> dict:
+    """Surface file: S^1(r1) x S^1(r2) in R^4 at the angles
+    (u + stretch sin u, v), tabulated; its metric is not isothermal."""
+    u = 2.0 * math.pi * np.arange(n) / n
+    U, V = np.meshgrid(u, u, indexing="ij")
+    th = U + stretch * np.sin(U)
+    pos = np.stack([r1 * np.cos(th), r1 * np.sin(th),
+                    r2 * np.cos(V), r2 * np.sin(V)], axis=-1)
+    return {
+        "grid": {"u": [0.0, 2.0 * math.pi, n, True], "v": [0.0, 2.0 * math.pi, n, True]},
+        "ambient": {"kind": "euclidean", "dim": 4},
+        "surface": {"positions": pos.reshape(-1, 4).tolist()},
+    }
+
+
 def write_inputs(workdir: str):
     docs = {"polar_sphere.json": {"surface": "sphere", "params": {"chart": "polar"}}}
     for n in (32, 64):
         docs[f"torus_s3_{n}.json"] = _torus_in_s3(n)
+        docs[f"torus_stretch_{n}.json"] = _torus_stretch(n)
     for name, doc in docs.items():
         with open(os.path.join(workdir, name), "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
