@@ -4,7 +4,8 @@ Subpackages by responsibility: :mod:`biconsurf.grid` (parameter grids and
 flat stencils), :mod:`biconsurf.kernels` (difference stencil),
 :mod:`biconsurf.ambient` (target spaces), :mod:`biconsurf.immersion`
 (fundamental forms and derived geometry), :mod:`biconsurf.tensors`
-(covariant calculus on conformal charts), :mod:`biconsurf.checks`
+(covariant calculus of a metric, in any coordinates or on an isothermal
+chart), :mod:`biconsurf.checks`
 (identity residual suite), :mod:`biconsurf.mu_solver` (gap-equation Newton
 solver), :mod:`biconsurf.corpus` (built-in surfaces), :mod:`biconsurf.report`
 and :mod:`biconsurf.cli` (report assembly and command line).

@@ -13,10 +13,10 @@ import numpy as np
 
 from .ambient import curvature_operator
 from .grid import integrate
-from .immersion import (
-    EPS_PU_ANALYTIC,
-    EPS_PU_FD,
+from .immersion import (  # principal_curvatures and stress_bienergy are also read as checks.*
     SurfaceGeometry,
+    principal_curvatures,
+    stress_bienergy,
     tangent_coords,
     trace_A_dperpH,
     trace_RN_H,
@@ -48,35 +48,6 @@ def scalar_norms(field: np.ndarray, geom: SurfaceGeometry) -> tuple[float, float
 def vector_norms(V: np.ndarray, geom: SurfaceGeometry) -> tuple[float, float]:
     """(L2, Linf) of the pointwise g-norm of a coordinate vector field."""
     return scalar_norms(np.sqrt(np.maximum(geom.vec_norm_sq(V), 0.0)), geom)
-
-
-def stress_bienergy(A_H: np.ndarray, Hsq: np.ndarray) -> np.ndarray:
-    """S2 = -2 |H|^2 I + 4 A_H (mixed components, m = 2)."""
-    S2 = 4.0 * np.asarray(A_H)  # a new array in the memory order of A_H
-    S2[..., 0, 0] -= 2.0 * Hsq
-    S2[..., 1, 1] -= 2.0 * Hsq
-    return S2
-
-
-def principal_curvatures(A_H: np.ndarray, Hsq: np.ndarray, source: str = "analytic"):
-    """Eigenvalues of the shape operator, their gap, pseudoumbilical mask.
-
-    The mixed-component matrix of a g-symmetric operator is similar to a
-    symmetric one, so its eigenvalues are real; tiny negative discriminants
-    from round-off are clamped. The discriminant is written as
-    (a - d)^2 + 4 bc, not tr^2 - 4 det: on an umbilical operator the latter
-    cancels two O(|A|^2) terms and leaves the gap at sqrt(round-off).
-    """
-    a, b = A_H[..., 0, 0], A_H[..., 0, 1]
-    c, d = A_H[..., 1, 0], A_H[..., 1, 1]
-    tr = a + d
-    disc = np.sqrt(np.maximum((a - d) ** 2 + 4.0 * b * c, 0.0))
-    lam1 = 0.5 * (tr + disc)
-    lam2 = 0.5 * (tr - disc)
-    mu = lam1 - lam2
-    eps = EPS_PU_ANALYTIC if source == "analytic" else EPS_PU_FD
-    pu_mask = mu <= eps * (1.0 + Hsq)
-    return lam1, lam2, mu, pu_mask
 
 
 def shape_operator_norm_sq(geom: SurfaceGeometry) -> np.ndarray:

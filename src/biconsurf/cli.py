@@ -17,7 +17,7 @@ import click
 import numpy as np
 
 from . import corpus, mu_solver, report as report_mod
-from .ambient import Ambient, euclidean, sphere
+from .ambient import Ambient
 from .grid import Grid, build_grid
 from .immersion import DegenerateImmersionError
 
@@ -39,7 +39,7 @@ def _exit_on_error():
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
-    except (DegenerateImmersionError, FloatingPointError) as exc:
+    except (DegenerateImmersionError, FloatingPointError, mu_solver.SolverError) as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(EXIT_NUMERICAL)
 
@@ -104,8 +104,7 @@ def _ambient_from_dict(d: dict) -> Ambient:
         ok = False
     if not ok:
         raise ConfigError(f"ambient 'dim' must be an integer, got {raw!r}")
-    if kind == "euclidean":
-        return euclidean(dim)
+    radius = None
     if kind == "sphere":
         if "radius" not in d:
             raise ConfigError("sphere ambient needs a radius")
@@ -116,8 +115,10 @@ def _ambient_from_dict(d: dict) -> Ambient:
         if not 0 < radius < math.inf:
             raise ConfigError(f"ambient 'radius' must be a positive finite number, "
                               f"got {d['radius']!r}")
-        return sphere(dim, radius)
-    raise ConfigError(f"unknown ambient kind {kind!r}")
+    try:
+        return Ambient(kind, dim, radius)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _grid_from_dict(d: dict) -> Grid:
@@ -165,7 +166,10 @@ def _load_surface_file(path: str):
             raise ConfigError(
                 f"positions shape {pos.shape} does not match grid and ambient"
             ) from exc
-        jet = corpus.load_tabulated(grid, pos, space)
+        try:
+            jet = corpus.load_tabulated(grid, pos, space)
+        except corpus.SurfaceConfigError as exc:
+            raise ConfigError(str(exc)) from exc
         return jet, "tabulated"
     raise ConfigError("surface entry needs either 'builtin' or 'positions'")
 
@@ -329,6 +333,25 @@ def verify(config_path, surface, grid_size, periodic, params, fd_jets, output, f
         sys.exit(EXIT_ASSERTION)
 
 
+def _mu_problem(cfg: dict) -> mu_solver.MuProblem:
+    """The gap-equation problem of a merged config; bad values raise ConfigError."""
+    try:
+        Hval = float(cfg.get("H", 1.0))
+        KNval = float(cfg.get("KN", 0.0))
+        nu, nv = cfg.get("grid_size", (64, 64))
+        grid = build_grid((0.0, 2.0 * math.pi), (0.0, 2.0 * math.pi), nu, nv, True, True)
+        if "mu0" in cfg:
+            base = float(cfg["mu0"])
+        else:
+            base = mu_solver.constant_root(Hval, KNval)
+        X, Y = grid.mesh()
+        amp = float(cfg.get("perturb", 0.0))
+        mu0_field = base * (1.0 + amp * np.sin(X) * np.sin(Y))
+        return mu_solver.MuProblem(grid, Hval, np.full(grid.shape, KNval), mu0_field)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 @main.command("solve-mu")
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--H", "H", type=float, default=None, help="constant mean curvature norm")
@@ -345,7 +368,7 @@ def verify(config_path, surface, grid_size, periodic, params, fd_jets, output, f
 def solve_mu_cmd(config_path, H, KN, grid_size, mu0, perturb, tol_newton, max_iter,
                  output, fmt, dump_fields):
     """Solve the principal-curvature-gap equation by damped Newton iteration."""
-    try:
+    with _exit_on_error():
         cfg = _load_config(config_path)
         cfg = _merge(
             cfg,
@@ -359,27 +382,7 @@ def solve_mu_cmd(config_path, H, KN, grid_size, mu0, perturb, tol_newton, max_it
         out_format = _format(cfg)
         tol = _number(cfg, "tol_newton", 1e-10, tol_newton is not None)
         iters = _number(cfg, "max_iter", 30, max_iter is not None, integer=True)
-        Hval = float(cfg.get("H", 1.0))
-        KNval = float(cfg.get("KN", 0.0))
-        nu, nv = cfg.get("grid_size", (64, 64))
-        grid = build_grid((0.0, 2.0 * math.pi), (0.0, 2.0 * math.pi), nu, nv, True, True)
-        if "mu0" in cfg:
-            base = float(cfg["mu0"])
-        else:
-            base = mu_solver.constant_root(Hval, KNval)
-        X, Y = grid.mesh()
-        amp = float(cfg.get("perturb", 0.0))
-        mu0_field = base * (1.0 + amp * np.sin(X) * np.sin(Y))
-        problem = mu_solver.MuProblem(grid, Hval, np.full(grid.shape, KNval), mu0_field)
-    except (ConfigError, ValueError) as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-
-    try:
-        sol = mu_solver.solve_mu(problem, tol_newton=tol, max_iter=iters)
-    except mu_solver.SolverError as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        sys.exit(EXIT_NUMERICAL)
+        sol = mu_solver.solve_mu(_mu_problem(cfg), tol_newton=tol, max_iter=iters)
 
     rep = report_mod.build_mu_report(sol, dump_fields=bool(cfg.get("dump_fields", False)))
     _emit(rep, out_format, cfg.get("output"))

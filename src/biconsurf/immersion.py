@@ -16,11 +16,12 @@ the surface Christoffels, so identities built on nabla-perp H hold at
 round-off; without them, H is differentiated by O(h^2) finite differences.
 K comes from the Gauss equation in coordinates.
 
-:class:`SurfaceGeometry` also holds the operators the residual suite takes
-in the coordinates of the jet, isothermal or not: the gradient and |df|^2
-through g^{-1}, the Laplacian as minus the trace of the covariant Hessian,
-the divergence (1/sqrt g) d_a(sqrt g V^a), tr(S T), and |nabla T|^2, cached
-for A_H and S2.
+:class:`SurfaceGeometry` is a :class:`tensors.MetricCalculus`: the residual
+suite takes its operators in the coordinates of the jet, isothermal or not
+(the gradient and |df|^2 through g^{-1}, the Laplacian as minus the trace
+of the covariant Hessian, the divergence (1/sqrt g) d_a(sqrt g V^a),
+tr(S T), and |nabla T|^2, cached for A_H and S2). The stress-bienergy
+tensor S2 and the principal curvatures of A_H are cached on it too.
 
 The metric is inverted in closed form, ``g^{-1} = adj g / det g``, with the
 ``det g`` that the degeneracy test takes, written straight into a
@@ -37,7 +38,7 @@ import numpy as np
 
 from .ambient import Ambient, _dot, curvature_operator
 from .grid import Grid, fd_derivative, flat_gradient, integrate, interior_mask, node_array
-from .tensors import cov_derivative_coords
+from .tensors import MetricCalculus, cov_derivative_coords
 
 # Pseudoumbilical classification thresholds for the eigenvalue gap of A_H.
 # The gap is sqrt((a - d)^2 + 4 bc) of the mixed components, so analytic jets
@@ -112,8 +113,37 @@ def induced_metric(jet: ImmersionJet) -> tuple[np.ndarray, np.ndarray]:
     return g, det
 
 
+def stress_bienergy(A_H: np.ndarray, Hsq: np.ndarray) -> np.ndarray:
+    """S2 = -2 |H|^2 I + 4 A_H (mixed components, m = 2)."""
+    S2 = 4.0 * np.asarray(A_H)  # a new array in the memory order of A_H
+    S2[..., 0, 0] -= 2.0 * Hsq
+    S2[..., 1, 1] -= 2.0 * Hsq
+    return S2
+
+
+def principal_curvatures(A_H: np.ndarray, Hsq: np.ndarray, source: str = "analytic"):
+    """Eigenvalues of the shape operator, their gap, pseudoumbilical mask.
+
+    The mixed-component matrix of a g-symmetric operator is similar to a
+    symmetric one, so its eigenvalues are real; tiny negative discriminants
+    from round-off are clamped. The discriminant is written as
+    (a - d)^2 + 4 bc, not tr^2 - 4 det: on an umbilical operator the latter
+    cancels two O(|A|^2) terms and leaves the gap at sqrt(round-off).
+    """
+    a, b = A_H[..., 0, 0], A_H[..., 0, 1]
+    c, d = A_H[..., 1, 0], A_H[..., 1, 1]
+    tr = a + d
+    disc = np.sqrt(np.maximum((a - d) ** 2 + 4.0 * b * c, 0.0))
+    lam1 = 0.5 * (tr + disc)
+    lam2 = 0.5 * (tr - disc)
+    mu = lam1 - lam2
+    eps = EPS_PU_ANALYTIC if source == "analytic" else EPS_PU_FD
+    pu_mask = mu <= eps * (1.0 + Hsq)
+    return lam1, lam2, mu, pu_mask
+
+
 @dataclass
-class SurfaceGeometry:
+class SurfaceGeometry(MetricCalculus):
     jet: ImmersionJet
     g: np.ndarray  # (0,2) metric
     det_g: np.ndarray  # det g, as the degeneracy test took it
@@ -159,8 +189,6 @@ class SurfaceGeometry:
     @cached_property
     def S2(self) -> np.ndarray:
         """Stress-bienergy tensor, mixed (1,1) components."""
-        from .checks import stress_bienergy
-
         return stress_bienergy(self.A_H, self.Hsq)
 
     @cached_property
@@ -185,8 +213,6 @@ class SurfaceGeometry:
 
     @cached_property
     def principal(self):
-        from .checks import principal_curvatures
-
         return principal_curvatures(self.A_H, self.Hsq, source=self.jet.source)
 
     @cached_property
@@ -195,59 +221,6 @@ class SurfaceGeometry:
         from . import checks
 
         return checks.biconservativity_residuals(self)
-
-    def vec_norm_sq(self, V: np.ndarray) -> np.ndarray:
-        """g(V, V) for coordinate vector components."""
-        return np.einsum("...i,...i->...", np.einsum("...ij,...j->...i", self.g, V), V)
-
-    def nabla_norm_sq(self, S: np.ndarray) -> np.ndarray:
-        """|nabla T|^2 = g^{ab} g_ik g^{jl} S_a^i_j S_b^k_l for
-        S[..., a, i, j] = (nabla_a T)^i_j, one derivative index a at a time:
-        T_a = g^{ab} S_b, M_a = g T_a, then the sum of (M_a g^{-1})^ij S_a^ij.
-        Two scratch fields of four components serve both values of a."""
-        out = node_array(self.grid)
-        T, M = node_array(self.grid, (2, 2)), node_array(self.grid, (2, 2))
-        for a in (0, 1):
-            np.einsum("...b,...bkl->...kl", self.ginv[..., a, :], S, out=T)
-            np.einsum("...ik,...kl->...il", self.g, T, out=M)
-            np.einsum("...il,...jl->...ij", M, self.ginv, out=T)
-            out += np.einsum("...ij,...ij->...", T, S[..., a, :, :])
-        return out
-
-    def grad_scalar(self, f: np.ndarray) -> np.ndarray:
-        """grad f, coordinate vector components."""
-        return np.einsum("...ij,...j->...i", self.ginv, flat_gradient(self.grid, f))
-
-    def grad_norm_sq(self, f: np.ndarray) -> np.ndarray:
-        """|df|^2 = g^{ab} d_a f d_b f."""
-        df = flat_gradient(self.grid, f)
-        return np.einsum("...a,...a->...", np.einsum("...ab,...b->...a", self.ginv, df), df)
-
-    def laplacian(self, f: np.ndarray) -> np.ndarray:
-        """Geometer's Laplacian Delta f = -g^{ab} (d_a d_b f - Gamma^k_ab d_k f),
-        minus the trace of the covariant Hessian. In an isothermal chart
-        g^{ab} Gamma^k_ab vanishes and this is the chart stencil
-        -e^{-2 rho} (f_uu + f_vv)."""
-        grid, ginv = self.grid, self.ginv
-        df = flat_gradient(grid, f)
-        out = ginv[..., 0, 0] * fd_derivative(grid, f, 0, 2)
-        out += ginv[..., 1, 1] * fd_derivative(grid, f, 1, 2)
-        out += 2.0 * ginv[..., 0, 1] * fd_derivative(grid, df[..., 0], 1, 1)
-        out -= np.einsum("...k,...k->...", self.gamma_trace, df)
-        return np.negative(out, out=out)
-
-    def div_vector(self, V: np.ndarray) -> np.ndarray:
-        """div V = (1/sqrt g) d_a (sqrt g V^a) for coordinate components V^a."""
-        dv = self.area_element
-        out = fd_derivative(self.grid, dv * V[..., 0], 0, 1)
-        out += fd_derivative(self.grid, dv * V[..., 1], 1, 1)
-        out /= dv
-        return out
-
-    @staticmethod
-    def tensor_inner(S: np.ndarray, T: np.ndarray) -> np.ndarray:
-        """<S, T> = tr(S T) of two g-self-adjoint (1,1) fields, mixed components."""
-        return np.einsum("...ij,...ji->...", S, T)
 
 
 def tangent_coords(jet: ImmersionJet, ginv: np.ndarray, W: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ from biconsurf.corpus import load_tabulated, make_builtin, tabulate
 from biconsurf.grid import build_grid, interior_mask
 from biconsurf.immersion import FD_BOUNDARY_MARGIN, compute_geometry
 from biconsurf.report import build_geometry_report
-from biconsurf.tensors import conformal_chart_from_metric, flat_chart
+from biconsurf.tensors import conformal_chart_from_metric
 
 
 def geom_and_chart(name, n=48, **params):

@@ -280,6 +280,35 @@ class TestVerify:
         assert res.exit_code == EXIT_CONFIG, res.output
         assert res.stderr == f"config error: {message}\n"
 
+    def test_surface_file_ambient_dim_too_small(self, runner, tmp_path):
+        # used to end in a ValueError traceback from Ambient and exit 1
+        cfg = {
+            "grid": {"u": [0.0, 1.0, 8, False], "v": [0.0, 1.0, 8, False]},
+            "surface": {"positions": [[0.0, 0.0]] * 64},
+            "ambient": {"kind": "euclidean", "dim": 2},
+        }
+        f = tmp_path / "tab.json"
+        f.write_text(json.dumps(cfg))
+        res = runner.invoke(main, ["verify", "--surface", str(f)])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert res.stderr == "config error: ambient dimension must be >= 3\n"
+
+    def test_surface_file_non_finite_positions(self, runner, tmp_path):
+        # used to end in a SurfaceConfigError traceback and exit 1
+        jet = make_builtin("cylinder", n=8, r=1.0)
+        pos = jet.pos.reshape(-1, 3).tolist()
+        pos[5][1] = float("nan")
+        cfg = {
+            "grid": {"u": [jet.grid.u_min, jet.grid.u_max, 8, True],
+                     "v": [jet.grid.v_min, jet.grid.v_max, 8, False]},
+            "surface": {"positions": pos},
+        }
+        f = tmp_path / "tab.json"
+        f.write_text(json.dumps(cfg))
+        res = runner.invoke(main, ["verify", "--surface", str(f)])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert res.stderr == "config error: position table contains non-finite entries\n"
+
     @pytest.mark.parametrize("command,args", [
         ("verify", ["--config", "cfg.json"]),
         ("solve-mu", ["--config", "cfg.json", "--grid", "8x8"]),
