@@ -3,6 +3,9 @@
 Configuration comes from an optional JSON document (``--config``); individual
 flags override config fields. Exit codes: 0 all enabled assertions pass,
 2 assertion failure, 3 configuration error, 4 numerical failure.
+
+Only ``solve-mu`` imports ``mu_solver``, and with it scipy: ``verify`` and
+``convergence`` run on numpy alone, and start without paying for scipy.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import replace
 import click
 import numpy as np
 
-from . import corpus, mu_solver, report as report_mod
+from . import corpus, report as report_mod
 from .ambient import Ambient
 from .grid import Grid, build_grid
 from .immersion import DegenerateImmersionError
@@ -33,13 +36,14 @@ class ConfigError(ValueError):
 
 @contextmanager
 def _exit_on_error():
-    """Map configuration errors to exit 3 and numerical failures to exit 4."""
+    """Map configuration errors to exit 3 and numerical failures to exit 4.
+    ``mu_solver.SolverError`` is a FloatingPointError."""
     try:
         yield
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
-    except (DegenerateImmersionError, FloatingPointError, mu_solver.SolverError) as exc:
+    except (DegenerateImmersionError, FloatingPointError) as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(EXIT_NUMERICAL)
 
@@ -57,15 +61,72 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
+def _is_number(val) -> bool:
+    """True for what float() takes, bar booleans: a JSON number or a numeric string."""
+    if isinstance(val, bool):
+        return False
+    try:
+        float(val)
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+def _is_bool(val) -> bool:
+    return isinstance(val, bool)
+
+
+def _is_pair_of(val, test) -> bool:
+    return isinstance(val, (list, tuple)) and len(val) == 2 and all(test(x) for x in val)
+
+
+def _is_grid_size(val) -> bool:
+    return _is_pair_of(val, lambda n: isinstance(n, int) and not _is_bool(n) and n >= 4)
+
+
+def _is_strings(val) -> bool:
+    return isinstance(val, list) and all(isinstance(s, str) for s in val)
+
+
+# config keys whose value must have a given JSON type: (what it must be, test)
+CONFIG_TYPES = {
+    "grid_size": ("two integers >= 4", _is_grid_size),
+    "periodic": ("two booleans", lambda v: _is_pair_of(v, _is_bool)),
+    "fd_jets": ("true or false", _is_bool),
+    "dump_fields": ("true or false", _is_bool),
+    "assert_flags": ("a list of strings", _is_strings),
+    "assert_residuals": ("a list of strings", _is_strings),
+    "output": ("a path string", lambda v: isinstance(v, str)),
+    "H": ("a number", _is_number),
+    "KN": ("a number", _is_number),
+    "mu0": ("a number", _is_number),
+    "perturb": ("a number", _is_number),
+}
+
+
+def _setting(cfg: dict, key: str, default):
+    """``cfg[key]``, or ``default`` when the key is absent; a value of the
+    wrong type (``CONFIG_TYPES``) is a ConfigError that names the key. A flag
+    is merged in only after click or its parser checked it, so a value that
+    fails here came from --config."""
+    if key not in cfg:
+        return default
+    want, ok = CONFIG_TYPES[key]
+    if not ok(cfg[key]):
+        raise ConfigError(f"{key!r} in --config must be {want}, got {cfg[key]!r}")
+    return cfg[key]
+
+
 def _parse_grid_size(text: str) -> tuple[int, int]:
     try:
         nu_s, nv_s = text.lower().split("x")
-        nu, nv = int(nu_s), int(nv_s)
+        size = int(nu_s), int(nv_s)
     except ValueError as exc:
         raise ConfigError(f"bad grid size {text!r}, expected NUxNV") from exc
-    if nu < 4 or nv < 4:
-        raise ConfigError("grid sizes must be >= 4")
-    return nu, nv
+    want, ok = CONFIG_TYPES["grid_size"]
+    if not ok(size):
+        raise ConfigError(f"--grid must be {want}, got {text!r}")
+    return size
 
 
 def _parse_params(specs, base: dict) -> dict:
@@ -192,11 +253,12 @@ def _resolve_jet(cfg: dict):
     surface = cfg.get("surface")
     if surface is None:
         raise ConfigError("no surface given (use --surface or a config file)")
+    size = _setting(cfg, "grid_size", (64, 64))
+    periodic = _setting(cfg, "periodic", None)
+    fd_jets = _setting(cfg, "fd_jets", False)
     if isinstance(surface, str) and surface in corpus.BUILTIN_MAKERS:
-        jet = _builtin_jet(
-            surface, cfg.get("params", {}), cfg.get("grid_size", (64, 64)), cfg.get("periodic")
-        )
-        if cfg.get("fd_jets"):
+        jet = _builtin_jet(surface, cfg.get("params", {}), size, periodic)
+        if fd_jets:
             jet = corpus.tabulate(jet)
         return jet, surface
     if isinstance(surface, str):
@@ -238,13 +300,22 @@ def _format(cfg: dict) -> str:
     return fmt
 
 
-def _emit(rep, fmt: str, output: str | None):
-    text = report_mod.report_to_json(rep) if fmt == "json" else report_mod.report_to_csv(rep)
-    if output:
+def _write(text: str, output: str | None):
+    """``text`` to the file ``output``, or to stdout when there is none; a file
+    that cannot be written is a ConfigError that names it."""
+    if not output:
+        click.echo(text, nl=False)
+        return
+    try:
         with open(output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {output}: {exc.strerror or exc}") from exc
+
+
+def _emit(rep, fmt: str, output: str | None):
+    text = report_mod.report_to_json(rep) if fmt == "json" else report_mod.report_to_csv(rep)
+    _write(text, output)
 
 
 def _check_assertions(rep, assert_flags, assert_residuals) -> list[str]:
@@ -312,40 +383,41 @@ def verify(config_path, surface, grid_size, periodic, params, fd_jets, output, f
         )
         cfg["params"] = _parse_params(params, cfg.get("params", {}))
         out_format = _format(cfg)
+        out_path = _setting(cfg, "output", None)
         tol_a = _number(cfg, "tol_analytic", 1e-8, tol_analytic is not None)
         tol_f = _number(cfg, "tol_fd", 1e-3, tol_fd is not None)
+        dump = _setting(cfg, "dump_fields", False)
+        flag_specs = list(assert_flags) + _setting(cfg, "assert_flags", [])
+        residual_specs = list(assert_residuals) + _setting(cfg, "assert_residuals", [])
         jet, label = _resolve_jet(cfg)
         rep = report_mod.build_geometry_report(
             jet,
             surface_label=label,
             tol_analytic=tol_a,
             tol_fd=tol_f,
-            dump_fields=bool(cfg.get("dump_fields", False)),
+            dump_fields=dump,
         )
-        _emit(rep, out_format, cfg.get("output"))
-        failures = _check_assertions(
-            rep, list(assert_flags) + list(cfg.get("assert_flags", [])),
-            list(assert_residuals) + list(cfg.get("assert_residuals", [])),
-        )
+        _emit(rep, out_format, out_path)
+        failures = _check_assertions(rep, flag_specs, residual_specs)
     if failures:
         for f in failures:
             click.echo(f"assertion failed: {f}", err=True)
         sys.exit(EXIT_ASSERTION)
 
 
-def _mu_problem(cfg: dict) -> mu_solver.MuProblem:
-    """The gap-equation problem of a merged config; bad values raise ConfigError."""
+def _mu_problem(cfg: dict):
+    """The ``mu_solver.MuProblem`` of a merged config; bad values raise ConfigError."""
+    from . import mu_solver
+
+    Hval = float(_setting(cfg, "H", 1.0))
+    KNval = float(_setting(cfg, "KN", 0.0))
+    nu, nv = _setting(cfg, "grid_size", (64, 64))
+    amp = float(_setting(cfg, "perturb", 0.0))
+    mu0 = _setting(cfg, "mu0", None)
     try:
-        Hval = float(cfg.get("H", 1.0))
-        KNval = float(cfg.get("KN", 0.0))
-        nu, nv = cfg.get("grid_size", (64, 64))
         grid = build_grid((0.0, 2.0 * math.pi), (0.0, 2.0 * math.pi), nu, nv, True, True)
-        if "mu0" in cfg:
-            base = float(cfg["mu0"])
-        else:
-            base = mu_solver.constant_root(Hval, KNval)
+        base = float(mu0) if mu0 is not None else mu_solver.constant_root(Hval, KNval)
         X, Y = grid.mesh()
-        amp = float(cfg.get("perturb", 0.0))
         mu0_field = base * (1.0 + amp * np.sin(X) * np.sin(Y))
         return mu_solver.MuProblem(grid, Hval, np.full(grid.shape, KNval), mu0_field)
     except ValueError as exc:
@@ -368,6 +440,8 @@ def _mu_problem(cfg: dict) -> mu_solver.MuProblem:
 def solve_mu_cmd(config_path, H, KN, grid_size, mu0, perturb, tol_newton, max_iter,
                  output, fmt, dump_fields):
     """Solve the principal-curvature-gap equation by damped Newton iteration."""
+    from . import mu_solver  # scipy loads here, for this command alone
+
     with _exit_on_error():
         cfg = _load_config(config_path)
         cfg = _merge(
@@ -380,12 +454,12 @@ def solve_mu_cmd(config_path, H, KN, grid_size, mu0, perturb, tol_newton, max_it
             dump_fields=dump_fields,
         )
         out_format = _format(cfg)
+        out_path = _setting(cfg, "output", None)
+        dump = _setting(cfg, "dump_fields", False)
         tol = _number(cfg, "tol_newton", 1e-10, tol_newton is not None)
         iters = _number(cfg, "max_iter", 30, max_iter is not None, integer=True)
         sol = mu_solver.solve_mu(_mu_problem(cfg), tol_newton=tol, max_iter=iters)
-
-    rep = report_mod.build_mu_report(sol, dump_fields=bool(cfg.get("dump_fields", False)))
-    _emit(rep, out_format, cfg.get("output"))
+        _emit(report_mod.build_mu_report(sol, dump_fields=dump), out_format, out_path)
     if not sol.converged:
         msg = "numerical failure: Newton iteration did not converge"
         if np.max(sol.mu) <= mu_solver.MU_FLOOR:
@@ -446,16 +520,13 @@ def convergence(config_path, surface, grid_size, levels, params, fd_jets, output
         if nlevels < 3:
             raise ConfigError("need at least 3 refinement levels")
         name = cfg.get("surface")
-        if name not in corpus.BUILTIN_MAKERS:
+        if not isinstance(name, str) or name not in corpus.BUILTIN_MAKERS:
             raise ConfigError(f"convergence needs a builtin surface, got {name!r}")
-        nu0, _ = cfg.get("grid_size", (32, 32))
-        table = run_convergence(name, param_map, nu0, nlevels, bool(cfg.get("fd_jets")))
-    text = json.dumps(table, indent=2, sort_keys=False) + "\n"
-    if cfg.get("output"):
-        with open(cfg["output"], "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+        nu0, _ = _setting(cfg, "grid_size", (32, 32))
+        fd = _setting(cfg, "fd_jets", False)
+        out_path = _setting(cfg, "output", None)
+        table = run_convergence(name, param_map, nu0, nlevels, fd)
+        _write(json.dumps(table, indent=2, sort_keys=False) + "\n", out_path)
 
 
 def run_convergence(name: str, params: dict, n0: int, levels: int, fd_jets: bool) -> dict:

@@ -51,8 +51,9 @@ MU_FLOOR = 1e-8
 BACKWARD_ERROR_TOL = 1e-14
 
 
-class SolverError(RuntimeError):
-    pass
+class SolverError(FloatingPointError):
+    """A solve that cannot go on. A FloatingPointError, so callers that map
+    numerical failures need not import this module (and scipy) to catch it."""
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import biconsurf
+from biconsurf import mu_solver
 from biconsurf.cli import (
     EXIT_ASSERTION,
     EXIT_CONFIG,
@@ -324,6 +330,62 @@ class TestVerify:
         assert res.stdout == ""
         assert res.stderr == "config error: 'format' must be one of json, csv, got 'xml'\n"
 
+    @pytest.mark.parametrize("command,key,value,want", [
+        # "false" ran FD jets; "u" ended in an IndexError traceback; a string
+        # of assertions was split into one-character specs
+        ("verify", "fd_jets", "false", "true or false"),
+        ("verify", "dump_fields", 1, "true or false"),
+        ("verify", "periodic", "u", "two booleans"),
+        ("verify", "periodic", [True], "two booleans"),
+        ("verify", "assert_flags", "is_cmc=true", "a list of strings"),
+        ("verify", "assert_residuals", [1e-3], "a list of strings"),
+        ("verify", "output", ["rep.json"], "a path string"),
+        ("convergence", "fd_jets", "yes", "true or false"),
+        ("convergence", "output", {"path": "rep.json"}, "a path string"),
+    ])
+    def test_bad_config_type_is_config_error(self, runner, tmp_path, command, key, value,
+                                             want):
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps({"surface": "sphere", "grid_size": [8, 8], key: value}))
+        res = runner.invoke(main, [command, "--config", str(f)])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert res.stdout == ""
+        assert res.stderr == f"config error: {key!r} in --config must be {want}, got {value!r}\n"
+
+    @pytest.mark.parametrize("command", ["verify", "solve-mu", "convergence"])
+    @pytest.mark.parametrize("value", ["ab", [8.5, 8], [3, 8], None])
+    def test_bad_grid_size_in_config_is_config_error(self, runner, tmp_path, command, value):
+        # "ab" and [8.5, 8] ended in a TypeError traceback (solve-mu) or in
+        # "'<' not supported between instances of 'str' and 'int'"
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps({"surface": "sphere", "grid_size": value}))
+        res = runner.invoke(main, [command, "--config", str(f)])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert res.stderr == (f"config error: 'grid_size' in --config must be two integers "
+                              f">= 4, got {value!r}\n")
+
+    @pytest.mark.parametrize("args", [
+        ["verify", "--surface", "sphere"], ["solve-mu"], ["convergence", "--surface", "sphere"],
+    ])
+    def test_small_grid_flag_is_config_error(self, runner, args):
+        res = runner.invoke(main, [*args, "--grid", "3x8"])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert res.stderr == "config error: --grid must be two integers >= 4, got '3x8'\n"
+
+    @pytest.mark.parametrize("args", [
+        ["verify", "--surface", "sphere", "--grid", "8x8"],
+        ["solve-mu", "--grid", "8x8"],
+        ["convergence", "--surface", "sphere", "--grid", "8x8"],
+    ])
+    def test_unwritable_output_is_config_error(self, runner, tmp_path, args):
+        # ended in a FileNotFoundError traceback and exit 1
+        out = tmp_path / "no" / "such" / "rep.json"
+        res = runner.invoke(main, [*args, "--output", str(out)])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert res.stdout == ""
+        assert res.stderr == (f"config error: cannot write output file {out}: "
+                              f"No such file or directory\n")
+
 
 class TestSolveMu:
     def test_default_problem_converges(self, runner):
@@ -343,6 +405,24 @@ class TestSolveMu:
         )
         assert res.exit_code == EXIT_NUMERICAL
         assert res.stderr == "numerical failure: Newton iteration did not converge\n"
+
+    def test_non_convergence_writes_report_first(self, runner, tmp_path):
+        out = tmp_path / "mu.json"
+        res = runner.invoke(
+            main, ["solve-mu", "--H", "1.0", "--KN", "-2.0", "--grid", "16x16",
+                   "--mu0", "1.0", "--max-iter", "3", "--output", str(out)]
+        )
+        assert res.exit_code == EXIT_NUMERICAL, res.output
+        assert json.loads(out.read_text())["flags"]["converged"] is False
+
+    def test_solver_error_is_numerical_failure(self, runner, monkeypatch):
+        def fail(*args, **kwargs):
+            raise mu_solver.SolverError("singular Jacobian at iteration 0")
+
+        monkeypatch.setattr(mu_solver, "solve_mu", fail)
+        res = runner.invoke(main, ["solve-mu", "--grid", "8x8"])
+        assert res.exit_code == EXIT_NUMERICAL, res.output
+        assert res.stderr == "numerical failure: singular Jacobian at iteration 0\n"
 
     def test_collapse_onto_trivial_root_is_named(self, runner):
         # from mu0 = 0.2 (root 2) every node is clipped to MU_FLOOR, where
@@ -389,6 +469,13 @@ class TestSolveMu:
         ("max_iter", 2.5, "an integer >= 0"),
         ("max_iter", "many", "an integer >= 0"),
         ("max_iter", True, "an integer >= 0"),
+        # None ended in a TypeError traceback, "abc" in Python's own message
+        ("H", None, "a number"),
+        ("KN", "abc", "a number"),
+        ("mu0", [1.0], "a number"),
+        ("perturb", True, "a number"),
+        ("dump_fields", "no", "true or false"),
+        ("output", ["mu.json"], "a path string"),
     ])
     def test_bad_newton_setting_in_config_is_config_error(self, runner, tmp_path, key, value,
                                                           want):
@@ -441,6 +528,48 @@ class TestConvergence:
         assert res.exit_code == EXIT_CONFIG, res.output
         assert res.stderr == (f"config error: 'levels' in --config must be an integer >= 0, "
                               f"got {value!r}\n")
+
+    def test_surface_not_a_name_in_config(self, runner, tmp_path):
+        # a list ended in a TypeError traceback (unhashable type)
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps({"surface": ["cylinder"]}))
+        res = runner.invoke(main, ["convergence", "--config", str(f), "--grid", "8x8"])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert res.stderr == "config error: convergence needs a builtin surface, got ['cylinder']\n"
+
+
+SCIPY_PROBE = """
+import sys
+from click.testing import CliRunner
+from biconsurf.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+assert not scipy_modules(), scipy_modules()[:5]
+runner = CliRunner()
+for args in (
+    ["verify", "--surface", "sphere", "--grid", "16x16"],
+    ["verify", "--surface", "cylinder", "--grid", "16x16", "--fd-jets", "--dump-fields"],
+    ["convergence", "--surface", "product_torus", "--grid", "16x16"],
+):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, (args, res.output)
+    assert not scipy_modules(), (args, scipy_modules()[:5])
+res = runner.invoke(main, ["solve-mu", "--grid", "16x16", "--perturb", "0.1"])
+assert res.exit_code == 0, res.output
+assert "scipy.sparse.linalg" in sys.modules
+"""
+
+
+def test_only_solve_mu_loads_scipy():
+    # verify and convergence run on numpy alone; importing scipy was most of
+    # the start-up time of every CLI process
+    src = str(Path(biconsurf.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestOrderEstimate:
