@@ -67,9 +67,17 @@ def _is_number(val) -> bool:
         return False
     try:
         float(val)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return False
     return True
+
+
+def _is_positive(val) -> bool:
+    return _is_number(val) and 0 < float(val) < math.inf
+
+
+def _is_count(val) -> bool:
+    return _is_number(val) and float(val) >= 0 and float(val).is_integer()
 
 
 def _is_bool(val) -> bool:
@@ -101,19 +109,24 @@ CONFIG_TYPES = {
     "KN": ("a number", _is_number),
     "mu0": ("a number", _is_number),
     "perturb": ("a number", _is_number),
+    "tol_analytic": ("a positive finite number", _is_positive),
+    "tol_fd": ("a positive finite number", _is_positive),
+    "tol_newton": ("a positive finite number", _is_positive),
+    "max_iter": ("an integer >= 0", _is_count),
+    "levels": ("an integer >= 0", _is_count),
 }
 
 
-def _setting(cfg: dict, key: str, default):
+def _setting(cfg: dict, key: str, default, from_flag: bool = False):
     """``cfg[key]``, or ``default`` when the key is absent; a value of the
-    wrong type (``CONFIG_TYPES``) is a ConfigError that names the key. A flag
-    is merged in only after click or its parser checked it, so a value that
-    fails here came from --config."""
+    wrong type (``CONFIG_TYPES``) is a ConfigError that names the flag when
+    ``from_flag`` (the value came from one), else the config key."""
     if key not in cfg:
         return default
     want, ok = CONFIG_TYPES[key]
     if not ok(cfg[key]):
-        raise ConfigError(f"{key!r} in --config must be {want}, got {cfg[key]!r}")
+        where = "--" + key.replace("_", "-") if from_flag else f"{key!r} in --config"
+        raise ConfigError(f"{where} must be {want}, got {cfg[key]!r}")
     return cfg[key]
 
 
@@ -249,7 +262,9 @@ def _builtin_jet(name: str, params: dict, size, periodic=None):
 
 
 def _resolve_jet(cfg: dict):
-    """Build an immersion jet from merged config; returns (jet, label)."""
+    """Build an immersion jet from merged config; returns (jet, label). With
+    ``fd_jets`` an analytic jet, named or from a surface file, is replaced by
+    its finite-difference twin."""
     surface = cfg.get("surface")
     if surface is None:
         raise ConfigError("no surface given (use --surface or a config file)")
@@ -257,32 +272,14 @@ def _resolve_jet(cfg: dict):
     periodic = _setting(cfg, "periodic", None)
     fd_jets = _setting(cfg, "fd_jets", False)
     if isinstance(surface, str) and surface in corpus.BUILTIN_MAKERS:
-        jet = _builtin_jet(surface, cfg.get("params", {}), size, periodic)
-        if fd_jets:
-            jet = corpus.tabulate(jet)
-        return jet, surface
-    if isinstance(surface, str):
-        return _load_surface_file(surface)
-    raise ConfigError(f"bad surface entry {surface!r}")
-
-
-def _number(cfg: dict, key: str, default, from_flag: bool, integer: bool = False):
-    """``cfg[key]`` (or ``default``) as a positive finite float, or with
-    ``integer`` as an int >= 0; anything else is a ConfigError that names the
-    flag or, when ``from_flag`` is false, the config key."""
-    val = cfg.get(key, default)
-    try:
-        num = float(val)
-    except (TypeError, ValueError):
-        num = math.nan
-    if integer:
-        ok, want = math.isfinite(num) and num >= 0 and num.is_integer(), "an integer >= 0"
+        jet, label = _builtin_jet(surface, cfg.get("params", {}), size, periodic), surface
+    elif isinstance(surface, str):
+        jet, label = _load_surface_file(surface)
     else:
-        ok, want = math.isfinite(num) and num > 0, "a positive finite number"
-    if isinstance(val, bool) or not ok:
-        where = "--" + key.replace("_", "-") if from_flag else f"{key!r} in --config"
-        raise ConfigError(f"{where} must be {want}, got {val!r}")
-    return int(num) if integer else num
+        raise ConfigError(f"bad surface entry {surface!r}")
+    if fd_jets and jet.source == "analytic":
+        jet = corpus.tabulate(jet)
+    return jet, label
 
 
 def _merge(cfg: dict, **overrides) -> dict:
@@ -384,8 +381,8 @@ def verify(config_path, surface, grid_size, periodic, params, fd_jets, output, f
         cfg["params"] = _parse_params(params, cfg.get("params", {}))
         out_format = _format(cfg)
         out_path = _setting(cfg, "output", None)
-        tol_a = _number(cfg, "tol_analytic", 1e-8, tol_analytic is not None)
-        tol_f = _number(cfg, "tol_fd", 1e-3, tol_fd is not None)
+        tol_a = float(_setting(cfg, "tol_analytic", 1e-8, tol_analytic is not None))
+        tol_f = float(_setting(cfg, "tol_fd", 1e-3, tol_fd is not None))
         dump = _setting(cfg, "dump_fields", False)
         flag_specs = list(assert_flags) + _setting(cfg, "assert_flags", [])
         residual_specs = list(assert_residuals) + _setting(cfg, "assert_residuals", [])
@@ -456,8 +453,8 @@ def solve_mu_cmd(config_path, H, KN, grid_size, mu0, perturb, tol_newton, max_it
         out_format = _format(cfg)
         out_path = _setting(cfg, "output", None)
         dump = _setting(cfg, "dump_fields", False)
-        tol = _number(cfg, "tol_newton", 1e-10, tol_newton is not None)
-        iters = _number(cfg, "max_iter", 30, max_iter is not None, integer=True)
+        tol = float(_setting(cfg, "tol_newton", 1e-10, tol_newton is not None))
+        iters = int(float(_setting(cfg, "max_iter", 30, max_iter is not None)))
         sol = mu_solver.solve_mu(_mu_problem(cfg), tol_newton=tol, max_iter=iters)
         _emit(report_mod.build_mu_report(sol, dump_fields=dump), out_format, out_path)
     if not sol.converged:
@@ -487,10 +484,9 @@ EXACT_FLOOR = 1e-13
 
 
 def estimate_order(coarse: float, fine: float) -> object:
-    """log2 residual decay rate between grid spacings h and h/2."""
-    if coarse <= EXACT_FLOOR and fine <= EXACT_FLOOR:
-        return "exact"
-    if fine <= 0.0:
+    """log2 residual decay rate between grid spacings h and h/2; "exact" when
+    both are at round-off or either is zero (no rate to take)."""
+    if (coarse <= EXACT_FLOOR and fine <= EXACT_FLOOR) or coarse <= 0.0 or fine <= 0.0:
         return "exact"
     return math.log2(coarse / fine)
 
@@ -516,13 +512,15 @@ def convergence(config_path, surface, grid_size, levels, params, fd_jets, output
             output=output,
         )
         param_map = _parse_params(params, cfg.get("params", {}))
-        nlevels = _number(cfg, "levels", 3, levels is not None, integer=True)
+        nlevels = int(float(_setting(cfg, "levels", 3, levels is not None)))
         if nlevels < 3:
             raise ConfigError("need at least 3 refinement levels")
         name = cfg.get("surface")
         if not isinstance(name, str) or name not in corpus.BUILTIN_MAKERS:
             raise ConfigError(f"convergence needs a builtin surface, got {name!r}")
-        nu0, _ = _setting(cfg, "grid_size", (32, 32))
+        nu0, nv0 = _setting(cfg, "grid_size", (32, 32))
+        if nu0 != nv0:
+            raise ConfigError(f"convergence refines square grids, got {nu0}x{nv0}")
         fd = _setting(cfg, "fd_jets", False)
         out_path = _setting(cfg, "output", None)
         table = run_convergence(name, param_map, nu0, nlevels, fd)

@@ -1,9 +1,12 @@
 """Built-in analytic surfaces with closed-form jets, plus tabulated input.
 
 Every builtin returns an :class:`ImmersionJet` with exact derivatives up to
-third order, so downstream identity checks run at round-off accuracy. The
-registry also records closed-form expected values used as oracles by the
-tests. Every identity is checked in the coordinates of the jet, so a
+third order, so downstream identity checks run at round-off accuracy. Each
+coordinate of a builtin is a sum of products f(u) g(v), so a maker only
+writes the 1-D derivative sequences (f, f', f'', f''') and (g, g', g'', g''')
+on the grid axes; :func:`_jet` forms every mixed derivative of the jet from
+them by the product rule. The registry also records closed-form expected
+values used as oracles by the tests. Every identity is checked in the coordinates of the jet, so a
 parametrization need not be isothermal: the polar sphere and the stretched
 cylinder are not. Only the Hopf row of a report needs an isothermal chart
 (arclength circles, Mercator sphere).
@@ -12,6 +15,7 @@ cylinder are not. Only the Hopf row of a report needs an isothermal chart
 from __future__ import annotations
 
 import inspect
+import itertools
 import math
 import numbers
 
@@ -26,8 +30,42 @@ class SurfaceConfigError(ValueError):
     """Malformed surface specification (unknown name, bad params, bad table)."""
 
 
-def _empty(grid: Grid, n: int):
-    return tuple(node_array(grid, (2,) * order + (n,)) for order in range(4))
+def _jet(grid: Grid, space: Ambient, coords) -> ImmersionJet:
+    """Exact jet of a surface whose coordinates are sums of products f(u) g(v).
+
+    ``coords[k]`` lists the terms of X^k as pairs (F, G) of derivative
+    sequences, F = (f, f', f'', f''') on ``grid.u`` and G likewise on
+    ``grid.v``; an entry is a 1-D array or a constant. A derivative with p
+    u-indices and q v-indices is the sum over the terms of F[p] (outer)
+    G[q], written into every slot with that index count, so d2 and d3 are
+    symmetric by construction.
+    """
+    jets = []
+    for order in range(4):
+        out = node_array(grid, (2,) * order + (len(coords),))
+        slots = list(itertools.product((0, 1), repeat=order))
+        for k, terms in enumerate(coords):
+            for q in range(order + 1):
+                # (nu, 1) times (1, nv): a constant factor never turns a
+                # u-sequence into a v-sequence, even when nu == nv; a zero
+                # factor adds nothing and is skipped
+                parts = [np.reshape(F[order - q], (-1, 1)) * np.reshape(G[q], (1, -1))
+                         for F, G in terms if np.any(F[order - q]) and np.any(G[q])]
+                if parts:
+                    total = sum(parts[1:], parts[0])
+                    for idx in slots:
+                        if sum(idx) == q:
+                            out[(Ellipsis, *idx, k)] = total
+        jets.append(out)
+    return ImmersionJet(grid, space, *jets)
+
+
+# derivative sequences of the constant 1 and of the identity
+_ONE = (1.0, 0.0, 0.0, 0.0)
+
+
+def _identity(x):
+    return (x, 1.0, 0.0, 0.0)
 
 
 def make_helix_line_r4(grid: Grid, k: float = 1.0, tau: float = 0.0, offset: float = 0.0) -> ImmersionJet:
@@ -44,23 +82,15 @@ def make_helix_line_r4(grid: Grid, k: float = 1.0, tau: float = 0.0, offset: flo
     b = tau * c2
     w = 1.0 / math.sqrt(c2)
 
-    U, V = grid.mesh()
-    th = w * U
+    u = grid.u
+    th = w * u
     cu, su = np.cos(th), np.sin(th)
-    pos, d1, d2, d3 = _empty(grid, 4)
-    pos[..., 0] = a_r * cu
-    pos[..., 1] = a_r * su
-    pos[..., 2] = b * w * U
-    pos[..., 3] = V + offset
-    d1[..., 0, 0] = -a_r * w * su
-    d1[..., 0, 1] = a_r * w * cu
-    d1[..., 0, 2] = b * w
-    d1[..., 1, 3] = 1.0
-    d2[..., 0, 0, 0] = -a_r * w * w * cu
-    d2[..., 0, 0, 1] = -a_r * w * w * su
-    d3[..., 0, 0, 0, 0] = a_r * w**3 * su
-    d3[..., 0, 0, 0, 1] = -a_r * w**3 * cu
-    return ImmersionJet(grid, euclidean(4), pos, d1, d2, d3)
+    return _jet(grid, euclidean(4), [
+        [((a_r * cu, -a_r * w * su, -a_r * w * w * cu, a_r * w**3 * su), _ONE)],
+        [((a_r * su, a_r * w * cu, -a_r * w * w * su, -a_r * w**3 * cu), _ONE)],
+        [((b * w * u, b * w, 0.0, 0.0), _ONE)],
+        [(_ONE, _identity(grid.v + offset))],
+    ])
 
 
 def make_cylinder(grid: Grid, r: float = 1.0, stretch: float = 0.0) -> ImmersionJet:
@@ -76,158 +106,83 @@ def make_cylinder(grid: Grid, r: float = 1.0, stretch: float = 0.0) -> Immersion
         raise SurfaceConfigError("cylinder radius must be positive")
     if not -1.0 < stretch < 1.0:
         raise SurfaceConfigError("stretch must lie in (-1, 1) to keep theta monotone")
-    U, V = grid.mesh()
-    th = (U + stretch * np.sin(U / r) * r) / r
-    tp = (1.0 + stretch * np.cos(U / r)) / r  # d theta / du
-    tpp = -stretch * np.sin(U / r) / r**2
-    tppp = -stretch * np.cos(U / r) / r**3
+    u = grid.u
+    th = (u + stretch * np.sin(u / r) * r) / r
+    tp = (1.0 + stretch * np.cos(u / r)) / r  # d theta / du
+    tpp = -stretch * np.sin(u / r) / r**2
+    tppp = -stretch * np.cos(u / r) / r**3
     cu, su = np.cos(th), np.sin(th)
-    pos, d1, d2, d3 = _empty(grid, 3)
-    pos[..., 0] = r * cu
-    pos[..., 1] = r * su
-    pos[..., 2] = V
-    d1[..., 0, 0] = -r * su * tp
-    d1[..., 0, 1] = r * cu * tp
-    d1[..., 1, 2] = 1.0
-    d2[..., 0, 0, 0] = -r * (cu * tp**2 + su * tpp)
-    d2[..., 0, 0, 1] = r * (-su * tp**2 + cu * tpp)
-    d3[..., 0, 0, 0, 0] = r * (su * tp**3 - 3.0 * cu * tp * tpp - su * tppp)
-    d3[..., 0, 0, 0, 1] = r * (-cu * tp**3 - 3.0 * su * tp * tpp + cu * tppp)
-    return ImmersionJet(grid, euclidean(3), pos, d1, d2, d3)
+    return _jet(grid, euclidean(3), [
+        [((r * cu, -r * su * tp, -r * (cu * tp**2 + su * tpp),
+           r * (su * tp**3 - 3.0 * cu * tp * tpp - su * tppp)), _ONE)],
+        [((r * su, r * cu * tp, r * (-su * tp**2 + cu * tpp),
+           r * (-cu * tp**3 - 3.0 * su * tp * tpp + cu * tppp)), _ONE)],
+        [(_ONE, _identity(grid.v))],
+    ])
 
 
 def make_product_torus(grid: Grid, r1: float = 1.0, r2: float = 1.0) -> ImmersionJet:
     """S^1(r1) x S^1(r2) in R^4, arclength in both factors; doubly periodic."""
     if r1 <= 0 or r2 <= 0:
         raise SurfaceConfigError("torus radii must be positive")
-    U, V = grid.mesh()
-    a, bta = U / r1, V / r2
+    a, bta = grid.u / r1, grid.v / r2
     ca, sa = np.cos(a), np.sin(a)
     cb, sb = np.cos(bta), np.sin(bta)
-    pos, d1, d2, d3 = _empty(grid, 4)
-    pos[..., 0] = r1 * ca
-    pos[..., 1] = r1 * sa
-    pos[..., 2] = r2 * cb
-    pos[..., 3] = r2 * sb
-    d1[..., 0, 0] = -sa
-    d1[..., 0, 1] = ca
-    d1[..., 1, 2] = -sb
-    d1[..., 1, 3] = cb
-    d2[..., 0, 0, 0] = -ca / r1
-    d2[..., 0, 0, 1] = -sa / r1
-    d2[..., 1, 1, 2] = -cb / r2
-    d2[..., 1, 1, 3] = -sb / r2
-    d3[..., 0, 0, 0, 0] = sa / r1**2
-    d3[..., 0, 0, 0, 1] = -ca / r1**2
-    d3[..., 1, 1, 1, 2] = sb / r2**2
-    d3[..., 1, 1, 1, 3] = -cb / r2**2
-    return ImmersionJet(grid, euclidean(4), pos, d1, d2, d3)
+    return _jet(grid, euclidean(4), [
+        [((r1 * ca, -sa, -ca / r1, sa / r1**2), _ONE)],
+        [((r1 * sa, ca, -sa / r1, -ca / r1**2), _ONE)],
+        [(_ONE, (r2 * cb, -sb, -cb / r2, sb / r2**2))],
+        [(_ONE, (r2 * sb, cb, -sb / r2, -cb / r2**2))],
+    ])
 
 
 def make_sphere(grid: Grid, r: float = 1.0, chart: str = "mercator") -> ImmersionJet:
     """Round sphere of radius r in R^3.
 
     ``mercator`` is the isothermal chart (u azimuth, periodic; v the
-    Mercator latitude); ``polar`` uses polar/azimuthal angles.
+    Mercator latitude): X = r (sech v cos u, sech v sin u, tanh v).
+    ``polar`` uses polar/azimuthal angles: X = r (sin u cos v, sin u sin v,
+    cos u).
     """
     if r <= 0:
         raise SurfaceConfigError("sphere radius must be positive")
+    u, v = grid.u, grid.v
     if chart == "mercator":
-        return _sphere_mercator(grid, r)
+        cu, su = np.cos(u), np.sin(u)
+        s, t = 1.0 / np.cosh(v), np.tanh(v)
+        # r sech v and r tanh v with their v-derivatives
+        sech = (r * s, r * (-s * t), r * (s * (t * t - s * s)),
+                r * (-s * t**3 + 5.0 * s**3 * t))
+        tanh = (r * t, r * (s * s), r * (-2.0 * s * s * t),
+                r * (4.0 * s * s * t * t - 2.0 * s**4))
+        return _jet(grid, euclidean(3), [
+            [((cu, -su, -cu, su), sech)],
+            [((su, cu, -su, -cu), sech)],
+            [(_ONE, tanh)],
+        ])
     if chart == "polar":
-        return _sphere_polar(grid, r)
+        # d^m/dx^m sin x for m = 0..4; d^m/dx^m cos x is d^(m+1)/dx^(m+1) sin x
+        sin_u = (np.sin(u), np.cos(u), -np.sin(u), -np.cos(u), np.sin(u))
+        sin_v = (np.sin(v), np.cos(v), -np.sin(v), -np.cos(v), np.sin(v))
+        r_sin_u = tuple(r * f for f in sin_u[:4])
+        return _jet(grid, euclidean(3), [
+            [(r_sin_u, sin_v[1:])],
+            [(r_sin_u, sin_v[:4])],
+            [(tuple(r * f for f in sin_u[1:]), _ONE)],
+        ])
     raise SurfaceConfigError(f"unknown sphere chart {chart!r}")
-
-
-def _sphere_mercator(grid: Grid, r: float) -> ImmersionJet:
-    U, V = grid.mesh()
-    cu, su = np.cos(U), np.sin(U)
-    s = 1.0 / np.cosh(V)
-    t = np.tanh(V)
-    s1 = -s * t
-    s2 = s * (t * t - s * s)
-    s3 = -s * t**3 + 5.0 * s**3 * t
-    t1 = s * s
-    t2 = -2.0 * s * s * t
-    t3 = 4.0 * s * s * t * t - 2.0 * s**4
-
-    pos, d1, d2, d3 = _empty(grid, 3)
-    pos[..., 0] = r * s * cu
-    pos[..., 1] = r * s * su
-    pos[..., 2] = r * t
-    d1[..., 0, 0] = -r * s * su
-    d1[..., 0, 1] = r * s * cu
-    d1[..., 1, 0] = r * s1 * cu
-    d1[..., 1, 1] = r * s1 * su
-    d1[..., 1, 2] = r * t1
-    d2[..., 0, 0, 0] = -r * s * cu
-    d2[..., 0, 0, 1] = -r * s * su
-    d2[..., 0, 1, 0] = d2[..., 1, 0, 0] = -r * s1 * su
-    d2[..., 0, 1, 1] = d2[..., 1, 0, 1] = r * s1 * cu
-    d2[..., 1, 1, 0] = r * s2 * cu
-    d2[..., 1, 1, 1] = r * s2 * su
-    d2[..., 1, 1, 2] = r * t2
-    # third derivatives, index order (i, j, k)
-    d3[..., 0, 0, 0, 0] = r * s * su
-    d3[..., 0, 0, 0, 1] = -r * s * cu
-    for perm in ((0, 0, 1), (0, 1, 0), (1, 0, 0)):
-        d3[..., perm[0], perm[1], perm[2], 0] = -r * s1 * cu
-        d3[..., perm[0], perm[1], perm[2], 1] = -r * s1 * su
-    for perm in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
-        d3[..., perm[0], perm[1], perm[2], 0] = -r * s2 * su
-        d3[..., perm[0], perm[1], perm[2], 1] = r * s2 * cu
-    d3[..., 1, 1, 1, 0] = r * s3 * cu
-    d3[..., 1, 1, 1, 1] = r * s3 * su
-    d3[..., 1, 1, 1, 2] = r * t3
-    return ImmersionJet(grid, euclidean(3), pos, d1, d2, d3)
-
-
-def _sphere_polar(grid: Grid, r: float) -> ImmersionJet:
-    U, V = grid.mesh()
-    # d^m/du^m of (sin u, cos u) cycles with period 4
-    A = [np.sin(U), np.cos(U), -np.sin(U), -np.cos(U)]
-    Bc = [np.cos(U), -np.sin(U), -np.cos(U), np.sin(U)]
-    C = [np.cos(V), -np.sin(V), -np.cos(V), np.sin(V)]
-    S = [np.sin(V), np.cos(V), -np.sin(V), -np.cos(V)]
-
-    def comp(out, i, j):
-        out[..., 0] = r * A[i] * C[j]
-        out[..., 1] = r * A[i] * S[j]
-        out[..., 2] = r * Bc[i] if j == 0 else 0.0
-
-    pos, d1, d2, d3 = _empty(grid, 3)
-    comp(pos, 0, 0)
-    comp(d1[..., 0, :], 1, 0)
-    comp(d1[..., 1, :], 0, 1)
-    for i in range(2):
-        for j in range(2):
-            du = (i == 0) + (j == 0)
-            comp(d2[..., i, j, :], du, 2 - du)
-    for i in range(2):
-        for j in range(2):
-            for kk in range(2):
-                du = (i == 0) + (j == 0) + (kk == 0)
-                comp(d3[..., i, j, kk, :], du, 3 - du)
-    return ImmersionJet(grid, euclidean(3), pos, d1, d2, d3)
 
 
 def make_graph(grid: Grid, expression: str = "u2_minus_v3") -> ImmersionJet:
     """Graph surface over a parameter patch; generic non-biconservative witness."""
     if expression != "u2_minus_v3":
         raise SurfaceConfigError(f"unknown graph expression {expression!r}")
-    U, V = grid.mesh()
-    pos, d1, d2, d3 = _empty(grid, 3)
-    pos[..., 0] = U
-    pos[..., 1] = V
-    pos[..., 2] = U * U - V**3
-    d1[..., 0, 0] = 1.0
-    d1[..., 0, 2] = 2.0 * U
-    d1[..., 1, 1] = 1.0
-    d1[..., 1, 2] = -3.0 * V * V
-    d2[..., 0, 0, 2] = 2.0
-    d2[..., 1, 1, 2] = -6.0 * V
-    d3[..., 1, 1, 1, 2] = -6.0
-    return ImmersionJet(grid, euclidean(3), pos, d1, d2, d3)
+    u, v = grid.u, grid.v
+    return _jet(grid, euclidean(3), [
+        [(_identity(u), _ONE)],
+        [(_ONE, _identity(v))],
+        [((u * u, 2.0 * u, 2.0, 0.0), _ONE), (_ONE, (-(v**3), -3.0 * v * v, -6.0 * v, -6.0))],
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -280,54 +235,28 @@ def default_grid(name: str, n: int = 64, params: dict | None = None) -> Grid:
 
 def expected_values(name: str, params: dict) -> dict:
     """Closed-form oracle values for a builtin (norms, eigenvalues, K)."""
-    if name == "helix_line_r4":
-        k = params.get("k", 1.0)
-        tau = params.get("tau", 0.0)
-        return {
-            "H_norm": k / 2.0,
-            "lambdas": (k * k / 2.0, 0.0),
-            "K": 0.0,
-            "dperpH_norm": k * abs(tau) / 2.0,
-            "biconservative": True,
-            "pmc": tau == 0.0,
-        }
-    if name == "cylinder":
-        r = params.get("r", 1.0)
-        return {
-            "H_norm": 1.0 / (2.0 * r),
-            "lambdas": (1.0 / (2.0 * r * r), 0.0),
-            "K": 0.0,
-            "biconservative": True,
-            "pmc": True,
-        }
-    if name == "sphere":
-        r = params.get("r", 1.0)
-        return {
-            "H_norm": 1.0 / r,
-            "lambdas": (1.0 / r**2, 1.0 / r**2),
-            "K": 1.0 / r**2,
-            "biconservative": True,
-            "pmc": True,
-            "pseudoumbilical": True,
-        }
-    if name == "product_torus":
-        r1, r2 = params.get("r1", 1.0), params.get("r2", 1.0)
-        hsq = (1.0 / r1**2 + 1.0 / r2**2) / 4.0
-        return {
-            "H_norm": math.sqrt(hsq),
-            "lambdas": tuple(sorted(_torus_lambdas(r1, r2), reverse=True)),
-            "K": 0.0,
-            "biconservative": True,
-            "pmc": True,
-        }
     if name == "graph":
         return {"biconservative": False}
+    # every other builtin is biconservative, and all but the sphere are flat
+    known = {"K": 0.0, "biconservative": True, "pmc": True}
+    if name == "helix_line_r4":
+        k, tau = params.get("k", 1.0), params.get("tau", 0.0)
+        return {**known, "H_norm": k / 2.0, "lambdas": (k * k / 2.0, 0.0),
+                "dperpH_norm": k * abs(tau) / 2.0, "pmc": tau == 0.0}
+    if name == "cylinder":
+        r = params.get("r", 1.0)
+        return {**known, "H_norm": 1.0 / (2.0 * r), "lambdas": (1.0 / (2.0 * r * r), 0.0)}
+    if name == "sphere":
+        r = params.get("r", 1.0)
+        return {**known, "H_norm": 1.0 / r, "lambdas": (1.0 / r**2, 1.0 / r**2),
+                "K": 1.0 / r**2, "pseudoumbilical": True}
+    if name == "product_torus":
+        r1, r2 = params.get("r1", 1.0), params.get("r2", 1.0)
+        # A_H(d_a) = <B_aa, H> d_a in the arclength chart
+        lambdas = sorted((1.0 / (2.0 * r1**2), 1.0 / (2.0 * r2**2)), reverse=True)
+        return {**known, "H_norm": math.sqrt((1.0 / r1**2 + 1.0 / r2**2) / 4.0),
+                "lambdas": tuple(lambdas)}
     raise SurfaceConfigError(f"unknown builtin surface {name!r}")
-
-
-def _torus_lambdas(r1: float, r2: float):
-    # A_H eigenvalues: A_H(d_a) = <B_aa, H> d_a in the arclength chart
-    return (1.0 / (2.0 * r1**2), 1.0 / (2.0 * r2**2))
 
 
 def make_builtin(name: str, grid: Grid | None = None, n: int = 64, **params) -> ImmersionJet:

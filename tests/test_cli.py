@@ -237,6 +237,23 @@ class TestVerify:
         assert res.exit_code == 0, res.output
         assert json.loads(res.output)["meta"]["surface"] == "cylinder"
 
+    def test_surface_file_builtin_fd_jets(self, runner, tmp_path):
+        # --fd-jets was ignored on a surface file, which ran analytic jets
+        cfg = {
+            "grid": {"u": [0.0, 6.283185307179586, 24, True], "v": [0.0, 1.0, 24, False]},
+            "surface": {"builtin": "cylinder", "params": {"r": 1.0}},
+        }
+        f = tmp_path / "surf.json"
+        f.write_text(json.dumps(cfg))
+        res = runner.invoke(main, ["verify", "--surface", str(f), "--fd-jets"])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["meta"]["jet_source"] == "finite-difference"
+        # the same report as the named builtin on the same grid
+        named = runner.invoke(main, ["verify", "--surface", "cylinder", "--param", "r=1.0",
+                                     "--grid", "24x24", "--fd-jets"])
+        assert named.exit_code == 0, named.output
+        assert res.output == named.output
+
     def test_surface_file_positions(self, runner, tmp_path):
         jet = make_builtin("cylinder", n=16, r=1.0)
         cfg = {
@@ -485,6 +502,18 @@ class TestSolveMu:
         assert res.exit_code == EXIT_CONFIG, res.output
         assert res.stderr == f"config error: {key!r} in --config must be {want}, got {value!r}\n"
 
+    @pytest.mark.parametrize("key,want", [
+        ("tol_newton", "a positive finite number"), ("max_iter", "an integer >= 0"),
+        ("H", "a number"),
+    ])
+    def test_integer_too_large_for_a_float_is_config_error(self, runner, tmp_path, key, want):
+        # float() raised OverflowError, which ended in a traceback and exit 1
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps({key: 10**400}))
+        res = runner.invoke(main, ["solve-mu", "--config", str(f), "--grid", "8x8"])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert res.stderr.startswith(f"config error: {key!r} in --config must be {want}, got 1000")
+
     def test_numeric_strings_in_config_still_accepted(self, runner, tmp_path):
         f = tmp_path / "cfg.json"
         f.write_text(json.dumps({"tol_newton": "1e-9", "max_iter": "20"}))
@@ -528,6 +557,25 @@ class TestConvergence:
         assert res.exit_code == EXIT_CONFIG, res.output
         assert res.stderr == (f"config error: 'levels' in --config must be an integer >= 0, "
                               f"got {value!r}\n")
+
+    def test_coarse_grid_with_zero_residual(self, runner):
+        # a residual reads 0.0 at 8^2 and 1.1e-13 at 16^2; the order estimate
+        # took log2(0) and the command exited 1 with "math domain error"
+        res = runner.invoke(main, ["convergence", "--surface", "cylinder", "--grid", "8x8"])
+        assert res.exit_code == 0, res.output
+        assert len(json.loads(res.output)["h"]) == 3
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_non_square_grid_is_config_error(self, runner, tmp_path, source):
+        # the NV part of the grid was dropped: 8x16 ran 8^2, 16^2 and 32^2
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps({"surface": "cylinder", "grid_size": [8, 16]}))
+        args = (["--surface", "cylinder", "--grid", "8x16"] if source == "flag"
+                else ["--config", str(f)])
+        res = runner.invoke(main, ["convergence", *args])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert res.stdout == ""
+        assert res.stderr == "config error: convergence refines square grids, got 8x16\n"
 
     def test_surface_not_a_name_in_config(self, runner, tmp_path):
         # a list ended in a TypeError traceback (unhashable type)
@@ -576,6 +624,9 @@ class TestOrderEstimate:
     def test_exact_classification(self):
         assert estimate_order(1e-15, 1e-15) == "exact"
         assert estimate_order(1e-3, 0.0) == "exact"
+        # a zero on the coarse side has no rate either (it was log2(0))
+        assert estimate_order(0.0, 1.14e-13) == "exact"
+        assert estimate_order(0.0, 1e-3) == "exact"
 
     def test_numeric_order(self):
         assert estimate_order(4e-3, 1e-3) == pytest.approx(2.0)

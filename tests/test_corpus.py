@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,7 @@ from biconsurf.corpus import (
     make_builtin,
     tabulate,
 )
-from biconsurf.grid import build_grid
+from biconsurf.grid import build_grid, fd_derivative, interior_mask
 from biconsurf.immersion import DegenerateImmersionError, compute_geometry
 
 PARAMS = {
@@ -40,6 +43,51 @@ def test_registry_reproduced_by_computation(name):
     if "dperpH_norm" in expect:
         mag = np.sqrt(np.einsum("...ia,...ia->...", geom.dperpH, geom.dperpH))
         np.testing.assert_allclose(mag, expect["dperpH_norm"], atol=1e-10)
+
+
+# every builtin, both sphere charts, a stretched cylinder and a helix with
+# torsion and offset
+JET_CASES = [
+    ("helix_line_r4", {"k": 1.0, "tau": 0.5, "offset": 0.3}),
+    ("cylinder", {"r": 1.3, "stretch": 0.4}),
+    ("sphere", {"r": 2.0, "chart": "mercator"}),
+    ("sphere", {"r": 1.5, "chart": "polar"}),
+    ("product_torus", {"r1": 1.0, "r2": 2.0}),
+    ("graph", {}),
+]
+
+
+@pytest.mark.parametrize("name,params", JET_CASES)
+def test_jet_symmetric_in_derivative_indices(name, params):
+    jet = make_builtin(name, n=16, **params)
+    np.testing.assert_array_equal(jet.d2, np.swapaxes(jet.d2, 2, 3))
+    for perm in itertools.permutations((2, 3, 4)):
+        np.testing.assert_array_equal(jet.d3, np.transpose(jet.d3, (0, 1, *perm, 5)))
+
+
+def _fd_jet_errors(name, params, n):
+    """Largest |FD along axis a of d^m X - d^(m+1) X[a]| on interior rows, for
+    m = 0, 1, 2 and a = u, v, one entry per component slot."""
+    jet = make_builtin(name, n=n, **params)
+    inner = interior_mask(jet.grid, 1)
+    errs = []
+    for lower, upper in ((jet.pos, jet.d1), (jet.d1, jet.d2), (jet.d2, jet.d3)):
+        for a in (0, 1):
+            diff = fd_derivative(jet.grid, lower, a) - upper[:, :, a]
+            errs.append(np.max(np.abs(diff[inner]), axis=0).ravel())
+    return np.concatenate(errs)
+
+
+@pytest.mark.parametrize("name,params", JET_CASES)
+def test_jet_matches_finite_differences(name, params):
+    # d1, d2 and d3 are each the derivative of the order below, so the O(h^2)
+    # FD of pos, d1 and d2 converges to them at second order
+    coarse, fine = _fd_jet_errors(name, params, 32), _fd_jet_errors(name, params, 64)
+    exact = coarse < 1e-10  # polynomial of degree <= 2 along the axis: FD is exact
+    assert not exact.all()
+    np.testing.assert_array_less(fine[exact], 1e-10)
+    orders = [math.log2(c / f) for c, f in zip(coarse[~exact], fine[~exact])]
+    assert min(orders) >= 1.8, orders
 
 
 def test_default_grid_domains():
