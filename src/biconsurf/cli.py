@@ -196,18 +196,25 @@ def _ambient_from_dict(d: dict) -> Ambient:
 
 
 def _grid_from_dict(d: dict) -> Grid:
+    """A surface file's grid: ``{"u": [start, end, nodes, periodic], "v": [...]}``,
+    where nodes is a JSON integer and periodic a JSON bool."""
+    axes = []
+    for name in ("u", "v"):
+        try:
+            start, end, nodes, periodic = d[name]
+            extent = float(start), float(end)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad grid spec for {name!r}: {exc}") from exc
+        if not isinstance(nodes, int) or isinstance(nodes, bool):
+            raise ConfigError(f"grid {name!r} node count must be an integer, got {nodes!r}")
+        if not isinstance(periodic, bool):
+            raise ConfigError(f"grid {name!r} periodic flag must be true or false,"
+                              f" got {periodic!r}")
+        axes.append((extent, nodes, periodic))
+    (u_ext, nu, pu), (v_ext, nv, pv) = axes
     try:
-        u = d["u"]
-        v = d["v"]
-        return build_grid(
-            (float(u[0]), float(u[1])),
-            (float(v[0]), float(v[1])),
-            int(u[2]),
-            int(v[2]),
-            bool(u[3]),
-            bool(v[3]),
-        )
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        return build_grid(u_ext, v_ext, nu, nv, pu, pv)
+    except ValueError as exc:
         raise ConfigError(f"bad grid spec: {exc}") from exc
 
 
@@ -274,6 +281,11 @@ def _resolve_jet(cfg: dict):
     if isinstance(surface, str) and surface in corpus.BUILTIN_MAKERS:
         jet, label = _builtin_jet(surface, cfg.get("params", {}), size, periodic), surface
     elif isinstance(surface, str):
+        # the file fixes the grid; an override would be silently dropped
+        for key, flag in (("grid_size", "--grid"), ("periodic", "--periodic")):
+            if key in cfg:
+                raise ConfigError(f"{flag} (config {key!r}) does not apply to a surface"
+                                  f" file: {surface} fixes its own grid")
         jet, label = _load_surface_file(surface)
     else:
         raise ConfigError(f"bad surface entry {surface!r}")
@@ -458,11 +470,8 @@ def solve_mu_cmd(config_path, H, KN, grid_size, mu0, perturb, tol_newton, max_it
         sol = mu_solver.solve_mu(_mu_problem(cfg), tol_newton=tol, max_iter=iters)
         _emit(report_mod.build_mu_report(sol, dump_fields=dump), out_format, out_path)
     if not sol.converged:
-        msg = "numerical failure: Newton iteration did not converge"
-        if np.max(sol.mu) <= mu_solver.MU_FLOOR:
-            msg += (f"; mu collapsed onto the trivial root mu = 0"
-                    f" (every node at MU_FLOOR = {mu_solver.MU_FLOOR:g})")
-        click.echo(msg, err=True)
+        click.echo(f"numerical failure: {sol.reason or 'Newton iteration did not converge'}",
+                   err=True)
         sys.exit(EXIT_NUMERICAL)
 
 

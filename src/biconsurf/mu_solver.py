@@ -1,37 +1,44 @@
 """Damped Newton solver for the principal-curvature-gap equation.
 
-The unknown mu > 0 on a doubly periodic grid satisfies
+The gap mu = lambda1 - lambda2 > 0 of a CMC biconservative surface in a
+3-space form makes g = (1/mu) (dx^2 + dy^2) a metric whose Gauss equation is
+K = K_N + |H|^2 - mu^2 / (4 |H|^2). Its curvature is K = (mu/2) Lap_0 w with
+w = log mu and Lap_0 = d_xx + d_yy the flat (analyst's) Laplacian, so on a
+doubly periodic grid the solver finds w with
 
-    mu * Lap mu + |grad mu|_0^2 + 2 mu (K_N + |H|^2 - mu^2 / (4 |H|^2)) = 0,
+    G(w) = -Lap_0 w + 2 (K_N + |H|^2) e^{-w} - e^{w} / (2 |H|^2) = 0,
 
-where Lap and grad are taken with respect to the flat metric and Lap is the
-positive (geometer's) operator -(d_xx + d_yy); this sign is the one under
-which the conformal reconstruction g = (1/mu) (dx^2 + dy^2) reproduces the
-Gauss relation K = K_N + |H|^2 - mu^2 / (4 |H|^2) identically.
+the elliptic sinh-Gordon equation (Wente 1986, Pinkall & Sterling 1989).
+Lap_0 is the periodic 5-point stencil. In the continuum G = F / mu^2, where
+F = mu Lap mu + |grad mu|^2 + 2 mu (K_N + |H|^2 - mu^2 / (4 |H|^2)) is the
+same equation written in mu (Lap the geometer's -(d_xx + d_yy)). Since
+``gauss_curvature_conformal`` applies the same stencil to rho = -w/2, the
+discrete Gauss consistency of an iterate is -(mu/2) G identically.
 
-The Jacobian of the discrete residual is exact: a diagonal reaction term
-plus the couplings of the periodic 5-point stencil. Its sparsity never
-changes, so the pattern is built once per solve and each Newton step only
-fills the five entries of every row from five coefficient vectors.
+Newton runs on w, and the iterate is kept as mu = e^w: a step s in w
+multiplies mu by e^{alpha s}, so mu stays positive. The Jacobian
+dG/dw = -Lap_0 - diag(d), d = 2 (K_N + |H|^2) e^{-w} + e^{w} / (2 |H|^2),
+has the fixed periodic 5-point pattern and constant neighbour entries; both
+are built once per solve and each step fills only the centre entries.
 
 Each Newton step is solved by GMRES on that Jacobian, right-preconditioned
-by its constant-coefficient part mean(mu) lam_h + mean(-Lap_0 mu + react'),
-where lam_h is the symbol of the periodic 5-point -(d_xx + d_yy): the
-preconditioner is diagonal in Fourier space and applied with two real FFTs
-(Knoll & Keyes 2004, *Jacobian-free Newton-Krylov methods*). It is nearly
-singular on the same low modes as the Jacobian (sin x sin y on the README
-problem), so it carries that mode rather than fighting it. A Krylov step is
-taken only when it is finite and its normwise backward error
+by its constant-coefficient part lam_h - mean(d), where lam_h is the symbol
+of the periodic 5-point -(d_xx + d_yy): the preconditioner is diagonal in
+Fourier space and applied with two real FFTs (Knoll & Keyes 2004,
+*Jacobian-free Newton-Krylov methods*). It is nearly singular on the same
+low modes as the Jacobian (sin x sin y on the README problem), so it
+carries that mode rather than fighting it. A Krylov step is taken only when
+it is finite and its normwise backward error
 ||J s - b|| / (||J||_inf ||s|| + ||b||) is at most ``BACKWARD_ERROR_TOL``,
 the accuracy of a direct solve; the Newton path is then that of a direct
-solver. Otherwise (far from constant, e.g. an iterate near ``MU_FLOOR``,
-the constant-coefficient model fails) the step falls back to SuperLU,
-ordered by minimum degree on J^T + J (``permc_spec="MMD_AT_PLUS_A"``).
+solver. Otherwise the step falls back to SuperLU, ordered by minimum degree
+on J^T + J (``permc_spec="MMD_AT_PLUS_A"``); a singular Jacobian, on which
+SuperLU returns no finite step, is a ``SolverError``.
 
-Steps are damped by backtracking on the residual norm and clipped away from
-mu <= 0. Near a constant iterate on a fully periodic grid the linearization
-can be (near-)singular; when SuperLU fails too, the solver takes a
-least-squares step.
+Steps are damped by backtracking on the residual norm. Where
+K_N + |H|^2 <= 0 at every node, a solution would have Lap_0 w < 0 at every
+node, which no periodic w allows (the stencil sums to zero over the grid);
+the solver then stops before the first Newton step.
 """
 
 from __future__ import annotations
@@ -43,12 +50,13 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import Grid, flat_gradient, flat_laplacian
+from .grid import Grid, flat_laplacian
 from .tensors import ConformalChart, gauss_curvature_conformal
 
-MU_FLOOR = 1e-8
 # largest normwise backward error of an accepted Krylov step
 BACKWARD_ERROR_TOL = 1e-14
+NO_PERIODIC_SOLUTION = ("no periodic solution: K_N + |H|^2 <= 0 at every node"
+                        " forces Lap w < 0 everywhere")
 
 
 class SolverError(FloatingPointError):
@@ -89,15 +97,12 @@ def constant_root(H: float, KN: float) -> float:
 
 
 def mu_residual(grid: Grid, mu: np.ndarray, H: float, KN) -> np.ndarray:
-    """Pointwise residual of the gap equation."""
+    """Pointwise residual G of the gap equation at w = log mu."""
     mu = np.asarray(mu, dtype=np.float64)
     if np.any(mu <= 0):
         raise ValueError("mu must be positive everywhere")
-    lap = -flat_laplacian(grid, mu)  # geometer's sign
-    grad = flat_gradient(grid, mu)
-    grad_sq = grad[..., 0] ** 2 + grad[..., 1] ** 2
-    react = 2.0 * mu * (np.asarray(KN) + H * H - mu * mu / (4.0 * H * H))
-    return mu * lap + grad_sq + react
+    react = 2.0 * (np.asarray(KN) + H * H) / mu - mu / (2.0 * H * H)
+    return react - flat_laplacian(grid, np.log(mu))
 
 
 # slots of the five stencil entries within each row of the Jacobian's data
@@ -106,7 +111,8 @@ _CENTRE, _U_MINUS, _U_PLUS, _V_MINUS, _V_PLUS = range(5)
 
 class _Operators(NamedTuple):
     """What the Newton steps of one solve share: the fixed sparsity of the
-    Jacobian and the Fourier symbol of the preconditioner.
+    Jacobian, the one row of -Lap_0 entries every Jacobian starts from, and
+    the Fourier symbol of the preconditioner.
 
     Every Jacobian of the solve holds these very index arrays, and the
     natural-order ``indices`` are not sorted within rows, so they are
@@ -117,6 +123,7 @@ class _Operators(NamedTuple):
     grid: Grid
     indptr: np.ndarray
     indices: np.ndarray
+    stencil: np.ndarray
     symbol: np.ndarray
 
 
@@ -131,44 +138,38 @@ def _operators(grid: Grid) -> _Operators:
     cols[:, _V_MINUS] = i * nv + (j - 1) % nv
     cols[:, _V_PLUS] = i * nv + (j + 1) % nv
     indptr = np.arange(0, 5 * n + 1, 5, dtype=np.int32)
+    cu, cv = 1.0 / (grid.hu * grid.hu), 1.0 / (grid.hv * grid.hv)
+    stencil = np.empty(5)
+    stencil[_CENTRE] = 2.0 * (cu + cv)
+    stencil[[_U_MINUS, _U_PLUS]] = -cu
+    stencil[[_V_MINUS, _V_PLUS]] = -cv
     # lam_h = 4 sin^2(k h / 2) / h^2 per axis, on the rfft2 frequencies
     lam_u = (2.0 * np.sin(np.pi * np.arange(nu) / nu) / grid.hu) ** 2
     lam_v = (2.0 * np.sin(np.pi * np.arange(nv // 2 + 1) / nv) / grid.hv) ** 2
-    ops = _Operators(grid, indptr, cols.ravel(), lam_u[:, None] + lam_v)
+    ops = _Operators(grid, indptr, cols.ravel(), stencil, lam_u[:, None] + lam_v)
     for a in ops[1:]:
         a.flags.writeable = False
     return ops
 
 
-def _jacobian(grid: Grid, mu: np.ndarray, H: float, KN: np.ndarray,
-              ops: _Operators) -> sp.csr_matrix:
-    """dF/dmu in natural order, filled on the fixed pattern of ``ops``: the
-    5-point stencil of -mu (d_xx + d_yy) + 2 grad mu . grad, plus
-    -(mu_xx + mu_yy) and the derivative of the reaction term on the diagonal."""
+def _jacobian(mu: np.ndarray, H: float, KN: np.ndarray, ops: _Operators) -> sp.csr_matrix:
+    """dG/dw at w = log mu in natural order, filled on the fixed pattern of
+    ``ops``: the 5-point stencil of -(d_xx + d_yy) minus
+    d = 2 (K_N + |H|^2) e^{-w} + e^{w} / (2 |H|^2) on the diagonal."""
     m = mu.ravel()
-    lap_mu = flat_laplacian(grid, mu).ravel()
-    grad = flat_gradient(grid, mu)
-    cu, cv = 1.0 / (grid.hu * grid.hu), 1.0 / (grid.hv * grid.hv)
-    bu = grad[..., 0].ravel() / grid.hu  # 2 mu_x / (2 h_u)
-    bv = grad[..., 1].ravel() / grid.hv
-    react_p = 2.0 * (KN.ravel() + H * H) - 3.0 * m * m / (2.0 * H * H)
     data = np.empty((m.size, 5))
-    data[:, _CENTRE] = -lap_mu + 2.0 * (cu + cv) * m + react_p
-    data[:, _U_MINUS] = -cu * m - bu
-    data[:, _U_PLUS] = -cu * m + bu
-    data[:, _V_MINUS] = -cv * m - bv
-    data[:, _V_PLUS] = -cv * m + bv
+    data[:] = ops.stencil
+    data[:, _CENTRE] -= 2.0 * (KN.ravel() + H * H) / m + m / (2.0 * H * H)
     return sp.csr_matrix((data.ravel(), ops.indices, ops.indptr), shape=(m.size, m.size))
 
 
-def _krylov_solve(J: sp.csr_matrix, rhs: np.ndarray, mu_mean: float,
-                  ops: _Operators) -> np.ndarray | None:
+def _krylov_solve(J: sp.csr_matrix, rhs: np.ndarray, ops: _Operators) -> np.ndarray | None:
     """J^{-1} rhs by GMRES right-preconditioned with the constant-coefficient
-    Jacobian mu_mean lam_h + c, or None when the step misses
-    ``BACKWARD_ERROR_TOL``. The stencil couplings of each row of J sum to
-    zero, so c = mean(-Lap_0 mu + react') is the mean row sum of J."""
+    Jacobian lam_h - mean(d), or None when the step misses
+    ``BACKWARD_ERROR_TOL``. The stencil entries of each row of J sum to
+    zero, so -mean(d) is the mean row sum of J."""
     shape = ops.grid.shape
-    P = mu_mean * ops.symbol + J.data.sum() / J.shape[0]
+    P = ops.symbol + J.data.sum() / J.shape[0]
 
     def precondition(y):
         return np.fft.irfft2(np.fft.rfft2(y.reshape(shape)) / P, s=shape).ravel()
@@ -192,6 +193,8 @@ class MuSolution:
     residual_history: list = field(default_factory=list)
     converged: bool = False
     iterations: int = 0
+    # why the solve stopped unconverged, when that is known before Newton runs
+    reason: str | None = None
 
     @property
     def final_residual_linf(self) -> float:
@@ -204,44 +207,49 @@ def solve_mu(
     max_iter: int = 30,
     max_halvings: int = 20,
 ) -> MuSolution:
-    grid = problem.grid
+    grid, H, KN = problem.grid, problem.H, problem.KN
     mu = problem.mu0.copy()
-    ops = _operators(grid)
     sol = MuSolution(problem, mu)
 
-    F = mu_residual(grid, mu, problem.H, problem.KN)
+    F = mu_residual(grid, mu, H, KN)
     norm = np.linalg.norm(F)
     sol.residual_history.append(float(np.max(np.abs(F))))
-    for it in range(max_iter):
-        if sol.residual_history[-1] <= tol_newton:
-            break
-        J = _jacobian(grid, mu, problem.H, problem.KN, ops)
-        rhs = -F.ravel()
-        with np.errstate(all="ignore"):
-            step = _krylov_solve(J, rhs, float(np.mean(mu)), ops)
+    if np.all(KN + H * H <= 0):
+        sol.reason = NO_PERIODIC_SOLUTION
+        return sol
+    ops = _operators(grid)
+    # floating-point exceptions are dealt with by value: a step that is not
+    # finite raises, and a trial whose e^w leaves the float range has a
+    # residual that is not finite, which fails the descent test
+    with np.errstate(all="ignore"):
+        for it in range(max_iter):
+            if sol.residual_history[-1] <= tol_newton:
+                break
+            J = _jacobian(mu, H, KN, ops)
+            rhs = -F.ravel()
+            step = _krylov_solve(J, rhs, ops)
             if step is None:
                 step = spla.spsolve(J.tocsc(), rhs, permc_spec="MMD_AT_PLUS_A")
-        if not np.all(np.isfinite(step)):
-            step = spla.lsmr(J, rhs, atol=1e-14, btol=1e-14)[0]
             if not np.all(np.isfinite(step)):
                 raise SolverError(f"singular Jacobian at iteration {it}")
-        step = step.reshape(grid.shape)
+            step = step.reshape(grid.shape)
 
-        alpha = 1.0
-        accepted = False
-        for _ in range(max_halvings + 1):
-            trial = np.maximum(mu + alpha * step, MU_FLOOR)
-            F_trial = mu_residual(grid, trial, problem.H, problem.KN)
-            norm_trial = np.linalg.norm(F_trial)
-            if norm_trial <= (1.0 - 1e-4 * alpha) * norm or norm_trial <= tol_newton:
-                mu, F, norm = trial, F_trial, norm_trial
-                accepted = True
+            alpha = 1.0
+            accepted = False
+            for _ in range(max_halvings + 1):
+                trial = mu * np.exp(alpha * step)
+                if np.all(trial > 0):  # e^w underflows to 0 below w = -745
+                    F_trial = mu_residual(grid, trial, H, KN)
+                    norm_trial = np.linalg.norm(F_trial)
+                    if norm_trial <= (1.0 - 1e-4 * alpha) * norm or norm_trial <= tol_newton:
+                        mu, F, norm = trial, F_trial, norm_trial
+                        accepted = True
+                        break
+                alpha *= 0.5
+            sol.iterations = it + 1
+            sol.residual_history.append(float(np.max(np.abs(F))))
+            if not accepted:
                 break
-            alpha *= 0.5
-        sol.iterations = it + 1
-        sol.residual_history.append(float(np.max(np.abs(F))))
-        if not accepted:
-            break
 
     sol.mu = mu
     sol.converged = sol.residual_history[-1] <= tol_newton

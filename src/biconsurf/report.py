@@ -45,7 +45,7 @@ REFERENCE_INDEX = {
     "integral-stress": "compact-surface integral formula for |nabla S|^2",
     "positivity-deficit": "negative part of 2|S|^2 - 16|H|^4 (should be >= 0)",
     "eigenvalue-sum": "lambda_1 + lambda_2 = 2|H|^2",
-    "gap-equation": "mu Lap mu + |grad mu|^2 + 2 mu (K_N + |H|^2 - mu^2/(4|H|^2))",
+    "gap-equation": "-Lap w + 2 (K_N + |H|^2) e^{-w} - e^{w}/(2|H|^2) with w = log mu",
     "gauss-consistency": "K = K_N + |H|^2 - mu^2/(4|H|^2) for the reconstructed metric",
 }
 

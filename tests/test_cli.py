@@ -254,6 +254,41 @@ class TestVerify:
         assert named.exit_code == 0, named.output
         assert res.output == named.output
 
+    @pytest.mark.parametrize("entry,value,message", [
+        (3, "false", "grid 'u' periodic flag must be true or false, got 'false'"),
+        (3, 1, "grid 'u' periodic flag must be true or false, got 1"),
+        (2, 16.9, "grid 'u' node count must be an integer, got 16.9"),
+        (2, True, "grid 'u' node count must be an integer, got True"),
+    ])
+    def test_surface_file_grid_entry_types(self, runner, tmp_path, entry, value, message):
+        # bool("false") made u periodic and int(16.9) made 16 nodes, silently
+        u = [0.0, 6.283185307179586, 16, True]
+        u[entry] = value
+        cfg = {
+            "grid": {"u": u, "v": [0.0, 1.0, 16, False]},
+            "surface": {"builtin": "cylinder", "params": {"r": 1.0}},
+        }
+        f = tmp_path / "surf.json"
+        f.write_text(json.dumps(cfg))
+        res = runner.invoke(main, ["verify", "--surface", str(f)])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert res.stderr == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("option,value,key", [
+        ("--grid", "32x32", "grid_size"), ("--periodic", "v", "periodic")])
+    def test_surface_file_rejects_grid_options(self, runner, tmp_path, option, value, key):
+        # a surface file fixes its grid; these options were silently dropped
+        cfg = {
+            "grid": {"u": [0.0, 6.283185307179586, 16, True], "v": [0.0, 1.0, 16, False]},
+            "surface": {"builtin": "cylinder", "params": {"r": 1.0}},
+        }
+        f = tmp_path / "surf.json"
+        f.write_text(json.dumps(cfg))
+        res = runner.invoke(main, ["verify", "--surface", str(f), option, value])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert res.stderr == (f"config error: {option} (config {key!r}) does not apply to"
+                              f" a surface file: {f} fixes its own grid\n")
+
     def test_surface_file_positions(self, runner, tmp_path):
         jet = make_builtin("cylinder", n=16, r=1.0)
         cfg = {
@@ -420,7 +455,16 @@ class TestSolveMu:
             main, ["solve-mu", "--H", "1.0", "--KN", "-2.0", "--grid", "16x16",
                    "--mu0", "1.0", "--max-iter", "3"]
         )
+        # K_N + H^2 = -1 at every node: no periodic solution, so Newton never runs
         assert res.exit_code == EXIT_NUMERICAL
+        assert res.stderr == ("numerical failure: no periodic solution: K_N + |H|^2 <= 0"
+                              " at every node forces Lap w < 0 everywhere\n")
+
+    def test_newton_out_of_steps_is_numerical_failure(self, runner):
+        res = runner.invoke(main, ["solve-mu", "--grid", "16x16", "--perturb", "0.1",
+                                   "--max-iter", "1"])
+        assert res.exit_code == EXIT_NUMERICAL
+        assert json.loads(res.stdout)["meta"]["iterations"] == 1
         assert res.stderr == "numerical failure: Newton iteration did not converge\n"
 
     def test_non_convergence_writes_report_first(self, runner, tmp_path):
@@ -430,7 +474,9 @@ class TestSolveMu:
                    "--mu0", "1.0", "--max-iter", "3", "--output", str(out)]
         )
         assert res.exit_code == EXIT_NUMERICAL, res.output
-        assert json.loads(out.read_text())["flags"]["converged"] is False
+        doc = json.loads(out.read_text())
+        assert doc["flags"]["converged"] is False
+        assert doc["meta"]["iterations"] == 0
 
     def test_solver_error_is_numerical_failure(self, runner, monkeypatch):
         def fail(*args, **kwargs):
@@ -441,17 +487,18 @@ class TestSolveMu:
         assert res.exit_code == EXIT_NUMERICAL, res.output
         assert res.stderr == "numerical failure: singular Jacobian at iteration 0\n"
 
-    def test_collapse_onto_trivial_root_is_named(self, runner):
-        # from mu0 = 0.2 (root 2) every node is clipped to MU_FLOOR, where
-        # the residual is 2 MU_FLOOR (K_N + H^2) and the line search stalls
+    def test_small_start_converges_to_root(self, runner):
+        # from mu0 = 0.2 (root 2) the mu-form solver clipped every node to a
+        # floor of 1e-8 and stalled next to the trivial root mu = 0; in
+        # w = log mu the iterate stays positive and reaches the root
         res = runner.invoke(main, ["solve-mu", "--mu0", "0.2", "--perturb", "0.1",
                                    "--grid", "32x32"])
-        assert res.exit_code == EXIT_NUMERICAL, res.output
-        summaries = json.loads(res.stdout)["summaries"]
-        assert summaries["mu_min"] == summaries["mu_max"] == 1e-8
-        assert res.stderr == (
-            "numerical failure: Newton iteration did not converge; mu collapsed onto"
-            " the trivial root mu = 0 (every node at MU_FLOOR = 1e-08)\n")
+        assert res.exit_code == 0, res.output
+        doc = json.loads(res.stdout)
+        assert doc["flags"]["converged"] is True
+        assert abs(doc["summaries"]["mu_min"] - 2.0) < 1e-10
+        assert abs(doc["summaries"]["mu_max"] - 2.0) < 1e-10
+        assert res.stderr == ""
 
     def test_bad_grid_spec(self, runner):
         res = runner.invoke(main, ["solve-mu", "--grid", "banana"])

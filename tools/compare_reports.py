@@ -11,7 +11,8 @@ cases cover every builtin surface (two parameter sets each except the graph,
 the polar sphere through a config file), analytic and ``--fd-jets``, with
 ``--dump-fields``, at 32^2 and 96^2; seven ``solve-mu`` runs (two at 64^2,
 one on an unequal and one on an odd grid, the benchmark's 128^2 README
-problem, and two whose Newton steps fall back to SuperLU); one
+problem, and two far from the constant root, named ``solve_mu_lu_*`` after
+the SuperLU fallback they once reached); one
 ``convergence`` study; one CSV report; a tabulated torus in the sphere
 S^3(1) at 32^2 and 64^2; and, at 32^2 and 64^2, a tabulated product torus in
 R^4 at the angles (u + 0.3 sin u, v), the only doubly periodic input with no
@@ -79,15 +80,16 @@ def cases() -> dict[str, list[str]]:
     for nu, nv in ((40, 72), (33, 48)):
         out[f"solve_mu_{nu}x{nv}"] = ["solve-mu", "--grid", f"{nu}x{nv}", "--perturb", "0.1",
                                       "--dump-fields", "--H", "1", "--KN", "0"]
-    # the benchmark's input: 11 Newton steps through the near-null sin x sin y mode
+    # the benchmark's input: 6 Newton steps through the near-null sin x sin y mode
     out["solve_mu_128"] = ["solve-mu", "--H", "1.0", "--KN", "0.0", "--grid", "128x128",
                            "--perturb", "0.1", "--tol-newton", "1e-10"]
-    # far from constant, where Newton steps fall back to SuperLU: K_N = -2 has
-    # no positive constant root and exits 4 after 2 fallbacks; the strong
-    # perturbation converges to a non-constant mu through 15.  Any translate of
-    # that mu solves the equation too, so where Newton stops along them rests
-    # on round-off: its nodes move by up to 1.7e-8 relative with the SuperLU
-    # ordering, and it is compared on its summaries only (no --dump-fields).
+    # far from constant.  Neither reaches the SuperLU fallback its name is
+    # after; the names stay so that two trees pair by name.  K_N = -2 < -H^2
+    # everywhere has no periodic solution and exits 4 before Newton runs; the
+    # strong perturbation converges to a non-constant mu in 6 steps.  Any
+    # translate of that mu solves the equation too, so where Newton stops
+    # along them rests on round-off, and it is compared on its summaries only
+    # (no --dump-fields).
     out["solve_mu_lu_negative_KN"] = ["solve-mu", "--H", "1", "--KN", "-2", "--mu0", "1",
                                       "--perturb", "0.1", "--grid", "64x64", "--dump-fields"]
     out["solve_mu_lu_perturb"] = ["solve-mu", "--H", "1", "--KN", "-0.5", "--perturb", "0.9",
