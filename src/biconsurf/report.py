@@ -4,7 +4,11 @@ A GeometryReport is the single artifact of a verification run: named residual
 norms, scalar summaries, and boolean flags, each residual tagged with a key
 into REFERENCE_INDEX so a reader can look up which identity it measures.
 Serialization is deterministic: fixed key order, floats printed with 17
-significant digits, so identical configs yield byte-identical files.
+significant digits, so identical configs yield byte-identical files. A
+dumped field formats each distinct value (bit pattern) once per array and
+gathers the strings, when at most 3/4 of its values are distinct; otherwise
+it formats row by row. Either way the bytes are those of formatting every
+entry on its own.
 """
 
 from __future__ import annotations
@@ -254,6 +258,9 @@ def build_mu_report(sol, dump_fields: bool = False) -> GeometryReport:
 
 # deterministic serialization
 
+# The one formatter of a finite float, for scalars and array entries alike.
+_fmt_finite = "{:.17g}".format
+
 
 def _fmt(x) -> str:
     if isinstance(x, bool):
@@ -266,12 +273,46 @@ def _fmt(x) -> str:
             return '"nan"'
         if x in (float("inf"), float("-inf")):
             return f'"{x}"'
-        return format(x, ".17g")
+        return _fmt_finite(x)
     if isinstance(x, str):
         return '"' + x.replace("\\", "\\\\").replace('"', '\\"') + '"'
     if x is None:
         return "null"
     raise TypeError(f"cannot serialize {type(x)}")
+
+
+def _distinct_strings(a: np.ndarray) -> np.ndarray | None:
+    """Strings of a finite float64 array, each distinct value formatted once.
+
+    Values are told apart by bit pattern, so -0.0 and 0.0 stay distinct.
+    Returns None when more than 3/4 of the values are distinct: there the
+    gather costs more than the formatting it saves, and formatting row by
+    row is faster.
+    """
+    bits = np.ascontiguousarray(a).view(np.int64)
+    srt = np.sort(bits, axis=None)
+    uniq = srt[np.concatenate(([True], srt[1:] != srt[:-1]))]
+    if 4 * uniq.size > 3 * srt.size:
+        return None
+    strs = np.fromiter(map(_fmt_finite, uniq.view(np.float64).tolist()), dtype=object,
+                       count=uniq.size)
+    return strs[np.searchsorted(uniq, bits)]
+
+
+def _emit_rows(a: np.ndarray, out: io.StringIO, indent: int, fmt_row):
+    """Write a nonempty array as nested lists, one join per innermost row."""
+    pad = "  " * indent
+    inner = pad + "  "
+    if a.ndim == 1:
+        out.write("[\n" + inner + (",\n" + inner).join(fmt_row(a)) + "\n" + pad + "]")
+        return
+    out.write("[\n")
+    last = len(a) - 1
+    for i, row in enumerate(a):
+        out.write(inner)
+        _emit_rows(row, out, indent + 1, fmt_row)
+        out.write(",\n" if i < last else "\n")
+    out.write(pad + "]")
 
 
 def _emit(obj, out: io.StringIO, indent: int):
@@ -298,13 +339,14 @@ def _emit(obj, out: io.StringIO, indent: int):
             out.write(",\n" if i < len(obj) - 1 else "\n")
         out.write(pad + "]")
     elif isinstance(obj, np.ndarray):
-        if obj.ndim > 1:
+        if obj.ndim and obj.dtype == np.float64 and obj.size and np.isfinite(obj).all():
+            strs = _distinct_strings(obj)
+            if strs is None:
+                _emit_rows(obj, out, indent, lambda row: map(_fmt_finite, row.tolist()))
+            else:
+                _emit_rows(strs, out, indent, np.ndarray.tolist)
+        elif obj.ndim > 1:
             _emit(list(obj), out, indent)
-        elif obj.ndim == 1 and obj.dtype == np.float64 and obj.size and np.isfinite(obj).all():
-            # one join per row; what _fmt writes for a finite float
-            inner = pad + "  "
-            out.write("[\n" + inner + (",\n" + inner).join(map("{:.17g}".format, obj.tolist()))
-                      + "\n" + pad + "]")
         else:
             _emit(obj.tolist(), out, indent)
     else:

@@ -156,10 +156,17 @@ class TestSerialization:
         assert rp.report_to_csv(r).strip() == rp.CSV_HEADER
 
     def test_dump_fields(self):
-        jet = make_builtin("cylinder", n=8, r=1.0)
-        r = rp.build_geometry_report(jet, "cylinder", dump_fields=True)
-        doc = json.loads(rp.report_to_json(r))
-        assert "fields" in doc
+        """All five dumped fields round-trip bit for bit, analytic and tabulated."""
+        jet = make_builtin("cylinder", n=16, r=1.2, stretch=0.3)
+        for source in (jet, tabulate(jet)):
+            r = rp.build_geometry_report(source, "cylinder", dump_fields=True)
+            doc = json.loads(rp.report_to_json(r))
+            assert list(doc["fields"]) == ["Hsq", "K", "lambda1", "lambda2", "mu"]
+            for key, want in r.fields.items():
+                got = np.array(doc["fields"][key], dtype=np.float64)
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.int64),
+                                      np.ascontiguousarray(want).view(np.int64)), (source.source, key)
 
     def test_special_floats_quoted(self):
         r = rp.GeometryReport(meta={"x": float("nan")}, residuals=[], summaries={}, flags={})
@@ -198,6 +205,17 @@ EDGE_FIELDS = {
     "bool": np.array([[True, False], [False, True]]),
     "empty": np.zeros((0,)),
     "empty_rows": np.zeros((2, 0)),
+    "signed_zeros_repeated": np.where(np.indices((6, 8)).sum(axis=0) % 2, -0.0, 0.0),
+    "constant_along_axis": np.tile(np.linspace(-1.0, 1.0, 5) / 3.0, (6, 1)),
+    "transposed": np.tile(np.linspace(-1.0, 1.0, 5) / 3.0, (6, 1)).T,
+    "column_stride": np.tile(np.arange(8.0) / 3.0, (4, 2))[:, ::2],
+    # grid.node_array's layout: a C-ordered (comps, nu, nv) buffer seen as (nu, nv, comps)
+    "node_array_order": np.moveaxis(np.stack([
+        np.full((4, 5), -0.0),
+        np.tile(np.arange(5.0) / 3.0, (4, 1)),
+        np.tile(np.arange(4.0)[:, None] / 7.0, (1, 5)),
+    ]), 0, -1),
+    "no_repeats": np.arange(48.0).reshape(6, 8) / 7.0 - 3.0,
 }
 
 
@@ -227,6 +245,26 @@ class TestFieldSerialization:
         expect = _emit_reference({"fields": fields})
         assert _emit_direct({"fields": fields}) == expect
         assert rp.report_to_json(r).endswith(expect[1:] + "\n")
+
+    def test_each_distinct_value_formatted_once(self, monkeypatch):
+        """A dumped field formats each distinct bit pattern once, not each node."""
+        jet = tabulate(make_builtin("cylinder", n=64, r=1.2, stretch=0.3))
+        r = rp.build_geometry_report(jet, "cylinder", dump_fields=True)
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return format(x, ".17g")
+
+        monkeypatch.setattr(rp, "_fmt_finite", counted)
+        fields = {k: np.asarray(v) for k, v in r.fields.items()}
+        text = _emit_direct({"fields": fields})
+        distinct = sum(np.unique(np.ascontiguousarray(v).view(np.int64)).size
+                       for v in fields.values())
+        assert len(calls) == distinct
+        assert 20 * distinct < 5 * 64**2
+        monkeypatch.undo()
+        assert text == _emit_reference({"fields": fields})
 
     def test_solve_mu_dump_round_trips(self):
         from click.testing import CliRunner

@@ -1,0 +1,31 @@
+"""Property test: any finite float64 field serializes to the bytes of the
+element-by-element route, whatever its shape, memory order or repeats."""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from test_report import _emit_direct, _emit_reference  # noqa: E402
+
+# signed zeros, the smallest subnormal, extremes and a value with no short
+# decimal form; drawn with repeats, so most arrays repeat values
+POOL = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1, -0.1, 2.0 / 3.0, 1.0]
+
+
+@st.composite
+def fields(draw):
+    shape = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
+    values = draw(st.lists(st.sampled_from(POOL), min_size=int(np.prod(shape)),
+                           max_size=int(np.prod(shape))))
+    order = draw(st.sampled_from("CF"))
+    return np.array(values, dtype=np.float64).reshape(shape, order=order)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fields(), st.integers(0, 2))
+def test_field_bytes_match_reference(arr, indent):
+    assert _emit_direct(arr, indent) == _emit_reference(arr, indent)
