@@ -21,12 +21,11 @@ from .immersion import (  # principal_curvatures and stress_bienergy are also re
     trace_A_dperpH,
     trace_RN_H,
 )
-from .tensors import (
-    ConformalChart,
-    codazzi_defect_coords,
-    divergence_coords,
-    holomorphicity_residual,
-)
+from .tensors import ConformalChart, codazzi_defect_coords, divergence_coords
+
+# Not called here. perfbench/tracing.py's PATCH_POINTS still patch this
+# binding; ROADMAP item 7 drops that patch point, and then this import.
+from .tensors import holomorphicity_residual  # noqa: F401
 
 
 class NonConstantCurvaturesError(ValueError):
@@ -84,6 +83,15 @@ def biconservativity_residuals(geom: SurfaceGeometry) -> dict:
     }
 
 
+def hopf_residual(geom: SurfaceGeometry) -> np.ndarray:
+    """W = Div A_H - grad|H|^2 = Div T - 1/2 grad tr T for T = A_H, in the
+    coordinates of the jet. In any isothermal chart |W|_g = 4 e^{-3 rho}
+    |d/dzbar Phi| for the Hopf function Phi of A_H, so W = 0 iff Phi is
+    holomorphic."""
+    res = geom.biconservativity
+    return 0.5 * (res["cond4"] - res["grad_Hsq"])
+
+
 def equivalence_matrix(
     geom: SurfaceGeometry,
     chart: ConformalChart | None,
@@ -91,32 +99,27 @@ def equivalence_matrix(
     tol_implied: float,
 ) -> dict:
     """Residuals of the four equivalent surface conditions and the pairwise
-    implication table: any two conditions passing must imply the others."""
+    implication table: any two conditions passing must imply the others.
+
+    ``chart`` is unused: the Hopf leg is ``hopf_residual``, which needs no
+    isothermal chart. The parameter stays for callers that pass one."""
     res = geom.biconservativity
     _, r1 = vector_norms(res["cond1"], geom)
     _, r2 = vector_norms(res["grad_Hsq"], geom)
-    r3 = None
-    if chart is not None:
-        _, r3 = scalar_norms(holomorphicity_residual(chart, geom.A_H), geom)
+    _, r3 = vector_norms(hopf_residual(geom), geom)
     _, r4 = vector_norms(codazzi_defect_coords(geom.nabla_AH), geom)
 
     residuals = {"biconservative": r1, "cmc": r2, "hopf_holomorphic": r3, "codazzi": r4}
-    avail = {k: v for k, v in residuals.items() if v is not None}
-    keys = list(avail)
+    keys = list(residuals)
     implications = []
     ok = True
     for i, ki in enumerate(keys):
         for kj in keys[i + 1 :]:
-            if avail[ki] <= tol_pass and avail[kj] <= tol_pass:
-                implied = all(v <= tol_implied for v in avail.values())
+            if residuals[ki] <= tol_pass and residuals[kj] <= tol_pass:
+                implied = all(v <= tol_implied for v in residuals.values())
                 implications.append({"pair": (ki, kj), "implied_pass": implied})
                 ok = ok and implied
-    return {
-        "residuals": residuals,
-        "implications": implications,
-        "all_implications_hold": ok,
-        "hopf_skipped": chart is None,
-    }
+    return {"residuals": residuals, "implications": implications, "all_implications_hold": ok}
 
 
 def simons_residual(geom: SurfaceGeometry, bicons_tol: float = 1e-6,

@@ -342,6 +342,8 @@ def _check_assertions(rep, assert_flags, assert_residuals) -> list[str]:
         try:
             name, tol_s = spec.split("<=")
             tol = float(tol_s)
+            if tol != tol:  # inf stays: it asserts only that the row is present
+                raise ValueError("NaN bound")
         except ValueError as exc:
             raise ConfigError(f"bad residual assertion {spec!r}") from exc
         try:
@@ -349,7 +351,7 @@ def _check_assertions(rep, assert_flags, assert_residuals) -> list[str]:
         except KeyError:
             failures.append(f"residual {name.strip()}: not in report")
             continue
-        if entry.linf > tol:
+        if not entry.linf <= tol:  # written so that a NaN residual fails
             failures.append(f"residual {name.strip()}: linf {entry.linf:.3e} > {tol:.3e}")
     return failures
 

@@ -6,10 +6,9 @@ coordinate of a builtin is a sum of products f(u) g(v), so a maker only
 writes the 1-D derivative sequences (f, f', f'', f''') and (g, g', g'', g''')
 on the grid axes; :func:`_jet` forms every mixed derivative of the jet from
 them by the product rule. The registry also records closed-form expected
-values used as oracles by the tests. Every identity is checked in the coordinates of the jet, so a
-parametrization need not be isothermal: the polar sphere and the stretched
-cylinder are not. Only the Hopf row of a report needs an isothermal chart
-(arclength circles, Mercator sphere).
+values used as oracles by the tests. Every identity, the Hopf row included,
+is checked in the coordinates of the jet, so a parametrization need not be
+isothermal: the polar sphere and the stretched cylinder are not.
 """
 
 from __future__ import annotations

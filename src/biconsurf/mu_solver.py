@@ -11,8 +11,8 @@ doubly periodic grid the solver finds w with
 the elliptic sinh-Gordon equation (Wente 1986, Pinkall & Sterling 1989).
 Lap_0 is the periodic 5-point stencil. In the continuum G = F / mu^2, where
 F = mu Lap mu + |grad mu|^2 + 2 mu (K_N + |H|^2 - mu^2 / (4 |H|^2)) is the
-same equation written in mu (Lap the geometer's -(d_xx + d_yy)). Since
-``gauss_curvature_conformal`` applies the same stencil to rho = -w/2, the
+same equation written in mu (Lap the geometer's -(d_xx + d_yy)).
+``gauss_consistency`` takes K = (mu/2) Lap_0 w with the same stencil, so the
 discrete Gauss consistency of an iterate is -(mu/2) G identically.
 
 Newton runs on w, and the iterate is kept as mu = e^w: a step s in w
@@ -51,7 +51,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grid import Grid, flat_laplacian
-from .tensors import ConformalChart, gauss_curvature_conformal
 
 # largest normwise backward error of an accepted Krylov step
 BACKWARD_ERROR_TOL = 1e-14
@@ -274,10 +273,8 @@ def reconstruct_geometry(sol: MuSolution) -> ReconstructedGeometry:
 
 
 def gauss_consistency(sol: MuSolution) -> np.ndarray:
-    """Residual of K = K_N + |H|^2 - mu^2 / (4 |H|^2) with K from the
-    reconstructed conformal factor."""
+    """Residual of K = K_N + |H|^2 - mu^2 / (4 |H|^2) with K = (mu/2) Lap_0 w
+    the curvature of the reconstructed metric g = (1/mu) (dx^2 + dy^2)."""
     H = sol.problem.H
-    rho = -0.5 * np.log(sol.mu)
-    chart = ConformalChart(sol.problem.grid, rho)
-    K = gauss_curvature_conformal(chart)
+    K = 0.5 * sol.mu * flat_laplacian(sol.problem.grid, np.log(sol.mu))
     return K - (sol.problem.KN + H * H - sol.mu**2 / (4.0 * H * H))

@@ -21,12 +21,11 @@ import numpy as np
 from . import checks
 from .grid import Grid
 from .immersion import ImmersionJet, compute_geometry
-from .tensors import (
-    NonIsothermalError,
-    codazzi_defect_coords,
-    conformal_chart_from_metric,
-    holomorphicity_residual,
-)
+from .tensors import codazzi_defect_coords
+
+# Not called here. perfbench/tracing.py's PATCH_POINTS still patch this
+# binding; ROADMAP item 7 drops that patch point, and then this import.
+from .tensors import holomorphicity_residual  # noqa: F401
 
 # Documentation index: every residual name used in reports maps to a short
 # statement of the identity it measures.  Keys are stable API.
@@ -42,7 +41,7 @@ REFERENCE_INDEX = {
     "normal-derivative-H": "normal-bundle derivative of the mean curvature vector",
     "stress-trace": "trace S = 4|H|^2",
     "stress-norm": "|S|^2 = 16|A_H|^2 - 24|H|^4",
-    "hopf-holomorphicity": "d/dzbar of the quadratic differential of A_H",
+    "hopf-holomorphicity": "W = Div A_H - grad|H|^2, zero iff the Hopf function is holomorphic",
     "codazzi-defect": "antisymmetric part of nabla A_H",
     "simons": "Laplacian identity for |S|^2 on biconservative surfaces",
     "integral-shape-operator": "compact-surface integral formula for |nabla A_H|^2",
@@ -121,18 +120,6 @@ def build_geometry_report(
         meta["ambient"]["radius"] = jet.space.radius
     rep = GeometryReport(meta)
 
-    # The conformal chart serves the Hopf row alone. FD jets perturb the
-    # metric components at truncation level, so the isothermal test must
-    # scale with the grid spacing.
-    chart_tol = 1e-6 if jet.source == "analytic" else max(
-        1e-6, 5.0 * (jet.grid.hu**2 + jet.grid.hv**2)
-    )
-    try:
-        chart = conformal_chart_from_metric(jet.grid, geom.g, tol=chart_tol)
-    except NonIsothermalError:
-        chart = None
-    rep.meta["isothermal_chart"] = chart is not None
-
     # FD-jet norms skip the one-sided stencil bands at open boundaries
     rep.meta["boundary_margin"] = geom.boundary_margin
 
@@ -164,10 +151,7 @@ def build_geometry_report(
         geom.tensor_inner(geom.S2, geom.S2) - 16.0 * checks.shape_operator_norm_sq(geom)
         + 24.0 * geom.Hsq**2, geom))
 
-    if chart is not None:
-        rep.add("hopf_holomorphicity", *checks.scalar_norms(
-            holomorphicity_residual(chart, geom.A_H), geom))
-    del chart
+    rep.add("hopf_holomorphicity", *checks.vector_norms(checks.hopf_residual(geom), geom))
 
     simons, simons_flagged = checks.simons_residual(
         geom, bicons_tol=tol, bicons_linf=rep.residual("stress_divergence").linf)

@@ -10,9 +10,13 @@ surface in the coordinates of its jet (``immersion.SurfaceGeometry``), and
 an isothermal :class:`ConformalChart` with metric ``g = e^{2 rho} (dx^2 +
 dy^2)``. The lemma checks (:func:`divergence_routes`,
 :func:`weitzenbock_pairing_residual`, :func:`div_T_grad_alpha_residual`,
-:func:`holomorphicity_residual_routes`) take either carrier. A report needs
-a conformal chart only for the Hopf function and its d/dzbar, and the
-gap-equation solver for the curvature of its reconstructed metric.
+:func:`holomorphicity_residual_routes`) take either carrier. Neither a report
+nor the gap-equation solver builds a conformal chart: the chart, the Hopf
+function and its d/dzbar serve the lemma checks only. A report's Hopf row
+is ``checks.hopf_residual``, W = Div T - 1/2 grad tr T for T = A_H, which
+needs no chart: in an isothermal chart |W|_g = 4 e^{-3 rho} |d/dzbar Phi|
+for the Hopf function Phi of T (the closed route of
+:func:`holomorphicity_residual_routes`).
 
 Sign conventions: the function Laplacian used in the geometric identities
 is the positive (geometer's) operator ``Delta f = -div grad f``; the rough

@@ -117,22 +117,22 @@ class TestEquivalenceMatrix:
         geom, chart = geom_and_chart("product_torus", n=32, r1=1.0, r2=2.0)
         out = checks.equivalence_matrix(geom, chart, tol_pass=1e-8, tol_implied=1e-7)
         assert out["all_implications_hold"]
-        assert not out["hopf_skipped"]
         assert len(out["implications"]) == 6  # all four conditions pass pairwise
         for v in out["residuals"].values():
             assert v < 1e-8
 
-    def test_hopf_skipped_without_chart(self):
-        geom, _ = geom_and_chart("cylinder", n=24, r=1.0)
+    def test_all_four_legs_without_chart(self):
+        # the Hopf leg needs no isothermal chart
+        geom = compute_geometry(make_builtin("cylinder", n=24, r=1.0))
         out = checks.equivalence_matrix(geom, None, tol_pass=1e-8, tol_implied=1e-7)
-        assert out["hopf_skipped"]
-        assert out["residuals"]["hopf_holomorphic"] is None
-        assert len(out["implications"]) == 3
+        assert list(out["residuals"]) == ["biconservative", "cmc", "hopf_holomorphic", "codazzi"]
+        assert out["residuals"]["hopf_holomorphic"] < 1e-8
+        assert len(out["implications"]) == 6
+        assert out["all_implications_hold"]
 
     def test_graph_produces_no_implications(self):
         geom = compute_geometry(make_builtin("graph", n=32))
-        chart = None  # graph metric is not isothermal
-        out = checks.equivalence_matrix(geom, chart, tol_pass=1e-8, tol_implied=1e-7)
+        out = checks.equivalence_matrix(geom, None, tol_pass=1e-8, tol_implied=1e-7)
         assert out["implications"] == []
         assert out["all_implications_hold"]  # vacuous
 
@@ -163,7 +163,8 @@ class TestSimons:
 
     def test_graph_report_is_flagged(self):
         rep = build_geometry_report(make_builtin("graph", n=32), "graph")
-        assert not rep.meta["isothermal_chart"]
+        assert "isothermal_chart" not in rep.meta
+        assert rep.residual("hopf_holomorphicity").linf > 1.0
         assert rep.flags["simons_assumes_biconservative_violated"]
 
     def test_fd_stretched_cylinder_converges(self):
@@ -200,7 +201,8 @@ class TestIntegralFormulas:
         gaps = {"integral_stress": [], "integral_shape_operator": []}
         for n in (32, 64, 128):
             rep = build_geometry_report(stretched_torus(n), "torus_stretch")
-            assert not rep.meta["isothermal_chart"]
+            assert "isothermal_chart" not in rep.meta
+            rep.residual("hopf_holomorphicity")  # present on a non-isothermal metric
             assert "integral_formulas" not in rep.meta
             for key, series in gaps.items():
                 series.append(rep.residual(key).linf)

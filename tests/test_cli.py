@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import biconsurf
-from biconsurf import mu_solver
+from biconsurf import mu_solver, report as report_mod
 from biconsurf.cli import (
     EXIT_ASSERTION,
     EXIT_CONFIG,
@@ -75,6 +75,35 @@ class TestVerify:
              "--assert-flag", "is_biconservative=true"],
         )
         assert res.exit_code == EXIT_ASSERTION
+
+    def test_nan_bound_is_config_error(self, runner):
+        # a NaN bound would pass any residual; inf still asserts presence
+        args = ["verify", "--surface", "graph", "--grid", "8x8", "--assert-residual"]
+        res = runner.invoke(main, [*args, "simons<=nan"])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert "bad residual assertion 'simons<=nan'" in res.stderr
+        assert runner.invoke(main, [*args, "simons<=inf"]).exit_code == 0
+
+    def test_nan_residual_fails_assertion(self, runner, monkeypatch):
+        def nan_report(jet, surface_label, **kwargs):
+            rep = report_mod.GeometryReport({"surface": surface_label})
+            rep.add("simons", float("nan"), float("nan"))
+            return rep
+
+        monkeypatch.setattr(report_mod, "build_geometry_report", nan_report)
+        res = runner.invoke(main, ["verify", "--surface", "graph", "--grid", "8x8",
+                                   "--assert-residual", "simons<=inf"])
+        assert res.exit_code == EXIT_ASSERTION, res.output
+        assert "residual simons: linf nan > inf" in res.stderr
+
+    @pytest.mark.parametrize("args", [
+        ["--surface", "sphere", "--param", "chart=polar"],
+        ["--surface", "cylinder", "--param", "stretch=0.3"],
+    ])
+    def test_hopf_row_without_isothermal_chart(self, runner, args):
+        res = runner.invoke(main, ["verify", *args, "--grid", "32x32",
+                                   "--assert-residual", "hopf_holomorphicity<=1e-12"])
+        assert res.exit_code == 0, res.output + res.stderr
 
     def test_bad_surface_exit_code(self, runner):
         res = runner.invoke(main, ["verify", "--surface", "nonexistent"])

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -127,3 +128,54 @@ def test_report_lists_every_number_past_the_bar(tmp_path):
     assert "largest at line 6 after key 'mu_min'" in res.stdout
     assert "    line 6 'mu_min': 1e-08 -> 3e-08, |d| 2e-08\n" \
            "    line 7 'mu_max': 2e-08 -> 1e-15, |d| 2e-08\n" in res.stdout
+
+
+def _report(meta, residuals, flags):
+    return json.dumps({"meta": meta, "flags": flags, "residuals": [
+        {"name": n, "paper_ref": n, "l2": l2, "linf": linf} for n, l2, linf in residuals]},
+        indent=2) + "\n"
+
+
+OLD_REPORT = _report({"n": 32, "isothermal_chart": True},
+                     [("stress", 1e-3, 2e-3), ("simons", 0.5, 0.75)], {"is_cmc": True})
+
+
+def test_compare_text_walks_json_documents():
+    cmp = _tool().compare_text
+    new = _report({"n": 32}, [("stress", 1e-3, 2e-3 + 1e-16), ("hopf", 0.0, 0.0),
+                              ("simons", 0.5, 0.875)], {"is_cmc": False})
+    res = cmp(OLD_REPORT, new)
+    assert not res["same_text"] and not res["within"] and res["past"] == []
+    st = res["structure"]
+    assert st["only_old"] == ["meta.isothermal_chart"]
+    # residuals pair by name, so the inserted row does not shift the others
+    assert st["only_new"] == ["residuals[hopf]"]
+    assert st["changed"] == [("flags.is_cmc", True, False)]
+    assert st["past"] == [("residuals[simons].linf", 0.75, 0.875, 0.125)]
+    assert res["max_abs"] == 0.125
+    # the same structure with numbers within the bar: nothing listed
+    within = cmp(OLD_REPORT, OLD_REPORT.replace("0.75", "0.7500000000000001")
+                 .replace('"n": 32', '"n":  32'))["structure"]
+    assert within == {"only_old": [], "only_new": [], "changed": [], "past": [],
+                      "max_abs": within["max_abs"], "max_rel": within["max_rel"]}
+    assert 0 < within["max_abs"] < 1e-15
+    # other lists pair by index; CSV is not walked
+    lists = _tool().compare_json({"x": [1, 2]}, {"x": [1, 2, 3]})
+    assert lists["only_new"] == ["x[2]"] and lists["past"] == []
+    csv = "name,paper_ref,l2,linf\nsimons,simons,1e-3,2e-3\n"
+    assert cmp(csv, csv.replace("simons,1", "hopf,1"))["structure"] is None
+
+
+def test_report_lists_structural_differences(tmp_path):
+    new = _report({"n": 32}, [("stress", 1e-3, 2e-3), ("simons", 0.5, 0.875),
+                              ("hopf", 0.0, 0.0)], {"is_cmc": True})
+    res = subprocess.run(
+        [sys.executable, str(TOOL), _fake_tree(tmp_path / "old", OLD_REPORT),
+         _fake_tree(tmp_path / "new", new), "--case", "csv_helix"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert res.returncode == 1
+    assert "non-numeric stdout differs" in res.stdout
+    assert "    only in old: meta.isothermal_chart\n" \
+           "    only in new: residuals[hopf]\n" \
+           "    residuals[simons].linf: 0.75 -> 0.875, |d| 0.12\n" in res.stdout

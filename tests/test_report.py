@@ -78,23 +78,24 @@ class TestGeometryReport:
 class TestWorkCounts:
     """Each covariant derivative, each |nabla T|^2 and the biconservativity
     suite run once per report: nabla S2 and nabla A_H, both with the surface
-    Christoffels of the jet, whether or not the metric has an isothermal
-    chart. The Simons residual, the integral formulas and the
-    nabla_shape_operator row reuse them, and the Simons gate reuses the
-    report's stress-divergence norm."""
+    Christoffels of the jet, whether or not the metric is isothermal. The
+    Simons residual, the integral formulas, the Hopf row and the
+    nabla_shape_operator row reuse them, the Simons gate reuses the
+    report's stress-divergence norm, and no conformal chart is built."""
 
     @pytest.mark.parametrize(
-        "name,params,fd,chart,expect",
+        "name,params,fd,isothermal,expect",
         [
             ("helix_line_r4", {"k": 1.0, "tau": 0.5}, False, True, 2),
             ("product_torus", {"r1": 1.0, "r2": 2.0}, False, True, 2),
             ("cylinder", {"r": 1.0, "stretch": 0.3}, True, False, 2),
         ],
     )
-    def test_one_evaluation_per_identity(self, monkeypatch, name, params, fd, chart, expect):
+    def test_one_evaluation_per_identity(self, monkeypatch, name, params, fd, isothermal,
+                                         expect):
         from biconsurf import checks, immersion, tensors
 
-        calls = {"cov": 0, "bicons": 0, "cond1_norm": 0, "nabla_norm": 0}
+        calls = {"cov": 0, "bicons": 0, "cond1_norm": 0, "nabla_norm": 0, "chart": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -119,13 +120,18 @@ class TestWorkCounts:
                             counted("bicons", checks.biconservativity_residuals))
         monkeypatch.setattr(immersion.SurfaceGeometry, "nabla_norm_sq",
                             counted("nabla_norm", immersion.SurfaceGeometry.nabla_norm_sq))
+        monkeypatch.setattr(tensors.ConformalChart, "__post_init__",
+                            counted("chart", tensors.ConformalChart.__post_init__))
         jet = make_builtin(name, n=32, **params)
+        E, F, G = (np.einsum("...i,...i->...", jet.d1[..., a, :], jet.d1[..., b, :])
+                   for a, b in ((0, 0), (0, 1), (1, 1)))
+        assert (np.allclose(E, G, rtol=1e-12) and np.allclose(F, 0.0, atol=1e-12)) is isothermal
         r = rp.build_geometry_report(tabulate(jet) if fd else jet, name)
-        assert r.meta["isothermal_chart"] is chart
+        assert "isothermal_chart" not in r.meta
         assert calls.pop("nabla_norm") <= 2
-        assert calls == {"cov": expect, "bicons": 1, "cond1_norm": 1}
+        assert calls == {"cov": expect, "bicons": 1, "cond1_norm": 1, "chart": 0}
         names = {e.name for e in r.residuals}
-        assert {"stress_norm", "simons"} <= names
+        assert {"stress_norm", "simons", "hopf_holomorphicity"} <= names
         assert "simons_assumes_biconservative_violated" in r.flags
 
 

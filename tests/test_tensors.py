@@ -175,6 +175,18 @@ class TestHopf:
             gaps.append(np.max(np.abs(direct - closed)))
         assert np.log2(gaps[0] / gaps[1]) > 1.8
 
+    def test_closed_route_is_chart_free_divergence(self):
+        # |W|_g = 4 e^{-3 rho} |d/dzbar Phi| with W = Div T - 1/2 grad tr T:
+        # the identity behind the report's chart-free Hopf row
+        chart, U, V = periodic_chart(32)
+        T = smooth_tensor(U, V)
+        assert np.max(np.abs(codazzi_defect_coords(chart.nabla(T)))) > 0.1
+        assert np.ptp(chart.rho) > 0.3
+        W = chart.div_tensor(T) - 0.5 * chart.grad_scalar(T[..., 0, 0] + T[..., 1, 1])
+        _, closed = holomorphicity_residual_routes(chart, T)
+        np.testing.assert_allclose(np.sqrt(chart.vec_norm_sq(W)),
+                                   4.0 * np.exp(-3.0 * chart.rho) * np.abs(closed), rtol=1e-13)
+
 
 class TestRoughLaplacian:
     def test_trace_formula_divergence_free_flat(self):

@@ -25,7 +25,12 @@ case past the bar, also where the first text difference or else the number
 furthest past the bar sits (its line in the old stdout and the nearest JSON
 key before it).  Below such a case it lists every number past the bar, one
 per line: its line, the nearest JSON key, the old and the new value and
-|d|.  It
+|d|.  When the text between the numbers differs and both stdouts are JSON,
+it compares the two documents structurally instead: residuals are matched
+by ``name`` and other list entries by index, and below the case it lists
+every key path present on one side only, every non-numeric value that
+differs, and every number at the shared paths past the bar (the max|d|
+columns then cover the shared numbers).  It
 exits 1 when an exit code, stderr or a non-numeric byte of stdout differs,
 or when any number moves by more than 1e-12 max(1, |x|).
 """
@@ -164,17 +169,66 @@ def locator(text: str):
     return locate
 
 
+def _children(x) -> dict | None:
+    """The entries of a JSON container by path label, or None for a scalar.
+    A list whose entries all carry a ``name`` is labelled by name."""
+    if isinstance(x, dict):
+        return {f".{k}": v for k, v in x.items()}
+    if isinstance(x, list):
+        named = bool(x) and all(isinstance(e, dict) and "name" in e for e in x)
+        return {f"[{e['name'] if named else i}]": e for i, e in enumerate(x)}
+    return None
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def compare_json(old, new) -> dict:
+    """Walk two parsed JSON documents side by side. Returns the key paths
+    found on one side only (``only_old``, ``only_new``), the non-numeric
+    values that differ at a shared path (``changed``: path, old, new), every
+    shared number past the bar (``past``: path, old, new, |d|), and the
+    largest |diff| and relative diff over the shared numbers."""
+    out = {"only_old": [], "only_new": [], "changed": [], "past": [],
+           "max_abs": 0.0, "max_rel": 0.0}
+
+    def walk(a, b, path):
+        ca, cb = _children(a), _children(b)
+        if ca is not None and cb is not None and type(a) is type(b):
+            for label, v in ca.items():
+                if label in cb:
+                    walk(v, cb[label], path + label)
+                else:
+                    out["only_old"].append((path + label).lstrip("."))
+            out["only_new"] += [(path + k).lstrip(".") for k in cb if k not in ca]
+        elif _is_number(a) and _is_number(b):
+            d = abs(a - b)
+            out["max_abs"] = max(out["max_abs"], d)
+            if max(abs(a), abs(b)) > REL_FLOOR:
+                out["max_rel"] = max(out["max_rel"], d / max(abs(a), abs(b)))
+            if d > TOL * max(1.0, abs(a)):
+                out["past"].append((path.lstrip("."), a, b, d))
+        elif type(a) is not type(b) or a != b:
+            out["changed"].append((path.lstrip("."), a, b))
+
+    walk(old, new, "")
+    return out
+
+
 def compare_text(old: str, new: str) -> dict:
     """Largest |diff| and relative diff of the numbers, whether the text
     between the numbers (and their count) is the same, and where (line, key)
     in ``old`` the first differing byte of that text sits, or, when it is
     the same, the number furthest past the bar. ``past`` lists every number
-    past the bar, in order, as (line, key, old text, new text, |d|)."""
+    past the bar, in order, as (line, key, old text, new text, |d|).
+    ``structure`` is ``compare_json`` of the two documents when the text
+    differs and both parse as JSON, else None."""
     old_parts, new_parts = NUMBER.split(old), NUMBER.split(new)
     old_nums, new_nums = list(NUMBER.finditer(old)), NUMBER.findall(new)
     same_text = old_parts == new_parts and len(old_nums) == len(new_nums)
     max_abs = max_rel = worst = 0.0
-    where = None
+    where = structure = None
     past = []
     locate = locator(old)
     if not same_text:
@@ -186,6 +240,11 @@ def compare_text(old: str, new: str) -> dict:
                 pos = start + len(os.path.commonprefix([a_part, b_part]))
                 break
         where = locate(pos)
+        try:
+            structure = compare_json(json.loads(old), json.loads(new))
+            max_abs, max_rel = structure["max_abs"], structure["max_rel"]
+        except ValueError:  # not JSON: a CSV report or an error message
+            pass
     else:
         for a_m, b_s in zip(old_nums, new_nums):
             a, b = float(a_m.group()), float(b_s)
@@ -200,7 +259,7 @@ def compare_text(old: str, new: str) -> dict:
                     worst, where = excess, past[-1][:2]
     return {"identical": old == new, "same_text": same_text,
             "max_abs": max_abs, "max_rel": max_rel, "within": where is None,
-            "where": where, "past": past}
+            "where": where, "past": past, "structure": structure}
 
 
 def main(argv=None) -> int:
@@ -247,6 +306,15 @@ def main(argv=None) -> int:
                   f"{cmp['max_abs']:9.2g} {cmp['max_rel']:9.2g}  {'; '.join(notes)}")
             for line, key, a, b, d in cmp["past"]:
                 print(f"    line {line} {key!r}: {a} -> {b}, |d| {d:.2g}")
+            if cmp["structure"] is not None:
+                st = cmp["structure"]
+                for side in ("old", "new"):
+                    for path in st[f"only_{side}"]:
+                        print(f"    only in {side}: {path}")
+                for path, a, b in st["changed"]:
+                    print(f"    {path}: {json.dumps(a)} -> {json.dumps(b)}")
+                for path, a, b, d in st["past"]:
+                    print(f"    {path}: {a!r} -> {b!r}, |d| {d:.2g}")
     print(f"{len(names) - len(failed)} of {len(names)} cases agree"
           + (f"; failed: {', '.join(failed)}" if failed else ""))
     return 1 if failed else 0
