@@ -1,5 +1,10 @@
 """Ambient spaces: Euclidean R^n and round spheres S^n(r) embedded in R^{n+1}.
 
+This is the only module that knows which space an :class:`Ambient` is: it
+parses and writes the ``{"kind", "dim", "radius"}`` entry of a surface file
+or report, projects vectors tangent to the space, and gives its curvature.
+Other modules ask an ``Ambient``, so a new ambient is an edit here alone.
+
 Both are space forms, so the curvature operator has the closed form
 ``R(X, Y)Z = c (<Y, Z> X - <X, Z> Y)`` with ``c = 0`` (Euclidean) or
 ``c = 1 / r^2`` (sphere). Covariant derivatives in the sphere are Euclidean
@@ -11,9 +16,13 @@ trailing component axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
+
+# largest relative distance of a tabulated position off the space (round-off is ~1e-16)
+OFF_SPACE_TOL = 1e-8
 
 
 def _dot(a, b):
@@ -31,9 +40,40 @@ class Ambient:
             raise ValueError(f"unknown ambient kind {self.kind!r}")
         if self.dim < 3:
             raise ValueError("ambient dimension must be >= 3")
-        if self.kind == "sphere":
-            if self.radius is None or self.radius <= 0:
-                raise ValueError("sphere ambient needs a positive radius")
+        if self.kind == "sphere" and (self.radius is None or self.radius <= 0):
+            raise ValueError("sphere ambient needs a positive radius")
+
+    @classmethod
+    def from_spec(cls, d: dict) -> "Ambient":
+        """The ambient of a surface file's ``ambient`` entry: ``kind``
+        (default euclidean), an integer ``dim`` (default 3) and, for a
+        sphere, a positive finite ``radius``. Bad entries raise ValueError."""
+        kind = d.get("kind", "euclidean")
+        raw = d.get("dim", 3)
+        try:
+            dim = int(raw)
+            ok = not isinstance(raw, bool) and dim == float(raw)
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+        if not ok:
+            raise ValueError(f"ambient 'dim' must be an integer, got {raw!r}")
+        radius = None
+        if kind == "sphere":
+            if "radius" not in d:
+                raise ValueError("sphere ambient needs a radius")
+            raw = d["radius"]
+            try:
+                radius = math.nan if isinstance(raw, bool) else float(raw)
+            except (TypeError, ValueError):
+                radius = math.nan
+            if not 0 < radius < math.inf:
+                raise ValueError(
+                    f"ambient 'radius' must be a positive finite number, got {raw!r}")
+        return cls(kind, dim, radius)
+
+    def spec(self) -> dict:
+        """The entry :meth:`from_spec` reads, as a report writes it."""
+        return {key: val for key, val in asdict(self).items() if val is not None}
 
     @property
     def curvature(self) -> float:
@@ -45,6 +85,19 @@ class Ambient:
         """Number of Cartesian coordinates carried by position vectors."""
         return self.dim if self.kind == "euclidean" else self.dim + 1
 
+    def tangent_part(self, pos, W):
+        """Part of the vectors W tangent to the space at ``pos`` (broadcast
+        against W): W itself, uncopied, in R^n; W less its radial part on a sphere."""
+        if self.kind == "euclidean":
+            return W
+        return W - (_dot(W, pos) / self.radius**2)[..., None] * pos
+
+    def off_space_error(self, pos) -> np.ndarray:
+        """Relative distance ``| |x| - r | / r`` of each position off a sphere; 0 in R^n."""
+        if self.kind == "euclidean":
+            return np.zeros(np.shape(pos)[:-1])
+        return np.abs(np.linalg.norm(pos, axis=-1) - self.radius) / self.radius
+
 
 def euclidean(dim: int = 3) -> Ambient:
     return Ambient("euclidean", dim)
@@ -54,26 +107,10 @@ def sphere(dim: int = 3, radius: float = 1.0) -> Ambient:
     return Ambient("sphere", dim, radius)
 
 
-def curvature_operator(space: Ambient, X, Y, Z, position=None, tol: float = 1e-8):
-    """R(X, Y)Z of the space form.
-
-    For a sphere, ``position`` (points on the sphere) may be supplied to
-    check that the inputs are tangent; non-tangent input raises.
-    """
+def curvature_operator(space: Ambient, X, Y, Z):
+    """R(X, Y)Z of the space form."""
     X, Y, Z = (np.asarray(a, dtype=np.float64) for a in (X, Y, Z))
-    if space.kind == "sphere" and position is not None:
-        position = np.asarray(position, dtype=np.float64)
-        scale = space.radius
-        for W in (X, Y, Z):
-            worst = np.max(np.abs(_dot(W, position))) / (
-                scale * (1.0 + np.max(np.linalg.norm(W, axis=-1)))
-            )
-            if worst > tol:
-                raise ValueError(
-                    f"input vector not tangent to the sphere (residual {worst:.3e})"
-                )
     c = space.curvature
     if c == 0.0:
         return np.zeros(np.broadcast_shapes(X.shape, Y.shape, Z.shape))
     return c * (_dot(Y, Z)[..., None] * X - _dot(X, Z)[..., None] * Y)
-

@@ -213,7 +213,8 @@ def parallel_AH_checks(geom: SurfaceGeometry, tol: float) -> dict:
             np.einsum("...cm,...m->...c", geom.B[..., :, 1, :], geom.dperpH[..., 0, :])
             - np.einsum("...cm,...m->...c", geom.B[..., :, 0, :], geom.dperpH[..., 1, :]),
         )
-        rhs = tangent_coords(geom.jet, geom.ginv, _rn_xy_h(geom))
+        rhs = tangent_coords(geom.jet, geom.ginv, curvature_operator(
+            geom.space, geom.jet.d1[..., 0, :], geom.jet.d1[..., 1, :], geom.H))
         _, out["commutation_linf"] = vector_norms(lhs - rhs, geom)
         tA = trace_A_dperpH(geom)
         tR = trace_RN_H(geom)
@@ -222,12 +223,6 @@ def parallel_AH_checks(geom: SurfaceGeometry, tol: float) -> dict:
             min(np.max(np.abs(mu)), np.max(np.abs(geom.K)))
         )
     return out
-
-
-def _rn_xy_h(geom: SurfaceGeometry) -> np.ndarray:
-    return curvature_operator(
-        geom.space, geom.jet.d1[..., 0, :], geom.jet.d1[..., 1, :], geom.H
-    )
 
 
 def derive_spaceform_target(lam1, lam2, mode: str, K=None, tol: float = 1e-8):

@@ -168,33 +168,6 @@ def _parse_periodic(text: str) -> tuple[bool, bool]:
     return "u" in axes, "v" in axes
 
 
-def _ambient_from_dict(d: dict) -> Ambient:
-    kind = d.get("kind", "euclidean")
-    raw = d.get("dim", 3)
-    try:
-        dim = int(raw)
-        ok = not isinstance(raw, bool) and dim == float(raw)
-    except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok:
-        raise ConfigError(f"ambient 'dim' must be an integer, got {raw!r}")
-    radius = None
-    if kind == "sphere":
-        if "radius" not in d:
-            raise ConfigError("sphere ambient needs a radius")
-        try:
-            radius = float(d["radius"])
-        except (TypeError, ValueError):
-            radius = math.nan
-        if not 0 < radius < math.inf:
-            raise ConfigError(f"ambient 'radius' must be a positive finite number, "
-                              f"got {d['radius']!r}")
-    try:
-        return Ambient(kind, dim, radius)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _grid_from_dict(d: dict) -> Grid:
     """A surface file's grid: ``{"u": [start, end, nodes, periodic], "v": [...]}``,
     where nodes is a JSON integer and periodic a JSON bool."""
@@ -239,7 +212,10 @@ def _load_surface_file(path: str):
             raise ConfigError(str(exc)) from exc
         return jet, name
     if "positions" in surf:
-        space = _ambient_from_dict(doc.get("ambient", {}))
+        try:
+            space = Ambient.from_spec(doc.get("ambient", {}))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         pos = np.asarray(surf["positions"], dtype=np.float64)
         try:
             pos = pos.reshape(grid.nu, grid.nv, space.embedding_dim)

@@ -20,7 +20,7 @@ import numbers
 
 import numpy as np
 
-from .ambient import Ambient, euclidean
+from .ambient import OFF_SPACE_TOL, Ambient, euclidean
 from .grid import Grid, build_grid, node_array
 from .immersion import ImmersionJet, induced_metric, jet_from_positions
 
@@ -294,7 +294,8 @@ def tabulate(jet: ImmersionJet) -> ImmersionJet:
 
 def load_tabulated(grid: Grid, positions, space: Ambient) -> ImmersionJet:
     """Jet from a tabulated position table (list of per-node coordinate rows,
-    row-major in u). Validates shape and the immersion condition."""
+    row-major in u). Validates the shape, that every position lies in the
+    ambient space (within ``OFF_SPACE_TOL``), and the immersion condition."""
     arr = np.asarray(positions, dtype=np.float64)
     n = space.embedding_dim
     if arr.ndim == 2:
@@ -310,6 +311,12 @@ def load_tabulated(grid: Grid, positions, space: Ambient) -> ImmersionJet:
         )
     if not np.all(np.isfinite(arr)):
         raise SurfaceConfigError("position table contains non-finite entries")
+    err = space.off_space_error(arr)
+    node = np.unravel_index(np.argmax(err), err.shape)
+    if err[node] > OFF_SPACE_TOL:
+        raise SurfaceConfigError(
+            f"position at node ({node[0]}, {node[1]}) lies off the ambient space: "
+            f"relative error {err[node]:.3e} > {OFF_SPACE_TOL:g}")
     jet = jet_from_positions(grid, arr, space)
     induced_metric(jet)  # raises DegenerateImmersionError on bad tables
     return jet

@@ -80,21 +80,6 @@ class Grid:
     def mesh(self) -> tuple[np.ndarray, np.ndarray]:
         return np.meshgrid(self.u, self.v, indexing="ij")
 
-    def refined(self, factor: int = 2) -> "Grid":
-        def n_of(n, periodic):
-            return n * factor if periodic else (n - 1) * factor + 1
-
-        return Grid(
-            self.u_min,
-            self.u_max,
-            self.v_min,
-            self.v_max,
-            n_of(self.nu, self.periodic_u),
-            n_of(self.nv, self.periodic_v),
-            self.periodic_u,
-            self.periodic_v,
-        )
-
 
 def node_array(grid: Grid, comps: tuple[int, ...] = ()) -> np.ndarray:
     """Zero field of logical shape ``grid.shape + comps`` with the node axes

@@ -8,7 +8,8 @@ fundamental form, mean curvature vector, shape operator, surface
 Christoffel symbols, the normal connection applied to H, and the Gauss
 curvature, all in the coordinate frame (d_u X, d_v X). One helper,
 :func:`tangent_coords`, gives the tangent part of an ambient vector; normal
-parts subtract it (and the radial part, on a sphere).
+parts subtract it and keep :meth:`Ambient.tangent_part`, since only
+:mod:`ambient` knows which space form the surface lies in.
 
 With analytic third derivatives, nabla-perp H comes from
 nabla-perp_a H = 1/2 tr nabla-perp_a B, the derivative of B written with
@@ -233,12 +234,10 @@ def tangent_coords(jet: ImmersionJet, ginv: np.ndarray, W: np.ndarray) -> np.nda
 
 
 def _project_off_tangent(jet: ImmersionJet, ginv: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Remove the part of W tangent to the surface (and radial, on a sphere)."""
+    """Remove the part of W tangent to the surface and keep the part tangent to the ambient."""
     out = W - np.einsum("xy...a,xyak->xy...k", tangent_coords(jet, ginv, W), jet.d1)
-    if jet.space.kind == "sphere":
-        pos = jet.pos.reshape(jet.grid.shape + (1,) * (W.ndim - 3) + (-1,))
-        out = out - (_dot(out, pos) / jet.space.radius**2)[..., None] * pos
-    return out
+    pos = jet.pos.reshape(jet.grid.shape + (1,) * (W.ndim - 3) + (-1,))
+    return jet.space.tangent_part(pos, out)
 
 
 def second_fundamental_form(jet: ImmersionJet, ginv: np.ndarray) -> np.ndarray:

@@ -54,6 +54,8 @@ from .grid import Grid, flat_laplacian
 
 # largest normwise backward error of an accepted Krylov step
 BACKWARD_ERROR_TOL = 1e-14
+# halvings of a Newton step the line search tries before the solve stops
+MAX_HALVINGS = 20
 NO_PERIODIC_SOLUTION = ("no periodic solution: K_N + |H|^2 <= 0 at every node"
                         " forces Lap w < 0 everywhere")
 
@@ -204,7 +206,6 @@ def solve_mu(
     problem: MuProblem,
     tol_newton: float = 1e-10,
     max_iter: int = 30,
-    max_halvings: int = 20,
 ) -> MuSolution:
     grid, H, KN = problem.grid, problem.H, problem.KN
     mu = problem.mu0.copy()
@@ -235,7 +236,7 @@ def solve_mu(
 
             alpha = 1.0
             accepted = False
-            for _ in range(max_halvings + 1):
+            for _ in range(MAX_HALVINGS + 1):
                 trial = mu * np.exp(alpha * step)
                 if np.all(trial > 0):  # e^w underflows to 0 below w = -745
                     F_trial = mu_residual(grid, trial, H, KN)

@@ -112,12 +112,10 @@ def build_geometry_report(
     meta = {
         "surface": surface_label,
         "jet_source": jet.source,
-        "ambient": {"kind": jet.space.kind, "dim": jet.space.dim},
+        "ambient": jet.space.spec(),
         "grid": _grid_meta(jet.grid),
         "tolerance": tol,
     }
-    if jet.space.kind == "sphere":
-        meta["ambient"]["radius"] = jet.space.radius
     rep = GeometryReport(meta)
 
     # FD-jet norms skip the one-sided stencil bands at open boundaries

@@ -50,12 +50,19 @@ def test_curvature_operator_space_form(rng):
     np.testing.assert_allclose(bianchi, 0.0, atol=1e-12)
 
 
-def test_curvature_operator_tangency_check():
-    s = sphere(3, 1.0)
-    p = np.array([[0.0, 0.0, 0.0, 1.0]])
-    tangent = np.array([[1.0, 0.0, 0.0, 0.0]])
-    curvature_operator(s, tangent, tangent, tangent, position=p)  # fine
-    radial = np.array([[0.0, 0.0, 0.0, 1.0]])
-    with pytest.raises(ValueError, match="tangent"):
-        curvature_operator(s, radial, tangent, tangent, position=p)
+@pytest.mark.parametrize("space", [euclidean(3), euclidean(5), sphere(3, 2.5), sphere(4, 1.0)])
+def test_spec_round_trip(space):
+    assert Ambient.from_spec(space.spec()) == space
 
+
+def test_spec_entries():
+    assert sphere(3, 2.0).spec() == {"kind": "sphere", "dim": 3, "radius": 2.0}
+    assert euclidean(4).spec() == {"kind": "euclidean", "dim": 4}
+    assert Ambient.from_spec({}) == euclidean(3)
+    # a Euclidean entry's radius is not read
+    assert Ambient.from_spec({"kind": "euclidean", "dim": 3.0, "radius": "x"}) == euclidean(3)
+
+
+def test_tangent_part_euclidean_is_identity(rng):
+    W = rng.standard_normal((6, 3))
+    assert euclidean(3).tangent_part(rng.standard_normal((6, 3)), W) is W

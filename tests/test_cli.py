@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -351,6 +352,13 @@ class TestVerify:
         ({"kind": "euclidean", "dim": None}, "ambient 'dim' must be an integer, got None"),
         ({"kind": "sphere", "dim": 3, "radius": "r"},
          "ambient 'radius' must be a positive finite number, got 'r'"),
+        # float(True) is 1.0, but a bool is no radius
+        ({"kind": "sphere", "dim": 3, "radius": True},
+         "ambient 'radius' must be a positive finite number, got True"),
+        ({"kind": "sphere", "dim": 3, "radius": -1},
+         "ambient 'radius' must be a positive finite number, got -1"),
+        ({"kind": "sphere", "dim": 3}, "sphere ambient needs a radius"),
+        ({"kind": "torus", "dim": 3}, "unknown ambient kind 'torus'"),
     ])
     def test_surface_file_bad_ambient(self, runner, tmp_path, ambient, message):
         # a non-integer dim used to end in a ValueError traceback and exit 1
@@ -366,6 +374,29 @@ class TestVerify:
         res = runner.invoke(main, ["verify", "--surface", str(f)])
         assert res.exit_code == EXIT_CONFIG, res.output
         assert res.stderr == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("scale,exit_code", [(1.1, EXIT_CONFIG), (1.0 + 1e-12, 0)])
+    def test_surface_file_positions_off_sphere(self, runner, tmp_path, scale, exit_code):
+        # the torus S^1(0.6) x S^1(0.8) in S^3(1), scaled by 1.1, used to load
+        # and read all four flags true, with K_min = 0.195 instead of 0
+        n, r1, r2 = 32, 0.6, 0.8
+        U, V = np.meshgrid(2 * np.pi * np.arange(n) / n, 2 * np.pi * np.arange(n) / n,
+                           indexing="ij")
+        pos = scale * np.stack([r1 * np.cos(U), r1 * np.sin(U),
+                                r2 * np.cos(V), r2 * np.sin(V)], axis=-1)
+        cfg = {
+            "grid": {"u": [0.0, 2 * np.pi * r1, n, True], "v": [0.0, 2 * np.pi * r2, n, True]},
+            "ambient": {"kind": "sphere", "dim": 3, "radius": 1.0},
+            "surface": {"positions": pos.reshape(-1, 4).tolist()},
+        }
+        f = tmp_path / "torus.json"
+        f.write_text(json.dumps(cfg))
+        res = runner.invoke(main, ["verify", "--surface", str(f)])
+        assert res.exit_code == exit_code, res.output
+        if exit_code == EXIT_CONFIG:
+            assert re.fullmatch(r"config error: position at node \(\d+, \d+\) lies off the"
+                                r" ambient space: relative error 1\.000e-01 > 1e-08\n",
+                                res.stderr)
 
     def test_surface_file_ambient_dim_too_small(self, runner, tmp_path):
         # used to end in a ValueError traceback from Ambient and exit 1

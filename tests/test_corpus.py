@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from biconsurf.ambient import euclidean
+from biconsurf.ambient import euclidean, sphere
 from biconsurf.corpus import (
     BUILTIN_MAKERS,
     SurfaceConfigError,
@@ -178,6 +178,20 @@ class TestTabulated:
             load_tabulated(g, np.zeros((7, 8, 3)), euclidean(3))
         with pytest.raises(ValueError):
             load_tabulated(g, np.zeros((8, 8, 2)), euclidean(3))
+
+    def test_positions_off_sphere(self, rng):
+        # the latitude sphere at height 0.6 in S^3(2.5)
+        base = make_builtin("sphere", n=16, r=2.5 * 0.8)
+        pos = np.concatenate([base.pos, np.full(base.grid.shape + (1,), 2.5 * 0.6)], axis=-1)
+        # relative perturbations of 1e-12 are round-off, and load
+        load_tabulated(base.grid, pos * (1.0 + 1e-12 * rng.uniform(-1, 1, pos.shape)),
+                       sphere(3, 2.5))
+        pos[5, 3] *= 1.0 + 3e-8
+        with pytest.raises(SurfaceConfigError, match=r"node \(5, 3\) lies off the ambient "
+                                                     r"space: relative error 3\.000e-08 > 1e-08"):
+            load_tabulated(base.grid, pos, sphere(3, 2.5))
+        # a Euclidean ambient has no such constraint
+        load_tabulated(base.grid, pos, euclidean(4))
 
     def test_duplicate_rows_degenerate(self):
         g = build_grid((0.0, 1.0), (0.0, 1.0), 8, 8)

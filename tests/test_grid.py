@@ -27,16 +27,6 @@ def test_validation():
         build_grid((0.0, 1.0), (0.0, 1.0), 3, 8)
 
 
-def test_refined_preserves_spacing_ratio():
-    g = build_grid((0.0, 2.0), (0.0, 1.0), 8, 9, periodic_u=True)
-    r = g.refined()
-    assert r.nu == 16
-    assert r.nv == 17
-    assert r.hu == pytest.approx(g.hu / 2)
-    assert r.hv == pytest.approx(g.hv / 2)
-    np.testing.assert_allclose(r.u[::2], g.u, atol=1e-14)
-
-
 def test_fd_derivative_trig():
     g = build_grid((0.0, 2.0 * np.pi), (0.0, 1.0), 64, 16, periodic_u=True)
     U, V = g.mesh()

@@ -207,31 +207,32 @@ class TestSphere:
 
 
 class TestSphereAmbient:
-    """A latitude 2-sphere inside the unit 3-sphere: umbilical with
-    |H| = cot(theta0) and K = 1 / sin(theta0)^2."""
+    """A latitude 2-sphere inside the 3-sphere of radius R: umbilical with
+    |H| = cot(theta0) / R and K = 1 / (R sin(theta0))^2."""
 
     theta0 = 0.8
+    R = 1.0
 
     def jet(self, n=24):
-        s, c = np.sin(self.theta0), np.cos(self.theta0)
+        s, c = self.R * np.sin(self.theta0), self.R * np.cos(self.theta0)
         base = make_builtin("sphere", n=n, r=s)
         pos = np.concatenate([base.pos, np.full(base.grid.shape + (1,), c)], axis=-1)
         pad = lambda a: np.concatenate([a, np.zeros(a.shape[:-1] + (1,))], axis=-1)
         return ImmersionJet(
-            base.grid, sphere(3, 1.0), pos, pad(base.d1), pad(base.d2), pad(base.d3)
+            base.grid, sphere(3, self.R), pos, pad(base.d1), pad(base.d2), pad(base.d3)
         )
 
     def test_umbilical_cmc(self):
         geom = compute_geometry(self.jet())
         cot = np.cos(self.theta0) / np.sin(self.theta0)
-        np.testing.assert_allclose(geom.Hsq, cot**2, atol=1e-10)
+        np.testing.assert_allclose(geom.Hsq, (cot / self.R) ** 2, atol=1e-10)
         lam1, lam2, mu, _ = geom.principal
         np.testing.assert_allclose(mu, 0.0, atol=1e-7)
         np.testing.assert_allclose(lam1, geom.Hsq, atol=1e-7)
 
     def test_gauss_equation_with_ambient_curvature(self):
         geom = compute_geometry(self.jet())
-        np.testing.assert_allclose(geom.K, 1.0 / np.sin(self.theta0) ** 2, atol=1e-9)
+        np.testing.assert_allclose(geom.K, 1.0 / (self.R * np.sin(self.theta0)) ** 2, atol=1e-9)
 
     def test_normal_B_in_sphere(self):
         jet = self.jet()
@@ -241,6 +242,12 @@ class TestSphereAmbient:
         np.testing.assert_allclose(dots, 0.0, atol=1e-10)
         radial = np.einsum("...ijk,...k->...ij", geom.B, jet.pos)
         np.testing.assert_allclose(radial, 0.0, atol=1e-10)
+
+
+class TestSphereAmbientRadius25(TestSphereAmbient):
+    """The same latitude sphere in S^3(2.5), where r and r^2 differ."""
+
+    R = 2.5
 
 
 class TestGraph:

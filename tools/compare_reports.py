@@ -14,9 +14,10 @@ one on an unequal and one on an odd grid, the benchmark's 128^2 README
 problem, and two far from the constant root, named ``solve_mu_lu_*`` after
 the SuperLU fallback they once reached); one
 ``convergence`` study; one CSV report; a tabulated torus in the sphere
-S^3(1) at 32^2 and 64^2; and, at 32^2 and 64^2, a tabulated product torus in
-R^4 at the angles (u + 0.3 sin u, v), the only doubly periodic input with no
-isothermal chart.  That is 49 cases.
+S^3(1) at 32^2 and 64^2, and one in S^3(2) at 32^2, where r and r^2 differ;
+and, at 32^2 and 64^2, a tabulated product torus in R^4 at the angles
+(u + 0.3 sin u, v), the only doubly periodic input with no isothermal chart.
+That is 50 cases.
 
 For each case it prints both exit codes, whether stdout is byte-identical,
 the largest |diff| over the numbers in stdout, the largest relative diff
@@ -106,11 +107,13 @@ def cases() -> dict[str, list[str]]:
     for n in (32, 64):
         out[f"torus_s3_{n}"] = ["verify", "--surface", f"torus_s3_{n}.json"]
         out[f"torus_stretch_{n}"] = ["verify", "--surface", f"torus_stretch_{n}.json"]
+    out["torus_s3r2_32"] = ["verify", "--surface", "torus_s3r2_32.json"]
     return out
 
 
-def _torus_in_s3(n: int, r1: float = 0.6, r2: float = 0.8) -> dict:
-    """Surface file: S^1(r1) x S^1(r2) with r1^2 + r2^2 = 1, tabulated."""
+def _torus_in_s3(n: int, r1: float = 0.6, r2: float = 0.8, radius: float = 1.0) -> dict:
+    """Surface file: S^1(r1) x S^1(r2) in S^3(radius), where
+    r1^2 + r2^2 = radius^2, tabulated."""
     u = 2.0 * math.pi * r1 * np.arange(n) / n
     v = 2.0 * math.pi * r2 * np.arange(n) / n
     U, V = np.meshgrid(u, v, indexing="ij")
@@ -119,7 +122,7 @@ def _torus_in_s3(n: int, r1: float = 0.6, r2: float = 0.8) -> dict:
     return {
         "grid": {"u": [0.0, 2.0 * math.pi * r1, n, True],
                  "v": [0.0, 2.0 * math.pi * r2, n, True]},
-        "ambient": {"kind": "sphere", "dim": 3, "radius": 1.0},
+        "ambient": {"kind": "sphere", "dim": 3, "radius": radius},
         "surface": {"positions": pos.reshape(-1, 4).tolist()},
     }
 
@@ -144,6 +147,7 @@ def write_inputs(workdir: str):
     for n in (32, 64):
         docs[f"torus_s3_{n}.json"] = _torus_in_s3(n)
         docs[f"torus_stretch_{n}.json"] = _torus_stretch(n)
+    docs["torus_s3r2_32.json"] = _torus_in_s3(32, 1.2, 1.6, 2.0)
     for name, doc in docs.items():
         with open(os.path.join(workdir, name), "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
