@@ -16,7 +16,7 @@ trailing component axis.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -27,6 +27,11 @@ OFF_SPACE_TOL = 1e-8
 
 def _dot(a, b):
     return np.einsum("...k,...k->...", a, b)
+
+
+def _is_number(x) -> bool:
+    """A JSON number: an int or a float, not a bool."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -47,29 +52,23 @@ class Ambient:
     def from_spec(cls, d: dict) -> "Ambient":
         """The ambient of a surface file's ``ambient`` entry: ``kind``
         (default euclidean), an integer ``dim`` (default 3) and, for a
-        sphere, a positive finite ``radius``. Bad entries raise ValueError."""
+        sphere, a positive finite ``radius``, both JSON numbers (a string
+        or a bool is none). Bad entries raise ValueError."""
         kind = d.get("kind", "euclidean")
-        raw = d.get("dim", 3)
-        try:
-            dim = int(raw)
-            ok = not isinstance(raw, bool) and dim == float(raw)
-        except (TypeError, ValueError, OverflowError):
-            ok = False
-        if not ok:
-            raise ValueError(f"ambient 'dim' must be an integer, got {raw!r}")
+        dim = d.get("dim", 3)
+        if not _is_number(dim) or isinstance(dim, float) and not dim.is_integer():
+            raise ValueError(f"ambient 'dim' must be an integer, got {dim!r}")
         radius = None
         if kind == "sphere":
             if "radius" not in d:
                 raise ValueError("sphere ambient needs a radius")
-            raw = d["radius"]
-            try:
-                radius = math.nan if isinstance(raw, bool) else float(raw)
-            except (TypeError, ValueError):
-                radius = math.nan
-            if not 0 < radius < math.inf:
+            radius = d["radius"]
+            # compared as given, so an integer too large for a float is rejected too
+            if not (_is_number(radius) and 0 < radius <= sys.float_info.max):
                 raise ValueError(
-                    f"ambient 'radius' must be a positive finite number, got {raw!r}")
-        return cls(kind, dim, radius)
+                    f"ambient 'radius' must be a positive finite number, got {radius!r}")
+            radius = float(radius)
+        return cls(kind, int(dim), radius)
 
     def spec(self) -> dict:
         """The entry :meth:`from_spec` reads, as a report writes it."""

@@ -2,13 +2,14 @@
 
 Every builtin returns an :class:`ImmersionJet` with exact derivatives up to
 third order, so downstream identity checks run at round-off accuracy. Each
-coordinate of a builtin is a sum of products f(u) g(v), so a maker only
-writes the 1-D derivative sequences (f, f', f'', f''') and (g, g', g'', g''')
-on the grid axes; :func:`_jet` forms every mixed derivative of the jet from
-them by the product rule. The registry also records closed-form expected
-values used as oracles by the tests. Every identity, the Hopf row included,
-is checked in the coordinates of the jet, so a parametrization need not be
-isothermal: the polar sphere and the stretched cylinder are not.
+coordinate of a builtin is a sum of products f(u) g(v); a maker writes f and
+g as expressions in ``_Taylor.var(grid.u)`` and ``_Taylor.var(grid.v)``, the
+truncated Taylor arithmetic of :class:`_Taylor` carries their derivatives,
+and :func:`_jet` forms every mixed derivative from them by the product rule.
+The registry also records closed-form expected values used as oracles by the
+tests. Every identity, the Hopf row included, is checked in the coordinates
+of the jet, so a parametrization need not be isothermal: the polar sphere
+and the stretched cylinder are not.
 """
 
 from __future__ import annotations
@@ -24,23 +25,77 @@ from .ambient import OFF_SPACE_TOL, Ambient, euclidean
 from .grid import Grid, build_grid, node_array
 from .immersion import ImmersionJet, induced_metric, jet_from_positions
 
+# Taylor coefficients kept per factor: derivatives of order 0..3, so jets up to d3
+JET_ORDER = 4
+
 
 class SurfaceConfigError(ValueError):
     """Malformed surface specification (unknown name, bad params, bad table)."""
 
 
+class _Taylor:
+    """Truncated Taylor series in one variable: ``c[k]`` is f^(k) / k! at each
+    node for k < JET_ORDER, missing ones 0 (Griewank and Walther 2008,
+    *Evaluating Derivatives*, ch. 13). c[0] is the plain expression's, bit for bit."""
+
+    def __init__(self, *c):
+        self.c = [*c, *[0.0] * (JET_ORDER - len(c))]
+
+    @classmethod
+    def var(cls, x):  # the variable, expanded at the nodes x
+        return cls(x, 1.0)
+
+    def derivatives(self) -> tuple:
+        """f, f', f'', ... at each node, up to order JET_ORDER - 1."""
+        return tuple(math.factorial(k) * ck for k, ck in enumerate(self.c))
+
+    def __add__(self, other):
+        other = other if isinstance(other, _Taylor) else _Taylor(other)
+        return _Taylor(*(a + b for a, b in zip(self.c, other.c)))
+
+    def __mul__(self, other):
+        if not isinstance(other, _Taylor):
+            return _Taylor(*(a * other for a in self.c))
+        a, b = self.c, other.c  # the Cauchy product
+        return _Taylor(*(sum((a[j] * b[k - j] for j in range(1, k + 1)), a[0] * b[k])
+                         for k in range(JET_ORDER)))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scalar):
+        return _Taylor(*(a / scalar for a in self.c))
+
+    @staticmethod
+    def solve(y0, rhs) -> list:
+        """Series of the solution of y' = rhs(y) through the node values y0
+        (one series per component), by the Taylor series method: coefficient
+        k of rhs(y) reads only those <= k of y, so each pass fixes one more."""
+        y = [_Taylor(a) for a in y0]
+        for k in range(JET_ORDER - 1):
+            for yi, fi in zip(y, rhs(*y)):
+                yi.c[k + 1] = fi.c[k] / (k + 1)
+        return y
+
+    def sincos(self) -> list:
+        """[sin f, cos f], from (sin f)' = f' cos f and (cos f)' = -f' sin f."""
+        df = _Taylor(*(k * ck for k, ck in enumerate(self.c) if k))
+        return _Taylor.solve((np.sin(self.c[0]), np.cos(self.c[0])),
+                             lambda s, c: (df * c, -1.0 * (df * s)))
+
+
 def _jet(grid: Grid, space: Ambient, coords) -> ImmersionJet:
     """Exact jet of a surface whose coordinates are sums of products f(u) g(v).
 
-    ``coords[k]`` lists the terms of X^k as pairs (F, G) of derivative
-    sequences, F = (f, f', f'', f''') on ``grid.u`` and G likewise on
-    ``grid.v``; an entry is a 1-D array or a constant. A derivative with p
-    u-indices and q v-indices is the sum over the terms of F[p] (outer)
-    G[q], written into every slot with that index count, so d2 and d3 are
-    symmetric by construction.
+    ``coords[k]`` lists the terms of X^k as pairs (f, g) of factors, each a
+    constant or a :class:`_Taylor` series, f on ``grid.u`` and g on ``grid.v``.
+    With F = (f, f', ...) and G likewise, a derivative with p u-indices and q
+    v-indices is the sum over the terms of F[p] (outer) G[q], written into
+    every slot with that index count, so d2 and d3 are symmetric by construction.
     """
+    coords = [[tuple((f if isinstance(f, _Taylor) else _Taylor(f)).derivatives() for f in term)
+               for term in terms] for terms in coords]
     jets = []
-    for order in range(4):
+    for order in range(JET_ORDER):
         out = node_array(grid, (2,) * order + (len(coords),))
         slots = list(itertools.product((0, 1), repeat=order))
         for k, terms in enumerate(coords):
@@ -59,14 +114,6 @@ def _jet(grid: Grid, space: Ambient, coords) -> ImmersionJet:
     return ImmersionJet(grid, space, *jets)
 
 
-# derivative sequences of the constant 1 and of the identity
-_ONE = (1.0, 0.0, 0.0, 0.0)
-
-
-def _identity(x):
-    return (x, 1.0, 0.0, 0.0)
-
-
 def make_helix_line_r4(grid: Grid, k: float = 1.0, tau: float = 0.0, offset: float = 0.0) -> ImmersionJet:
     """Circular helix (curvature k, torsion tau) swept along the e4 line in R^4.
 
@@ -77,19 +124,12 @@ def make_helix_line_r4(grid: Grid, k: float = 1.0, tau: float = 0.0, offset: flo
     if k <= 0:
         raise SurfaceConfigError("helix curvature k must be positive")
     c2 = 1.0 / (k * k + tau * tau)
-    a_r = k * c2
-    b = tau * c2
+    a_r, b = k * c2, tau * c2
     w = 1.0 / math.sqrt(c2)
-
-    u = grid.u
-    th = w * u
-    cu, su = np.cos(th), np.sin(th)
-    return _jet(grid, euclidean(4), [
-        [((a_r * cu, -a_r * w * su, -a_r * w * w * cu, a_r * w**3 * su), _ONE)],
-        [((a_r * su, a_r * w * cu, -a_r * w * w * su, -a_r * w**3 * cu), _ONE)],
-        [((b * w * u, b * w, 0.0, 0.0), _ONE)],
-        [(_ONE, _identity(grid.v + offset))],
-    ])
+    u = _Taylor.var(grid.u)
+    su, cu = (w * u).sincos()
+    return _jet(grid, euclidean(4), [[(a_r * cu, 1.0)], [(a_r * su, 1.0)], [(b * w * u, 1.0)],
+                                     [(1.0, _Taylor.var(grid.v) + offset)]])
 
 
 def make_cylinder(grid: Grid, r: float = 1.0, stretch: float = 0.0) -> ImmersionJet:
@@ -97,7 +137,7 @@ def make_cylinder(grid: Grid, r: float = 1.0, stretch: float = 0.0) -> Immersion
 
     With ``stretch`` = 0 the chart is arclength (flat induced metric).  A
     nonzero ``stretch`` in (-1, 1) reparametrizes the angular coordinate as
-    theta = (u + stretch sin u) / r; the surface is unchanged, but node
+    theta = u / r + stretch sin(u / r); the surface is unchanged, but node
     fields become chart-inhomogeneous, so finite-difference twins of this
     jet carry genuine truncation error instead of symmetric cancellation.
     """
@@ -105,34 +145,20 @@ def make_cylinder(grid: Grid, r: float = 1.0, stretch: float = 0.0) -> Immersion
         raise SurfaceConfigError("cylinder radius must be positive")
     if not -1.0 < stretch < 1.0:
         raise SurfaceConfigError("stretch must lie in (-1, 1) to keep theta monotone")
-    u = grid.u
-    th = (u + stretch * np.sin(u / r) * r) / r
-    tp = (1.0 + stretch * np.cos(u / r)) / r  # d theta / du
-    tpp = -stretch * np.sin(u / r) / r**2
-    tppp = -stretch * np.cos(u / r) / r**3
-    cu, su = np.cos(th), np.sin(th)
-    return _jet(grid, euclidean(3), [
-        [((r * cu, -r * su * tp, -r * (cu * tp**2 + su * tpp),
-           r * (su * tp**3 - 3.0 * cu * tp * tpp - su * tppp)), _ONE)],
-        [((r * su, r * cu * tp, r * (-su * tp**2 + cu * tpp),
-           r * (-cu * tp**3 - 3.0 * su * tp * tpp + cu * tppp)), _ONE)],
-        [(_ONE, _identity(grid.v))],
-    ])
+    u = _Taylor.var(grid.u)
+    sth, cth = ((u + stretch * (u / r).sincos()[0] * r) / r).sincos()
+    return _jet(grid, euclidean(3),
+                [[(r * cth, 1.0)], [(r * sth, 1.0)], [(1.0, _Taylor.var(grid.v))]])
 
 
 def make_product_torus(grid: Grid, r1: float = 1.0, r2: float = 1.0) -> ImmersionJet:
     """S^1(r1) x S^1(r2) in R^4, arclength in both factors; doubly periodic."""
     if r1 <= 0 or r2 <= 0:
         raise SurfaceConfigError("torus radii must be positive")
-    a, bta = grid.u / r1, grid.v / r2
-    ca, sa = np.cos(a), np.sin(a)
-    cb, sb = np.cos(bta), np.sin(bta)
-    return _jet(grid, euclidean(4), [
-        [((r1 * ca, -sa, -ca / r1, sa / r1**2), _ONE)],
-        [((r1 * sa, ca, -sa / r1, -ca / r1**2), _ONE)],
-        [(_ONE, (r2 * cb, -sb, -cb / r2, sb / r2**2))],
-        [(_ONE, (r2 * sb, cb, -sb / r2, -cb / r2**2))],
-    ])
+    sa, ca = (_Taylor.var(grid.u) / r1).sincos()
+    sb, cb = (_Taylor.var(grid.v) / r2).sincos()
+    return _jet(grid, euclidean(4),
+                [[(r1 * ca, 1.0)], [(r1 * sa, 1.0)], [(1.0, r2 * cb)], [(1.0, r2 * sb)]])
 
 
 def make_sphere(grid: Grid, r: float = 1.0, chart: str = "mercator") -> ImmersionJet:
@@ -145,30 +171,15 @@ def make_sphere(grid: Grid, r: float = 1.0, chart: str = "mercator") -> Immersio
     """
     if r <= 0:
         raise SurfaceConfigError("sphere radius must be positive")
-    u, v = grid.u, grid.v
+    su, cu = _Taylor.var(grid.u).sincos()
+    v = grid.v
     if chart == "mercator":
-        cu, su = np.cos(u), np.sin(u)
-        s, t = 1.0 / np.cosh(v), np.tanh(v)
-        # r sech v and r tanh v with their v-derivatives
-        sech = (r * s, r * (-s * t), r * (s * (t * t - s * s)),
-                r * (-s * t**3 + 5.0 * s**3 * t))
-        tanh = (r * t, r * (s * s), r * (-2.0 * s * s * t),
-                r * (4.0 * s * s * t * t - 2.0 * s**4))
-        return _jet(grid, euclidean(3), [
-            [((cu, -su, -cu, su), sech)],
-            [((su, cu, -su, -cu), sech)],
-            [(_ONE, tanh)],
-        ])
+        # sech v and tanh v solve s' = -s t, t' = s^2
+        s, t = _Taylor.solve((1.0 / np.cosh(v), np.tanh(v)), lambda s, t: (-1.0 * (s * t), s * s))
+        return _jet(grid, euclidean(3), [[(cu, r * s)], [(su, r * s)], [(1.0, r * t)]])
     if chart == "polar":
-        # d^m/dx^m sin x for m = 0..4; d^m/dx^m cos x is d^(m+1)/dx^(m+1) sin x
-        sin_u = (np.sin(u), np.cos(u), -np.sin(u), -np.cos(u), np.sin(u))
-        sin_v = (np.sin(v), np.cos(v), -np.sin(v), -np.cos(v), np.sin(v))
-        r_sin_u = tuple(r * f for f in sin_u[:4])
-        return _jet(grid, euclidean(3), [
-            [(r_sin_u, sin_v[1:])],
-            [(r_sin_u, sin_v[:4])],
-            [(tuple(r * f for f in sin_u[1:]), _ONE)],
-        ])
+        sv, cv = _Taylor.var(v).sincos()
+        return _jet(grid, euclidean(3), [[(r * su, cv)], [(r * su, sv)], [(r * cu, 1.0)]])
     raise SurfaceConfigError(f"unknown sphere chart {chart!r}")
 
 
@@ -176,12 +187,9 @@ def make_graph(grid: Grid, expression: str = "u2_minus_v3") -> ImmersionJet:
     """Graph surface over a parameter patch; generic non-biconservative witness."""
     if expression != "u2_minus_v3":
         raise SurfaceConfigError(f"unknown graph expression {expression!r}")
-    u, v = grid.u, grid.v
-    return _jet(grid, euclidean(3), [
-        [(_identity(u), _ONE)],
-        [(_ONE, _identity(v))],
-        [((u * u, 2.0 * u, 2.0, 0.0), _ONE), (_ONE, (-(v**3), -3.0 * v * v, -6.0 * v, -6.0))],
-    ])
+    u, v = _Taylor.var(grid.u), _Taylor.var(grid.v)
+    return _jet(grid, euclidean(3),
+                [[(u, 1.0)], [(1.0, v)], [(u * u, 1.0), (1.0, -1.0 * (v * v * v))]])
 
 
 # ---------------------------------------------------------------------------
@@ -217,16 +225,9 @@ def default_grid(name: str, n: int = 64, params: dict | None = None) -> Grid:
             return build_grid((0.4, math.pi - 0.4), (0.0, 2.0 * math.pi), n, n, periodic_v=True)
         return build_grid((0.0, 2.0 * math.pi), (-1.2, 1.2), n, n, periodic_u=True)
     if name == "product_torus":
-        r1 = _radius(params, "r1")
-        r2 = _radius(params, "r2")
-        return build_grid(
-            (0.0, 2.0 * math.pi * r1),
-            (0.0, 2.0 * math.pi * r2),
-            n,
-            n,
-            periodic_u=True,
-            periodic_v=True,
-        )
+        r1, r2 = _radius(params, "r1"), _radius(params, "r2")
+        return build_grid((0.0, 2.0 * math.pi * r1), (0.0, 2.0 * math.pi * r2), n, n,
+                          periodic_u=True, periodic_v=True)
     if name == "graph":
         return build_grid((-1.0, 1.0), (-1.0, 1.0), n, n)
     raise SurfaceConfigError(f"unknown builtin surface {name!r}")
@@ -301,14 +302,12 @@ def load_tabulated(grid: Grid, positions, space: Ambient) -> ImmersionJet:
     if arr.ndim == 2:
         if arr.shape[0] != grid.nu * grid.nv:
             raise SurfaceConfigError(
-                f"position table has {arr.shape[0]} rows, expected {grid.nu * grid.nv}"
-            )
+                f"position table has {arr.shape[0]} rows, expected {grid.nu * grid.nv}")
         arr = arr.reshape(grid.nu, grid.nv, -1)
     if arr.shape != grid.shape + (n,):
         raise SurfaceConfigError(
             f"position table shape {arr.shape} does not match grid {grid.shape} "
-            f"with {n} ambient components"
-        )
+            f"with {n} ambient components")
     if not np.all(np.isfinite(arr)):
         raise SurfaceConfigError("position table contains non-finite entries")
     err = space.off_space_error(arr)

@@ -359,6 +359,10 @@ class TestVerify:
          "ambient 'radius' must be a positive finite number, got -1"),
         ({"kind": "sphere", "dim": 3}, "sphere ambient needs a radius"),
         ({"kind": "torus", "dim": 3}, "unknown ambient kind 'torus'"),
+        # a JSON string is no number, even when int() or float() would read it
+        ({"kind": "sphere", "dim": "3", "radius": 2.0}, "ambient 'dim' must be an integer, got '3'"),
+        ({"kind": "sphere", "dim": 3, "radius": "2.0"},
+         "ambient 'radius' must be a positive finite number, got '2.0'"),
     ])
     def test_surface_file_bad_ambient(self, runner, tmp_path, ambient, message):
         # a non-integer dim used to end in a ValueError traceback and exit 1

@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
+from biconsurf import corpus
 from biconsurf.ambient import euclidean, sphere
 from biconsurf.corpus import (
     BUILTIN_MAKERS,
@@ -88,6 +90,71 @@ def test_jet_matches_finite_differences(name, params):
     np.testing.assert_array_less(fine[exact], 1e-10)
     orders = [math.log2(c / f) for c, f in zip(coarse[~exact], fine[~exact])]
     assert min(orders) >= 1.8, orders
+
+
+@pytest.fixture(params=[None, 6], ids=["JET_ORDER", "order6"])
+def jet_order(request, monkeypatch):
+    """The number of Taylor coefficients kept: the module's, or 6."""
+    if request.param is not None:
+        monkeypatch.setattr(corpus, "JET_ORDER", request.param)
+    return corpus.JET_ORDER
+
+
+class TestTaylor:
+    x = np.linspace(-1.3, 2.1, 9)
+
+    def test_product_of_vars_is_exact(self, jet_order):
+        # (x + h)(y + h) = x y + (x + y) h + h^2
+        y = np.linspace(0.4, 3.0, 9)
+        c = (corpus._Taylor.var(self.x) * corpus._Taylor.var(y)).c
+        assert len(c) == jet_order
+        np.testing.assert_array_equal(c[0], self.x * y)
+        np.testing.assert_array_equal(c[1], self.x + y)
+        np.testing.assert_array_equal(c[2], 1.0)
+        for ck in c[3:]:
+            np.testing.assert_array_equal(ck, 0.0)
+
+    def test_sin_squared_plus_cos_squared_is_one(self, jet_order):
+        t = corpus._Taylor.var(self.x)
+        s, c = (0.7 * (t * t) + t / 3.0).sincos()
+        one = (s * s + c * c).c
+        assert len(one) == jet_order
+        np.testing.assert_allclose(one[0], 1.0, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(one[1:], 0.0, rtol=0, atol=1e-14)
+
+    def test_sincos_chain_rule(self, jet_order):
+        # (sin x^2)' = 2x cos x^2 and (cos x^2)' = -2x sin x^2; sin^2 + cos^2 = 1
+        # holds for any f', so it cannot see a wrong one
+        t = corpus._Taylor.var(self.x)
+        s, c = (t * t).sincos()
+        np.testing.assert_array_equal(s.c[0], np.sin(self.x * self.x))
+        np.testing.assert_array_equal(c.c[0], np.cos(self.x * self.x))
+        for f, df in ((s, 2.0 * t * c), (c, -2.0 * t * s)):
+            np.testing.assert_allclose(f.derivatives()[1:], df.derivatives()[:-1],
+                                       rtol=1e-13, atol=1e-12)
+
+    def test_solve_exponential(self, jet_order):
+        # y' = y, y = 1: the series of exp is 1 / k!
+        (y,) = corpus._Taylor.solve((1.0,), lambda y: (y,))
+        want = [1.0 / math.factorial(k) for k in range(jet_order)]
+        np.testing.assert_allclose(y.c, want, rtol=1e-15, atol=0)
+
+    def test_mercator_system_is_sech_tanh(self, jet_order):
+        # the Mercator sphere's s = sech v, t = tanh v solve s' = -s t, t' = s^2;
+        # closed forms: d/dv = (1 - t^2) d/dt on polynomials in t, and
+        # d(s P(t))/dv = s (-t P + (1 - t^2) P')
+        v = np.linspace(-1.2, 1.2, 25)
+        s, t = corpus._Taylor.solve((1.0 / np.cosh(v), np.tanh(v)),
+                                    lambda s, t: (-1.0 * (s * t), s * s))
+        T, one = Polynomial([0.0, 1.0]), Polynomial([1.0])
+        p, q = one, T
+        for k in range(jet_order):
+            # coefficient k is the k-th derivative over k!
+            np.testing.assert_allclose(s.c[k], p(np.tanh(v)) / np.cosh(v) / math.factorial(k),
+                                       rtol=0, atol=1e-15)
+            np.testing.assert_allclose(t.c[k], q(np.tanh(v)) / math.factorial(k),
+                                       rtol=0, atol=1e-15)
+            p, q = -T * p + (one - T * T) * p.deriv(), (one - T * T) * q.deriv()
 
 
 def test_default_grid_domains():

@@ -8,7 +8,8 @@ Usage::
 package (a checkout's ``src``).  Every case runs ``python -m biconsurf.cli``
 once per tree, each in a fresh interpreter, on the same input files.  The
 cases cover every builtin surface (two parameter sets each except the graph,
-the polar sphere through a config file), analytic and ``--fd-jets``, with
+the polar sphere through a config file, and a third cylinder, of radius 0.6
+with stretch 0.4), analytic and ``--fd-jets``, with
 ``--dump-fields``, at 32^2 and 96^2; seven ``solve-mu`` runs (two at 64^2,
 one on an unequal and one on an odd grid, the benchmark's 128^2 README
 problem, and two far from the constant root, named ``solve_mu_lu_*`` after
@@ -17,7 +18,7 @@ the SuperLU fallback they once reached); one
 S^3(1) at 32^2 and 64^2, and one in S^3(2) at 32^2, where r and r^2 differ;
 and, at 32^2 and 64^2, a tabulated product torus in R^4 at the angles
 (u + 0.3 sin u, v), the only doubly periodic input with no isothermal chart.
-That is 50 cases.
+That is 54 cases.
 
 For each case it prints both exit codes, whether stdout is byte-identical,
 the largest |diff| over the numbers in stdout, the largest relative diff
@@ -63,6 +64,9 @@ VERIFY_SETS = [
     ("helix_tau", ["--surface", "helix_line_r4", "--param", "tau=0.5"]),
     ("cylinder", ["--surface", "cylinder"]),
     ("cylinder_stretch", ["--surface", "cylinder", "--param", "stretch=0.3"]),
+    # r != 1, where u / r and stretch sin(u / r) differ from u and stretch sin u
+    ("cylinder_r06_stretch", ["--surface", "cylinder", "--param", "r=0.6",
+                              "--param", "stretch=0.4"]),
     ("torus", ["--surface", "product_torus"]),
     ("torus_r2", ["--surface", "product_torus", "--param", "r1=1.0", "--param", "r2=1.5"]),
     ("sphere", ["--surface", "sphere"]),
