@@ -29,9 +29,11 @@ def _dot(a, b):
     return np.einsum("...k,...k->...", a, b)
 
 
-def _is_number(x) -> bool:
-    """A JSON number: an int or a float, not a bool."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+def is_json_number(x) -> bool:
+    """A finite number of a surface file: a JSON int or float, not a bool, that a
+    float holds (so neither Infinity, NaN nor an integer too large for a float)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) \
+        and -sys.float_info.max <= x <= sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -56,15 +58,14 @@ class Ambient:
         or a bool is none). Bad entries raise ValueError."""
         kind = d.get("kind", "euclidean")
         dim = d.get("dim", 3)
-        if not _is_number(dim) or isinstance(dim, float) and not dim.is_integer():
+        if not is_json_number(dim) or isinstance(dim, float) and not dim.is_integer():
             raise ValueError(f"ambient 'dim' must be an integer, got {dim!r}")
         radius = None
         if kind == "sphere":
             if "radius" not in d:
                 raise ValueError("sphere ambient needs a radius")
             radius = d["radius"]
-            # compared as given, so an integer too large for a float is rejected too
-            if not (_is_number(radius) and 0 < radius <= sys.float_info.max):
+            if not (is_json_number(radius) and radius > 0):
                 raise ValueError(
                     f"ambient 'radius' must be a positive finite number, got {radius!r}")
             radius = float(radius)

@@ -20,7 +20,7 @@ import click
 import numpy as np
 
 from . import corpus, report as report_mod
-from .ambient import Ambient
+from .ambient import Ambient, is_json_number
 from .grid import Grid, build_grid
 from .immersion import DegenerateImmersionError
 
@@ -170,20 +170,23 @@ def _parse_periodic(text: str) -> tuple[bool, bool]:
 
 def _grid_from_dict(d: dict) -> Grid:
     """A surface file's grid: ``{"u": [start, end, nodes, periodic], "v": [...]}``,
-    where nodes is a JSON integer and periodic a JSON bool."""
+    where start and end are finite JSON numbers, nodes a JSON integer and
+    periodic a JSON bool."""
     axes = []
     for name in ("u", "v"):
         try:
             start, end, nodes, periodic = d[name]
-            extent = float(start), float(end)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad grid spec for {name!r}: {exc}") from exc
+        for key, val in (("start", start), ("end", end)):
+            if not is_json_number(val):
+                raise ConfigError(f"grid {name!r} {key} must be a finite number, got {val!r}")
         if not isinstance(nodes, int) or isinstance(nodes, bool):
             raise ConfigError(f"grid {name!r} node count must be an integer, got {nodes!r}")
         if not isinstance(periodic, bool):
             raise ConfigError(f"grid {name!r} periodic flag must be true or false,"
                               f" got {periodic!r}")
-        axes.append((extent, nodes, periodic))
+        axes.append(((float(start), float(end)), nodes, periodic))
     (u_ext, nu, pu), (v_ext, nv, pv) = axes
     try:
         return build_grid(u_ext, v_ext, nu, nv, pu, pv)

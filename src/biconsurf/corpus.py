@@ -1,15 +1,13 @@
 """Built-in analytic surfaces with closed-form jets, plus tabulated input.
 
 Every builtin returns an :class:`ImmersionJet` with exact derivatives up to
-third order, so downstream identity checks run at round-off accuracy. Each
-coordinate of a builtin is a sum of products f(u) g(v); a maker writes f and
-g as expressions in ``_Taylor.var(grid.u)`` and ``_Taylor.var(grid.v)``, the
-truncated Taylor arithmetic of :class:`_Taylor` carries their derivatives,
-and :func:`_jet` forms every mixed derivative from them by the product rule.
-The registry also records closed-form expected values used as oracles by the
-tests. Every identity, the Hopf row included, is checked in the coordinates
-of the jet, so a parametrization need not be isothermal: the polar sphere
-and the stretched cylinder are not.
+third order, so downstream identity checks run at round-off accuracy. A maker
+writes each coordinate of X(u, v) as one expression in the bivariate Taylor
+arithmetic of :class:`_Taylor`, so a chart change is one more composition,
+and :func:`_jet` reads every mixed derivative from it. The registry records
+closed-form expected values used as oracles by the tests. Every identity,
+the Hopf row included, is checked in the coordinates of the jet, so a chart
+need not be isothermal: the polar sphere and the stretched cylinder are not.
 """
 
 from __future__ import annotations
@@ -25,111 +23,121 @@ from .ambient import OFF_SPACE_TOL, Ambient, euclidean
 from .grid import Grid, build_grid, node_array
 from .immersion import ImmersionJet, induced_metric, jet_from_positions
 
-# Taylor coefficients kept per factor: derivatives of order 0..3, so jets up to d3
-JET_ORDER = 4
+JET_ORDER = 4  # Taylor coefficients kept: total degree 0..3 in (u, v), so jets up to d3
 
 
 class SurfaceConfigError(ValueError):
     """Malformed surface specification (unknown name, bad params, bad table)."""
 
 
-class _Taylor:
-    """Truncated Taylor series in one variable: ``c[k]`` is f^(k) / k! at each
-    node for k < JET_ORDER, missing ones 0 (Griewank and Walther 2008,
-    *Evaluating Derivatives*, ch. 13). c[0] is the plain expression's, bit for bit."""
+def _key(k: int, axis: int) -> tuple:  # the coefficient of order k along one grid axis
+    return (k, 0) if axis == 0 else (0, k)
 
-    def __init__(self, *c):
-        self.c = [*c, *[0.0] * (JET_ORDER - len(c))]
+
+def _on_axis(x, axis: int):  # node values along one grid axis, broadcast against the other
+    return np.reshape(x, (-1, 1) if axis == 0 else (1, -1))
+
+
+def _dense(a):  # a coefficient, with a lazy (column, row) pair multiplied out
+    return a[0] * a[1] if isinstance(a, tuple) else a
+
+
+def _mul(a, b):  # a coefficient product; a column by a row stays the lazy pair (a, b)
+    a, b = _dense(a), _dense(b)
+    lazy = np.ndim(a) == np.ndim(b) == 2 and 1 in a.shape and 1 in b.shape and a.shape != b.shape
+    return (a, b) if lazy else a * b
+
+
+class _Taylor:
+    """Truncated Taylor series in (u, v): ``c[(i, j)]`` is d_u^i d_v^j f / (i! j!)
+    at each node for i + j < JET_ORDER, missing keys 0 (Griewank and Walther
+    2008, *Evaluating Derivatives*, ch. 13). A coefficient is a float, an array
+    of shape (nu, 1), (1, nv) or (nu, nv), or a lazy pair (column, row) for their
+    product, so neither a series in u alone nor a u-series times a v-series
+    holds a full-grid array. c[(0, 0)] is the plain expression's, bit for bit."""
+
+    __array_ufunc__ = None  # ndarray * series defers to the series
+
+    def __init__(self, c: dict):
+        self.c = c
 
     @classmethod
-    def var(cls, x):  # the variable, expanded at the nodes x
-        return cls(x, 1.0)
-
-    def derivatives(self) -> tuple:
-        """f, f', f'', ... at each node, up to order JET_ORDER - 1."""
-        return tuple(math.factorial(k) * ck for k, ck in enumerate(self.c))
+    def var(cls, x, axis: int):  # the coordinate of grid axis ``axis``, at its nodes x
+        return cls({(0, 0): _on_axis(x, axis), _key(1, axis): 1.0})
 
     def __add__(self, other):
-        other = other if isinstance(other, _Taylor) else _Taylor(other)
-        return _Taylor(*(a + b for a, b in zip(self.c, other.c)))
+        other = other if isinstance(other, _Taylor) else _Taylor({(0, 0): other})
+        out = dict(self.c)
+        for k, b in other.c.items():
+            out[k] = _dense(out[k]) + _dense(b) if k in out else b
+        return _Taylor(out)
 
     def __mul__(self, other):
-        if not isinstance(other, _Taylor):
-            return _Taylor(*(a * other for a in self.c))
-        a, b = self.c, other.c  # the Cauchy product
-        return _Taylor(*(sum((a[j] * b[k - j] for j in range(1, k + 1)), a[0] * b[k])
-                         for k in range(JET_ORDER)))
+        other = other if isinstance(other, _Taylor) else _Taylor({(0, 0): other})
+        out = _Taylor({})  # the Cauchy product over the triangle i + j < JET_ORDER
+        for (i, j), a in self.c.items():
+            for (p, q), b in other.c.items():
+                if i + j + p + q < JET_ORDER:
+                    out = out + _Taylor({(i + p, j + q): _mul(a, b)})
+        return out
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        return _Taylor(*(a / scalar for a in self.c))
+        return _Taylor({k: _dense(a) / scalar for k, a in self.c.items()})
 
     @staticmethod
-    def solve(y0, rhs) -> list:
-        """Series of the solution of y' = rhs(y) through the node values y0
-        (one series per component), by the Taylor series method: coefficient
-        k of rhs(y) reads only those <= k of y, so each pass fixes one more."""
-        y = [_Taylor(a) for a in y0]
+    def solve(y0, rhs, axis: int) -> list:
+        """Series along grid axis ``axis`` of the solution of y' = rhs(y) through the
+        node values y0, by the Taylor series method: coefficient k of rhs(y)
+        reads only those <= k of y, so each pass fixes one more."""
+        y = [_Taylor({(0, 0): _on_axis(a, axis)}) for a in y0]
         for k in range(JET_ORDER - 1):
             for yi, fi in zip(y, rhs(*y)):
-                yi.c[k + 1] = fi.c[k] / (k + 1)
+                yi.c[_key(k + 1, axis)] = _dense(fi.c.get(_key(k, axis), 0.0)) / (k + 1)
         return y
 
     def sincos(self) -> list:
-        """[sin f, cos f], from (sin f)' = f' cos f and (cos f)' = -f' sin f."""
-        df = _Taylor(*(k * ck for k, ck in enumerate(self.c) if k))
-        return _Taylor.solve((np.sin(self.c[0]), np.cos(self.c[0])),
-                             lambda s, c: (df * c, -1.0 * (df * s)))
+        """[sin f, cos f] from f = f0 + d, d nilpotent: sin f = sin f0 cos d +
+        cos f0 sin d and cos f = cos f0 cos d - sin f0 sin d."""
+        d = _Taylor({k: a for k, a in self.c.items() if k != (0, 0)})
+        terms = [_Taylor({(0, 0): 1.0})]
+        for k in range(1, JET_ORDER):  # (-1)^(k//2) d^k / k!
+            terms.append(terms[-1] * d / (k if k % 2 else -k))
+        sin_d, cos_d = sum(terms[3::2], terms[1]), sum(terms[2::2], terms[0])
+        f0 = _dense(self.c[(0, 0)])
+        s0, c0 = np.sin(f0), np.cos(f0)
+        return [s0 * cos_d + c0 * sin_d, c0 * cos_d + -s0 * sin_d]
 
 
 def _jet(grid: Grid, space: Ambient, coords) -> ImmersionJet:
-    """Exact jet of a surface whose coordinates are sums of products f(u) g(v).
-
-    ``coords[k]`` lists the terms of X^k as pairs (f, g) of factors, each a
-    constant or a :class:`_Taylor` series, f on ``grid.u`` and g on ``grid.v``.
-    With F = (f, f', ...) and G likewise, a derivative with p u-indices and q
-    v-indices is the sum over the terms of F[p] (outer) G[q], written into
-    every slot with that index count, so d2 and d3 are symmetric by construction.
-    """
-    coords = [[tuple((f if isinstance(f, _Taylor) else _Taylor(f)).derivatives() for f in term)
-               for term in terms] for terms in coords]
-    jets = []
-    for order in range(JET_ORDER):
-        out = node_array(grid, (2,) * order + (len(coords),))
-        slots = list(itertools.product((0, 1), repeat=order))
-        for k, terms in enumerate(coords):
-            for q in range(order + 1):
-                # (nu, 1) times (1, nv): a constant factor never turns a
-                # u-sequence into a v-sequence, even when nu == nv; a zero
-                # factor adds nothing and is skipped
-                parts = [np.reshape(F[order - q], (-1, 1)) * np.reshape(G[q], (1, -1))
-                         for F, G in terms if np.any(F[order - q]) and np.any(G[q])]
-                if parts:
-                    total = sum(parts[1:], parts[0])
-                    for idx in slots:
-                        if sum(idx) == q:
-                            out[(Ellipsis, *idx, k)] = total
-        jets.append(out)
+    """Exact jet of the surface whose coordinate X^k is the series ``coords[k]``: the
+    derivative with p u-indices and q v-indices is c[(p, q)] p! q!, written into
+    every slot with that index count, so d2 and d3 are symmetric by construction."""
+    jets = [node_array(grid, (2,) * order + (len(coords),)) for order in range(JET_ORDER)]
+    for k, x in enumerate(coords):
+        for (p, q), c in x.c.items():
+            a, b = c if isinstance(c, tuple) else (c, 1.0)
+            scale = b * (math.factorial(p) * math.factorial(q))  # once per coefficient
+            for idx in itertools.product((0, 1), repeat=p + q):
+                if sum(idx) == q:  # written in place: no full-grid temporary per slot
+                    np.multiply(a, scale, out=jets[p + q][(Ellipsis, *idx, k)])
     return ImmersionJet(grid, space, *jets)
 
 
 def make_helix_line_r4(grid: Grid, k: float = 1.0, tau: float = 0.0, offset: float = 0.0) -> ImmersionJet:
     """Circular helix (curvature k, torsion tau) swept along the e4 line in R^4.
 
-    The generating curve is arclength parametrized; the induced metric is
-    the identity. Constant torsion keeps the jets in closed form while
-    exercising a nonzero normal connection of H.
-    """
+    The generating curve is arclength parametrized, so the induced metric is
+    the identity; a nonzero torsion gives H a nonzero normal connection."""
     if k <= 0:
         raise SurfaceConfigError("helix curvature k must be positive")
     c2 = 1.0 / (k * k + tau * tau)
     a_r, b = k * c2, tau * c2
     w = 1.0 / math.sqrt(c2)
-    u = _Taylor.var(grid.u)
+    u = _Taylor.var(grid.u, 0)
     su, cu = (w * u).sincos()
-    return _jet(grid, euclidean(4), [[(a_r * cu, 1.0)], [(a_r * su, 1.0)], [(b * w * u, 1.0)],
-                                     [(1.0, _Taylor.var(grid.v) + offset)]])
+    return _jet(grid, euclidean(4), [a_r * cu, a_r * su, b * w * u, _Taylor.var(grid.v, 1) + offset])
 
 
 def make_cylinder(grid: Grid, r: float = 1.0, stretch: float = 0.0) -> ImmersionJet:
@@ -139,47 +147,40 @@ def make_cylinder(grid: Grid, r: float = 1.0, stretch: float = 0.0) -> Immersion
     nonzero ``stretch`` in (-1, 1) reparametrizes the angular coordinate as
     theta = u / r + stretch sin(u / r); the surface is unchanged, but node
     fields become chart-inhomogeneous, so finite-difference twins of this
-    jet carry genuine truncation error instead of symmetric cancellation.
-    """
+    jet carry genuine truncation error instead of symmetric cancellation."""
     if r <= 0:
         raise SurfaceConfigError("cylinder radius must be positive")
     if not -1.0 < stretch < 1.0:
         raise SurfaceConfigError("stretch must lie in (-1, 1) to keep theta monotone")
-    u = _Taylor.var(grid.u)
+    u = _Taylor.var(grid.u, 0)
     sth, cth = ((u + stretch * (u / r).sincos()[0] * r) / r).sincos()
-    return _jet(grid, euclidean(3),
-                [[(r * cth, 1.0)], [(r * sth, 1.0)], [(1.0, _Taylor.var(grid.v))]])
+    return _jet(grid, euclidean(3), [r * cth, r * sth, _Taylor.var(grid.v, 1)])
 
 
 def make_product_torus(grid: Grid, r1: float = 1.0, r2: float = 1.0) -> ImmersionJet:
     """S^1(r1) x S^1(r2) in R^4, arclength in both factors; doubly periodic."""
     if r1 <= 0 or r2 <= 0:
         raise SurfaceConfigError("torus radii must be positive")
-    sa, ca = (_Taylor.var(grid.u) / r1).sincos()
-    sb, cb = (_Taylor.var(grid.v) / r2).sincos()
-    return _jet(grid, euclidean(4),
-                [[(r1 * ca, 1.0)], [(r1 * sa, 1.0)], [(1.0, r2 * cb)], [(1.0, r2 * sb)]])
+    sa, ca = (_Taylor.var(grid.u, 0) / r1).sincos()
+    sb, cb = (_Taylor.var(grid.v, 1) / r2).sincos()
+    return _jet(grid, euclidean(4), [r1 * ca, r1 * sa, r2 * cb, r2 * sb])
 
 
 def make_sphere(grid: Grid, r: float = 1.0, chart: str = "mercator") -> ImmersionJet:
-    """Round sphere of radius r in R^3.
-
-    ``mercator`` is the isothermal chart (u azimuth, periodic; v the
-    Mercator latitude): X = r (sech v cos u, sech v sin u, tanh v).
-    ``polar`` uses polar/azimuthal angles: X = r (sin u cos v, sin u sin v,
-    cos u).
-    """
+    """Round sphere of radius r in R^3. ``mercator`` is the isothermal chart
+    X = r (sech v cos u, sech v sin u, tanh v), u the periodic azimuth and v the
+    Mercator latitude; ``polar`` is X = r (sin u cos v, sin u sin v, cos u)."""
     if r <= 0:
         raise SurfaceConfigError("sphere radius must be positive")
-    su, cu = _Taylor.var(grid.u).sincos()
-    v = grid.v
+    su, cu = _Taylor.var(grid.u, 0).sincos()
     if chart == "mercator":
         # sech v and tanh v solve s' = -s t, t' = s^2
-        s, t = _Taylor.solve((1.0 / np.cosh(v), np.tanh(v)), lambda s, t: (-1.0 * (s * t), s * s))
-        return _jet(grid, euclidean(3), [[(cu, r * s)], [(su, r * s)], [(1.0, r * t)]])
+        s, t = _Taylor.solve((1.0 / np.cosh(grid.v), np.tanh(grid.v)),
+                             lambda s, t: (-1.0 * (s * t), s * s), 1)
+        return _jet(grid, euclidean(3), [cu * (r * s), su * (r * s), r * t])
     if chart == "polar":
-        sv, cv = _Taylor.var(v).sincos()
-        return _jet(grid, euclidean(3), [[(r * su, cv)], [(r * su, sv)], [(r * cu, 1.0)]])
+        sv, cv = _Taylor.var(grid.v, 1).sincos()
+        return _jet(grid, euclidean(3), [r * su * cv, r * su * sv, r * cu])
     raise SurfaceConfigError(f"unknown sphere chart {chart!r}")
 
 
@@ -187,9 +188,8 @@ def make_graph(grid: Grid, expression: str = "u2_minus_v3") -> ImmersionJet:
     """Graph surface over a parameter patch; generic non-biconservative witness."""
     if expression != "u2_minus_v3":
         raise SurfaceConfigError(f"unknown graph expression {expression!r}")
-    u, v = _Taylor.var(grid.u), _Taylor.var(grid.v)
-    return _jet(grid, euclidean(3),
-                [[(u, 1.0)], [(1.0, v)], [(u * u, 1.0), (1.0, -1.0 * (v * v * v))]])
+    u, v = _Taylor.var(grid.u, 0), _Taylor.var(grid.v, 1)
+    return _jet(grid, euclidean(3), [u, v, u * u + -1.0 * (v * v * v)])
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,10 @@ class Grid:
     periodic_v: bool = False
 
     def __post_init__(self):
+        # an infinite or NaN end, or ends so far apart that u_max - u_min
+        # overflows, would give an infinite or NaN spacing
+        if not np.all(np.isfinite((self.u_max - self.u_min, self.v_max - self.v_min))):
+            raise ValueError("grid extents must be finite")
         if not (self.u_max > self.u_min and self.v_max > self.v_min):
             raise ValueError("grid extents must be positive")
         if self.nu < 4 or self.nv < 4:

@@ -289,9 +289,18 @@ class TestVerify:
         (3, 1, "grid 'u' periodic flag must be true or false, got 1"),
         (2, 16.9, "grid 'u' node count must be an integer, got 16.9"),
         (2, True, "grid 'u' node count must be an integer, got True"),
+        (0, "0", "grid 'u' start must be a finite number, got '0'"),
+        (1, False, "grid 'u' end must be a finite number, got False"),
+        (1, float("inf"), "grid 'u' end must be a finite number, got inf"),
+        (0, float("-inf"), "grid 'u' start must be a finite number, got -inf"),
+        (0, float("nan"), "grid 'u' start must be a finite number, got nan"),
+        # a JSON integer literal too large for a float: float() would overflow
+        (1, 10**400, f"grid 'u' end must be a finite number, got {10**400!r}"),
     ])
     def test_surface_file_grid_entry_types(self, runner, tmp_path, entry, value, message):
-        # bool("false") made u periodic and int(16.9) made 16 nodes, silently
+        # bool("false") made u periodic, int(16.9) made 16 nodes and float("0")
+        # took a string, silently; an infinite end (written as JSON Infinity)
+        # gave NaN residuals with exit 0
         u = [0.0, 6.283185307179586, 16, True]
         u[entry] = value
         cfg = {
@@ -300,6 +309,20 @@ class TestVerify:
         }
         f = tmp_path / "surf.json"
         f.write_text(json.dumps(cfg))
+        res = runner.invoke(main, ["verify", "--surface", str(f)])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert res.stderr == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("u,message", [
+        # 1e400 is a plain JSON number, and it parses to inf
+        ("0.0, 1e400", "grid 'u' end must be a finite number, got inf"),
+        # finite ends whose distance overflows: the grid rejects its extent
+        ("-1.5e308, 1.5e308", "bad grid spec: grid extents must be finite"),
+    ])
+    def test_surface_file_overflowing_extent(self, runner, tmp_path, u, message):
+        f = tmp_path / "surf.json"
+        f.write_text('{"grid": {"u": [%s, 16, false], "v": [0.0, 1.0, 16, false]},'
+                     ' "surface": {"builtin": "graph"}}' % u)
         res = runner.invoke(main, ["verify", "--surface", str(f)])
         assert res.exit_code == EXIT_CONFIG, res.output
         assert res.stderr == f"config error: {message}\n"

@@ -18,6 +18,7 @@ from biconsurf.corpus import (
 )
 from biconsurf.grid import build_grid, fd_derivative, interior_mask
 from biconsurf.immersion import DegenerateImmersionError, compute_geometry
+from biconsurf.report import build_geometry_report
 
 PARAMS = {
     "helix_line_r4": {"k": 1.0, "tau": 0.5},
@@ -59,9 +60,25 @@ JET_CASES = [
 ]
 
 
-@pytest.mark.parametrize("name,params", JET_CASES)
+def _sheared_cylinder(n):
+    """The unit cylinder X = (cos u', sin u', v') through the chart
+    u' = u + 0.3 sin v, v' = v + 0.2 cos u sin v on (0, 2 pi)^2, u periodic:
+    not a product chart, so the mixed components of A_H vary over the grid."""
+    grid = build_grid((0.0, 2.0 * np.pi), (0.0, 2.0 * np.pi), n, n, periodic_u=True)
+    u, v = corpus._Taylor.var(grid.u, 0), corpus._Taylor.var(grid.v, 1)
+    sv, _ = v.sincos()
+    _, cu = u.sincos()
+    s, c = (u + 0.3 * sv).sincos()
+    return corpus._jet(grid, euclidean(3), [c, s, v + 0.2 * (cu * sv)])
+
+
+def _make_jet(name, params, n):
+    return _sheared_cylinder(n) if name == "sheared_cylinder" else make_builtin(name, n=n, **params)
+
+
+@pytest.mark.parametrize("name,params", JET_CASES + [("sheared_cylinder", {})])
 def test_jet_symmetric_in_derivative_indices(name, params):
-    jet = make_builtin(name, n=16, **params)
+    jet = _make_jet(name, params, 16)
     np.testing.assert_array_equal(jet.d2, np.swapaxes(jet.d2, 2, 3))
     for perm in itertools.permutations((2, 3, 4)):
         np.testing.assert_array_equal(jet.d3, np.transpose(jet.d3, (0, 1, *perm, 5)))
@@ -70,7 +87,7 @@ def test_jet_symmetric_in_derivative_indices(name, params):
 def _fd_jet_errors(name, params, n):
     """Largest |FD along axis a of d^m X - d^(m+1) X[a]| on interior rows, for
     m = 0, 1, 2 and a = u, v, one entry per component slot."""
-    jet = make_builtin(name, n=n, **params)
+    jet = _make_jet(name, params, n)
     inner = interior_mask(jet.grid, 1)
     errs = []
     for lower, upper in ((jet.pos, jet.d1), (jet.d1, jet.d2), (jet.d2, jet.d3)):
@@ -80,7 +97,7 @@ def _fd_jet_errors(name, params, n):
     return np.concatenate(errs)
 
 
-@pytest.mark.parametrize("name,params", JET_CASES)
+@pytest.mark.parametrize("name,params", JET_CASES + [("sheared_cylinder", {})])
 def test_jet_matches_finite_differences(name, params):
     # d1, d2 and d3 are each the derivative of the order below, so the O(h^2)
     # FD of pos, d1 and d2 converges to them at second order
@@ -92,52 +109,125 @@ def test_jet_matches_finite_differences(name, params):
     assert min(orders) >= 1.8, orders
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: nabla A_H is a 3-point FD of A_H, "
+                                        "even on an analytic jet")
+def test_sheared_cylinder_is_biconservative():
+    # a cylinder is CMC in R^3, so biconservative in every chart; the stencil
+    # error of nabla A_H shows once the chart is not a product
+    rep = build_geometry_report(_sheared_cylinder(32), "sheared_cylinder")
+    assert rep.flags["is_biconservative"]
+    assert rep.residual("stress_divergence").linf <= 1e-13
+
+
 @pytest.fixture(params=[None, 6], ids=["JET_ORDER", "order6"])
 def jet_order(request, monkeypatch):
-    """The number of Taylor coefficients kept: the module's, or 6."""
+    """The total degree below which Taylor coefficients are kept: the module's, or 6."""
     if request.param is not None:
         monkeypatch.setattr(corpus, "JET_ORDER", request.param)
     return corpus.JET_ORDER
 
 
+def _partial(f, axis):
+    """Coefficients of the partial derivative of the series f along ``axis``."""
+    out = {}
+    for key, a in f.c.items():
+        if key[axis]:
+            out[(key[0] - 1 + axis, key[1] - axis)] = key[axis] * corpus._dense(a)
+    return out
+
+
 class TestTaylor:
     x = np.linspace(-1.3, 2.1, 9)
+    y = np.linspace(0.4, 3.0, 7)
+    shape = (9, 7)
+
+    def full(self, c, key):
+        """Coefficient ``key`` of the coefficient dict c on the (x, y) nodes; missing is 0."""
+        return np.broadcast_to(corpus._dense(c.get(key, 0.0)), self.shape)
 
     def test_product_of_vars_is_exact(self, jet_order):
-        # (x + h)(y + h) = x y + (x + y) h + h^2
-        y = np.linspace(0.4, 3.0, 9)
-        c = (corpus._Taylor.var(self.x) * corpus._Taylor.var(y)).c
-        assert len(c) == jet_order
-        np.testing.assert_array_equal(c[0], self.x * y)
-        np.testing.assert_array_equal(c[1], self.x + y)
-        np.testing.assert_array_equal(c[2], 1.0)
-        for ck in c[3:]:
-            np.testing.assert_array_equal(ck, 0.0)
+        # (x + h)(x' + h) = x x' + (x + x') h + h^2 along one axis
+        x2 = np.linspace(0.4, 3.0, 9)
+        c = (corpus._Taylor.var(self.x, 0) * corpus._Taylor.var(x2, 0)).c
+        assert set(c) == {(0, 0), (1, 0), (2, 0)}
+        np.testing.assert_array_equal(c[(0, 0)], (self.x * x2)[:, None])
+        np.testing.assert_array_equal(c[(1, 0)], (self.x + x2)[:, None])
+        np.testing.assert_array_equal(c[(2, 0)], 1.0)
+        # (x + h)(y + k) = x y + y h + x k + h k across the axes, and a series
+        # in one variable keeps its coefficients on that axis alone; the column
+        # x times the row y stays a lazy pair, multiplied out only when read
+        u, v = corpus._Taylor.var(self.x, 0), corpus._Taylor.var(self.y, 1)
+        for c in ((u * v).c, (v * u).c):
+            assert set(c) == {(0, 0), (1, 0), (0, 1), (1, 1)}
+            assert isinstance(c[(0, 0)], tuple)
+            np.testing.assert_array_equal(corpus._dense(c[(0, 0)]), np.outer(self.x, self.y))
+            np.testing.assert_array_equal(c[(1, 0)], self.y[None, :])
+            np.testing.assert_array_equal(c[(0, 1)], self.x[:, None])
+            np.testing.assert_array_equal(c[(1, 1)], 1.0)
+        # (u v)^2 has terms up to h^2 k^2; only total degree < jet_order is kept
+        c = (u * v * u * v).c
+        assert set(c) == {(i, j) for i in range(3) for j in range(3) if i + j < jet_order}
 
     def test_sin_squared_plus_cos_squared_is_one(self, jet_order):
-        t = corpus._Taylor.var(self.x)
-        s, c = (0.7 * (t * t) + t / 3.0).sincos()
+        u, v = corpus._Taylor.var(self.x, 0), corpus._Taylor.var(self.y, 1)
+        # an argument in u alone: every coefficient but the constant one is 0 to 1e-14
+        s, c = (0.7 * (u * u) + u / 3.0).sincos()
         one = (s * s + c * c).c
-        assert len(one) == jet_order
-        np.testing.assert_allclose(one[0], 1.0, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(one[1:], 0.0, rtol=0, atol=1e-14)
+        assert set(one) == {(i, 0) for i in range(jet_order)}
+        np.testing.assert_allclose(self.full(one, (0, 0)), 1.0, rtol=0, atol=1e-15)
+        for key in one:
+            if key != (0, 0):
+                np.testing.assert_allclose(self.full(one, key), 0.0, rtol=0, atol=1e-14)
+        # a bivariate argument: its mixed coefficients of sin^2 and cos^2 grow
+        # large, so each cancels to round-off relative to the two terms
+        s, c = (0.7 * (u * v) + v * v * u / 3.0 + v).sincos()
+        s2, c2 = (s * s).c, (c * c).c
+        one = (s * s + c * c).c
+        assert set(one) == {(i, j) for i in range(jet_order) for j in range(jet_order - i)}
+        np.testing.assert_allclose(self.full(one, (0, 0)), 1.0, rtol=0, atol=1e-15)
+        for key in one:
+            if key != (0, 0):
+                scale = np.abs(self.full(s2, key)) + np.abs(self.full(c2, key))
+                np.testing.assert_array_less(np.abs(self.full(one, key)), 1e-14 * (1.0 + scale))
 
     def test_sincos_chain_rule(self, jet_order):
-        # (sin x^2)' = 2x cos x^2 and (cos x^2)' = -2x sin x^2; sin^2 + cos^2 = 1
-        # holds for any f', so it cannot see a wrong one
-        t = corpus._Taylor.var(self.x)
-        s, c = (t * t).sincos()
-        np.testing.assert_array_equal(s.c[0], np.sin(self.x * self.x))
-        np.testing.assert_array_equal(c.c[0], np.cos(self.x * self.x))
-        for f, df in ((s, 2.0 * t * c), (c, -2.0 * t * s)):
-            np.testing.assert_allclose(f.derivatives()[1:], df.derivatives()[:-1],
-                                       rtol=1e-13, atol=1e-12)
+        # (sin f)_a = f_a cos f and (cos f)_a = -f_a sin f along each axis a,
+        # for f = u^2 and f = u v; sin^2 + cos^2 = 1 holds for any f_a, so it
+        # cannot see a wrong one
+        u, v = corpus._Taylor.var(self.x, 0), corpus._Taylor.var(self.y, 1)
+        for f, f0 in ((u * u, (self.x * self.x)[:, None]), (u * v, np.outer(self.x, self.y))):
+            s, c = f.sincos()
+            np.testing.assert_array_equal(s.c[(0, 0)], np.sin(f0))
+            np.testing.assert_array_equal(c.c[(0, 0)], np.cos(f0))
+            for axis in (0, 1):
+                df = corpus._Taylor(_partial(f, axis))
+                for g, dg in ((s, df * c), (c, -1.0 * (df * s))):
+                    got = _partial(g, axis)
+                    # the top degree of dg reads coefficients the truncation dropped
+                    for key in dg.c:
+                        if sum(key) < jet_order - 1:
+                            np.testing.assert_allclose(self.full(got, key), self.full(dg.c, key),
+                                                       rtol=1e-13, atol=1e-12)
+
+    def test_mixed_coefficients_of_sin_uv(self, jet_order):
+        # c[(1, 1)] = d_u d_v sin(u v) = cos(u v) - u v sin(u v) and
+        # c[(2, 1)] = d_u^2 d_v sin(u v) / 2 = -v sin(u v) - u v^2 cos(u v) / 2
+        u, v = corpus._Taylor.var(self.x, 0), corpus._Taylor.var(self.y, 1)
+        s, _ = (u * v).sincos()
+        X, Y = np.meshgrid(self.x, self.y, indexing="ij")
+        np.testing.assert_allclose(s.c[(1, 1)], np.cos(X * Y) - X * Y * np.sin(X * Y),
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(s.c[(2, 1)], -Y * np.sin(X * Y) - X * Y * Y * np.cos(X * Y) / 2,
+                                   rtol=0, atol=1e-14)
 
     def test_solve_exponential(self, jet_order):
-        # y' = y, y = 1: the series of exp is 1 / k!
-        (y,) = corpus._Taylor.solve((1.0,), lambda y: (y,))
+        # y' = y, y = 1: the series of exp is 1 / k!, along the axis solved on
         want = [1.0 / math.factorial(k) for k in range(jet_order)]
-        np.testing.assert_allclose(y.c, want, rtol=1e-15, atol=0)
+        for axis, key in ((0, lambda k: (k, 0)), (1, lambda k: (0, k))):
+            (y,) = corpus._Taylor.solve((1.0,), lambda y: (y,), axis)
+            assert set(y.c) == {key(k) for k in range(jet_order)}
+            np.testing.assert_allclose(np.ravel([y.c[key(k)] for k in range(jet_order)]), want,
+                                       rtol=1e-15, atol=0)
 
     def test_mercator_system_is_sech_tanh(self, jet_order):
         # the Mercator sphere's s = sech v, t = tanh v solve s' = -s t, t' = s^2;
@@ -145,14 +235,15 @@ class TestTaylor:
         # d(s P(t))/dv = s (-t P + (1 - t^2) P')
         v = np.linspace(-1.2, 1.2, 25)
         s, t = corpus._Taylor.solve((1.0 / np.cosh(v), np.tanh(v)),
-                                    lambda s, t: (-1.0 * (s * t), s * s))
+                                    lambda s, t: (-1.0 * (s * t), s * s), 1)
         T, one = Polynomial([0.0, 1.0]), Polynomial([1.0])
         p, q = one, T
         for k in range(jet_order):
-            # coefficient k is the k-th derivative over k!
-            np.testing.assert_allclose(s.c[k], p(np.tanh(v)) / np.cosh(v) / math.factorial(k),
+            # coefficient k is the k-th derivative over k!, on a (1, nv) row
+            assert np.shape(s.c[(0, k)]) == np.shape(t.c[(0, k)]) == (1, v.size)
+            np.testing.assert_allclose(s.c[(0, k)][0], p(np.tanh(v)) / np.cosh(v) / math.factorial(k),
                                        rtol=0, atol=1e-15)
-            np.testing.assert_allclose(t.c[k], q(np.tanh(v)) / math.factorial(k),
+            np.testing.assert_allclose(t.c[(0, k)][0], q(np.tanh(v)) / math.factorial(k),
                                        rtol=0, atol=1e-15)
             p, q = -T * p + (one - T * T) * p.deriv(), (one - T * T) * q.deriv()
 
@@ -217,6 +308,9 @@ def test_invalid_radius_rejected():
         make_builtin("sphere", n=8, r=-1.0)
     with pytest.raises(ValueError):
         make_builtin("cylinder", n=8, r=0.0)
+    # the default extent 2 pi r overflows to inf
+    with pytest.raises(ValueError, match="grid extents must be finite"):
+        make_builtin("cylinder", n=8, r=1e308)
 
 
 def test_custom_grid_override():

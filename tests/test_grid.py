@@ -25,6 +25,14 @@ def test_validation():
         build_grid((0.0, 0.0), (0.0, 1.0), 8, 8)
     with pytest.raises(ValueError):
         build_grid((0.0, 1.0), (0.0, 1.0), 3, 8)
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="grid extents must be finite"):
+            build_grid((0.0, 1.0), (bad, 1.0), 8, 8)
+        with pytest.raises(ValueError, match="grid extents must be finite"):
+            build_grid((0.0, bad), (0.0, 1.0), 8, 8)
+    # finite ends whose distance overflows
+    with pytest.raises(ValueError, match="grid extents must be finite"):
+        build_grid((-1e308, 1e308), (0.0, 1.0), 8, 8)
 
 
 def test_fd_derivative_trig():
