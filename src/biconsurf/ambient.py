@@ -21,6 +21,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .grid import InputError
+
 # largest relative distance of a tabulated position off the space (round-off is ~1e-16)
 OFF_SPACE_TOL = 1e-8
 
@@ -30,7 +32,7 @@ def _dot(a, b):
 
 
 def is_json_number(x) -> bool:
-    """A finite number of a surface file: a JSON int or float, not a bool, that a
+    """A finite number of an input file: a JSON int or float, not a bool, that a
     float holds (so neither Infinity, NaN nor an integer too large for a float)."""
     return isinstance(x, (int, float)) and not isinstance(x, bool) \
         and -sys.float_info.max <= x <= sys.float_info.max
@@ -44,29 +46,29 @@ class Ambient:
 
     def __post_init__(self):
         if self.kind not in ("euclidean", "sphere"):
-            raise ValueError(f"unknown ambient kind {self.kind!r}")
+            raise InputError(f"unknown ambient kind {self.kind!r}")
         if self.dim < 3:
-            raise ValueError("ambient dimension must be >= 3")
+            raise InputError("ambient dimension must be >= 3")
         if self.kind == "sphere" and (self.radius is None or self.radius <= 0):
-            raise ValueError("sphere ambient needs a positive radius")
+            raise InputError("sphere ambient needs a positive radius")
 
     @classmethod
     def from_spec(cls, d: dict) -> "Ambient":
         """The ambient of a surface file's ``ambient`` entry: ``kind``
         (default euclidean), an integer ``dim`` (default 3) and, for a
         sphere, a positive finite ``radius``, both JSON numbers (a string
-        or a bool is none). Bad entries raise ValueError."""
+        or a bool is none). Bad entries raise InputError."""
         kind = d.get("kind", "euclidean")
         dim = d.get("dim", 3)
         if not is_json_number(dim) or isinstance(dim, float) and not dim.is_integer():
-            raise ValueError(f"ambient 'dim' must be an integer, got {dim!r}")
+            raise InputError(f"ambient 'dim' must be an integer, got {dim!r}")
         radius = None
         if kind == "sphere":
             if "radius" not in d:
-                raise ValueError("sphere ambient needs a radius")
+                raise InputError("sphere ambient needs a radius")
             radius = d["radius"]
             if not (is_json_number(radius) and radius > 0):
-                raise ValueError(
+                raise InputError(
                     f"ambient 'radius' must be a positive finite number, got {radius!r}")
             radius = float(radius)
         return cls(kind, int(dim), radius)

@@ -2,7 +2,9 @@
 
 Configuration comes from an optional JSON document (``--config``); individual
 flags override config fields. Exit codes: 0 all enabled assertions pass,
-2 assertion failure, 3 configuration error, 4 numerical failure.
+2 assertion failure, 3 configuration error, 4 numerical failure. Input is
+checked where it is read, by the module that reads it, and rejected with
+``grid.InputError``; :func:`_exit_on_error` alone maps that to exit 3.
 
 Only ``solve-mu`` imports ``mu_solver``, and with it scipy: ``verify`` and
 ``convergence`` run on numpy alone, and start without paying for scipy.
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import corpus, report as report_mod
 from .ambient import Ambient, is_json_number
-from .grid import Grid, build_grid
+from .grid import Grid, InputError, build_grid
 from .immersion import DegenerateImmersionError
 
 EXIT_ASSERTION = 2
@@ -30,17 +32,17 @@ EXIT_NUMERICAL = 4
 FORMATS = ("json", "csv")
 
 
-class ConfigError(ValueError):
-    pass
+class ConfigError(InputError):
+    """Bad input that the CLI itself reads: a flag, a config key or a file."""
 
 
 @contextmanager
 def _exit_on_error():
-    """Map configuration errors to exit 3 and numerical failures to exit 4.
+    """Map rejected input to exit 3 and numerical failures to exit 4.
     ``mu_solver.SolverError`` is a FloatingPointError."""
     try:
         yield
-    except ConfigError as exc:
+    except InputError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
     except (DegenerateImmersionError, FloatingPointError) as exc:
@@ -48,17 +50,24 @@ def _exit_on_error():
         sys.exit(EXIT_NUMERICAL)
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _object(val, what: str) -> dict:
+    if not isinstance(val, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    return val
+
+
+def _read_object(path: str, what: str) -> dict:
+    """The JSON object in the file ``path``, a ``what`` (config or surface file)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    return cfg
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    return _object(doc, what)
+
+
+def _load_config(path: str | None) -> dict:
+    return {} if path is None else _read_object(path, "config")
 
 
 def _is_number(val) -> bool:
@@ -143,11 +152,9 @@ def _parse_grid_size(text: str) -> tuple[int, int]:
 
 
 def _parse_params(specs, base: dict) -> dict:
-    """``base`` updated by ``key=value`` specs; a value that parses as a float
-    becomes one, any other value stays a string (e.g. ``chart=polar``)."""
-    if not isinstance(base, dict):
-        raise ConfigError("surface params must be a JSON object")
-    params = dict(base)
+    """``params`` object ``base`` updated by ``key=value`` specs; a value that parses
+    as a float becomes one, any other value stays a string (e.g. ``chart=polar``)."""
+    params = dict(_object(base, "surface params"))
     for spec in specs:
         try:
             key, val = spec.split("=")
@@ -190,61 +197,38 @@ def _grid_from_dict(d: dict) -> Grid:
     (u_ext, nu, pu), (v_ext, nv, pv) = axes
     try:
         return build_grid(u_ext, v_ext, nu, nv, pu, pv)
-    except ValueError as exc:
+    except InputError as exc:
         raise ConfigError(f"bad grid spec: {exc}") from exc
 
 
 def _load_surface_file(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read surface file {path}: {exc}") from exc
+    """The jet and label of the surface file at ``path``."""
+    doc = _read_object(path, "surface file")
     for key in ("grid", "surface"):
         if key not in doc:
             raise ConfigError(f"surface file missing {key!r}")
     grid = _grid_from_dict(doc["grid"])
-    surf = doc["surface"]
+    surf = _object(doc["surface"], "surface file entry 'surface'")
     if "builtin" in surf:
-        name, params = surf["builtin"], surf.get("params", {})
-        if not isinstance(params, dict):
-            raise ConfigError("surface params must be a JSON object")
-        try:
-            jet = corpus.build_builtin(name, grid, params)
-        except (corpus.SurfaceConfigError, TypeError) as exc:
-            raise ConfigError(str(exc)) from exc
-        return jet, name
+        name = surf["builtin"]
+        if not isinstance(name, str):
+            raise ConfigError(f"surface file entry 'builtin' must be a string, got {name!r}")
+        params = _parse_params((), surf.get("params", {}))
+        return corpus.build_builtin(name, grid, params), name
     if "positions" in surf:
-        try:
-            space = Ambient.from_spec(doc.get("ambient", {}))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        pos = np.asarray(surf["positions"], dtype=np.float64)
-        try:
-            pos = pos.reshape(grid.nu, grid.nv, space.embedding_dim)
-        except ValueError as exc:
-            raise ConfigError(
-                f"positions shape {pos.shape} does not match grid and ambient"
-            ) from exc
-        try:
-            jet = corpus.load_tabulated(grid, pos, space)
-        except corpus.SurfaceConfigError as exc:
-            raise ConfigError(str(exc)) from exc
-        return jet, "tabulated"
+        space = Ambient.from_spec(_object(doc.get("ambient", {}), "surface file entry 'ambient'"))
+        return corpus.load_tabulated(grid, surf["positions"], space), "tabulated"
     raise ConfigError("surface entry needs either 'builtin' or 'positions'")
 
 
 def _builtin_jet(name: str, params: dict, size, periodic=None):
     """Builtin jet on its default grid resized to ``size`` (NU, NV), with the
-    ``periodic`` (u, v) flags if given; bad parameters raise ConfigError."""
-    try:
-        nu, nv = size
-        grid = replace(corpus.default_grid(name, n=nu, params=params), nu=nu, nv=nv)
-        if periodic is not None:
-            grid = replace(grid, periodic_u=periodic[0], periodic_v=periodic[1])
-        return corpus.build_builtin(name, grid, params)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    ``periodic`` (u, v) flags if given."""
+    nu, nv = size
+    grid = replace(corpus.default_grid(name, n=nu, params=params), nu=nu, nv=nv)
+    if periodic is not None:
+        grid = replace(grid, periodic_u=periodic[0], periodic_v=periodic[1])
+    return corpus.build_builtin(name, grid, params)
 
 
 def _resolve_jet(cfg: dict):
@@ -358,9 +342,8 @@ def verify(config_path, surface, grid_size, periodic, params, fd_jets, output, f
            tol_analytic, tol_fd, dump_fields, assert_flags, assert_residuals):
     """Run the residual suite on a surface and emit a report."""
     with _exit_on_error():
-        cfg = _load_config(config_path)
         cfg = _merge(
-            cfg,
+            _load_config(config_path),
             surface=surface,
             grid_size=_parse_grid_size(grid_size) if grid_size else None,
             periodic=_parse_periodic(periodic) if periodic else None,
@@ -396,7 +379,7 @@ def verify(config_path, surface, grid_size, periodic, params, fd_jets, output, f
 
 
 def _mu_problem(cfg: dict):
-    """The ``mu_solver.MuProblem`` of a merged config; bad values raise ConfigError."""
+    """The ``mu_solver.MuProblem`` of a merged config."""
     from . import mu_solver
 
     Hval = float(_setting(cfg, "H", 1.0))
@@ -404,14 +387,11 @@ def _mu_problem(cfg: dict):
     nu, nv = _setting(cfg, "grid_size", (64, 64))
     amp = float(_setting(cfg, "perturb", 0.0))
     mu0 = _setting(cfg, "mu0", None)
-    try:
-        grid = build_grid((0.0, 2.0 * math.pi), (0.0, 2.0 * math.pi), nu, nv, True, True)
-        base = float(mu0) if mu0 is not None else mu_solver.constant_root(Hval, KNval)
-        X, Y = grid.mesh()
-        mu0_field = base * (1.0 + amp * np.sin(X) * np.sin(Y))
-        return mu_solver.MuProblem(grid, Hval, np.full(grid.shape, KNval), mu0_field)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    grid = build_grid((0.0, 2.0 * math.pi), (0.0, 2.0 * math.pi), nu, nv, True, True)
+    base = float(mu0) if mu0 is not None else mu_solver.constant_root(Hval, KNval)
+    X, Y = grid.mesh()
+    mu0_field = base * (1.0 + amp * np.sin(X) * np.sin(Y))
+    return mu_solver.MuProblem(grid, Hval, np.full(grid.shape, KNval), mu0_field)
 
 
 @main.command("solve-mu")
@@ -433,9 +413,8 @@ def solve_mu_cmd(config_path, H, KN, grid_size, mu0, perturb, tol_newton, max_it
     from . import mu_solver  # scipy loads here, for this command alone
 
     with _exit_on_error():
-        cfg = _load_config(config_path)
         cfg = _merge(
-            cfg,
+            _load_config(config_path),
             H=H, KN=KN,
             grid_size=_parse_grid_size(grid_size) if grid_size else None,
             mu0=mu0, perturb=perturb,
@@ -492,9 +471,8 @@ def estimate_order(coarse: float, fine: float) -> object:
 def convergence(config_path, surface, grid_size, levels, params, fd_jets, output):
     """Refinement study: residual norms and estimated decay orders per level."""
     with _exit_on_error():
-        cfg = _load_config(config_path)
         cfg = _merge(
-            cfg,
+            _load_config(config_path),
             surface=surface,
             grid_size=_parse_grid_size(grid_size) if grid_size else None,
             levels=levels,
@@ -519,7 +497,7 @@ def convergence(config_path, surface, grid_size, levels, params, fd_jets, output
 
 def run_convergence(name: str, params: dict, n0: int, levels: int, fd_jets: bool) -> dict:
     """Residual L-inf per refinement level plus decay-order estimates; bad
-    builtin parameters raise ConfigError."""
+    builtin parameters raise InputError."""
     per_level = []
     hs = []
     for level in range(levels):

@@ -15,18 +15,17 @@ from __future__ import annotations
 import inspect
 import itertools
 import math
-import numbers
 
 import numpy as np
 
-from .ambient import OFF_SPACE_TOL, Ambient, euclidean
-from .grid import Grid, build_grid, node_array
+from .ambient import OFF_SPACE_TOL, Ambient, euclidean, is_json_number
+from .grid import Grid, InputError, build_grid, node_array
 from .immersion import ImmersionJet, induced_metric, jet_from_positions
 
 JET_ORDER = 4  # Taylor coefficients kept: total degree 0..3 in (u, v), so jets up to d3
 
 
-class SurfaceConfigError(ValueError):
+class SurfaceConfigError(InputError):
     """Malformed surface specification (unknown name, bad params, bad table)."""
 
 
@@ -132,7 +131,10 @@ def make_helix_line_r4(grid: Grid, k: float = 1.0, tau: float = 0.0, offset: flo
     the identity; a nonzero torsion gives H a nonzero normal connection."""
     if k <= 0:
         raise SurfaceConfigError("helix curvature k must be positive")
-    c2 = 1.0 / (k * k + tau * tau)
+    kk = float(k) * k + float(tau) * tau  # a float: 0 or inf when k or tau under- or overflows
+    if not 0 < kk < math.inf:
+        raise SurfaceConfigError(f"helix k^2 + tau^2 = {kk!r} is not a positive finite float")
+    c2 = 1.0 / kk
     a_r, b = k * c2, tau * c2
     w = 1.0 / math.sqrt(c2)
     u = _Taylor.var(grid.u, 0)
@@ -209,7 +211,7 @@ def _radius(params: dict, key: str) -> float:
     """A radius that scales a default extent; a value the maker rejects (not a
     positive finite number) leaves the extent unscaled, so the maker reports it."""
     r = params.get(key, 1.0)
-    return r if isinstance(r, numbers.Real) and 0 < r < math.inf else 1.0
+    return r if is_json_number(r) and r > 0 else 1.0
 
 
 def default_grid(name: str, n: int = 64, params: dict | None = None) -> Grid:
@@ -281,8 +283,7 @@ def build_builtin(name: str, grid: Grid, params: dict) -> ImmersionJet:
             f"{name} has no parameter {unknown[0]!r}; it accepts {', '.join(accepted)}")
     for key, val in params.items():
         # a parameter the maker defaults to a float must be a finite number
-        if isinstance(signature[key].default, float) \
-                and not (isinstance(val, numbers.Real) and math.isfinite(val)):
+        if isinstance(signature[key].default, float) and not is_json_number(val):
             raise SurfaceConfigError(
                 f"{name} parameter {key} must be a finite number, got {val!r}")
     return maker(grid, **params)
@@ -294,16 +295,23 @@ def tabulate(jet: ImmersionJet) -> ImmersionJet:
 
 
 def load_tabulated(grid: Grid, positions, space: Ambient) -> ImmersionJet:
-    """Jet from a tabulated position table (list of per-node coordinate rows,
-    row-major in u). Validates the shape, that every position lies in the
-    ambient space (within ``OFF_SPACE_TOL``), and the immersion condition."""
-    arr = np.asarray(positions, dtype=np.float64)
+    """Jet from a tabulated position table: nu*nv per-node coordinate rows,
+    row-major in u, or an (nu, nv, dim) array. Validates that it is numeric,
+    its shape, that every position lies in the ambient space (within
+    ``OFF_SPACE_TOL``), and the immersion condition."""
+    try:
+        arr = np.asarray(positions)
+    except ValueError as exc:
+        raise SurfaceConfigError("position table is ragged (rows of unequal length)") from exc
+    if arr.dtype.kind not in "iuf":
+        raise SurfaceConfigError("position table must hold numbers only")
+    arr = arr.astype(np.float64, copy=False)
     n = space.embedding_dim
     if arr.ndim == 2:
         if arr.shape[0] != grid.nu * grid.nv:
             raise SurfaceConfigError(
                 f"position table has {arr.shape[0]} rows, expected {grid.nu * grid.nv}")
-        arr = arr.reshape(grid.nu, grid.nv, -1)
+        arr = arr.reshape(grid.nu, grid.nv, arr.shape[1])
     if arr.shape != grid.shape + (n,):
         raise SurfaceConfigError(
             f"position table shape {arr.shape} does not match grid {grid.shape} "

@@ -16,6 +16,10 @@ over all nodes instead of over a component axis of length 2. ``np.einsum``
 and elementwise operations keep that layout in their outputs. Layout
 affects only speed: any strided array, such as a C-ordered one from a
 caller, gives the same values.
+
+:class:`InputError` is the one error for rejected input. It lives here, the
+lowest module that rejects any: a grid, an ambient, a surface, its table or
+a solver parameter raises it where it is read, and the CLI exits 3 on it.
 """
 
 from __future__ import annotations
@@ -26,6 +30,10 @@ from functools import cached_property
 import numpy as np
 
 from . import kernels
+
+
+class InputError(ValueError):
+    """Input rejected where it is read, with a message that names the bad entry."""
 
 
 @dataclass(frozen=True)
@@ -43,11 +51,11 @@ class Grid:
         # an infinite or NaN end, or ends so far apart that u_max - u_min
         # overflows, would give an infinite or NaN spacing
         if not np.all(np.isfinite((self.u_max - self.u_min, self.v_max - self.v_min))):
-            raise ValueError("grid extents must be finite")
+            raise InputError("grid extents must be finite")
         if not (self.u_max > self.u_min and self.v_max > self.v_min):
-            raise ValueError("grid extents must be positive")
+            raise InputError("grid extents must be positive")
         if self.nu < 4 or self.nv < 4:
-            raise ValueError("need at least 4 nodes per axis")
+            raise InputError("need at least 4 nodes per axis")
 
     @property
     def hu(self) -> float:

@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .ambient import Ambient, _dot, curvature_operator
-from .grid import Grid, fd_derivative, flat_gradient, integrate, interior_mask, node_array
+from .grid import Grid, InputError, fd_derivative, flat_gradient, integrate, interior_mask, node_array
 from .tensors import MetricCalculus, cov_derivative_coords
 
 # Pseudoumbilical classification thresholds for the eigenvalue gap of A_H.
@@ -92,7 +92,11 @@ class ImmersionJet:
 
 
 def jet_from_positions(grid: Grid, pos: np.ndarray, space: Ambient) -> ImmersionJet:
-    """Finite-difference jet from a tabulated position field."""
+    """Finite-difference jet from a tabulated position field (> 2 margins on an open axis)."""
+    for axis, n in enumerate(grid.shape):
+        if not grid.periodic(axis) and n <= 2 * FD_BOUNDARY_MARGIN:
+            raise InputError(f"a finite-difference jet needs at least {2 * FD_BOUNDARY_MARGIN + 1}"
+                             f" nodes on an open axis, got {n}")
     pos = np.asarray(pos, dtype=np.float64)
     d1 = flat_gradient(grid, pos)
     d2 = node_array(grid, (2, 2, pos.shape[-1]))
@@ -110,7 +114,7 @@ def induced_metric(jet: ImmersionJet) -> tuple[np.ndarray, np.ndarray]:
     bad = det <= DEGENERACY_TOL * g[..., 0, 0] * g[..., 1, 1]
     if np.any(bad):
         idx = np.argwhere(bad)[0]
-        raise DegenerateImmersionError(f"immersion degenerate at node {tuple(idx)}")
+        raise DegenerateImmersionError(f"immersion degenerate at node ({idx[0]}, {idx[1]})")
     return g, det
 
 

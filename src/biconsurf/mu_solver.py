@@ -50,7 +50,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import Grid, flat_laplacian
+from .grid import Grid, InputError, flat_laplacian
 
 # largest normwise backward error of an accepted Krylov step
 BACKWARD_ERROR_TOL = 1e-14
@@ -74,18 +74,18 @@ class MuProblem:
 
     def __post_init__(self):
         if not self.grid.doubly_periodic:
-            raise ValueError("mu problem requires a doubly periodic grid")
+            raise InputError("mu problem requires a doubly periodic grid")
         # written so that NaN fails each test
         if not 0 < self.H < np.inf:
-            raise ValueError(f"|H| must be a positive finite number, got {self.H!r}")
+            raise InputError(f"|H| must be a positive finite number, got {self.H!r}")
         KN = np.broadcast_to(np.asarray(self.KN, dtype=np.float64), self.grid.shape).copy()
         if not np.all(np.isfinite(KN)):
-            raise ValueError("K_N must be finite everywhere")
+            raise InputError("K_N must be finite everywhere")
         mu0 = np.asarray(self.mu0, dtype=np.float64)
         if mu0.shape != self.grid.shape:
-            raise ValueError("mu0 shape does not match grid")
+            raise InputError("mu0 shape does not match grid")
         if not np.all((mu0 > 0) & (mu0 < np.inf)):
-            raise ValueError("mu0 must be positive and finite everywhere")
+            raise InputError("mu0 must be positive and finite everywhere")
         object.__setattr__(self, "KN", KN)
         object.__setattr__(self, "mu0", mu0)
 
@@ -93,7 +93,7 @@ class MuProblem:
 def constant_root(H: float, KN: float) -> float:
     """The positive constant solution 2 |H| sqrt(K_N + |H|^2) (needs K_N + |H|^2 > 0)."""
     if KN + H * H <= 0:
-        raise ValueError("no positive constant root when K_N + |H|^2 <= 0")
+        raise InputError("no positive constant root when K_N + |H|^2 <= 0")
     return 2.0 * H * np.sqrt(KN + H * H)
 
 

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import re
@@ -19,6 +20,7 @@ from biconsurf.cli import (
     main,
 )
 from biconsurf.corpus import make_builtin
+from biconsurf.grid import build_grid
 
 
 @pytest.fixture
@@ -140,6 +142,9 @@ class TestVerify:
         ("cylinder", "r=wat", "cylinder parameter r must be a finite number, got 'wat'"),
         ("cylinder", "r=nan", "cylinder parameter r must be a finite number, got nan"),
         ("product_torus", "r1=-1", "torus radii must be positive"),
+        # 1 / (k^2 + tau^2) ended in a ZeroDivisionError traceback
+        ("helix_line_r4", "k=1e200", "helix k^2 + tau^2 = inf is not a positive finite float"),
+        ("helix_line_r4", "k=1e-200", "helix k^2 + tau^2 = 0.0 is not a positive finite float"),
     ])
     def test_bad_builtin_param_message_from_maker(self, runner, surface, param, message):
         # the parameters are checked before they size the default grid
@@ -164,6 +169,7 @@ class TestVerify:
     @pytest.mark.parametrize("params,message", [
         ({"grid": 3}, "sphere has no parameter 'grid'; it accepts r, chart"),
         ([], "surface params must be a JSON object"),
+        ({"r": True}, "sphere parameter r must be a finite number, got True"),
     ])
     def test_surface_file_bad_params(self, runner, tmp_path, params, message):
         cfg = {
@@ -183,6 +189,23 @@ class TestVerify:
         res = runner.invoke(main, [command, "--config", str(f), "--grid", "8x8"])
         assert res.exit_code == EXIT_CONFIG, res.output
         assert res.stderr == "config error: surface params must be a JSON object\n"
+
+    @pytest.mark.parametrize("command", ["verify", "convergence"])
+    def test_config_bool_param_is_config_error(self, runner, tmp_path, command):
+        # a bool passed the number test: r = true built the r = 1 cylinder, exit 0
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps({"surface": "cylinder", "params": {"r": True}}))
+        res = runner.invoke(main, [command, "--config", str(f), "--grid", "8x8"])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert res.stderr == "config error: cylinder parameter r must be a finite number, got True\n"
+
+    @pytest.mark.parametrize("grid", ["6x6", "4x8"])
+    def test_fd_jets_on_a_short_open_axis(self, runner, grid):
+        # no node is left once 3 rows go at each edge: ZeroDivisionError traceback
+        res = runner.invoke(main, ["verify", "--surface", "graph", "--grid", grid, "--fd-jets"])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert res.stderr == (f"config error: a finite-difference jet needs at least 7 nodes"
+                              f" on an open axis, got {grid[0]}\n")
 
     @pytest.mark.parametrize("option,value", [
         ("--tol-analytic", "nan"), ("--tol-analytic", "-1"), ("--tol-fd", "-1"),
@@ -236,7 +259,7 @@ class TestVerify:
         f.write_text(json.dumps(cfg))
         res = runner.invoke(main, ["verify", "--surface", str(f)])
         assert res.exit_code == EXIT_NUMERICAL
-        assert "numerical failure:" in res.stderr
+        assert res.stderr == "numerical failure: immersion degenerate at node (0, 0)\n"
 
     def test_bad_assertion_spec_exit_code(self, runner):
         res = runner.invoke(
@@ -368,6 +391,30 @@ class TestVerify:
         f.write_text(json.dumps(cfg))
         res = runner.invoke(main, ["verify", "--surface", str(f)])
         assert res.exit_code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("table,message", [
+        # a flat list was reshaped silently, and a coordinate-major table
+        # (3 rows of 64 numbers) became scrambled positions and exit 4
+        (lambda pos: pos.reshape(-1).tolist(),
+         "position table shape (192,) does not match grid (8, 8) with 3 ambient components"),
+        (lambda pos: pos.reshape(-1, 3).T.tolist(), "position table has 3 rows, expected 64"),
+        (lambda pos: pos.reshape(-1, 3).tolist()[:-1] + [[0.0, 1.0]],
+         "position table is ragged (rows of unequal length)"),
+        (lambda pos: [[0.0, "a", 1.0]] * 64, "position table must hold numbers only"),
+        (lambda pos: [[None] * 3] * 64, "position table must hold numbers only"),
+    ], ids=["flat", "coordinate-major", "ragged", "string", "null"])
+    def test_surface_file_position_table_shapes(self, runner, tmp_path, table, message):
+        u = np.linspace(0.0, 1.0, 8)
+        U, V = np.meshgrid(u, u, indexing="ij")
+        cfg = {
+            "grid": {"u": [0.0, 1.0, 8, False], "v": [0.0, 1.0, 8, False]},
+            "surface": {"positions": table(np.stack([U, V, 0.0 * U], axis=-1))},
+        }
+        f = tmp_path / "tab.json"
+        f.write_text(json.dumps(cfg))
+        res = runner.invoke(main, ["verify", "--surface", str(f)])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert res.stderr == f"config error: {message}\n"
 
     @pytest.mark.parametrize("ambient,message", [
         ({"kind": "euclidean", "dim": "x"}, "ambient 'dim' must be an integer, got 'x'"),
@@ -524,6 +571,113 @@ class TestVerify:
         assert res.stdout == ""
         assert res.stderr == (f"config error: cannot write output file {out}: "
                               f"No such file or directory\n")
+
+    @pytest.mark.parametrize("args,files,exit_code,stderr", [
+        (["verify", "--config", "none.json"], {}, EXIT_CONFIG,
+         "cannot read config none.json: [Errno 2] No such file or directory: 'none.json'"),
+        (["verify", "--config", "cfg.json"], {"cfg.json": "[1]"}, EXIT_CONFIG,
+         "config must be a JSON object"),
+        (["verify", "--config", "cfg.json"], {"cfg.json": '{"surface": 5}'}, EXIT_CONFIG,
+         "bad surface entry 5"),
+        (["verify"], {}, EXIT_CONFIG, "no surface given (use --surface or a config file)"),
+        (["verify", "--surface", "sphere", "--param", "k"], {}, EXIT_CONFIG, "bad --param 'k'"),
+        (["verify", "--surface", "sphere", "--periodic", "u,w"], {}, EXIT_CONFIG,
+         "unknown periodic axes ['w']"),
+        (["verify", "--surface", "s.json"], {"s.json": "{"}, EXIT_CONFIG,
+         "cannot read surface file s.json: Expecting property name enclosed in double quotes:"
+         " line 1 column 2 (char 1)"),
+        (["verify", "--surface", "s.json"], {"s.json": "[]"}, EXIT_CONFIG,
+         "surface file must be a JSON object"),
+        (["verify", "--surface", "s.json"], {"s.json": '{"surface": {}}'}, EXIT_CONFIG,
+         "surface file missing 'grid'"),
+        (["verify", "--surface", "s.json"], {"s.json": '{"grid": {}}'}, EXIT_CONFIG,
+         "surface file missing 'surface'"),
+        (["verify", "--surface", "s.json"], {"s.json": '{"grid": %s, "surface": []}'},
+         EXIT_CONFIG, "surface file entry 'surface' must be a JSON object"),
+        (["verify", "--surface", "s.json"], {"s.json": '{"grid": %s, "surface": {}}'},
+         EXIT_CONFIG, "surface entry needs either 'builtin' or 'positions'"),
+        (["verify", "--surface", "s.json"],
+         {"s.json": '{"grid": %s, "surface": {"builtin": ["sphere"]}}'}, EXIT_CONFIG,
+         "surface file entry 'builtin' must be a string, got ['sphere']"),
+        (["verify", "--surface", "s.json"],
+         {"s.json": '{"grid": %s, "surface": {"positions": []}, "ambient": 3}'}, EXIT_CONFIG,
+         "surface file entry 'ambient' must be a JSON object"),
+        (["verify", "--surface", "sphere", "--grid", "8x8", "--assert-residual", "nope<=1"], {},
+         EXIT_ASSERTION, "residual nope: not in report"),
+        (["convergence", "--surface", "sphere", "--levels", "2"], {}, EXIT_CONFIG,
+         "need at least 3 refinement levels"),
+    ])
+    def test_input_error_paths(self, runner, tmp_path, monkeypatch, args, files, exit_code,
+                               stderr):
+        grid = '{"u": [0.0, 1.0, 8, false], "v": [0.0, 1.0, 8, false]}'
+        monkeypatch.chdir(tmp_path)
+        for name, text in files.items():
+            (tmp_path / name).write_text(text.replace("%s", grid))
+        res = runner.invoke(main, args)
+        assert res.exit_code == exit_code, res.output
+        prefix = {EXIT_CONFIG: "config error", EXIT_ASSERTION: "assertion failed"}[exit_code]
+        assert res.stderr == f"{prefix}: {stderr}\n"
+
+    def test_malformed_entry_never_ends_in_a_traceback(self, runner, tmp_path):
+        # Each entry of three small valid surface files is replaced, one at a
+        # time, by a value of each JSON type; every run must end in a verdict
+        # or a one-line diagnosis; 70 of these 464 runs used to end in a
+        # traceback (exit 1). Huge magnitudes such as 1e308 are left out: they
+        # overflow inside the geometry, the scale problem of ROADMAP item 3(a).
+        f = tmp_path / "surf.json"
+        failures = []
+        for base in _small_surface_files():
+            f.write_text(json.dumps(base))
+            assert runner.invoke(main, ["verify", "--surface", str(f)]).exit_code == 0
+            for path in _entry_paths(base):
+                for value in (None, True, "x", [], {}, 0, -1, 2.5):
+                    doc = copy.deepcopy(base)
+                    node = doc
+                    for key in path[:-1]:
+                        node = node[key]
+                    node[path[-1]] = value
+                    f.write_text(json.dumps(doc))
+                    res = runner.invoke(main, ["verify", "--surface", str(f)])
+                    if res.exit_code not in (0, EXIT_CONFIG, EXIT_NUMERICAL) or not (
+                            res.stderr == "" or res.stderr.startswith(
+                                ("config error:", "numerical failure:"))):
+                        failures.append((path, value, res.exit_code, repr(res.exception)))
+        assert not failures, failures[:5]
+
+
+def _small_surface_files() -> list[dict]:
+    """A tabulated cylinder in R^3, a builtin sphere and a tabulated torus in
+    S^3(1), each on a small grid, as surface-file documents."""
+    cyl = make_builtin("cylinder", grid=build_grid((0.0, 2 * np.pi), (0.0, 1.0), 4, 7, True))
+    n, r1, r2 = 4, 0.6, 0.8
+    U, V = np.meshgrid(2 * np.pi * np.arange(n) / n, 2 * np.pi * np.arange(n) / n,
+                       indexing="ij")
+    torus = np.stack([r1 * np.cos(U), r1 * np.sin(U), r2 * np.cos(V), r2 * np.sin(V)], -1)
+    return [
+        {"grid": {"u": [0.0, 2 * np.pi, 4, True], "v": [0.0, 1.0, 7, False]},
+         "surface": {"positions": cyl.pos.reshape(-1, 3).tolist()},
+         "ambient": {"kind": "euclidean", "dim": 3}},
+        {"grid": {"u": [0.0, 2 * np.pi, 4, True], "v": [-1.2, 1.2, 4, False]},
+         "surface": {"builtin": "sphere", "params": {"r": 1.0, "chart": "mercator"}}},
+        {"grid": {"u": [0.0, 2 * np.pi * r1, n, True], "v": [0.0, 2 * np.pi * r2, n, True]},
+         "surface": {"positions": torus.reshape(-1, 4).tolist()},
+         "ambient": {"kind": "sphere", "dim": 3, "radius": 1.0}},
+    ]
+
+
+def _entry_paths(node, path=()):
+    """Key paths of the entries below ``node``. Of a position table only the
+    first row and its numbers: every row is read alike."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = list(enumerate(node))[:1 if path[-1:] == ("positions",) else None]
+    else:
+        items = []
+    for key, val in items:
+        yield path + (key,)
+        yield from _entry_paths(val, path + (key,))
+
 
 
 class TestSolveMu:
