@@ -1,10 +1,14 @@
 """Command-line entry points: verify, solve-mu, convergence.
 
-Configuration comes from an optional JSON document (``--config``); individual
-flags override config fields. Exit codes: 0 all enabled assertions pass,
-2 assertion failure, 3 configuration error, 4 numerical failure. Input is
-checked where it is read, by the module that reads it, and rejected with
-``grid.InputError``; :func:`_exit_on_error` alone maps that to exit 3.
+Configuration comes from an optional JSON document (``--config``); a flag
+overrides its config key. :func:`_settings` reads every setting of a command
+and checks its type (``CONFIG_TYPES``) once. Exit codes: 0 all enabled
+assertions pass, 2 assertion failure, 3 configuration error, 4 numerical
+failure. Input is checked where it is read, by the module that reads it, and
+rejected with ``grid.InputError``; a flag that click rejects (an unknown
+option or command, a value of the wrong type, a bad choice) is a
+``click.UsageError``. :func:`_exit_on_error` runs once, around every command
+of the group, and maps both to exit 3.
 
 Only ``solve-mu`` imports ``mu_solver``, and with it scipy: ``verify`` and
 ``convergence`` run on numpy alone, and start without paying for scipy.
@@ -24,7 +28,6 @@ import numpy as np
 from . import corpus, report as report_mod
 from .ambient import Ambient, is_json_number
 from .grid import Grid, InputError, build_grid
-from .immersion import DegenerateImmersionError
 
 EXIT_ASSERTION = 2
 EXIT_CONFIG = 3
@@ -38,14 +41,15 @@ class ConfigError(InputError):
 
 @contextmanager
 def _exit_on_error():
-    """Map rejected input to exit 3 and numerical failures to exit 4.
-    ``mu_solver.SolverError`` is a FloatingPointError."""
+    """Map rejected input, a flag that click rejects included, to exit 3 and
+    numerical failures, each a FloatingPointError, to exit 4."""
     try:
         yield
-    except InputError as exc:
-        click.echo(f"config error: {exc}", err=True)
+    except (InputError, click.UsageError) as exc:
+        message = exc.format_message() if isinstance(exc, click.UsageError) else exc
+        click.echo(f"config error: {message}", err=True)
         sys.exit(EXIT_CONFIG)
-    except (DegenerateImmersionError, FloatingPointError) as exc:
+    except FloatingPointError as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(EXIT_NUMERICAL)
 
@@ -64,10 +68,6 @@ def _read_object(path: str, what: str) -> dict:
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     return _object(doc, what)
-
-
-def _load_config(path: str | None) -> dict:
-    return {} if path is None else _read_object(path, "config")
 
 
 def _is_number(val) -> bool:
@@ -114,6 +114,7 @@ CONFIG_TYPES = {
     "assert_flags": ("a list of strings", _is_strings),
     "assert_residuals": ("a list of strings", _is_strings),
     "output": ("a path string", lambda v: isinstance(v, str)),
+    "format": (f"one of {', '.join(FORMATS)}", lambda v: v in FORMATS),
     "H": ("a number", _is_number),
     "KN": ("a number", _is_number),
     "mu0": ("a number", _is_number),
@@ -126,20 +127,40 @@ CONFIG_TYPES = {
 }
 
 
-def _setting(cfg: dict, key: str, default, from_flag: bool = False):
-    """``cfg[key]``, or ``default`` when the key is absent; a value of the
-    wrong type (``CONFIG_TYPES``) is a ConfigError that names the flag when
-    ``from_flag`` (the value came from one), else the config key."""
-    if key not in cfg:
-        return default
-    want, ok = CONFIG_TYPES[key]
-    if not ok(cfg[key]):
-        where = "--" + key.replace("_", "-") if from_flag else f"{key!r} in --config"
-        raise ConfigError(f"{where} must be {want}, got {cfg[key]!r}")
-    return cfg[key]
+def _checked(key: str, val, where: str):
+    """``val``, the setting ``key`` given by ``where`` (a flag or the config
+    key); a value of the wrong type (``CONFIG_TYPES``) is a ConfigError. The
+    surface, which has no entry there, is checked where it is resolved."""
+    if key in CONFIG_TYPES:
+        want, ok = CONFIG_TYPES[key]
+        if not ok(val):
+            raise ConfigError(f"{where} must be {want}, got {val!r}")
+    return val
 
 
-def _parse_grid_size(text: str) -> tuple[int, int]:
+def _settings(config_path: str | None, flags: dict, **defaults) -> dict:
+    """The setting of each flag: the flag if given, else its ``--config`` key,
+    else its entry in ``defaults`` (every flag has one). A list setting puts
+    the flag's entries first; ``params`` is the config object updated by the
+    ``--param`` specs. Each value read is type-checked (:func:`_checked`)."""
+    cfg = {} if config_path is None else _read_object(config_path, "config")
+    settings = {}
+    for key, flag in flags.items():
+        default = defaults[key]
+        if key == "params":
+            settings[key] = _parse_params(flag, cfg.get(key, default))
+        elif flag is not None and flag is not False and not isinstance(default, list):
+            settings[key] = _checked(key, flag, "--" + key.replace("_", "-"))
+        else:
+            val = _checked(key, cfg[key], f"{key!r} in --config") if key in cfg else default
+            settings[key] = list(flag) + val if isinstance(default, list) else val
+    return settings
+
+
+def _parse_grid_size(ctx, param, text: str | None) -> tuple[int, int] | None:
+    """``--grid NUxNV`` as two integers, or None when it is not given."""
+    if not text:
+        return None
     try:
         nu_s, nv_s = text.lower().split("x")
         size = int(nu_s), int(nv_s)
@@ -167,7 +188,10 @@ def _parse_params(specs, base: dict) -> dict:
     return params
 
 
-def _parse_periodic(text: str) -> tuple[bool, bool]:
+def _parse_periodic(ctx, param, text: str | None) -> tuple[bool, bool] | None:
+    """``--periodic u,v`` as two booleans, or None when it is not given."""
+    if not text:
+        return None
     axes = {a.strip() for a in text.split(",") if a.strip()}
     bad = axes - {"u", "v"}
     if bad:
@@ -231,45 +255,28 @@ def _builtin_jet(name: str, params: dict, size, periodic=None):
     return corpus.build_builtin(name, grid, params)
 
 
-def _resolve_jet(cfg: dict):
-    """Build an immersion jet from merged config; returns (jet, label). With
-    ``fd_jets`` an analytic jet, named or from a surface file, is replaced by
-    its finite-difference twin."""
-    surface = cfg.get("surface")
+def _resolve_jet(s: dict):
+    """Build an immersion jet from the settings of ``verify``; returns (jet,
+    label). With ``fd_jets`` an analytic jet, named or from a surface file, is
+    replaced by its finite-difference twin."""
+    surface = s["surface"]
     if surface is None:
         raise ConfigError("no surface given (use --surface or a config file)")
-    size = _setting(cfg, "grid_size", (64, 64))
-    periodic = _setting(cfg, "periodic", None)
-    fd_jets = _setting(cfg, "fd_jets", False)
     if isinstance(surface, str) and surface in corpus.BUILTIN_MAKERS:
-        jet, label = _builtin_jet(surface, cfg.get("params", {}), size, periodic), surface
+        size = s["grid_size"] or (64, 64)  # None until given: a surface file refuses it
+        jet, label = _builtin_jet(surface, s["params"], size, s["periodic"]), surface
     elif isinstance(surface, str):
         # the file fixes the grid; an override would be silently dropped
         for key, flag in (("grid_size", "--grid"), ("periodic", "--periodic")):
-            if key in cfg:
+            if s[key] is not None:
                 raise ConfigError(f"{flag} (config {key!r}) does not apply to a surface"
                                   f" file: {surface} fixes its own grid")
         jet, label = _load_surface_file(surface)
     else:
         raise ConfigError(f"bad surface entry {surface!r}")
-    if fd_jets and jet.source == "analytic":
+    if s["fd_jets"] and jet.source == "analytic":
         jet = corpus.tabulate(jet)
     return jet, label
-
-
-def _merge(cfg: dict, **overrides) -> dict:
-    merged = dict(cfg)
-    for key, val in overrides.items():
-        if val is not None and val is not False:
-            merged[key] = val
-    return merged
-
-
-def _format(cfg: dict) -> str:
-    fmt = cfg.get("format", "json")
-    if fmt not in FORMATS:
-        raise ConfigError(f"'format' must be one of {', '.join(FORMATS)}, got {fmt!r}")
-    return fmt
 
 
 def _write(text: str, output: str | None):
@@ -319,7 +326,15 @@ def _check_assertions(rep, assert_flags, assert_residuals) -> list[str]:
     return failures
 
 
-@click.group()
+class _Group(click.Group):
+    """Runs each command, from the parsing of its flags on, in :func:`_exit_on_error`."""
+
+    def invoke(self, ctx):
+        with _exit_on_error():
+            return super().invoke(ctx)
+
+
+@click.group(cls=_Group)
 def main():
     """Numerical verification toolkit for biconservative surface identities."""
 
@@ -327,108 +342,67 @@ def main():
 @main.command("verify")
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--surface", default=None, help="builtin name or surface-file path")
-@click.option("--grid", "grid_size", default=None, help="NUxNV")
-@click.option("--periodic", default=None, help="comma list of periodic axes, e.g. u,v")
+@click.option("--grid", "grid_size", default=None, callback=_parse_grid_size, help="NUxNV")
+@click.option("--periodic", default=None, callback=_parse_periodic,
+              help="comma list of periodic axes, e.g. u,v")
 @click.option("--param", "params", multiple=True, help="builtin parameter, e.g. k=1.0")
 @click.option("--fd-jets", is_flag=True, help="replace analytic jets by finite differences")
 @click.option("--output", default=None, type=click.Path())
-@click.option("--format", "fmt", type=click.Choice(FORMATS), default=None)
+@click.option("--format", type=click.Choice(FORMATS), default=None)
 @click.option("--tol-analytic", type=float, default=None)
 @click.option("--tol-fd", type=float, default=None)
 @click.option("--dump-fields", is_flag=True)
 @click.option("--assert-flag", "assert_flags", multiple=True, help="name=true|false")
 @click.option("--assert-residual", "assert_residuals", multiple=True, help="name<=tol")
-def verify(config_path, surface, grid_size, periodic, params, fd_jets, output, fmt,
-           tol_analytic, tol_fd, dump_fields, assert_flags, assert_residuals):
+def verify(config_path, **flags):
     """Run the residual suite on a surface and emit a report."""
-    with _exit_on_error():
-        cfg = _merge(
-            _load_config(config_path),
-            surface=surface,
-            grid_size=_parse_grid_size(grid_size) if grid_size else None,
-            periodic=_parse_periodic(periodic) if periodic else None,
-            fd_jets=fd_jets,
-            output=output,
-            format=fmt,
-            tol_analytic=tol_analytic,
-            tol_fd=tol_fd,
-            dump_fields=dump_fields,
-        )
-        cfg["params"] = _parse_params(params, cfg.get("params", {}))
-        out_format = _format(cfg)
-        out_path = _setting(cfg, "output", None)
-        tol_a = float(_setting(cfg, "tol_analytic", 1e-8, tol_analytic is not None))
-        tol_f = float(_setting(cfg, "tol_fd", 1e-3, tol_fd is not None))
-        dump = _setting(cfg, "dump_fields", False)
-        flag_specs = list(assert_flags) + _setting(cfg, "assert_flags", [])
-        residual_specs = list(assert_residuals) + _setting(cfg, "assert_residuals", [])
-        jet, label = _resolve_jet(cfg)
-        rep = report_mod.build_geometry_report(
-            jet,
-            surface_label=label,
-            tol_analytic=tol_a,
-            tol_fd=tol_f,
-            dump_fields=dump,
-        )
-        _emit(rep, out_format, out_path)
-        failures = _check_assertions(rep, flag_specs, residual_specs)
+    s = _settings(config_path, flags, surface=None, grid_size=None, periodic=None, params={},
+                  fd_jets=False, output=None, format="json", tol_analytic=1e-8, tol_fd=1e-3,
+                  dump_fields=False, assert_flags=[], assert_residuals=[])
+    jet, label = _resolve_jet(s)
+    rep = report_mod.build_geometry_report(jet, surface_label=label,
+                                           tol_analytic=float(s["tol_analytic"]),
+                                           tol_fd=float(s["tol_fd"]), dump_fields=s["dump_fields"])
+    _emit(rep, s["format"], s["output"])
+    failures = _check_assertions(rep, s["assert_flags"], s["assert_residuals"])
+    for f in failures:
+        click.echo(f"assertion failed: {f}", err=True)
     if failures:
-        for f in failures:
-            click.echo(f"assertion failed: {f}", err=True)
         sys.exit(EXIT_ASSERTION)
-
-
-def _mu_problem(cfg: dict):
-    """The ``mu_solver.MuProblem`` of a merged config."""
-    from . import mu_solver
-
-    Hval = float(_setting(cfg, "H", 1.0))
-    KNval = float(_setting(cfg, "KN", 0.0))
-    nu, nv = _setting(cfg, "grid_size", (64, 64))
-    amp = float(_setting(cfg, "perturb", 0.0))
-    mu0 = _setting(cfg, "mu0", None)
-    grid = build_grid((0.0, 2.0 * math.pi), (0.0, 2.0 * math.pi), nu, nv, True, True)
-    base = float(mu0) if mu0 is not None else mu_solver.constant_root(Hval, KNval)
-    X, Y = grid.mesh()
-    mu0_field = base * (1.0 + amp * np.sin(X) * np.sin(Y))
-    return mu_solver.MuProblem(grid, Hval, np.full(grid.shape, KNval), mu0_field)
 
 
 @main.command("solve-mu")
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--H", "H", type=float, default=None, help="constant mean curvature norm")
 @click.option("--KN", "KN", type=float, default=None, help="constant ambient curvature")
-@click.option("--grid", "grid_size", default=None, help="NUxNV, doubly periodic on [0,2pi)^2")
+@click.option("--grid", "grid_size", default=None, callback=_parse_grid_size,
+              help="NUxNV, doubly periodic on [0,2pi)^2")
 @click.option("--mu0", type=float, default=None, help="constant initial guess")
 @click.option("--perturb", type=float, default=None,
               help="relative sin(x)sin(y) perturbation of the initial guess")
 @click.option("--tol-newton", type=float, default=None)
 @click.option("--max-iter", type=int, default=None)
 @click.option("--output", default=None, type=click.Path())
-@click.option("--format", "fmt", type=click.Choice(FORMATS), default=None)
+@click.option("--format", type=click.Choice(FORMATS), default=None)
 @click.option("--dump-fields", is_flag=True)
-def solve_mu_cmd(config_path, H, KN, grid_size, mu0, perturb, tol_newton, max_iter,
-                 output, fmt, dump_fields):
+def solve_mu_cmd(config_path, **flags):
     """Solve the principal-curvature-gap equation by damped Newton iteration."""
     from . import mu_solver  # scipy loads here, for this command alone
 
-    with _exit_on_error():
-        cfg = _merge(
-            _load_config(config_path),
-            H=H, KN=KN,
-            grid_size=_parse_grid_size(grid_size) if grid_size else None,
-            mu0=mu0, perturb=perturb,
-            tol_newton=tol_newton, max_iter=max_iter,
-            output=output, format=fmt,
-            dump_fields=dump_fields,
-        )
-        out_format = _format(cfg)
-        out_path = _setting(cfg, "output", None)
-        dump = _setting(cfg, "dump_fields", False)
-        tol = float(_setting(cfg, "tol_newton", 1e-10, tol_newton is not None))
-        iters = int(float(_setting(cfg, "max_iter", 30, max_iter is not None)))
-        sol = mu_solver.solve_mu(_mu_problem(cfg), tol_newton=tol, max_iter=iters)
-        _emit(report_mod.build_mu_report(sol, dump_fields=dump), out_format, out_path)
+    s = _settings(config_path, flags, H=1.0, KN=0.0, grid_size=(64, 64), mu0=None,
+                  perturb=0.0, tol_newton=1e-10, max_iter=30, output=None, format="json",
+                  dump_fields=False)
+    Hval, KNval = float(s["H"]), float(s["KN"])
+    nu, nv = s["grid_size"]
+    grid = build_grid((0.0, 2.0 * math.pi), (0.0, 2.0 * math.pi), nu, nv, True, True)
+    base = float(s["mu0"]) if s["mu0"] is not None else mu_solver.constant_root(Hval, KNval)
+    X, Y = grid.mesh()
+    mu0 = base * (1.0 + float(s["perturb"]) * np.sin(X) * np.sin(Y))
+    problem = mu_solver.MuProblem(grid, Hval, np.full(grid.shape, KNval), mu0)
+    sol = mu_solver.solve_mu(problem, tol_newton=float(s["tol_newton"]),
+                             max_iter=int(float(s["max_iter"])))
+    _emit(report_mod.build_mu_report(sol, dump_fields=s["dump_fields"]), s["format"],
+          s["output"])
     if not sol.converged:
         click.echo(f"numerical failure: {sol.reason or 'Newton iteration did not converge'}",
                    err=True)
@@ -463,36 +437,27 @@ def estimate_order(coarse: float, fine: float) -> object:
 @main.command("convergence")
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--surface", default=None, help="builtin name")
-@click.option("--grid", "grid_size", default=None, help="coarsest level, NUxNV")
+@click.option("--grid", "grid_size", default=None, callback=_parse_grid_size,
+              help="coarsest level, NUxNV")
 @click.option("--levels", type=int, default=None)
 @click.option("--param", "params", multiple=True, help="builtin parameter, e.g. k=1.0")
 @click.option("--fd-jets", is_flag=True)
 @click.option("--output", default=None, type=click.Path())
-def convergence(config_path, surface, grid_size, levels, params, fd_jets, output):
+def convergence(config_path, **flags):
     """Refinement study: residual norms and estimated decay orders per level."""
-    with _exit_on_error():
-        cfg = _merge(
-            _load_config(config_path),
-            surface=surface,
-            grid_size=_parse_grid_size(grid_size) if grid_size else None,
-            levels=levels,
-            fd_jets=fd_jets,
-            output=output,
-        )
-        param_map = _parse_params(params, cfg.get("params", {}))
-        nlevels = int(float(_setting(cfg, "levels", 3, levels is not None)))
-        if nlevels < 3:
-            raise ConfigError("need at least 3 refinement levels")
-        name = cfg.get("surface")
-        if not isinstance(name, str) or name not in corpus.BUILTIN_MAKERS:
-            raise ConfigError(f"convergence needs a builtin surface, got {name!r}")
-        nu0, nv0 = _setting(cfg, "grid_size", (32, 32))
-        if nu0 != nv0:
-            raise ConfigError(f"convergence refines square grids, got {nu0}x{nv0}")
-        fd = _setting(cfg, "fd_jets", False)
-        out_path = _setting(cfg, "output", None)
-        table = run_convergence(name, param_map, nu0, nlevels, fd)
-        _write(json.dumps(table, indent=2, sort_keys=False) + "\n", out_path)
+    s = _settings(config_path, flags, surface=None, grid_size=(32, 32), levels=3, params={},
+                  fd_jets=False, output=None)
+    nlevels = int(float(s["levels"]))
+    if nlevels < 3:
+        raise ConfigError("need at least 3 refinement levels")
+    name = s["surface"]
+    if not isinstance(name, str) or name not in corpus.BUILTIN_MAKERS:
+        raise ConfigError(f"convergence needs a builtin surface, got {name!r}")
+    nu0, nv0 = s["grid_size"]
+    if nu0 != nv0:
+        raise ConfigError(f"convergence refines square grids, got {nu0}x{nv0}")
+    table = run_convergence(name, s["params"], nu0, nlevels, s["fd_jets"])
+    _write(json.dumps(table, indent=2, sort_keys=False) + "\n", s["output"])
 
 
 def run_convergence(name: str, params: dict, n0: int, levels: int, fd_jets: bool) -> dict:

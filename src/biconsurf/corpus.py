@@ -303,7 +303,8 @@ def load_tabulated(grid: Grid, positions, space: Ambient) -> ImmersionJet:
         arr = np.asarray(positions)
     except ValueError as exc:
         raise SurfaceConfigError("position table is ragged (rows of unequal length)") from exc
-    if arr.dtype.kind not in "iuf":
+    # numpy reads a bool among numbers as 1 or 0, so each entry's type is looked at
+    if arr.dtype.kind not in "iuf" or bool in set(map(type, np.asarray(positions, object).flat)):
         raise SurfaceConfigError("position table must hold numbers only")
     arr = arr.astype(np.float64, copy=False)
     n = space.embedding_dim
@@ -325,5 +326,5 @@ def load_tabulated(grid: Grid, positions, space: Ambient) -> ImmersionJet:
             f"position at node ({node[0]}, {node[1]}) lies off the ambient space: "
             f"relative error {err[node]:.3e} > {OFF_SPACE_TOL:g}")
     jet = jet_from_positions(grid, arr, space)
-    induced_metric(jet)  # raises DegenerateImmersionError on bad tables
+    induced_metric(jet)  # raises DegenerateImmersionError or FloatingPointError on bad tables
     return jet

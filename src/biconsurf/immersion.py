@@ -58,8 +58,9 @@ DEGENERACY_TOL = 1e-12
 FD_BOUNDARY_MARGIN = 3
 
 
-class DegenerateImmersionError(ValueError):
-    """The immersion condition det g > 0 fails (numerically) at some node."""
+class DegenerateImmersionError(FloatingPointError):
+    """The immersion condition det g > 0 fails (numerically) at some node. A
+    FloatingPointError, as every numerical failure that the CLI maps to exit 4."""
 
 
 @dataclass(frozen=True)
@@ -98,23 +99,36 @@ def jet_from_positions(grid: Grid, pos: np.ndarray, space: Ambient) -> Immersion
             raise InputError(f"a finite-difference jet needs at least {2 * FD_BOUNDARY_MARGIN + 1}"
                              f" nodes on an open axis, got {n}")
     pos = np.asarray(pos, dtype=np.float64)
-    d1 = flat_gradient(grid, pos)
-    d2 = node_array(grid, (2, 2, pos.shape[-1]))
-    for a in (0, 1):
-        d2[..., a, a, :] = fd_derivative(grid, pos, a, 2)
-    d2[..., 0, 1, :] = d2[..., 1, 0, :] = fd_derivative(grid, d1[..., 0, :], 1, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d1 = flat_gradient(grid, pos)
+        d2 = node_array(grid, (2, 2, pos.shape[-1]))
+        for a in (0, 1):
+            d2[..., a, a, :] = fd_derivative(grid, pos, a, 2)
+        d2[..., 0, 1, :] = d2[..., 1, 0, :] = fd_derivative(grid, d1[..., 0, :], 1, 1)
+    for d in (d1, d2):
+        _raise_at(~np.isfinite(d), FloatingPointError, "finite-difference derivative not finite")
     return ImmersionJet(grid, space, pos, d1, d2, None, source="finite-difference")
+
+
+def _raise_at(bad: np.ndarray, error: type, what: str):
+    """Raise ``error``, naming ``what`` and the first node, where the node
+    field ``bad`` holds True in any component."""
+    bad = bad.any(axis=tuple(range(2, bad.ndim)))
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise error(f"{what} at node ({i}, {j})")
 
 
 def induced_metric(jet: ImmersionJet) -> tuple[np.ndarray, np.ndarray]:
     """The metric g_ab = <d_a X, d_b X> and its determinant; raises
-    :class:`DegenerateImmersionError` where det g is numerically zero."""
-    g = np.einsum("...ak,...bk->...ab", jet.d1, jet.d1)
-    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2
-    bad = det <= DEGENERACY_TOL * g[..., 0, 0] * g[..., 1, 1]
-    if np.any(bad):
-        idx = np.argwhere(bad)[0]
-        raise DegenerateImmersionError(f"immersion degenerate at node ({idx[0]}, {idx[1]})")
+    FloatingPointError where g overflows and :class:`DegenerateImmersionError`
+    where det g is numerically zero or overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.einsum("...ak,...bk->...ab", jet.d1, jet.d1)
+        det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2
+        flat = ~(det > DEGENERACY_TOL * g[..., 0, 0] * g[..., 1, 1]) | np.isinf(det)
+    _raise_at(~np.isfinite(g), FloatingPointError, "metric not finite")
+    _raise_at(flat, DegenerateImmersionError, "immersion degenerate")
     return g, det
 
 

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import os
 import re
 import subprocess
@@ -13,6 +14,7 @@ from click.testing import CliRunner
 import biconsurf
 from biconsurf import mu_solver, report as report_mod
 from biconsurf.cli import (
+    CONFIG_TYPES,
     EXIT_ASSERTION,
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -230,14 +232,6 @@ class TestVerify:
         assert res.stderr == (f"config error: {key!r} in --config must be a positive finite "
                               f"number, got {value!r}\n")
 
-    def test_flag_tolerance_overrides_config(self, runner, tmp_path):
-        f = tmp_path / "cfg.json"
-        f.write_text(json.dumps({"surface": "sphere", "tol_analytic": 1e-6}))
-        base = ["verify", "--config", str(f), "--grid", "8x8"]
-        assert json.loads(runner.invoke(main, base).output)["meta"]["tolerance"] == 1e-6
-        res = runner.invoke(main, base + ["--tol-analytic", "1e-7"])
-        assert json.loads(res.output)["meta"]["tolerance"] == 1e-7
-
     def test_periodic_applies_to_default_grid(self, runner):
         base = ["verify", "--surface", "helix_line_r4", "--periodic", "u"]
         res = runner.invoke(main, base)
@@ -402,7 +396,10 @@ class TestVerify:
          "position table is ragged (rows of unequal length)"),
         (lambda pos: [[0.0, "a", 1.0]] * 64, "position table must hold numbers only"),
         (lambda pos: [[None] * 3] * 64, "position table must hold numbers only"),
-    ], ids=["flat", "coordinate-major", "ragged", "string", "null"])
+        # numpy read a true among numbers as 1.0, and the table verified
+        (lambda pos: [[0.0, 0.0, True]] + pos.reshape(-1, 3).tolist()[1:],
+         "position table must hold numbers only"),
+    ], ids=["flat", "coordinate-major", "ragged", "string", "null", "bool"])
     def test_surface_file_position_table_shapes(self, runner, tmp_path, table, message):
         u = np.linspace(0.0, 1.0, 8)
         U, V = np.meshgrid(u, u, indexing="ij")
@@ -514,7 +511,8 @@ class TestVerify:
         res = runner.invoke(main, [command, *args])
         assert res.exit_code == EXIT_CONFIG, res.output
         assert res.stdout == ""
-        assert res.stderr == "config error: 'format' must be one of json, csv, got 'xml'\n"
+        assert res.stderr == ("config error: 'format' in --config must be one of json, csv,"
+                              " got 'xml'\n")
 
     @pytest.mark.parametrize("command,key,value,want", [
         # "false" ran FD jets; "u" ended in an IndexError traceback; a string
@@ -618,12 +616,33 @@ class TestVerify:
         prefix = {EXIT_CONFIG: "config error", EXIT_ASSERTION: "assertion failed"}[exit_code]
         assert res.stderr == f"{prefix}: {stderr}\n"
 
+    @pytest.mark.parametrize("value", [1e308, 1e200])
+    @pytest.mark.parametrize("row", [0, 3], ids=["edge", "interior"])
+    def test_spiked_position_table_is_numerical_failure(self, runner, tmp_path, row, value):
+        # A huge z at the open-edge node (0, 0) or at the interior node (0, 3)
+        # of the 4x7 cylinder table. 1e308 overflowed the FD derivatives and
+        # exited 0, with every flag true at the edge and every flag false
+        # inside; 1e200 overflowed g and reached "immersion degenerate" after
+        # a RuntimeWarning (an error under this suite's warning filters).
+        doc = _small_surface_files()[0]
+        doc["surface"]["positions"][row][2] = value
+        f = tmp_path / "spike.json"
+        f.write_text(json.dumps(doc))
+        res = runner.invoke(main, ["verify", "--surface", str(f)])
+        assert res.exit_code == EXIT_NUMERICAL, (res.output, res.exception)
+        assert res.stdout == ""
+        assert re.fullmatch(r"numerical failure: (finite-difference derivative|metric) not"
+                            r" finite at node \(0, [0-3]\)\n", res.stderr), res.stderr
+
     def test_malformed_entry_never_ends_in_a_traceback(self, runner, tmp_path):
         # Each entry of three small valid surface files is replaced, one at a
         # time, by a value of each JSON type; every run must end in a verdict
         # or a one-line diagnosis; 70 of these 464 runs used to end in a
-        # traceback (exit 1). Huge magnitudes such as 1e308 are left out: they
-        # overflow inside the geometry, the scale problem of ROADMAP item 3(a).
+        # traceback (exit 1). Huge magnitudes such as 1e308 are left out: a
+        # spike in a Euclidean position table is a numerical failure (see the
+        # test above), but as a builtin's grid end or radius, or in a table
+        # on a sphere, 1e308 still overflows inside the geometry, the scale
+        # problem of ROADMAP item 3(a).
         f = tmp_path / "surf.json"
         failures = []
         for base in _small_surface_files():
@@ -872,6 +891,179 @@ class TestConvergence:
         res = runner.invoke(main, ["convergence", "--config", str(f), "--grid", "8x8"])
         assert res.exit_code == EXIT_CONFIG, res.output
         assert res.stderr == "config error: convergence needs a builtin surface, got ['cylinder']\n"
+
+
+def _meta(*keys):
+    """A reader of the report's ``meta`` entry at ``keys``."""
+    def read(res, cwd):
+        node = json.loads(res.stdout)["meta"]
+        for key in keys:
+            node = node[key]
+        return node
+    return read
+
+
+def _doc(key):
+    return lambda res, cwd: json.loads(res.stdout)[key]
+
+
+def _has_fields(res, cwd):
+    return "fields" in json.loads(res.stdout)
+
+
+def _first_line(res, cwd):
+    return res.stdout.splitlines()[0]
+
+
+def _stderr_lines(res, cwd):
+    return res.stderr.splitlines()
+
+
+def _files(res, cwd):
+    return sorted(p.name for p in cwd.iterdir() if p.name != "cfg.json")
+
+
+def _radius_from_h(res, cwd):
+    # the cylinder's coarsest u spacing is 2 pi r / 8
+    return round(json.loads(res.stdout)["h"][0] * 8 / (2 * math.pi), 9)
+
+
+def _failed(*lines):
+    return [f"assertion failed: {line}" for line in lines]
+
+
+# command, config entries over a small base run, flags given next to them, a
+# reader of the run, its reading with the config alone, and with the flags too
+SETTING_CASES = {
+    "verify-surface": ("verify", {"surface": "cylinder"}, ["--surface", "product_torus"],
+                       _meta("surface"), "cylinder", "product_torus"),
+    "verify-grid_size": ("verify", {"grid_size": [10, 10]}, ["--grid", "12x12"],
+                         _meta("grid", "nu"), 10, 12),
+    "verify-periodic": ("verify", {"periodic": [False, False]}, ["--periodic", "u,v"],
+                        lambda res, cwd: [_meta("grid", f"periodic_{a}")(res, cwd) for a in "uv"],
+                        [False, False], [True, True]),
+    "verify-params": ("verify", {"surface": "cylinder", "params": {"r": 2.0}}, ["--param", "r=3"],
+                      lambda res, cwd: _meta("grid", "u_max")(res, cwd) / (2 * math.pi),
+                      2.0, 3.0),
+    "verify-fd_jets-true": ("verify", {"fd_jets": True}, ["--fd-jets"], _meta("jet_source"),
+                            "finite-difference", "finite-difference"),
+    "verify-fd_jets-false": ("verify", {"fd_jets": False}, ["--fd-jets"], _meta("jet_source"),
+                             "analytic", "finite-difference"),
+    "verify-output": ("verify", {"output": "a.json"}, ["--output", "b.json"], _files,
+                      ["a.json"], ["b.json"]),
+    "verify-format": ("verify", {"format": "csv"}, ["--format", "json"], _first_line,
+                      "name,paper_ref,l2,linf", "{"),
+    "verify-tol_analytic": ("verify", {"tol_analytic": 1e-6}, ["--tol-analytic", "1e-7"],
+                            _meta("tolerance"), 1e-6, 1e-7),
+    "verify-tol_fd": ("verify", {"fd_jets": True, "tol_fd": 1e-2}, ["--tol-fd", "1e-4"],
+                      _meta("tolerance"), 1e-2, 1e-4),
+    "verify-dump_fields-true": ("verify", {"dump_fields": True}, ["--dump-fields"], _has_fields,
+                                True, True),
+    "verify-dump_fields-false": ("verify", {"dump_fields": False}, ["--dump-fields"],
+                                 _has_fields, False, True),
+    # the assertion lists join: the flags' entries come first
+    "verify-assert_flags": ("verify", {"assert_flags": ["is_cmc=false"]},
+                            ["--assert-flag", "is_pmc=false"], _stderr_lines,
+                            _failed("flag is_cmc: expected False, got True"),
+                            _failed("flag is_pmc: expected False, got True",
+                                    "flag is_cmc: expected False, got True")),
+    "verify-assert_residuals": ("verify", {"assert_residuals": ["nope<=1"]},
+                                ["--assert-residual", "gone<=1"], _stderr_lines,
+                                _failed("residual nope: not in report"),
+                                _failed("residual gone: not in report",
+                                        "residual nope: not in report")),
+    "solve-mu-H": ("solve-mu", {"H": 2.0}, ["--H", "3"], _meta("H"), 2.0, 3.0),
+    "solve-mu-KN": ("solve-mu", {"KN": 0.5}, ["--KN", "0.25"], _meta("KN_min"), 0.5, 0.25),
+    "solve-mu-grid_size": ("solve-mu", {"grid_size": [10, 10]}, ["--grid", "12x12"],
+                           _meta("grid", "nu"), 10, 12),
+    # 2 is the constant root of H = 1, K_N = 0: no Newton step from there
+    "solve-mu-mu0": ("solve-mu", {"mu0": 1.0}, ["--mu0", "2"], _meta("iterations"), 3, 0),
+    "solve-mu-perturb": ("solve-mu", {"perturb": 0.1}, ["--perturb", "0"], _meta("iterations"),
+                         3, 0),
+    "solve-mu-tol_newton": ("solve-mu", {"perturb": 0.1, "tol_newton": 1e-2},
+                            ["--tol-newton", "1e-10"], _meta("iterations"), 1, 3),
+    "solve-mu-max_iter": ("solve-mu", {"perturb": 0.1, "max_iter": 1}, ["--max-iter", "2"],
+                          _meta("iterations"), 1, 2),
+    "solve-mu-output": ("solve-mu", {"output": "a.json"}, ["--output", "b.json"], _files,
+                        ["a.json"], ["b.json"]),
+    "solve-mu-format": ("solve-mu", {"format": "csv"}, ["--format", "json"], _first_line,
+                        "name,paper_ref,l2,linf", "{"),
+    "solve-mu-dump_fields-true": ("solve-mu", {"dump_fields": True}, ["--dump-fields"],
+                                  _has_fields, True, True),
+    "solve-mu-dump_fields-false": ("solve-mu", {"dump_fields": False}, ["--dump-fields"],
+                                   _has_fields, False, True),
+    "convergence-surface": ("convergence", {"surface": "sphere"}, ["--surface", "product_torus"],
+                            _doc("surface"), "sphere", "product_torus"),
+    "convergence-grid_size": ("convergence", {"grid_size": [10, 10]}, ["--grid", "12x12"],
+                              lambda res, cwd: round(2 * math.pi / _doc("h")(res, cwd)[0]),
+                              10, 12),
+    "convergence-params": ("convergence", {"params": {"r": 2.0}}, ["--param", "r=3"],
+                           _radius_from_h, 2.0, 3.0),
+    "convergence-levels": ("convergence", {"levels": 4}, ["--levels", "3"],
+                           lambda res, cwd: len(_doc("h")(res, cwd)), 4, 3),
+    "convergence-fd_jets-true": ("convergence", {"fd_jets": True}, ["--fd-jets"],
+                                 _doc("fd_jets"), True, True),
+    "convergence-fd_jets-false": ("convergence", {"fd_jets": False}, ["--fd-jets"],
+                                  _doc("fd_jets"), False, True),
+    "convergence-output": ("convergence", {"output": "a.json"}, ["--output", "b.json"], _files,
+                           ["a.json"], ["b.json"]),
+}
+
+BASE_CONFIG = {
+    "verify": {"surface": "sphere", "grid_size": [8, 8]},
+    "solve-mu": {"grid_size": [8, 8]},
+    "convergence": {"surface": "cylinder", "grid_size": [8, 8]},
+}
+
+
+class TestSettings:
+    @pytest.mark.parametrize("case", SETTING_CASES.values(), ids=SETTING_CASES.keys())
+    def test_config_value_used_and_flag_wins(self, runner, tmp_path, monkeypatch, case):
+        # a flag wins over its config key, and the config wins over the default
+        command, entries, flags, read, from_config, from_flag = case
+        for extra, want in (([], from_config), (flags, from_flag)):
+            cwd = tmp_path / ("flag" if extra else "config")
+            cwd.mkdir()
+            monkeypatch.chdir(cwd)
+            (cwd / "cfg.json").write_text(json.dumps({**BASE_CONFIG[command], **entries}))
+            res = runner.invoke(main, [command, "--config", "cfg.json", *extra])
+            assert res.exit_code in (0, EXIT_ASSERTION, EXIT_NUMERICAL), res.output
+            assert read(res, cwd) == want
+
+    def test_every_option_is_a_config_key(self):
+        # a new option is a decorator, a CONFIG_TYPES entry and a default
+        names = {p.name for cmd in main.commands.values() for p in cmd.params}
+        assert names - {"config_path", "params", "surface"} == set(CONFIG_TYPES)
+
+    @pytest.mark.parametrize("line", [
+        "verify --bogus", "verify --tol-fd abc", "verify --max-iter 1.5", "verify --format xml",
+        "verify --surface",
+        "solve-mu --bogus", "solve-mu --H abc", "solve-mu --max-iter 1.5", "solve-mu --format xml",
+        "convergence --bogus", "convergence --levels abc", "convergence --levels 1.5",
+        "convergence --format xml",
+        "nope",
+    ])
+    def test_flag_rejected_by_click_is_config_error(self, runner, line):
+        # click's own usage errors exited 2, the code of a failed --assert-*;
+        # the message names the option, or the command when there is none
+        args = line.split()
+        res = runner.invoke(main, args)
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert res.stdout == ""
+        assert re.fullmatch(r"config error: [^\n]*\n", res.stderr), res.stderr
+        assert (args[1:] or args)[0] in res.stderr
+
+    @pytest.mark.parametrize("args", [[], ["verify"], ["solve-mu"], ["convergence"]])
+    def test_help_exits_0(self, runner, args):
+        res = runner.invoke(main, [*args, "--help"])
+        assert res.exit_code == 0, res.output
+        assert res.stdout.startswith("Usage:")
+
+    def test_bare_group_prints_usage(self, runner):
+        # no command runs, so no assertion: click's usage text and exit 2 stay
+        res = runner.invoke(main, [])
+        assert res.exit_code == 2
+        assert "Usage:" in res.output
 
 
 SCIPY_PROBE = """

@@ -16,9 +16,15 @@ problem, and two far from the constant root, named ``solve_mu_lu_*`` after
 the SuperLU fallback they once reached); one
 ``convergence`` study; one CSV report; a tabulated torus in the sphere
 S^3(1) at 32^2 and 64^2, and one in S^3(2) at 32^2, where r and r^2 differ;
-and, at 32^2 and 64^2, a tabulated product torus in R^4 at the angles
-(u + 0.3 sin u, v), the only doubly periodic input with no isothermal chart.
-That is 54 cases.
+at 32^2 and 64^2, a tabulated product torus in R^4 at the angles
+(u + 0.3 sin u, v), the only doubly periodic input with no isothermal chart;
+and three runs that read their settings from a config file: a ``verify``
+config that sets every ``verify`` key but ``output`` (so that the report
+reaches stdout), the same config under ``--grid``, ``--tol-fd`` and one
+``--assert-flag``, where assertions fail (exit 2, and the order of the
+failure lines is compared), and a ``solve-mu`` config that sets every
+``solve-mu`` key but ``output``, ``format`` and ``dump_fields``.
+That is 57 cases.
 
 For each case it prints both exit codes, whether stdout is byte-identical,
 the largest |diff| over the numbers in stdout, the largest relative diff
@@ -112,6 +118,10 @@ def cases() -> dict[str, list[str]]:
         out[f"torus_s3_{n}"] = ["verify", "--surface", f"torus_s3_{n}.json"]
         out[f"torus_stretch_{n}"] = ["verify", "--surface", f"torus_stretch_{n}.json"]
     out["torus_s3r2_32"] = ["verify", "--surface", "torus_s3r2_32.json"]
+    out["config_verify"] = ["verify", "--config", "verify_config.json"]
+    out["config_verify_flags"] = ["verify", "--config", "verify_config.json", "--grid", "48x48",
+                                  "--tol-fd", "1e-4", "--assert-flag", "ah_parallel=true"]
+    out["config_solve_mu"] = ["solve-mu", "--config", "solve_mu_config.json"]
     return out
 
 
@@ -147,7 +157,18 @@ def _torus_stretch(n: int, r1: float = 1.0, r2: float = 2.0, stretch: float = 0.
 
 
 def write_inputs(workdir: str):
-    docs = {"polar_sphere.json": {"surface": "sphere", "params": {"chart": "polar"}}}
+    docs = {
+        "polar_sphere.json": {"surface": "sphere", "params": {"chart": "polar"}},
+        # is_cmc holds at tol_fd 5e-2 on 32^2 and fails at 1e-4 on 48^2
+        "verify_config.json": {
+            "surface": "cylinder", "params": {"r": 0.6, "stretch": 0.4},
+            "grid_size": [32, 32], "periodic": [True, False], "fd_jets": True,
+            "dump_fields": True, "format": "csv", "tol_analytic": 1e-6, "tol_fd": 5e-2,
+            "assert_flags": ["is_cmc=true"],
+            "assert_residuals": ["divergence_route_gap<=1e-12", "trace_balance<=5e-2"]},
+        "solve_mu_config.json": {"H": 1.1, "KN": 0.3, "grid_size": [40, 48], "mu0": 2.5,
+                                 "perturb": 0.2, "tol_newton": 1e-9, "max_iter": 20},
+    }
     for n in (32, 64):
         docs[f"torus_s3_{n}.json"] = _torus_in_s3(n)
         docs[f"torus_stretch_{n}.json"] = _torus_stretch(n)
