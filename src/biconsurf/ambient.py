@@ -98,7 +98,8 @@ class Ambient:
         """Relative distance ``| |x| - r | / r`` of each position off a sphere; 0 in R^n."""
         if self.kind == "euclidean":
             return np.zeros(np.shape(pos)[:-1])
-        return np.abs(np.linalg.norm(pos, axis=-1) - self.radius) / self.radius
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge entry gives inf
+            return np.abs(np.linalg.norm(pos, axis=-1) - self.radius) / self.radius
 
 
 def euclidean(dim: int = 3) -> Ambient:

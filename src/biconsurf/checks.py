@@ -34,13 +34,17 @@ class NonConstantCurvaturesError(ValueError):
 
 def weighted_l2(field: np.ndarray, geom: SurfaceGeometry) -> float:
     """Area-weighted RMS of a scalar field over ``geom.interior``."""
-    f2_dv = np.where(geom.interior, np.asarray(field) ** 2 * geom.area_element, 0.0)
+    f2_dv = np.asarray(field) ** 2 * geom.area_element
+    if geom.boundary_margin:
+        f2_dv = np.where(geom.interior, f2_dv, 0.0)
     return float(np.sqrt(integrate(geom.grid, f2_dv) / geom.interior_area))
 
 
 def scalar_norms(field: np.ndarray, geom: SurfaceGeometry) -> tuple[float, float]:
     """(L2, Linf) of |field| over ``geom.interior``."""
-    mag = np.where(geom.interior, np.abs(field), 0.0)
+    mag = np.abs(field)
+    if geom.boundary_margin:
+        mag = np.where(geom.interior, mag, 0.0)
     return weighted_l2(mag, geom), float(np.max(mag))
 
 
@@ -65,7 +69,7 @@ def biconservativity_residuals(geom: SurfaceGeometry) -> dict:
     """
     div_S2 = divergence_coords(geom.nabla_S2, geom.ginv)
     div_AH = divergence_coords(geom.nabla_AH, geom.ginv)
-    gH = geom.grad_scalar(geom.Hsq)
+    gH = geom.grad_Hsq
     div_S2_formula = -2.0 * gH + 4.0 * div_AH
 
     tA = trace_A_dperpH(geom)
@@ -130,7 +134,9 @@ def simons_residual(geom: SurfaceGeometry, bicons_tol: float = 1e-6,
         1/2 Delta |S2|^2 = -2K |S2|^2 + div S2(grad tau^2) + K tau^4
                            + 1/2 Delta tau^4 + |d tau^2|^2 - |nabla S2|^2
 
-    with tau^2 = |tau(phi)|^2 = 4 |H|^2 and the positive Laplacian. The two
+    with tau^2 = |tau(phi)|^2 = 4 |H|^2 and the positive Laplacian; grad tau^2
+    and |d tau^2|^2 are 4 and 16 times the cached fields of |H|^2, exactly, as
+    scaling by a power of two is. The two
     Laplacians are taken one field at a time: on an isothermal jet they then
     round exactly as the chart stencil did, where one Laplacian of
     |S2|^2 - tau^4 moves the round-off by up to 4e-12.
@@ -142,15 +148,15 @@ def simons_residual(geom: SurfaceGeometry, bicons_tol: float = 1e-6,
     """
     if bicons_linf is None:
         _, bicons_linf = vector_norms(geom.biconservativity["cond1"], geom)
-    tau2 = 4.0 * geom.Hsq
+    tau4 = (4.0 * geom.Hsq) ** 2
     S2_sq = geom.tensor_inner(geom.S2, geom.S2)
     out = geom.laplacian(S2_sq)
-    out -= geom.laplacian(tau2**2)
+    out -= geom.laplacian(tau4)
     out *= 0.5
-    out += geom.K * (2.0 * S2_sq - tau2**2)
+    out += geom.K * (2.0 * S2_sq - tau4)
     del S2_sq
-    out -= geom.div_vector(np.einsum("...ij,...j->...i", geom.S2, geom.grad_scalar(tau2)))
-    out -= geom.grad_norm_sq(tau2)
+    out -= geom.div_vector(np.einsum("...ij,...j->...i", geom.S2, 4.0 * geom.grad_Hsq))
+    out -= 16.0 * geom.grad_Hsq_norm_sq
     out += geom.nabla_S2_norm_sq
     return out, bool(bicons_linf > bicons_tol)
 
@@ -166,22 +172,22 @@ def integral_formula_check(geom: SurfaceGeometry) -> dict:
     if not geom.grid.doubly_periodic:
         raise ValueError("integral formulas need a doubly periodic (torus) grid")
     dv = geom.area_element
-    tau2 = 4.0 * geom.Hsq
+    tau4 = (4.0 * geom.Hsq) ** 2
     K = geom.K
 
     lhs_s2 = integrate(
         geom.grid,
         (geom.nabla_S2_norm_sq
-         + 2.0 * K * (geom.tensor_inner(geom.S2, geom.S2) - 0.5 * tau2**2)) * dv,
+         + 2.0 * K * (geom.tensor_inner(geom.S2, geom.S2) - 0.5 * tau4)) * dv,
     )
-    rhs_s2 = integrate(geom.grid, geom.grad_norm_sq(tau2) * dv)
+    rhs_s2 = integrate(geom.grid, 16.0 * geom.grad_Hsq_norm_sq * dv)
 
     lhs_ah = integrate(
         geom.grid,
         (geom.nabla_AH_norm_sq
          + 2.0 * K * (shape_operator_norm_sq(geom) - 2.0 * geom.Hsq**2)) * dv,
     )
-    rhs_ah = integrate(geom.grid, 2.5 * geom.grad_norm_sq(geom.Hsq) * dv)
+    rhs_ah = integrate(geom.grid, 2.5 * geom.grad_Hsq_norm_sq * dv)
 
     return {
         "int_S2_gap": lhs_s2 - rhs_s2,

@@ -286,7 +286,10 @@ def build_builtin(name: str, grid: Grid, params: dict) -> ImmersionJet:
         if isinstance(signature[key].default, float) and not is_json_number(val):
             raise SurfaceConfigError(
                 f"{name} parameter {key} must be a finite number, got {val!r}")
-    return maker(grid, **params)
+    # a huge parameter or grid end overflows in the maker; the checks that
+    # follow (metric finite, immersion not degenerate) say so in one line
+    with np.errstate(over="ignore", invalid="ignore"):
+        return maker(grid, **params)
 
 
 def tabulate(jet: ImmersionJet) -> ImmersionJet:

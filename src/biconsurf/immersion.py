@@ -9,7 +9,10 @@ Christoffel symbols, the normal connection applied to H, and the Gauss
 curvature, all in the coordinate frame (d_u X, d_v X). One helper,
 :func:`tangent_coords`, gives the tangent part of an ambient vector; normal
 parts subtract it and keep :meth:`Ambient.tangent_part`, since only
-:mod:`ambient` knows which space form the surface lies in.
+:mod:`ambient` knows which space form the surface lies in. The surface
+Christoffels Gamma^k_ij are the tangent coordinates of d_i d_j X, so they
+are taken first, and B is d2 less Gamma^k_ij d_k X, with no second
+projection onto the tangent plane.
 
 With analytic third derivatives, nabla-perp H comes from
 nabla-perp_a H = 1/2 tr nabla-perp_a B, the derivative of B written with
@@ -19,10 +22,11 @@ K comes from the Gauss equation in coordinates.
 
 :class:`SurfaceGeometry` is a :class:`tensors.MetricCalculus`: the residual
 suite takes its operators in the coordinates of the jet, isothermal or not
-(the gradient and |df|^2 through g^{-1}, the Laplacian as minus the trace
-of the covariant Hessian, the divergence (1/sqrt g) d_a(sqrt g V^a),
-tr(S T), and |nabla T|^2, cached for A_H and S2). The stress-bienergy
-tensor S2 and the principal curvatures of A_H are cached on it too.
+(the gradient through g^{-1}, the Laplacian as minus the trace of the
+covariant Hessian, the divergence (1/sqrt g) d_a(sqrt g V^a), tr(S T), and
+|nabla T|^2, cached for A_H and S2). The stress-bienergy tensor S2, the
+principal curvatures of A_H, and grad |H|^2 and |d |H|^2|^2 from one
+finite difference of |H|^2 are cached on it too.
 
 The metric is inverted in closed form, ``g^{-1} = adj g / det g``, with the
 ``det g`` that the degeneracy test takes, written straight into a
@@ -203,7 +207,27 @@ class SurfaceGeometry(MetricCalculus):
     @cached_property
     def interior_area(self) -> float:
         """Area of the :attr:`interior` nodes."""
+        if not self.boundary_margin:
+            return integrate(self.grid, self.area_element)
         return integrate(self.grid, np.where(self.interior, self.area_element, 0.0))
+
+    @cached_property
+    def _grad_Hsq(self) -> tuple[np.ndarray, np.ndarray]:
+        """grad |H|^2 and |d |H|^2|^2 = <grad |H|^2, d |H|^2>, from the one
+        finite difference of |H|^2 that every check reads."""
+        dHsq = flat_gradient(self.grid, self.Hsq)
+        grad = np.einsum("...ij,...j->...i", self.ginv, dHsq)
+        return grad, np.einsum("...a,...a->...", grad, dHsq)
+
+    @property
+    def grad_Hsq(self) -> np.ndarray:
+        """grad |H|^2, coordinate vector components."""
+        return self._grad_Hsq[0]
+
+    @property
+    def grad_Hsq_norm_sq(self) -> np.ndarray:
+        """|d |H|^2|^2."""
+        return self._grad_Hsq[1]
 
     @cached_property
     def S2(self) -> np.ndarray:
@@ -258,9 +282,13 @@ def _project_off_tangent(jet: ImmersionJet, ginv: np.ndarray, W: np.ndarray) -> 
     return jet.space.tangent_part(pos, out)
 
 
-def second_fundamental_form(jet: ImmersionJet, ginv: np.ndarray) -> np.ndarray:
-    """B(d_i, d_j) = normal part of the second parameter derivatives."""
-    return _project_off_tangent(jet, ginv, jet.d2)
+def second_fundamental_form(jet: ImmersionJet, gamma: np.ndarray) -> np.ndarray:
+    """B(d_i, d_j) = normal part of the second parameter derivatives.
+
+    The surface Christoffels are the tangent coordinates of d_i d_j X, so
+    B_ij = P_amb(d_i d_j X - Gamma^k_ij d_k X), with no second projection."""
+    out = jet.d2 - np.einsum("xykij,xykn->xyijn", gamma, jet.d1)
+    return jet.space.tangent_part(jet.pos[:, :, None, None, :], out)
 
 
 def mean_curvature(B: np.ndarray, ginv: np.ndarray):
@@ -277,18 +305,24 @@ def normal_connection_H(
     With third derivatives this is 1/2 tr nabla-perp_a B in closed form:
     P-perp(d_a B_ij) = P-perp(d_a d_i d_j X) - Gamma^k_ij B_ak and
     d_a g^{ij} = -g^{ip} Gamma^j_ap - g^{jp} Gamma^i_ap give
-    1/2 P-perp(g^{ij} d_a d_i d_j X) - 1/2 g^{ij} Gamma^k_ij B_ak
-    - g^{ip} Gamma^j_ap B_ij. Otherwise the H field is finite-differenced.
+    1/2 P-perp(g^{ij} d_a d_i d_j X) - C_a^{ij} B_ij with
+    C_a^{ij} = g^{ip} Gamma^j_ap + 1/2 delta^i_a g^{kl} Gamma^j_kl. The
+    trace reads the three distinct slots of the symmetric d3. Otherwise the
+    H field is finite-differenced.
     """
     if not jet.has_third:
         return _project_off_tangent(jet, ginv, flat_gradient(jet.grid, H))
-    d3_trace = _project_off_tangent(jet, ginv, np.einsum("xyij,xyaijk->xyak", ginv, jet.d3))
-    dginv = np.einsum("xyip,xyjap->xyaij", ginv, gamma)
-    return (
-        0.5 * d3_trace
-        - 0.5 * np.einsum("xyk,xyakn->xyan", gamma_trace, B)
-        - np.einsum("xyaij,xyijn->xyan", dginv, B)
-    )
+    d3 = jet.d3
+    trace = ginv[..., 0, 0, None, None] * d3[..., 0, 0, :]
+    trace += (2.0 * ginv[..., 0, 1, None, None]) * d3[..., 0, 1, :]
+    trace += ginv[..., 1, 1, None, None] * d3[..., 1, 1, :]
+    out = _project_off_tangent(jet, ginv, trace)
+    out *= 0.5
+    C = np.einsum("xyip,xyjap->xyaij", ginv, gamma)
+    C[..., 0, 0, :] += 0.5 * gamma_trace
+    C[..., 1, 1, :] += 0.5 * gamma_trace
+    out -= np.einsum("xyaij,xyijn->xyan", C, B)
+    return out
 
 
 def surface_christoffels(jet: ImmersionJet, ginv: np.ndarray) -> np.ndarray:
@@ -328,10 +362,10 @@ def compute_geometry(jet: ImmersionJet) -> SurfaceGeometry:
     ginv[..., 0, 0] = g[..., 1, 1] / det
     ginv[..., 1, 1] = g[..., 0, 0] / det
     ginv[..., 0, 1] = ginv[..., 1, 0] = -g[..., 0, 1] / det
-    B = second_fundamental_form(jet, ginv)
+    gamma = surface_christoffels(jet, ginv)
+    B = second_fundamental_form(jet, gamma)
     H, Hsq = mean_curvature(B, ginv)
     A_H = np.einsum("...ik,...kj->...ij", ginv, np.einsum("...kjm,...m->...kj", B, H))
-    gamma = surface_christoffels(jet, ginv)
     gamma_trace = np.einsum("xyij,xykij->xyk", ginv, gamma)
     dperpH = normal_connection_H(jet, ginv, H, B, gamma, gamma_trace)
     K = gauss_curvature_extrinsic(jet, det, B)

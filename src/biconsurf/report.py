@@ -7,8 +7,9 @@ Serialization is deterministic: fixed key order, floats printed with 17
 significant digits, so identical configs yield byte-identical files. A
 dumped field formats each distinct value (bit pattern) once per array and
 gathers the strings, when at most 3/4 of its values are distinct; otherwise
-it formats row by row. Either way the bytes are those of formatting every
-entry on its own.
+it writes each innermost row with one ``%`` format, through a template of
+``"%.17g"`` joined by the row separator that is built once per array.
+Either way the bytes are those of formatting every entry on its own.
 """
 
 from __future__ import annotations
@@ -281,18 +282,19 @@ def _distinct_strings(a: np.ndarray) -> np.ndarray | None:
     return strs[np.searchsorted(uniq, bits)]
 
 
-def _emit_rows(a: np.ndarray, out: io.StringIO, indent: int, fmt_row):
-    """Write a nonempty array as nested lists, one join per innermost row."""
+def _emit_rows(a: np.ndarray, out: io.StringIO, indent: int, row_text):
+    """Write a nonempty array as nested lists; ``row_text(row)`` gives an
+    innermost row, its entries joined by ``",\n"`` and that row's indent."""
     pad = "  " * indent
     inner = pad + "  "
     if a.ndim == 1:
-        out.write("[\n" + inner + (",\n" + inner).join(fmt_row(a)) + "\n" + pad + "]")
+        out.write("[\n" + inner + row_text(a) + "\n" + pad + "]")
         return
     out.write("[\n")
     last = len(a) - 1
     for i, row in enumerate(a):
         out.write(inner)
-        _emit_rows(row, out, indent + 1, fmt_row)
+        _emit_rows(row, out, indent + 1, row_text)
         out.write(",\n" if i < last else "\n")
     out.write(pad + "]")
 
@@ -322,11 +324,14 @@ def _emit(obj, out: io.StringIO, indent: int):
         out.write(pad + "]")
     elif isinstance(obj, np.ndarray):
         if obj.ndim and obj.dtype == np.float64 and obj.size and np.isfinite(obj).all():
+            sep = ",\n" + "  " * (indent + obj.ndim)  # between entries of an innermost row
             strs = _distinct_strings(obj)
             if strs is None:
-                _emit_rows(obj, out, indent, lambda row: map(_fmt_finite, row.tolist()))
+                # one %-format per row; "%.17g" % x is _fmt_finite(x)
+                template = sep.join(["%.17g"] * obj.shape[-1])
+                _emit_rows(obj, out, indent, lambda row: template % tuple(row.tolist()))
             else:
-                _emit_rows(strs, out, indent, np.ndarray.tolist)
+                _emit_rows(strs, out, indent, lambda row: sep.join(row.tolist()))
         elif obj.ndim > 1:
             _emit(list(obj), out, indent)
         else:

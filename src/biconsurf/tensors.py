@@ -47,9 +47,9 @@ class NonIsothermalError(ValueError):
 def cov_derivative_coords(grid: Grid, T: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """(nabla_a T)^i_j as S[..., a, i, j], from FD of components plus Gamma terms."""
     dT = flat_gradient(grid, T)
-    corr1 = np.einsum("...iak,...kj->...aij", gamma, T)
-    corr2 = np.einsum("...kaj,...ik->...aij", gamma, T)
-    return dT + corr1 - corr2
+    dT += np.einsum("...iak,...kj->...aij", gamma, T)
+    dT -= np.einsum("...kaj,...ik->...aij", gamma, T)
+    return dT
 
 
 def codazzi_defect_coords(S: np.ndarray) -> np.ndarray:
@@ -73,8 +73,17 @@ class MetricCalculus:
     """
 
     def vec_norm_sq(self, V: np.ndarray) -> np.ndarray:
-        """g(V, V) for coordinate vector components."""
-        return np.einsum("...i,...i->...", np.einsum("...ij,...j->...i", self.g, V), V)
+        """g(V, V) for coordinate vector components, in closed form:
+        (g_00 V^0 + g_01 V^1) V^0 + (g_10 V^0 + g_11 V^1) V^1."""
+        g, v0, v1 = self.g, V[..., 0], V[..., 1]
+        out = g[..., 0, 0] * v0
+        out += g[..., 0, 1] * v1
+        out *= v0
+        gv1 = g[..., 1, 0] * v0
+        gv1 += g[..., 1, 1] * v1
+        gv1 *= v1
+        out += gv1
+        return out
 
     def nabla(self, T: np.ndarray) -> np.ndarray:
         """(nabla_a T)^i_j as S[..., a, i, j]."""
@@ -105,11 +114,6 @@ class MetricCalculus:
     def grad_scalar(self, f: np.ndarray) -> np.ndarray:
         """grad f, coordinate vector components."""
         return np.einsum("...ij,...j->...i", self.ginv, flat_gradient(self.grid, f))
-
-    def grad_norm_sq(self, f: np.ndarray) -> np.ndarray:
-        """|df|^2 = g^{ab} d_a f d_b f."""
-        df = flat_gradient(self.grid, f)
-        return np.einsum("...a,...a->...", np.einsum("...ab,...b->...a", self.ginv, df), df)
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
         """Geometer's Laplacian Delta f = -g^{ab} (d_a d_b f - Gamma^k_ab d_k f),

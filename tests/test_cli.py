@@ -637,19 +637,16 @@ class TestVerify:
     def test_malformed_entry_never_ends_in_a_traceback(self, runner, tmp_path):
         # Each entry of three small valid surface files is replaced, one at a
         # time, by a value of each JSON type; every run must end in a verdict
-        # or a one-line diagnosis; 70 of these 464 runs used to end in a
-        # traceback (exit 1). Huge magnitudes such as 1e308 are left out: a
-        # spike in a Euclidean position table is a numerical failure (see the
-        # test above), but as a builtin's grid end or radius, or in a table
-        # on a sphere, 1e308 still overflows inside the geometry, the scale
-        # problem of ROADMAP item 3(a).
+        # or a one-line diagnosis; 70 of the 464 runs of the first eight
+        # values used to end in a traceback (exit 1). A huge magnitude such as 1e308 overflows inside
+        # the geometry, and must end in its diagnosis with no warning ahead.
         f = tmp_path / "surf.json"
         failures = []
         for base in _small_surface_files():
             f.write_text(json.dumps(base))
             assert runner.invoke(main, ["verify", "--surface", str(f)]).exit_code == 0
             for path in _entry_paths(base):
-                for value in (None, True, "x", [], {}, 0, -1, 2.5):
+                for value in (None, True, "x", [], {}, 0, -1, 2.5, 1e308, -1e308):
                     doc = copy.deepcopy(base)
                     node = doc
                     for key in path[:-1]:

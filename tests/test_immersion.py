@@ -316,6 +316,66 @@ class TestDegeneracy:
                          np.zeros((8, 8, 2, 2, 3)))
 
 
+def _torus_in_s3_fd(n=24, r1=0.6, r2=0.8):
+    """S^1(r1) x S^1(r2) in S^3(1), tabulated in arclength and differenced."""
+    grid = build_grid((0.0, 2 * np.pi * r1), (0.0, 2 * np.pi * r2), n, n, True, True)
+    U, V = grid.mesh()
+    pos = np.stack([r1 * np.cos(U / r1), r1 * np.sin(U / r1),
+                    r2 * np.cos(V / r2), r2 * np.sin(V / r2)], axis=-1)
+    return load_tabulated(grid, pos.reshape(-1, 4), sphere(3, 1.0))
+
+
+REFERENCE_JETS = {
+    "helix_line_r4": lambda: make_builtin("helix_line_r4", n=16, tau=0.5),
+    "graph": lambda: make_builtin("graph", n=16),
+    "graph_fd": lambda: tabulate(make_builtin("graph", n=16)),
+    "sphere_mercator": lambda: make_builtin("sphere", n=16),
+    "torus_s3_fd": _torus_in_s3_fd,
+}
+
+
+def _dperpH_two_einsums(geom):
+    """nabla-perp H of an analytic jet by the route with the full d3 trace and
+    the two Gamma contractions taken apart, and the largest |entry| of its
+    three terms (nabla-perp H vanishes on a PMC surface, where the terms do
+    not)."""
+    jet, ginv, B = geom.jet, geom.ginv, geom.B
+    d3_trace = _project_off_tangent(jet, ginv, np.einsum("xyij,xyaijk->xyak", ginv, jet.d3))
+    dginv = np.einsum("xyip,xyjap->xyaij", ginv, geom.gamma)
+    terms = (0.5 * d3_trace, 0.5 * np.einsum("xyk,xyakn->xyan", geom.gamma_trace, B),
+             np.einsum("xyaij,xyijn->xyan", dginv, B))
+    return terms[0] - terms[1] - terms[2], max(float(np.max(np.abs(t))) for t in terms)
+
+
+class TestChristoffelsGiveB:
+    """Gamma^k_ij are the tangent coordinates of d_i d_j X, so B is d2 less
+    Gamma^k_ij d_k X, kept tangent to the ambient."""
+
+    @staticmethod
+    def assert_close(got, ref, what, scale=None):
+        scale = float(np.max(np.abs(ref))) if scale is None else scale
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * scale, err_msg=what)
+
+    @pytest.mark.parametrize("label", list(REFERENCE_JETS))
+    def test_B_is_the_projection_of_d2(self, label):
+        geom = compute_geometry(REFERENCE_JETS[label]())
+        self.assert_close(geom.B, _project_off_tangent(geom.jet, geom.ginv, geom.jet.d2), "B")
+
+    @pytest.mark.parametrize("label", list(REFERENCE_JETS))
+    def test_gamma_is_the_tangent_part_of_d2(self, label):
+        geom = compute_geometry(REFERENCE_JETS[label]())
+        coords = tangent_coords(geom.jet, geom.ginv, geom.jet.d2)  # [..., i, j, k]
+        self.assert_close(geom.gamma, np.moveaxis(coords, -1, 2), "gamma")
+
+    @pytest.mark.parametrize("label", [k for k in REFERENCE_JETS if not k.endswith("_fd")])
+    def test_dperpH_matches_the_two_einsum_route(self, label):
+        geom = compute_geometry(REFERENCE_JETS[label]())
+        assert geom.jet.has_third
+        ref, scale = _dperpH_two_einsums(geom)
+        assert scale > 0.1
+        self.assert_close(geom.dperpH, ref, "dperpH", scale)
+
+
 def _nodes_innermost(a):
     """Node axes last and C-contiguous in memory: a (comps..., nu, nv) buffer."""
     return np.moveaxis(a, (0, 1), (-2, -1)).flags.c_contiguous

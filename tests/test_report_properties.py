@@ -9,6 +9,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from biconsurf import report as rp  # noqa: E402
 from test_report import _emit_direct, _emit_reference  # noqa: E402
 
 # signed zeros, the smallest subnormal, extremes and a value with no short
@@ -25,7 +26,29 @@ def fields(draw):
     return np.array(values, dtype=np.float64).reshape(shape, order=order)
 
 
+@st.composite
+def distinct_fields(draw):
+    """8-40 finite floats, more than 3/4 of them distinct, so that each row
+    is written by one format call."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(8, 10))
+    n = rows * cols
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=n, max_size=n, unique=True))
+    for i in range(draw(st.integers(0, (n - 1) // 4))):  # a few repeats
+        values[i] = values[-1 - i]
+    shape = draw(st.sampled_from([(n,), (rows, cols), (rows, 1, cols)]))
+    order = draw(st.sampled_from("CF"))
+    return np.array(values, dtype=np.float64).reshape(shape, order=order)
+
+
 @settings(max_examples=200, deadline=None)
 @given(fields(), st.integers(0, 2))
 def test_field_bytes_match_reference(arr, indent):
+    assert _emit_direct(arr, indent) == _emit_reference(arr, indent)
+
+
+@settings(max_examples=200, deadline=None)
+@given(distinct_fields(), st.integers(0, 2))
+def test_distinct_field_bytes_match_reference(arr, indent):
+    assert rp._distinct_strings(arr) is None
     assert _emit_direct(arr, indent) == _emit_reference(arr, indent)
