@@ -134,12 +134,12 @@ def simons_residual(geom: SurfaceGeometry, bicons_tol: float = 1e-6,
         1/2 Delta |S2|^2 = -2K |S2|^2 + div S2(grad tau^2) + K tau^4
                            + 1/2 Delta tau^4 + |d tau^2|^2 - |nabla S2|^2
 
-    with tau^2 = |tau(phi)|^2 = 4 |H|^2 and the positive Laplacian; grad tau^2
-    and |d tau^2|^2 are 4 and 16 times the cached fields of |H|^2, exactly, as
-    scaling by a power of two is. The two
-    Laplacians are taken one field at a time: on an isothermal jet they then
-    round exactly as the chart stencil did, where one Laplacian of
-    |S2|^2 - tau^4 moves the round-off by up to 4e-12.
+    with tau^2 = |tau(phi)|^2 = 4 |H|^2 and the positive Laplacian. grad tau^2
+    and |d tau^2|^2 are 4 and 16 times the cached grad |H|^2 and |d |H|^2|^2,
+    exactly, since scaling by a power of two is. The two Laplacians are
+    taken one field at a time: on an isothermal jet they then round exactly
+    as the chart stencil did, where one Laplacian of |S2|^2 - tau^4 moves
+    the round-off by up to 4e-12.
 
     Valid only on biconservative input; if the surface fails the
     biconservativity residual at ``bicons_tol`` the result is flagged, not
