@@ -281,9 +281,10 @@ def _resolve_jet(s: dict):
 
 def _write(text: str, output: str | None):
     """``text`` to the file ``output``, or to stdout when there is none; a file
-    that cannot be written is a ConfigError that names it."""
+    that cannot be written is a ConfigError that names it. Stdout gets the
+    UTF-8 bytes, so click writes them as they are, with the file's "\n"."""
     if not output:
-        click.echo(text, nl=False)
+        click.echo(text.encode("utf-8"), nl=False)
         return
     try:
         with open(output, "w", encoding="utf-8", newline="\n") as fh:

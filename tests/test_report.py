@@ -291,6 +291,94 @@ class TestFieldSerialization:
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), key
 
 
+# Values where an exact "%.17g" pass goes wrong first: signed zeros, the
+# smallest subnormal and normal, both neighbours of each power of ten, the
+# fixed/scientific edges, exact ties and integers with trailing zeros.
+EDGE_VALUES = (
+    [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-06, 99999999999999984.0,
+     26215 / 2**18, 12300.0, 1234.5, 2.0**53, 1e22, 1e300, -1e-5]
+    + [np.nextafter(10.0**k, side) for k in range(-8, 19) for side in (0.0, np.inf)]
+)
+
+
+def _random_doubles(rng, n):
+    """n finite doubles with uniformly drawn sign, exponent field (subnormals
+    included) and mantissa, so every binary exponent occurs."""
+    bits = ((rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63))
+            | (rng.integers(0, 2047, n, dtype=np.uint64) << np.uint64(52))
+            | rng.integers(0, 2**52, n, dtype=np.uint64))
+    return bits.view(np.float64)
+
+
+def _direct_text(x):
+    """The entries of x through the direct pass, as one ","-joined string."""
+    assert rp._distinct_strings(x) is None
+    rows = rp._direct_rows(x.reshape(1, -1), ",")
+    assert rows[1:] == [""]
+    return rows[0]
+
+
+class TestDirectFormatting:
+    """The one-pass formatter of mostly-distinct fields writes the bytes of
+    ``"%.17g" % x`` for every finite double."""
+
+    def test_edge_values(self):
+        x = np.array(EDGE_VALUES)
+        assert _direct_text(x).split(",") == ["%.17g" % v for v in EDGE_VALUES]
+        assert _emit_direct(x) == _emit_reference(x)
+
+    @pytest.mark.parametrize("value, text", [
+        (1e-06, "9.9999999999999995e-07"),           # X decided on the exact product
+        (99999999999999984.0, "99999999999999984"),  # X = 16: still fixed notation
+        (26215 / 2**18, "0.10000228881835938"),     # exact tie, rounded half-even
+        (2.0**-25, "2.9802322387695312e-08"),       # exact tie where the scale is two doubles
+        (12300.0, "12300"),
+        (-1e-5, "-1.0000000000000001e-05"),
+        (-0.0, "-0"),
+    ])
+    def test_named_values(self, value, text):
+        assert _direct_text(np.array([value, 1.5])) == text + ",1.5"
+
+    def test_million_seeded_values(self):
+        """10^6 magnitudes 10^U(-300, 300) and 2^17 doubles spread over every
+        binary exponent, against one %-format of them all."""
+        rng = np.random.default_rng(2025)
+        x = np.concatenate([rng.choice([-1.0, 1.0], 10**6) * 10.0 ** rng.uniform(-300, 300, 10**6),
+                            _random_doubles(rng, 2**17)])
+        assert _direct_text(x) == ",".join(["%.17g"] * x.size) % tuple(x.tolist())
+
+    def test_python_formats_only_zeros_and_near_ties(self, monkeypatch):
+        """On 10^5 doubles spanning every exponent, plus zeros and exact
+        ties, the values handed to ``_fmt_finite`` are the zeros and the
+        near-ties the pass cannot decide; ties it can decide stay in numpy."""
+        from decimal import Decimal, localcontext
+
+        rng = np.random.default_rng(7)
+        x = np.concatenate([_random_doubles(rng, 10**5), [0.0, -0.0, 2.0**-25, 26215 / 2**18]])
+        calls = []
+
+        def counted(v):
+            calls.append(v)
+            return format(v, ".17g")
+
+        monkeypatch.setattr(rp, "_fmt_finite", counted)
+        text = _direct_text(x)
+        monkeypatch.undo()
+        assert text == ",".join(["%.17g"] * x.size) % tuple(x.tolist())
+
+        def near_tie(v):  # |v| 10^(16-X) within 2^-39 of a half-integer, X or X + 1
+            with localcontext() as ctx:
+                ctx.prec = 2000
+                d = abs(Decimal(v))
+                return any(abs(s % 1 - Decimal("0.5")) <= Decimal(2.0**-39)
+                           for s in (d.scaleb(16 - d.adjusted()), d.scaleb(15 - d.adjusted())))
+
+        assert sorted(str(v) for v in calls if v == 0.0) == ["-0.0", "0.0"]
+        assert [v for v in calls if v != 0.0 and not near_tie(v)] == []
+        assert 2.0**-25 in calls and 26215 / 2**18 not in calls
+        assert len(calls) <= 10
+
+
 class TestMuReport:
     def test_build_mu_report(self):
         g = build_grid((0.0, 2 * np.pi), (0.0, 2 * np.pi), 32, 32, True, True)
