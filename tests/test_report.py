@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from biconsurf import format17
 from biconsurf import report as rp
 from biconsurf.corpus import make_builtin, tabulate
 from biconsurf.mu_solver import MuProblem, constant_root, mu_residual, solve_mu
@@ -313,7 +314,7 @@ def _random_doubles(rng, n):
 def _direct_text(x):
     """The entries of x through the direct pass, as one ","-joined string."""
     assert rp._distinct_strings(x) is None
-    rows = rp._direct_rows(x.reshape(1, -1), ",")
+    rows = format17.format_rows(x.reshape(1, -1), ",", rp._fmt_finite)
     assert rows[1:] == [""]
     return rows[0]
 
