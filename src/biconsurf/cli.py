@@ -282,7 +282,8 @@ def _resolve_jet(s: dict):
 def _write(text: str, output: str | None):
     """``text`` to the file ``output``, or to stdout when there is none; a file
     that cannot be written is a ConfigError that names it. Stdout gets the
-    UTF-8 bytes, so click writes them as they are, with the file's "\n"."""
+    UTF-8 bytes, which click writes as they are: the same bytes, line ends
+    included, as the file."""
     if not output:
         click.echo(text.encode("utf-8"), nl=False)
         return
