@@ -4,7 +4,9 @@ formulas, parallel shape-operator diagnostics, space-form target derivation.
 All residuals are reported both as area-weighted L2 and as L-infinity norms
 of pointwise g-norms, taken over the interior nodes of the geometry
 (``SurfaceGeometry.interior``) whoever asks; "analytic" jets put them at
-round-off, finite difference jets at O(h^2).
+round-off, finite difference jets at O(h^2). Every check runs in the
+coordinates of the jet, with the operators of ``SurfaceGeometry``; none
+needs an isothermal chart.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .immersion import (  # principal_curvatures and stress_bienergy are also re
     trace_A_dperpH,
     trace_RN_H,
 )
-from .tensors import ConformalChart, codazzi_defect_coords, divergence_coords
+from .tensors import codazzi_defect_coords, divergence_coords
 
 # Not called here. perfbench/tracing.py's PATCH_POINTS still patch this
 # binding; ROADMAP item 7 drops that patch point, and then this import.
@@ -98,7 +100,7 @@ def hopf_residual(geom: SurfaceGeometry) -> np.ndarray:
 
 def equivalence_matrix(
     geom: SurfaceGeometry,
-    chart: ConformalChart | None,
+    chart: object,
     tol_pass: float,
     tol_implied: float,
 ) -> dict:
@@ -106,7 +108,8 @@ def equivalence_matrix(
     implication table: any two conditions passing must imply the others.
 
     ``chart`` is unused: the Hopf leg is ``hopf_residual``, which needs no
-    isothermal chart. The parameter stays for callers that pass one."""
+    isothermal chart, and the package builds none. The parameter stays for
+    callers that pass one, or None."""
     res = geom.biconservativity
     _, r1 = vector_norms(res["cond1"], geom)
     _, r2 = vector_norms(res["grad_Hsq"], geom)

@@ -138,11 +138,39 @@ def _checked(key: str, val, where: str):
     return val
 
 
+def _flag_assertion(spec: str) -> tuple[str, bool]:
+    """``name=true|false`` as (name, expected value)."""
+    try:
+        name, want_s = spec.split("=")
+        return name.strip(), {"true": True, "false": False}[want_s.strip().lower()]
+    except (ValueError, KeyError) as exc:
+        raise ConfigError(f"bad flag assertion {spec!r}") from exc
+
+
+def _residual_assertion(spec: str) -> tuple[str, float]:
+    """``name<=tol`` as (name, bound); a NaN bound is rejected, since it would
+    pass any residual, and inf stays: it asserts only that the row is present."""
+    try:
+        name, tol_s = spec.split("<=")
+        tol = float(tol_s)
+        if tol != tol:
+            raise ValueError("NaN bound")
+    except ValueError as exc:
+        raise ConfigError(f"bad residual assertion {spec!r}") from exc
+    return name.strip(), tol
+
+
+# list settings whose specs :func:`_settings` parses as it reads them
+ASSERTION_PARSERS = {"assert_flags": _flag_assertion, "assert_residuals": _residual_assertion}
+
+
 def _settings(config_path: str | None, flags: dict, **defaults) -> dict:
     """The setting of each flag: the flag if given, else its ``--config`` key,
     else its entry in ``defaults`` (every flag has one). A list setting puts
     the flag's entries first; ``params`` is the config object updated by the
-    ``--param`` specs. Each value read is type-checked (:func:`_checked`)."""
+    ``--param`` specs. Each value read is type-checked (:func:`_checked`), and
+    each assertion spec is parsed (``ASSERTION_PARSERS``), so a bad one stops
+    the command before any work."""
     cfg = {} if config_path is None else _read_object(config_path, "config")
     settings = {}
     for key, flag in flags.items():
@@ -154,6 +182,8 @@ def _settings(config_path: str | None, flags: dict, **defaults) -> dict:
         else:
             val = _checked(key, cfg[key], f"{key!r} in --config") if key in cfg else default
             settings[key] = list(flag) + val if isinstance(default, list) else val
+        if key in ASSERTION_PARSERS:
+            settings[key] = [ASSERTION_PARSERS[key](spec) for spec in settings[key]]
     return settings
 
 
@@ -300,31 +330,21 @@ def _emit(rep, fmt: str, output: str | None):
 
 
 def _check_assertions(rep, assert_flags, assert_residuals) -> list[str]:
+    """Failure messages of the parsed (name, expected) flag and (name, bound)
+    residual assertions against ``rep``."""
     failures = []
-    for spec in assert_flags:
-        try:
-            name, want_s = spec.split("=")
-            want = {"true": True, "false": False}[want_s.strip().lower()]
-        except (ValueError, KeyError) as exc:
-            raise ConfigError(f"bad flag assertion {spec!r}") from exc
-        got = rep.flags.get(name.strip())
+    for name, want in assert_flags:
+        got = rep.flags.get(name)
         if got is not want:
-            failures.append(f"flag {name.strip()}: expected {want}, got {got}")
-    for spec in assert_residuals:
+            failures.append(f"flag {name}: expected {want}, got {got}")
+    for name, tol in assert_residuals:
         try:
-            name, tol_s = spec.split("<=")
-            tol = float(tol_s)
-            if tol != tol:  # inf stays: it asserts only that the row is present
-                raise ValueError("NaN bound")
-        except ValueError as exc:
-            raise ConfigError(f"bad residual assertion {spec!r}") from exc
-        try:
-            entry = rep.residual(name.strip())
+            entry = rep.residual(name)
         except KeyError:
-            failures.append(f"residual {name.strip()}: not in report")
+            failures.append(f"residual {name}: not in report")
             continue
         if not entry.linf <= tol:  # written so that a NaN residual fails
-            failures.append(f"residual {name.strip()}: linf {entry.linf:.3e} > {tol:.3e}")
+            failures.append(f"residual {name}: linf {entry.linf:.3e} > {tol:.3e}")
     return failures
 
 

@@ -21,7 +21,7 @@ from biconsurf.mu_solver import (
     mu_residual,
     solve_mu,
 )
-from biconsurf.tensors import (
+from lemmas import (
     conformal_chart_from_metric,
     div_T_grad_alpha_residual,
     divergence_routes,
@@ -167,7 +167,7 @@ def test_a6_conformal_curvature_and_constant_root(rng):
         g = build_grid((0.0, TWO_PI), (-1.2, 1.2), n, n, periodic_u=True)
         _, V = g.mesh()
         rho = np.log(r) - np.log(np.cosh(V))
-        from biconsurf.tensors import ConformalChart
+        from lemmas import ConformalChart
         K = gauss_curvature_conformal(ConformalChart(g, rho))
         errs.append(float(np.max(np.abs(K - 1.0 / r**2))))
     order = np.log2(errs[0] / errs[1])

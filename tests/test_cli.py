@@ -263,6 +263,31 @@ class TestVerify:
         )
         assert res.exit_code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("key,spec,message", [
+        ("assert_flags", "is_cmc=maybe", "bad flag assertion 'is_cmc=maybe'"),
+        ("assert_residuals", "stress_divergence<=abc",
+         "bad residual assertion 'stress_divergence<=abc'"),
+    ], ids=["flag", "residual"])
+    @pytest.mark.parametrize("via_config", [False, True], ids=["option", "config"])
+    def test_bad_assertion_rejected_before_the_suite(self, runner, tmp_path, key, spec,
+                                                     message, via_config):
+        # a malformed spec is a config error before any work: no report on
+        # stdout and no output file, as for every other bad setting
+        args = ["verify", "--surface", "helix_line_r4", "--grid", "8x8"]
+        if via_config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: [spec]}))
+            args += ["--config", str(cfg)]
+        else:
+            args += ["--" + key[:-1].replace("_", "-"), spec]
+        res = runner.invoke(main, args)
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert res.stdout == ""
+        assert res.stderr == f"config error: {message}\n"
+        out = tmp_path / "rep.json"
+        assert runner.invoke(main, [*args, "--output", str(out)]).exit_code == EXIT_CONFIG
+        assert not out.exists()
+
     def test_fd_jets(self, runner):
         res = runner.invoke(
             main,
