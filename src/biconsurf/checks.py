@@ -195,7 +195,6 @@ def integral_formula_check(geom: SurfaceGeometry) -> dict:
     return {
         "int_S2_gap": lhs_s2 - rhs_s2,
         "int_AH_gap": lhs_ah - rhs_ah,
-        "positivity_min": float(np.min(positivity_quantity(geom))),
     }
 
 

@@ -5,17 +5,15 @@ norms, scalar summaries, and boolean flags, each residual tagged with a key
 into REFERENCE_INDEX so a reader can look up which identity it measures.
 Serialization is deterministic: fixed key order, floats printed with 17
 significant digits, so identical configs yield byte-identical files. A
-dumped field formats each distinct value (bit pattern) once per array and
-gathers the strings, when at most 1/8 of its values are distinct.
-Otherwise ``format17.format_rows`` computes every entry's 17 correctly
-rounded digits exactly in one numpy pass and lays out the text of all its
-rows at once; only zeros and near-ties that pass cannot decide go through
-``%``. Either way the bytes are those of ``"%.17g" % x`` for every entry on
-its own.
+dumped field is written as its exact bytes: ``{"dtype": "<f8", "shape":
+[...], "base64": ...}``, the little-endian float64 values in C order,
+base64-encoded, so every bit (NaN payloads, signed zeros, subnormals) is
+kept.
 """
 
 from __future__ import annotations
 
+import binascii
 import io
 from dataclasses import dataclass, field
 
@@ -243,10 +241,6 @@ def build_mu_report(sol, dump_fields: bool = False) -> GeometryReport:
 
 # deterministic serialization
 
-# The one formatter of a finite float, for scalars and array entries alike.
-_fmt_finite = "{:.17g}".format
-
-
 def _fmt(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
@@ -258,47 +252,12 @@ def _fmt(x) -> str:
             return '"nan"'
         if x in (float("inf"), float("-inf")):
             return f'"{x}"'
-        return _fmt_finite(x)
+        return format(x, ".17g")
     if isinstance(x, str):
         return '"' + x.replace("\\", "\\\\").replace('"', '\\"') + '"'
     if x is None:
         return "null"
     raise TypeError(f"cannot serialize {type(x)}")
-
-
-def _distinct_strings(a: np.ndarray) -> np.ndarray | None:
-    """Strings of a finite float64 array, each distinct value formatted once.
-
-    Values are told apart by bit pattern, so -0.0 and 0.0 stay distinct.
-    Returns None when more than 1/8 of the values are distinct: there
-    ``format17.format_rows`` is faster than formatting each distinct value and
-    gathering the strings (on 256^2 fields the two break even near 1/8).
-    """
-    bits = np.ascontiguousarray(a).view(np.int64)
-    srt = np.sort(bits, axis=None)
-    uniq = srt[np.concatenate(([True], srt[1:] != srt[:-1]))]
-    if 8 * uniq.size > srt.size:
-        return None
-    strs = np.fromiter(map(_fmt_finite, uniq.view(np.float64).tolist()), dtype=object,
-                       count=uniq.size)
-    return strs[np.searchsorted(uniq, bits)]
-
-
-def _emit_rows(a: np.ndarray, out: io.StringIO, indent: int, row_text):
-    """Write a nonempty array as nested lists; ``row_text(row)`` gives an
-    innermost row, its entries joined by ``",\n"`` and that row's indent."""
-    pad = "  " * indent
-    inner = pad + "  "
-    if a.ndim == 1:
-        out.write("[\n" + inner + row_text(a) + "\n" + pad + "]")
-        return
-    out.write("[\n")
-    last = len(a) - 1
-    for i, row in enumerate(a):
-        out.write(inner)
-        _emit_rows(row, out, indent + 1, row_text)
-        out.write(",\n" if i < last else "\n")
-    out.write(pad + "]")
 
 
 def _emit(obj, out: io.StringIO, indent: int):
@@ -324,23 +283,17 @@ def _emit(obj, out: io.StringIO, indent: int):
             _emit(v, out, indent + 1)
             out.write(",\n" if i < len(obj) - 1 else "\n")
         out.write(pad + "]")
-    elif isinstance(obj, np.ndarray):
-        if obj.ndim and obj.dtype == np.float64 and obj.size and np.isfinite(obj).all():
-            sep = ",\n" + "  " * (indent + obj.ndim)  # between entries of an innermost row
-            strs = _distinct_strings(obj)
-            if strs is None:
-                from .format17 import format_rows  # compiled on first use, not at import
-
-                rows = iter(format_rows(obj, sep, _fmt_finite))
-                _emit_rows(obj, out, indent, lambda row: next(rows))
-            else:
-                _emit_rows(strs, out, indent, lambda row: sep.join(row.tolist()))
-        elif obj.ndim > 1:
-            _emit(list(obj), out, indent)
-        else:
-            _emit(obj.tolist(), out, indent)
     else:
         out.write(_fmt(obj))
+
+
+def _field_blob(a) -> dict:
+    """A node field as its little-endian float64 bytes in C order (axis 0 =
+    u), base64-encoded; ``np.frombuffer(binascii.a2b_base64(d["base64"]),
+    d["dtype"]).reshape(d["shape"])`` gives it back bit for bit."""
+    a = np.ascontiguousarray(a, dtype="<f8")
+    return {"dtype": "<f8", "shape": list(a.shape),
+            "base64": binascii.b2a_base64(a, newline=False).decode("ascii")}
 
 
 def report_to_json(rep: GeometryReport) -> str:
@@ -354,7 +307,7 @@ def report_to_json(rep: GeometryReport) -> str:
         "flags": rep.flags,
     }
     if rep.fields is not None:
-        doc["fields"] = {k: np.asarray(v) for k, v in rep.fields.items()}
+        doc["fields"] = {k: _field_blob(v) for k, v in rep.fields.items()}
     out = io.StringIO()
     _emit(doc, out, 0)
     out.write("\n")

@@ -190,7 +190,7 @@ class TestIntegralFormulas:
         out = checks.integral_formula_check(geom)
         assert abs(out["int_S2_gap"]) < 1e-9
         assert abs(out["int_AH_gap"]) < 1e-9
-        assert out["positivity_min"] >= -1e-12
+        assert np.min(checks.positivity_quantity(geom)) >= -1e-12
 
     def test_requires_doubly_periodic(self):
         geom = compute_geometry(make_builtin("cylinder", n=16, r=1.0))

@@ -1,8 +1,11 @@
+import binascii
 import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "compare_reports.py"
@@ -179,3 +182,72 @@ def test_report_lists_structural_differences(tmp_path):
     assert "    only in old: meta.isothermal_chart\n" \
            "    only in new: residuals[hopf]\n" \
            "    residuals[simons].linf: 0.75 -> 0.875, |d| 0.12\n" in res.stdout
+
+
+def _blob(values):
+    a = np.ascontiguousarray(values, dtype="<f8")
+    return {"dtype": "<f8", "shape": list(a.shape),
+            "base64": binascii.b2a_base64(a, newline=False).decode("ascii")}
+
+
+def _dumped(fields, n=32):
+    """A report with fields, laid out as report_to_json writes it."""
+    head = '{\n  "meta": {\n    "n": %d\n  },\n  "flags": {\n    "is_cmc": true\n  }' % n
+    return head + ',\n  "fields": ' + json.dumps(fields, indent=2).replace("\n", "\n  ") + "\n}\n"
+
+
+# blob text holds digit runs between "/" and "+", which the number scan would read
+VALUES = np.array([[0.1, -0.0, 5e-324], [np.nan, np.inf, 1e300]])
+
+
+def test_blob_against_lists_of_the_same_values():
+    cmp = _tool().compare_text
+    lists = json.loads(json.dumps(VALUES.tolist()).replace("NaN", '"nan"')
+                       .replace("Infinity", '"inf"'))
+    old, new = _dumped({"mu": lists}), _dumped({"mu": _blob(VALUES)})
+    res = cmp(old, new)
+    assert not res["identical"] and res["outside_fields_identical"]
+    assert res["within"] and res["same_text"] and res["max_abs"] == 0.0
+    assert res["past"] == [] and res["fields"]["past"] == []
+    # the text outside the fields is still compared byte for byte
+    res = cmp(old.replace("true", "false"), new)
+    assert not res["within"] and not res["outside_fields_identical"]
+    assert res["where"] == (6, "is_cmc") and res["fields_where"] is None
+
+
+def test_blobs_one_ulp_apart():
+    cmp = _tool().compare_text
+    base = np.array([[0.25, 3.0], [1e-8, -2.5]])
+    old, new = _dumped({"mu": _blob(base)}), _dumped({"mu": _blob(np.nextafter(base, np.inf))})
+    res = cmp(old, new)
+    assert res["within"] and res["outside_fields_identical"] and not res["identical"]
+    assert 0.0 < res["max_abs"] < 1e-15 and 0.0 < res["max_rel"] < 1e-15
+    assert cmp(old, old)["identical"] and cmp(old, old)["max_abs"] == 0.0
+
+
+def test_blob_entries_past_the_bar_are_listed():
+    cmp = _tool().compare_text
+    base = np.array([[0.25, 3.0], [np.nan, -2.5]])
+    moved = base.copy()
+    moved[0, 1], moved[1, 0] = 3.0 + 1e-9, 1.0  # and a NaN became a number
+    res = cmp(_dumped({"mu": _blob(base)}), _dumped({"mu": _blob(moved)}))
+    assert not res["within"] and res["where"] is None
+    assert res["fields_where"] == "fields.mu[0, 1]"
+    assert [p[0] for p in res["fields"]["past"]] == ["fields.mu[0, 1]", "fields.mu[1, 0]"]
+    # another shape, or a field on one side only
+    res = cmp(_dumped({"mu": _blob(base)}), _dumped({"mu": _blob(base.reshape(4))}))
+    assert res["fields_where"] == "fields.mu"
+    res = cmp(_dumped({"mu": _blob(base)}), _dumped({"mu": _blob(base), "K": _blob(base)}))
+    assert res["fields"]["only_new"] == ["fields.K"] and not res["within"]
+
+
+def test_report_passes_blob_against_lists(tmp_path):
+    lists = [[0.5, -1.25], [3e-8, 7.0]]
+    old, new = _dumped({"mu": lists}), _dumped({"mu": _blob(lists)})
+    res = subprocess.run(
+        [sys.executable, str(TOOL), _fake_tree(tmp_path / "old", old),
+         _fake_tree(tmp_path / "new", new), "--case", "csv_helix"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert "fields-only" in res.stdout and "1 of 1 cases agree" in res.stdout

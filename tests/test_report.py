@@ -1,10 +1,9 @@
-import io
+import binascii
 import json
 
 import numpy as np
 import pytest
 
-from biconsurf import format17
 from biconsurf import report as rp
 from biconsurf.corpus import make_builtin, tabulate
 from biconsurf.mu_solver import MuProblem, constant_root, mu_residual, solve_mu
@@ -77,13 +76,13 @@ class TestGeometryReport:
 
 
 class TestWorkCounts:
-    """Each covariant derivative, each |nabla T|^2 and the biconservativity
-    suite run once per report: nabla S2 and nabla A_H, both with the surface
-    Christoffels of the jet, whether or not the metric is isothermal. The
-    Simons residual, the integral formulas, the Hopf row and the
-    nabla_shape_operator row reuse them, the Simons gate reuses the
-    report's stress-divergence norm; the package has no conformal chart for
-    a report to build."""
+    """Each covariant derivative, each |nabla T|^2, the positivity quantity
+    and the biconservativity suite run once per report: nabla S2 and
+    nabla A_H, both with the surface Christoffels of the jet, whether or not
+    the metric is isothermal. The Simons residual, the integral formulas,
+    the Hopf row and the nabla_shape_operator row reuse them, the Simons
+    gate reuses the report's stress-divergence norm; the package has no
+    conformal chart for a report to build."""
 
     @pytest.mark.parametrize(
         "name,params,fd,isothermal,expect",
@@ -97,7 +96,7 @@ class TestWorkCounts:
                                          expect):
         from biconsurf import checks, immersion, tensors
 
-        calls = {"cov": 0, "bicons": 0, "cond1_norm": 0, "nabla_norm": 0}
+        calls = {"cov": 0, "bicons": 0, "cond1_norm": 0, "nabla_norm": 0, "positivity": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -120,6 +119,8 @@ class TestWorkCounts:
         monkeypatch.setattr(immersion, "cov_derivative_coords", cov)
         monkeypatch.setattr(checks, "biconservativity_residuals",
                             counted("bicons", checks.biconservativity_residuals))
+        monkeypatch.setattr(checks, "positivity_quantity",
+                            counted("positivity", checks.positivity_quantity))
         monkeypatch.setattr(immersion.SurfaceGeometry, "nabla_norm_sq",
                             counted("nabla_norm", immersion.SurfaceGeometry.nabla_norm_sq))
         jet = make_builtin(name, n=32, **params)
@@ -129,7 +130,7 @@ class TestWorkCounts:
         r = rp.build_geometry_report(tabulate(jet) if fd else jet, name)
         assert "isothermal_chart" not in r.meta
         assert calls.pop("nabla_norm") <= 2
-        assert calls == {"cov": expect, "bicons": 1, "cond1_norm": 1}
+        assert calls == {"cov": expect, "bicons": 1, "cond1_norm": 1, "positivity": 1}
         names = {e.name for e in r.residuals}
         assert {"stress_norm", "simons", "hopf_holomorphicity"} <= names
         assert "simons_assumes_biconservative_violated" in r.flags
@@ -162,17 +163,15 @@ class TestSerialization:
         assert rp.report_to_csv(r).strip() == rp.CSV_HEADER
 
     def test_dump_fields(self):
-        """All five dumped fields round-trip bit for bit, analytic and tabulated."""
+        """All five dumped fields decode bit for bit, analytic and tabulated."""
         jet = make_builtin("cylinder", n=16, r=1.2, stretch=0.3)
         for source in (jet, tabulate(jet)):
             r = rp.build_geometry_report(source, "cylinder", dump_fields=True)
             doc = json.loads(rp.report_to_json(r))
             assert list(doc["fields"]) == ["Hsq", "K", "lambda1", "lambda2", "mu"]
             for key, want in r.fields.items():
-                got = np.array(doc["fields"][key], dtype=np.float64)
-                assert got.shape == want.shape
-                assert np.array_equal(got.view(np.int64),
-                                      np.ascontiguousarray(want).view(np.int64)), (source.source, key)
+                assert doc["fields"][key]["dtype"] == "<f8"
+                assert _same_bits(_decode(doc["fields"][key]), want), (source.source, key)
 
     def test_special_floats_quoted(self):
         r = rp.GeometryReport(meta={"x": float("nan")}, residuals=[], summaries={}, flags={})
@@ -180,25 +179,14 @@ class TestSerialization:
         assert doc["meta"]["x"] == "nan"
 
 
-def _emit_reference(obj, indent=0):
-    """The element-by-element route: every array through ``tolist()`` first."""
-
-    def as_lists(o):
-        if isinstance(o, dict):
-            return {k: as_lists(v) for k, v in o.items()}
-        if isinstance(o, (list, tuple)):
-            return [as_lists(v) for v in o]
-        return o.tolist() if isinstance(o, np.ndarray) else o
-
-    out = io.StringIO()
-    rp._emit(as_lists(obj), out, indent)
-    return out.getvalue()
+def _decode(d):
+    """A dumped field back from its report entry."""
+    return np.frombuffer(binascii.a2b_base64(d["base64"]), d["dtype"]).reshape(d["shape"])
 
 
-def _emit_direct(obj, indent=0):
-    out = io.StringIO()
-    rp._emit(obj, out, indent)
-    return out.getvalue()
+def _same_bits(got, want):
+    want = np.ascontiguousarray(want, dtype=np.float64)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 EDGE_FIELDS = {
@@ -226,51 +214,37 @@ EDGE_FIELDS = {
 
 
 class TestFieldSerialization:
-    """Arrays are written one row at a time; the bytes must equal those of
-    the element-by-element route."""
+    """A dumped field is written as its float64 bytes in C order and decodes
+    bit for bit, whatever its dtype, shape or memory layout; dumping fields
+    changes no byte of the report before them."""
 
     def test_report_fields_match_reference(self):
         r = rp.GeometryReport(meta={"surface": "edge"}, fields=dict(EDGE_FIELDS))
-        doc = {"meta": r.meta, "residuals": [], "summaries": {}, "flags": {}, "fields": EDGE_FIELDS}
-        assert rp.report_to_json(r) == _emit_reference(doc) + "\n"
+        doc = json.loads(rp.report_to_json(r))
+        assert list(doc["fields"]) == list(EDGE_FIELDS)
+        for key, want in EDGE_FIELDS.items():
+            assert _same_bits(_decode(doc["fields"][key]), want), key
 
     @pytest.mark.parametrize("key", sorted(EDGE_FIELDS))
     def test_each_array_matches_reference(self, key):
         arr = EDGE_FIELDS[key]
-        assert _emit_direct(arr) == _emit_reference(arr)
-
-    @pytest.mark.parametrize("indent", [0, 1, 3])
-    def test_nested_fields_match_reference(self, indent):
-        doc = {"outer": {"inner": [EDGE_FIELDS["non_finite_rows"], {"f": EDGE_FIELDS["three_d"]}]}}
-        assert _emit_direct(doc, indent) == _emit_reference(doc, indent)
+        text = rp.report_to_json(rp.GeometryReport(meta={}, fields={key: arr}))
+        entry = json.loads(text)["fields"][key]
+        assert entry["dtype"] == "<f8" and entry["shape"] == list(arr.shape)
+        assert _same_bits(_decode(entry), arr)
+        # the blob is one JSON string on one line
+        assert f'"base64": "{entry["base64"]}"\n' in text
 
     def test_dumped_geometry_fields_match_reference(self):
         jet = tabulate(make_builtin("cylinder", n=16, r=1.2, stretch=0.3))
+        plain = rp.report_to_json(rp.build_geometry_report(jet, "cylinder"))
         r = rp.build_geometry_report(jet, "cylinder", dump_fields=True)
-        fields = {k: np.asarray(v) for k, v in r.fields.items()}
-        expect = _emit_reference({"fields": fields})
-        assert _emit_direct({"fields": fields}) == expect
-        assert rp.report_to_json(r).endswith(expect[1:] + "\n")
-
-    def test_each_distinct_value_formatted_once(self, monkeypatch):
-        """A dumped field formats each distinct bit pattern once, not each node."""
-        jet = tabulate(make_builtin("cylinder", n=64, r=1.2, stretch=0.3))
-        r = rp.build_geometry_report(jet, "cylinder", dump_fields=True)
-        calls = []
-
-        def counted(x):
-            calls.append(x)
-            return format(x, ".17g")
-
-        monkeypatch.setattr(rp, "_fmt_finite", counted)
-        fields = {k: np.asarray(v) for k, v in r.fields.items()}
-        text = _emit_direct({"fields": fields})
-        distinct = sum(np.unique(np.ascontiguousarray(v).view(np.int64)).size
-                       for v in fields.values())
-        assert len(calls) == distinct
-        assert 20 * distinct < 5 * 64**2
-        monkeypatch.undo()
-        assert text == _emit_reference({"fields": fields})
+        text = rp.report_to_json(r)
+        assert plain.endswith("\n}\n")
+        assert text.startswith(plain[:-3] + ',\n  "fields": {\n    "Hsq": {\n')
+        fields = json.loads(text)["fields"]
+        for key, want in r.fields.items():
+            assert _same_bits(_decode(fields[key]), want), key
 
     def test_solve_mu_dump_round_trips(self):
         from click.testing import CliRunner
@@ -285,14 +259,13 @@ class TestFieldSerialization:
         U, V = g.mesh()
         sol = solve_mu(MuProblem(g, 1.0, 0.0, 2.0 * (1.0 + 0.1 * np.sin(U) * np.sin(V))))
         F = mu_residual(g, sol.mu, 1.0, 0.0)
+        assert list(doc["fields"]) == ["mu", "residual"]
         for key, want in (("mu", sol.mu), ("residual", F)):
-            got = np.array(doc["fields"][key], dtype=np.float64)
-            assert got.shape == want.shape
-            assert np.array_equal(got.view(np.int64), want.view(np.int64)), key
+            assert _same_bits(_decode(doc["fields"][key]), want), key
 
 
-# Values where an exact "%.17g" pass goes wrong first: signed zeros, the
-# smallest subnormal and normal, both neighbours of each power of ten, the
+# Values whose "%.17g" text is easy to get wrong: signed zeros, the smallest
+# subnormal and normal, both neighbours of each power of ten, the
 # fixed/scientific edges, exact ties and integers with trailing zeros.
 EDGE_VALUES = (
     [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-06, 99999999999999984.0,
@@ -301,82 +274,31 @@ EDGE_VALUES = (
 )
 
 
-def _random_doubles(rng, n):
-    """n finite doubles with uniformly drawn sign, exponent field (subnormals
-    included) and mantissa, so every binary exponent occurs."""
-    bits = ((rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63))
-            | (rng.integers(0, 2047, n, dtype=np.uint64) << np.uint64(52))
-            | rng.integers(0, 2**52, n, dtype=np.uint64))
-    return bits.view(np.float64)
-
-
-def _direct_text(x):
-    """The entries of x through the direct pass, as one ","-joined string."""
-    assert rp._distinct_strings(x) is None
-    rows = format17.format_rows(x.reshape(1, -1), ",", rp._fmt_finite)
-    assert rows[1:] == [""]
-    return rows[0]
-
-
 class TestDirectFormatting:
-    """The one-pass formatter of mostly-distinct fields writes the bytes of
-    ``"%.17g" % x`` for every finite double."""
+    """Every scalar of a report is written as the bytes of ``"%.17g" % x``,
+    which read back as the same double."""
 
     def test_edge_values(self):
-        x = np.array(EDGE_VALUES)
-        assert _direct_text(x).split(",") == ["%.17g" % v for v in EDGE_VALUES]
-        assert _emit_direct(x) == _emit_reference(x)
+        values = [float(v) for v in EDGE_VALUES]
+        r = rp.GeometryReport(meta={}, summaries={f"x{i}": v for i, v in enumerate(values)})
+        text = rp.report_to_json(r)
+        summaries = json.loads(text)["summaries"]
+        for i, v in enumerate(values):
+            assert f'"x{i}": {"%.17g" % v}' in text
+            assert summaries[f"x{i}"] == v
 
     @pytest.mark.parametrize("value, text", [
-        (1e-06, "9.9999999999999995e-07"),           # X decided on the exact product
-        (99999999999999984.0, "99999999999999984"),  # X = 16: still fixed notation
+        (1e-06, "9.9999999999999995e-07"),
+        (99999999999999984.0, "99999999999999984"),  # 17 digits: still fixed notation
         (26215 / 2**18, "0.10000228881835938"),     # exact tie, rounded half-even
-        (2.0**-25, "2.9802322387695312e-08"),       # exact tie where the scale is two doubles
+        (2.0**-25, "2.9802322387695312e-08"),       # exact tie
         (12300.0, "12300"),
         (-1e-5, "-1.0000000000000001e-05"),
         (-0.0, "-0"),
     ])
     def test_named_values(self, value, text):
-        assert _direct_text(np.array([value, 1.5])) == text + ",1.5"
-
-    def test_million_seeded_values(self):
-        """10^6 magnitudes 10^U(-300, 300) and 2^17 doubles spread over every
-        binary exponent, against one %-format of them all."""
-        rng = np.random.default_rng(2025)
-        x = np.concatenate([rng.choice([-1.0, 1.0], 10**6) * 10.0 ** rng.uniform(-300, 300, 10**6),
-                            _random_doubles(rng, 2**17)])
-        assert _direct_text(x) == ",".join(["%.17g"] * x.size) % tuple(x.tolist())
-
-    def test_python_formats_only_zeros_and_near_ties(self, monkeypatch):
-        """On 10^5 doubles spanning every exponent, plus zeros and exact
-        ties, the values handed to ``_fmt_finite`` are the zeros and the
-        near-ties the pass cannot decide; ties it can decide stay in numpy."""
-        from decimal import Decimal, localcontext
-
-        rng = np.random.default_rng(7)
-        x = np.concatenate([_random_doubles(rng, 10**5), [0.0, -0.0, 2.0**-25, 26215 / 2**18]])
-        calls = []
-
-        def counted(v):
-            calls.append(v)
-            return format(v, ".17g")
-
-        monkeypatch.setattr(rp, "_fmt_finite", counted)
-        text = _direct_text(x)
-        monkeypatch.undo()
-        assert text == ",".join(["%.17g"] * x.size) % tuple(x.tolist())
-
-        def near_tie(v):  # |v| 10^(16-X) within 2^-39 of a half-integer, X or X + 1
-            with localcontext() as ctx:
-                ctx.prec = 2000
-                d = abs(Decimal(v))
-                return any(abs(s % 1 - Decimal("0.5")) <= Decimal(2.0**-39)
-                           for s in (d.scaleb(16 - d.adjusted()), d.scaleb(15 - d.adjusted())))
-
-        assert sorted(str(v) for v in calls if v == 0.0) == ["-0.0", "0.0"]
-        assert [v for v in calls if v != 0.0 and not near_tie(v)] == []
-        assert 2.0**-25 in calls and 26215 / 2**18 not in calls
-        assert len(calls) <= 10
+        assert rp._fmt(value) == text
+        assert rp._fmt(np.float64(value)) == text
 
 
 class TestMuReport:

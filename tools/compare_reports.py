@@ -38,7 +38,13 @@ it compares the two documents structurally instead: residuals are matched
 by ``name`` and other list entries by index, and below the case it lists
 every key path present on one side only, every non-numeric value that
 differs, and every number at the shared paths past the bar (the max|d|
-columns then cover the shared numbers).  It
+columns then cover the shared numbers).  When either stdout holds a dumped
+field as a base64 blob (``{"dtype", "shape", "base64"}``), the top-level
+``fields`` object is cut out of both texts before these checks, and each
+field is compared as an array, whether it is written as a blob or as nested
+number lists; NaNs at the same place agree, every entry past the bar is
+listed by its index, and the stdout column reads ``fields-only`` when every
+byte outside ``fields`` is identical.  It
 exits 1 when an exit code, stderr or a non-numeric byte of stdout differs,
 or when any number moves by more than 1e-12 max(1, |x|).
 """
@@ -46,6 +52,7 @@ or when any number moves by more than 1e-12 max(1, |x|).
 from __future__ import annotations
 
 import argparse
+import binascii
 import bisect
 import json
 import math
@@ -64,6 +71,9 @@ REL_FLOOR = 1e-8
 NUMBER = re.compile(r"(?<![\w.])-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?(?![\w.])")
 # a JSON object key, as report_to_json writes it
 JSON_KEY = re.compile(r'"([^"\\]*)": ')
+# the top-level "fields" key, and the key of a field's base64 blob
+FIELDS_KEY = ',\n  "fields": '
+BLOB_KEY = '"base64": "'
 
 VERIFY_SETS = [
     ("helix", ["--surface", "helix_line_r4"]),
@@ -213,16 +223,51 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _is_blob(x) -> bool:
+    return isinstance(x, dict) and "base64" in x
+
+
+def _field_array(x) -> np.ndarray:
+    """A dumped field as a float64 array, from its blob or its nested lists
+    (where a non-finite entry is the string "nan", "inf" or "-inf")."""
+    if _is_blob(x):
+        return np.frombuffer(binascii.a2b_base64(x["base64"]), x["dtype"]).reshape(x["shape"])
+    return np.array(x, dtype=np.float64)
+
+
 def compare_json(old, new) -> dict:
     """Walk two parsed JSON documents side by side. Returns the key paths
     found on one side only (``only_old``, ``only_new``), the non-numeric
     values that differ at a shared path (``changed``: path, old, new), every
     shared number past the bar (``past``: path, old, new, |d|), and the
-    largest |diff| and relative diff over the shared numbers."""
+    largest |diff| and relative diff over the shared numbers. Where either
+    side is a field blob, both sides are compared as arrays, entry by entry."""
     out = {"only_old": [], "only_new": [], "changed": [], "past": [],
            "max_abs": 0.0, "max_rel": 0.0}
 
+    def arrays(a, b, path):
+        x, y = _field_array(a), _field_array(b)
+        if x.shape != y.shape:
+            out["changed"].append((path.lstrip("."), f"shape {list(x.shape)}",
+                                   f"shape {list(y.shape)}"))
+            return
+        with np.errstate(invalid="ignore"):
+            same = (x == y) | (np.isnan(x) & np.isnan(y))
+            d = np.where(same, 0.0, np.nan_to_num(np.abs(x - y), nan=np.inf))
+        if d.size:
+            out["max_abs"] = max(out["max_abs"], float(d.max()))
+            scale = np.maximum(np.abs(x), np.abs(y))
+            big = scale > REL_FLOOR
+            if big.any():
+                out["max_rel"] = max(out["max_rel"], float((d[big] / scale[big]).max()))
+        limit = np.where(np.isfinite(x), TOL * np.maximum(1.0, np.abs(x)), 0.0)
+        for i in zip(*np.nonzero(d > limit)):
+            out["past"].append((f"{path.lstrip('.')}{list(map(int, i))}",
+                                float(x[i]), float(y[i]), float(d[i])))
+
     def walk(a, b, path):
+        if _is_blob(a) or _is_blob(b):
+            return arrays(a, b, path)
         ca, cb = _children(a), _children(b)
         if ca is not None and cb is not None and type(a) is type(b):
             for label, v in ca.items():
@@ -245,6 +290,24 @@ def compare_json(old, new) -> dict:
     return out
 
 
+def _cut_fields(text: str) -> tuple[str, dict]:
+    """``text`` without its top-level ``fields`` object, and that object
+    parsed ({} when there is none)."""
+    start = text.rfind(FIELDS_KEY)
+    if start < 0:
+        return text, {}
+    end = text.rindex("\n}")
+    return text[:start] + text[end:], json.loads(text[start + len(FIELDS_KEY):end])
+
+
+def _first_field_problem(fields: dict) -> str | None:
+    """The path of the first field on one side only or of another shape,
+    else of the first field entry past the bar, else None."""
+    paths = (fields["only_old"] + fields["only_new"]
+             + [p[0] for p in fields["changed"] + fields["past"]])
+    return paths[0] if paths else None
+
+
 def compare_text(old: str, new: str) -> dict:
     """Largest |diff| and relative diff of the numbers, whether the text
     between the numbers (and their count) is the same, and where (line, key)
@@ -252,7 +315,21 @@ def compare_text(old: str, new: str) -> dict:
     the same, the number furthest past the bar. ``past`` lists every number
     past the bar, in order, as (line, key, old text, new text, |d|).
     ``structure`` is ``compare_json`` of the two documents when the text
-    differs and both parse as JSON, else None."""
+    differs and both parse as JSON, else None.
+
+    When either text holds a field blob, the top-level ``fields`` objects
+    are cut out of both before all that, and ``fields`` is their
+    ``compare_json`` (whose numbers count in ``max_abs`` and ``max_rel``),
+    with ``fields_where`` the path ``_first_field_problem`` names, and
+    ``outside_fields_identical`` tells whether the rest is byte-identical;
+    else all three are None. ``within`` also needs ``fields_where`` to be
+    None."""
+    identical = old == new
+    fields = fields_where = None
+    if BLOB_KEY in old or BLOB_KEY in new:
+        (old, old_fields), (new, new_fields) = _cut_fields(old), _cut_fields(new)
+        fields = compare_json({"fields": old_fields}, {"fields": new_fields})
+        fields_where = _first_field_problem(fields)
     old_parts, new_parts = NUMBER.split(old), NUMBER.split(new)
     old_nums, new_nums = list(NUMBER.finditer(old)), NUMBER.findall(new)
     same_text = old_parts == new_parts and len(old_nums) == len(new_nums)
@@ -286,9 +363,15 @@ def compare_text(old: str, new: str) -> dict:
                 past.append((*locate(a_m.start()), a_m.group(), b_s, d))
                 if excess > worst:
                     worst, where = excess, past[-1][:2]
-    return {"identical": old == new, "same_text": same_text,
-            "max_abs": max_abs, "max_rel": max_rel, "within": where is None,
-            "where": where, "past": past, "structure": structure}
+    if fields is not None:
+        max_abs, max_rel = max(max_abs, fields["max_abs"]), max(max_rel, fields["max_rel"])
+    return {"identical": identical,
+            "outside_fields_identical": old == new if fields is not None else None,
+            "same_text": same_text,
+            "max_abs": max_abs, "max_rel": max_rel,
+            "within": where is None and fields_where is None,
+            "where": where, "past": past, "structure": structure,
+            "fields": fields, "fields_where": fields_where}
 
 
 def main(argv=None) -> int:
@@ -310,7 +393,7 @@ def main(argv=None) -> int:
         ap.error(f"unknown case(s) {unknown}; see --list")
 
     failed = []
-    print(f"{'case':24} {'exit':>5}  {'stdout':10} {'max|d|':>9} {'max rel d':>9}  note")
+    print(f"{'case':24} {'exit':>5}  {'stdout':11} {'max|d|':>9} {'max rel d':>9}  note")
     with tempfile.TemporaryDirectory() as workdir:
         write_inputs(workdir)
         for name in names:
@@ -328,15 +411,19 @@ def main(argv=None) -> int:
                 notes.append(f"non-numeric stdout differs; first text difference {at}"
                              if not cmp["same_text"] else
                              f"a number moved by more than {TOL:g} max(1, |x|); largest {at}")
+            if cmp["fields_where"] is not None:
+                notes.append(f"fields differ; first at {cmp['fields_where']}")
             if notes:
                 failed.append(name)
-            print(f"{name:24} {old.returncode:>2}/{new.returncode:<2}  "
-                  f"{'identical' if cmp['identical'] else 'differs':10} "
+            stdout = ("identical" if cmp["identical"] else
+                      "fields-only" if cmp["outside_fields_identical"] else "differs")
+            print(f"{name:24} {old.returncode:>2}/{new.returncode:<2}  {stdout:11} "
                   f"{cmp['max_abs']:9.2g} {cmp['max_rel']:9.2g}  {'; '.join(notes)}")
             for line, key, a, b, d in cmp["past"]:
                 print(f"    line {line} {key!r}: {a} -> {b}, |d| {d:.2g}")
-            if cmp["structure"] is not None:
-                st = cmp["structure"]
+            for st in (cmp["structure"], cmp["fields"]):
+                if st is None:
+                    continue
                 for side in ("old", "new"):
                     for path in st[f"only_{side}"]:
                         print(f"    only in {side}: {path}")
