@@ -4,11 +4,11 @@ Subpackages by responsibility: :mod:`biconsurf.grid` (parameter grids and
 flat stencils), :mod:`biconsurf.kernels` (difference stencil),
 :mod:`biconsurf.ambient` (target spaces), :mod:`biconsurf.immersion`
 (fundamental forms and derived geometry), :mod:`biconsurf.tensors`
-(covariant calculus of a metric, in any coordinates or on an isothermal
-chart), :mod:`biconsurf.checks`
-(identity residual suite), :mod:`biconsurf.mu_solver` (gap-equation Newton
-solver), :mod:`biconsurf.corpus` (built-in surfaces), :mod:`biconsurf.report`
-and :mod:`biconsurf.cli` (report assembly and command line).
+(covariant calculus of a metric in the coordinates of the jet),
+:mod:`biconsurf.checks` (identity residual suite and its norms),
+:mod:`biconsurf.mu_solver` (gap-equation Newton solver),
+:mod:`biconsurf.corpus` (built-in surfaces), :mod:`biconsurf.report` and
+:mod:`biconsurf.cli` (report assembly and command line).
 """
 
 from .ambient import Ambient, euclidean, sphere

@@ -34,31 +34,24 @@ class NonConstantCurvaturesError(ValueError):
     """Space-form target derivation requires constant principal curvatures."""
 
 
-def weighted_l2(field: np.ndarray, geom: SurfaceGeometry) -> float:
-    """Area-weighted RMS of a scalar field over ``geom.interior``."""
-    f2_dv = np.asarray(field) ** 2 * geom.area_element
+def interior_norms(field: np.ndarray, geom: SurfaceGeometry,
+                   squared: bool = False) -> tuple[float, float]:
+    """(L2, Linf) of |field| over ``geom.interior``, the L2 area-weighted; with
+    ``squared``, of sqrt(field) for a field that is already a pointwise squared
+    norm, taking no root of the field. The boundary band is zeroed before a
+    signed field is squared, so junk there cannot overflow."""
+    f = np.maximum(field, 0.0) if squared else np.abs(field)  # squared: clamp round-off
     if geom.boundary_margin:
-        f2_dv = np.where(geom.interior, f2_dv, 0.0)
-    return float(np.sqrt(integrate(geom.grid, f2_dv) / geom.interior_area))
-
-
-def scalar_norms(field: np.ndarray, geom: SurfaceGeometry) -> tuple[float, float]:
-    """(L2, Linf) of |field| over ``geom.interior``."""
-    mag = np.abs(field)
-    if geom.boundary_margin:
-        mag = np.where(geom.interior, mag, 0.0)
-    return weighted_l2(mag, geom), float(np.max(mag))
+        f[~geom.interior] = 0.0
+    linf = float(np.sqrt(np.max(f)) if squared else np.max(f))
+    sq = f if squared else f * f
+    sq *= geom.area_element
+    return float(np.sqrt(integrate(geom.grid, sq) / geom.interior_area)), linf
 
 
 def vector_norms(V: np.ndarray, geom: SurfaceGeometry) -> tuple[float, float]:
     """(L2, Linf) of the pointwise g-norm of a coordinate vector field."""
-    return scalar_norms(np.sqrt(np.maximum(geom.vec_norm_sq(V), 0.0)), geom)
-
-
-def shape_operator_norm_sq(geom: SurfaceGeometry) -> np.ndarray:
-    """|A_H|^2 = lambda_1^2 + lambda_2^2."""
-    lam1, lam2, _, _ = geom.principal
-    return lam1 * lam1 + lam2 * lam2
+    return interior_norms(geom.vec_norm_sq(V), geom, squared=True)
 
 
 def biconservativity_residuals(geom: SurfaceGeometry) -> dict:
@@ -152,12 +145,11 @@ def simons_residual(geom: SurfaceGeometry, bicons_tol: float = 1e-6,
     if bicons_linf is None:
         _, bicons_linf = vector_norms(geom.biconservativity["cond1"], geom)
     tau4 = (4.0 * geom.Hsq) ** 2
-    S2_sq = geom.tensor_inner(geom.S2, geom.S2)
-    out = geom.laplacian(S2_sq)
+    out = geom.laplacian(geom.S2_norm_sq)
     out -= geom.laplacian(tau4)
     out *= 0.5
-    out += geom.K * (2.0 * S2_sq - tau4)
-    del S2_sq
+    out += geom.K * (2.0 * geom.S2_norm_sq - tau4)
+    del tau4
     out -= geom.div_vector(np.einsum("...ij,...j->...i", geom.S2, 4.0 * geom.grad_Hsq))
     out -= 16.0 * geom.grad_Hsq_norm_sq
     out += geom.nabla_S2_norm_sq
@@ -166,7 +158,7 @@ def simons_residual(geom: SurfaceGeometry, bicons_tol: float = 1e-6,
 
 def positivity_quantity(geom: SurfaceGeometry) -> np.ndarray:
     """2 |S2|^2 - |tau|^4 = 32 (|A_H|^2 - 2 |H|^4), nonnegative pointwise."""
-    return 32.0 * (shape_operator_norm_sq(geom) - 2.0 * geom.Hsq**2)
+    return 32.0 * (geom.AH_norm_sq - 2.0 * geom.Hsq**2)
 
 
 def integral_formula_check(geom: SurfaceGeometry) -> dict:
@@ -181,14 +173,14 @@ def integral_formula_check(geom: SurfaceGeometry) -> dict:
     lhs_s2 = integrate(
         geom.grid,
         (geom.nabla_S2_norm_sq
-         + 2.0 * K * (geom.tensor_inner(geom.S2, geom.S2) - 0.5 * tau4)) * dv,
+         + 2.0 * K * (geom.S2_norm_sq - 0.5 * tau4)) * dv,
     )
     rhs_s2 = integrate(geom.grid, 16.0 * geom.grad_Hsq_norm_sq * dv)
 
     lhs_ah = integrate(
         geom.grid,
         (geom.nabla_AH_norm_sq
-         + 2.0 * K * (shape_operator_norm_sq(geom) - 2.0 * geom.Hsq**2)) * dv,
+         + 2.0 * K * (geom.AH_norm_sq - 2.0 * geom.Hsq**2)) * dv,
     )
     rhs_ah = integrate(geom.grid, 2.5 * geom.grad_Hsq_norm_sq * dv)
 
@@ -202,7 +194,7 @@ def parallel_AH_checks(geom: SurfaceGeometry, tol: float) -> dict:
     """Norm of nabla A_H plus the consequences that must follow when it vanishes:
     constant eigenvalues, the curvature-commutation identity, the trace
     cancellation, and pseudoumbilical-or-flat."""
-    l2, linf = scalar_norms(np.sqrt(np.maximum(geom.nabla_AH_norm_sq, 0.0)), geom)
+    l2, linf = interior_norms(geom.nabla_AH_norm_sq, geom, squared=True)
     lam1, lam2, mu, _ = geom.principal
 
     out = {

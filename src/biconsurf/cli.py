@@ -379,8 +379,8 @@ def main():
 def verify(config_path, **flags):
     """Run the residual suite on a surface and emit a report."""
     s = _settings(config_path, flags, surface=None, grid_size=None, periodic=None, params={},
-                  fd_jets=False, output=None, format="json", tol_analytic=1e-8, tol_fd=1e-3,
-                  dump_fields=False, assert_flags=[], assert_residuals=[])
+                  fd_jets=False, output=None, format="json", tol_analytic=report_mod.TOL_ANALYTIC,
+                  tol_fd=report_mod.TOL_FD, dump_fields=False, assert_flags=[], assert_residuals=[])
     jet, label = _resolve_jet(s)
     rep = report_mod.build_geometry_report(jet, surface_label=label,
                                            tol_analytic=float(s["tol_analytic"]),
@@ -412,8 +412,8 @@ def solve_mu_cmd(config_path, **flags):
     from . import mu_solver  # scipy loads here, for this command alone
 
     s = _settings(config_path, flags, H=1.0, KN=0.0, grid_size=(64, 64), mu0=None,
-                  perturb=0.0, tol_newton=1e-10, max_iter=30, output=None, format="json",
-                  dump_fields=False)
+                  perturb=0.0, tol_newton=mu_solver.TOL_NEWTON, max_iter=mu_solver.MAX_ITER,
+                  output=None, format="json", dump_fields=False)
     Hval, KNval = float(s["H"]), float(s["KN"])
     nu, nv = s["grid_size"]
     grid = build_grid((0.0, 2.0 * math.pi), (0.0, 2.0 * math.pi), nu, nv, True, True)
@@ -479,7 +479,7 @@ def convergence(config_path, **flags):
     if nu0 != nv0:
         raise ConfigError(f"convergence refines square grids, got {nu0}x{nv0}")
     table = run_convergence(name, s["params"], nu0, nlevels, s["fd_jets"])
-    _write(json.dumps(table, indent=2, sort_keys=False) + "\n", s["output"])
+    _write(report_mod.to_json(table), s["output"])
 
 
 def run_convergence(name: str, params: dict, n0: int, levels: int, fd_jets: bool) -> dict:

@@ -25,8 +25,8 @@ suite takes its operators in the coordinates of the jet, isothermal or not
 (the gradient through g^{-1}, the Laplacian as minus the trace of the
 covariant Hessian, the divergence (1/sqrt g) d_a(sqrt g V^a), tr(S T), and
 |nabla T|^2, cached for A_H and S2). The stress-bienergy tensor S2, the
-principal curvatures of A_H, and grad |H|^2 and |d |H|^2|^2 from one
-finite difference of |H|^2 are cached on it too.
+principal curvatures of A_H, |A_H|^2 and |S2|^2, and grad |H|^2 and
+|d |H|^2|^2 from one finite difference of |H|^2 are cached on it too.
 
 The metric is inverted in closed form, ``g^{-1} = adj g / det g``, with the
 ``det g`` that the degeneracy test takes, written straight into a
@@ -243,6 +243,17 @@ class SurfaceGeometry(MetricCalculus):
     def nabla_S2(self) -> np.ndarray:
         """(nabla_a S2)^i_j with the surface Christoffels."""
         return cov_derivative_coords(self.grid, self.S2, self.gamma)
+
+    @cached_property
+    def S2_norm_sq(self) -> np.ndarray:
+        """|S2|^2 = tr(S2 S2), taken once for every row and check that reads it."""
+        return self.tensor_inner(self.S2, self.S2)
+
+    @cached_property
+    def AH_norm_sq(self) -> np.ndarray:
+        """|A_H|^2 = lambda_1^2 + lambda_2^2, taken once likewise."""
+        lam1, lam2 = self.principal[:2]
+        return lam1 * lam1 + lam2 * lam2
 
     @cached_property
     def nabla_AH_norm_sq(self) -> np.ndarray:

@@ -52,6 +52,9 @@ import scipy.sparse.linalg as spla
 
 from .grid import Grid, InputError, flat_laplacian
 
+# solve_mu's default residual L-inf and Newton step count; solve-mu reads them
+TOL_NEWTON = 1e-10
+MAX_ITER = 30
 # largest normwise backward error of an accepted Krylov step
 BACKWARD_ERROR_TOL = 1e-14
 # halvings of a Newton step the line search tries before the solve stops
@@ -204,8 +207,8 @@ class MuSolution:
 
 def solve_mu(
     problem: MuProblem,
-    tol_newton: float = 1e-10,
-    max_iter: int = 30,
+    tol_newton: float = TOL_NEWTON,
+    max_iter: int = MAX_ITER,
 ) -> MuSolution:
     grid, H, KN = problem.grid, problem.H, problem.KN
     mu = problem.mu0.copy()
@@ -278,4 +281,4 @@ def gauss_consistency(sol: MuSolution) -> np.ndarray:
     the curvature of the reconstructed metric g = (1/mu) (dx^2 + dy^2)."""
     H = sol.problem.H
     K = 0.5 * sol.mu * flat_laplacian(sol.problem.grid, np.log(sol.mu))
-    return K - (sol.problem.KN + H * H - sol.mu**2 / (4.0 * H * H))
+    return K - (sol.problem.KN + H * H - (sol.mu / (2.0 * H)) ** 2)

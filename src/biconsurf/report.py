@@ -28,6 +28,10 @@ from .tensors import codazzi_defect_coords
 # binding; ROADMAP item 7 drops that patch point, and then this import.
 from .tensors import holomorphicity_residual  # noqa: F401
 
+# default residual tolerances by jet source, which every command reads
+TOL_ANALYTIC = 1e-8
+TOL_FD = 1e-3
+
 # Documentation index: every residual name used in reports maps to a short
 # statement of the identity it measures.  Keys are stable API.
 REFERENCE_INDEX = {
@@ -88,23 +92,15 @@ class GeometryReport:
 
 
 def _grid_meta(grid: Grid) -> dict:
-    return {
-        "nu": grid.nu,
-        "nv": grid.nv,
-        "u_min": grid.u_min,
-        "u_max": grid.u_max,
-        "v_min": grid.v_min,
-        "v_max": grid.v_max,
-        "periodic_u": grid.periodic_u,
-        "periodic_v": grid.periodic_v,
-    }
+    keys = ("nu", "nv", "u_min", "u_max", "v_min", "v_max", "periodic_u", "periodic_v")
+    return {k: getattr(grid, k) for k in keys}
 
 
 def build_geometry_report(
     jet: ImmersionJet,
     surface_label: str = "user",
-    tol_analytic: float = 1e-8,
-    tol_fd: float = 1e-3,
+    tol_analytic: float = TOL_ANALYTIC,
+    tol_fd: float = TOL_FD,
     dump_fields: bool = False,
 ) -> GeometryReport:
     """Run the full residual suite on an immersion and collect the results."""
@@ -122,8 +118,8 @@ def build_geometry_report(
     # FD-jet norms skip the one-sided stencil bands at open boundaries
     rep.meta["boundary_margin"] = geom.boundary_margin
 
-    # Each row passes its field straight to the norm, so no node field
-    # outlives the row that reads it.
+    # Each row passes its field straight to the norm; the only node fields
+    # that outlive a row are those several rows read, cached on geom.
     res = geom.biconservativity
     named = [
         ("stress_divergence", "cond1"),
@@ -137,29 +133,28 @@ def build_geometry_report(
     for name, key in named:
         rep.add(name, *checks.vector_norms(res[key], geom))
 
-    rep.add("nabla_shape_operator", *checks.scalar_norms(
-        np.sqrt(np.maximum(geom.nabla_AH_norm_sq, 0.0)), geom))
-    rep.add("normal_derivative_H", *checks.scalar_norms(np.sqrt(np.maximum(np.einsum(
+    rep.add("nabla_shape_operator", *checks.interior_norms(
+        geom.nabla_AH_norm_sq, geom, squared=True))
+    rep.add("normal_derivative_H", *checks.interior_norms(np.einsum(
         "...ab,...ab->...", geom.ginv,
-        np.einsum("...am,...bm->...ab", geom.dperpH, geom.dperpH)), 0.0)), geom))
-    rep.add("stress_trace", *checks.scalar_norms(
+        np.einsum("...am,...bm->...ab", geom.dperpH, geom.dperpH)), geom, squared=True))
+    rep.add("stress_trace", *checks.interior_norms(
         geom.S2[..., 0, 0] + geom.S2[..., 1, 1] - 4.0 * geom.Hsq, geom))
-    rep.add("eigenvalue_sum", *checks.scalar_norms(
+    rep.add("eigenvalue_sum", *checks.interior_norms(
         np.add(*geom.principal[:2]) - 2.0 * geom.Hsq, geom))
-    rep.add("stress_norm", *checks.scalar_norms(
-        geom.tensor_inner(geom.S2, geom.S2) - 16.0 * checks.shape_operator_norm_sq(geom)
-        + 24.0 * geom.Hsq**2, geom))
+    rep.add("stress_norm", *checks.interior_norms(
+        geom.S2_norm_sq - 16.0 * geom.AH_norm_sq + 24.0 * geom.Hsq**2, geom))
 
     rep.add("hopf_holomorphicity", *checks.vector_norms(checks.hopf_residual(geom), geom))
 
     simons, simons_flagged = checks.simons_residual(
         geom, bicons_tol=tol, bicons_linf=rep.residual("stress_divergence").linf)
-    rep.add("simons", *checks.scalar_norms(simons, geom))
+    rep.add("simons", *checks.interior_norms(simons, geom))
     del simons
     rep.flags["simons_assumes_biconservative_violated"] = simons_flagged
 
     rep.add("codazzi_defect", *checks.vector_norms(codazzi_defect_coords(geom.nabla_AH), geom))
-    rep.add("positivity_deficit", *checks.scalar_norms(
+    rep.add("positivity_deficit", *checks.interior_norms(
         np.maximum(-checks.positivity_quantity(geom), 0.0), geom))
 
     if geom.grid.doubly_periodic:
@@ -171,8 +166,8 @@ def build_geometry_report(
 
     lam1, lam2, mu, pu_mask = geom.principal
     rep.summaries = {
-        "H_min": float(np.min(np.sqrt(geom.Hsq))),
-        "H_max": float(np.max(np.sqrt(geom.Hsq))),
+        "H_min": float(np.sqrt(np.min(geom.Hsq))),
+        "H_max": float(np.sqrt(np.max(geom.Hsq))),
         "lambda1_min": float(np.min(lam1)),
         "lambda1_max": float(np.max(lam1)),
         "lambda2_min": float(np.min(lam2)),
@@ -219,9 +214,8 @@ def build_mu_report(sol, dump_fields: bool = False) -> GeometryReport:
     }
     rep = GeometryReport(meta)
     F = mu_residual(prob.grid, sol.mu, prob.H, prob.KN)
-    rep.add("gap_equation", float(np.sqrt(np.mean(F**2))), float(np.max(np.abs(F))))
-    gc = gauss_consistency(sol)
-    rep.add("gauss_consistency", float(np.sqrt(np.mean(gc**2))), float(np.max(np.abs(gc))))
+    for name, f in (("gap_equation", F), ("gauss_consistency", gauss_consistency(sol))):
+        rep.add(name, float(np.sqrt(np.mean(f**2))), float(np.max(np.abs(f))))
     rep.flags["converged"] = sol.converged
     rep.summaries = {
         "mu_min": float(np.min(sol.mu)),
@@ -254,37 +248,32 @@ def _fmt(x) -> str:
             return f'"{x}"'
         return format(x, ".17g")
     if isinstance(x, str):
-        return '"' + x.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        if '"' in x or "\\" in x:  # never in base64: its fields skip the slow replace
+            x = x.replace("\\", "\\\\").replace('"', '\\"')
+        return f'"{x}"'
     if x is None:
         return "null"
     raise TypeError(f"cannot serialize {type(x)}")
 
 
 def _emit(obj, out: io.StringIO, indent: int):
-    pad = "  " * indent
     if isinstance(obj, dict):
-        if not obj:
-            out.write("{}")
-            return
-        out.write("{\n")
-        items = list(obj.items())
-        for i, (k, v) in enumerate(items):
-            out.write(pad + "  " + _fmt(str(k)) + ": ")
-            _emit(v, out, indent + 1)
-            out.write(",\n" if i < len(items) - 1 else "\n")
-        out.write(pad + "}")
+        items, brackets = [(_fmt(str(k)) + ": ", v) for k, v in obj.items()], "{}"
     elif isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            out.write("[]")
-            return
-        out.write("[\n")
-        for i, v in enumerate(obj):
-            out.write(pad + "  ")
-            _emit(v, out, indent + 1)
-            out.write(",\n" if i < len(obj) - 1 else "\n")
-        out.write(pad + "]")
+        items, brackets = [("", v) for v in obj], "[]"
     else:
         out.write(_fmt(obj))
+        return
+    if not items:
+        out.write(brackets)
+        return
+    pad = "  " * indent
+    out.write(brackets[0] + "\n")
+    for i, (prefix, v) in enumerate(items):
+        out.write(pad + "  " + prefix)
+        _emit(v, out, indent + 1)
+        out.write(",\n" if i < len(items) - 1 else "\n")
+    out.write(pad + brackets[1])
 
 
 def _field_blob(a) -> dict:
@@ -308,6 +297,11 @@ def report_to_json(rep: GeometryReport) -> str:
     }
     if rep.fields is not None:
         doc["fields"] = {k: _field_blob(v) for k, v in rep.fields.items()}
+    return to_json(doc)
+
+
+def to_json(doc) -> str:
+    """``doc`` as the JSON text every command writes, ending in a newline."""
     out = io.StringIO()
     _emit(doc, out, 0)
     out.write("\n")

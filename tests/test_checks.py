@@ -322,15 +322,16 @@ class TestInteriorMask:
         geom = compute_geometry(tabulate(make_builtin("graph", n=16)))
         field = np.zeros(geom.grid.shape)
         field[:3, :] = 1e6  # junk in the boundary band only
-        assert checks.weighted_l2(field, geom) == 0.0
-        assert checks.scalar_norms(field, geom) == (0.0, 0.0)
+        assert checks.interior_norms(field, geom) == (0.0, 0.0)
+        assert checks.interior_norms(field * field, geom, squared=True) == (0.0, 0.0)
 
     def test_masked_l2_normalized_by_interior_area(self):
         # constant 1 inside the interior, junk outside: the RMS over the
         # interior is 1, whatever the area of the masked band
         geom = compute_geometry(tabulate(make_builtin("graph", n=16)))
         field = np.where(geom.interior, -1.0, 1e6)
-        assert checks.scalar_norms(field, geom) == (1.0, 1.0)
+        assert checks.interior_norms(field, geom) == (1.0, 1.0)
+        assert checks.interior_norms(field * field, geom, squared=True) == (1.0, 1.0)
         V = np.zeros(geom.grid.shape + (2,))
         V[..., 0] = np.where(geom.interior, 1.0 / np.sqrt(geom.g[..., 0, 0]), 1e6)
         l2, linf = checks.vector_norms(V, geom)

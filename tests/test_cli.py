@@ -877,6 +877,25 @@ class TestConvergence:
         doc = json.loads(res.output)
         assert doc["orders"]["stress_divergence"] == "exact"
 
+    def test_non_finite_table_is_strict_json(self, runner, monkeypatch):
+        # json.dumps wrote bare Infinity and NaN tokens, which strict JSON
+        # parsers reject; the table now goes through the report writer
+        table = {"surface": "sphere", "fd_jets": False, "h": [0.1, 0.05, 0.025],
+                 "residuals": {"simons": [math.inf, math.nan, -math.inf]},
+                 "orders": {"simons": [math.nan, "exact"]}}
+        monkeypatch.setattr("biconsurf.cli.run_convergence", lambda *args: table)
+        res = runner.invoke(main, ["convergence", "--surface", "sphere"])
+        assert res.exit_code == 0, res.output
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        doc = json.loads(res.output, parse_constant=reject)
+        assert doc["residuals"]["simons"] == ["inf", "nan", "-inf"]
+        assert doc["orders"]["simons"] == ["nan", "exact"]
+        assert doc["h"] == [0.1, 0.05, 0.025]
+        assert res.output == report_mod.to_json(table)
+
     @pytest.mark.parametrize("value", ["x", 3.5])
     def test_bad_levels_in_config_is_config_error(self, runner, tmp_path, value):
         # a string ended in a ValueError traceback, 3.5 was truncated to 3

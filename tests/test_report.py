@@ -1,4 +1,5 @@
 import binascii
+import functools
 import json
 
 import numpy as np
@@ -76,10 +77,10 @@ class TestGeometryReport:
 
 
 class TestWorkCounts:
-    """Each covariant derivative, each |nabla T|^2, the positivity quantity
-    and the biconservativity suite run once per report: nabla S2 and
-    nabla A_H, both with the surface Christoffels of the jet, whether or not
-    the metric is isothermal. The Simons residual, the integral formulas,
+    """Each covariant derivative, each |nabla T|^2, |S2|^2, |A_H|^2, the
+    positivity quantity and the biconservativity suite run once per report:
+    nabla S2 and nabla A_H, both with the surface Christoffels of the jet,
+    whether or not the metric is isothermal. The Simons residual, the integral formulas,
     the Hopf row and the nabla_shape_operator row reuse them, the Simons
     gate reuses the report's stress-divergence norm; the package has no
     conformal chart for a report to build."""
@@ -96,7 +97,8 @@ class TestWorkCounts:
                                          expect):
         from biconsurf import checks, immersion, tensors
 
-        calls = {"cov": 0, "bicons": 0, "cond1_norm": 0, "nabla_norm": 0, "positivity": 0}
+        calls = {"cov": 0, "bicons": 0, "cond1_norm": 0, "nabla_norm": 0, "positivity": 0,
+                 "S2_norm_sq": 0, "AH_norm_sq": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -123,6 +125,14 @@ class TestWorkCounts:
                             counted("positivity", checks.positivity_quantity))
         monkeypatch.setattr(immersion.SurfaceGeometry, "nabla_norm_sq",
                             counted("nabla_norm", immersion.SurfaceGeometry.nabla_norm_sq))
+        # |S2|^2 is the package's only tensor_inner; |A_H|^2 is counted where
+        # it is cached
+        monkeypatch.setattr(immersion.SurfaceGeometry, "tensor_inner", staticmethod(
+            counted("S2_norm_sq", immersion.SurfaceGeometry.tensor_inner)))
+        ah_norm_sq = functools.cached_property(counted(
+            "AH_norm_sq", vars(immersion.SurfaceGeometry)["AH_norm_sq"].func))
+        ah_norm_sq.__set_name__(immersion.SurfaceGeometry, "AH_norm_sq")
+        monkeypatch.setattr(immersion.SurfaceGeometry, "AH_norm_sq", ah_norm_sq)
         jet = make_builtin(name, n=32, **params)
         E, F, G = (np.einsum("...i,...i->...", jet.d1[..., a, :], jet.d1[..., b, :])
                    for a, b in ((0, 0), (0, 1), (1, 1)))
@@ -130,7 +140,8 @@ class TestWorkCounts:
         r = rp.build_geometry_report(tabulate(jet) if fd else jet, name)
         assert "isothermal_chart" not in r.meta
         assert calls.pop("nabla_norm") <= 2
-        assert calls == {"cov": expect, "bicons": 1, "cond1_norm": 1, "positivity": 1}
+        assert calls == {"cov": expect, "bicons": 1, "cond1_norm": 1, "positivity": 1,
+                         "S2_norm_sq": 1, "AH_norm_sq": 1}
         names = {e.name for e in r.residuals}
         assert {"stress_norm", "simons", "hopf_holomorphicity"} <= names
         assert "simons_assumes_biconservative_violated" in r.flags
@@ -300,6 +311,12 @@ class TestDirectFormatting:
         assert rp._fmt(value) == text
         assert rp._fmt(np.float64(value)) == text
 
+    @pytest.mark.parametrize("value", ["plain", "", 'a"b', "c\\d", '\\"', "AQID+/=="])
+    def test_strings_read_back(self, value):
+        text = rp._fmt(value)
+        assert json.loads(text) == value
+        assert text == json.dumps(value, ensure_ascii=False)
+
 
 class TestMuReport:
     def test_build_mu_report(self):
@@ -312,3 +329,15 @@ class TestMuReport:
         assert r.flags["converged"]
         assert r.residual("gap_equation").linf < 1e-10
         assert r.residual("gauss_consistency").linf < 1e-9
+
+    def test_gauss_consistency_finite_at_large_H(self):
+        # mu = 2 |H| sqrt(K_N + |H|^2) is about 2e200 at |H| = 1e100, and
+        # mu^2 / (4 |H|^2) squared it past the float range: the row read inf
+        g = build_grid((0.0, 2 * np.pi), (0.0, 2 * np.pi), 16, 16, True, True)
+        H = 1e100
+        sol = solve_mu(MuProblem(g, H, 0.0, np.full(g.shape, constant_root(H, 0.0))))
+        r = rp.build_mu_report(sol)
+        assert r.flags["converged"]
+        gc = r.residual("gauss_consistency")
+        assert np.isfinite(gc.l2) and np.isfinite(gc.linf)
+        assert gc.linf <= 1e-10 * H * H
