@@ -2,8 +2,9 @@
 formulas, parallel shape-operator diagnostics, space-form target derivation.
 
 All residuals are reported both as area-weighted L2 and as L-infinity norms
-of pointwise g-norms, taken over the interior nodes of the geometry
-(``SurfaceGeometry.interior``) whoever asks; "analytic" jets put them at
+of pointwise g-norms, taken over the interior nodes (``grid.InteriorNodes``)
+of the whole grid whoever asks: a geometry's own, or the report's, whose
+fields are put together strip by strip. "Analytic" jets put them at
 round-off, finite difference jets at O(h^2). Every check runs in the
 coordinates of the jet, with the operators of ``SurfaceGeometry``; none
 needs an isothermal chart.
@@ -14,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .ambient import curvature_operator
-from .grid import integrate
+from .grid import Grid, InteriorNodes, integrate
 from .immersion import (  # principal_curvatures and stress_bienergy are also read as checks.*
     SurfaceGeometry,
     principal_curvatures,
@@ -34,19 +35,20 @@ class NonConstantCurvaturesError(ValueError):
     """Space-form target derivation requires constant principal curvatures."""
 
 
-def interior_norms(field: np.ndarray, geom: SurfaceGeometry,
+def interior_norms(field: np.ndarray, nodes: InteriorNodes,
                    squared: bool = False) -> tuple[float, float]:
-    """(L2, Linf) of |field| over ``geom.interior``, the L2 area-weighted; with
+    """(L2, Linf) of |field| over ``nodes.interior``, the L2 area-weighted; with
     ``squared``, of sqrt(field) for a field that is already a pointwise squared
-    norm, taking no root of the field. The boundary band is zeroed before a
+    norm, taking no root of the field. ``nodes`` is a geometry, or the
+    ``GridInterior`` of a whole grid. The boundary band is zeroed before a
     signed field is squared, so junk there cannot overflow."""
     f = np.maximum(field, 0.0) if squared else np.abs(field)  # squared: clamp round-off
-    if geom.boundary_margin:
-        f[~geom.interior] = 0.0
+    if nodes.boundary_margin:
+        f[~nodes.interior] = 0.0
     linf = float(np.sqrt(np.max(f)) if squared else np.max(f))
     sq = f if squared else f * f
-    sq *= geom.area_element
-    return float(np.sqrt(integrate(geom.grid, sq) / geom.interior_area)), linf
+    sq *= nodes.area_element
+    return float(np.sqrt(integrate(nodes.grid, sq) / nodes.interior_area)), linf
 
 
 def vector_norms(V: np.ndarray, geom: SurfaceGeometry) -> tuple[float, float]:
@@ -140,7 +142,9 @@ def simons_residual(geom: SurfaceGeometry, bicons_tol: float = 1e-6,
     Valid only on biconservative input; if the surface fails the
     biconservativity residual at ``bicons_tol`` the result is flagged, not
     rejected. ``bicons_linf`` is the L-inf of the stress divergence
-    (``vector_norms`` of ``cond1``) when the caller has already taken it.
+    (``vector_norms`` of ``cond1``) when the caller has already taken it; a
+    report, which takes it on the whole grid after its strips, gates the
+    result itself and passes 0.
     """
     if bicons_linf is None:
         _, bicons_linf = vector_norms(geom.biconservativity["cond1"], geom)
@@ -161,33 +165,31 @@ def positivity_quantity(geom: SurfaceGeometry) -> np.ndarray:
     return 32.0 * (geom.AH_norm_sq - 2.0 * geom.Hsq**2)
 
 
-def integral_formula_check(geom: SurfaceGeometry) -> dict:
-    """Both compact-surface integral formulas on a doubly periodic grid, in
-    the coordinates of the jet."""
-    if not geom.grid.doubly_periodic:
-        raise ValueError("integral formulas need a doubly periodic (torus) grid")
+INTEGRANDS = ("lhs_S2", "rhs_S2", "lhs_AH", "rhs_AH")
+
+
+def integral_integrands(geom: SurfaceGeometry) -> dict:
+    """The two sides of both compact-surface integral formulas as node
+    fields times the area element, keyed by INTEGRANDS, in the coordinates
+    of the jet."""
     dv = geom.area_element
     tau4 = (4.0 * geom.Hsq) ** 2
     K = geom.K
+    return dict(zip(INTEGRANDS, (
+        (geom.nabla_S2_norm_sq + 2.0 * K * (geom.S2_norm_sq - 0.5 * tau4)) * dv,
+        16.0 * geom.grad_Hsq_norm_sq * dv,
+        (geom.nabla_AH_norm_sq + 2.0 * K * (geom.AH_norm_sq - 2.0 * geom.Hsq**2)) * dv,
+        2.5 * geom.grad_Hsq_norm_sq * dv,
+    )))
 
-    lhs_s2 = integrate(
-        geom.grid,
-        (geom.nabla_S2_norm_sq
-         + 2.0 * K * (geom.S2_norm_sq - 0.5 * tau4)) * dv,
-    )
-    rhs_s2 = integrate(geom.grid, 16.0 * geom.grad_Hsq_norm_sq * dv)
 
-    lhs_ah = integrate(
-        geom.grid,
-        (geom.nabla_AH_norm_sq
-         + 2.0 * K * (geom.AH_norm_sq - 2.0 * geom.Hsq**2)) * dv,
-    )
-    rhs_ah = integrate(geom.grid, 2.5 * geom.grad_Hsq_norm_sq * dv)
-
-    return {
-        "int_S2_gap": lhs_s2 - rhs_s2,
-        "int_AH_gap": lhs_ah - rhs_ah,
-    }
+def integral_formula_check(grid: Grid, integrands: dict) -> dict:
+    """Both compact-surface integral formulas on a doubly periodic grid, from
+    the :func:`integral_integrands` of the whole grid."""
+    if not grid.doubly_periodic:
+        raise ValueError("integral formulas need a doubly periodic (torus) grid")
+    return {f"int_{t}_gap": integrate(grid, integrands[f"lhs_{t}"])
+            - integrate(grid, integrands[f"rhs_{t}"]) for t in ("S2", "AH")}
 
 
 def parallel_AH_checks(geom: SurfaceGeometry, tol: float) -> dict:

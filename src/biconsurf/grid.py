@@ -17,6 +17,14 @@ and elementwise operations keep that layout in their outputs. Layout
 affects only speed: any strided array, such as a C-ordered one from a
 caller, gives the same values.
 
+A report runs its suite on u-strips of a grid: :meth:`Grid.u_strip` is the
+grid of a run of rows, open in u and with the parent's u spacing bit for
+bit, so that its stencils round as the whole grid's do, and
+:func:`take_rows` takes those rows of a field, a view unless they wrap
+around a periodic u axis. :class:`InteriorNodes` gives the nodes and the
+area that every norm is taken over, for a geometry and for the
+:class:`GridInterior` of a whole grid.
+
 :class:`InputError` is the one error for rejected input. It lives here, the
 lowest module that rejects any: a grid, an ambient, a surface, its table or
 a solver parameter raises it where it is read, and the CLI exits 3 on it.
@@ -46,6 +54,9 @@ class Grid:
     nv: int
     periodic_u: bool = False
     periodic_v: bool = False
+    # the u spacing of a strip (:meth:`u_strip`), its parent's bit for bit;
+    # None: from the extents
+    u_step: float | None = None
 
     def __post_init__(self):
         # an infinite or NaN end, or ends so far apart that u_max - u_min
@@ -59,6 +70,8 @@ class Grid:
 
     @property
     def hu(self) -> float:
+        if self.u_step is not None:
+            return self.u_step
         ext = self.u_max - self.u_min
         return ext / self.nu if self.periodic_u else ext / (self.nu - 1)
 
@@ -92,11 +105,66 @@ class Grid:
     def mesh(self) -> tuple[np.ndarray, np.ndarray]:
         return np.meshgrid(self.u, self.v, indexing="ij")
 
+    def u_strip(self, lo: int, hi: int) -> Grid:
+        """Rows ``lo`` .. ``hi - 1`` (mod nu on a periodic u axis) as a grid
+        open in u, with this grid's u spacing. The spacing is kept, not taken
+        again from the extents, so that the strip's stencils round as the
+        whole grid's do; its u runs from ``lo * hu``, this grid's u less
+        ``u_min``, so that no extent rounds to zero."""
+        h = self.hu
+        return Grid(lo * h, (hi - 1) * h, self.v_min, self.v_max, hi - lo, self.nv,
+                    False, self.periodic_v, h)
+
 
 def node_array(grid: Grid, comps: tuple[int, ...] = ()) -> np.ndarray:
     """Zero field of logical shape ``grid.shape + comps`` with the node axes
-    innermost in memory: a view of a C-ordered ``comps + grid.shape`` buffer."""
-    return np.moveaxis(np.zeros(tuple(comps) + grid.shape), (-2, -1), (0, 1))
+    innermost in memory: a view of a C-ordered ``comps + grid.shape`` buffer.
+    It is a plain transpose: ``np.moveaxis`` spent longer checking its axes
+    than zeroing a strip's field."""
+    k = len(comps)
+    return np.zeros(tuple(comps) + grid.shape).transpose(k, k + 1, *range(k))
+
+
+class InteriorNodes:
+    """The nodes every residual norm is taken over: all of them, less
+    ``boundary_margin`` rows at each open edge, and their area. A carrier
+    provides ``grid``, ``boundary_margin`` and ``area_element``."""
+
+    @cached_property
+    def interior(self) -> np.ndarray:
+        return interior_mask(self.grid, self.boundary_margin)
+
+    @cached_property
+    def interior_area(self) -> float:
+        if not self.boundary_margin:
+            return integrate(self.grid, self.area_element)
+        return integrate(self.grid, np.where(self.interior, self.area_element, 0.0))
+
+
+@dataclass(frozen=True)
+class GridInterior(InteriorNodes):
+    """The interior nodes of a whole grid, for the norms of fields that were
+    put together strip by strip."""
+
+    grid: Grid
+    boundary_margin: int
+    area_element: np.ndarray
+
+
+def take_rows(a: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Rows ``lo`` .. ``hi - 1`` of a node field along u, taken mod nu: a view
+    where they do not wrap, else a copy in the memory order of ``a``."""
+    nu = a.shape[0]
+    if 0 <= lo and hi <= nu:
+        return a[lo:hi]
+    out = np.empty_like(a, shape=(hi - lo,) + a.shape[1:])
+    i = lo
+    while i < hi:  # one slice per period of u that the rows reach into
+        start = i - i % nu
+        j = min(hi, start + nu)
+        out[i - lo:j - lo] = a[i - start:j - start]
+        i = j
+    return out
 
 
 def build_grid(u_bounds, v_bounds, nu, nv, periodic_u=False, periodic_v=False) -> Grid:

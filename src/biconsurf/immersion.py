@@ -42,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .ambient import Ambient, _dot, curvature_operator
-from .grid import Grid, InputError, fd_derivative, flat_gradient, integrate, interior_mask, node_array
+from .grid import Grid, InputError, InteriorNodes, fd_derivative, flat_gradient, node_array
 from .tensors import MetricCalculus, cov_derivative_coords
 
 # Pseudoumbilical classification thresholds for the eigenvalue gap of A_H.
@@ -166,7 +166,7 @@ def principal_curvatures(A_H: np.ndarray, Hsq: np.ndarray, source: str = "analyt
 
 
 @dataclass
-class SurfaceGeometry(MetricCalculus):
+class SurfaceGeometry(MetricCalculus, InteriorNodes):
     jet: ImmersionJet
     g: np.ndarray  # (0,2) metric
     det_g: np.ndarray  # det g, as the degeneracy test took it
@@ -190,26 +190,13 @@ class SurfaceGeometry(MetricCalculus):
 
     @property
     def boundary_margin(self) -> int:
-        """Rows :attr:`interior` leaves out at each open edge."""
+        """Rows :attr:`interior` leaves out at each open edge: none on an
+        analytic jet."""
         return 0 if self.jet.source == "analytic" else FD_BOUNDARY_MARGIN
-
-    @cached_property
-    def interior(self) -> np.ndarray:
-        """The nodes every residual norm is taken over: all of them on an
-        analytic jet, all but ``boundary_margin`` rows at each open edge on
-        an FD jet."""
-        return interior_mask(self.grid, self.boundary_margin)
 
     @cached_property
     def area_element(self) -> np.ndarray:
         return np.sqrt(self.det_g)
-
-    @cached_property
-    def interior_area(self) -> float:
-        """Area of the :attr:`interior` nodes."""
-        if not self.boundary_margin:
-            return integrate(self.grid, self.area_element)
-        return integrate(self.grid, np.where(self.interior, self.area_element, 0.0))
 
     @cached_property
     def _grad_Hsq(self) -> tuple[np.ndarray, np.ndarray]:

@@ -9,24 +9,50 @@ dumped field is written as its exact bytes: ``{"dtype": "<f8", "shape":
 [...], "base64": ...}``, the little-endian float64 values in C order,
 base64-encoded, so every bit (NaN payloads, signed zeros, subnormals) is
 kept.
+
+A geometry report is taken strip by strip. Every row is a pointwise
+expression in the jet with at most two nested finite differences along u
+(the Simons divergence of S2 grad|H|^2), so a node's value depends only on
+the rows within HALO = 2 of it. ``build_geometry_report`` runs the
+unchanged ``compute_geometry`` and checks on u-strips of about STRIP_NODES
+nodes, each a view of the jet's rows widened by a HALO-row halo: wrapped,
+and copied, on a periodic u axis; cut at an open edge, whose one-sided
+stencils are then the grid's own. A strip writes only its own rows into node
+fields of the whole grid (the fields that a row norms, the integrands of
+both integral formulas and the summary and dump fields), and every norm,
+integral, extremum and flag is then taken once, on those fields: the report
+is the one-strip report, byte for byte. A strip's temporaries stay in a
+2 MB L2 cache, where those of the whole grid streamed through it, and the
+heap no longer has to grow back for each of them. Per-layer call counts grow with the number of strips, by
+design, and the stencils' bytes by the halo share.
 """
 
 from __future__ import annotations
 
 import binascii
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import checks
-from .grid import Grid
-from .immersion import ImmersionJet, compute_geometry
+from .grid import Grid, GridInterior, take_rows
+from .immersion import ImmersionJet, compute_geometry, induced_metric
 from .tensors import codazzi_defect_coords
 
 # Not called here. perfbench/tracing.py's PATCH_POINTS still patch this
 # binding; ROADMAP item 7 drops that patch point, and then this import.
 from .tensors import holomorphicity_residual  # noqa: F401
+
+# Nodes in one u-strip of a report: 32 rows at 256^2. A strip's temporaries
+# then stay in a 2 MB L2 cache, and none is large enough for the allocator
+# to map it fresh, and fault its pages in, on every operation (at 64 rows,
+# some were; 32 rows measured faster than 48 and 64).
+STRIP_NODES = 1 << 13
+# Halo rows on each side of a strip: the deepest nesting of finite
+# differences along u in the suite, the Simons divergence of S2 grad|H|^2.
+HALO = 2
 
 # default residual tolerances by jet source, which every command reads
 TOL_ANALYTIC = 1e-8
@@ -96,6 +122,72 @@ def _grid_meta(grid: Grid) -> dict:
     return {k: getattr(grid, k) for k in keys}
 
 
+def _strips(jet: ImmersionJet):
+    """(sub-jet, its strip's rows of the whole grid, the same rows of the
+    sub-jet) for each u-strip of about STRIP_NODES nodes and at least HALO
+    rows; a grid within the budget is one strip, the jet itself."""
+    grid = jet.grid
+    n = grid.nu // max(STRIP_NODES // grid.nv, HALO)
+    if n < 2:
+        yield jet, slice(None), slice(None)
+        return
+    cuts = [k * grid.nu // n for k in range(n + 1)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        a, b = lo - HALO, hi + HALO
+        if not grid.periodic_u:  # cut at the edge: its one-sided stencils are the grid's
+            a, b = max(a, 0), min(b, grid.nu)
+        arrays = (None if x is None else take_rows(x, a, b)
+                  for x in (jet.pos, jet.d1, jet.d2, jet.d3))
+        yield (ImmersionJet(grid.u_strip(a, b), jet.space, *arrays, source=jet.source),
+               slice(lo, hi), slice(lo - a, hi - a))
+
+
+# (row, whether its field is a squared norm), in report order; the
+# biconservativity rows name their geom.biconservativity key
+VECTOR_ROWS = (
+    ("stress_divergence", "cond1"),
+    ("trace_balance", "cond2"),
+    ("gradient_trace_balance", "cond3"),
+    ("codazzi_trace_balance", "cond4"),
+    ("divergence_route_gap", "divergence_route_gap"),
+    ("trace_nabla_identity", "trace_identity"),
+    ("grad_mean_curvature_sq", "grad_Hsq"),
+)
+ROWS = tuple((name, True) for name, _ in VECTOR_ROWS) + (
+    ("nabla_shape_operator", True), ("normal_derivative_H", True), ("stress_trace", False),
+    ("eigenvalue_sum", False), ("stress_norm", False), ("hopf_holomorphicity", True),
+    ("simons", False), ("codazzi_defect", True), ("positivity_deficit", False),
+)
+# the node fields of the summaries and the dump; the pseudoumbilical mask is
+# kept as 0.0 and 1.0, whose mean is the same
+SUMMARY_FIELDS = ("Hsq", "K", "lambda1", "lambda2", "mu", "pu_mask")
+
+
+def _node_fields(geom, integrals: bool):
+    """(key, node field) of every row, integrand and summary of a report, on
+    one strip; each field is dropped once its rows are copied out."""
+    res = geom.biconservativity
+    for name, key in VECTOR_ROWS:
+        yield name, geom.vec_norm_sq(res[key])
+    yield "nabla_shape_operator", geom.nabla_AH_norm_sq
+    yield "normal_derivative_H", np.einsum(
+        "...ab,...ab->...", geom.ginv,
+        np.einsum("...am,...bm->...ab", geom.dperpH, geom.dperpH))
+    yield "stress_trace", geom.S2[..., 0, 0] + geom.S2[..., 1, 1] - 4.0 * geom.Hsq
+    lam1, lam2, mu, pu_mask = geom.principal
+    yield "eigenvalue_sum", np.add(lam1, lam2) - 2.0 * geom.Hsq
+    yield "stress_norm", geom.S2_norm_sq - 16.0 * geom.AH_norm_sq + 24.0 * geom.Hsq**2
+    yield "hopf_holomorphicity", geom.vec_norm_sq(checks.hopf_residual(geom))
+    # the Simons gate needs the stress divergence of the whole grid: the
+    # report takes it from that row
+    yield "simons", checks.simons_residual(geom, bicons_linf=0.0)[0]
+    yield "codazzi_defect", geom.vec_norm_sq(codazzi_defect_coords(geom.nabla_AH))
+    yield "positivity_deficit", np.maximum(-checks.positivity_quantity(geom), 0.0)
+    if integrals:
+        yield from checks.integral_integrands(geom).items()
+    yield from zip(SUMMARY_FIELDS, (geom.Hsq, geom.K, lam1, lam2, mu, pu_mask))
+
+
 def build_geometry_report(
     jet: ImmersionJet,
     surface_label: str = "user",
@@ -103,96 +195,79 @@ def build_geometry_report(
     tol_fd: float = TOL_FD,
     dump_fields: bool = False,
 ) -> GeometryReport:
-    """Run the full residual suite on an immersion and collect the results."""
-    geom = compute_geometry(jet)
+    """Run the full residual suite on an immersion and collect the results.
+
+    The suite runs on one u-strip of the grid at a time (:func:`_strips`),
+    each strip writing its rows of every field that a row norms, integrates
+    or sums up into a node field of the whole grid; every norm, integral,
+    extremum and flag is then taken once, on those fields."""
+    grid = jet.grid
     tol = tol_analytic if jet.source == "analytic" else tol_fd
-    meta = {
-        "surface": surface_label,
-        "jet_source": jet.source,
-        "ambient": jet.space.spec(),
-        "grid": _grid_meta(jet.grid),
-        "tolerance": tol,
-    }
-    rep = GeometryReport(meta)
+    # a bad metric is named at its first node of the whole grid, not of a strip
+    area_element = np.sqrt(induced_metric(jet)[1])
+    # One block holds every field of the whole grid: a field apiece, freed
+    # at the end of each report, had the heap shrink and grow back (about
+    # 4,000 page faults per 256^2 report).
+    count = len(ROWS) + len(SUMMARY_FIELDS) + grid.doubly_periodic * len(checks.INTEGRANDS)
+    slots, full = iter(np.empty((count,) + grid.shape)), {}
+    # floating-point exceptions are dealt with by value: a row that is not
+    # finite raises below
+    with np.errstate(all="ignore"):
+        for sub, rows, own in _strips(jet):
+            geom = compute_geometry(sub)
+            for key, f in _node_fields(geom, grid.doubly_periodic):
+                if key not in full:
+                    full[key] = next(slots)
+                full[key][rows] = f[own]
+            margin = geom.boundary_margin
+            del f, geom
+        nodes = GridInterior(grid, margin, area_element)
+        rep = GeometryReport({
+            "surface": surface_label,
+            "jet_source": jet.source,
+            "ambient": jet.space.spec(),
+            "grid": _grid_meta(grid),
+            "tolerance": tol,
+            # FD-jet norms skip the one-sided stencil bands at open boundaries
+            "boundary_margin": margin,
+        })
+        for name, squared in ROWS:
+            rep.add(name, *checks.interior_norms(full.pop(name), nodes, squared=squared))
+        if grid.doubly_periodic:
+            integ = checks.integral_formula_check(grid, full)
+            rep.add("integral_shape_operator", abs(integ["int_AH_gap"]), abs(integ["int_AH_gap"]))
+            rep.add("integral_stress", abs(integ["int_S2_gap"]), abs(integ["int_S2_gap"]))
+        else:
+            rep.meta["integral_formulas"] = "skipped: grid not doubly periodic"
+    for r in rep.residuals:
+        if not (math.isfinite(r.l2) and math.isfinite(r.linf)):
+            raise FloatingPointError(f"residual {r.name} not finite")
 
-    # FD-jet norms skip the one-sided stencil bands at open boundaries
-    rep.meta["boundary_margin"] = geom.boundary_margin
-
-    # Each row passes its field straight to the norm; the only node fields
-    # that outlive a row are those several rows read, cached on geom.
-    res = geom.biconservativity
-    named = [
-        ("stress_divergence", "cond1"),
-        ("trace_balance", "cond2"),
-        ("gradient_trace_balance", "cond3"),
-        ("codazzi_trace_balance", "cond4"),
-        ("divergence_route_gap", "divergence_route_gap"),
-        ("trace_nabla_identity", "trace_identity"),
-        ("grad_mean_curvature_sq", "grad_Hsq"),
-    ]
-    for name, key in named:
-        rep.add(name, *checks.vector_norms(res[key], geom))
-
-    rep.add("nabla_shape_operator", *checks.interior_norms(
-        geom.nabla_AH_norm_sq, geom, squared=True))
-    rep.add("normal_derivative_H", *checks.interior_norms(np.einsum(
-        "...ab,...ab->...", geom.ginv,
-        np.einsum("...am,...bm->...ab", geom.dperpH, geom.dperpH)), geom, squared=True))
-    rep.add("stress_trace", *checks.interior_norms(
-        geom.S2[..., 0, 0] + geom.S2[..., 1, 1] - 4.0 * geom.Hsq, geom))
-    rep.add("eigenvalue_sum", *checks.interior_norms(
-        np.add(*geom.principal[:2]) - 2.0 * geom.Hsq, geom))
-    rep.add("stress_norm", *checks.interior_norms(
-        geom.S2_norm_sq - 16.0 * geom.AH_norm_sq + 24.0 * geom.Hsq**2, geom))
-
-    rep.add("hopf_holomorphicity", *checks.vector_norms(checks.hopf_residual(geom), geom))
-
-    simons, simons_flagged = checks.simons_residual(
-        geom, bicons_tol=tol, bicons_linf=rep.residual("stress_divergence").linf)
-    rep.add("simons", *checks.interior_norms(simons, geom))
-    del simons
-    rep.flags["simons_assumes_biconservative_violated"] = simons_flagged
-
-    rep.add("codazzi_defect", *checks.vector_norms(codazzi_defect_coords(geom.nabla_AH), geom))
-    rep.add("positivity_deficit", *checks.interior_norms(
-        np.maximum(-checks.positivity_quantity(geom), 0.0), geom))
-
-    if geom.grid.doubly_periodic:
-        integ = checks.integral_formula_check(geom)
-        rep.add("integral_shape_operator", abs(integ["int_AH_gap"]), abs(integ["int_AH_gap"]))
-        rep.add("integral_stress", abs(integ["int_S2_gap"]), abs(integ["int_S2_gap"]))
-    else:
-        rep.meta["integral_formulas"] = "skipped: grid not doubly periodic"
-
-    lam1, lam2, mu, pu_mask = geom.principal
+    bicons_linf = rep.residual("stress_divergence").linf
+    rep.flags["simons_assumes_biconservative_violated"] = bool(bicons_linf > tol)
+    Hsq, K = full["Hsq"], full["K"]
     rep.summaries = {
-        "H_min": float(np.sqrt(np.min(geom.Hsq))),
-        "H_max": float(np.sqrt(np.max(geom.Hsq))),
-        "lambda1_min": float(np.min(lam1)),
-        "lambda1_max": float(np.max(lam1)),
-        "lambda2_min": float(np.min(lam2)),
-        "lambda2_max": float(np.max(lam2)),
-        "mu_min": float(np.min(mu)),
-        "mu_max": float(np.max(mu)),
-        "K_min": float(np.min(geom.K)),
-        "K_max": float(np.max(geom.K)),
-        "pseudoumbilical_fraction": float(np.mean(pu_mask)),
+        "H_min": float(np.sqrt(np.min(Hsq))),
+        "H_max": float(np.sqrt(np.max(Hsq))),
+        "lambda1_min": float(np.min(full["lambda1"])),
+        "lambda1_max": float(np.max(full["lambda1"])),
+        "lambda2_min": float(np.min(full["lambda2"])),
+        "lambda2_max": float(np.max(full["lambda2"])),
+        "mu_min": float(np.min(full["mu"])),
+        "mu_max": float(np.max(full["mu"])),
+        "K_min": float(np.min(K)),
+        "K_max": float(np.max(K)),
+        "pseudoumbilical_fraction": float(np.mean(full["pu_mask"])),
     }
     rep.flags.update({
         "is_cmc": rep.residual("grad_mean_curvature_sq").linf <= tol,
-        "is_biconservative": rep.residual("stress_divergence").linf <= tol,
+        "is_biconservative": bicons_linf <= tol,
         "is_pmc": rep.residual("normal_derivative_H").linf <= tol,
         "ah_parallel": rep.residual("nabla_shape_operator").linf <= tol,
     })
 
     if dump_fields:
-        rep.fields = {
-            "Hsq": geom.Hsq,
-            "K": geom.K,
-            "lambda1": lam1,
-            "lambda2": lam2,
-            "mu": mu,
-        }
+        rep.fields = {key: full[key] for key in ("Hsq", "K", "lambda1", "lambda2", "mu")}
     return rep
 
 

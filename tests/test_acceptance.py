@@ -141,7 +141,7 @@ def test_a5_integral_formulas_and_positivity():
     """Compact-surface integral formulas close on the flat torus; the
     pointwise positivity quantity is nonnegative on the whole corpus."""
     geom = compute_geometry(make_builtin("product_torus", n=64, r1=1.0, r2=2.0))
-    out = checks.integral_formula_check(geom)
+    out = checks.integral_formula_check(geom.grid, checks.integral_integrands(geom))
     assert abs(out["int_S2_gap"]) <= 1e-9
     assert abs(out["int_AH_gap"]) <= 1e-9
 

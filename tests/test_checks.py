@@ -187,7 +187,7 @@ def stretched_torus(n, r1=1.0, r2=2.0, stretch=0.3):
 class TestIntegralFormulas:
     def test_torus_both_formulas(self):
         geom = compute_geometry(make_builtin("product_torus", n=48, r1=1.0, r2=2.0))
-        out = checks.integral_formula_check(geom)
+        out = checks.integral_formula_check(geom.grid, checks.integral_integrands(geom))
         assert abs(out["int_S2_gap"]) < 1e-9
         assert abs(out["int_AH_gap"]) < 1e-9
         assert np.min(checks.positivity_quantity(geom)) >= -1e-12
@@ -195,7 +195,7 @@ class TestIntegralFormulas:
     def test_requires_doubly_periodic(self):
         geom = compute_geometry(make_builtin("cylinder", n=16, r=1.0))
         with pytest.raises(ValueError):
-            checks.integral_formula_check(geom)
+            checks.integral_formula_check(geom.grid, checks.integral_integrands(geom))
 
     def test_stretched_torus_rows_decay(self):
         gaps = {"integral_stress": [], "integral_shape_operator": []}

@@ -255,6 +255,16 @@ class TestVerify:
         assert res.exit_code == EXIT_NUMERICAL
         assert res.stderr == "numerical failure: immersion degenerate at node (0, 0)\n"
 
+    def test_residual_not_finite_is_numerical_failure(self, runner):
+        # r = 1e-60: |H|^2 = 1e120 and the stress divergence overflows. It
+        # exited 0 with "inf" rows, four false flags and RuntimeWarnings (an
+        # error under this suite's warning filters), on a biconservative sphere.
+        res = runner.invoke(main, ["verify", "--surface", "sphere", "--grid", "16x16",
+                                   "--param", "r=1e-60"])
+        assert res.exit_code == EXIT_NUMERICAL, (res.output, res.exception)
+        assert res.stdout == ""
+        assert res.stderr == "numerical failure: residual stress_divergence not finite\n"
+
     def test_bad_assertion_spec_exit_code(self, runner):
         res = runner.invoke(
             main,

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from biconsurf import report as rp
-from biconsurf.corpus import make_builtin, tabulate
+from biconsurf.ambient import sphere
+from biconsurf.corpus import load_tabulated, make_builtin, tabulate
+from biconsurf.immersion import DegenerateImmersionError, ImmersionJet
 from biconsurf.mu_solver import MuProblem, constant_root, mu_residual, solve_mu
 from biconsurf.grid import build_grid
 
@@ -77,13 +79,15 @@ class TestGeometryReport:
 
 
 class TestWorkCounts:
-    """Each covariant derivative, each |nabla T|^2, |S2|^2, |A_H|^2, the
-    positivity quantity and the biconservativity suite run once per report:
-    nabla S2 and nabla A_H, both with the surface Christoffels of the jet,
-    whether or not the metric is isothermal. The Simons residual, the integral formulas,
-    the Hopf row and the nabla_shape_operator row reuse them, the Simons
-    gate reuses the report's stress-divergence norm; the package has no
-    conformal chart for a report to build."""
+    """On each u-strip of a report, each covariant derivative, each
+    |nabla T|^2, |S2|^2, |A_H|^2, the positivity quantity and the
+    biconservativity suite run once: nabla S2 and nabla A_H, both with the
+    surface Christoffels of the jet, whether or not the metric is
+    isothermal. The Simons residual, the integral formulas, the Hopf row and
+    the nabla_shape_operator row reuse them. Every row is normed once, on the
+    whole grid, and the Simons gate reads the report's stress-divergence
+    norm, with no second norm; the package has no conformal chart for a
+    report to build. Run at one strip and at four."""
 
     @pytest.mark.parametrize(
         "name,params,fd,isothermal,expect",
@@ -97,8 +101,7 @@ class TestWorkCounts:
                                          expect):
         from biconsurf import checks, immersion, tensors
 
-        calls = {"cov": 0, "bicons": 0, "cond1_norm": 0, "nabla_norm": 0, "positivity": 0,
-                 "S2_norm_sq": 0, "AH_norm_sq": 0}
+        calls = {}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -107,15 +110,25 @@ class TestWorkCounts:
 
             return wrapper
 
-        norms = checks.vector_norms
+        vec_norm_sq = immersion.SurfaceGeometry.vec_norm_sq
 
-        def vector_norms(field, geom):
-            if field is vars(geom).get("biconservativity", {}).get("cond1"):
+        def counted_vec_norm_sq(geom, V):
+            # the stress divergence, found by identity with its cached field
+            if V is vars(geom).get("biconservativity", {}).get("cond1"):
                 calls["cond1_norm"] += 1
-            return norms(field, geom)
+            return vec_norm_sq(geom, V)
 
-        monkeypatch.setattr(checks, "vector_norms", vector_norms)
+        monkeypatch.setattr(immersion.SurfaceGeometry, "vec_norm_sq", counted_vec_norm_sq)
+        norms = checks.interior_norms
+        normed_grids = []
 
+        def interior_norms(field, nodes, squared=False):
+            normed_grids.append(nodes.grid)
+            return norms(field, nodes, squared)
+
+        monkeypatch.setattr(checks, "interior_norms", interior_norms)
+        monkeypatch.setattr(checks, "vector_norms", counted("vector_norms", checks.vector_norms))
+        monkeypatch.setattr(rp, "compute_geometry", counted("strips", rp.compute_geometry))
         cov = counted("cov", tensors.cov_derivative_coords)
         monkeypatch.setattr(tensors, "cov_derivative_coords", cov)
         monkeypatch.setattr(immersion, "cov_derivative_coords", cov)
@@ -137,14 +150,100 @@ class TestWorkCounts:
         E, F, G = (np.einsum("...i,...i->...", jet.d1[..., a, :], jet.d1[..., b, :])
                    for a, b in ((0, 0), (0, 1), (1, 1)))
         assert (np.allclose(E, G, rtol=1e-12) and np.allclose(F, 0.0, atol=1e-12)) is isothermal
-        r = rp.build_geometry_report(tabulate(jet) if fd else jet, name)
-        assert "isothermal_chart" not in r.meta
-        assert calls.pop("nabla_norm") <= 2
-        assert calls == {"cov": expect, "bicons": 1, "cond1_norm": 1, "positivity": 1,
-                         "S2_norm_sq": 1, "AH_norm_sq": 1}
-        names = {e.name for e in r.residuals}
-        assert {"stress_norm", "simons", "hopf_holomorphicity"} <= names
-        assert "simons_assumes_biconservative_violated" in r.flags
+        source = tabulate(jet) if fd else jet
+        for strips, rows in ((1, 32), (4, 8)):
+            monkeypatch.setattr(rp, "STRIP_NODES", rows * 32)
+            calls.update(dict.fromkeys(
+                ("strips", "cov", "bicons", "cond1_norm", "nabla_norm", "positivity",
+                 "S2_norm_sq", "AH_norm_sq", "vector_norms"), 0))
+            normed_grids.clear()
+            r = rp.build_geometry_report(source, name)
+            assert "isothermal_chart" not in r.meta
+            assert calls.pop("nabla_norm") <= 2 * strips
+            assert calls == {"strips": strips, "cov": expect * strips, "bicons": strips,
+                             "cond1_norm": strips, "positivity": strips,
+                             "S2_norm_sq": strips, "AH_norm_sq": strips, "vector_norms": 0}
+            assert normed_grids == [source.grid] * len(rp.ROWS)
+            names = {e.name for e in r.residuals}
+            assert {"stress_norm", "simons", "hopf_holomorphicity"} <= names
+            assert r.flags["simons_assumes_biconservative_violated"] == (
+                r.residual("stress_divergence").linf > r.meta["tolerance"])
+
+
+def _torus_in_s3(n, r1=0.6, r2=0.8):
+    """S^1(r1) x S^1(r2) in S^3(1), tabulated: doubly periodic, in a sphere."""
+    grid = build_grid((0.0, 2.0 * np.pi * r1), (0.0, 2.0 * np.pi * r2), n, n, True, True)
+    U, V = grid.mesh()
+    pos = np.stack([r1 * np.cos(U / r1), r1 * np.sin(U / r1),
+                    r2 * np.cos(V / r2), r2 * np.sin(V / r2)], axis=-1)
+    return load_tabulated(grid, pos, sphere(3, 1.0))
+
+
+STRIP_CASES = {
+    # open u
+    "helix": ("helix_line_r4", {"tau": 0.5}),
+    "sphere_polar": ("sphere", {"chart": "polar"}),
+    "graph": ("graph", {}),
+    # periodic u
+    "cylinder": ("cylinder", {"stretch": 0.3}),
+    "sphere_mercator": ("sphere", {}),
+    "torus": ("product_torus", {}),
+}
+
+
+class TestStrips:
+    """A report taken strip by strip is byte for byte the report of one
+    strip, dumped fields included: at the smallest strip the halo allows, and
+    at 4 rows on 25, where strips of a fixed size would leave one row at the
+    open edge."""
+
+    @staticmethod
+    def _json(jet, monkeypatch, rows):
+        monkeypatch.setattr(rp, "STRIP_NODES", rows * jet.grid.nv)
+        return rp.report_to_json(rp.build_geometry_report(jet, "strips", dump_fields=True))
+
+    @pytest.mark.parametrize("fd", [False, True], ids=["analytic", "fd"])
+    @pytest.mark.parametrize("case", sorted(STRIP_CASES))
+    def test_strips_give_the_one_strip_bytes(self, monkeypatch, case, fd):
+        name, params = STRIP_CASES[case]
+        jet = make_builtin(name, n=25, **params)
+        jet = tabulate(jet) if fd else jet
+        one = self._json(jet, monkeypatch, 25)
+        for rows in (rp.HALO, 4):
+            assert self._json(jet, monkeypatch, rows) == one, rows
+
+    def test_sphere_ambient(self, monkeypatch):
+        jet = _torus_in_s3(25)
+        one = self._json(jet, monkeypatch, 25)
+        for rows in (rp.HALO, 4):
+            assert self._json(jet, monkeypatch, rows) == one, rows
+
+    def test_strip_counts(self, monkeypatch):
+        jet = make_builtin("graph", n=25)
+        for rows, owned in ((25, [25]), (12, [12, 13]), (4, [4, 4, 4, 4, 4, 5]),
+                            (rp.HALO, [2] * 11 + [3])):
+            monkeypatch.setattr(rp, "STRIP_NODES", rows * 25)
+            got = [own.stop - own.start if own.stop is not None else 25
+                   for _, _, own in rp._strips(jet)]
+            assert got == owned, rows
+
+    @pytest.mark.parametrize("nodes", [[(17, 5)], [(17, 5), (3, 20)], [(24, 0)], [(9, 11)]],
+                             ids=["halo_row", "two_nodes", "last_strip_edge", "second_strip"])
+    def test_degenerate_node_named_as_with_one_strip(self, monkeypatch, nodes):
+        # d_v X = d_u X at each node: det g = 0 there. Row 17 is a halo row of
+        # the 4-row strip [12, 16) and the 2-row strip [14, 16).
+        jet = make_builtin("helix_line_r4", n=25, tau=0.5)
+        d1 = jet.d1.copy()
+        for i, j in nodes:
+            d1[i, j, 1, :] = d1[i, j, 0, :]
+        bad = ImmersionJet(jet.grid, jet.space, jet.pos, d1, jet.d2, jet.d3, jet.source)
+        messages = set()
+        for rows in (25, 4, rp.HALO):
+            monkeypatch.setattr(rp, "STRIP_NODES", rows * 25)
+            with pytest.raises(DegenerateImmersionError) as err:
+                rp.build_geometry_report(bad)
+            messages.add(str(err.value))
+        assert messages == {"immersion degenerate at node (%d, %d)" % min(nodes)}
 
 
 class TestSerialization:

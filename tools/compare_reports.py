@@ -24,7 +24,11 @@ reaches stdout), the same config under ``--grid``, ``--tol-fd`` and one
 ``--assert-flag``, where assertions fail (exit 2, and the order of the
 failure lines is compared), and a ``solve-mu`` config that sets every
 ``solve-mu`` key but ``output``, ``format`` and ``dump_fields``.
-That is 57 cases.
+Three ``verify`` runs at 256^2 are the only cases that a report takes in
+more than one u-strip (every other grid is within one strip's node budget):
+the analytic helix (open u), the ``--fd-jets`` Mercator sphere (periodic u)
+and the ``--fd-jets --dump-fields`` graph (open u).
+That is 60 cases.
 
 For each case it prints both exit codes, whether stdout is byte-identical,
 the largest |diff| over the numbers in stdout, the largest relative diff
@@ -132,6 +136,10 @@ def cases() -> dict[str, list[str]]:
     out["config_verify_flags"] = ["verify", "--config", "verify_config.json", "--grid", "48x48",
                                   "--tol-fd", "1e-4", "--assert-flag", "ah_parallel=true"]
     out["config_solve_mu"] = ["solve-mu", "--config", "solve_mu_config.json"]
+    strips = ["verify", "--grid", "256x256"]
+    out["strips_helix_an256"] = [*strips, "--surface", "helix_line_r4"]
+    out["strips_sphere_fd256"] = [*strips, "--surface", "sphere", "--fd-jets"]
+    out["strips_graph_fd256"] = [*strips, "--surface", "graph", "--fd-jets", "--dump-fields"]
     return out
 
 
