@@ -17,12 +17,9 @@ and elementwise operations keep that layout in their outputs. Layout
 affects only speed: any strided array, such as a C-ordered one from a
 caller, gives the same values.
 
-A report runs its suite on u-strips of a grid: :meth:`Grid.u_strip` is the
-grid of a run of rows, open in u and with the parent's u spacing bit for
-bit, so that its stencils round as the whole grid's do, and
-:func:`take_rows` takes those rows of a field, a view unless they wrap
-around a periodic u axis. :class:`InteriorNodes` gives the nodes and the
-area that every norm is taken over, for a geometry and for the
+:meth:`Grid.u_strip` and :func:`take_rows` give the u-strips a report runs
+on (see ``report``); :class:`InteriorNodes` gives the nodes and the area
+that every norm is taken over, for a geometry and for the
 :class:`GridInterior` of a whole grid.
 
 :class:`InputError` is the one error for rejected input. It lives here, the
@@ -118,9 +115,7 @@ class Grid:
 
 def node_array(grid: Grid, comps: tuple[int, ...] = ()) -> np.ndarray:
     """Zero field of logical shape ``grid.shape + comps`` with the node axes
-    innermost in memory: a view of a C-ordered ``comps + grid.shape`` buffer.
-    It is a plain transpose: ``np.moveaxis`` spent longer checking its axes
-    than zeroing a strip's field."""
+    innermost in memory: a view of a C-ordered ``comps + grid.shape`` buffer."""
     k = len(comps)
     return np.zeros(tuple(comps) + grid.shape).transpose(k, k + 1, *range(k))
 
@@ -152,19 +147,15 @@ class GridInterior(InteriorNodes):
 
 
 def take_rows(a: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Rows ``lo`` .. ``hi - 1`` of a node field along u, taken mod nu: a view
-    where they do not wrap, else a copy in the memory order of ``a``."""
+    """Rows ``lo`` .. ``hi - 1`` of a node field along u, at most nu of them,
+    taken mod nu: a view where they do not wrap, else a copy in the memory
+    order of ``a``. (``np.take`` would first copy all of a field in node
+    layout to C order.)"""
     nu = a.shape[0]
     if 0 <= lo and hi <= nu:
         return a[lo:hi]
     out = np.empty_like(a, shape=(hi - lo,) + a.shape[1:])
-    i = lo
-    while i < hi:  # one slice per period of u that the rows reach into
-        start = i - i % nu
-        j = min(hi, start + nu)
-        out[i - lo:j - lo] = a[i - start:j - start]
-        i = j
-    return out
+    return np.concatenate((a[lo % nu:], a[:hi - nu if hi > nu else hi]), out=out)
 
 
 def build_grid(u_bounds, v_bounds, nu, nv, periodic_u=False, periodic_v=False) -> Grid:

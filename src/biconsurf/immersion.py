@@ -354,8 +354,10 @@ def trace_RN_H(geom: SurfaceGeometry) -> np.ndarray:
     return tangent_coords(geom.jet, geom.ginv, np.einsum("...ab,...abk->...k", geom.ginv, R))
 
 
-def compute_geometry(jet: ImmersionJet) -> SurfaceGeometry:
-    g, det = induced_metric(jet)
+def compute_geometry(jet: ImmersionJet, metric=None) -> SurfaceGeometry:
+    """The geometry of a jet; ``metric``, if given, is its (g, det g), as
+    :func:`induced_metric` gave them, and is not checked again."""
+    g, det = induced_metric(jet) if metric is None else metric
     ginv = node_array(jet.grid, (2, 2))  # adj g / det g
     ginv[..., 0, 0] = g[..., 1, 1] / det
     ginv[..., 1, 1] = g[..., 0, 0] / det

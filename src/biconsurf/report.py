@@ -10,21 +10,9 @@ dumped field is written as its exact bytes: ``{"dtype": "<f8", "shape":
 base64-encoded, so every bit (NaN payloads, signed zeros, subnormals) is
 kept.
 
-A geometry report is taken strip by strip. Every row is a pointwise
-expression in the jet with at most two nested finite differences along u
-(the Simons divergence of S2 grad|H|^2), so a node's value depends only on
-the rows within HALO = 2 of it. ``build_geometry_report`` runs the
-unchanged ``compute_geometry`` and checks on u-strips of about STRIP_NODES
-nodes, each a view of the jet's rows widened by a HALO-row halo: wrapped,
-and copied, on a periodic u axis; cut at an open edge, whose one-sided
-stencils are then the grid's own. A strip writes only its own rows into node
-fields of the whole grid (the fields that a row norms, the integrands of
-both integral formulas and the summary and dump fields), and every norm,
-integral, extremum and flag is then taken once, on those fields: the report
-is the one-strip report, byte for byte. A strip's temporaries stay in a
-2 MB L2 cache, where those of the whole grid streamed through it, and the
-heap no longer has to grow back for each of them. Per-layer call counts grow with the number of strips, by
-design, and the stencils' bytes by the halo share.
+A geometry report runs its suite on u-strips of the grid and takes every
+norm once on the whole grid (:func:`build_geometry_report`; the README's
+"Performance" section says why).
 """
 
 from __future__ import annotations
@@ -45,13 +33,17 @@ from .tensors import codazzi_defect_coords
 # binding; ROADMAP item 7 drops that patch point, and then this import.
 from .tensors import holomorphicity_residual  # noqa: F401
 
-# Nodes in one u-strip of a report: 32 rows at 256^2. A strip's temporaries
-# then stay in a 2 MB L2 cache, and none is large enough for the allocator
-# to map it fresh, and fault its pages in, on every operation (at 64 rows,
-# some were; 32 rows measured faster than 48 and 64).
+# Nodes in one u-strip of a report: 32 rows at 256^2, whose temporaries stay
+# in a 2 MB L2 cache and are small enough for the allocator to reuse (32 rows
+# measured faster than 48 and 64).
 STRIP_NODES = 1 << 13
-# Halo rows on each side of a strip: the deepest nesting of finite
-# differences along u in the suite, the Simons divergence of S2 grad|H|^2.
+# A grid of fewer strips than this is taken whole, as one strip: below about
+# 224^2 the fixed cost of each strip and its halo rows outweighs what the
+# cache saves (measured from 128^2 to 256^2; see the README).
+MIN_STRIPS = 6
+# Halo rows on each side of a strip: every row is pointwise in the jet with
+# at most two nested finite differences along u (the Simons divergence of
+# S2 grad|H|^2), so a node depends only on the rows within HALO of it.
 HALO = 2
 
 # default residual tolerances by jet source, which every command reads
@@ -122,70 +114,108 @@ def _grid_meta(grid: Grid) -> dict:
     return {k: getattr(grid, k) for k in keys}
 
 
-def _strips(jet: ImmersionJet):
-    """(sub-jet, its strip's rows of the whole grid, the same rows of the
-    sub-jet) for each u-strip of about STRIP_NODES nodes and at least HALO
-    rows; a grid within the budget is one strip, the jet itself."""
-    grid = jet.grid
-    n = grid.nu // max(STRIP_NODES // grid.nv, HALO)
-    if n < 2:
-        yield jet, slice(None), slice(None)
-        return
-    cuts = [k * grid.nu // n for k in range(n + 1)]
-    for lo, hi in zip(cuts, cuts[1:]):
-        a, b = lo - HALO, hi + HALO
-        if not grid.periodic_u:  # cut at the edge: its one-sided stencils are the grid's
-            a, b = max(a, 0), min(b, grid.nu)
-        arrays = (None if x is None else take_rows(x, a, b)
-                  for x in (jet.pos, jet.d1, jet.d2, jet.d3))
-        yield (ImmersionJet(grid.u_strip(a, b), jet.space, *arrays, source=jet.source),
-               slice(lo, hi), slice(lo - a, hi - a))
+def _vec_row(key):
+    return lambda geom: geom.vec_norm_sq(geom.biconservativity[key])
 
 
-# (row, whether its field is a squared norm), in report order; the
-# biconservativity rows name their geom.biconservativity key
-VECTOR_ROWS = (
-    ("stress_divergence", "cond1"),
-    ("trace_balance", "cond2"),
-    ("gradient_trace_balance", "cond3"),
-    ("codazzi_trace_balance", "cond4"),
-    ("divergence_route_gap", "divergence_route_gap"),
-    ("trace_nabla_identity", "trace_identity"),
-    ("grad_mean_curvature_sq", "grad_Hsq"),
+# (row, whether its field is a squared norm, its node field on a geometry),
+# in report order
+ROWS = (
+    ("stress_divergence", True, _vec_row("cond1")),
+    ("trace_balance", True, _vec_row("cond2")),
+    ("gradient_trace_balance", True, _vec_row("cond3")),
+    ("codazzi_trace_balance", True, _vec_row("cond4")),
+    ("divergence_route_gap", True, _vec_row("divergence_route_gap")),
+    ("trace_nabla_identity", True, _vec_row("trace_identity")),
+    ("grad_mean_curvature_sq", True, _vec_row("grad_Hsq")),
+    ("nabla_shape_operator", True, lambda geom: geom.nabla_AH_norm_sq),
+    ("normal_derivative_H", True, lambda geom: np.einsum(
+        "...ab,...ab->...", geom.ginv,
+        np.einsum("...am,...bm->...ab", geom.dperpH, geom.dperpH))),
+    ("stress_trace", False,
+     lambda geom: geom.S2[..., 0, 0] + geom.S2[..., 1, 1] - 4.0 * geom.Hsq),
+    ("eigenvalue_sum", False, lambda geom: np.add(*geom.principal[:2]) - 2.0 * geom.Hsq),
+    ("stress_norm", False,
+     lambda geom: geom.S2_norm_sq - 16.0 * geom.AH_norm_sq + 24.0 * geom.Hsq**2),
+    ("hopf_holomorphicity", True, lambda geom: geom.vec_norm_sq(checks.hopf_residual(geom))),
+    # the Simons gate needs the stress divergence of the whole grid: the
+    # report takes it from that row
+    ("simons", False, lambda geom: checks.simons_residual(geom, bicons_linf=0.0)[0]),
+    ("codazzi_defect", True,
+     lambda geom: geom.vec_norm_sq(codazzi_defect_coords(geom.nabla_AH))),
+    ("positivity_deficit", False,
+     lambda geom: np.maximum(-checks.positivity_quantity(geom), 0.0)),
 )
-ROWS = tuple((name, True) for name, _ in VECTOR_ROWS) + (
-    ("nabla_shape_operator", True), ("normal_derivative_H", True), ("stress_trace", False),
-    ("eigenvalue_sum", False), ("stress_norm", False), ("hopf_holomorphicity", True),
-    ("simons", False), ("codazzi_defect", True), ("positivity_deficit", False),
+# the node fields of the summaries, the dump and the norms' area element;
+# a block of several strips keeps the pseudoumbilical mask as 0.0 and 1.0,
+# whose mean is the same
+SUMMARY_FIELDS = (
+    ("Hsq", lambda geom: geom.Hsq),
+    ("K", lambda geom: geom.K),
+    ("lambda1", lambda geom: geom.principal[0]),
+    ("lambda2", lambda geom: geom.principal[1]),
+    ("mu", lambda geom: geom.principal[2]),
+    ("pu_mask", lambda geom: geom.principal[3]),
+    ("area_element", lambda geom: geom.area_element),
 )
-# the node fields of the summaries and the dump; the pseudoumbilical mask is
-# kept as 0.0 and 1.0, whose mean is the same
-SUMMARY_FIELDS = ("Hsq", "K", "lambda1", "lambda2", "mu", "pu_mask")
 
 
 def _node_fields(geom, integrals: bool):
     """(key, node field) of every row, integrand and summary of a report, on
-    one strip; each field is dropped once its rows are copied out."""
-    res = geom.biconservativity
-    for name, key in VECTOR_ROWS:
-        yield name, geom.vec_norm_sq(res[key])
-    yield "nabla_shape_operator", geom.nabla_AH_norm_sq
-    yield "normal_derivative_H", np.einsum(
-        "...ab,...ab->...", geom.ginv,
-        np.einsum("...am,...bm->...ab", geom.dperpH, geom.dperpH))
-    yield "stress_trace", geom.S2[..., 0, 0] + geom.S2[..., 1, 1] - 4.0 * geom.Hsq
-    lam1, lam2, mu, pu_mask = geom.principal
-    yield "eigenvalue_sum", np.add(lam1, lam2) - 2.0 * geom.Hsq
-    yield "stress_norm", geom.S2_norm_sq - 16.0 * geom.AH_norm_sq + 24.0 * geom.Hsq**2
-    yield "hopf_holomorphicity", geom.vec_norm_sq(checks.hopf_residual(geom))
-    # the Simons gate needs the stress divergence of the whole grid: the
-    # report takes it from that row
-    yield "simons", checks.simons_residual(geom, bicons_linf=0.0)[0]
-    yield "codazzi_defect", geom.vec_norm_sq(codazzi_defect_coords(geom.nabla_AH))
-    yield "positivity_deficit", np.maximum(-checks.positivity_quantity(geom), 0.0)
+    one geometry, computed as they are asked for."""
+    for name, _, fn in ROWS:
+        yield name, fn(geom)
     if integrals:
         yield from checks.integral_integrands(geom).items()
-    yield from zip(SUMMARY_FIELDS, (geom.Hsq, geom.K, lam1, lam2, mu, pu_mask))
+    for name, fn in SUMMARY_FIELDS:
+        yield name, fn(geom)
+
+
+def _cuts(grid: Grid) -> list:
+    """Row cuts of a grid's u-strips, of about STRIP_NODES nodes and at least
+    HALO rows each, or [0, nu] for fewer than MIN_STRIPS; ``k nu // n``, so
+    no short strip is left at an edge. On a periodic u axis the cuts are
+    moved up by HALO, so that only the last strip, which runs past nu, wraps
+    around and is copied."""
+    n = grid.nu // max(STRIP_NODES // grid.nv, HALO)
+    if n < MIN_STRIPS:
+        return [0, grid.nu]
+    shift = HALO if grid.periodic_u else 0
+    return [shift + k * grid.nu // n for k in range(n + 1)]
+
+
+def _report_fields(jet: ImmersionJet, metric, integrals: bool):
+    """(the nodes a norm is taken over, an iterator of each (key, node field)
+    of :func:`_node_fields` on the whole grid). A grid of one strip is the
+    jet's own geometry, whose fields come as they are asked for. On several,
+    each strip is a sub-jet of its rows and HALO rows on each side, wrapped
+    on a periodic u axis and cut at an open edge, whose one-sided stencils
+    are then the grid's; it writes only its own rows of each field."""
+    grid, cuts = jet.grid, _cuts(jet.grid)
+    if len(cuts) == 2:
+        geom = compute_geometry(jet, metric)
+        return geom, _node_fields(geom, integrals)
+    # One block holds every field of the whole grid: a field apiece, freed
+    # at the end of each report, had the heap shrink and grow back (about
+    # 4,000 page faults per 256^2 report).
+    count = len(ROWS) + len(SUMMARY_FIELDS) + integrals * len(checks.INTEGRANDS)
+    slots, full = iter(np.empty((count,) + grid.shape)), {}
+    for lo, hi in zip(cuts, cuts[1:]):
+        a, b = lo - HALO, hi + HALO
+        if not grid.periodic_u:
+            a, b = max(a, 0), min(b, grid.nu)
+        rows = [None if x is None else take_rows(x, a, b)
+                for x in (jet.pos, jet.d1, jet.d2, jet.d3, *metric)]
+        geom = compute_geometry(
+            ImmersionJet(grid.u_strip(a, b), jet.space, *rows[:4], source=jet.source), rows[4:])
+        m = min(hi, grid.nu)  # a strip past nu owns rows 0 .. hi - nu - 1 too
+        for key, f in _node_fields(geom, integrals):
+            if key not in full:
+                full[key] = next(slots)
+            full[key][lo:m] = f[lo - a:m - a]
+            if hi > m:
+                full[key][:hi - m] = f[m - a:hi - a]
+    return GridInterior(grid, geom.boundary_margin, full["area_element"]), iter(full.items())
 
 
 def build_geometry_report(
@@ -197,31 +227,18 @@ def build_geometry_report(
 ) -> GeometryReport:
     """Run the full residual suite on an immersion and collect the results.
 
-    The suite runs on one u-strip of the grid at a time (:func:`_strips`),
-    each strip writing its rows of every field that a row norms, integrates
-    or sums up into a node field of the whole grid; every norm, integral,
-    extremum and flag is then taken once, on those fields."""
+    The suite runs on u-strips of the grid (:func:`_report_fields`), and
+    every norm, integral, extremum and flag is then taken once, on the node
+    fields of the whole grid."""
     grid = jet.grid
     tol = tol_analytic if jet.source == "analytic" else tol_fd
-    # a bad metric is named at its first node of the whole grid, not of a strip
-    area_element = np.sqrt(induced_metric(jet)[1])
-    # One block holds every field of the whole grid: a field apiece, freed
-    # at the end of each report, had the heap shrink and grow back (about
-    # 4,000 page faults per 256^2 report).
-    count = len(ROWS) + len(SUMMARY_FIELDS) + grid.doubly_periodic * len(checks.INTEGRANDS)
-    slots, full = iter(np.empty((count,) + grid.shape)), {}
     # floating-point exceptions are dealt with by value: a row that is not
-    # finite raises below
+    # finite raises below. The metric is checked on the whole grid, so a bad
+    # one is named at its first node of the grid, not of a strip.
+    metric = induced_metric(jet)
+    squared = {name: sq for name, sq, _ in ROWS}
     with np.errstate(all="ignore"):
-        for sub, rows, own in _strips(jet):
-            geom = compute_geometry(sub)
-            for key, f in _node_fields(geom, grid.doubly_periodic):
-                if key not in full:
-                    full[key] = next(slots)
-                full[key][rows] = f[own]
-            margin = geom.boundary_margin
-            del f, geom
-        nodes = GridInterior(grid, margin, area_element)
+        nodes, fields = _report_fields(jet, metric, grid.doubly_periodic)
         rep = GeometryReport({
             "surface": surface_label,
             "jet_source": jet.source,
@@ -229,10 +246,14 @@ def build_geometry_report(
             "grid": _grid_meta(grid),
             "tolerance": tol,
             # FD-jet norms skip the one-sided stencil bands at open boundaries
-            "boundary_margin": margin,
+            "boundary_margin": nodes.boundary_margin,
         })
-        for name, squared in ROWS:
-            rep.add(name, *checks.interior_norms(full.pop(name), nodes, squared=squared))
+        full = {}  # the integrands and the summary fields
+        for key, f in fields:  # on one strip, a row's field is dropped once normed
+            if key in squared:
+                rep.add(key, *checks.interior_norms(f, nodes, squared=squared[key]))
+            else:
+                full[key] = f
         if grid.doubly_periodic:
             integ = checks.integral_formula_check(grid, full)
             rep.add("integral_shape_operator", abs(integ["int_AH_gap"]), abs(integ["int_AH_gap"]))

@@ -87,7 +87,7 @@ class TestWorkCounts:
     the nabla_shape_operator row reuse them. Every row is normed once, on the
     whole grid, and the Simons gate reads the report's stress-divergence
     norm, with no second norm; the package has no conformal chart for a
-    report to build. Run at one strip and at four."""
+    report to build. Run at one strip and at eight."""
 
     @pytest.mark.parametrize(
         "name,params,fd,isothermal,expect",
@@ -151,7 +151,7 @@ class TestWorkCounts:
                    for a, b in ((0, 0), (0, 1), (1, 1)))
         assert (np.allclose(E, G, rtol=1e-12) and np.allclose(F, 0.0, atol=1e-12)) is isothermal
         source = tabulate(jet) if fd else jet
-        for strips, rows in ((1, 32), (4, 8)):
+        for strips, rows in ((1, 32), (8, 4)):
             monkeypatch.setattr(rp, "STRIP_NODES", rows * 32)
             calls.update(dict.fromkeys(
                 ("strips", "cov", "bicons", "cond1_norm", "nabla_norm", "positivity",
@@ -219,13 +219,17 @@ class TestStrips:
             assert self._json(jet, monkeypatch, rows) == one, rows
 
     def test_strip_counts(self, monkeypatch):
-        jet = make_builtin("graph", n=25)
-        for rows, owned in ((25, [25]), (12, [12, 13]), (4, [4, 4, 4, 4, 4, 5]),
-                            (rp.HALO, [2] * 11 + [3])):
-            monkeypatch.setattr(rp, "STRIP_NODES", rows * 25)
-            got = [own.stop - own.start if own.stop is not None else 25
-                   for _, _, own in rp._strips(jet)]
-            assert got == owned, rows
+        # two strips of 12 rows are fewer than MIN_STRIPS: one strip; on a
+        # periodic u axis the cuts are moved up by HALO
+        assert rp.MIN_STRIPS == 6
+        for name, shift in (("graph", 0), ("cylinder", rp.HALO)):
+            grid = make_builtin(name, n=25).grid
+            for rows, owned in ((25, [25]), (12, [25]), (4, [4, 4, 4, 4, 4, 5]),
+                                (rp.HALO, [2] * 11 + [3])):
+                monkeypatch.setattr(rp, "STRIP_NODES", rows * 25)
+                cuts = rp._cuts(grid)
+                assert np.diff(cuts).tolist() == owned, (name, rows)
+                assert cuts[0] == (shift if len(owned) > 1 else 0), (name, rows)
 
     @pytest.mark.parametrize("nodes", [[(17, 5)], [(17, 5), (3, 20)], [(24, 0)], [(9, 11)]],
                              ids=["halo_row", "two_nodes", "last_strip_edge", "second_strip"])
