@@ -195,9 +195,9 @@ def _report_fields(jet: ImmersionJet, metric, integrals: bool):
     if len(cuts) == 2:
         geom = compute_geometry(jet, metric)
         return geom, _node_fields(geom, integrals)
-    # One block holds every field of the whole grid: a field apiece, freed
-    # at the end of each report, had the heap shrink and grow back (about
-    # 4,000 page faults per 256^2 report).
+    # One block holds every field of the whole grid: with a field apiece,
+    # each freed at the end of a report, the heap shrinks and grows back
+    # (about 4,000 page faults per 256^2 report).
     count = len(ROWS) + len(SUMMARY_FIELDS) + integrals * len(checks.INTEGRANDS)
     slots, full = iter(np.empty((count,) + grid.shape)), {}
     for lo, hi in zip(cuts, cuts[1:]):

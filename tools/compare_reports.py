@@ -25,7 +25,8 @@ reaches stdout), the same config under ``--grid``, ``--tol-fd`` and one
 failure lines is compared), and a ``solve-mu`` config that sets every
 ``solve-mu`` key but ``output``, ``format`` and ``dump_fields``.
 Three ``verify`` runs at 256^2 are the only cases that a report takes in
-more than one u-strip (every other grid is within one strip's node budget):
+more than one u-strip (every other grid is too small to split, with fewer
+than ``report.MIN_STRIPS`` strips):
 the analytic helix (open u), the ``--fd-jets`` Mercator sphere (periodic u)
 and the ``--fd-jets --dump-fields`` graph (open u).
 That is 60 cases.
