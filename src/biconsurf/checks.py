@@ -7,7 +7,9 @@ of the whole grid whoever asks: a geometry's own, or the report's, whose
 fields are put together strip by strip. "Analytic" jets put them at
 round-off, finite difference jets at O(h^2). Every check runs in the
 coordinates of the jet, with the operators of ``SurfaceGeometry``; none
-needs an isothermal chart.
+needs an isothermal chart. No check here decides a report's verdict: each
+flag is read off its row in ``report.FLAGS``, and the Simons gate is
+``not is_biconservative``.
 """
 
 from __future__ import annotations
@@ -124,8 +126,7 @@ def equivalence_matrix(
     return {"residuals": residuals, "implications": implications, "all_implications_hold": ok}
 
 
-def simons_residual(geom: SurfaceGeometry, bicons_tol: float = 1e-6,
-                    bicons_linf: float | None = None):
+def simons_residual(geom: SurfaceGeometry) -> np.ndarray:
     """Pointwise residual of the Simons-type identity for S2, in the
     coordinates of the jet:
 
@@ -139,15 +140,10 @@ def simons_residual(geom: SurfaceGeometry, bicons_tol: float = 1e-6,
     as the chart stencil did, where one Laplacian of |S2|^2 - tau^4 moves
     the round-off by up to 4e-12.
 
-    Valid only on biconservative input; if the surface fails the
-    biconservativity residual at ``bicons_tol`` the result is flagged, not
-    rejected. ``bicons_linf`` is the L-inf of the stress divergence
-    (``vector_norms`` of ``cond1``) when the caller has already taken it; a
-    report, which takes it on the whole grid after its strips, gates the
-    result itself and passes 0.
+    Valid only on biconservative input. The field is returned whatever the
+    surface; a report gates it on its own stress-divergence row, as the flag
+    ``simons_assumes_biconservative_violated``.
     """
-    if bicons_linf is None:
-        _, bicons_linf = vector_norms(geom.biconservativity["cond1"], geom)
     tau4 = (4.0 * geom.Hsq) ** 2
     out = geom.laplacian(geom.S2_norm_sq)
     out -= geom.laplacian(tau4)
@@ -157,7 +153,7 @@ def simons_residual(geom: SurfaceGeometry, bicons_tol: float = 1e-6,
     out -= geom.div_vector(np.einsum("...ij,...j->...i", geom.S2, 4.0 * geom.grad_Hsq))
     out -= 16.0 * geom.grad_Hsq_norm_sq
     out += geom.nabla_S2_norm_sq
-    return out, bool(bicons_linf > bicons_tol)
+    return out
 
 
 def positivity_quantity(geom: SurfaceGeometry) -> np.ndarray:

@@ -431,20 +431,6 @@ def solve_mu_cmd(config_path, **flags):
         sys.exit(EXIT_NUMERICAL)
 
 
-# residuals of identities that hold in the continuum; orders estimated on these
-CONVERGENCE_RESIDUALS = (
-    "stress_divergence",
-    "trace_balance",
-    "gradient_trace_balance",
-    "codazzi_trace_balance",
-    "divergence_route_gap",
-    "trace_nabla_identity",
-    "stress_trace",
-    "stress_norm",
-    "simons",
-    "codazzi_defect",
-)
-
 EXACT_FLOOR = 1e-13
 
 
@@ -483,9 +469,9 @@ def convergence(config_path, **flags):
 
 
 def run_convergence(name: str, params: dict, n0: int, levels: int, fd_jets: bool) -> dict:
-    """Residual L-inf per refinement level plus decay-order estimates; bad
-    builtin parameters raise InputError."""
-    per_level = []
+    """Residual L-inf per refinement level plus decay-order estimates, on the
+    rows that ``report.ROWS`` marks; bad builtin parameters raise InputError."""
+    series = {row: [] for row, _, order, _ in report_mod.ROWS if order}
     hs = []
     for level in range(levels):
         n = n0 * 2**level
@@ -494,21 +480,13 @@ def run_convergence(name: str, params: dict, n0: int, levels: int, fd_jets: bool
             jet = corpus.tabulate(jet)
         rep = report_mod.build_geometry_report(jet, surface_label=name)
         hs.append(jet.grid.hu)
-        per_level.append(
-            {r.name: r.linf for r in rep.residuals if r.name in CONVERGENCE_RESIDUALS}
-        )
-    out = {"surface": name, "fd_jets": fd_jets, "h": hs, "residuals": {}, "orders": {}}
-    for key in per_level[0]:
-        series = [lvl[key] for lvl in per_level if key in lvl]
-        if len(series) < levels:
-            continue
-        out["residuals"][key] = series
-        orders = [estimate_order(series[i], series[i + 1]) for i in range(levels - 1)]
-        if all(o == "exact" for o in orders):
-            out["orders"][key] = "exact"
-        else:
-            out["orders"][key] = orders
-    return out
+        for row, linf in series.items():
+            linf.append(rep.residual(row).linf)
+    orders = {}
+    for row, linf in series.items():
+        steps = [estimate_order(a, b) for a, b in zip(linf, linf[1:])]
+        orders[row] = "exact" if all(o == "exact" for o in steps) else steps
+    return {"surface": name, "fd_jets": fd_jets, "h": hs, "residuals": series, "orders": orders}
 
 
 if __name__ == "__main__":

@@ -13,6 +13,11 @@ kept.
 A geometry report runs its suite on u-strips of the grid and takes every
 norm once on the whole grid (:func:`build_geometry_report`; the README's
 "Performance" section says why).
+
+This module owns every per-row decision: ``ROWS`` says how each row is
+normed and whether ``convergence`` takes its decay order, and ``FLAGS``
+names the row each flag reads. ``simons_assumes_biconservative_violated``,
+the gate of the Simons row, is ``not is_biconservative``.
 """
 
 from __future__ import annotations
@@ -118,33 +123,41 @@ def _vec_row(key):
     return lambda geom: geom.vec_norm_sq(geom.biconservativity[key])
 
 
-# (row, whether its field is a squared norm, its node field on a geometry),
-# in report order
+# (row, whether its field is a squared norm, whether `convergence` estimates
+# its decay order, its node field on a geometry), in report order
 ROWS = (
-    ("stress_divergence", True, _vec_row("cond1")),
-    ("trace_balance", True, _vec_row("cond2")),
-    ("gradient_trace_balance", True, _vec_row("cond3")),
-    ("codazzi_trace_balance", True, _vec_row("cond4")),
-    ("divergence_route_gap", True, _vec_row("divergence_route_gap")),
-    ("trace_nabla_identity", True, _vec_row("trace_identity")),
-    ("grad_mean_curvature_sq", True, _vec_row("grad_Hsq")),
-    ("nabla_shape_operator", True, lambda geom: geom.nabla_AH_norm_sq),
-    ("normal_derivative_H", True, lambda geom: np.einsum(
+    ("stress_divergence", True, True, _vec_row("cond1")),
+    ("trace_balance", True, True, _vec_row("cond2")),
+    ("gradient_trace_balance", True, True, _vec_row("cond3")),
+    ("codazzi_trace_balance", True, True, _vec_row("cond4")),
+    ("divergence_route_gap", True, True, _vec_row("divergence_route_gap")),
+    ("trace_nabla_identity", True, True, _vec_row("trace_identity")),
+    ("grad_mean_curvature_sq", True, False, _vec_row("grad_Hsq")),
+    ("nabla_shape_operator", True, False, lambda geom: geom.nabla_AH_norm_sq),
+    ("normal_derivative_H", True, False, lambda geom: np.einsum(
         "...ab,...ab->...", geom.ginv,
         np.einsum("...am,...bm->...ab", geom.dperpH, geom.dperpH))),
-    ("stress_trace", False,
+    ("stress_trace", False, True,
      lambda geom: geom.S2[..., 0, 0] + geom.S2[..., 1, 1] - 4.0 * geom.Hsq),
-    ("eigenvalue_sum", False, lambda geom: np.add(*geom.principal[:2]) - 2.0 * geom.Hsq),
-    ("stress_norm", False,
+    ("eigenvalue_sum", False, False, lambda geom: np.add(*geom.principal[:2]) - 2.0 * geom.Hsq),
+    ("stress_norm", False, True,
      lambda geom: geom.S2_norm_sq - 16.0 * geom.AH_norm_sq + 24.0 * geom.Hsq**2),
-    ("hopf_holomorphicity", True, lambda geom: geom.vec_norm_sq(checks.hopf_residual(geom))),
-    # the Simons gate needs the stress divergence of the whole grid: the
-    # report takes it from that row
-    ("simons", False, lambda geom: checks.simons_residual(geom, bicons_linf=0.0)[0]),
-    ("codazzi_defect", True,
+    ("hopf_holomorphicity", True, False,
+     lambda geom: geom.vec_norm_sq(checks.hopf_residual(geom))),
+    # valid on biconservative input only: simons_assumes_biconservative_violated
+    # gates it. Looked up in checks when called, so a patched binding is run.
+    ("simons", False, True, lambda geom: checks.simons_residual(geom)),
+    ("codazzi_defect", True, True,
      lambda geom: geom.vec_norm_sq(codazzi_defect_coords(geom.nabla_AH))),
-    ("positivity_deficit", False,
+    ("positivity_deficit", False, False,
      lambda geom: np.maximum(-checks.positivity_quantity(geom), 0.0)),
+)
+# (flag, the row whose L-inf within the tolerance it states), in report order
+FLAGS = (
+    ("is_cmc", "grad_mean_curvature_sq"),
+    ("is_biconservative", "stress_divergence"),
+    ("is_pmc", "normal_derivative_H"),
+    ("ah_parallel", "nabla_shape_operator"),
 )
 # the node fields of the summaries, the dump and the norms' area element;
 # a block of several strips keeps the pseudoumbilical mask as 0.0 and 1.0,
@@ -163,7 +176,7 @@ SUMMARY_FIELDS = (
 def _node_fields(geom, integrals: bool):
     """(key, node field) of every row, integrand and summary of a report, on
     one geometry, computed as they are asked for."""
-    for name, _, fn in ROWS:
+    for name, *_, fn in ROWS:
         yield name, fn(geom)
     if integrals:
         yield from checks.integral_integrands(geom).items()
@@ -236,7 +249,7 @@ def build_geometry_report(
     # finite raises below. The metric is checked on the whole grid, so a bad
     # one is named at its first node of the grid, not of a strip.
     metric = induced_metric(jet)
-    squared = {name: sq for name, sq, _ in ROWS}
+    squared = {name: sq for name, sq, *_ in ROWS}
     with np.errstate(all="ignore"):
         nodes, fields = _report_fields(jet, metric, grid.doubly_periodic)
         rep = GeometryReport({
@@ -264,8 +277,10 @@ def build_geometry_report(
         if not (math.isfinite(r.l2) and math.isfinite(r.linf)):
             raise FloatingPointError(f"residual {r.name} not finite")
 
-    bicons_linf = rep.residual("stress_divergence").linf
-    rep.flags["simons_assumes_biconservative_violated"] = bool(bicons_linf > tol)
+    # every row is finite here, so a flag is false exactly past the tolerance
+    flags = {flag: rep.residual(row).linf <= tol for flag, row in FLAGS}
+    rep.flags = {"simons_assumes_biconservative_violated": not flags["is_biconservative"],
+                 **flags}
     Hsq, K = full["Hsq"], full["K"]
     rep.summaries = {
         "H_min": float(np.sqrt(np.min(Hsq))),
@@ -280,13 +295,6 @@ def build_geometry_report(
         "K_max": float(np.max(K)),
         "pseudoumbilical_fraction": float(np.mean(full["pu_mask"])),
     }
-    rep.flags.update({
-        "is_cmc": rep.residual("grad_mean_curvature_sq").linf <= tol,
-        "is_biconservative": bicons_linf <= tol,
-        "is_pmc": rep.residual("normal_derivative_H").linf <= tol,
-        "ah_parallel": rep.residual("nabla_shape_operator").linf <= tol,
-    })
-
     if dump_fields:
         rep.fields = {key: full[key] for key in ("Hsq", "K", "lambda1", "lambda2", "mu")}
     return rep

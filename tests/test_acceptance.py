@@ -123,9 +123,10 @@ def test_a4_simons_identity():
     worst = 0.0
     for name, params in [("sphere", {"r": 1.0}), ("cylinder", {"r": 1.0}),
                          ("helix_line_r4", {"k": 1.0, "tau": 0.5})]:
-        geom = compute_geometry(make_builtin(name, n=64, **params))
-        field, flagged = checks.simons_residual(geom)
-        assert not flagged
+        jet = make_builtin(name, n=64, **params)
+        assert not rp.build_geometry_report(jet, name).flags[
+            "simons_assumes_biconservative_violated"]
+        field = checks.simons_residual(compute_geometry(jet))
         linf = float(np.max(np.abs(field)))
         assert linf <= 1e-9, name
         worst = max(worst, linf)

@@ -944,6 +944,31 @@ class TestConvergence:
         assert res.stderr == "config error: convergence needs a builtin surface, got ['cylinder']\n"
 
 
+def test_emitted_row_and_flag_order(runner):
+    """``report.ROWS`` and ``report.FLAGS`` fix what a report and a
+    convergence table write, and in which order: the lists below are the
+    outputs these tables replaced, literally."""
+    rep = runner.invoke(main, ["verify", "--surface", "product_torus", "--grid", "16x16"])
+    assert rep.exit_code == 0, rep.output
+    doc = json.loads(rep.output)
+    assert [r["name"] for r in doc["residuals"]] == [
+        "stress_divergence", "trace_balance", "gradient_trace_balance", "codazzi_trace_balance",
+        "divergence_route_gap", "trace_nabla_identity", "grad_mean_curvature_sq",
+        "nabla_shape_operator", "normal_derivative_H", "stress_trace", "eigenvalue_sum",
+        "stress_norm", "hopf_holomorphicity", "simons", "codazzi_defect", "positivity_deficit",
+        "integral_shape_operator", "integral_stress"]
+    assert list(doc["flags"]) == ["simons_assumes_biconservative_violated", "is_cmc",
+                                  "is_biconservative", "is_pmc", "ah_parallel"]
+    conv = runner.invoke(main, ["convergence", "--surface", "cylinder", "--grid", "8x8",
+                                "--param", "stretch=0.3"])
+    assert conv.exit_code == 0, conv.output
+    table = json.loads(conv.output)
+    rows = ["stress_divergence", "trace_balance", "gradient_trace_balance",
+            "codazzi_trace_balance", "divergence_route_gap", "trace_nabla_identity",
+            "stress_trace", "stress_norm", "simons", "codazzi_defect"]
+    assert list(table["residuals"]) == list(table["orders"]) == rows
+
+
 def _meta(*keys):
     """A reader of the report's ``meta`` entry at ``keys``."""
     def read(res, cwd):
