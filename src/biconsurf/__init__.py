@@ -14,7 +14,7 @@ flat stencils), :mod:`biconsurf.kernels` (difference stencil),
 from .ambient import Ambient, euclidean, sphere
 from .grid import Grid, build_grid
 from .immersion import ImmersionJet, SurfaceGeometry, compute_geometry
-from .corpus import make_builtin, default_grid
+from .corpus import make_builtin, default_grid, tabulate
 from .report import GeometryReport, build_geometry_report
 
 __all__ = [
@@ -28,6 +28,7 @@ __all__ = [
     "compute_geometry",
     "make_builtin",
     "default_grid",
+    "tabulate",
     "GeometryReport",
     "build_geometry_report",
 ]

@@ -255,8 +255,9 @@ def _grid_from_dict(d: dict) -> Grid:
         raise ConfigError(f"bad grid spec: {exc}") from exc
 
 
-def _load_surface_file(path: str):
-    """The jet and label of the surface file at ``path``."""
+def _load_surface_file(path: str, fd_jets: bool):
+    """The jet and label of the surface file at ``path``; with ``fd_jets`` a
+    builtin's finite-difference twin."""
     doc = _read_object(path, "surface file")
     for key in ("grid", "surface"):
         if key not in doc:
@@ -268,45 +269,42 @@ def _load_surface_file(path: str):
         if not isinstance(name, str):
             raise ConfigError(f"surface file entry 'builtin' must be a string, got {name!r}")
         params = _parse_params((), surf.get("params", {}))
-        return corpus.build_builtin(name, grid, params), name
+        return corpus.build_builtin(name, grid, params, fd_jets), name
     if "positions" in surf:
         space = Ambient.from_spec(_object(doc.get("ambient", {}), "surface file entry 'ambient'"))
         return corpus.load_tabulated(grid, surf["positions"], space), "tabulated"
     raise ConfigError("surface entry needs either 'builtin' or 'positions'")
 
 
-def _builtin_jet(name: str, params: dict, size, periodic=None):
+def _builtin_jet(name: str, params: dict, size, periodic=None, fd_jets: bool = False):
     """Builtin jet on its default grid resized to ``size`` (NU, NV), with the
-    ``periodic`` (u, v) flags if given."""
+    ``periodic`` (u, v) flags if given; with ``fd_jets`` its finite-difference
+    twin."""
     nu, nv = size
     grid = replace(corpus.default_grid(name, n=nu, params=params), nu=nu, nv=nv)
     if periodic is not None:
         grid = replace(grid, periodic_u=periodic[0], periodic_v=periodic[1])
-    return corpus.build_builtin(name, grid, params)
+    return corpus.build_builtin(name, grid, params, fd_jets)
 
 
 def _resolve_jet(s: dict):
     """Build an immersion jet from the settings of ``verify``; returns (jet,
-    label). With ``fd_jets`` an analytic jet, named or from a surface file, is
-    replaced by its finite-difference twin."""
+    label). With ``fd_jets`` a builtin, named or from a surface file, is
+    built as its finite-difference twin, positions alone."""
     surface = s["surface"]
     if surface is None:
         raise ConfigError("no surface given (use --surface or a config file)")
     if isinstance(surface, str) and surface in corpus.BUILTIN_MAKERS:
         size = s["grid_size"] or (64, 64)  # None until given: a surface file refuses it
-        jet, label = _builtin_jet(surface, s["params"], size, s["periodic"]), surface
-    elif isinstance(surface, str):
-        # the file fixes the grid; an override would be silently dropped
-        for key, flag in (("grid_size", "--grid"), ("periodic", "--periodic")):
-            if s[key] is not None:
-                raise ConfigError(f"{flag} (config {key!r}) does not apply to a surface"
-                                  f" file: {surface} fixes its own grid")
-        jet, label = _load_surface_file(surface)
-    else:
+        return _builtin_jet(surface, s["params"], size, s["periodic"], s["fd_jets"]), surface
+    if not isinstance(surface, str):
         raise ConfigError(f"bad surface entry {surface!r}")
-    if s["fd_jets"] and jet.source == "analytic":
-        jet = corpus.tabulate(jet)
-    return jet, label
+    # the file fixes the grid; an override would be silently dropped
+    for key, flag in (("grid_size", "--grid"), ("periodic", "--periodic")):
+        if s[key] is not None:
+            raise ConfigError(f"{flag} (config {key!r}) does not apply to a surface"
+                              f" file: {surface} fixes its own grid")
+    return _load_surface_file(surface, s["fd_jets"])
 
 
 def _write(text: str, output: str | None):
@@ -475,9 +473,7 @@ def run_convergence(name: str, params: dict, n0: int, levels: int, fd_jets: bool
     hs = []
     for level in range(levels):
         n = n0 * 2**level
-        jet = _builtin_jet(name, params, (n, n))
-        if fd_jets:
-            jet = corpus.tabulate(jet)
+        jet = _builtin_jet(name, params, (n, n), fd_jets=fd_jets)
         rep = report_mod.build_geometry_report(jet, surface_label=name)
         hs.append(jet.grid.hu)
         for row, linf in series.items():

@@ -1,10 +1,11 @@
 """Built-in analytic surfaces with closed-form jets, plus tabulated input.
 
-Every builtin returns an :class:`ImmersionJet` with exact derivatives up to
+Every builtin is an :class:`ImmersionJet` with exact derivatives up to
 third order, so downstream identity checks run at round-off accuracy. A maker
-writes each coordinate of X(u, v) as one expression in the bivariate Taylor
-arithmetic of :class:`_Taylor`, so a chart change is one more composition,
-and :func:`_jet` reads every mixed derivative from it. The registry records
+returns its ambient space and each coordinate of X(u, v) as one expression in
+the bivariate Taylor arithmetic of :class:`_Taylor`, so a chart change is one
+more composition, and :func:`_jet` reads every mixed derivative from it, or
+only the positions for the finite-difference twin. The registry records
 closed-form expected values used as oracles by the tests. Every identity,
 the Hopf row included, is checked in the coordinates of the jet, so a chart
 need not be isothermal: the polar sphere and the stretched cylinder are not.
@@ -20,7 +21,7 @@ import numpy as np
 
 from .ambient import OFF_SPACE_TOL, Ambient, euclidean, is_json_number
 from .grid import Grid, InputError, build_grid, node_array
-from .immersion import ImmersionJet, induced_metric, jet_from_positions
+from .immersion import ImmersionJet, jet_from_positions
 
 JET_ORDER = 4  # Taylor coefficients kept: total degree 0..3 in (u, v), so jets up to d3
 
@@ -109,22 +110,24 @@ class _Taylor:
         return [s0 * cos_d + c0 * sin_d, c0 * cos_d + -s0 * sin_d]
 
 
-def _jet(grid: Grid, space: Ambient, coords) -> ImmersionJet:
+def _jet(grid: Grid, space: Ambient, coords, fd: bool = False) -> ImmersionJet:
     """Exact jet of the surface whose coordinate X^k is the series ``coords[k]``: the
     derivative with p u-indices and q v-indices is c[(p, q)] p! q!, written into
-    every slot with that index count, so d2 and d3 are symmetric by construction."""
-    jets = [node_array(grid, (2,) * order + (len(coords),)) for order in range(JET_ORDER)]
+    every slot with that index count, so d2 and d3 are symmetric by construction.
+    With ``fd``, only the positions: its finite-difference twin."""
+    jets = [node_array(grid, (2,) * order + (len(coords),))
+            for order in range(1 if fd else JET_ORDER)]
     for k, x in enumerate(coords):
         for (p, q), c in x.c.items():
             a, b = c if isinstance(c, tuple) else (c, 1.0)
             scale = b * (math.factorial(p) * math.factorial(q))  # once per coefficient
             for idx in itertools.product((0, 1), repeat=p + q):
-                if sum(idx) == q:  # written in place: no full-grid temporary per slot
+                if sum(idx) == q and p + q < len(jets):  # in place: no full-grid temporary
                     np.multiply(a, scale, out=jets[p + q][(Ellipsis, *idx, k)])
-    return ImmersionJet(grid, space, *jets)
+    return jet_from_positions(grid, jets[0], space) if fd else ImmersionJet(grid, space, *jets)
 
 
-def make_helix_line_r4(grid: Grid, k: float = 1.0, tau: float = 0.0, offset: float = 0.0) -> ImmersionJet:
+def make_helix_line_r4(grid: Grid, k: float = 1.0, tau: float = 0.0, offset: float = 0.0):
     """Circular helix (curvature k, torsion tau) swept along the e4 line in R^4.
 
     The generating curve is arclength parametrized, so the induced metric is
@@ -139,10 +142,10 @@ def make_helix_line_r4(grid: Grid, k: float = 1.0, tau: float = 0.0, offset: flo
     w = 1.0 / math.sqrt(c2)
     u = _Taylor.var(grid.u, 0)
     su, cu = (w * u).sincos()
-    return _jet(grid, euclidean(4), [a_r * cu, a_r * su, b * w * u, _Taylor.var(grid.v, 1) + offset])
+    return euclidean(4), [a_r * cu, a_r * su, b * w * u, _Taylor.var(grid.v, 1) + offset]
 
 
-def make_cylinder(grid: Grid, r: float = 1.0, stretch: float = 0.0) -> ImmersionJet:
+def make_cylinder(grid: Grid, r: float = 1.0, stretch: float = 0.0):
     """Circular cylinder in R^3.
 
     With ``stretch`` = 0 the chart is arclength (flat induced metric).  A
@@ -156,19 +159,19 @@ def make_cylinder(grid: Grid, r: float = 1.0, stretch: float = 0.0) -> Immersion
         raise SurfaceConfigError("stretch must lie in (-1, 1) to keep theta monotone")
     u = _Taylor.var(grid.u, 0)
     sth, cth = ((u + stretch * (u / r).sincos()[0] * r) / r).sincos()
-    return _jet(grid, euclidean(3), [r * cth, r * sth, _Taylor.var(grid.v, 1)])
+    return euclidean(3), [r * cth, r * sth, _Taylor.var(grid.v, 1)]
 
 
-def make_product_torus(grid: Grid, r1: float = 1.0, r2: float = 1.0) -> ImmersionJet:
+def make_product_torus(grid: Grid, r1: float = 1.0, r2: float = 1.0):
     """S^1(r1) x S^1(r2) in R^4, arclength in both factors; doubly periodic."""
     if r1 <= 0 or r2 <= 0:
         raise SurfaceConfigError("torus radii must be positive")
     sa, ca = (_Taylor.var(grid.u, 0) / r1).sincos()
     sb, cb = (_Taylor.var(grid.v, 1) / r2).sincos()
-    return _jet(grid, euclidean(4), [r1 * ca, r1 * sa, r2 * cb, r2 * sb])
+    return euclidean(4), [r1 * ca, r1 * sa, r2 * cb, r2 * sb]
 
 
-def make_sphere(grid: Grid, r: float = 1.0, chart: str = "mercator") -> ImmersionJet:
+def make_sphere(grid: Grid, r: float = 1.0, chart: str = "mercator"):
     """Round sphere of radius r in R^3. ``mercator`` is the isothermal chart
     X = r (sech v cos u, sech v sin u, tanh v), u the periodic azimuth and v the
     Mercator latitude; ``polar`` is X = r (sin u cos v, sin u sin v, cos u)."""
@@ -179,19 +182,19 @@ def make_sphere(grid: Grid, r: float = 1.0, chart: str = "mercator") -> Immersio
         # sech v and tanh v solve s' = -s t, t' = s^2
         s, t = _Taylor.solve((1.0 / np.cosh(grid.v), np.tanh(grid.v)),
                              lambda s, t: (-1.0 * (s * t), s * s), 1)
-        return _jet(grid, euclidean(3), [cu * (r * s), su * (r * s), r * t])
+        return euclidean(3), [cu * (r * s), su * (r * s), r * t]
     if chart == "polar":
         sv, cv = _Taylor.var(grid.v, 1).sincos()
-        return _jet(grid, euclidean(3), [r * su * cv, r * su * sv, r * cu])
+        return euclidean(3), [r * su * cv, r * su * sv, r * cu]
     raise SurfaceConfigError(f"unknown sphere chart {chart!r}")
 
 
-def make_graph(grid: Grid, expression: str = "u2_minus_v3") -> ImmersionJet:
+def make_graph(grid: Grid, expression: str = "u2_minus_v3"):
     """Graph surface over a parameter patch; generic non-biconservative witness."""
     if expression != "u2_minus_v3":
         raise SurfaceConfigError(f"unknown graph expression {expression!r}")
     u, v = _Taylor.var(grid.u, 0), _Taylor.var(grid.v, 1)
-    return _jet(grid, euclidean(3), [u, v, u * u + -1.0 * (v * v * v)])
+    return euclidean(3), [u, v, u * u + -1.0 * (v * v * v)]
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +272,10 @@ def make_builtin(name: str, grid: Grid | None = None, n: int = 64, **params) -> 
     return build_builtin(name, grid, params)
 
 
-def build_builtin(name: str, grid: Grid, params: dict) -> ImmersionJet:
-    """Builtin ``name`` on ``grid``; ``params`` is checked against the
-    parameters its maker accepts, so no key is taken for anything else."""
+def build_builtin(name: str, grid: Grid, params: dict, fd: bool = False) -> ImmersionJet:
+    """Builtin ``name`` on ``grid``, or with ``fd`` its finite-difference twin;
+    ``params`` is checked against the parameters its maker accepts, so no key
+    is taken for anything else."""
     if name not in BUILTIN_MAKERS:
         raise SurfaceConfigError(f"unknown builtin surface {name!r}")
     maker = BUILTIN_MAKERS[name]
@@ -286,22 +290,25 @@ def build_builtin(name: str, grid: Grid, params: dict) -> ImmersionJet:
         if isinstance(signature[key].default, float) and not is_json_number(val):
             raise SurfaceConfigError(
                 f"{name} parameter {key} must be a finite number, got {val!r}")
-    # a huge parameter or grid end overflows in the maker; the checks that
-    # follow (metric finite, immersion not degenerate) say so in one line
+    # a huge parameter or grid end overflows in the maker; the checks of
+    # compute_geometry (metric finite, immersion not degenerate) say so in one line
     with np.errstate(over="ignore", invalid="ignore"):
-        return maker(grid, **params)
+        return _jet(grid, *maker(grid, **params), fd)
 
 
 def tabulate(jet: ImmersionJet) -> ImmersionJet:
-    """Finite-difference twin of a jet: keep only positions, re-derive by FD."""
+    """Finite-difference twin of a jet: its positions alone, differenced where
+    a geometry is computed."""
     return jet_from_positions(jet.grid, jet.pos, jet.space)
 
 
 def load_tabulated(grid: Grid, positions, space: Ambient) -> ImmersionJet:
     """Jet from a tabulated position table: nu*nv per-node coordinate rows,
     row-major in u, or an (nu, nv, dim) array. Validates that it is numeric,
-    its shape, that every position lies in the ambient space (within
-    ``OFF_SPACE_TOL``), and the immersion condition."""
+    its shape, and that every position lies in the ambient space (within
+    ``OFF_SPACE_TOL``). The jet holds the positions alone: its derivatives,
+    and with them the immersion condition, are taken and checked where a
+    geometry is computed."""
     try:
         arr = np.asarray(positions)
     except ValueError as exc:
@@ -328,6 +335,4 @@ def load_tabulated(grid: Grid, positions, space: Ambient) -> ImmersionJet:
         raise SurfaceConfigError(
             f"position at node ({node[0]}, {node[1]}) lies off the ambient space: "
             f"relative error {err[node]:.3e} > {OFF_SPACE_TOL:g}")
-    jet = jet_from_positions(grid, arr, space)
-    induced_metric(jet)  # raises DegenerateImmersionError or FloatingPointError on bad tables
-    return jet
+    return jet_from_positions(grid, arr, space)

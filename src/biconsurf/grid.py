@@ -54,6 +54,9 @@ class Grid:
     # the u spacing of a strip (:meth:`u_strip`), its parent's bit for bit;
     # None: from the extents
     u_step: float | None = None
+    # the row of the whole grid that a strip's row 0 is: an error names a
+    # node of a strip by its row in the whole grid
+    first_row: int = 0
 
     def __post_init__(self):
         # an infinite or NaN end, or ends so far apart that u_max - u_min
@@ -106,11 +109,11 @@ class Grid:
         """Rows ``lo`` .. ``hi - 1`` (mod nu on a periodic u axis) as a grid
         open in u, with this grid's u spacing. The spacing is kept, not taken
         again from the extents, so that the strip's stencils round as the
-        whole grid's do; its u runs from ``lo * hu``, this grid's u less
-        ``u_min``, so that no extent rounds to zero."""
-        h = self.hu
-        return Grid(lo * h, (hi - 1) * h, self.v_min, self.v_max, hi - lo, self.nv,
-                    False, self.periodic_v, h)
+        whole grid's do; its u runs from ``first_row * hu``, the whole grid's
+        u less ``u_min``, so that no extent rounds to zero."""
+        h, first = self.hu, self.first_row + lo
+        return Grid(first * h, (first + hi - lo - 1) * h, self.v_min, self.v_max, hi - lo,
+                    self.nv, False, self.periodic_v, h, first)
 
 
 def node_array(grid: Grid, comps: tuple[int, ...] = ()) -> np.ndarray:

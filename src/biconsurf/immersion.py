@@ -1,9 +1,10 @@
 """Extrinsic geometry of an immersed surface from its parameter jets.
 
 An :class:`ImmersionJet` carries per-node positions together with first and
-second (optionally third) parameter derivatives of the immersion, either
-from analytic closures (round-off accurate) or finite-differenced from a
-position table. :func:`compute_geometry` derives the induced metric, second
+second (optionally third) parameter derivatives of the immersion from
+analytic closures (round-off accurate), or, from a position table, the
+positions alone, finite-differenced where a geometry is computed
+(:func:`fd_jet`). :func:`compute_geometry` derives the induced metric, second
 fundamental form, mean curvature vector, shape operator, surface
 Christoffel symbols, the normal connection applied to H, and the Gauss
 curvature, all in the coordinate frame (d_u X, d_v X). One helper,
@@ -72,24 +73,18 @@ class ImmersionJet:
     grid: Grid
     space: Ambient
     pos: np.ndarray  # (nu, nv, n)
-    d1: np.ndarray  # (nu, nv, 2, n)       d1[..., a, :] = d_a X
-    d2: np.ndarray  # (nu, nv, 2, 2, n)    d2[..., a, b, :] = d_a d_b X
+    # None on a jet of positions alone, which compute_geometry differences
+    d1: np.ndarray | None = None  # (nu, nv, 2, n)       d1[..., a, :] = d_a X
+    d2: np.ndarray | None = None  # (nu, nv, 2, 2, n)    d2[..., a, b, :] = d_a d_b X
     d3: np.ndarray | None = None  # (nu, nv, 2, 2, 2, n)
     source: str = "analytic"
 
     def __post_init__(self):
         n = self.space.embedding_dim
-        expect = {
-            "pos": self.grid.shape + (n,),
-            "d1": self.grid.shape + (2, n),
-            "d2": self.grid.shape + (2, 2, n),
-        }
-        for name, shape in expect.items():
-            arr = getattr(self, name)
-            if arr.shape != shape:
+        for name, comps in (("pos", ()), ("d1", (2,)), ("d2", (2, 2)), ("d3", (2, 2, 2))):
+            arr, shape = getattr(self, name), self.grid.shape + comps + (n,)
+            if arr is not None and arr.shape != shape:
                 raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
-        if self.d3 is not None and self.d3.shape != self.grid.shape + (2, 2, 2, n):
-            raise ValueError("third-derivative array has wrong shape")
 
     @property
     def has_third(self) -> bool:
@@ -97,30 +92,46 @@ class ImmersionJet:
 
 
 def jet_from_positions(grid: Grid, pos: np.ndarray, space: Ambient) -> ImmersionJet:
-    """Finite-difference jet from a tabulated position field (> 2 margins on an open axis)."""
+    """Finite-difference jet of a tabulated position field: the positions
+    alone, differenced where a geometry is computed (:func:`fd_jet`). An open
+    axis needs more than two boundary margins of nodes."""
     for axis, n in enumerate(grid.shape):
         if not grid.periodic(axis) and n <= 2 * FD_BOUNDARY_MARGIN:
             raise InputError(f"a finite-difference jet needs at least {2 * FD_BOUNDARY_MARGIN + 1}"
                              f" nodes on an open axis, got {n}")
-    pos = np.asarray(pos, dtype=np.float64)
+    return ImmersionJet(grid, space, np.asarray(pos, dtype=np.float64), source="finite-difference")
+
+
+def fd_jet(jet: ImmersionJet, lo: int = 0, hi: int | None = None) -> ImmersionJet:
+    """``jet``, positions alone, with d1 and d2 finite-differenced on its
+    grid and kept on its rows ``lo`` .. ``hi - 1`` as ``jet.grid.u_strip(lo,
+    hi)`` (by default all rows, on its grid). A kept row has the whole grid's
+    stencil where the row on each side of it, or the grid's own edge, was
+    differenced too. Raises FloatingPointError at the first kept node where
+    a derivative is not finite."""
+    grid, pos = jet.grid, jet.pos
     with np.errstate(over="ignore", invalid="ignore"):
         d1 = flat_gradient(grid, pos)
         d2 = node_array(grid, (2, 2, pos.shape[-1]))
         for a in (0, 1):
             d2[..., a, a, :] = fd_derivative(grid, pos, a, 2)
         d2[..., 0, 1, :] = d2[..., 1, 0, :] = fd_derivative(grid, d1[..., 0, :], 1, 1)
+    if (lo, hi) != (0, None):
+        grid, pos, d1, d2 = grid.u_strip(lo, hi), pos[lo:hi], d1[lo:hi], d2[lo:hi]
     for d in (d1, d2):
-        _raise_at(~np.isfinite(d), FloatingPointError, "finite-difference derivative not finite")
-    return ImmersionJet(grid, space, pos, d1, d2, None, source="finite-difference")
+        _raise_at(~np.isfinite(d), FloatingPointError, "finite-difference derivative not finite",
+                  grid)
+    return ImmersionJet(grid, jet.space, pos, d1, d2, None, jet.source)
 
 
-def _raise_at(bad: np.ndarray, error: type, what: str):
-    """Raise ``error``, naming ``what`` and the first node, where the node
-    field ``bad`` holds True in any component."""
+def _raise_at(bad: np.ndarray, error: type, what: str, grid: Grid):
+    """Raise ``error``, naming ``what`` and the first node (by its row in the
+    whole grid), where the node field ``bad`` on ``grid`` holds True in any
+    component."""
     bad = bad.any(axis=tuple(range(2, bad.ndim)))
     if bad.any():
         i, j = np.argwhere(bad)[0]
-        raise error(f"{what} at node ({i}, {j})")
+        raise error(f"{what} at node ({grid.first_row + i}, {j})")
 
 
 def induced_metric(jet: ImmersionJet) -> tuple[np.ndarray, np.ndarray]:
@@ -131,8 +142,8 @@ def induced_metric(jet: ImmersionJet) -> tuple[np.ndarray, np.ndarray]:
         g = np.einsum("...ak,...bk->...ab", jet.d1, jet.d1)
         det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2
         flat = ~(det > DEGENERACY_TOL * g[..., 0, 0] * g[..., 1, 1]) | np.isinf(det)
-    _raise_at(~np.isfinite(g), FloatingPointError, "metric not finite")
-    _raise_at(flat, DegenerateImmersionError, "immersion degenerate")
+    _raise_at(~np.isfinite(g), FloatingPointError, "metric not finite", jet.grid)
+    _raise_at(flat, DegenerateImmersionError, "immersion degenerate", jet.grid)
     return g, det
 
 
@@ -354,10 +365,12 @@ def trace_RN_H(geom: SurfaceGeometry) -> np.ndarray:
     return tangent_coords(geom.jet, geom.ginv, np.einsum("...ab,...abk->...k", geom.ginv, R))
 
 
-def compute_geometry(jet: ImmersionJet, metric=None) -> SurfaceGeometry:
-    """The geometry of a jet; ``metric``, if given, is its (g, det g), as
-    :func:`induced_metric` gave them, and is not checked again."""
-    g, det = induced_metric(jet) if metric is None else metric
+def compute_geometry(jet: ImmersionJet) -> SurfaceGeometry:
+    """The geometry of a jet; a jet of positions alone is differenced first
+    (:func:`fd_jet`), and the geometry holds that jet."""
+    if jet.d1 is None:
+        jet = fd_jet(jet)
+    g, det = induced_metric(jet)
     ginv = node_array(jet.grid, (2, 2))  # adj g / det g
     ginv[..., 0, 0] = g[..., 1, 1] / det
     ginv[..., 1, 1] = g[..., 0, 0] / det

@@ -12,7 +12,8 @@ kept.
 
 A geometry report runs its suite on u-strips of the grid and takes every
 norm once on the whole grid (:func:`build_geometry_report`; the README's
-"Performance" section says why).
+"Performance" section says why). Each strip takes its own metric, and a
+finite-difference jet's d1 and d2, from its own rows.
 
 This module owns every per-row decision: ``ROWS`` says how each row is
 normed and whether ``convergence`` takes its decay order, and ``FLAGS``
@@ -31,15 +32,15 @@ import numpy as np
 
 from . import checks
 from .grid import Grid, GridInterior, take_rows
-from .immersion import ImmersionJet, compute_geometry, induced_metric
+from .immersion import ImmersionJet, compute_geometry, fd_jet
 from .tensors import codazzi_defect_coords
 
 # Not called here. perfbench/tracing.py's PATCH_POINTS still patch this
 # binding; ROADMAP item 7 drops that patch point, and then this import.
 from .tensors import holomorphicity_residual  # noqa: F401
 
-# Nodes in one u-strip of a report: 32 rows at 256^2, whose temporaries stay
-# in a 2 MB L2 cache and are small enough for the allocator to reuse (32 rows
+# Nodes in one u-strip of a report: 32 rows at 256^2, whose temporaries are
+# small enough for the allocator to reuse from strip to strip (32 rows
 # measured faster than 48 and 64).
 STRIP_NODES = 1 << 13
 # A grid of fewer strips than this is taken whole, as one strip: below about
@@ -197,16 +198,38 @@ def _cuts(grid: Grid) -> list:
     return [shift + k * grid.nu // n for k in range(n + 1)]
 
 
-def _report_fields(jet: ImmersionJet, metric, integrals: bool):
+def _strip_jet(jet: ImmersionJet, lo: int, hi: int) -> ImmersionJet:
+    """The jet of rows ``lo`` .. ``hi - 1`` and HALO rows on each side,
+    wrapped on a periodic u axis and cut at an open edge, whose one-sided
+    stencils are then the grid's. A jet of positions alone is differenced
+    from one more row on each side, cut likewise (:func:`fd_jet`)."""
+    def widened(pad):
+        a, b = lo - pad, hi + pad
+        return (a, b) if jet.grid.periodic_u else (max(a, 0), min(b, jet.grid.nu))
+
+    a, b = widened(HALO + (jet.d1 is None))
+    rows = [None if x is None else take_rows(x, a, b) for x in (jet.pos, jet.d1, jet.d2, jet.d3)]
+    strip = ImmersionJet(jet.grid.u_strip(a, b), jet.space, *rows, source=jet.source)
+    if jet.d1 is not None:
+        return strip
+    c, d = widened(HALO)
+    return fd_jet(strip, c - a, d - a)
+
+
+def _report_fields(jet: ImmersionJet, integrals: bool):
     """(the nodes a norm is taken over, an iterator of each (key, node field)
     of :func:`_node_fields` on the whole grid). A grid of one strip is the
     jet's own geometry, whose fields come as they are asked for. On several,
-    each strip is a sub-jet of its rows and HALO rows on each side, wrapped
-    on a periodic u axis and cut at an open edge, whose one-sided stencils
-    are then the grid's; it writes only its own rows of each field."""
+    each strip (:func:`_strip_jet`) writes only its own rows of each field.
+
+    A strip checks its derivatives and its metric on its rows in grid order
+    and names a bad node by its row in the grid. The rows that it shares
+    with the strips before it passed their checks, so for one kind of fault
+    it names the node that the whole grid's check names; with the periodic
+    shift, rows 0 .. HALO - 1 are the first strip's lower halo."""
     grid, cuts = jet.grid, _cuts(jet.grid)
     if len(cuts) == 2:
-        geom = compute_geometry(jet, metric)
+        geom = compute_geometry(jet)
         return geom, _node_fields(geom, integrals)
     # One block holds every field of the whole grid: with a field apiece,
     # each freed at the end of a report, the heap shrinks and grows back
@@ -214,13 +237,8 @@ def _report_fields(jet: ImmersionJet, metric, integrals: bool):
     count = len(ROWS) + len(SUMMARY_FIELDS) + integrals * len(checks.INTEGRANDS)
     slots, full = iter(np.empty((count,) + grid.shape)), {}
     for lo, hi in zip(cuts, cuts[1:]):
-        a, b = lo - HALO, hi + HALO
-        if not grid.periodic_u:
-            a, b = max(a, 0), min(b, grid.nu)
-        rows = [None if x is None else take_rows(x, a, b)
-                for x in (jet.pos, jet.d1, jet.d2, jet.d3, *metric)]
-        geom = compute_geometry(
-            ImmersionJet(grid.u_strip(a, b), jet.space, *rows[:4], source=jet.source), rows[4:])
+        geom = compute_geometry(_strip_jet(jet, lo, hi))
+        a = geom.grid.first_row
         m = min(hi, grid.nu)  # a strip past nu owns rows 0 .. hi - nu - 1 too
         for key, f in _node_fields(geom, integrals):
             if key not in full:
@@ -245,13 +263,11 @@ def build_geometry_report(
     fields of the whole grid."""
     grid = jet.grid
     tol = tol_analytic if jet.source == "analytic" else tol_fd
-    # floating-point exceptions are dealt with by value: a row that is not
-    # finite raises below. The metric is checked on the whole grid, so a bad
-    # one is named at its first node of the grid, not of a strip.
-    metric = induced_metric(jet)
     squared = {name: sq for name, sq, *_ in ROWS}
+    # floating-point exceptions are dealt with by value: a row that is not
+    # finite raises below
     with np.errstate(all="ignore"):
-        nodes, fields = _report_fields(jet, metric, grid.doubly_periodic)
+        nodes, fields = _report_fields(jet, grid.doubly_periodic)
         rep = GeometryReport({
             "surface": surface_label,
             "jet_source": jet.source,

@@ -249,6 +249,76 @@ class TestStrips:
             messages.add(str(err.value))
         assert messages == {"immersion degenerate at node (%d, %d)" % min(nodes)}
 
+    @staticmethod
+    def _errors(jet, monkeypatch):
+        """The (type, message) of the error that a report of ``jet`` raises,
+        at one strip, at 4 rows and at HALO rows a strip."""
+        errors = set()
+        for rows in (25, 4, rp.HALO):
+            monkeypatch.setattr(rp, "STRIP_NODES", rows * 25)
+            with pytest.raises(FloatingPointError) as err:
+                rp.build_geometry_report(jet)
+            errors.add((type(err.value), str(err.value)))
+        return errors
+
+    @pytest.mark.parametrize("nodes", [[(0, 7)], [(1, 3)], [(1, 20), (0, 24)], [(1, 3), (13, 0)]])
+    def test_degenerate_node_in_the_first_halo_named_as_with_one_strip(self, monkeypatch,
+                                                                         nodes):
+        # on a periodic u axis rows 0 and 1 are the first strip's lower halo,
+        # and the last strip's wrapped upper halo
+        jet = make_builtin("cylinder", n=25, stretch=0.3)
+        d1 = jet.d1.copy()
+        for i, j in nodes:
+            d1[i, j, 1, :] = d1[i, j, 0, :]
+        bad = ImmersionJet(jet.grid, jet.space, jet.pos, d1, jet.d2, jet.d3, jet.source)
+        assert self._errors(bad, monkeypatch) == {
+            (DegenerateImmersionError, "immersion degenerate at node (%d, %d)" % min(nodes))}
+
+    @pytest.mark.parametrize("value", [1e308, 1e200])
+    @pytest.mark.parametrize("name,node", [
+        ("graph", (17, 9)),     # a halo row of the 4-row strip [12, 16)
+        ("graph", (7, 0)),      # the second strip's own row, at an open v edge
+        ("graph", (2, 12)),     # differenced one-sided at the open u edge
+        ("cylinder", (0, 9)),   # the first strip's lower halo, on a periodic u axis
+        ("cylinder", (24, 3)),  # the last strip's own row
+    ])
+    def test_spiked_position_named_as_with_one_strip(self, monkeypatch, name, node, value):
+        # 1e308 overflows the derivatives, 1e200 the metric
+        base = make_builtin(name, n=25)
+        pos = base.pos.copy()
+        pos[node + (2,)] = value
+        errors = self._errors(load_tabulated(base.grid, pos, base.space), monkeypatch)
+        assert len(errors) == 1, errors
+        what = ("finite-difference derivative" if value > 1e300 else "metric") + " not finite"
+        assert next(iter(errors))[1].startswith(what), errors
+
+    @pytest.mark.parametrize("name,params", [("graph", {}), ("cylinder", {"stretch": 0.3})])
+    def test_fd_strips_difference_their_own_rows(self, monkeypatch, name, params):
+        # no stencil of a strip report runs on more than a strip, its halo
+        # and one more row on each side, and no metric on the whole grid
+        from biconsurf import immersion, kernels
+
+        jet = tabulate(make_builtin(name, n=25, **params))
+        monkeypatch.setattr(rp, "STRIP_NODES", 4 * 25)
+        rows = np.diff(rp._cuts(jet.grid))
+        assert len(rows) >= rp.MIN_STRIPS
+        spans, metric_rows = [], []
+        derivative, metric = kernels.derivative, immersion.induced_metric
+
+        def spy_derivative(f, h, axis, order, periodic):
+            spans.append(np.shape(f)[0])
+            return derivative(f, h, axis, order, periodic)
+
+        def spy_metric(strip):
+            metric_rows.append(strip.grid.nu)
+            return metric(strip)
+
+        monkeypatch.setattr(kernels, "derivative", spy_derivative)
+        monkeypatch.setattr(immersion, "induced_metric", spy_metric)
+        rp.build_geometry_report(jet)
+        assert max(spans) <= rows.max() + 2 * (rp.HALO + 1)
+        assert len(metric_rows) == len(rows) and max(metric_rows) < jet.grid.nu
+
 
 class TestSerialization:
     def test_json_deterministic(self, helix_report):

@@ -24,12 +24,14 @@ reaches stdout), the same config under ``--grid``, ``--tol-fd`` and one
 ``--assert-flag``, where assertions fail (exit 2, and the order of the
 failure lines is compared), and a ``solve-mu`` config that sets every
 ``solve-mu`` key but ``output``, ``format`` and ``dump_fields``.
-Three ``verify`` runs at 256^2 are the only cases that a report takes in
+Four ``verify`` runs at 256^2 are the only cases that a report takes in
 more than one u-strip (every other grid is too small to split, with fewer
 than ``report.MIN_STRIPS`` strips):
-the analytic helix (open u), the ``--fd-jets`` Mercator sphere (periodic u)
-and the ``--fd-jets --dump-fields`` graph (open u).
-That is 60 cases.
+the analytic helix (open u), the ``--fd-jets`` Mercator sphere (periodic u),
+the ``--fd-jets --dump-fields`` graph (open u) and, read from a surface
+file's position table, the cylinder of radius 1.2 with stretch 0.3
+(periodic u).
+That is 61 cases.
 
 For each case it prints both exit codes, whether stdout is byte-identical,
 the largest |diff| over the numbers in stdout, the largest relative diff
@@ -59,6 +61,7 @@ from __future__ import annotations
 import argparse
 import binascii
 import bisect
+import functools
 import json
 import math
 import os
@@ -141,6 +144,8 @@ def cases() -> dict[str, list[str]]:
     out["strips_helix_an256"] = [*strips, "--surface", "helix_line_r4"]
     out["strips_sphere_fd256"] = [*strips, "--surface", "sphere", "--fd-jets"]
     out["strips_graph_fd256"] = [*strips, "--surface", "graph", "--fd-jets", "--dump-fields"]
+    out["strips_cylinder_table256"] = ["verify", "--surface", "cylinder_table_256.json",
+                                       "--dump-fields"]
     return out
 
 
@@ -175,7 +180,23 @@ def _torus_stretch(n: int, r1: float = 1.0, r2: float = 2.0, stretch: float = 0.
     }
 
 
-def write_inputs(workdir: str):
+def _cylinder_table(n: int, r: float = 1.2, stretch: float = 0.3) -> dict:
+    """Surface file: the cylinder of radius r in R^3 at the angle
+    u / r + stretch sin(u / r), tabulated on n x n nodes, periodic in u."""
+    u = 2.0 * math.pi * r * np.arange(n) / n
+    v = np.arange(n) / (n - 1)
+    U, V = np.meshgrid(u, v, indexing="ij")
+    th = U / r + stretch * np.sin(U / r)
+    pos = np.stack([r * np.cos(th), r * np.sin(th), V], axis=-1)
+    return {
+        "grid": {"u": [0.0, 2.0 * math.pi * r, n, True], "v": [0.0, 1.0, n, False]},
+        "surface": {"positions": pos.reshape(-1, 3).tolist()},
+    }
+
+
+def write_inputs(workdir: str, cases: list[list[str]]):
+    """Write the input files that the argument lists ``cases`` name; a
+    tabulated surface is made only when it is written."""
     docs = {
         "polar_sphere.json": {"surface": "sphere", "params": {"chart": "polar"}},
         # is_cmc holds at tol_fd 5e-2 on 32^2 and fails at 1e-4 on 48^2
@@ -189,12 +210,15 @@ def write_inputs(workdir: str):
                                  "perturb": 0.2, "tol_newton": 1e-9, "max_iter": 20},
     }
     for n in (32, 64):
-        docs[f"torus_s3_{n}.json"] = _torus_in_s3(n)
-        docs[f"torus_stretch_{n}.json"] = _torus_stretch(n)
-    docs["torus_s3r2_32.json"] = _torus_in_s3(32, 1.2, 1.6, 2.0)
+        docs[f"torus_s3_{n}.json"] = functools.partial(_torus_in_s3, n)
+        docs[f"torus_stretch_{n}.json"] = functools.partial(_torus_stretch, n)
+    docs["torus_s3r2_32.json"] = functools.partial(_torus_in_s3, 32, 1.2, 1.6, 2.0)
+    docs["cylinder_table_256.json"] = functools.partial(_cylinder_table, 256)
+    named = {arg for args in cases for arg in args}
     for name, doc in docs.items():
-        with open(os.path.join(workdir, name), "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
+        if name in named:
+            with open(os.path.join(workdir, name), "w", encoding="utf-8") as fh:
+                json.dump(doc() if callable(doc) else doc, fh)
 
 
 def run_case(src: str, args: list[str], workdir: str) -> subprocess.CompletedProcess:
@@ -404,7 +428,7 @@ def main(argv=None) -> int:
     failed = []
     print(f"{'case':24} {'exit':>5}  {'stdout':11} {'max|d|':>9} {'max rel d':>9}  note")
     with tempfile.TemporaryDirectory() as workdir:
-        write_inputs(workdir)
+        write_inputs(workdir, [table[name] for name in names])
         for name in names:
             old = run_case(opts.old_src, table[name], workdir)
             new = run_case(opts.new_src, table[name], workdir)
