@@ -90,6 +90,11 @@ class ImmersionJet:
     def has_third(self) -> bool:
         return self.d3 is not None
 
+    @property
+    def boundary_margin(self) -> int:
+        """Rows a norm leaves out at each open edge: none on an analytic jet."""
+        return 0 if self.source == "analytic" else FD_BOUNDARY_MARGIN
+
 
 def jet_from_positions(grid: Grid, pos: np.ndarray, space: Ambient) -> ImmersionJet:
     """Finite-difference jet of a tabulated position field: the positions
@@ -107,8 +112,8 @@ def fd_jet(jet: ImmersionJet, lo: int = 0, hi: int | None = None) -> ImmersionJe
     grid and kept on its rows ``lo`` .. ``hi - 1`` as ``jet.grid.u_strip(lo,
     hi)`` (by default all rows, on its grid). A kept row has the whole grid's
     stencil where the row on each side of it, or the grid's own edge, was
-    differenced too. Raises FloatingPointError at the first kept node where
-    a derivative is not finite."""
+    differenced too. A derivative that is not finite is named where the
+    metric is taken (:func:`induced_metric`)."""
     grid, pos = jet.grid, jet.pos
     with np.errstate(over="ignore", invalid="ignore"):
         d1 = flat_gradient(grid, pos)
@@ -118,32 +123,38 @@ def fd_jet(jet: ImmersionJet, lo: int = 0, hi: int | None = None) -> ImmersionJe
         d2[..., 0, 1, :] = d2[..., 1, 0, :] = fd_derivative(grid, d1[..., 0, :], 1, 1)
     if (lo, hi) != (0, None):
         grid, pos, d1, d2 = grid.u_strip(lo, hi), pos[lo:hi], d1[lo:hi], d2[lo:hi]
-    for d in (d1, d2):
-        _raise_at(~np.isfinite(d), FloatingPointError, "finite-difference derivative not finite",
-                  grid)
     return ImmersionJet(grid, jet.space, pos, d1, d2, None, jet.source)
 
 
-def _raise_at(bad: np.ndarray, error: type, what: str, grid: Grid):
-    """Raise ``error``, naming ``what`` and the first node (by its row in the
-    whole grid), where the node field ``bad`` on ``grid`` holds True in any
-    component."""
-    bad = bad.any(axis=tuple(range(2, bad.ndim)))
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
+def _raise_first(grid: Grid, faults):
+    """Raise at the first node in grid order, named by its row in the whole
+    grid, where a fault's node field holds True in any component. ``faults``
+    are (node field of bools, error, what), in the order in which they are
+    named at one node."""
+    bad = [f.any(axis=tuple(range(2, f.ndim))) for f, *_ in faults]
+    nodes = np.argwhere(np.logical_or.reduce(bad))
+    if len(nodes):
+        i, j = nodes[0]
+        error, what = next(fault[1:] for b, fault in zip(bad, faults) if b[i, j])
         raise error(f"{what} at node ({grid.first_row + i}, {j})")
 
 
 def induced_metric(jet: ImmersionJet) -> tuple[np.ndarray, np.ndarray]:
-    """The metric g_ab = <d_a X, d_b X> and its determinant; raises
-    FloatingPointError where g overflows and :class:`DegenerateImmersionError`
-    where det g is numerically zero or overflows."""
+    """The metric g_ab = <d_a X, d_b X> and its determinant. Raises at the
+    first node in grid order where a finite-difference jet's d1 or d2 is not
+    finite, or g overflows (FloatingPointError), or det g is numerically
+    zero or overflows (:class:`DegenerateImmersionError`), naming the first
+    of these that holds there."""
     with np.errstate(over="ignore", invalid="ignore"):
         g = np.einsum("...ak,...bk->...ab", jet.d1, jet.d1)
         det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2
         flat = ~(det > DEGENERACY_TOL * g[..., 0, 0] * g[..., 1, 1]) | np.isinf(det)
-    _raise_at(~np.isfinite(g), FloatingPointError, "metric not finite", jet.grid)
-    _raise_at(flat, DegenerateImmersionError, "immersion degenerate", jet.grid)
+    faults = [(~np.isfinite(g), FloatingPointError, "metric not finite"),
+              (flat, DegenerateImmersionError, "immersion degenerate")]
+    if jet.source != "analytic":
+        faults[:0] = [(~np.isfinite(d), FloatingPointError,
+                       "finite-difference derivative not finite") for d in (jet.d1, jet.d2)]
+    _raise_first(jet.grid, faults)
     return g, det
 
 
@@ -201,9 +212,8 @@ class SurfaceGeometry(MetricCalculus, InteriorNodes):
 
     @property
     def boundary_margin(self) -> int:
-        """Rows :attr:`interior` leaves out at each open edge: none on an
-        analytic jet."""
-        return 0 if self.jet.source == "analytic" else FD_BOUNDARY_MARGIN
+        """Rows :attr:`interior` leaves out at each open edge."""
+        return self.jet.boundary_margin
 
     @cached_property
     def area_element(self) -> np.ndarray:

@@ -10,10 +10,12 @@ dumped field is written as its exact bytes: ``{"dtype": "<f8", "shape":
 base64-encoded, so every bit (NaN payloads, signed zeros, subnormals) is
 kept.
 
-A geometry report runs its suite on u-strips of the grid and takes every
-norm once on the whole grid (:func:`build_geometry_report`; the README's
-"Performance" section says why). Each strip takes its own metric, and a
-finite-difference jet's d1 and d2, from its own rows.
+A geometry report runs its suite on u-strips of the grid, two strips at a
+time on two threads, and takes every norm once on the whole grid
+(:func:`build_geometry_report`; the README's "Performance" section says
+why). Each strip takes its own metric, and a finite-difference jet's d1 and
+d2, from its own rows, and its geometry is freed once its rows are written.
+The report is the same, byte for byte, for any strip and thread count.
 
 This module owns every per-row decision: ``ROWS`` says how each row is
 normed and whether ``convergence`` takes its decay order, and ``FLAGS``
@@ -26,6 +28,7 @@ from __future__ import annotations
 import binascii
 import io
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,13 +42,18 @@ from .tensors import codazzi_defect_coords
 # binding; ROADMAP item 7 drops that patch point, and then this import.
 from .tensors import holomorphicity_residual  # noqa: F401
 
-# Nodes in one u-strip of a report: 32 rows at 256^2, whose temporaries are
-# small enough for the allocator to reuse from strip to strip (32 rows
-# measured faster than 48 and 64).
-STRIP_NODES = 1 << 13
-# A grid of fewer strips than this is taken whole, as one strip: below about
-# 224^2 the fixed cost of each strip and its halo rows outweighs what the
-# cache saves (measured from 128^2 to 256^2; see the README).
+# Nodes in one u-strip of a report: 24 rows at 256^2, whose temporaries are
+# small enough for the allocator to reuse from strip to strip, with two
+# strips in flight (24 rows peaked lower than 32, and ran faster than 16
+# and 20; see the README).
+STRIP_NODES = 6144
+# Threads that run a report's strips: the calling thread and one helper.
+# numpy releases the GIL in the einsums and stencils of a strip.
+STRIP_THREADS = 2
+# A grid of fewer strips than this is taken whole, as one strip, which is
+# below 192^2 at STRIP_NODES: on smaller splits the fixed cost of each strip
+# and its halo rows outweighed what the cache saved (measured on one thread
+# from 128^2 to 256^2; see the README).
 MIN_STRIPS = 6
 # Halo rows on each side of a strip: every row is pointwise in the jet with
 # at most two nested finite differences along u (the Simons divergence of
@@ -216,17 +224,54 @@ def _strip_jet(jet: ImmersionJet, lo: int, hi: int) -> ImmersionJet:
     return fd_jet(strip, c - a, d - a)
 
 
+def _run_strips(n: int, run):
+    """Call ``run(k)`` for k = 0 .. n - 1, in increasing k, on the calling
+    thread and STRIP_THREADS - 1 helper threads, which are joined before
+    this returns. A thread takes no new k once a call has raised; then the
+    error of the lowest failing k is raised, which is the error that calling
+    them in turn raises."""
+    todo, errors, lock = list(range(n - 1, -1, -1)), {}, threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                if errors or not todo:
+                    return
+                k = todo.pop()
+            try:
+                run(k)
+            except Exception as e:
+                with lock:
+                    errors[k] = e
+
+    helpers = [threading.Thread(target=work) for _ in range(STRIP_THREADS - 1)]
+    for t in helpers:
+        t.start()
+    try:
+        work()
+    finally:
+        with lock:
+            todo.clear()
+        for t in helpers:
+            t.join()
+    if errors:
+        raise errors[min(errors)]
+
+
 def _report_fields(jet: ImmersionJet, integrals: bool):
     """(the nodes a norm is taken over, an iterator of each (key, node field)
     of :func:`_node_fields` on the whole grid). A grid of one strip is the
     jet's own geometry, whose fields come as they are asked for. On several,
-    each strip (:func:`_strip_jet`) writes only its own rows of each field.
+    each strip (:func:`_strip_jet`) writes only its own rows of each field,
+    on STRIP_THREADS threads (:func:`_run_strips`), and its geometry is freed
+    when it is written.
 
     A strip checks its derivatives and its metric on its rows in grid order
-    and names a bad node by its row in the grid. The rows that it shares
-    with the strips before it passed their checks, so for one kind of fault
-    it names the node that the whole grid's check names; with the periodic
-    shift, rows 0 .. HALO - 1 are the first strip's lower halo."""
+    and names the first bad node, whatever its fault, by its row in the
+    grid. The rows that it shares with the strips before it passed their
+    checks, so it names the node that the whole grid's check names; with
+    the periodic shift, rows 0 .. HALO - 1 are the first strip's lower
+    halo."""
     grid, cuts = jet.grid, _cuts(jet.grid)
     if len(cuts) == 2:
         geom = compute_geometry(jet)
@@ -234,19 +279,24 @@ def _report_fields(jet: ImmersionJet, integrals: bool):
     # One block holds every field of the whole grid: with a field apiece,
     # each freed at the end of a report, the heap shrinks and grows back
     # (about 4,000 page faults per 256^2 report).
-    count = len(ROWS) + len(SUMMARY_FIELDS) + integrals * len(checks.INTEGRANDS)
-    slots, full = iter(np.empty((count,) + grid.shape)), {}
-    for lo, hi in zip(cuts, cuts[1:]):
-        geom = compute_geometry(_strip_jet(jet, lo, hi))
-        a = geom.grid.first_row
-        m = min(hi, grid.nu)  # a strip past nu owns rows 0 .. hi - nu - 1 too
-        for key, f in _node_fields(geom, integrals):
-            if key not in full:
-                full[key] = next(slots)
-            full[key][lo:m] = f[lo - a:m - a]
-            if hi > m:
-                full[key][:hi - m] = f[m - a:hi - a]
-    return GridInterior(grid, geom.boundary_margin, full["area_element"]), iter(full.items())
+    keys = ([name for name, *_ in ROWS] + list(checks.INTEGRANDS if integrals else ())
+            + [name for name, _ in SUMMARY_FIELDS])
+    full = dict(zip(keys, np.empty((len(keys),) + grid.shape)))
+
+    def run(k):
+        lo, hi = cuts[k], cuts[k + 1]
+        # errstate is a context variable, which a new thread starts afresh
+        with np.errstate(all="ignore"):
+            geom = compute_geometry(_strip_jet(jet, lo, hi))
+            a = geom.grid.first_row
+            m = min(hi, grid.nu)  # a strip past nu owns rows 0 .. hi - nu - 1 too
+            for key, f in _node_fields(geom, integrals):
+                full[key][lo:m] = f[lo - a:m - a]
+                if hi > m:
+                    full[key][:hi - m] = f[m - a:hi - a]
+
+    _run_strips(len(cuts) - 1, run)
+    return GridInterior(grid, jet.boundary_margin, full["area_element"]), iter(full.items())
 
 
 def build_geometry_report(
@@ -258,9 +308,11 @@ def build_geometry_report(
 ) -> GeometryReport:
     """Run the full residual suite on an immersion and collect the results.
 
-    The suite runs on u-strips of the grid (:func:`_report_fields`), and
-    every norm, integral, extremum and flag is then taken once, on the node
-    fields of the whole grid."""
+    The suite runs on u-strips of the grid, on STRIP_THREADS threads
+    (:func:`_report_fields`), and every norm, integral, extremum and flag
+    is then taken once, on the node fields of the whole grid, on the
+    calling thread. A grid of several strips raises the error of its first
+    failing strip, after every strip has stopped."""
     grid = jet.grid
     tol = tol_analytic if jet.source == "analytic" else tol_fd
     squared = {name: sq for name, sq, *_ in ROWS}
@@ -312,7 +364,9 @@ def build_geometry_report(
         "pseudoumbilical_fraction": float(np.mean(full["pu_mask"])),
     }
     if dump_fields:
-        rep.fields = {key: full[key] for key in ("Hsq", "K", "lambda1", "lambda2", "mu")}
+        # copies, so that a block of several strips is freed before the
+        # report is written
+        rep.fields = {key: full[key].copy() for key in ("Hsq", "K", "lambda1", "lambda2", "mu")}
     return rep
 
 

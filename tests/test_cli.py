@@ -1144,22 +1144,31 @@ class TestSettings:
 
 SCIPY_PROBE = """
 import sys
+import threading
 from click.testing import CliRunner
+from biconsurf import report
 from biconsurf.cli import main
+from biconsurf.corpus import make_builtin
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 assert not scipy_modules(), scipy_modules()[:5]
+# the 224x224 report runs on several strips, on two threads
+assert len(report._cuts(make_builtin("helix_line_r4", n=224).grid)) > report.MIN_STRIPS
 runner = CliRunner()
 for args in (
     ["verify", "--surface", "sphere", "--grid", "16x16"],
     ["verify", "--surface", "cylinder", "--grid", "16x16", "--fd-jets", "--dump-fields"],
+    ["verify", "--surface", "helix_line_r4", "--grid", "224x224"],
     ["convergence", "--surface", "product_torus", "--grid", "16x16"],
 ):
     res = runner.invoke(main, args)
     assert res.exit_code == 0, (args, res.output)
     assert not scipy_modules(), (args, scipy_modules()[:5])
+    # no thread pool is imported, and no strip thread outlives its report
+    assert "concurrent.futures" not in sys.modules, args
+    assert threading.active_count() == 1, (args, threading.enumerate())
 res = runner.invoke(main, ["solve-mu", "--grid", "16x16", "--perturb", "0.1"])
 assert res.exit_code == 0, res.output
 assert "scipy.sparse.linalg" in sys.modules
@@ -1168,7 +1177,8 @@ assert "scipy.sparse.linalg" in sys.modules
 
 def test_only_solve_mu_loads_scipy():
     # verify and convergence run on numpy alone; importing scipy was most of
-    # the start-up time of every CLI process
+    # the start-up time of every CLI process, and concurrent.futures would
+    # add about 13 ms more
     src = str(Path(biconsurf.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE], capture_output=True, text=True,

@@ -1,6 +1,9 @@
 import binascii
 import functools
 import json
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -101,11 +104,12 @@ class TestWorkCounts:
                                          expect):
         from biconsurf import checks, immersion, tensors
 
-        calls = {}
+        calls, lock = {}, threading.Lock()  # strips run on two threads
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
-                calls[key] += 1
+                with lock:
+                    calls[key] += 1
                 return fn(*args, **kwargs)
 
             return wrapper
@@ -115,7 +119,8 @@ class TestWorkCounts:
         def counted_vec_norm_sq(geom, V):
             # the stress divergence, found by identity with its cached field
             if V is vars(geom).get("biconservativity", {}).get("cond1"):
-                calls["cond1_norm"] += 1
+                with lock:
+                    calls["cond1_norm"] += 1
             return vec_norm_sq(geom, V)
 
         monkeypatch.setattr(immersion.SurfaceGeometry, "vec_norm_sq", counted_vec_norm_sq)
@@ -198,25 +203,26 @@ class TestStrips:
     open edge."""
 
     @staticmethod
-    def _json(jet, monkeypatch, rows):
+    def _json(jet, monkeypatch, rows, threads=rp.STRIP_THREADS):
         monkeypatch.setattr(rp, "STRIP_NODES", rows * jet.grid.nv)
+        monkeypatch.setattr(rp, "STRIP_THREADS", threads)
         return rp.report_to_json(rp.build_geometry_report(jet, "strips", dump_fields=True))
+
+    def _same_bytes_as_one_strip(self, jet, monkeypatch):
+        one = self._json(jet, monkeypatch, 25)
+        for rows in (rp.HALO, 4):
+            for threads in (1, 2):
+                assert self._json(jet, monkeypatch, rows, threads) == one, (rows, threads)
 
     @pytest.mark.parametrize("fd", [False, True], ids=["analytic", "fd"])
     @pytest.mark.parametrize("case", sorted(STRIP_CASES))
     def test_strips_give_the_one_strip_bytes(self, monkeypatch, case, fd):
         name, params = STRIP_CASES[case]
         jet = make_builtin(name, n=25, **params)
-        jet = tabulate(jet) if fd else jet
-        one = self._json(jet, monkeypatch, 25)
-        for rows in (rp.HALO, 4):
-            assert self._json(jet, monkeypatch, rows) == one, rows
+        self._same_bytes_as_one_strip(tabulate(jet) if fd else jet, monkeypatch)
 
     def test_sphere_ambient(self, monkeypatch):
-        jet = _torus_in_s3(25)
-        one = self._json(jet, monkeypatch, 25)
-        for rows in (rp.HALO, 4):
-            assert self._json(jet, monkeypatch, rows) == one, rows
+        self._same_bytes_as_one_strip(_torus_in_s3(25), monkeypatch)
 
     def test_strip_counts(self, monkeypatch):
         # two strips of 12 rows are fewer than MIN_STRIPS: one strip; on a
@@ -291,6 +297,98 @@ class TestStrips:
         assert len(errors) == 1, errors
         what = ("finite-difference derivative" if value > 1e300 else "metric") + " not finite"
         assert next(iter(errors))[1].startswith(what), errors
+
+    @pytest.mark.parametrize("fd", [False, True], ids=["analytic", "fd"])
+    def test_first_bad_node_named_whatever_its_fault(self, monkeypatch, fd):
+        # the earlier node of two with different faults, in different strips,
+        # is named however the grid is cut: analytic, a degenerate node before
+        # an overflowing metric; FD, an overflowing metric (the rows on each
+        # side of a 1e200 position) before an overflowing derivative
+        if fd:
+            base = make_builtin("graph", n=25)
+            pos = base.pos.copy()
+            pos[6, 5, 2], pos[20, 4, 2] = 1e200, 1e308
+            jet = load_tabulated(base.grid, pos, base.space)
+            want = (FloatingPointError, "metric not finite at node (5, 5)")
+        else:
+            base = make_builtin("helix_line_r4", n=25, k=1.1, tau=0.5)
+            d1 = base.d1.copy()
+            d1[5, 3, 1, :] = d1[5, 3, 0, :]
+            d1[20, 4, 0, :] = 1e200
+            jet = ImmersionJet(base.grid, base.space, base.pos, d1, base.d2, base.d3)
+            want = (DegenerateImmersionError, "immersion degenerate at node (5, 3)")
+        monkeypatch.setattr(rp, "STRIP_NODES", 4 * 25)
+        assert len(rp._cuts(jet.grid)) - 1 >= rp.MIN_STRIPS
+        assert self._errors(jet, monkeypatch) == {want}
+
+    def test_overflow_named_as_with_one_strip(self, monkeypatch):
+        # r = 1e-60: |H|^2 = 1e120 and the stress divergence overflows. Every
+        # strip thread takes floating-point errors by value, so no overflow
+        # warning escapes a strip (an error under this suite's filters).
+        jet = make_builtin("sphere", n=25, r=1e-60)
+        assert self._errors(jet, monkeypatch) == {
+            (FloatingPointError, "residual stress_divergence not finite")}
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_lowest_failing_strip_raised_after_every_strip_stops(self, monkeypatch, threads):
+        # strip 0 fails late, strip 1 at once: the report raises strip 0's
+        # error, as strips run in turn do, and has joined its helper thread
+        jet = make_builtin("graph", n=25)
+        monkeypatch.setattr(rp, "STRIP_NODES", 4 * 25)
+        monkeypatch.setattr(rp, "STRIP_THREADS", threads)
+        compute_geometry, calls = rp.compute_geometry, []
+
+        def spy(strip):
+            calls.append(strip.grid.first_row)
+            if strip.grid.first_row == 0:
+                time.sleep(0.05)
+                raise FloatingPointError("strip 0")
+            if strip.grid.first_row == 4 - rp.HALO:
+                raise FloatingPointError("strip 1")
+            return compute_geometry(strip)
+
+        monkeypatch.setattr(rp, "compute_geometry", spy)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="^strip 0$"):
+            rp.build_geometry_report(jet)
+        assert threading.active_count() == before
+        # no strip is started after a failure
+        if threads == 1:
+            assert calls == [0]
+        else:
+            assert 0 in calls and set(calls) <= {0, 4 - rp.HALO}
+
+    @pytest.mark.parametrize("node", [(24, 0), (13, 7)])
+    def test_no_strip_outlives_a_failed_report(self, monkeypatch, node):
+        jet = make_builtin("helix_line_r4", n=25, tau=0.5)
+        d1 = jet.d1.copy()
+        d1[node + (1,)] = d1[node + (0,)]
+        bad = ImmersionJet(jet.grid, jet.space, jet.pos, d1, jet.d2, jet.d3, jet.source)
+        monkeypatch.setattr(rp, "STRIP_NODES", 4 * 25)
+        before = threading.active_count()
+        with pytest.raises(DegenerateImmersionError, match=r"node \(%d, %d\)$" % node):
+            rp.build_geometry_report(bad)
+        assert threading.active_count() == before
+
+    def test_strips_shared_by_more_threads_than_cores(self, monkeypatch):
+        # a strip taken twice or never leaves rows of the block unwritten:
+        # four threads on HALO-row strips, switching as often as they can
+        jet = make_builtin("cylinder", n=25, stretch=0.3)
+        one = self._json(jet, monkeypatch, 25)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                assert self._json(jet, monkeypatch, rp.HALO, threads=4) == one
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_dumped_fields_do_not_hold_the_block(self, monkeypatch):
+        # the block of a report's whole-grid fields is freed before the
+        # report is written: a dumped field owns its memory
+        monkeypatch.setattr(rp, "STRIP_NODES", 4 * 25)
+        rep = rp.build_geometry_report(tabulate(make_builtin("graph", n=25)), dump_fields=True)
+        assert all(f.base is None for f in rep.fields.values())
 
     @pytest.mark.parametrize("name,params", [("graph", {}), ("cylinder", {"stretch": 0.3})])
     def test_fd_strips_difference_their_own_rows(self, monkeypatch, name, params):
