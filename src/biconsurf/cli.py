@@ -10,8 +10,9 @@ option or command, a value of the wrong type, a bad choice) is a
 ``click.UsageError``. :func:`_exit_on_error` runs once, around every command
 of the group, and maps both to exit 3.
 
-Only ``solve-mu`` imports ``mu_solver``, and with it scipy: ``verify`` and
-``convergence`` run on numpy alone, and start without paying for scipy.
+``verify`` and ``convergence`` never import ``mu_solver``, and ``solve-mu``
+imports scipy only when a Newton step falls back to SuperLU (see
+``mu_solver``): a command starts without paying for scipy.
 """
 
 from __future__ import annotations
@@ -407,7 +408,7 @@ def verify(config_path, **flags):
 @click.option("--dump-fields", is_flag=True)
 def solve_mu_cmd(config_path, **flags):
     """Solve the principal-curvature-gap equation by damped Newton iteration."""
-    from . import mu_solver  # scipy loads here, for this command alone
+    from . import mu_solver
 
     s = _settings(config_path, flags, H=1.0, KN=0.0, grid_size=(64, 64), mu0=None,
                   perturb=0.0, tol_newton=mu_solver.TOL_NEWTON, max_iter=mu_solver.MAX_ITER,

@@ -18,37 +18,41 @@ discrete Gauss consistency of an iterate is -(mu/2) G identically.
 Newton runs on w, and the iterate is kept as mu = e^w: a step s in w
 multiplies mu by e^{alpha s}, so mu stays positive. The Jacobian
 dG/dw = -Lap_0 - diag(d), d = 2 (K_N + |H|^2) e^{-w} + e^{w} / (2 |H|^2),
-has the fixed periodic 5-point pattern and constant neighbour entries; both
-are built once per solve and each step fills only the centre entries.
+is applied matrix-free, as J s = -Lap_0 s - d s with the residual's own
+stencil, and ||J||_inf = max |2 (c_u + c_v) - d| + 2 (c_u + c_v) in closed
+form (c = 1/h^2 per axis).
 
-Each Newton step is solved by GMRES on that Jacobian, right-preconditioned
-by its constant-coefficient part lam_h - mean(d), where lam_h is the symbol
-of the periodic 5-point -(d_xx + d_yy): the preconditioner is diagonal in
-Fourier space and applied with two real FFTs (Knoll & Keyes 2004,
-*Jacobian-free Newton-Krylov methods*). It is nearly singular on the same
-low modes as the Jacobian (sin x sin y on the README problem), so it
-carries that mode rather than fighting it. A Krylov step is taken only when
-it is finite and its normwise backward error
-||J s - b|| / (||J||_inf ||s|| + ||b||) is at most ``BACKWARD_ERROR_TOL``,
-the accuracy of a direct solve; the Newton path is then that of a direct
-solver. Otherwise the step falls back to SuperLU, ordered by minimum degree
-on J^T + J (``permc_spec="MMD_AT_PLUS_A"``); a singular Jacobian, on which
-SuperLU returns no finite step, is a ``SolverError``.
+Each Newton step is solved by a restarted GMRES (Saad & Schultz 1986) on
+numpy alone, right-preconditioned by the Jacobian's constant-coefficient part
+lam_h - mean(d), where lam_h is the symbol of the periodic 5-point
+-(d_xx + d_yy): the preconditioner is diagonal in Fourier space and applied
+with two real FFTs (Knoll & Keyes 2004, *Jacobian-free Newton-Krylov
+methods*). It is nearly singular on the same low modes as the Jacobian
+(sin x sin y on the README problem), so it carries that mode rather than
+fighting it. A Krylov step is taken only when it is finite and its normwise
+backward error ||J s - b|| / (||J||_inf ||s|| + ||b||) is at most
+``BACKWARD_ERROR_TOL``, the accuracy of a direct solve; the Newton path is
+then that of a direct solver. Otherwise the step falls back to SuperLU on the
+Jacobian assembled as a CSR matrix, ordered by minimum degree on J^T + J
+(``permc_spec="MMD_AT_PLUS_A"``); a singular Jacobian, on which SuperLU
+returns no finite step, is a ``SolverError``. Only that fallback imports
+scipy: the module attribute ``spla`` is ``scipy.sparse.linalg``, imported on
+first access (PEP 562), and the fallback calls ``spsolve`` through it.
 
 Steps are damped by backtracking on the residual norm. Where
 K_N + |H|^2 <= 0 at every node, a solution would have Lap_0 w < 0 at every
 node, which no periodic w allows (the stencil sums to zero over the grid);
-the solver then stops before the first Newton step.
+the solver then stops before the first Newton step. It stops there too when
+the residual at the initial guess is not finite.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .grid import Grid, InputError, flat_laplacian
 
@@ -57,10 +61,24 @@ TOL_NEWTON = 1e-10
 MAX_ITER = 30
 # largest normwise backward error of an accepted Krylov step
 BACKWARD_ERROR_TOL = 1e-14
+# a Krylov step takes at most CYCLES cycles of GMRES(RESTART)
+RESTART, CYCLES = 40, 3
 # halvings of a Newton step the line search tries before the solve stops
 MAX_HALVINGS = 20
 NO_PERIODIC_SOLUTION = ("no periodic solution: K_N + |H|^2 <= 0 at every node"
                         " forces Lap w < 0 everywhere")
+NON_FINITE_START = "residual not finite at the initial guess"
+
+
+def __getattr__(name):
+    # PEP 562: scipy.sparse.linalg loads on the first access to ``spla``,
+    # which only a SuperLU fallback (or a caller that wraps ``spsolve``) makes
+    if name != "spla":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import scipy.sparse.linalg
+
+    globals()["spla"] = scipy.sparse.linalg
+    return scipy.sparse.linalg
 
 
 class SolverError(FloatingPointError):
@@ -109,17 +127,27 @@ def mu_residual(grid: Grid, mu: np.ndarray, H: float, KN) -> np.ndarray:
     return react - flat_laplacian(grid, np.log(mu))
 
 
+def l2_norm(f: np.ndarray) -> float:
+    """2-norm of a field, taken on f / max|f| so that no square overflows;
+    inf or nan when f holds one."""
+    scale = np.max(np.abs(f))
+    if not 0.0 < scale < np.inf:
+        return float(scale)
+    return float(scale * np.linalg.norm(f / scale))
+
+
 # slots of the five stencil entries within each row of the Jacobian's data
 _CENTRE, _U_MINUS, _U_PLUS, _V_MINUS, _V_PLUS = range(5)
 
 
 class _Operators(NamedTuple):
-    """What the Newton steps of one solve share: the fixed sparsity of the
-    Jacobian, the one row of -Lap_0 entries every Jacobian starts from, and
-    the Fourier symbol of the preconditioner.
+    """What the Newton steps of one solve share: the Fourier symbol of the
+    preconditioner, the one row of -Lap_0 entries every Jacobian starts from,
+    and the fixed sparsity of the Jacobian that the SuperLU fallback
+    assembles.
 
-    Every Jacobian of the solve holds these very index arrays, and the
-    natural-order ``indices`` are not sorted within rows, so they are
+    Every assembled Jacobian of the solve holds these very index arrays, and
+    the natural-order ``indices`` are not sorted within rows, so they are
     read-only: canonicalizing one Jacobian in place (``abs(J)``,
     ``J.sort_indices()``) raises instead of reordering the pattern under all
     the others."""
@@ -156,37 +184,115 @@ def _operators(grid: Grid) -> _Operators:
     return ops
 
 
-def _jacobian(mu: np.ndarray, H: float, KN: np.ndarray, ops: _Operators) -> sp.csr_matrix:
-    """dG/dw at w = log mu in natural order, filled on the fixed pattern of
-    ``ops``: the 5-point stencil of -(d_xx + d_yy) minus
-    d = 2 (K_N + |H|^2) e^{-w} + e^{w} / (2 |H|^2) on the diagonal."""
+def _reaction_d(mu: np.ndarray, H: float, KN: np.ndarray) -> np.ndarray:
+    """d = 2 (K_N + |H|^2) e^{-w} + e^{w} / (2 |H|^2) at w = log mu, so that
+    dG/dw = -Lap_0 - diag(d)."""
+    return 2.0 * (KN + H * H) / mu + mu / (2.0 * H * H)
+
+
+def _jacobian_apply(grid: Grid, d: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """J s = -Lap_0 s - d s, on the residual's own stencil."""
+    return -flat_laplacian(grid, s) - d * s
+
+
+def _jacobian_norm_inf(d: np.ndarray, ops: _Operators) -> float:
+    """||J||_inf in closed form: a row holds 2 (c_u + c_v) - d on the diagonal
+    and -c_u, -c_u, -c_v, -c_v off it."""
+    centre = ops.stencil[_CENTRE]
+    return float(np.max(np.abs(centre - d)) + centre)
+
+
+def _jacobian(mu: np.ndarray, H: float, KN: np.ndarray, ops: _Operators):
+    """dG/dw at w = log mu as a CSR matrix in natural order, filled on the
+    fixed pattern of ``ops``: the 5-point stencil of -(d_xx + d_yy) minus d
+    on the diagonal. Only the SuperLU fallback assembles it, and only it
+    imports scipy.sparse."""
+    import scipy.sparse as sp
+
     m = mu.ravel()
     data = np.empty((m.size, 5))
     data[:] = ops.stencil
-    data[:, _CENTRE] -= 2.0 * (KN.ravel() + H * H) / m + m / (2.0 * H * H)
+    data[:, _CENTRE] -= _reaction_d(m, H, KN.ravel())
     return sp.csr_matrix((data.ravel(), ops.indices, ops.indptr), shape=(m.size, m.size))
 
 
-def _krylov_solve(J: sp.csr_matrix, rhs: np.ndarray, ops: _Operators) -> np.ndarray | None:
-    """J^{-1} rhs by GMRES right-preconditioned with the constant-coefficient
-    Jacobian lam_h - mean(d), or None when the step misses
-    ``BACKWARD_ERROR_TOL``. The stencil entries of each row of J sum to
-    zero, so -mean(d) is the mean row sum of J."""
-    shape = ops.grid.shape
-    P = ops.symbol + J.data.sum() / J.shape[0]
+def _gmres(matvec, b: np.ndarray, atol: float) -> np.ndarray:
+    """x for A x = b by restarted GMRES from x = 0, A applied by ``matvec``
+    to flat vectors: at most ``CYCLES`` cycles of up to ``RESTART`` Arnoldi
+    steps (modified Gram-Schmidt, Givens rotations, a triangular solve each
+    cycle). A cycle ends when the rotated residual is at most ``atol`` or
+    the Krylov space stops growing, an exact solution (happy breakdown) or a
+    vector that is not finite; the solve ends when the true residual
+    ||b - A x|| is at most ``atol`` or after a breakdown. The caller judges
+    the x it gets."""
+    n = b.size
+    m = min(RESTART, n)
+    eps = np.finfo(np.float64).eps
+    x = np.zeros(n)
+    r, beta = b, l2_norm(b)
+    V = np.empty((m + 1, n))
+    R = np.zeros((m, m))  # the Hessenberg matrix, rotated to upper triangular
+    for _ in range(CYCLES):
+        if beta <= atol:
+            break
+        cs, sn, g = np.zeros(m), np.zeros(m), np.zeros(m + 1)
+        g[0] = beta
+        V[0] = r / beta
+        for k in range(m):
+            w = matvec(V[k])
+            h0 = np.linalg.norm(w)
+            for i in range(k + 1):
+                R[i, k] = V[i] @ w
+                w -= R[i, k] * V[i]
+            h = np.linalg.norm(w)
+            # written so that NaN breaks down too
+            breakdown = not h > eps * h0
+            if breakdown:
+                h = 0.0
+            else:
+                V[k + 1] = w / h
+            for i in range(k):
+                R[i, k], R[i + 1, k] = (cs[i] * R[i, k] + sn[i] * R[i + 1, k],
+                                        cs[i] * R[i + 1, k] - sn[i] * R[i, k])
+            rho = np.hypot(R[k, k], h)
+            cs[k], sn[k] = R[k, k] / rho, h / rho
+            R[k, k] = rho
+            g[k + 1] = -sn[k] * g[k]
+            g[k] *= cs[k]
+            if breakdown or abs(g[k + 1]) <= atol:
+                break
+        y = np.empty(k + 1)
+        for i in range(k, -1, -1):
+            y[i] = (g[i] - R[i, i + 1:k + 1] @ y[i + 1:]) / R[i, i]
+        x += y @ V[:k + 1]
+        r = b - matvec(x)
+        beta = l2_norm(r)
+        if breakdown:
+            break
+    return x
+
+
+def _krylov_solve(d: np.ndarray, rhs: np.ndarray, ops: _Operators) -> np.ndarray | None:
+    """J^{-1} rhs for J = -Lap_0 - diag(d), by GMRES right-preconditioned with
+    the constant-coefficient Jacobian lam_h - mean(d), or None when the step
+    is not finite or misses ``BACKWARD_ERROR_TOL``. d, rhs and the step are
+    node fields."""
+    grid = ops.grid
+    shape = grid.shape
+    P = ops.symbol - np.mean(d)
 
     def precondition(y):
-        return np.fft.irfft2(np.fft.rfft2(y.reshape(shape)) / P, s=shape).ravel()
+        return np.fft.irfft2(np.fft.rfft2(y.reshape(shape)) / P, s=shape)
 
-    norm_J = np.abs(J.data).reshape(-1, 5).sum(axis=1).max()
-    norm_b = np.linalg.norm(rhs)
+    norm_J = _jacobian_norm_inf(d, ops)
+    norm_b = l2_norm(rhs)
     atol = 0.1 * BACKWARD_ERROR_TOL * (norm_J * np.linalg.norm(precondition(rhs)) + norm_b)
-    JP = spla.LinearOperator(J.shape, matvec=lambda y: J @ precondition(y), dtype=np.float64)
-    y = spla.gmres(JP, rhs, restart=40, maxiter=3, rtol=0.0, atol=atol)[0]
+    y = _gmres(lambda y: _jacobian_apply(grid, d, precondition(y)).ravel(), rhs.ravel(), atol)
     step = precondition(y)
     if not np.all(np.isfinite(step)):
         return None
-    backward_error = np.linalg.norm(J @ step - rhs) / (norm_J * np.linalg.norm(step) + norm_b)
+    backward_error = (l2_norm(_jacobian_apply(grid, d, step) - rhs)
+                      / (norm_J * np.linalg.norm(step) + norm_b))
     return step if backward_error <= BACKWARD_ERROR_TOL else None
 
 
@@ -214,28 +320,33 @@ def solve_mu(
     mu = problem.mu0.copy()
     sol = MuSolution(problem, mu)
 
-    F = mu_residual(grid, mu, H, KN)
-    norm = np.linalg.norm(F)
-    sol.residual_history.append(float(np.max(np.abs(F))))
-    if np.all(KN + H * H <= 0):
-        sol.reason = NO_PERIODIC_SOLUTION
-        return sol
-    ops = _operators(grid)
-    # floating-point exceptions are dealt with by value: a step that is not
+    # floating-point exceptions are dealt with by value: a residual that is
+    # not finite at the initial guess stops the solve, a step that is not
     # finite raises, and a trial whose e^w leaves the float range has a
     # residual that is not finite, which fails the descent test
     with np.errstate(all="ignore"):
+        F = mu_residual(grid, mu, H, KN)
+        norm = l2_norm(F)
+        sol.residual_history.append(float(np.max(np.abs(F))))
+        if np.all(KN + H * H <= 0):
+            sol.reason = NO_PERIODIC_SOLUTION
+            return sol
+        if not np.isfinite(norm):
+            sol.reason = NON_FINITE_START
+            return sol
+        ops = _operators(grid)
         for it in range(max_iter):
             if sol.residual_history[-1] <= tol_newton:
                 break
-            J = _jacobian(mu, H, KN, ops)
-            rhs = -F.ravel()
-            step = _krylov_solve(J, rhs, ops)
+            step = _krylov_solve(_reaction_d(mu, H, KN), -F, ops)
             if step is None:
-                step = spla.spsolve(J.tocsc(), rhs, permc_spec="MMD_AT_PLUS_A")
+                J = _jacobian(mu, H, KN, ops)
+                # through the module attribute, which imports scipy on first use
+                lu = sys.modules[__name__].spla.spsolve(J.tocsc(), -F.ravel(),
+                                                        permc_spec="MMD_AT_PLUS_A")
+                step = lu.reshape(grid.shape)
             if not np.all(np.isfinite(step)):
                 raise SolverError(f"singular Jacobian at iteration {it}")
-            step = step.reshape(grid.shape)
 
             alpha = 1.0
             accepted = False
@@ -243,7 +354,7 @@ def solve_mu(
                 trial = mu * np.exp(alpha * step)
                 if np.all(trial > 0):  # e^w underflows to 0 below w = -745
                     F_trial = mu_residual(grid, trial, H, KN)
-                    norm_trial = np.linalg.norm(F_trial)
+                    norm_trial = l2_norm(F_trial)
                     if norm_trial <= (1.0 - 1e-4 * alpha) * norm or norm_trial <= tol_newton:
                         mu, F, norm = trial, F_trial, norm_trial
                         accepted = True

@@ -372,7 +372,7 @@ def build_geometry_report(
 
 def build_mu_report(sol, dump_fields: bool = False) -> GeometryReport:
     """Report for a gap-equation solve: final residual, reconstruction checks."""
-    from .mu_solver import gauss_consistency, mu_residual, reconstruct_geometry
+    from .mu_solver import gauss_consistency, l2_norm, mu_residual, reconstruct_geometry
 
     prob = sol.problem
     meta = {
@@ -387,9 +387,14 @@ def build_mu_report(sol, dump_fields: bool = False) -> GeometryReport:
         "iterations": sol.iterations,
     }
     rep = GeometryReport(meta)
-    F = mu_residual(prob.grid, sol.mu, prob.H, prob.KN)
-    for name, f in (("gap_equation", F), ("gauss_consistency", gauss_consistency(sol))):
-        rep.add(name, float(np.sqrt(np.mean(f**2))), float(np.max(np.abs(f))))
+    # a solve that stopped on a residual that is not finite finds it here
+    # again, and the report writes it as such
+    with np.errstate(all="ignore"):
+        F = mu_residual(prob.grid, sol.mu, prob.H, prob.KN)
+        gauss = gauss_consistency(sol)
+    for name, f in (("gap_equation", F), ("gauss_consistency", gauss)):
+        # the RMS, by way of f / max|f|: it is at most the L-inf, so finite with it
+        rep.add(name, l2_norm(f) / math.sqrt(f.size), float(np.max(np.abs(f))))
     rep.flags["converged"] = sol.converged
     rep.summaries = {
         "mu_min": float(np.min(sol.mu)),

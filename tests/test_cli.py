@@ -779,6 +779,26 @@ class TestSolveMu:
         assert res.exit_code == EXIT_NUMERICAL, res.output
         assert res.stderr == "numerical failure: singular Jacobian at iteration 0\n"
 
+    @pytest.mark.parametrize("args,message,l2", [
+        # 2 (K_N + |H|^2) / mu overflows at the initial guess: Newton never runs
+        (["--KN", "1e308"], "residual not finite at the initial guess", "inf"),
+        # a finite residual of 1.6e234, whose squares overflow
+        (["--KN", "1e300", "--H", "1e-100"], "Newton iteration did not converge", None),
+    ])
+    def test_overflow_is_one_line_numerical_failure(self, runner, args, message, l2):
+        # no RuntimeWarning reaches stderr (pytest turns one into an error),
+        # and the report still reaches stdout
+        res = runner.invoke(main, ["solve-mu", *args, "--grid", "8x8"])
+        assert res.exit_code == EXIT_NUMERICAL, res.output
+        assert res.stderr == f"numerical failure: {message}\n"
+        gap = json.loads(res.stdout)["residuals"][0]
+        assert gap["name"] == "gap_equation"
+        if l2 is None:
+            # an RMS is at most the L-inf, so it is finite with it
+            assert 0 < gap["l2"] <= gap["linf"] < math.inf
+        else:
+            assert gap["l2"] == gap["linf"] == l2
+
     def test_small_start_converges_to_root(self, runner):
         # from mu0 = 0.2 (root 2) the mu-form solver clipped every node to a
         # floor of 1e-8 and stalled next to the trivial root mu = 0; in
@@ -1171,14 +1191,29 @@ for args in (
     assert threading.active_count() == 1, (args, threading.enumerate())
 res = runner.invoke(main, ["solve-mu", "--grid", "16x16", "--perturb", "0.1"])
 assert res.exit_code == 0, res.output
+# every Newton step of the solve was a Krylov step, on numpy alone
+assert not scipy_modules(), scipy_modules()[:5]
+assert "concurrent.futures" not in sys.modules
+assert threading.active_count() == 1, threading.enumerate()
+
+# the positive control: with K_N = 2 cos x cos y one step misses the
+# backward-error bar and falls back to SuperLU, which loads scipy
+import numpy as np
+from biconsurf import mu_solver
+from biconsurf.grid import build_grid
+g = build_grid((0.0, 2.0 * np.pi), (0.0, 2.0 * np.pi), 32, 32, True, True)
+U, V = g.mesh()
+sol = mu_solver.solve_mu(mu_solver.MuProblem(g, 1.0, 2.0 * np.cos(U) * np.cos(V),
+                                             2.0 * np.exp(0.1 * np.sin(3 * U) * np.cos(5 * V))))
+assert sol.converged
 assert "scipy.sparse.linalg" in sys.modules
 """
 
 
-def test_only_solve_mu_loads_scipy():
-    # verify and convergence run on numpy alone; importing scipy was most of
-    # the start-up time of every CLI process, and concurrent.futures would
-    # add about 13 ms more
+def test_scipy_loads_only_for_a_superlu_fallback():
+    # verify, convergence and a Krylov-only solve-mu run on numpy alone:
+    # importing scipy doubled a process's peak RSS and cost 0.27 s of
+    # start-up, and concurrent.futures would add about 13 ms more
     src = str(Path(biconsurf.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE], capture_output=True, text=True,

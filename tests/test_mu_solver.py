@@ -204,27 +204,24 @@ class TestLinearLayer:
         assert abs(J - ref).max() <= 1e-13 * abs(ref).max()
 
     def test_work_counts(self, monkeypatch):
-        # one Krylov solve per Newton step; no LU fallback on the README problem
-        calls = {"operators": 0, "gmres": 0, "spsolve": 0}
-        operators = mu_solver._operators
+        # one matrix-free Krylov solve per Newton step; on the README problem
+        # no step assembles a Jacobian or falls back to SuperLU
+        calls = {"operators": 0, "krylov": 0, "jacobian": 0, "spsolve": 0}
 
-        def counted_operators(grid):
-            calls["operators"] += 1
-            return operators(grid)
-
-        def counted(name):
-            def fn(*args, **kwargs):
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
                 calls[name] += 1
-                return getattr(spla, name)(*args, **kwargs)
-            return fn
+                return fn(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(mu_solver, "_operators", counted_operators)
-        monkeypatch.setattr(mu_solver, "spla", types.SimpleNamespace(
-            LinearOperator=spla.LinearOperator,
-            **{name: counted(name) for name in ("gmres", "spsolve")}))
+        for name, attr in (("operators", "_operators"), ("krylov", "_krylov_solve"),
+                           ("jacobian", "_jacobian")):
+            monkeypatch.setattr(mu_solver, attr, counted(name, getattr(mu_solver, attr)))
+        monkeypatch.setattr(mu_solver, "spla",
+                            types.SimpleNamespace(spsolve=counted("spsolve", spla.spsolve)))
         sol = solve_mu(make_problem(n=32))
         assert sol.converged and sol.iterations > 0
-        assert calls == {"operators": 1, "gmres": sol.iterations, "spsolve": 0}
+        assert calls == {"operators": 1, "krylov": sol.iterations, "jacobian": 0, "spsolve": 0}
 
     @pytest.mark.parametrize("n,nv", [(64, None), (24, 40)])
     def test_krylov_step_is_a_direct_solve(self, n, nv):
@@ -232,9 +229,10 @@ class TestLinearLayer:
         g, mu = prob.grid, prob.mu0
         ops = mu_solver._operators(g)
         J = mu_solver._jacobian(mu, prob.H, prob.KN, ops)
-        rhs = -mu_residual(g, mu, prob.H, prob.KN).ravel()
-        step = mu_solver._krylov_solve(J, rhs, ops)
+        rhs = -mu_residual(g, mu, prob.H, prob.KN)
+        step = mu_solver._krylov_solve(mu_solver._reaction_d(mu, prob.H, prob.KN), rhs, ops)
         assert step is not None
+        step, rhs = step.ravel(), rhs.ravel()
         norm_J = abs(kron_jacobian(g, mu, prob.H, prob.KN)).sum(axis=1).max()
         backward_error = (np.linalg.norm(J @ step - rhs)
                           / (norm_J * np.linalg.norm(step) + np.linalg.norm(rhs)))
@@ -258,8 +256,7 @@ class TestLinearLayer:
             fallbacks.append(1)
             return spla.spsolve(*args, **kwargs)
 
-        monkeypatch.setattr(mu_solver, "spla", types.SimpleNamespace(
-            LinearOperator=spla.LinearOperator, gmres=spla.gmres, spsolve=counted_spsolve))
+        monkeypatch.setattr(mu_solver, "spla", types.SimpleNamespace(spsolve=counted_spsolve))
         sol = solve_mu(prob)
         assert sol.converged
         assert 1 <= len(fallbacks) < sol.iterations
@@ -270,9 +267,12 @@ class TestLinearLayer:
         assert len(fallbacks) == lu.iterations
         assert (sol.iterations, sol.converged) == (lu.iterations, lu.converged)
         # the Krylov steps agree with the LU ones to round-off; the last
-        # residual is round-off itself
+        # residual is round-off itself. Each residual is evaluated from terms
+        # as large as max mu / (2 |H|^2) = 33, so it is known to a few ulps of
+        # that (7.1e-15 each): the 1.2e-7 of step 6 cannot agree to rtol alone
+        floor = 16 * np.finfo(np.float64).eps * np.max(lu.mu) / 2.0
         np.testing.assert_allclose(sol.residual_history[:-1], lu.residual_history[:-1],
-                                   rtol=1e-9)
+                                   rtol=1e-9, atol=floor)
         np.testing.assert_allclose(sol.mu, lu.mu, rtol=1e-10)
 
     def test_non_finite_lu_step_raises(self, monkeypatch):
@@ -282,8 +282,7 @@ class TestLinearLayer:
             return np.full_like(b, np.nan)
 
         monkeypatch.setattr(mu_solver, "_krylov_solve", lambda *args: None)
-        monkeypatch.setattr(mu_solver, "spla", types.SimpleNamespace(
-            LinearOperator=spla.LinearOperator, gmres=spla.gmres, spsolve=nan_spsolve))
+        monkeypatch.setattr(mu_solver, "spla", types.SimpleNamespace(spsolve=nan_spsolve))
         with pytest.raises(SolverError, match="^singular Jacobian at iteration 0$"):
             solve_mu(make_problem(n=16, H=1.1, KN=0.3))
 
@@ -308,8 +307,7 @@ class TestLinearLayer:
 
     def test_readme_128_iteration_count_pinned(self, monkeypatch):
         # the benchmark's README problem, every step a Krylov step
-        monkeypatch.setattr(mu_solver, "spla", types.SimpleNamespace(
-            LinearOperator=spla.LinearOperator, gmres=spla.gmres, spsolve=None))
+        monkeypatch.setattr(mu_solver, "spla", types.SimpleNamespace(spsolve=None))
         sol = solve_mu(make_problem(n=128))
         assert sol.converged
         assert sol.iterations == 6
@@ -319,6 +317,98 @@ class TestLinearLayer:
         sol = solve_mu(make_problem(n=24, nv=40))
         assert sol.converged
         assert sol.iterations == 4
+
+
+class TestKrylov:
+    """The numpy GMRES and the matrix-free Jacobian it runs on."""
+
+    @staticmethod
+    def counted(A):
+        calls = []
+
+        def matvec(v):
+            calls.append(1)
+            return A @ v
+        return matvec, calls
+
+    @pytest.mark.parametrize("n,shift,restarts", [(12, 0.5, False), (100, 1.5, True)])
+    def test_gmres_matches_dense_solve(self, rng, n, shift, restarts):
+        # nonsymmetric; at n = 100 the eigenvalues fill a disc of radius about
+        # 1 around 1.5, and GMRES needs more than RESTART steps
+        A = shift * np.eye(n) + rng.standard_normal((n, n)) / np.sqrt(n)
+        b = rng.standard_normal(n)
+        atol = 1e-12 * np.linalg.norm(b)
+        matvec, calls = self.counted(A)
+        x = mu_solver._gmres(matvec, b, atol)
+        assert np.linalg.norm(b - A @ x) <= atol
+        np.testing.assert_allclose(x, np.linalg.solve(A, b), rtol=0,
+                                   atol=1e-10 * np.max(np.abs(x)))
+        # each cycle ends with one product for its true residual
+        assert (len(calls) > mu_solver.RESTART + 1) == restarts
+        assert len(calls) <= mu_solver.CYCLES * (mu_solver.RESTART + 1)
+
+    def test_gmres_happy_breakdown(self, rng):
+        # e_1 is an eigenvector of an upper triangular A: the first Arnoldi
+        # vector is mapped onto itself, the next one is exactly zero, and the
+        # solve is exact after one step instead of dividing by that zero
+        A = np.triu(rng.standard_normal((8, 8))) + 4.0 * np.eye(8)
+        b = np.zeros(8)
+        b[0] = 3.0
+        matvec, calls = self.counted(A)
+        x = mu_solver._gmres(matvec, b, 0.0)
+        np.testing.assert_array_equal(x, b / A[0, 0])
+        assert len(calls) == 2
+
+    def test_zero_in_preconditioner_symbol_falls_back(self, monkeypatch):
+        # P = lam_h - mean(d) with an exact zero: the preconditioned vectors
+        # are not finite, the Krylov step is None, and SuperLU takes the step
+        krylov = mu_solver._krylov_solve
+
+        def zero_mode(d, rhs, ops):
+            symbol = ops.symbol.copy()
+            symbol[1, 1] = np.mean(d)
+            return krylov(d, rhs, ops._replace(symbol=symbol))
+
+        prob = make_problem(n=16, H=1.1, KN=0.3)
+        ops = mu_solver._operators(prob.grid)
+        d = mu_solver._reaction_d(prob.mu0, prob.H, prob.KN)
+        rhs = -mu_residual(prob.grid, prob.mu0, prob.H, prob.KN)
+        with np.errstate(all="ignore"):  # as solve_mu calls it
+            assert zero_mode(d, rhs, ops) is None
+
+        steps = []
+
+        def recorded(*args):
+            steps.append(zero_mode(*args))
+            return steps[-1]
+
+        monkeypatch.setattr(mu_solver, "_krylov_solve", recorded)
+        sol = solve_mu(prob)
+        assert sol.converged and sol.iterations == 3
+        assert steps == [None] * sol.iterations
+
+    @pytest.mark.parametrize("shape", [(16, 16), (12, 20)])
+    def test_matrix_free_jacobian_matches_kron_assembly(self, rng, shape):
+        g = torus_grid(*shape)
+        U, V = g.mesh()
+        mu = 2.0 + 0.2 * np.sin(U) * np.cos(2 * V) + 0.1 * np.cos(3 * U + V)
+        KN = 0.2 * np.cos(U) * np.cos(2 * V)
+        ops = mu_solver._operators(g)
+        d = mu_solver._reaction_d(mu, 1.3, KN)
+        ref = kron_jacobian(g, mu, 1.3, KN)
+        norm_ref = abs(ref).sum(axis=1).max()
+        assert abs(mu_solver._jacobian_norm_inf(d, ops) - norm_ref) <= 1e-13 * norm_ref
+        s = rng.standard_normal(g.shape)
+        Js = mu_solver._jacobian_apply(g, d, s)
+        expect = (ref @ s.ravel()).reshape(g.shape)
+        assert np.max(np.abs(Js - expect)) <= 1e-13 * norm_ref * np.max(np.abs(s))
+
+    def test_l2_norm_does_not_overflow(self):
+        f = np.full((4, 4), 1e200)
+        assert mu_solver.l2_norm(f) == pytest.approx(4e200, rel=1e-15)
+        assert mu_solver.l2_norm(np.zeros(3)) == 0.0
+        assert mu_solver.l2_norm(np.array([1.0, np.inf])) == np.inf
+        assert np.isnan(mu_solver.l2_norm(np.array([1.0, np.nan])))
 
 
 class TestReconstruction:

@@ -10,10 +10,11 @@ once per tree, each in a fresh interpreter, on the same input files.  The
 cases cover every builtin surface (two parameter sets each except the graph,
 the polar sphere through a config file, and a third cylinder, of radius 0.6
 with stretch 0.4), analytic and ``--fd-jets``, with
-``--dump-fields``, at 32^2 and 96^2; seven ``solve-mu`` runs (two at 64^2,
+``--dump-fields``, at 32^2 and 96^2; eight ``solve-mu`` runs (two at 64^2,
 one on an unequal and one on an odd grid, the benchmark's 128^2 README
-problem, and two far from the constant root, named ``solve_mu_lu_*`` after
-the SuperLU fallback they once reached); one
+problem, two far from the constant root, named ``solve_mu_lu_*`` after
+the SuperLU fallback they once reached, and one whose residual overflows
+at the initial guess, which pins that failure's exit code and stderr); one
 ``convergence`` study; one CSV report; a tabulated torus in the sphere
 S^3(1) at 32^2 and 64^2, and one in S^3(2) at 32^2, where r and r^2 differ;
 at 32^2 and 64^2, a tabulated product torus in R^4 at the angles
@@ -31,7 +32,7 @@ the analytic helix (open u), the ``--fd-jets`` Mercator sphere (periodic u),
 the ``--fd-jets --dump-fields`` graph (open u) and, read from a surface
 file's position table, the cylinder of radius 1.2 with stretch 0.3
 (periodic u).
-That is 61 cases.
+That is 62 cases.
 
 For each case it prints both exit codes, whether stdout is byte-identical,
 the largest |diff| over the numbers in stdout, the largest relative diff
@@ -128,6 +129,8 @@ def cases() -> dict[str, list[str]]:
                                       "--perturb", "0.1", "--grid", "64x64", "--dump-fields"]
     out["solve_mu_lu_perturb"] = ["solve-mu", "--H", "1", "--KN", "-0.5", "--perturb", "0.9",
                                   "--grid", "32x32"]
+    # 2 (K_N + |H|^2) / mu overflows: exit 4 before Newton, the report says inf
+    out["solve_mu_overflow"] = ["solve-mu", "--KN", "1e308", "--grid", "8x8"]
     out["convergence"] = ["convergence", "--surface", "cylinder", "--grid", "16x16",
                           "--levels", "3", "--param", "stretch=0.3", "--fd-jets"]
     out["csv_helix"] = ["verify", "--surface", "helix_line_r4", "--grid", "32x32",
