@@ -33,7 +33,8 @@ fighting it. A Krylov step is taken only when it is finite and its normwise
 backward error ||J s - b|| / (||J||_inf ||s|| + ||b||) is at most
 ``BACKWARD_ERROR_TOL``, the accuracy of a direct solve; the Newton path is
 then that of a direct solver. Otherwise the step falls back to SuperLU on the
-Jacobian assembled as a CSR matrix, ordered by minimum degree on J^T + J
+Jacobian, assembled as a Kronecker sum of 1-D periodic second differences only
+when a step falls back, and ordered by minimum degree on J^T + J
 (``permc_spec="MMD_AT_PLUS_A"``); a singular Jacobian, on which SuperLU
 returns no finite step, is a ``SolverError``. Only that fallback imports
 scipy: the module attribute ``spla`` is ``scipy.sparse.linalg``, imported on
@@ -136,52 +137,20 @@ def l2_norm(f: np.ndarray) -> float:
     return float(scale * np.linalg.norm(f / scale))
 
 
-# slots of the five stencil entries within each row of the Jacobian's data
-_CENTRE, _U_MINUS, _U_PLUS, _V_MINUS, _V_PLUS = range(5)
-
-
 class _Operators(NamedTuple):
-    """What the Newton steps of one solve share: the Fourier symbol of the
-    preconditioner, the one row of -Lap_0 entries every Jacobian starts from,
-    and the fixed sparsity of the Jacobian that the SuperLU fallback
-    assembles.
-
-    Every assembled Jacobian of the solve holds these very index arrays, and
-    the natural-order ``indices`` are not sorted within rows, so they are
-    read-only: canonicalizing one Jacobian in place (``abs(J)``,
-    ``J.sort_indices()``) raises instead of reordering the pattern under all
-    the others."""
+    """What the Newton steps of one solve share: the grid and the Fourier
+    symbol of the preconditioner."""
 
     grid: Grid
-    indptr: np.ndarray
-    indices: np.ndarray
-    stencil: np.ndarray
     symbol: np.ndarray
 
 
 def _operators(grid: Grid) -> _Operators:
     nu, nv = grid.shape
-    n = nu * nv
-    i, j = np.divmod(np.arange(n), nv)
-    cols = np.empty((n, 5), dtype=np.int32)
-    cols[:, _CENTRE] = i * nv + j
-    cols[:, _U_MINUS] = ((i - 1) % nu) * nv + j
-    cols[:, _U_PLUS] = ((i + 1) % nu) * nv + j
-    cols[:, _V_MINUS] = i * nv + (j - 1) % nv
-    cols[:, _V_PLUS] = i * nv + (j + 1) % nv
-    indptr = np.arange(0, 5 * n + 1, 5, dtype=np.int32)
-    cu, cv = 1.0 / (grid.hu * grid.hu), 1.0 / (grid.hv * grid.hv)
-    stencil = np.empty(5)
-    stencil[_CENTRE] = 2.0 * (cu + cv)
-    stencil[[_U_MINUS, _U_PLUS]] = -cu
-    stencil[[_V_MINUS, _V_PLUS]] = -cv
     # lam_h = 4 sin^2(k h / 2) / h^2 per axis, on the rfft2 frequencies
     lam_u = (2.0 * np.sin(np.pi * np.arange(nu) / nu) / grid.hu) ** 2
     lam_v = (2.0 * np.sin(np.pi * np.arange(nv // 2 + 1) / nv) / grid.hv) ** 2
-    ops = _Operators(grid, indptr, cols.ravel(), stencil, lam_u[:, None] + lam_v)
-    for a in ops[1:]:
-        a.flags.writeable = False
-    return ops
+    return _Operators(grid, lam_u[:, None] + lam_v)
 
 
 def _reaction_d(mu: np.ndarray, H: float, KN: np.ndarray) -> np.ndarray:
@@ -198,22 +167,25 @@ def _jacobian_apply(grid: Grid, d: np.ndarray, s: np.ndarray) -> np.ndarray:
 def _jacobian_norm_inf(d: np.ndarray, ops: _Operators) -> float:
     """||J||_inf in closed form: a row holds 2 (c_u + c_v) - d on the diagonal
     and -c_u, -c_u, -c_v, -c_v off it."""
-    centre = ops.stencil[_CENTRE]
+    grid = ops.grid
+    centre = 2.0 * (1.0 / (grid.hu * grid.hu) + 1.0 / (grid.hv * grid.hv))
     return float(np.max(np.abs(centre - d)) + centre)
 
 
 def _jacobian(mu: np.ndarray, H: float, KN: np.ndarray, ops: _Operators):
-    """dG/dw at w = log mu as a CSR matrix in natural order, filled on the
-    fixed pattern of ``ops``: the 5-point stencil of -(d_xx + d_yy) minus d
-    on the diagonal. Only the SuperLU fallback assembles it, and only it
-    imports scipy.sparse."""
+    """dG/dw at w = log mu as a CSR matrix in natural order: -Lap_0 as the
+    Kronecker sum of the 1-D periodic -d^2 per axis (``kronsum(A, B)`` is
+    I (x) A + B (x) I, so v is the fast index), minus d on the diagonal. Only
+    the SuperLU fallback assembles it, and only it imports scipy.sparse."""
     import scipy.sparse as sp
 
-    m = mu.ravel()
-    data = np.empty((m.size, 5))
-    data[:] = ops.stencil
-    data[:, _CENTRE] -= _reaction_d(m, H, KN.ravel())
-    return sp.csr_matrix((data.ravel(), ops.indices, ops.indptr), shape=(m.size, m.size))
+    def minus_d2(n, h):
+        c = 1.0 / (h * h)
+        return sp.diags([-c, -c, 2.0 * c, -c, -c], [1 - n, -1, 0, 1, n - 1], shape=(n, n))
+
+    grid = ops.grid
+    lap = sp.kronsum(minus_d2(grid.nv, grid.hv), minus_d2(grid.nu, grid.hu))
+    return lap - sp.diags(_reaction_d(mu, H, KN).ravel())
 
 
 def _gmres(matvec, b: np.ndarray, atol: float) -> np.ndarray:
