@@ -2,14 +2,14 @@
 formulas, parallel shape-operator diagnostics, space-form target derivation.
 
 All residuals are reported both as area-weighted L2 and as L-infinity norms
-of pointwise g-norms, taken over the interior nodes (``grid.InteriorNodes``)
-of the whole grid whoever asks: a geometry's own, or the report's, whose
-fields are put together strip by strip. "Analytic" jets put them at
-round-off, finite difference jets at O(h^2). Every check runs in the
-coordinates of the jet, with the operators of ``SurfaceGeometry``; none
-needs an isothermal chart. No check here decides a report's verdict: each
-flag is read off its row in ``report.FLAGS``, and the Simons gate is
-``not is_biconservative``.
+of pointwise g-norms over the interior nodes (``grid.interior_span``) of the
+whole grid, whoever asks: each goes through :func:`row_norms` on u-rows (a
+report's strips each reduce their own) and :func:`combined_norms` once.
+"Analytic" jets put them at round-off, finite difference jets at O(h^2).
+Every check runs in the coordinates of the jet, with the operators of
+``SurfaceGeometry``; none needs an isothermal chart. No check here decides
+a report's verdict: each flag is read off its row in ``report.FLAGS``, and
+the Simons gate is ``not is_biconservative``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .ambient import curvature_operator
-from .grid import Grid, InteriorNodes, integrate
+from .grid import Grid, integrate, interior_span, quadrature_weights
 from .immersion import (  # principal_curvatures and stress_bienergy are also read as checks.*
     SurfaceGeometry,
     principal_curvatures,
@@ -37,20 +37,48 @@ class NonConstantCurvaturesError(ValueError):
     """Space-form target derivation requires constant principal curvatures."""
 
 
-def interior_norms(field: np.ndarray, nodes: InteriorNodes,
+def area_weights(area_element: np.ndarray, grid: Grid, margin: int) -> np.ndarray:
+    """The area element of some u-rows times the v quadrature weights, on the
+    interior columns: each node's weight in an L2 norm."""
+    cols = interior_span(grid, margin, 1)
+    return area_element[:, cols] * quadrature_weights(grid, 1)[cols]
+
+
+def row_norms(field: np.ndarray, weights: np.ndarray, grid: Grid, margin: int,
+              squared: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of some u-rows of a node field, over the interior columns: the
+    max of |field| and the sum of |field|^2 times the rows' ``weights``
+    (:func:`area_weights`), whatever other rows there are; with ``squared``,
+    of sqrt(field) for a pointwise squared norm, whose sum takes no root.
+    The band is cut before a signed field is squared, so junk there cannot
+    overflow."""
+    cols = interior_span(grid, margin, 1)
+    f = np.maximum(field[:, cols], 0.0) if squared else np.abs(field[:, cols])  # clamp round-off
+    top = np.maximum.reduce(f, axis=1)
+    if not squared:
+        f *= f
+    f *= weights
+    return np.sqrt(top) if squared else top, np.add.reduce(f, axis=1)
+
+
+def combined_norms(grid: Grid, margin: int, top: np.ndarray, sums: np.ndarray,
+                   areas: np.ndarray) -> tuple[float, float]:
+    """(L2, Linf) over the interior rows of the whole grid, from the
+    :func:`row_norms` of all its rows and the row sums of their
+    :func:`area_weights`, which the L2 is normalized by."""
+    rows = interior_span(grid, margin, 0)
+    l2 = np.sqrt(integrate(grid, sums, rows) / integrate(grid, areas, rows))
+    return float(l2), float(np.max(top[rows]))
+
+
+def interior_norms(field: np.ndarray, geom: SurfaceGeometry,
                    squared: bool = False) -> tuple[float, float]:
-    """(L2, Linf) of |field| over ``nodes.interior``, the L2 area-weighted; with
-    ``squared``, of sqrt(field) for a field that is already a pointwise squared
-    norm, taking no root of the field. ``nodes`` is a geometry, or the
-    ``GridInterior`` of a whole grid. The boundary band is zeroed before a
-    signed field is squared, so junk there cannot overflow."""
-    f = np.maximum(field, 0.0) if squared else np.abs(field)  # squared: clamp round-off
-    if nodes.boundary_margin:
-        f[~nodes.interior] = 0.0
-    linf = float(np.sqrt(np.max(f)) if squared else np.max(f))
-    sq = f if squared else f * f
-    sq *= nodes.area_element
-    return float(np.sqrt(integrate(nodes.grid, sq) / nodes.interior_area)), linf
+    """(L2, Linf) of |field| over ``geom.interior``, the L2 area-weighted;
+    with ``squared``, of sqrt(field) (:func:`row_norms`)."""
+    grid, margin = geom.grid, geom.boundary_margin
+    weights = area_weights(geom.area_element, grid, margin)
+    return combined_norms(grid, margin, *row_norms(field, weights, grid, margin, squared),
+                          np.add.reduce(weights, axis=1))
 
 
 def vector_norms(V: np.ndarray, geom: SurfaceGeometry) -> tuple[float, float]:
@@ -181,7 +209,8 @@ def integral_integrands(geom: SurfaceGeometry) -> dict:
 
 def integral_formula_check(grid: Grid, integrands: dict) -> dict:
     """Both compact-surface integral formulas on a doubly periodic grid, from
-    the :func:`integral_integrands` of the whole grid."""
+    the :func:`integral_integrands` of the whole grid, as node fields or as
+    the :func:`grid.row_integrals` of all their rows."""
     if not grid.doubly_periodic:
         raise ValueError("integral formulas need a doubly periodic (torus) grid")
     return {f"int_{t}_gap": integrate(grid, integrands[f"lhs_{t}"])

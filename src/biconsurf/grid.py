@@ -18,9 +18,9 @@ affects only speed: any strided array, such as a C-ordered one from a
 caller, gives the same values.
 
 :meth:`Grid.u_strip` and :func:`take_rows` give the u-strips a report runs
-on (see ``report``); :class:`InteriorNodes` gives the nodes and the area
-that every norm is taken over, for a geometry and for the
-:class:`GridInterior` of a whole grid.
+on (see ``report``). An integral sums each u-row along v
+(:func:`row_integrals`), then the rows along u (:func:`integrate`), so a
+row's part is the same wherever the grid is cut into strips.
 
 :class:`InputError` is the one error for rejected input. It lives here, the
 lowest module that rejects any: a grid, an ambient, a surface, its table or
@@ -123,32 +123,6 @@ def node_array(grid: Grid, comps: tuple[int, ...] = ()) -> np.ndarray:
     return np.zeros(tuple(comps) + grid.shape).transpose(k, k + 1, *range(k))
 
 
-class InteriorNodes:
-    """The nodes every residual norm is taken over: all of them, less
-    ``boundary_margin`` rows at each open edge, and their area. A carrier
-    provides ``grid``, ``boundary_margin`` and ``area_element``."""
-
-    @cached_property
-    def interior(self) -> np.ndarray:
-        return interior_mask(self.grid, self.boundary_margin)
-
-    @cached_property
-    def interior_area(self) -> float:
-        if not self.boundary_margin:
-            return integrate(self.grid, self.area_element)
-        return integrate(self.grid, np.where(self.interior, self.area_element, 0.0))
-
-
-@dataclass(frozen=True)
-class GridInterior(InteriorNodes):
-    """The interior nodes of a whole grid, for the norms of fields that were
-    put together strip by strip."""
-
-    grid: Grid
-    boundary_margin: int
-    area_element: np.ndarray
-
-
 def take_rows(a: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Rows ``lo`` .. ``hi - 1`` of a node field along u, at most nu of them,
     taken mod nu: a view where they do not wrap, else a copy in the memory
@@ -190,30 +164,41 @@ def flat_laplacian(grid: Grid, field: np.ndarray) -> np.ndarray:
     return fd_derivative(grid, field, 0, 2) + fd_derivative(grid, field, 1, 2)
 
 
+def interior_span(grid: Grid, margin: int, axis: int) -> slice:
+    """The nodes of an axis that a norm is taken over: all of them on a
+    periodic axis, less ``margin`` at each end of an open one."""
+    n = grid.shape[axis]
+    return slice(0, n) if grid.periodic(axis) else slice(margin, n - margin)
+
+
 def interior_mask(grid: Grid, margin: int) -> np.ndarray:
     """Boolean node mask excluding ``margin`` rows at each non-periodic edge."""
-    mask = np.ones(grid.shape, dtype=bool)
-    if margin > 0:
-        if not grid.periodic_u:
-            mask[:margin] = False
-            mask[-margin:] = False
-        if not grid.periodic_v:
-            mask[:, :margin] = False
-            mask[:, -margin:] = False
+    mask = np.zeros(grid.shape, dtype=bool)
+    mask[interior_span(grid, margin, 0), interior_span(grid, margin, 1)] = True
     return mask
 
 
-def integrate(grid: Grid, field: np.ndarray) -> float:
-    """Integral of a scalar node field over the parameter rectangle.
+def quadrature_weights(grid: Grid, axis: int) -> np.ndarray:
+    """Weights along an axis, in units of its spacing: rectangle rule on a
+    periodic axis (very accurate for smooth periodic integrands), trapezoid
+    on an open one."""
+    w = np.ones(grid.shape[axis])
+    if not grid.periodic(axis):
+        w[0] = w[-1] = 0.5
+    return w
 
-    Rectangle rule on periodic axes (very accurate for smooth periodic
-    integrands), trapezoid weights on non-periodic axes.
-    """
-    field = np.asarray(field, dtype=np.float64)
-    wu = np.ones(grid.nu)
-    wv = np.ones(grid.nv)
-    if not grid.periodic_u:
-        wu[0] = wu[-1] = 0.5
-    if not grid.periodic_v:
-        wv[0] = wv[-1] = 0.5
-    return float(grid.hu * grid.hv * np.einsum("i,j,ij->", wu, wv, field))
+
+def row_integrals(grid: Grid, rows: np.ndarray) -> np.ndarray:
+    """sum_j wv_j f_ij along v of each of some u-rows f_i of a node field,
+    whatever other rows are given."""
+    return np.add.reduce(rows * quadrature_weights(grid, 1), axis=1)
+
+
+def integrate(grid: Grid, field: np.ndarray, rows: slice = slice(None)) -> float:
+    """Integral of a scalar node field over its u-rows ``rows`` (by default
+    the parameter rectangle), from the field or from the
+    :func:`row_integrals` of all its rows."""
+    s = np.asarray(field, dtype=np.float64)
+    if s.ndim == 2:
+        s = row_integrals(grid, s)
+    return float(grid.hu * grid.hv * np.add.reduce(quadrature_weights(grid, 0)[rows] * s[rows]))

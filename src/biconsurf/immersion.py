@@ -43,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .ambient import Ambient, _dot, curvature_operator
-from .grid import Grid, InputError, InteriorNodes, fd_derivative, flat_gradient, node_array
+from .grid import Grid, InputError, fd_derivative, flat_gradient, interior_mask, node_array
 from .tensors import MetricCalculus, cov_derivative_coords
 
 # Pseudoumbilical classification thresholds for the eigenvalue gap of A_H.
@@ -188,7 +188,7 @@ def principal_curvatures(A_H: np.ndarray, Hsq: np.ndarray, source: str = "analyt
 
 
 @dataclass
-class SurfaceGeometry(MetricCalculus, InteriorNodes):
+class SurfaceGeometry(MetricCalculus):
     jet: ImmersionJet
     g: np.ndarray  # (0,2) metric
     det_g: np.ndarray  # det g, as the degeneracy test took it
@@ -214,6 +214,11 @@ class SurfaceGeometry(MetricCalculus, InteriorNodes):
     def boundary_margin(self) -> int:
         """Rows :attr:`interior` leaves out at each open edge."""
         return self.jet.boundary_margin
+
+    @cached_property
+    def interior(self) -> np.ndarray:
+        """The nodes every norm of this geometry's fields is taken over."""
+        return interior_mask(self.grid, self.boundary_margin)
 
     @cached_property
     def area_element(self) -> np.ndarray:

@@ -11,10 +11,10 @@ base64-encoded, so every bit (NaN payloads, signed zeros, subnormals) is
 kept.
 
 A geometry report runs its suite on u-strips of the grid, two strips at a
-time on two threads, and takes every norm once on the whole grid
-(:func:`build_geometry_report`; the README's "Performance" section says
-why). Each strip takes its own metric, and a finite-difference jet's d1 and
-d2, from its own rows, and its geometry is freed once its rows are written.
+time on two threads (:func:`build_geometry_report`; the README's
+"Performance" section says why). Each strip takes its own metric, and a
+finite-difference jet's d1 and d2, from its own rows, reduces each row of
+every node field to a few numbers, which the calling thread combines once.
 The report is the same, byte for byte, for any strip and thread count.
 
 This module owns every per-row decision: ``ROWS`` says how each row is
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import checks
-from .grid import Grid, GridInterior, take_rows
+from .grid import Grid, row_integrals, take_rows
 from .immersion import ImmersionJet, compute_geometry, fd_jet
 from .tensors import codazzi_defect_coords
 
@@ -47,13 +47,15 @@ from .tensors import holomorphicity_residual  # noqa: F401
 # strips in flight (24 rows peaked lower than 32, and ran faster than 16
 # and 20; see the README).
 STRIP_NODES = 6144
+# float64 values per node that a strip holds at its peak (tracemalloc, 256^2)
+STRIP_VALUES = 128
 # Threads that run a report's strips: the calling thread and one helper.
 # numpy releases the GIL in the einsums and stencils of a strip.
 STRIP_THREADS = 2
 # A grid of fewer strips than this is taken whole, as one strip, which is
 # below 192^2 at STRIP_NODES: on smaller splits the fixed cost of each strip
 # and its halo rows outweighed what the cache saved (measured on one thread
-# from 128^2 to 256^2; see the README).
+# from 128^2 to 256^2, with and without a block of whole-grid fields; README).
 MIN_STRIPS = 6
 # Halo rows on each side of a strip: every row is pointwise in the jet with
 # at most two nested finite differences along u (the Simons divergence of
@@ -168,29 +170,9 @@ FLAGS = (
     ("is_pmc", "normal_derivative_H"),
     ("ah_parallel", "nabla_shape_operator"),
 )
-# the node fields of the summaries, the dump and the norms' area element;
-# a block of several strips keeps the pseudoumbilical mask as 0.0 and 1.0,
-# whose mean is the same
-SUMMARY_FIELDS = (
-    ("Hsq", lambda geom: geom.Hsq),
-    ("K", lambda geom: geom.K),
-    ("lambda1", lambda geom: geom.principal[0]),
-    ("lambda2", lambda geom: geom.principal[1]),
-    ("mu", lambda geom: geom.principal[2]),
-    ("pu_mask", lambda geom: geom.principal[3]),
-    ("area_element", lambda geom: geom.area_element),
-)
-
-
-def _node_fields(geom, integrals: bool):
-    """(key, node field) of every row, integrand and summary of a report, on
-    one geometry, computed as they are asked for."""
-    for name, *_, fn in ROWS:
-        yield name, fn(geom)
-    if integrals:
-        yield from checks.integral_integrands(geom).items()
-    for name, fn in SUMMARY_FIELDS:
-        yield name, fn(geom)
+# the node fields that the summaries read the min and max of, and that
+# --dump-fields writes, in its order
+SUMMARY_FIELDS = ("Hsq", "K", "lambda1", "lambda2", "mu")
 
 
 def _cuts(grid: Grid) -> list:
@@ -258,13 +240,12 @@ def _run_strips(n: int, run):
         raise errors[min(errors)]
 
 
-def _report_fields(jet: ImmersionJet, integrals: bool):
-    """(the nodes a norm is taken over, an iterator of each (key, node field)
-    of :func:`_node_fields` on the whole grid). A grid of one strip is the
-    jet's own geometry, whose fields come as they are asked for. On several,
-    each strip (:func:`_strip_jet`) writes only its own rows of each field,
-    on STRIP_THREADS threads (:func:`_run_strips`), and its geometry is freed
-    when it is written.
+def _reduce_strips(jet: ImmersionJet, integrals: bool, dump: bool):
+    """(the per-row parts of every value a report takes from a node field;
+    with ``dump``, the SUMMARY_FIELDS of the whole grid, else None). Each
+    strip, on STRIP_THREADS threads (:func:`_run_strips`), writes the parts
+    of its own rows and is freed. A norm cuts rows by their row in the whole
+    grid, never by a strip's own interior, which is open in u.
 
     A strip checks its derivatives and its metric on its rows in grid order
     and names the first bad node, whatever its fault, by its row in the
@@ -272,31 +253,43 @@ def _report_fields(jet: ImmersionJet, integrals: bool):
     checks, so it names the node that the whole grid's check names; with
     the periodic shift, rows 0 .. HALO - 1 are the first strip's lower
     halo."""
-    grid, cuts = jet.grid, _cuts(jet.grid)
-    if len(cuts) == 2:
-        geom = compute_geometry(jet)
-        return geom, _node_fields(geom, integrals)
-    # One block holds every field of the whole grid: with a field apiece,
-    # each freed at the end of a report, the heap shrinks and grows back
-    # (about 4,000 page faults per 256^2 report).
-    keys = ([name for name, *_ in ROWS] + list(checks.INTEGRANDS if integrals else ())
-            + [name for name, _ in SUMMARY_FIELDS])
-    full = dict(zip(keys, np.empty((len(keys),) + grid.shape)))
+    grid, cuts, margin = jet.grid, _cuts(jet.grid), jet.boundary_margin
+    parts = {key: np.zeros((2, grid.nu)) for key in [row[0] for row in ROWS] + [*SUMMARY_FIELDS]}
+    parts.update((key, np.zeros(grid.nu)) for key in ("area", "pu_mask", *checks.INTEGRANDS))
+    dumped = {name: np.empty(grid.shape) for name in SUMMARY_FIELDS} if dump else None
 
     def run(k):
         lo, hi = cuts[k], cuts[k + 1]
         # errstate is a context variable, which a new thread starts afresh
         with np.errstate(all="ignore"):
-            geom = compute_geometry(_strip_jet(jet, lo, hi))
-            a = geom.grid.first_row
-            m = min(hi, grid.nu)  # a strip past nu owns rows 0 .. hi - nu - 1 too
-            for key, f in _node_fields(geom, integrals):
-                full[key][lo:m] = f[lo - a:m - a]
-                if hi > m:
-                    full[key][:hi - m] = f[m - a:hi - a]
+            geom = compute_geometry(_strip_jet(jet, lo, hi) if len(cuts) > 2 else jet)
+            own = slice(lo - geom.grid.first_row, hi - geom.grid.first_row)
+            # a strip past nu owns rows 0 .. hi - nu - 1
+            at = slice(lo, hi) if hi <= grid.nu else np.arange(lo, hi) % grid.nu
+            weights = checks.area_weights(geom.area_element[own], grid, margin)
+            parts["area"][at] = np.add.reduce(weights, axis=1)
+            for name, squared, _, fn in ROWS:
+                parts[name][:, at] = checks.row_norms(fn(geom)[own], weights, grid, margin,
+                                                      squared)
+            if integrals:
+                for name, f in checks.integral_integrands(geom).items():
+                    parts[name][at] = row_integrals(grid, f[own])
+            for name, f in zip(SUMMARY_FIELDS, (geom.Hsq, geom.K, *geom.principal[:3])):
+                f = f[own]
+                parts[name][:, at] = np.minimum.reduce(f, axis=1), np.maximum.reduce(f, axis=1)
+                if dump:
+                    dumped[name][at] = f
+            parts["pu_mask"][at] = np.count_nonzero(geom.principal[3][own], axis=1)
 
     _run_strips(len(cuts) - 1, run)
-    return GridInterior(grid, jet.boundary_margin, full["area_element"]), iter(full.items())
+    # Freeing an untouched buffer the size of the strips in flight raises
+    # glibc's mmap threshold to it and its trim threshold to twice it (up to
+    # 32 MiB; mallopt(3)): the next report's strips reuse this heap instead
+    # of faulting it in afresh (8,300 minor faults per 256^2 FD report
+    # without it, 500 with it). Before the strips it raises this one's peak.
+    nodes = min(len(cuts) - 1, STRIP_THREADS) * (max(np.diff(cuts)) + 2 * HALO) * grid.nv
+    np.empty(min(nodes * STRIP_VALUES, 4 << 20))
+    return parts, dumped
 
 
 def build_geometry_report(
@@ -308,18 +301,19 @@ def build_geometry_report(
 ) -> GeometryReport:
     """Run the full residual suite on an immersion and collect the results.
 
-    The suite runs on u-strips of the grid, on STRIP_THREADS threads
-    (:func:`_report_fields`), and every norm, integral, extremum and flag
-    is then taken once, on the node fields of the whole grid, on the
-    calling thread. A grid of several strips raises the error of its first
-    failing strip, after every strip has stopped."""
-    grid = jet.grid
+    The suite runs on u-strips of the grid, on STRIP_THREADS threads, each
+    reducing its rows of every node field to per-row parts
+    (:func:`_reduce_strips`); every norm, integral, extremum and flag is
+    then taken once from those parts, on the calling thread. Only with
+    ``dump_fields`` is a node field of the whole grid kept. A grid of
+    several strips raises the error of its first failing strip, after every
+    strip has stopped."""
+    grid, margin = jet.grid, jet.boundary_margin
     tol = tol_analytic if jet.source == "analytic" else tol_fd
-    squared = {name: sq for name, sq, *_ in ROWS}
     # floating-point exceptions are dealt with by value: a row that is not
     # finite raises below
     with np.errstate(all="ignore"):
-        nodes, fields = _report_fields(jet, grid.doubly_periodic)
+        parts, dumped = _reduce_strips(jet, grid.doubly_periodic, dump_fields)
         rep = GeometryReport({
             "surface": surface_label,
             "jet_source": jet.source,
@@ -327,16 +321,12 @@ def build_geometry_report(
             "grid": _grid_meta(grid),
             "tolerance": tol,
             # FD-jet norms skip the one-sided stencil bands at open boundaries
-            "boundary_margin": nodes.boundary_margin,
+            "boundary_margin": margin,
         })
-        full = {}  # the integrands and the summary fields
-        for key, f in fields:  # on one strip, a row's field is dropped once normed
-            if key in squared:
-                rep.add(key, *checks.interior_norms(f, nodes, squared=squared[key]))
-            else:
-                full[key] = f
+        for name, *_ in ROWS:
+            rep.add(name, *checks.combined_norms(grid, margin, *parts[name], parts["area"]))
         if grid.doubly_periodic:
-            integ = checks.integral_formula_check(grid, full)
+            integ = checks.integral_formula_check(grid, parts)
             rep.add("integral_shape_operator", abs(integ["int_AH_gap"]), abs(integ["int_AH_gap"]))
             rep.add("integral_stress", abs(integ["int_S2_gap"]), abs(integ["int_S2_gap"]))
         else:
@@ -349,24 +339,13 @@ def build_geometry_report(
     flags = {flag: rep.residual(row).linf <= tol for flag, row in FLAGS}
     rep.flags = {"simons_assumes_biconservative_violated": not flags["is_biconservative"],
                  **flags}
-    Hsq, K = full["Hsq"], full["K"]
-    rep.summaries = {
-        "H_min": float(np.sqrt(np.min(Hsq))),
-        "H_max": float(np.sqrt(np.max(Hsq))),
-        "lambda1_min": float(np.min(full["lambda1"])),
-        "lambda1_max": float(np.max(full["lambda1"])),
-        "lambda2_min": float(np.min(full["lambda2"])),
-        "lambda2_max": float(np.max(full["lambda2"])),
-        "mu_min": float(np.min(full["mu"])),
-        "mu_max": float(np.max(full["mu"])),
-        "K_min": float(np.min(K)),
-        "K_max": float(np.max(K)),
-        "pseudoumbilical_fraction": float(np.mean(full["pu_mask"])),
-    }
-    if dump_fields:
-        # copies, so that a block of several strips is freed before the
-        # report is written
-        rep.fields = {key: full[key].copy() for key in ("Hsq", "K", "lambda1", "lambda2", "mu")}
+    ends = {name: (np.min(parts[name][0]), np.max(parts[name][1])) for name in SUMMARY_FIELDS}
+    ends["H"] = np.sqrt(ends["Hsq"])
+    rep.summaries = {f"{name}_{end}": float(x) for name in ("H", "lambda1", "lambda2", "mu", "K")
+                     for end, x in zip(("min", "max"), ends[name])}
+    rep.summaries["pseudoumbilical_fraction"] = float(np.sum(parts["pu_mask"])
+                                                      / (grid.nu * grid.nv))
+    rep.fields = dumped
     return rep
 
 

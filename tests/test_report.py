@@ -124,14 +124,16 @@ class TestWorkCounts:
             return vec_norm_sq(geom, V)
 
         monkeypatch.setattr(immersion.SurfaceGeometry, "vec_norm_sq", counted_vec_norm_sq)
-        norms = checks.interior_norms
-        normed_grids = []
+        # each row is reduced once per strip, on the strip's own rows, and
+        # combined once, on the whole grid
+        monkeypatch.setattr(checks, "row_norms", counted("row_norms", checks.row_norms))
+        combined, combined_grids = checks.combined_norms, []
 
-        def interior_norms(field, nodes, squared=False):
-            normed_grids.append(nodes.grid)
-            return norms(field, nodes, squared)
+        def combined_norms(grid, *args):
+            combined_grids.append(grid)
+            return combined(grid, *args)
 
-        monkeypatch.setattr(checks, "interior_norms", interior_norms)
+        monkeypatch.setattr(checks, "combined_norms", combined_norms)
         monkeypatch.setattr(checks, "vector_norms", counted("vector_norms", checks.vector_norms))
         monkeypatch.setattr(rp, "compute_geometry", counted("strips", rp.compute_geometry))
         cov = counted("cov", tensors.cov_derivative_coords)
@@ -160,15 +162,16 @@ class TestWorkCounts:
             monkeypatch.setattr(rp, "STRIP_NODES", rows * 32)
             calls.update(dict.fromkeys(
                 ("strips", "cov", "bicons", "cond1_norm", "nabla_norm", "positivity",
-                 "S2_norm_sq", "AH_norm_sq", "vector_norms"), 0))
-            normed_grids.clear()
+                 "S2_norm_sq", "AH_norm_sq", "vector_norms", "row_norms"), 0))
+            combined_grids.clear()
             r = rp.build_geometry_report(source, name)
             assert "isothermal_chart" not in r.meta
             assert calls.pop("nabla_norm") <= 2 * strips
             assert calls == {"strips": strips, "cov": expect * strips, "bicons": strips,
                              "cond1_norm": strips, "positivity": strips,
-                             "S2_norm_sq": strips, "AH_norm_sq": strips, "vector_norms": 0}
-            assert normed_grids == [source.grid] * len(rp.ROWS)
+                             "S2_norm_sq": strips, "AH_norm_sq": strips, "vector_norms": 0,
+                             "row_norms": strips * len(rp.ROWS)}
+            assert combined_grids == [source.grid] * len(rp.ROWS)
             names = {e.name for e in r.residuals}
             assert {"stress_norm", "simons", "hopf_holomorphicity"} <= names
             assert r.flags["simons_assumes_biconservative_violated"] == (
@@ -371,7 +374,7 @@ class TestStrips:
         assert threading.active_count() == before
 
     def test_strips_shared_by_more_threads_than_cores(self, monkeypatch):
-        # a strip taken twice or never leaves rows of the block unwritten:
+        # a strip taken twice or never leaves per-row parts unwritten:
         # four threads on HALO-row strips, switching as often as they can
         jet = make_builtin("cylinder", n=25, stretch=0.3)
         one = self._json(jet, monkeypatch, 25)
@@ -384,8 +387,8 @@ class TestStrips:
             sys.setswitchinterval(interval)
 
     def test_dumped_fields_do_not_hold_the_block(self, monkeypatch):
-        # the block of a report's whole-grid fields is freed before the
-        # report is written: a dumped field owns its memory
+        # a dumped field is a whole-grid array of its own, not a view that
+        # keeps a strip's geometry (or any block of fields) alive
         monkeypatch.setattr(rp, "STRIP_NODES", 4 * 25)
         rep = rp.build_geometry_report(tabulate(make_builtin("graph", n=25)), dump_fields=True)
         assert all(f.base is None for f in rep.fields.values())
@@ -416,6 +419,105 @@ class TestStrips:
         rp.build_geometry_report(jet)
         assert max(spans) <= rows.max() + 2 * (rp.HALO + 1)
         assert len(metric_rows) == len(rows) and max(metric_rows) < jet.grid.nu
+
+
+def _old_norms(field, geom, squared):
+    """(L2, Linf, the quadrature) of a whole-grid field, each by one sum
+    over the grid, the boundary band zeroed by the node mask: the reference
+    that the per-row reduction agrees with to round-off."""
+    grid = geom.grid
+    wu, wv = np.ones(grid.nu), np.ones(grid.nv)
+    if not grid.periodic_u:
+        wu[0] = wu[-1] = 0.5
+    if not grid.periodic_v:
+        wv[0] = wv[-1] = 0.5
+
+    def integrate(f):
+        return grid.hu * grid.hv * np.einsum("i,j,ij->", wu, wv, f)
+
+    f = np.maximum(field, 0.0) if squared else np.abs(field)
+    f[~geom.interior] = 0.0
+    linf = np.sqrt(np.max(f)) if squared else np.max(f)
+    sq = (f if squared else f * f) * geom.area_element
+    area = integrate(np.where(geom.interior, geom.area_element, 0.0))
+    return np.sqrt(integrate(sq) / area), linf, integrate
+
+
+class TestRowReduction:
+    """Strips reduce their rows of every field to per-row parts, which are
+    combined once: the norms agree with one sum over the whole grid to
+    round-off, and no whole-grid field is kept."""
+
+    @pytest.mark.parametrize("name,fd", [("graph", True), ("product_torus", False)],
+                             ids=["fd_graph", "torus"])
+    def test_norms_match_the_whole_grid_formula(self, monkeypatch, name, fd):
+        from biconsurf import checks
+        from biconsurf.immersion import compute_geometry
+
+        jet = make_builtin(name, n=25)
+        jet = tabulate(jet) if fd else jet
+        monkeypatch.setattr(rp, "STRIP_NODES", 4 * 25)
+        assert len(rp._cuts(jet.grid)) - 1 >= rp.MIN_STRIPS
+        rep = rp.build_geometry_report(jet)
+        geom = compute_geometry(jet)
+        assert geom.boundary_margin == (3 if fd else 0)
+        for row, squared, _, fn in rp.ROWS:
+            l2, linf, _ = _old_norms(fn(geom), geom, squared)
+            got = rep.residual(row)
+            assert got.linf == linf, row
+            assert abs(got.l2 - l2) <= 1e-13 * l2, row
+        if jet.grid.doubly_periodic:
+            integrate = _old_norms(geom.Hsq, geom, False)[2]
+            integrands = checks.integral_integrands(geom)
+            for row, t in (("integral_shape_operator", "AH"), ("integral_stress", "S2")):
+                lhs, rhs = (integrate(integrands[f"{side}_{t}"]) for side in ("lhs", "rhs"))
+                got = rep.residual(row).l2
+                assert abs(got - abs(lhs - rhs)) <= 1e-13 * (abs(lhs) + abs(rhs)), row
+
+    @pytest.mark.parametrize("fd", [False, True], ids=["analytic", "fd"])
+    def test_long_rows_give_the_one_strip_bytes(self, monkeypatch, fd):
+        # rows of 300 nodes, past numpy's 128-element pairwise-sum block:
+        # a row's sums are the same whatever other rows a strip holds
+        import dataclasses
+
+        from biconsurf.corpus import build_builtin, default_grid
+
+        grid = dataclasses.replace(default_grid("cylinder", 300, {}), nu=16)
+        jet = build_builtin("cylinder", grid, {"stretch": 0.3}, fd=fd)
+        texts = set()
+        for rows, threads in ((16, 1), (2, 1), (2, 2)):
+            monkeypatch.setattr(rp, "STRIP_NODES", rows * grid.nv)
+            monkeypatch.setattr(rp, "STRIP_THREADS", threads)
+            texts.add(rp.report_to_json(rp.build_geometry_report(jet, dump_fields=True)))
+        assert len(texts) == 1
+
+    @pytest.mark.parametrize("name,fd", [("helix_line_r4", False), ("cylinder", True)],
+                             ids=["analytic_open_u", "fd_periodic_u"])
+    def test_peak_memory_does_not_grow_with_nu(self, monkeypatch, name, fd):
+        # at fixed nv and strip size the strips in flight are the same, so
+        # doubling nu adds only the per-row parts (a few dozen (nu,)
+        # vectors), not a whole-grid field per row and summary
+        import dataclasses
+        import tracemalloc
+
+        from biconsurf.corpus import build_builtin, default_grid
+
+        nv = 64
+        monkeypatch.setattr(rp, "STRIP_NODES", 4 * nv)
+        monkeypatch.setattr(rp, "STRIP_THREADS", 1)  # one strip at a time: a repeatable peak
+        peaks = []
+        for nu in (64, 128):
+            grid = dataclasses.replace(default_grid(name, nv, {}), nu=nu)
+            jet = build_builtin(name, grid, {}, fd=fd)
+            rp.build_geometry_report(jet)
+            tracemalloc.start()
+            try:
+                rp.build_geometry_report(jet)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # one whole-grid node field of the smaller grid is 32 KiB
+        assert peaks[1] - peaks[0] < 64 * 8 * nv, peaks
 
 
 class TestSerialization:

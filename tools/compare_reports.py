@@ -25,14 +25,15 @@ reaches stdout), the same config under ``--grid``, ``--tol-fd`` and one
 ``--assert-flag``, where assertions fail (exit 2, and the order of the
 failure lines is compared), and a ``solve-mu`` config that sets every
 ``solve-mu`` key but ``output``, ``format`` and ``dump_fields``.
-Four ``verify`` runs at 256^2 are the only cases that a report takes in
+Five ``verify`` runs at 256^2 are the only cases that a report takes in
 more than one u-strip (every other grid is too small to split, with fewer
 than ``report.MIN_STRIPS`` strips):
 the analytic helix (open u), the ``--fd-jets`` Mercator sphere (periodic u),
-the ``--fd-jets --dump-fields`` graph (open u) and, read from a surface
-file's position table, the cylinder of radius 1.2 with stretch 0.3
-(periodic u).
-That is 62 cases.
+the ``--fd-jets --dump-fields`` graph (open u), read from a surface file's
+position table, the cylinder of radius 1.2 with stretch 0.3 (periodic u),
+and the analytic product torus, the one doubly periodic grid among them,
+whose integral rows sum the integrands of every strip.
+That is 63 cases.
 
 For each case it prints both exit codes, whether stdout is byte-identical,
 the largest |diff| over the numbers in stdout, the largest relative diff
@@ -149,6 +150,7 @@ def cases() -> dict[str, list[str]]:
     out["strips_graph_fd256"] = [*strips, "--surface", "graph", "--fd-jets", "--dump-fields"]
     out["strips_cylinder_table256"] = ["verify", "--surface", "cylinder_table_256.json",
                                        "--dump-fields"]
+    out["strips_torus_an256"] = [*strips, "--surface", "product_torus"]
     return out
 
 
