@@ -24,13 +24,15 @@ form (c = 1/h^2 per axis).
 
 Each Newton step is solved by a restarted GMRES (Saad & Schultz 1986) on
 numpy alone, right-preconditioned by the Jacobian's constant-coefficient part
-lam_h - mean(d), where lam_h is the symbol of the periodic 5-point
--(d_xx + d_yy): the preconditioner is diagonal in Fourier space and applied
-with two real FFTs (Knoll & Keyes 2004, *Jacobian-free Newton-Krylov
-methods*). It is nearly singular on the same low modes as the Jacobian
-(sin x sin y on the README problem), so it carries that mode rather than
-fighting it. A Krylov step is taken only when it is finite and its normwise
-backward error ||J s - b|| / (||J||_inf ||s|| + ||b||) is at most
+P = lam_h - mean(d), where lam_h is the symbol of the periodic 5-point
+-(d_xx + d_yy): P is diagonal in Fourier space and applied with two real
+FFTs (Knoll & Keyes 2004, *Jacobian-free Newton-Krylov methods*). As lam_h
+is the stencil's exact symbol, J = P + diag(mean(d) - d), so a GMRES product
+J P^{-1} y = y + (mean(d) - d) P^{-1} y is one FFT pair and no stencil. P is
+nearly singular on the same low modes as the Jacobian (sin x sin y on the
+README problem), so it carries that mode rather than fighting it. A Krylov
+step is taken only when it is finite and its normwise backward error
+||J s - b|| / (||J||_inf ||s|| + ||b||), with the stencil J, is at most
 ``BACKWARD_ERROR_TOL``, the accuracy of a direct solve; the Newton path is
 then that of a direct solver. Otherwise the step falls back to SuperLU on the
 Jacobian, assembled as a Kronecker sum of 1-D periodic second differences only
@@ -246,21 +248,27 @@ def _gmres(matvec, b: np.ndarray, atol: float) -> np.ndarray:
 
 def _krylov_solve(d: np.ndarray, rhs: np.ndarray, ops: _Operators) -> np.ndarray | None:
     """J^{-1} rhs for J = -Lap_0 - diag(d), by GMRES right-preconditioned with
-    the constant-coefficient Jacobian lam_h - mean(d), or None when the step
-    is not finite or misses ``BACKWARD_ERROR_TOL``. d, rhs and the step are
-    node fields."""
-    grid = ops.grid
-    shape = grid.shape
-    P = ops.symbol - np.mean(d)
+    P = lam_h - mean(d), or None when the step is not finite or misses
+    ``BACKWARD_ERROR_TOL``. d, rhs and the step are node fields. lam_h is the
+    stencil's exact symbol, so J P^{-1} = I + diag(mean(d) - d) P^{-1}, and
+    the step is the P^{-1} x of GMRES's closing product b - A x."""
+    grid, shape = ops.grid, ops.grid.shape
+    mean_d = np.mean(d)
+    P, shift = ops.symbol - mean_d, mean_d - d
+    step = np.zeros(shape)  # P^{-1} 0, when GMRES takes no product
 
     def precondition(y):
         return np.fft.irfft2(np.fft.rfft2(y.reshape(shape)) / P, s=shape)
 
+    def matvec(y):
+        nonlocal step
+        step = precondition(y)
+        return y + (shift * step).ravel()
+
     norm_J = _jacobian_norm_inf(d, ops)
     norm_b = l2_norm(rhs)
     atol = 0.1 * BACKWARD_ERROR_TOL * (norm_J * np.linalg.norm(precondition(rhs)) + norm_b)
-    y = _gmres(lambda y: _jacobian_apply(grid, d, precondition(y)).ravel(), rhs.ravel(), atol)
-    step = precondition(y)
+    _gmres(matvec, rhs.ravel(), atol)
     if not np.all(np.isfinite(step)):
         return None
     backward_error = (l2_norm(_jacobian_apply(grid, d, step) - rhs)

@@ -306,11 +306,29 @@ class TestLinearLayer:
             assert abs(J - ref).max() <= 1e-13 * abs(ref).max()
 
     def test_readme_128_iteration_count_pinned(self, monkeypatch):
-        # the benchmark's README problem, every step a Krylov step
+        # the benchmark's README problem, every step a Krylov step. A GMRES
+        # product is one FFT pair and no stencil. The stencil runs for the
+        # start's residual, and per Newton step for the backward error and
+        # the one trial's residual; rfft2 runs once more a step, for atol
         monkeypatch.setattr(mu_solver, "spla", types.SimpleNamespace(spsolve=None))
+        calls = {"flat_laplacian": 0, "rfft2": 0, "products": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        gmres = mu_solver._gmres
+        monkeypatch.setattr(mu_solver, "flat_laplacian",
+                            counted("flat_laplacian", mu_solver.flat_laplacian))
+        monkeypatch.setattr(np.fft, "rfft2", counted("rfft2", np.fft.rfft2))
+        monkeypatch.setattr(mu_solver, "_gmres", lambda matvec, b, atol:
+                            gmres(counted("products", matvec), b, atol))
         sol = solve_mu(make_problem(n=128))
         assert sol.converged
         assert sol.iterations == 6
+        assert calls == {"flat_laplacian": 13, "rfft2": 31, "products": 25}
 
     def test_non_square_iteration_count_pinned(self):
         # an unequal grid: h_u != h_v in the stencil and in the preconditioner
