@@ -22,12 +22,12 @@ is applied matrix-free, as J s = -Lap_0 s - d s with the residual's own
 stencil, and ||J||_inf = max |2 (c_u + c_v) - d| + 2 (c_u + c_v) in closed
 form (c = 1/h^2 per axis).
 
-Each Newton step is solved by a restarted GMRES (Saad & Schultz 1986) on
-numpy alone, right-preconditioned by the Jacobian's constant-coefficient part
-P = lam_h - mean(d), where lam_h is the symbol of the periodic 5-point
--(d_xx + d_yy): P is diagonal in Fourier space and applied with two real
-FFTs (Knoll & Keyes 2004, *Jacobian-free Newton-Krylov methods*). As lam_h
-is the stencil's exact symbol, J = P + diag(mean(d) - d), so a GMRES product
+Each Newton step is solved by one GMRES pass (Saad & Schultz 1986) of at
+most ``KRYLOV_DIM`` steps, on numpy alone, right-preconditioned by the
+Jacobian's constant-coefficient part P = lam_h - mean(d), where lam_h is the
+symbol of the periodic 5-point -(d_xx + d_yy): P is diagonal in Fourier space
+and applied with two real FFTs (Knoll & Keyes 2004, *Jacobian-free
+Newton-Krylov methods*). As lam_h is the stencil's exact symbol, J = P + diag(mean(d) - d), so a GMRES product
 J P^{-1} y = y + (mean(d) - d) P^{-1} y is one FFT pair and no stencil. P is
 nearly singular on the same low modes as the Jacobian (sin x sin y on the
 README problem), so it carries that mode rather than fighting it. A Krylov
@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -64,8 +63,8 @@ TOL_NEWTON = 1e-10
 MAX_ITER = 30
 # largest normwise backward error of an accepted Krylov step
 BACKWARD_ERROR_TOL = 1e-14
-# a Krylov step takes at most CYCLES cycles of GMRES(RESTART)
-RESTART, CYCLES = 40, 3
+# Arnoldi steps of the one GMRES pass a Krylov step takes at most
+KRYLOV_DIM = 40
 # halvings of a Newton step the line search tries before the solve stops
 MAX_HALVINGS = 20
 NO_PERIODIC_SOLUTION = ("no periodic solution: K_N + |H|^2 <= 0 at every node"
@@ -139,20 +138,14 @@ def l2_norm(f: np.ndarray) -> float:
     return float(scale * np.linalg.norm(f / scale))
 
 
-class _Operators(NamedTuple):
-    """What the Newton steps of one solve share: the grid and the Fourier
-    symbol of the preconditioner."""
-
-    grid: Grid
-    symbol: np.ndarray
-
-
-def _operators(grid: Grid) -> _Operators:
+def _operators(grid: Grid) -> np.ndarray:
+    """The Fourier symbol lam_h of the periodic 5-point -(d_xx + d_yy), which
+    the Newton steps of one solve share."""
     nu, nv = grid.shape
     # lam_h = 4 sin^2(k h / 2) / h^2 per axis, on the rfft2 frequencies
     lam_u = (2.0 * np.sin(np.pi * np.arange(nu) / nu) / grid.hu) ** 2
     lam_v = (2.0 * np.sin(np.pi * np.arange(nv // 2 + 1) / nv) / grid.hv) ** 2
-    return _Operators(grid, lam_u[:, None] + lam_v)
+    return lam_u[:, None] + lam_v
 
 
 def _reaction_d(mu: np.ndarray, H: float, KN: np.ndarray) -> np.ndarray:
@@ -166,15 +159,14 @@ def _jacobian_apply(grid: Grid, d: np.ndarray, s: np.ndarray) -> np.ndarray:
     return -flat_laplacian(grid, s) - d * s
 
 
-def _jacobian_norm_inf(d: np.ndarray, ops: _Operators) -> float:
+def _jacobian_norm_inf(d: np.ndarray, grid: Grid) -> float:
     """||J||_inf in closed form: a row holds 2 (c_u + c_v) - d on the diagonal
     and -c_u, -c_u, -c_v, -c_v off it."""
-    grid = ops.grid
     centre = 2.0 * (1.0 / (grid.hu * grid.hu) + 1.0 / (grid.hv * grid.hv))
     return float(np.max(np.abs(centre - d)) + centre)
 
 
-def _jacobian(mu: np.ndarray, H: float, KN: np.ndarray, ops: _Operators):
+def _jacobian(mu: np.ndarray, H: float, KN: np.ndarray, grid: Grid):
     """dG/dw at w = log mu as a CSR matrix in natural order: -Lap_0 as the
     Kronecker sum of the 1-D periodic -d^2 per axis (``kronsum(A, B)`` is
     I (x) A + B (x) I, so v is the fast index), minus d on the diagonal. Only
@@ -185,90 +177,79 @@ def _jacobian(mu: np.ndarray, H: float, KN: np.ndarray, ops: _Operators):
         c = 1.0 / (h * h)
         return sp.diags([-c, -c, 2.0 * c, -c, -c], [1 - n, -1, 0, 1, n - 1], shape=(n, n))
 
-    grid = ops.grid
     lap = sp.kronsum(minus_d2(grid.nv, grid.hv), minus_d2(grid.nu, grid.hu))
     return lap - sp.diags(_reaction_d(mu, H, KN).ravel())
 
 
 def _gmres(matvec, b: np.ndarray, atol: float) -> np.ndarray:
-    """x for A x = b by restarted GMRES from x = 0, A applied by ``matvec``
-    to flat vectors: at most ``CYCLES`` cycles of up to ``RESTART`` Arnoldi
-    steps (modified Gram-Schmidt, Givens rotations, a triangular solve each
-    cycle). A cycle ends when the rotated residual is at most ``atol`` or
-    the Krylov space stops growing, an exact solution (happy breakdown) or a
-    vector that is not finite; the solve ends when the true residual
-    ||b - A x|| is at most ``atol`` or after a breakdown. The caller judges
-    the x it gets."""
+    """x for A x = b by one pass of GMRES from x = 0, A applied by ``matvec``
+    to flat vectors: at most ``KRYLOV_DIM`` Arnoldi steps (modified
+    Gram-Schmidt, Givens rotations, one triangular solve). The pass ends when
+    the rotated residual is at most ``atol`` or the Krylov space stops
+    growing, an exact solution (happy breakdown) or a vector that is not
+    finite. No product checks x; the caller judges it."""
     n = b.size
-    m = min(RESTART, n)
+    m = min(KRYLOV_DIM, n)
+    beta = l2_norm(b)
+    if beta <= atol:
+        return np.zeros(n)
     eps = np.finfo(np.float64).eps
-    x = np.zeros(n)
-    r, beta = b, l2_norm(b)
     V = np.empty((m + 1, n))
     R = np.zeros((m, m))  # the Hessenberg matrix, rotated to upper triangular
-    for _ in range(CYCLES):
-        if beta <= atol:
-            break
-        cs, sn, g = np.zeros(m), np.zeros(m), np.zeros(m + 1)
-        g[0] = beta
-        V[0] = r / beta
-        for k in range(m):
-            w = matvec(V[k])
-            h0 = np.linalg.norm(w)
-            for i in range(k + 1):
-                R[i, k] = V[i] @ w
-                w -= R[i, k] * V[i]
-            h = np.linalg.norm(w)
-            # written so that NaN breaks down too
-            breakdown = not h > eps * h0
-            if breakdown:
-                h = 0.0
-            else:
-                V[k + 1] = w / h
-            for i in range(k):
-                R[i, k], R[i + 1, k] = (cs[i] * R[i, k] + sn[i] * R[i + 1, k],
-                                        cs[i] * R[i + 1, k] - sn[i] * R[i, k])
-            rho = np.hypot(R[k, k], h)
-            cs[k], sn[k] = R[k, k] / rho, h / rho
-            R[k, k] = rho
-            g[k + 1] = -sn[k] * g[k]
-            g[k] *= cs[k]
-            if breakdown or abs(g[k + 1]) <= atol:
-                break
-        y = np.empty(k + 1)
-        for i in range(k, -1, -1):
-            y[i] = (g[i] - R[i, i + 1:k + 1] @ y[i + 1:]) / R[i, i]
-        x += y @ V[:k + 1]
-        r = b - matvec(x)
-        beta = l2_norm(r)
+    cs, sn, g = np.zeros(m), np.zeros(m), np.zeros(m + 1)
+    g[0] = beta
+    V[0] = b / beta
+    for k in range(m):
+        w = matvec(V[k])
+        h0 = np.linalg.norm(w)
+        for i in range(k + 1):
+            R[i, k] = V[i] @ w
+            w -= R[i, k] * V[i]
+        h = np.linalg.norm(w)
+        # written so that NaN breaks down too
+        breakdown = not h > eps * h0
         if breakdown:
+            h = 0.0
+        else:
+            V[k + 1] = w / h
+        for i in range(k):
+            R[i, k], R[i + 1, k] = (cs[i] * R[i, k] + sn[i] * R[i + 1, k],
+                                    cs[i] * R[i + 1, k] - sn[i] * R[i, k])
+        rho = np.hypot(R[k, k], h)
+        cs[k], sn[k] = R[k, k] / rho, h / rho
+        R[k, k] = rho
+        g[k + 1] = -sn[k] * g[k]
+        g[k] *= cs[k]
+        if breakdown or abs(g[k + 1]) <= atol:
             break
-    return x
+    y = np.empty(k + 1)
+    for i in range(k, -1, -1):
+        y[i] = (g[i] - R[i, i + 1:k + 1] @ y[i + 1:]) / R[i, i]
+    return y @ V[:k + 1]
 
 
-def _krylov_solve(d: np.ndarray, rhs: np.ndarray, ops: _Operators) -> np.ndarray | None:
+def _krylov_solve(d: np.ndarray, rhs: np.ndarray, grid: Grid,
+                  symbol: np.ndarray) -> np.ndarray | None:
     """J^{-1} rhs for J = -Lap_0 - diag(d), by GMRES right-preconditioned with
-    P = lam_h - mean(d), or None when the step is not finite or misses
-    ``BACKWARD_ERROR_TOL``. d, rhs and the step are node fields. lam_h is the
-    stencil's exact symbol, so J P^{-1} = I + diag(mean(d) - d) P^{-1}, and
-    the step is the P^{-1} x of GMRES's closing product b - A x."""
-    grid, shape = ops.grid, ops.grid.shape
+    P = lam_h - mean(d) (``symbol`` is lam_h), or None when the step is not
+    finite or misses ``BACKWARD_ERROR_TOL``. d, rhs and the step are node
+    fields. lam_h is the stencil's exact symbol, so
+    J P^{-1} = I + diag(mean(d) - d) P^{-1}, and the step is P^{-1} x for the
+    x of the one GMRES pass."""
+    shape = grid.shape
     mean_d = np.mean(d)
-    P, shift = ops.symbol - mean_d, mean_d - d
-    step = np.zeros(shape)  # P^{-1} 0, when GMRES takes no product
+    P, shift = symbol - mean_d, mean_d - d
 
     def precondition(y):
         return np.fft.irfft2(np.fft.rfft2(y.reshape(shape)) / P, s=shape)
 
     def matvec(y):
-        nonlocal step
-        step = precondition(y)
-        return y + (shift * step).ravel()
+        return y + (shift * precondition(y)).ravel()
 
-    norm_J = _jacobian_norm_inf(d, ops)
+    norm_J = _jacobian_norm_inf(d, grid)
     norm_b = l2_norm(rhs)
     atol = 0.1 * BACKWARD_ERROR_TOL * (norm_J * np.linalg.norm(precondition(rhs)) + norm_b)
-    _gmres(matvec, rhs.ravel(), atol)
+    step = precondition(_gmres(matvec, rhs.ravel(), atol))
     if not np.all(np.isfinite(step)):
         return None
     backward_error = (l2_norm(_jacobian_apply(grid, d, step) - rhs)
@@ -280,6 +261,8 @@ def _krylov_solve(d: np.ndarray, rhs: np.ndarray, ops: _Operators) -> np.ndarray
 class MuSolution:
     problem: MuProblem
     mu: np.ndarray
+    # the residual G at mu; residual_history ends with its L-inf
+    residual: np.ndarray
     residual_history: list = field(default_factory=list)
     converged: bool = False
     iterations: int = 0
@@ -298,7 +281,6 @@ def solve_mu(
 ) -> MuSolution:
     grid, H, KN = problem.grid, problem.H, problem.KN
     mu = problem.mu0.copy()
-    sol = MuSolution(problem, mu)
 
     # floating-point exceptions are dealt with by value: a residual that is
     # not finite at the initial guess stops the solve, a step that is not
@@ -307,20 +289,20 @@ def solve_mu(
     with np.errstate(all="ignore"):
         F = mu_residual(grid, mu, H, KN)
         norm = l2_norm(F)
-        sol.residual_history.append(float(np.max(np.abs(F))))
+        sol = MuSolution(problem, mu, F, [float(np.max(np.abs(F)))])
         if np.all(KN + H * H <= 0):
             sol.reason = NO_PERIODIC_SOLUTION
             return sol
         if not np.isfinite(norm):
             sol.reason = NON_FINITE_START
             return sol
-        ops = _operators(grid)
+        symbol = _operators(grid)
         for it in range(max_iter):
             if sol.residual_history[-1] <= tol_newton:
                 break
-            step = _krylov_solve(_reaction_d(mu, H, KN), -F, ops)
+            step = _krylov_solve(_reaction_d(mu, H, KN), -F, grid, symbol)
             if step is None:
-                J = _jacobian(mu, H, KN, ops)
+                J = _jacobian(mu, H, KN, grid)
                 # through the module attribute, which imports scipy on first use
                 lu = sys.modules[__name__].spla.spsolve(J.tocsc(), -F.ravel(),
                                                         permc_spec="MMD_AT_PLUS_A")
@@ -345,7 +327,7 @@ def solve_mu(
             if not accepted:
                 break
 
-    sol.mu = mu
+    sol.mu, sol.residual = mu, F
     sol.converged = sol.residual_history[-1] <= tol_newton
     return sol
 
