@@ -1,5 +1,5 @@
-"""Stress-bienergy tensor checks, equivalence matrix, Simons and integral
-formulas, parallel shape-operator diagnostics, space-form target derivation.
+"""Stress-bienergy tensor checks, the Hopf residual, and the Simons and
+integral formulas.
 
 All residuals are reported both as area-weighted L2 and as L-infinity norms
 of pointwise g-norms over the interior nodes (``grid.interior_span``) of the
@@ -16,25 +16,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ambient import curvature_operator
 from .grid import Grid, integrate, interior_span, quadrature_weights
 from .immersion import (  # principal_curvatures and stress_bienergy are also read as checks.*
     SurfaceGeometry,
     principal_curvatures,
     stress_bienergy,
-    tangent_coords,
     trace_A_dperpH,
     trace_RN_H,
 )
-from .tensors import codazzi_defect_coords, divergence_coords
+from .tensors import divergence_coords
 
-# Not called here. perfbench/tracing.py's PATCH_POINTS still patch this
-# binding; ROADMAP item 7 drops that patch point, and then this import.
-from .tensors import holomorphicity_residual  # noqa: F401
-
-
-class NonConstantCurvaturesError(ValueError):
-    """Space-form target derivation requires constant principal curvatures."""
+# Not called here. perfbench/tracing.py's PATCH_POINTS still patch these
+# bindings; ROADMAP item 7 drops those patch points, and then these imports.
+from .tensors import codazzi_defect_coords, holomorphicity_residual  # noqa: F401
 
 
 def area_weights(area_element: np.ndarray, grid: Grid, margin: int) -> np.ndarray:
@@ -73,7 +67,8 @@ def combined_norms(grid: Grid, margin: int, top: np.ndarray, sums: np.ndarray,
 
 def interior_norms(field: np.ndarray, geom: SurfaceGeometry,
                    squared: bool = False) -> tuple[float, float]:
-    """(L2, Linf) of |field| over ``geom.interior``, the L2 area-weighted;
+    """(L2, Linf) of |field| over the interior nodes of ``geom`` (those
+    :func:`grid.interior_span` keeps), the L2 area-weighted;
     with ``squared``, of sqrt(field) (:func:`row_norms`)."""
     grid, margin = geom.grid, geom.boundary_margin
     weights = area_weights(geom.area_element, grid, margin)
@@ -121,37 +116,6 @@ def hopf_residual(geom: SurfaceGeometry) -> np.ndarray:
     holomorphic."""
     res = geom.biconservativity
     return 0.5 * (res["cond4"] - res["grad_Hsq"])
-
-
-def equivalence_matrix(
-    geom: SurfaceGeometry,
-    chart: object,
-    tol_pass: float,
-    tol_implied: float,
-) -> dict:
-    """Residuals of the four equivalent surface conditions and the pairwise
-    implication table: any two conditions passing must imply the others.
-
-    ``chart`` is unused: the Hopf leg is ``hopf_residual``, which needs no
-    isothermal chart, and the package builds none. The parameter stays for
-    callers that pass one, or None."""
-    res = geom.biconservativity
-    _, r1 = vector_norms(res["cond1"], geom)
-    _, r2 = vector_norms(res["grad_Hsq"], geom)
-    _, r3 = vector_norms(hopf_residual(geom), geom)
-    _, r4 = vector_norms(codazzi_defect_coords(geom.nabla_AH), geom)
-
-    residuals = {"biconservative": r1, "cmc": r2, "hopf_holomorphic": r3, "codazzi": r4}
-    keys = list(residuals)
-    implications = []
-    ok = True
-    for i, ki in enumerate(keys):
-        for kj in keys[i + 1 :]:
-            if residuals[ki] <= tol_pass and residuals[kj] <= tol_pass:
-                implied = all(v <= tol_implied for v in residuals.values())
-                implications.append({"pair": (ki, kj), "implied_pass": implied})
-                ok = ok and implied
-    return {"residuals": residuals, "implications": implications, "all_implications_hold": ok}
 
 
 def simons_residual(geom: SurfaceGeometry) -> np.ndarray:
@@ -215,78 +179,3 @@ def integral_formula_check(grid: Grid, integrands: dict) -> dict:
         raise ValueError("integral formulas need a doubly periodic (torus) grid")
     return {f"int_{t}_gap": integrate(grid, integrands[f"lhs_{t}"])
             - integrate(grid, integrands[f"rhs_{t}"]) for t in ("S2", "AH")}
-
-
-def parallel_AH_checks(geom: SurfaceGeometry, tol: float) -> dict:
-    """Norm of nabla A_H plus the consequences that must follow when it vanishes:
-    constant eigenvalues, the curvature-commutation identity, the trace
-    cancellation, and pseudoumbilical-or-flat."""
-    l2, linf = interior_norms(geom.nabla_AH_norm_sq, geom, squared=True)
-    lam1, lam2, mu, _ = geom.principal
-
-    out = {
-        "nabla_AH_l2": l2,
-        "nabla_AH_linf": linf,
-        "is_parallel": linf <= tol,
-    }
-    if linf <= tol:
-        out["lambda_spread"] = float(
-            max(np.ptp(lam1), np.ptp(lam2))
-        )
-        # A_{dperp_u H}(d_v) - A_{dperp_v H}(d_u) = (R^N(d_u, d_v) H)^T
-        lhs = np.einsum(
-            "...ic,...c->...i",
-            geom.ginv,
-            np.einsum("...cm,...m->...c", geom.B[..., :, 1, :], geom.dperpH[..., 0, :])
-            - np.einsum("...cm,...m->...c", geom.B[..., :, 0, :], geom.dperpH[..., 1, :]),
-        )
-        rhs = tangent_coords(geom.jet, geom.ginv, curvature_operator(
-            geom.space, geom.jet.d1[..., 0, :], geom.jet.d1[..., 1, :], geom.H))
-        _, out["commutation_linf"] = vector_norms(lhs - rhs, geom)
-        tA = trace_A_dperpH(geom)
-        tR = trace_RN_H(geom)
-        _, out["trace_cancellation_linf"] = vector_norms(tA + tR, geom)
-        out["flat_or_pseudoumbilical_gap"] = float(
-            min(np.max(np.abs(mu)), np.max(np.abs(geom.K)))
-        )
-    return out
-
-
-def derive_spaceform_target(lam1, lam2, mode: str, K=None, tol: float = 1e-8):
-    """Constant sectional curvature c and mean curvature |H| of the local
-    3-space-form immersion whose shape operator is A_H or S2.
-
-    ``lam1``/``lam2`` may be fields (constancy is enforced) or scalars.
-    Umbilical modes additionally require a flat surface (K = 0).
-    """
-    lam1 = np.asarray(lam1, dtype=np.float64)
-    lam2 = np.asarray(lam2, dtype=np.float64)
-    for lam in (lam1, lam2):
-        spread = float(np.ptp(lam)) if lam.ndim else 0.0
-        if spread > tol * (1.0 + float(np.max(np.abs(lam)))):
-            raise NonConstantCurvaturesError(
-                f"principal curvatures not constant (spread {spread:.3e})"
-            )
-    l1 = float(np.mean(lam1))
-    l2 = float(np.mean(lam2))
-    if l1 < l2:
-        raise ValueError("expected lam1 >= lam2")
-    hsq = 0.5 * (l1 + l2)
-    mu = l1 - l2
-
-    if mode in ("umbilical_A_H", "umbilical_S2"):
-        if mu > tol * (1.0 + abs(l1)):
-            raise ValueError("umbilical modes require lam1 = lam2")
-        if K is None or float(np.max(np.abs(K))) > tol * (1.0 + hsq**2):
-            raise ValueError("umbilical modes require a flat surface (K = 0)")
-        if mode == "umbilical_A_H":
-            return -(hsq**2), hsq
-        return -4.0 * hsq**2, 2.0 * hsq
-
-    if mu <= tol * (1.0 + abs(l1)):
-        raise ValueError(f"mode {mode!r} requires lam1 > lam2; use an umbilical mode")
-    if mode == "A_H":
-        return mu**2 / 4.0 - hsq**2, hsq
-    if mode == "S2":
-        return 4.0 * (mu**2 - hsq**2), 2.0 * hsq
-    raise ValueError(f"unknown mode {mode!r}")

@@ -171,13 +171,6 @@ def interior_span(grid: Grid, margin: int, axis: int) -> slice:
     return slice(0, n) if grid.periodic(axis) else slice(margin, n - margin)
 
 
-def interior_mask(grid: Grid, margin: int) -> np.ndarray:
-    """Boolean node mask excluding ``margin`` rows at each non-periodic edge."""
-    mask = np.zeros(grid.shape, dtype=bool)
-    mask[interior_span(grid, margin, 0), interior_span(grid, margin, 1)] = True
-    return mask
-
-
 def quadrature_weights(grid: Grid, axis: int) -> np.ndarray:
     """Weights along an axis, in units of its spacing: rectangle rule on a
     periodic axis (very accurate for smooth periodic integrands), trapezoid

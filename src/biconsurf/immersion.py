@@ -43,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .ambient import Ambient, _dot, curvature_operator
-from .grid import Grid, InputError, fd_derivative, flat_gradient, interior_mask, node_array
+from .grid import Grid, InputError, fd_derivative, flat_gradient, node_array
 from .tensors import MetricCalculus, cov_derivative_coords
 
 # Pseudoumbilical classification thresholds for the eigenvalue gap of A_H.
@@ -212,13 +212,9 @@ class SurfaceGeometry(MetricCalculus):
 
     @property
     def boundary_margin(self) -> int:
-        """Rows :attr:`interior` leaves out at each open edge."""
+        """Rows every norm of this geometry's fields leaves out at each open
+        edge (``grid.interior_span``)."""
         return self.jet.boundary_margin
-
-    @cached_property
-    def interior(self) -> np.ndarray:
-        """The nodes every norm of this geometry's fields is taken over."""
-        return interior_mask(self.grid, self.boundary_margin)
 
     @cached_property
     def area_element(self) -> np.ndarray:

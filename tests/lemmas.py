@@ -10,6 +10,11 @@ dy^2)``. The operators that only the lemmas need (:func:`nabla`,
 :func:`div_tensor`, :func:`grad_scalar`, :func:`hessian`,
 :func:`rough_laplacian`) take the carrier as their first argument.
 
+The last section holds what the package once ran and no command does:
+the paper's equivalence matrix, the parallel-``A_H`` consequences, the
+3-space-form targets and the interior node mask. ROADMAP item 4 brings back
+into ``src/`` only what its ``implications`` block calls.
+
 Sign conventions: the function Laplacian is the positive (geometer's)
 operator ``Delta f = -div grad f``; the rough Laplacian is ``Delta^R T =
 -trace grad^2 T``. The conformal Gauss curvature ``K = -e^{-2 rho} (rho_xx +
@@ -23,7 +28,18 @@ from functools import cached_property
 
 import numpy as np
 
-from biconsurf.grid import Grid, fd_derivative, flat_gradient, flat_laplacian, integrate, node_array
+from biconsurf.ambient import curvature_operator
+from biconsurf.checks import hopf_residual, interior_norms, vector_norms
+from biconsurf.grid import (
+    Grid,
+    fd_derivative,
+    flat_gradient,
+    flat_laplacian,
+    integrate,
+    interior_span,
+    node_array,
+)
+from biconsurf.immersion import SurfaceGeometry, tangent_coords, trace_A_dperpH, trace_RN_H
 from biconsurf.tensors import (
     MetricCalculus,
     codazzi_defect_coords,
@@ -200,3 +216,128 @@ def div_T_grad_alpha_residual(carrier: MetricCalculus, T: np.ndarray,
     out -= np.einsum("...i,...i->...", div_tensor(carrier, T), da)  # <Div T, grad a> = da(Div T)
     out -= carrier.tensor_inner(T, hessian(carrier, alpha))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the paper's equivalences, parallel A_H and space-form targets, and the
+# interior node mask: no command runs them
+# ---------------------------------------------------------------------------
+
+
+class NonConstantCurvaturesError(ValueError):
+    """Space-form target derivation requires constant principal curvatures."""
+
+
+def interior_mask(grid: Grid, margin: int) -> np.ndarray:
+    """Boolean node mask excluding ``margin`` rows at each non-periodic edge."""
+    mask = np.zeros(grid.shape, dtype=bool)
+    mask[interior_span(grid, margin, 0), interior_span(grid, margin, 1)] = True
+    return mask
+
+
+def equivalence_matrix(
+    geom: SurfaceGeometry,
+    chart: object,
+    tol_pass: float,
+    tol_implied: float,
+) -> dict:
+    """Residuals of the four equivalent surface conditions and the pairwise
+    implication table: any two conditions passing must imply the others.
+
+    ``chart`` is unused: the Hopf leg is ``hopf_residual``, which needs no
+    isothermal chart, and the package builds none. The parameter stays for
+    callers that pass one, or None."""
+    res = geom.biconservativity
+    _, r1 = vector_norms(res["cond1"], geom)
+    _, r2 = vector_norms(res["grad_Hsq"], geom)
+    _, r3 = vector_norms(hopf_residual(geom), geom)
+    _, r4 = vector_norms(codazzi_defect_coords(geom.nabla_AH), geom)
+
+    residuals = {"biconservative": r1, "cmc": r2, "hopf_holomorphic": r3, "codazzi": r4}
+    keys = list(residuals)
+    implications = []
+    ok = True
+    for i, ki in enumerate(keys):
+        for kj in keys[i + 1 :]:
+            if residuals[ki] <= tol_pass and residuals[kj] <= tol_pass:
+                implied = all(v <= tol_implied for v in residuals.values())
+                implications.append({"pair": (ki, kj), "implied_pass": implied})
+                ok = ok and implied
+    return {"residuals": residuals, "implications": implications, "all_implications_hold": ok}
+
+
+
+def parallel_AH_checks(geom: SurfaceGeometry, tol: float) -> dict:
+    """Norm of nabla A_H plus the consequences that must follow when it vanishes:
+    constant eigenvalues, the curvature-commutation identity, the trace
+    cancellation, and pseudoumbilical-or-flat."""
+    l2, linf = interior_norms(geom.nabla_AH_norm_sq, geom, squared=True)
+    lam1, lam2, mu, _ = geom.principal
+
+    out = {
+        "nabla_AH_l2": l2,
+        "nabla_AH_linf": linf,
+        "is_parallel": linf <= tol,
+    }
+    if linf <= tol:
+        out["lambda_spread"] = float(
+            max(np.ptp(lam1), np.ptp(lam2))
+        )
+        # A_{dperp_u H}(d_v) - A_{dperp_v H}(d_u) = (R^N(d_u, d_v) H)^T
+        lhs = np.einsum(
+            "...ic,...c->...i",
+            geom.ginv,
+            np.einsum("...cm,...m->...c", geom.B[..., :, 1, :], geom.dperpH[..., 0, :])
+            - np.einsum("...cm,...m->...c", geom.B[..., :, 0, :], geom.dperpH[..., 1, :]),
+        )
+        rhs = tangent_coords(geom.jet, geom.ginv, curvature_operator(
+            geom.space, geom.jet.d1[..., 0, :], geom.jet.d1[..., 1, :], geom.H))
+        _, out["commutation_linf"] = vector_norms(lhs - rhs, geom)
+        tA = trace_A_dperpH(geom)
+        tR = trace_RN_H(geom)
+        _, out["trace_cancellation_linf"] = vector_norms(tA + tR, geom)
+        out["flat_or_pseudoumbilical_gap"] = float(
+            min(np.max(np.abs(mu)), np.max(np.abs(geom.K)))
+        )
+    return out
+
+
+
+def derive_spaceform_target(lam1, lam2, mode: str, K=None, tol: float = 1e-8):
+    """Constant sectional curvature c and mean curvature |H| of the local
+    3-space-form immersion whose shape operator is A_H or S2.
+
+    ``lam1``/``lam2`` may be fields (constancy is enforced) or scalars.
+    Umbilical modes additionally require a flat surface (K = 0).
+    """
+    lam1 = np.asarray(lam1, dtype=np.float64)
+    lam2 = np.asarray(lam2, dtype=np.float64)
+    for lam in (lam1, lam2):
+        spread = float(np.ptp(lam)) if lam.ndim else 0.0
+        if spread > tol * (1.0 + float(np.max(np.abs(lam)))):
+            raise NonConstantCurvaturesError(
+                f"principal curvatures not constant (spread {spread:.3e})"
+            )
+    l1 = float(np.mean(lam1))
+    l2 = float(np.mean(lam2))
+    if l1 < l2:
+        raise ValueError("expected lam1 >= lam2")
+    hsq = 0.5 * (l1 + l2)
+    mu = l1 - l2
+
+    if mode in ("umbilical_A_H", "umbilical_S2"):
+        if mu > tol * (1.0 + abs(l1)):
+            raise ValueError("umbilical modes require lam1 = lam2")
+        if K is None or float(np.max(np.abs(K))) > tol * (1.0 + hsq**2):
+            raise ValueError("umbilical modes require a flat surface (K = 0)")
+        if mode == "umbilical_A_H":
+            return -(hsq**2), hsq
+        return -4.0 * hsq**2, 2.0 * hsq
+
+    if mu <= tol * (1.0 + abs(l1)):
+        raise ValueError(f"mode {mode!r} requires lam1 > lam2; use an umbilical mode")
+    if mode == "A_H":
+        return mu**2 / 4.0 - hsq**2, hsq
+    if mode == "S2":
+        return 4.0 * (mu**2 - hsq**2), 2.0 * hsq
+    raise ValueError(f"unknown mode {mode!r}")

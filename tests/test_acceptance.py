@@ -21,6 +21,7 @@ from biconsurf.mu_solver import (
     mu_residual,
     solve_mu,
 )
+import lemmas
 from lemmas import (
     conformal_chart_from_metric,
     div_T_grad_alpha_residual,
@@ -78,7 +79,7 @@ def test_a2_equivalence_analytic_and_fd():
             chart = conformal_chart_from_metric(geom.grid, geom.g)
         except ValueError:
             chart = None
-        out = checks.equivalence_matrix(geom, chart, tol_pass=1e-8, tol_implied=1e-7)
+        out = lemmas.equivalence_matrix(geom, chart, tol_pass=1e-8, tol_implied=1e-7)
         assert out["implications"], name
         assert out["all_implications_hold"], name
 
@@ -251,9 +252,9 @@ def test_a8_negative_control_and_spaceform_targets():
     for a, b in zip(linfs, linfs[1:]):
         assert abs(a - b) / b < 0.2
 
-    c, h = checks.derive_spaceform_target(0.5, 0.0, "A_H")
+    c, h = lemmas.derive_spaceform_target(0.5, 0.0, "A_H")
     assert c == 0.0 and h == 0.25
-    c2, h2 = checks.derive_spaceform_target(0.5, 0.0, "S2")
+    c2, h2 = lemmas.derive_spaceform_target(0.5, 0.0, "S2")
     assert c2 == 0.75 and h2 == 0.5
     print(f"\nA8 PASS: graph stress divergence {', '.join(f'{x:.3f}' for x in linfs)} "
           f"(stable); targets c={c}, c={c2}")

@@ -5,10 +5,11 @@ from biconsurf import checks
 from biconsurf.ambient import euclidean
 from biconsurf.cli import estimate_order, run_convergence
 from biconsurf.corpus import load_tabulated, make_builtin, tabulate
-from biconsurf.grid import build_grid, interior_mask
+from biconsurf.grid import build_grid
 from biconsurf.immersion import FD_BOUNDARY_MARGIN, compute_geometry
 from biconsurf.report import build_geometry_report
-from lemmas import conformal_chart_from_metric
+import lemmas
+from lemmas import conformal_chart_from_metric, interior_mask
 
 
 def geom_and_chart(name, n=48, **params):
@@ -115,7 +116,7 @@ class TestBiconservativity:
 class TestEquivalenceMatrix:
     def test_biconservative_surface_all_implied(self):
         geom, chart = geom_and_chart("product_torus", n=32, r1=1.0, r2=2.0)
-        out = checks.equivalence_matrix(geom, chart, tol_pass=1e-8, tol_implied=1e-7)
+        out = lemmas.equivalence_matrix(geom, chart, tol_pass=1e-8, tol_implied=1e-7)
         assert out["all_implications_hold"]
         assert len(out["implications"]) == 6  # all four conditions pass pairwise
         for v in out["residuals"].values():
@@ -124,7 +125,7 @@ class TestEquivalenceMatrix:
     def test_all_four_legs_without_chart(self):
         # the Hopf leg needs no isothermal chart
         geom = compute_geometry(make_builtin("cylinder", n=24, r=1.0))
-        out = checks.equivalence_matrix(geom, None, tol_pass=1e-8, tol_implied=1e-7)
+        out = lemmas.equivalence_matrix(geom, None, tol_pass=1e-8, tol_implied=1e-7)
         assert list(out["residuals"]) == ["biconservative", "cmc", "hopf_holomorphic", "codazzi"]
         assert out["residuals"]["hopf_holomorphic"] < 1e-8
         assert len(out["implications"]) == 6
@@ -132,7 +133,7 @@ class TestEquivalenceMatrix:
 
     def test_graph_produces_no_implications(self):
         geom = compute_geometry(make_builtin("graph", n=32))
-        out = checks.equivalence_matrix(geom, None, tol_pass=1e-8, tol_implied=1e-7)
+        out = lemmas.equivalence_matrix(geom, None, tol_pass=1e-8, tol_implied=1e-7)
         assert out["implications"] == []
         assert out["all_implications_hold"]  # vacuous
 
@@ -229,7 +230,7 @@ class TestParallelShapeOperator:
             ("helix_line_r4", {"k": 1.0, "tau": 0.5}),
         ]:
             geom = compute_geometry(make_builtin(name, n=32, **params))
-            out = checks.parallel_AH_checks(geom, tol=1e-8)
+            out = lemmas.parallel_AH_checks(geom, tol=1e-8)
             assert out["is_parallel"], name
             assert out["lambda_spread"] < 1e-7
             assert out["commutation_linf"] < 1e-9
@@ -238,7 +239,7 @@ class TestParallelShapeOperator:
 
     def test_graph_not_parallel(self):
         geom = compute_geometry(make_builtin("graph", n=32))
-        out = checks.parallel_AH_checks(geom, tol=1e-8)
+        out = lemmas.parallel_AH_checks(geom, tol=1e-8)
         assert not out["is_parallel"]
         assert "lambda_spread" not in out
 
@@ -247,50 +248,50 @@ class TestSpaceformTarget:
     def test_flagship_values(self):
         # lam = (1/2, 0): shape-operator route gives flat target,
         # stress route gives c = 3/4
-        c, h = checks.derive_spaceform_target(0.5, 0.0, "A_H")
+        c, h = lemmas.derive_spaceform_target(0.5, 0.0, "A_H")
         assert c == pytest.approx(0.0, abs=1e-15)
         assert h == pytest.approx(0.25)
-        c, h = checks.derive_spaceform_target(0.5, 0.0, "S2")
+        c, h = lemmas.derive_spaceform_target(0.5, 0.0, "S2")
         assert c == pytest.approx(0.75)
         assert h == pytest.approx(0.5)
 
     def test_general_k(self):
         for k in (0.7, 2.0):
-            c, h = checks.derive_spaceform_target(k**2 / 2.0, 0.0, "A_H")
+            c, h = lemmas.derive_spaceform_target(k**2 / 2.0, 0.0, "A_H")
             assert c == pytest.approx(0.0, abs=1e-12)
             assert h == pytest.approx(k**2 / 4.0)
-            c, h = checks.derive_spaceform_target(k**2 / 2.0, 0.0, "S2")
+            c, h = lemmas.derive_spaceform_target(k**2 / 2.0, 0.0, "S2")
             assert c == pytest.approx(0.75 * k**4)
             assert h == pytest.approx(k**2 / 2.0)
 
     def test_umbilical_modes(self):
-        c, h = checks.derive_spaceform_target(0.25, 0.25, "umbilical_A_H", K=0.0)
+        c, h = lemmas.derive_spaceform_target(0.25, 0.25, "umbilical_A_H", K=0.0)
         assert c == pytest.approx(-0.0625)
         assert h == pytest.approx(0.25)
-        c, h = checks.derive_spaceform_target(0.25, 0.25, "umbilical_S2", K=0.0)
+        c, h = lemmas.derive_spaceform_target(0.25, 0.25, "umbilical_S2", K=0.0)
         assert c == pytest.approx(-0.25)
         assert h == pytest.approx(0.5)
 
     def test_field_input_from_geometry(self):
         geom = compute_geometry(make_builtin("helix_line_r4", n=24, k=1.0, tau=0.5))
         lam1, lam2, _, _ = geom.principal
-        c, h = checks.derive_spaceform_target(lam1, lam2, "S2")
+        c, h = lemmas.derive_spaceform_target(lam1, lam2, "S2")
         assert c == pytest.approx(0.75, abs=1e-9)
         assert h == pytest.approx(0.5, abs=1e-9)
 
     def test_error_paths(self):
-        with pytest.raises(checks.NonConstantCurvaturesError):
-            checks.derive_spaceform_target(np.linspace(0.4, 0.6, 10), 0.0, "A_H")
+        with pytest.raises(lemmas.NonConstantCurvaturesError):
+            lemmas.derive_spaceform_target(np.linspace(0.4, 0.6, 10), 0.0, "A_H")
         with pytest.raises(ValueError):
-            checks.derive_spaceform_target(0.0, 0.5, "A_H")  # wrong ordering
+            lemmas.derive_spaceform_target(0.0, 0.5, "A_H")  # wrong ordering
         with pytest.raises(ValueError):
-            checks.derive_spaceform_target(0.5, 0.5, "A_H")  # umbilical in generic mode
+            lemmas.derive_spaceform_target(0.5, 0.5, "A_H")  # umbilical in generic mode
         with pytest.raises(ValueError):
-            checks.derive_spaceform_target(0.5, 0.0, "umbilical_A_H", K=0.0)
+            lemmas.derive_spaceform_target(0.5, 0.0, "umbilical_A_H", K=0.0)
         with pytest.raises(ValueError):
-            checks.derive_spaceform_target(0.5, 0.5, "umbilical_A_H", K=1.0)
+            lemmas.derive_spaceform_target(0.5, 0.5, "umbilical_A_H", K=1.0)
         with pytest.raises(ValueError):
-            checks.derive_spaceform_target(0.5, 0.0, "bogus")
+            lemmas.derive_spaceform_target(0.5, 0.0, "bogus")
 
 
 class TestInteriorMask:
@@ -308,10 +309,11 @@ class TestInteriorMask:
 
     def test_geometry_interior_follows_jet_source(self):
         jet = make_builtin("graph", n=16)
-        assert compute_geometry(jet).interior.all()
+        assert interior_mask(jet.grid, compute_geometry(jet).boundary_margin).all()
         geom = compute_geometry(tabulate(jet))
         assert geom.boundary_margin == FD_BOUNDARY_MARGIN == 3
-        np.testing.assert_array_equal(geom.interior, interior_mask(geom.grid, 3))
+        np.testing.assert_array_equal(interior_mask(geom.grid, geom.boundary_margin),
+                                      interior_mask(geom.grid, 3))
 
     def test_masked_norms_ignore_boundary(self):
         geom = compute_geometry(tabulate(make_builtin("graph", n=16)))
@@ -324,11 +326,12 @@ class TestInteriorMask:
         # constant 1 inside the interior, junk outside: the RMS over the
         # interior is 1, whatever the area of the masked band
         geom = compute_geometry(tabulate(make_builtin("graph", n=16)))
-        field = np.where(geom.interior, -1.0, 1e6)
+        field = np.where(interior_mask(geom.grid, geom.boundary_margin), -1.0, 1e6)
         assert checks.interior_norms(field, geom) == (1.0, 1.0)
         assert checks.interior_norms(field * field, geom, squared=True) == (1.0, 1.0)
         V = np.zeros(geom.grid.shape + (2,))
-        V[..., 0] = np.where(geom.interior, 1.0 / np.sqrt(geom.g[..., 0, 0]), 1e6)
+        V[..., 0] = np.where(interior_mask(geom.grid, geom.boundary_margin),
+                             1.0 / np.sqrt(geom.g[..., 0, 0]), 1e6)
         l2, linf = checks.vector_norms(V, geom)
         assert l2 == pytest.approx(1.0, rel=1e-12)
         assert linf == pytest.approx(1.0, rel=1e-12)
@@ -352,7 +355,7 @@ class TestOneMaskForEveryCaller:
         jet, rep = fd_helix
         geom = compute_geometry(jet)
         chart = conformal_chart_from_metric(geom.grid, geom.g, tol=1.0)
-        eq = checks.equivalence_matrix(geom, chart, 1e-3, 1e-3)["residuals"]
+        eq = lemmas.equivalence_matrix(geom, chart, 1e-3, 1e-3)["residuals"]
         assert eq["biconservative"] == rep.residual("stress_divergence").linf
         assert eq["cmc"] == rep.residual("grad_mean_curvature_sq").linf
         assert eq["codazzi"] == rep.residual("codazzi_defect").linf

@@ -16,9 +16,10 @@ from biconsurf.corpus import (
     make_builtin,
     tabulate,
 )
-from biconsurf.grid import build_grid, fd_derivative, interior_mask
+from biconsurf.grid import build_grid, fd_derivative
 from biconsurf.immersion import DegenerateImmersionError, compute_geometry
 from biconsurf.report import build_geometry_report
+from lemmas import interior_mask
 
 PARAMS = {
     "helix_line_r4": {"k": 1.0, "tau": 0.5},

@@ -3,7 +3,7 @@ import pytest
 
 from biconsurf.ambient import euclidean, sphere
 from biconsurf.corpus import load_tabulated, make_builtin, tabulate
-from biconsurf.grid import build_grid, fd_derivative, interior_mask
+from biconsurf.grid import build_grid, fd_derivative
 from biconsurf.immersion import (
     DegenerateImmersionError,
     ImmersionJet,
@@ -13,6 +13,7 @@ from biconsurf.immersion import (
     jet_from_positions,
     tangent_coords,
 )
+from lemmas import interior_mask
 
 
 def plane_jet(n=16):

@@ -14,6 +14,7 @@ from biconsurf.corpus import load_tabulated, make_builtin, tabulate
 from biconsurf.immersion import DegenerateImmersionError, ImmersionJet
 from biconsurf.mu_solver import MuProblem, constant_root, mu_residual, solve_mu
 from biconsurf.grid import build_grid
+from lemmas import interior_mask
 
 
 @pytest.fixture(scope="module")
@@ -436,10 +437,11 @@ def _old_norms(field, geom, squared):
         return grid.hu * grid.hv * np.einsum("i,j,ij->", wu, wv, f)
 
     f = np.maximum(field, 0.0) if squared else np.abs(field)
-    f[~geom.interior] = 0.0
+    f[~interior_mask(geom.grid, geom.boundary_margin)] = 0.0
     linf = np.sqrt(np.max(f)) if squared else np.max(f)
     sq = (f if squared else f * f) * geom.area_element
-    area = integrate(np.where(geom.interior, geom.area_element, 0.0))
+    area = integrate(np.where(interior_mask(geom.grid, geom.boundary_margin),
+                              geom.area_element, 0.0))
     return np.sqrt(integrate(sq) / area), linf, integrate
 
 

@@ -20,6 +20,7 @@ from hypothesis.extra import numpy as hnp  # noqa: E402
 from biconsurf import checks, report as rp  # noqa: E402
 from biconsurf.corpus import make_builtin, tabulate  # noqa: E402
 from biconsurf.immersion import compute_geometry  # noqa: E402
+from lemmas import interior_mask  # noqa: E402
 
 # bit patterns where a text or float route loses bits: +-0, the smallest and
 # largest subnormals, +-inf, quiet and signalling NaNs with payloads and sign
@@ -95,12 +96,13 @@ def _geometries():
 def test_interior_linf_is_max_abs(data):
     geom = data.draw(st.sampled_from(_geometries()))
     f = data.draw(hnp.arrays(np.float64, geom.grid.shape, elements=NORM_VALUES))
-    want = np.max(np.abs(f[geom.interior]))
+    want = np.max(np.abs(f[interior_mask(geom.grid, geom.boundary_margin)]))
     l2, linf = checks.interior_norms(f, geom)
     assert _bits(linf) == _bits(want)
     assert 0.0 <= l2 <= linf * (1.0 + 1e-12)
     # a squared norm: L-inf is the root of its max, the same bits
     sq = f * f
     l2_sq, linf_sq = checks.interior_norms(sq, geom, squared=True)
-    assert _bits(linf_sq) == _bits(math.sqrt(np.max(sq[geom.interior])))
+    assert _bits(linf_sq) == _bits(
+        math.sqrt(np.max(sq[interior_mask(geom.grid, geom.boundary_margin)])))
     assert 0.0 <= l2_sq <= linf_sq * (1.0 + 1e-12)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from biconsurf.corpus import make_builtin
-from biconsurf.grid import build_grid, fd_derivative, interior_mask
+from biconsurf.grid import build_grid, fd_derivative
 from biconsurf.immersion import compute_geometry
 from biconsurf.tensors import codazzi_defect_coords, holomorphicity_residual, hopf_differential
 from lemmas import (
@@ -16,6 +16,7 @@ from lemmas import (
     grad_scalar,
     hessian,
     holomorphicity_residual_routes,
+    interior_mask,
     nabla,
     rough_laplacian,
     weitzenbock_pairing_residual,
