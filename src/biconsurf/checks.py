@@ -17,13 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import Grid, integrate, interior_span, quadrature_weights
-from .immersion import (  # principal_curvatures and stress_bienergy are also read as checks.*
-    SurfaceGeometry,
-    principal_curvatures,
-    stress_bienergy,
-    trace_A_dperpH,
-    trace_RN_H,
-)
+from .immersion import SurfaceGeometry, trace_A_dperpH, trace_RN_H
 from .tensors import divergence_coords
 
 # Not called here. perfbench/tracing.py's PATCH_POINTS still patch these

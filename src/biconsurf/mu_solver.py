@@ -28,7 +28,9 @@ Jacobian's constant-coefficient part P = lam_h - mean(d), where lam_h is the
 symbol of the periodic 5-point -(d_xx + d_yy): P is diagonal in Fourier space
 and applied with two real FFTs (Knoll & Keyes 2004, *Jacobian-free
 Newton-Krylov methods*). As lam_h is the stencil's exact symbol, J = P + diag(mean(d) - d), so a GMRES product
-J P^{-1} y = y + (mean(d) - d) P^{-1} y is one FFT pair and no stencil. P is
+J P^{-1} y = y + (mean(d) - d) P^{-1} y is one FFT pair and no stencil. The
+pass keeps the P^{-1} y its products took and forms the step from them, as
+flexible GMRES does (Saad 1993), so the products are a step's only FFTs. P is
 nearly singular on the same low modes as the Jacobian (sin x sin y on the
 README problem), so it carries that mode rather than fighting it. A Krylov
 step is taken only when it is finite and its normwise backward error
@@ -181,26 +183,32 @@ def _jacobian(mu: np.ndarray, H: float, KN: np.ndarray, grid: Grid):
     return lap - sp.diags(_reaction_d(mu, H, KN).ravel())
 
 
-def _gmres(matvec, b: np.ndarray, atol: float) -> np.ndarray:
-    """x for A x = b by one pass of GMRES from x = 0, A applied by ``matvec``
-    to flat vectors: at most ``KRYLOV_DIM`` Arnoldi steps (modified
-    Gram-Schmidt, Givens rotations, one triangular solve). The pass ends when
-    the rotated residual is at most ``atol`` or the Krylov space stops
-    growing, an exact solution (happy breakdown) or a vector that is not
-    finite. No product checks x; the caller judges it."""
+def _gmres(precondition, matvec, b: np.ndarray, beta: float, norm_A: float,
+           tol: float) -> np.ndarray:
+    """x for A x = b by one pass of flexible GMRES from x = 0 (Saad 1993),
+    right-preconditioned by M, on flat vectors: ``precondition(v)`` is
+    z = M^{-1} v and ``matvec(v, z)`` is A z, with beta = ||b|| > 0. At most
+    ``KRYLOV_DIM`` Arnoldi steps (modified Gram-Schmidt, Givens rotations,
+    one triangular solve); x = sum y_i z_i from the z_i the products took, so
+    M^{-1} is applied once per product and never to the result. The pass ends
+    when the rotated residual is at most tol (norm_A ||M^{-1} b|| + beta),
+    ||M^{-1} b|| being beta ||z_0||, or the Krylov space stops growing, an
+    exact solution (happy breakdown) or a vector that is not finite. No
+    product checks x; the caller judges it."""
     n = b.size
     m = min(KRYLOV_DIM, n)
-    beta = l2_norm(b)
-    if beta <= atol:
-        return np.zeros(n)
     eps = np.finfo(np.float64).eps
     V = np.empty((m + 1, n))
+    Z = np.empty((m, n))  # the preconditioned V, as the products took them
     R = np.zeros((m, m))  # the Hessenberg matrix, rotated to upper triangular
     cs, sn, g = np.zeros(m), np.zeros(m), np.zeros(m + 1)
     g[0] = beta
     V[0] = b / beta
     for k in range(m):
-        w = matvec(V[k])
+        Z[k] = precondition(V[k])
+        w = matvec(V[k], Z[k])
+        if k == 0:
+            atol = tol * (norm_A * beta * np.linalg.norm(Z[0]) + beta)
         h0 = np.linalg.norm(w)
         for i in range(k + 1):
             R[i, k] = V[i] @ w
@@ -225,7 +233,7 @@ def _gmres(matvec, b: np.ndarray, atol: float) -> np.ndarray:
     y = np.empty(k + 1)
     for i in range(k, -1, -1):
         y[i] = (g[i] - R[i, i + 1:k + 1] @ y[i + 1:]) / R[i, i]
-    return y @ V[:k + 1]
+    return y @ Z[:k + 1]
 
 
 def _krylov_solve(d: np.ndarray, rhs: np.ndarray, grid: Grid,
@@ -233,27 +241,30 @@ def _krylov_solve(d: np.ndarray, rhs: np.ndarray, grid: Grid,
     """J^{-1} rhs for J = -Lap_0 - diag(d), by GMRES right-preconditioned with
     P = lam_h - mean(d) (``symbol`` is lam_h), or None when the step is not
     finite or misses ``BACKWARD_ERROR_TOL``. d, rhs and the step are node
-    fields. lam_h is the stencil's exact symbol, so
-    J P^{-1} = I + diag(mean(d) - d) P^{-1}, and the step is P^{-1} x for the
-    x of the one GMRES pass."""
+    fields. lam_h is the stencil's exact symbol, so J = P + diag(mean(d) - d)
+    and a product J z, z = P^{-1} v, is v + (mean(d) - d) z: one FFT pair per
+    product, and none besides, as the step is formed from the products' z.
+    A zero rhs has the zero step, with no FFT."""
     shape = grid.shape
+    beta = l2_norm(rhs)
+    if beta == 0.0:
+        return np.zeros(shape)
     mean_d = np.mean(d)
-    P, shift = symbol - mean_d, mean_d - d
+    P, shift = symbol - mean_d, (mean_d - d).ravel()
 
-    def precondition(y):
-        return np.fft.irfft2(np.fft.rfft2(y.reshape(shape)) / P, s=shape)
+    def precondition(v):
+        return np.fft.irfft2(np.fft.rfft2(v.reshape(shape)) / P, s=shape).ravel()
 
-    def matvec(y):
-        return y + (shift * precondition(y)).ravel()
+    def matvec(v, z):
+        return v + shift * z
 
     norm_J = _jacobian_norm_inf(d, grid)
-    norm_b = l2_norm(rhs)
-    atol = 0.1 * BACKWARD_ERROR_TOL * (norm_J * np.linalg.norm(precondition(rhs)) + norm_b)
-    step = precondition(_gmres(matvec, rhs.ravel(), atol))
+    step = _gmres(precondition, matvec, rhs.ravel(), beta, norm_J,
+                  0.1 * BACKWARD_ERROR_TOL).reshape(shape)
     if not np.all(np.isfinite(step)):
         return None
     backward_error = (l2_norm(_jacobian_apply(grid, d, step) - rhs)
-                      / (norm_J * np.linalg.norm(step) + norm_b))
+                      / (norm_J * np.linalg.norm(step) + beta))
     return step if backward_error <= BACKWARD_ERROR_TOL else None
 
 

@@ -6,7 +6,12 @@ from biconsurf.ambient import euclidean
 from biconsurf.cli import estimate_order, run_convergence
 from biconsurf.corpus import load_tabulated, make_builtin, tabulate
 from biconsurf.grid import build_grid
-from biconsurf.immersion import FD_BOUNDARY_MARGIN, compute_geometry
+from biconsurf.immersion import (
+    FD_BOUNDARY_MARGIN,
+    compute_geometry,
+    principal_curvatures,
+    stress_bienergy,
+)
 from biconsurf.report import build_geometry_report
 import lemmas
 from lemmas import conformal_chart_from_metric, interior_mask
@@ -22,7 +27,7 @@ class TestStressTensor:
     def test_sphere_stress_is_scalar_multiple_of_identity(self):
         r = 1.5
         geom, _ = geom_and_chart("sphere", n=24, r=r)
-        S2 = checks.stress_bienergy(geom.A_H, geom.Hsq)
+        S2 = stress_bienergy(geom.A_H, geom.Hsq)
         expect = (2.0 / r**2) * np.eye(2)
         np.testing.assert_allclose(S2, np.broadcast_to(expect, S2.shape), atol=1e-10)
 
@@ -31,7 +36,7 @@ class TestStressTensor:
         A = np.zeros((3, 3, 2, 2))
         A[..., 0, 0] = 0.5
         Hsq = np.full((3, 3), 0.25)
-        S2 = checks.stress_bienergy(A, Hsq)
+        S2 = stress_bienergy(A, Hsq)
         np.testing.assert_allclose(S2[..., 0, 0], 1.5)
         np.testing.assert_allclose(S2[..., 1, 1], -0.5)
         np.testing.assert_allclose(S2[..., 0, 1], 0.0)
@@ -40,7 +45,7 @@ class TestStressTensor:
 
     def test_trace_identity(self):
         geom, _ = geom_and_chart("helix_line_r4", n=16, k=1.0, tau=0.5)
-        S2 = checks.stress_bienergy(geom.A_H, geom.Hsq)
+        S2 = stress_bienergy(geom.A_H, geom.Hsq)
         trace = S2[..., 0, 0] + S2[..., 1, 1]
         # trace S2 = 4 |H|^2 in dimension two
         np.testing.assert_allclose(trace, 4.0 * geom.Hsq, atol=1e-12)
@@ -49,7 +54,7 @@ class TestStressTensor:
 class TestPrincipalCurvatures:
     def test_cylinder_values(self):
         geom, _ = geom_and_chart("cylinder", n=24, r=1.0)
-        lam1, lam2, mu, pu = checks.principal_curvatures(geom.A_H, geom.Hsq)
+        lam1, lam2, mu, pu = principal_curvatures(geom.A_H, geom.Hsq)
         np.testing.assert_allclose(lam1, 0.5, atol=1e-12)
         np.testing.assert_allclose(lam2, 0.0, atol=1e-12)
         np.testing.assert_allclose(mu, 0.5, atol=1e-12)
@@ -57,7 +62,7 @@ class TestPrincipalCurvatures:
 
     def test_pseudoumbilical_sphere(self):
         geom, _ = geom_and_chart("sphere", n=24, r=1.0)
-        _, _, mu, pu = checks.principal_curvatures(geom.A_H, geom.Hsq)
+        _, _, mu, pu = principal_curvatures(geom.A_H, geom.Hsq)
         np.testing.assert_allclose(mu, 0.0, atol=1e-7)
         assert pu.all()
 
@@ -72,7 +77,7 @@ class TestPrincipalCurvatures:
 
     def test_fd_source_widens_threshold(self):
         geom = compute_geometry(tabulate(make_builtin("sphere", n=96, r=1.0)))
-        _, _, _, pu = checks.principal_curvatures(
+        _, _, _, pu = principal_curvatures(
             geom.A_H, geom.Hsq, source="finite-difference"
         )
         assert pu.all()

@@ -11,9 +11,14 @@ exempt. Matching is by name, with the stdlib ``ast`` module, so a name that
 only tests or benchmarks use is flagged: code that only tests call belongs
 in a test helper such as ``tests/lemmas.py``.
 
+A ``from ... import`` binding that its module never reads is flagged too,
+so a module cannot hold a name only for others to read through it; exempt
+are ``__future__`` imports, the names ``__init__`` exports in ``__all__``,
+and lines marked ``# noqa: F401``.
+
 A name that only ``perfbench/tracing.py`` patches has no caller in the
 package either; :func:`test_perfbench_patch_points_resolve` keeps each of
-its ``PATCH_POINTS`` bound.
+its ``PATCH_POINTS`` bound, and its bindings carry ``# noqa: F401``.
 """
 
 import ast
@@ -36,9 +41,13 @@ ALLOWED = {
 }
 
 
+def _sources() -> dict:
+    return {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+
+
 def _trees() -> dict:
-    return {path.name: ast.parse(path.read_text(), str(path))
-            for path in sorted(PACKAGE.glob("*.py"))}
+    return {module: ast.parse(text, str(PACKAGE / module))
+            for module, text in _sources().items()}
 
 
 def _references(node) -> list[str]:
@@ -101,6 +110,28 @@ def dead_definitions(trees: dict) -> list[str]:
     return dead
 
 
+def unread_imports(sources: dict) -> list[str]:
+    """``module: name`` of every ``from ... import`` binding in ``sources``
+    that its module never loads, less the exempt ones."""
+    unread = []
+    for module, text in sources.items():
+        tree = ast.parse(text, module)
+        lines = text.splitlines()
+        loaded = {sub.id for sub in ast.walk(tree)
+                  if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or node.module == "__future__":
+                continue
+            if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name
+                exported = module == "__init__.py" and name in biconsurf.__all__
+                if name not in loaded and not exported:
+                    unread.append(f"{module}: {name}")
+    return unread
+
+
 def test_no_dead_definitions():
     assert dead_definitions(_trees()) == []
 
@@ -142,6 +173,25 @@ def test_guard_sees_dead_definitions():
     trees["cli.py"].body.append(
         ast.parse("x.unused_operator(unused_helper, x.unused_field)").body[0])
     assert dead_definitions(trees) == []
+
+
+def test_no_unread_imports():
+    assert unread_imports(_sources()) == []
+
+
+def test_guard_sees_unread_imports():
+    # an import that only others read through the module is flagged, under
+    # an alias too, and in __init__ when the name is not in __all__; a read
+    # import and a line marked noqa: F401 are not
+    sources = _sources()
+    sources["checks.py"] += ("from .immersion import principal_curvatures, stress_bienergy as S2\n"
+                             "from .grid import flat_gradient  # noqa: F401\n"
+                             "from .grid import flat_laplacian\n"
+                             "flat_laplacian\n")
+    sources["__init__.py"] += "from .grid import integrate\n"
+    assert unread_imports(sources) == ["__init__.py: integrate",
+                                       "checks.py: principal_curvatures",
+                                       "checks.py: S2"]
 
 
 def test_perfbench_patch_points_resolve():
