@@ -100,12 +100,8 @@ class MuProblem:
     def __post_init__(self):
         if not self.grid.doubly_periodic:
             raise InputError("mu problem requires a doubly periodic grid")
-        # written so that NaN fails each test
-        if not 0 < self.H < np.inf:
-            raise InputError(f"|H| must be a positive finite number, got {self.H!r}")
+        _check_coefficients(self.H, self.KN)
         KN = np.broadcast_to(np.asarray(self.KN, dtype=np.float64), self.grid.shape).copy()
-        if not np.all(np.isfinite(KN)):
-            raise InputError("K_N must be finite everywhere")
         mu0 = np.asarray(self.mu0, dtype=np.float64)
         if mu0.shape != self.grid.shape:
             raise InputError("mu0 shape does not match grid")
@@ -115,11 +111,28 @@ class MuProblem:
         object.__setattr__(self, "mu0", mu0)
 
 
+def _check_coefficients(H: float, KN) -> None:
+    """|H| positive and finite, K_N finite everywhere."""
+    # written so that NaN fails each test
+    if not 0 < H < np.inf:
+        raise InputError(f"|H| must be a positive finite number, got {H!r}")
+    if not np.all(np.isfinite(KN)):
+        raise InputError("K_N must be finite everywhere")
+
+
 def constant_root(H: float, KN: float) -> float:
-    """The positive constant solution 2 |H| sqrt(K_N + |H|^2) (needs K_N + |H|^2 > 0)."""
-    if KN + H * H <= 0:
+    """The positive constant solution 2 |H| sqrt(K_N + |H|^2) (needs
+    K_N + |H|^2 > 0, and a root that a float holds)."""
+    _check_coefficients(H, KN)
+    # |H|^2 may underflow to 0, so only K_N < 0 can make the sum nonpositive
+    if KN < 0 and KN + H * H <= 0:
         raise InputError("no positive constant root when K_N + |H|^2 <= 0")
-    return 2.0 * H * np.sqrt(KN + H * H)
+    root = 2.0 * H * np.sqrt(KN + H * H)
+    if not 0 < root < np.inf:
+        raise InputError(f"the constant root 2 |H| sqrt(K_N + |H|^2) at |H| = {H!r}, "
+                         f"K_N = {KN!r} is not a positive finite float; "
+                         "give an initial guess with --mu0")
+    return root
 
 
 def mu_residual(grid: Grid, mu: np.ndarray, H: float, KN) -> np.ndarray:
@@ -343,21 +356,14 @@ def solve_mu(
     return sol
 
 
-@dataclass
-class ReconstructedGeometry:
-    """Principal curvatures of the shape operator A_H = diag(lam1, lam2) in
-    the reconstructed chart g = (1/mu)(dx^2 + dy^2)."""
-
-    lam1: np.ndarray
-    lam2: np.ndarray
-
-
-def reconstruct_geometry(sol: MuSolution) -> ReconstructedGeometry:
-    """Principal curvatures of the gap solution: lam_{1,2} = |H|^2 +/- mu/2."""
+def reconstruct_geometry(sol: MuSolution) -> tuple[np.ndarray, np.ndarray]:
+    """Principal curvatures (lam1, lam2) = |H|^2 +/- mu/2 of the shape
+    operator A_H = diag(lam1, lam2) in the reconstructed chart
+    g = (1/mu)(dx^2 + dy^2)."""
     if not sol.converged:
         raise SolverError("reconstruction requires a converged solution")
     H = sol.problem.H
-    return ReconstructedGeometry(H * H + 0.5 * sol.mu, H * H - 0.5 * sol.mu)
+    return H * H + 0.5 * sol.mu, H * H - 0.5 * sol.mu
 
 
 def gauss_consistency(sol: MuSolution) -> np.ndarray:

@@ -380,11 +380,11 @@ def build_mu_report(sol, dump_fields: bool = False) -> GeometryReport:
         "final_residual_linf": sol.final_residual_linf,
     }
     if sol.converged:
-        rec = reconstruct_geometry(sol)
-        rep.summaries["lambda1_min"] = float(np.min(rec.lam1))
-        rep.summaries["lambda1_max"] = float(np.max(rec.lam1))
-        rep.summaries["lambda2_min"] = float(np.min(rec.lam2))
-        rep.summaries["lambda2_max"] = float(np.max(rec.lam2))
+        lam1, lam2 = reconstruct_geometry(sol)
+        rep.summaries["lambda1_min"] = float(np.min(lam1))
+        rep.summaries["lambda1_max"] = float(np.max(lam1))
+        rep.summaries["lambda2_min"] = float(np.min(lam2))
+        rep.summaries["lambda2_max"] = float(np.max(lam2))
     if dump_fields:
         rep.fields = {"mu": sol.mu, "residual": sol.residual}
     return rep

@@ -827,6 +827,26 @@ class TestSolveMu:
         assert res.exit_code == EXIT_CONFIG, res.output
         assert res.stderr == f"config error: {message}\n"
 
+    @pytest.mark.parametrize("H,KN", [
+        # |H|^2 overflows: the root 2e310 is no float
+        ("1e155", "0"),
+        # |H|^2 underflows: K_N + |H|^2 = 1e-400 > 0, but the root 2e-400 is no float
+        ("1e-200", "0"),
+    ])
+    def test_constant_root_out_of_float_range_names_H_and_KN(self, runner, H, KN):
+        # these blamed mu0, which was not given, or read K_N + |H|^2 as <= 0
+        res = runner.invoke(main, ["solve-mu", "--grid", "8x8", "--H", H, "--KN", KN])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert res.stderr == (
+            f"config error: the constant root 2 |H| sqrt(K_N + |H|^2) at |H| = {float(H)!r}, "
+            f"K_N = {float(KN)!r} is not a positive finite float; give an initial guess "
+            "with --mu0\n")
+
+    def test_no_constant_root_keeps_its_message(self, runner):
+        res = runner.invoke(main, ["solve-mu", "--grid", "8x8", "--H", "1", "--KN", "-1"])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert res.stderr == "config error: no positive constant root when K_N + |H|^2 <= 0\n"
+
 
     @pytest.mark.parametrize("option,value,message", [
         ("--tol-newton", "-1", "--tol-newton must be a positive finite number, got -1.0"),

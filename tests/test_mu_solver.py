@@ -462,10 +462,10 @@ class TestKrylov:
 class TestReconstruction:
     def test_geometry_identities(self):
         sol = solve_mu(make_problem())
-        rec = reconstruct_geometry(sol)
+        lam1, lam2 = reconstruct_geometry(sol)
         # lam1 - lam2 = mu and lam1 + lam2 = 2 |H|^2, both exactly
-        np.testing.assert_allclose(rec.lam1 - rec.lam2, sol.mu, atol=1e-14)
-        np.testing.assert_allclose(rec.lam1 + rec.lam2, 2.0, atol=1e-14)
+        np.testing.assert_allclose(lam1 - lam2, sol.mu, atol=1e-14)
+        np.testing.assert_allclose(lam1 + lam2, 2.0, atol=1e-14)
 
     def test_gauss_consistency(self):
         sol = solve_mu(make_problem())

@@ -35,35 +35,26 @@ and the analytic product torus, the one doubly periodic grid among them,
 whose integral rows sum the integrands of every strip.
 That is 63 cases.
 
-For each case it prints both exit codes, whether stdout is byte-identical,
-the largest |diff| over the numbers in stdout, the largest relative diff
-over those above 1e-8 in magnitude, and any non-numeric difference; for a
-case past the bar, also where the first text difference or else the number
-furthest past the bar sits (its line in the old stdout and the nearest JSON
-key before it).  Below such a case it lists every number past the bar, one
-per line: its line, the nearest JSON key, the old and the new value and
-|d|.  When the text between the numbers differs and both stdouts are JSON,
-it compares the two documents structurally instead: residuals are matched
-by ``name`` and other list entries by index, and below the case it lists
-every key path present on one side only, every non-numeric value that
-differs, and every number at the shared paths past the bar (the max|d|
-columns then cover the shared numbers).  When either stdout holds a dumped
-field as a base64 blob (``{"dtype", "shape", "base64"}``), the top-level
-``fields`` object is cut out of both texts before these checks, and each
-field is compared as an array, whether it is written as a blob or as nested
-number lists; NaNs at the same place agree, every entry past the bar is
-listed by its index, and the stdout column reads ``fields-only`` when every
-byte outside ``fields`` is identical.  It
-exits 1 when an exit code, stderr or a non-numeric byte of stdout differs,
-or when any number moves by more than 1e-12 max(1, |x|).
+Each stdout is parsed into a document (JSON, or a CSV report as its rows)
+and the two documents are walked side by side (``compare``); every
+difference is named by its path, such as ``residuals[simons].linf``,
+``flags.is_cmc`` or ``fields.mu[0, 1]``.  A text difference that the walk
+cannot see (whitespace, key order) is named by its line.  For each case it
+prints both exit codes, whether stdout is byte-identical, the largest |diff|
+over the numbers, the largest relative diff over those above 1e-8 in
+magnitude, and the notes; below a case that fails it lists every
+difference.  It exits 1 when an exit code, stderr or a non-numeric byte of
+stdout differs, or when any number moves by more than 1e-12 max(1, |x|).
 """
 
 from __future__ import annotations
 
 import argparse
 import binascii
-import bisect
+import csv
 import functools
+import io
+import itertools
 import json
 import math
 import os
@@ -79,11 +70,8 @@ REL_FLOOR = 1e-8
 
 # a JSON or CSV number that is not part of a name such as "lambda1_min"
 NUMBER = re.compile(r"(?<![\w.])-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?(?![\w.])")
-# a JSON object key, as report_to_json writes it
-JSON_KEY = re.compile(r'"([^"\\]*)": ')
-# the top-level "fields" key, and the key of a field's base64 blob
-FIELDS_KEY = ',\n  "fields": '
-BLOB_KEY = '"base64": "'
+# a field blob's base64 text, whose digit runs NUMBER would read
+BLOB_TEXT = re.compile(r'("base64": ")[^"]*"')
 
 VERIFY_SETS = [
     ("helix", ["--surface", "helix_line_r4"]),
@@ -232,28 +220,32 @@ def run_case(src: str, args: list[str], workdir: str) -> subprocess.CompletedPro
                           env=env, capture_output=True, text=True, timeout=600)
 
 
-def locator(text: str):
-    """A function mapping a character position of ``text`` to its line number
-    and the last JSON key before it, by bisection over indexes built once."""
-    breaks = [m.start() for m in re.finditer("\n", text)]
-    keys = list(JSON_KEY.finditer(text))
-    key_ends = [m.end() for m in keys]
+def parse(text: str):
+    """A stdout as a document: its JSON, a CSV report as its rows (numbers
+    as floats), or any other text as itself."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        pass
+    if text.startswith("name,"):
+        return [{k: float(v) if isinstance(v, str) and NUMBER.fullmatch(v) else v
+                 for k, v in row.items()} for row in csv.DictReader(io.StringIO(text))]
+    return text
 
-    def locate(pos: int) -> tuple[int, str | None]:
-        k = bisect.bisect_right(key_ends, pos)
-        return bisect.bisect_left(breaks, pos) + 1, keys[k - 1].group(1) if k else None
 
-    return locate
+def masked(text: str) -> str:
+    """``text`` with each blob's base64 text and then each number masked."""
+    return NUMBER.sub("#", BLOB_TEXT.sub(r'\1"', text))
 
 
-def _children(x) -> dict | None:
-    """The entries of a JSON container by path label, or None for a scalar.
-    A list whose entries all carry a ``name`` is labelled by name."""
+def _children(x, path: str) -> dict | None:
+    """The entries of a JSON container by path, or None for a scalar. A list
+    whose entries all carry a ``name`` (residual rows) is labelled by name."""
     if isinstance(x, dict):
-        return {f".{k}": v for k, v in x.items()}
+        return {f"{path}.{k}" if path else str(k): v for k, v in x.items()}
     if isinstance(x, list):
         named = bool(x) and all(isinstance(e, dict) and "name" in e for e in x)
-        return {f"[{e['name'] if named else i}]": e for i, e in enumerate(x)}
+        return {f"{path}[{e['name'] if named else i}]": e for i, e in enumerate(x)}
     return None
 
 
@@ -265,31 +257,36 @@ def _is_blob(x) -> bool:
     return isinstance(x, dict) and "base64" in x
 
 
-def _field_array(x) -> np.ndarray:
-    """A dumped field as a float64 array, from its blob or its nested lists
-    (where a non-finite entry is the string "nan", "inf" or "-inf")."""
-    if _is_blob(x):
-        return np.frombuffer(binascii.a2b_base64(x["base64"]), x["dtype"]).reshape(x["shape"])
-    return np.array(x, dtype=np.float64)
+def _field_array(blob: dict) -> np.ndarray:
+    return np.frombuffer(binascii.a2b_base64(blob["base64"]), blob["dtype"]).reshape(
+        blob["shape"])
 
 
-def compare_json(old, new) -> dict:
-    """Walk two parsed JSON documents side by side. Returns the key paths
-    found on one side only (``only_old``, ``only_new``), the non-numeric
-    values that differ at a shared path (``changed``: path, old, new), every
-    shared number past the bar (``past``: path, old, new, |d|), and the
-    largest |diff| and relative diff over the shared numbers. Where either
-    side is a field blob, both sides are compared as arrays, entry by entry."""
-    out = {"only_old": [], "only_new": [], "changed": [], "past": [],
-           "max_abs": 0.0, "max_rel": 0.0}
+def compare(old: str, new: str) -> dict:
+    """Compare two stdouts. ``identical``: equal byte for byte.
+    ``format_line``: None when they are equal once blob text and numbers are
+    masked, else the first line where they part, as (line, old, new).
 
-    def arrays(a, b, path):
-        x, y = _field_array(a), _field_array(b)
+    Then their documents are walked side by side: residual rows pair by
+    name, other list entries by index, and field blobs entry by entry, where
+    NaNs at the same place agree. By path, it lists the entries on one side
+    only (``only_old``, ``only_new``), the non-numeric values that differ
+    (``changed``: path, old, new) and every number past the bar (``past``:
+    path, old, new, |d|), and takes the largest |diff| and relative diff
+    over the shared numbers (``max_abs``, ``max_rel``)."""
+    out = {"identical": old == new, "format_line": None, "only_old": [], "only_new": [],
+           "changed": [], "past": [], "max_abs": 0.0, "max_rel": 0.0}
+    if out["identical"]:
+        return out
+    lines = itertools.zip_longest(masked(old).split("\n"), masked(new).split("\n"))
+    out["format_line"] = next(((n, a, b) for n, (a, b) in enumerate(lines, 1) if a != b), None)
+
+    def numbers(x, y, path):
+        """Two number arrays (0-d for a scalar), entry by entry."""
         if x.shape != y.shape:
-            out["changed"].append((path.lstrip("."), f"shape {list(x.shape)}",
-                                   f"shape {list(y.shape)}"))
+            out["changed"].append((path, f"shape {list(x.shape)}", f"shape {list(y.shape)}"))
             return
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", over="ignore"):
             same = (x == y) | (np.isnan(x) & np.isnan(y))
             d = np.where(same, 0.0, np.nan_to_num(np.abs(x - y), nan=np.inf))
         if d.size:
@@ -299,117 +296,34 @@ def compare_json(old, new) -> dict:
             if big.any():
                 out["max_rel"] = max(out["max_rel"], float((d[big] / scale[big]).max()))
         limit = np.where(np.isfinite(x), TOL * np.maximum(1.0, np.abs(x)), 0.0)
-        for i in zip(*np.nonzero(d > limit)):
-            out["past"].append((f"{path.lstrip('.')}{list(map(int, i))}",
+        for i in np.argwhere(d > limit):
+            i = tuple(map(int, i))
+            out["past"].append((path + (str(list(i)) if i else ""),
                                 float(x[i]), float(y[i]), float(d[i])))
 
     def walk(a, b, path):
-        if _is_blob(a) or _is_blob(b):
-            return arrays(a, b, path)
-        ca, cb = _children(a), _children(b)
-        if ca is not None and cb is not None and type(a) is type(b):
-            for label, v in ca.items():
-                if label in cb:
-                    walk(v, cb[label], path + label)
+        ca, cb = _children(a, path), _children(b, path)
+        if _is_blob(a) and _is_blob(b):
+            numbers(_field_array(a), _field_array(b), path)
+        elif ca is not None and cb is not None and type(a) is type(b):
+            for p, v in ca.items():
+                if p in cb:
+                    walk(v, cb[p], p)
                 else:
-                    out["only_old"].append((path + label).lstrip("."))
-            out["only_new"] += [(path + k).lstrip(".") for k in cb if k not in ca]
+                    out["only_old"].append(p)
+            out["only_new"] += [p for p in cb if p not in ca]
         elif _is_number(a) and _is_number(b):
-            d = abs(a - b)
-            out["max_abs"] = max(out["max_abs"], d)
-            if max(abs(a), abs(b)) > REL_FLOOR:
-                out["max_rel"] = max(out["max_rel"], d / max(abs(a), abs(b)))
-            if d > TOL * max(1.0, abs(a)):
-                out["past"].append((path.lstrip("."), a, b, d))
+            numbers(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64), path)
         elif type(a) is not type(b) or a != b:
-            out["changed"].append((path.lstrip("."), a, b))
+            out["changed"].append((path, a, b))
 
-    walk(old, new, "")
+    walk(parse(old), parse(new), "")
     return out
 
 
-def _cut_fields(text: str) -> tuple[str, dict]:
-    """``text`` without its top-level ``fields`` object, and that object
-    parsed ({} when there is none)."""
-    start = text.rfind(FIELDS_KEY)
-    if start < 0:
-        return text, {}
-    end = text.rindex("\n}")
-    return text[:start] + text[end:], json.loads(text[start + len(FIELDS_KEY):end])
-
-
-def _first_field_problem(fields: dict) -> str | None:
-    """The path of the first field on one side only or of another shape,
-    else of the first field entry past the bar, else None."""
-    paths = (fields["only_old"] + fields["only_new"]
-             + [p[0] for p in fields["changed"] + fields["past"]])
-    return paths[0] if paths else None
-
-
-def compare_text(old: str, new: str) -> dict:
-    """Largest |diff| and relative diff of the numbers, whether the text
-    between the numbers (and their count) is the same, and where (line, key)
-    in ``old`` the first differing byte of that text sits, or, when it is
-    the same, the number furthest past the bar. ``past`` lists every number
-    past the bar, in order, as (line, key, old text, new text, |d|).
-    ``structure`` is ``compare_json`` of the two documents when the text
-    differs and both parse as JSON, else None.
-
-    When either text holds a field blob, the top-level ``fields`` objects
-    are cut out of both before all that, and ``fields`` is their
-    ``compare_json`` (whose numbers count in ``max_abs`` and ``max_rel``),
-    with ``fields_where`` the path ``_first_field_problem`` names, and
-    ``outside_fields_identical`` tells whether the rest is byte-identical;
-    else all three are None. ``within`` also needs ``fields_where`` to be
-    None."""
-    identical = old == new
-    fields = fields_where = None
-    if BLOB_KEY in old or BLOB_KEY in new:
-        (old, old_fields), (new, new_fields) = _cut_fields(old), _cut_fields(new)
-        fields = compare_json({"fields": old_fields}, {"fields": new_fields})
-        fields_where = _first_field_problem(fields)
-    old_parts, new_parts = NUMBER.split(old), NUMBER.split(new)
-    old_nums, new_nums = list(NUMBER.finditer(old)), NUMBER.findall(new)
-    same_text = old_parts == new_parts and len(old_nums) == len(new_nums)
-    max_abs = max_rel = worst = 0.0
-    where = structure = None
-    past = []
-    locate = locator(old)
-    if not same_text:
-        # the first differing byte of the text between the numbers
-        pos = len(old)
-        for i, (a_part, b_part) in enumerate(zip(old_parts, new_parts)):
-            if a_part != b_part:
-                start = old_nums[i - 1].end() if i else 0
-                pos = start + len(os.path.commonprefix([a_part, b_part]))
-                break
-        where = locate(pos)
-        try:
-            structure = compare_json(json.loads(old), json.loads(new))
-            max_abs, max_rel = structure["max_abs"], structure["max_rel"]
-        except ValueError:  # not JSON: a CSV report or an error message
-            pass
-    else:
-        for a_m, b_s in zip(old_nums, new_nums):
-            a, b = float(a_m.group()), float(b_s)
-            d = abs(a - b)
-            max_abs = max(max_abs, d)
-            if max(abs(a), abs(b)) > REL_FLOOR:
-                max_rel = max(max_rel, d / max(abs(a), abs(b)))
-            excess = d / (TOL * max(1.0, abs(a)))
-            if excess > 1.0:
-                past.append((*locate(a_m.start()), a_m.group(), b_s, d))
-                if excess > worst:
-                    worst, where = excess, past[-1][:2]
-    if fields is not None:
-        max_abs, max_rel = max(max_abs, fields["max_abs"]), max(max_rel, fields["max_rel"])
-    return {"identical": identical,
-            "outside_fields_identical": old == new if fields is not None else None,
-            "same_text": same_text,
-            "max_abs": max_abs, "max_rel": max_rel,
-            "within": where is None and fields_where is None,
-            "where": where, "past": past, "structure": structure,
-            "fields": fields, "fields_where": fields_where}
+def _short(x) -> str:
+    s = json.dumps(x)
+    return s if len(s) <= 80 else s[:77] + "..."
 
 
 def main(argv=None) -> int:
@@ -431,45 +345,41 @@ def main(argv=None) -> int:
         ap.error(f"unknown case(s) {unknown}; see --list")
 
     failed = []
+    identical = 0
     print(f"{'case':24} {'exit':>5}  {'stdout':11} {'max|d|':>9} {'max rel d':>9}  note")
     with tempfile.TemporaryDirectory() as workdir:
         write_inputs(workdir, [table[name] for name in names])
         for name in names:
             old = run_case(opts.old_src, table[name], workdir)
             new = run_case(opts.new_src, table[name], workdir)
-            cmp = compare_text(old.stdout, new.stdout)
+            cmp = compare(old.stdout, new.stdout)
             notes = []
             if old.returncode != new.returncode:
                 notes.append("exit code differs")
             if old.stderr != new.stderr:
                 notes.append("stderr differs")
-            if cmp["where"] is not None:
-                line, key = cmp["where"]
-                at = f"at line {line}" + (f" after key {key!r}" if key is not None else "")
-                notes.append(f"non-numeric stdout differs; first text difference {at}"
-                             if not cmp["same_text"] else
-                             f"a number moved by more than {TOL:g} max(1, |x|); largest {at}")
-            if cmp["fields_where"] is not None:
-                notes.append(f"fields differ; first at {cmp['fields_where']}")
+            if cmp["format_line"] or cmp["only_old"] or cmp["only_new"] or cmp["changed"]:
+                notes.append("non-numeric stdout differs")
+            if cmp["past"]:
+                notes.append(f"{len(cmp['past'])} number(s) moved by more than "
+                             f"{TOL:g} max(1, |x|)")
             if notes:
                 failed.append(name)
+            identical += cmp["identical"]
             stdout = ("identical" if cmp["identical"] else
-                      "fields-only" if cmp["outside_fields_identical"] else "differs")
+                      "differs" if cmp["format_line"] else "same-format")
             print(f"{name:24} {old.returncode:>2}/{new.returncode:<2}  {stdout:11} "
                   f"{cmp['max_abs']:9.2g} {cmp['max_rel']:9.2g}  {'; '.join(notes)}")
-            for line, key, a, b, d in cmp["past"]:
-                print(f"    line {line} {key!r}: {a} -> {b}, |d| {d:.2g}")
-            for st in (cmp["structure"], cmp["fields"]):
-                if st is None:
-                    continue
-                for side in ("old", "new"):
-                    for path in st[f"only_{side}"]:
-                        print(f"    only in {side}: {path}")
-                for path, a, b in st["changed"]:
-                    print(f"    {path}: {json.dumps(a)} -> {json.dumps(b)}")
-                for path, a, b, d in st["past"]:
-                    print(f"    {path}: {a!r} -> {b!r}, |d| {d:.2g}")
-    print(f"{len(names) - len(failed)} of {len(names)} cases agree"
+            if cmp["format_line"]:
+                print("    format differs at line {}: {!r} -> {!r}".format(*cmp["format_line"]))
+            for side in ("old", "new"):
+                for path in cmp[f"only_{side}"]:
+                    print(f"    only in {side}: {path}")
+            for path, a, b in cmp["changed"]:
+                print(f"    {path or '(document)'}: {_short(a)} -> {_short(b)}")
+            for path, a, b, d in cmp["past"]:
+                print(f"    {path or '(document)'}: {a!r} -> {b!r}, |d| {d:.2g}")
+    print(f"{len(names) - len(failed)} of {len(names)} cases agree, {identical} byte-identical"
           + (f"; failed: {', '.join(failed)}" if failed else ""))
     return 1 if failed else 0
 
