@@ -1,4 +1,4 @@
-"""Damped Newton solver for the principal-curvature-gap equation.
+"""Damped inexact Newton solver for the principal-curvature-gap equation.
 
 The gap mu = lambda1 - lambda2 > 0 of a CMC biconservative surface in a
 3-space form makes g = (1/mu) (dx^2 + dy^2) a metric whose Gauss equation is
@@ -19,30 +19,36 @@ Newton runs on w, and the iterate is kept as mu = e^w: a step s in w
 multiplies mu by e^{alpha s}, so mu stays positive. The Jacobian
 dG/dw = -Lap_0 - diag(d), d = 2 (K_N + |H|^2) e^{-w} + e^{w} / (2 |H|^2),
 is applied matrix-free, as J s = -Lap_0 s - d s with the residual's own
-stencil, and ||J||_inf = max |2 (c_u + c_v) - d| + 2 (c_u + c_v) in closed
-form (c = 1/h^2 per axis).
+stencil.
 
-Each Newton step is solved by one GMRES pass (Saad & Schultz 1986) of at
-most ``KRYLOV_DIM`` steps, on numpy alone, right-preconditioned by the
-Jacobian's constant-coefficient part P = lam_h - mean(d), where lam_h is the
-symbol of the periodic 5-point -(d_xx + d_yy): P is diagonal in Fourier space
-and applied with two real FFTs (Knoll & Keyes 2004, *Jacobian-free
-Newton-Krylov methods*). As lam_h is the stencil's exact symbol, J = P + diag(mean(d) - d), so a GMRES product
+Each Newton step is an inexact Newton step (Dembo, Eisenstat & Steihaug
+1982): it is solved only until ||J s + G|| <= eta_k ||G||, which keeps
+Newton's local rate when the forcing term eta_k goes to 0 with ||G||. The
+forcing terms are Eisenstat & Walker's (1996) choice 2,
+eta_k = 0.9 (||G_k|| / ||G_{k-1}||)^2 from eta_0 = 0.5, safeguarded by
+0.9 eta_{k-1}^2 where that exceeds 0.1, capped at ``FORCING_MAX`` (with a
+cap of 0.9 a far start stalls) and floored so that no step is solved past
+``FORCING_FLOOR`` absolute. The step is one GMRES pass (Saad & Schultz
+1986) of at most ``KRYLOV_DIM`` steps, on numpy alone, right-preconditioned
+by the Jacobian's constant-coefficient part P = lam_h - mean(d), where lam_h
+is the symbol of the periodic 5-point -(d_xx + d_yy): P is diagonal in
+Fourier space and applied with two real FFTs (Knoll & Keyes 2004,
+*Jacobian-free Newton-Krylov methods*). As lam_h is the stencil's exact
+symbol, J = P + diag(mean(d) - d), so a GMRES product
 J P^{-1} y = y + (mean(d) - d) P^{-1} y is one FFT pair and no stencil. The
 pass keeps the P^{-1} y its products took and forms the step from them, as
 flexible GMRES does (Saad 1993), so the products are a step's only FFTs. P is
 nearly singular on the same low modes as the Jacobian (sin x sin y on the
 README problem), so it carries that mode rather than fighting it. A Krylov
-step is taken only when it is finite and its normwise backward error
-||J s - b|| / (||J||_inf ||s|| + ||b||), with the stencil J, is at most
-``BACKWARD_ERROR_TOL``, the accuracy of a direct solve; the Newton path is
-then that of a direct solver. Otherwise the step falls back to SuperLU on the
-Jacobian, assembled as a Kronecker sum of 1-D periodic second differences only
-when a step falls back, and ordered by minimum degree on J^T + J
-(``permc_spec="MMD_AT_PLUS_A"``); a singular Jacobian, on which SuperLU
-returns no finite step, is a ``SolverError``. Only that fallback imports
-scipy: the module attribute ``spla`` is ``scipy.sparse.linalg``, imported on
-first access (PEP 562), and the fallback calls ``spsolve`` through it.
+step is taken only when it is finite and lowers the true linear residual,
+||J s + G|| < ||G|| with the stencil J. Otherwise the step falls back to
+SuperLU on the Jacobian, assembled as a Kronecker sum of 1-D periodic second
+differences only when a step falls back, and ordered by minimum degree on
+J^T + J (``permc_spec="MMD_AT_PLUS_A"``); a singular Jacobian, on which
+SuperLU returns no finite step, is a ``SolverError``. Only that fallback
+imports scipy: the module attribute ``spla`` is ``scipy.sparse.linalg``,
+imported on first access (PEP 562), and the fallback calls ``spsolve``
+through it.
 
 Steps are damped by backtracking on the residual norm. Where
 K_N + |H|^2 <= 0 at every node, a solution would have Lap_0 w < 0 at every
@@ -63,10 +69,16 @@ from .grid import Grid, InputError, flat_laplacian
 # solve_mu's default residual L-inf and Newton step count; solve-mu reads them
 TOL_NEWTON = 1e-10
 MAX_ITER = 30
-# largest normwise backward error of an accepted Krylov step
-BACKWARD_ERROR_TOL = 1e-14
 # Arnoldi steps of the one GMRES pass a Krylov step takes at most
 KRYLOV_DIM = 40
+# Eisenstat-Walker choice 2 forcing terms: eta_0, the factor 0.9 of the
+# (||G_k|| / ||G_{k-1}||)^2 law and of the safeguard, the safeguard's
+# threshold, the cap on eta_k, and the floor on eta_k ||G_k||
+FORCING_START = 0.5
+FORCING_GAMMA = 0.9
+FORCING_SAFEGUARD = 0.1
+FORCING_MAX = 0.5
+FORCING_FLOOR = 5e-13
 # halvings of a Newton step the line search tries before the solve stops
 MAX_HALVINGS = 20
 NO_PERIODIC_SOLUTION = ("no periodic solution: K_N + |H|^2 <= 0 at every node"
@@ -174,13 +186,6 @@ def _jacobian_apply(grid: Grid, d: np.ndarray, s: np.ndarray) -> np.ndarray:
     return -flat_laplacian(grid, s) - d * s
 
 
-def _jacobian_norm_inf(d: np.ndarray, grid: Grid) -> float:
-    """||J||_inf in closed form: a row holds 2 (c_u + c_v) - d on the diagonal
-    and -c_u, -c_u, -c_v, -c_v off it."""
-    centre = 2.0 * (1.0 / (grid.hu * grid.hu) + 1.0 / (grid.hv * grid.hv))
-    return float(np.max(np.abs(centre - d)) + centre)
-
-
 def _jacobian(mu: np.ndarray, H: float, KN: np.ndarray, grid: Grid):
     """dG/dw at w = log mu as a CSR matrix in natural order: -Lap_0 as the
     Kronecker sum of the 1-D periodic -d^2 per axis (``kronsum(A, B)`` is
@@ -196,18 +201,16 @@ def _jacobian(mu: np.ndarray, H: float, KN: np.ndarray, grid: Grid):
     return lap - sp.diags(_reaction_d(mu, H, KN).ravel())
 
 
-def _gmres(precondition, matvec, b: np.ndarray, beta: float, norm_A: float,
-           tol: float) -> np.ndarray:
+def _gmres(precondition, matvec, b: np.ndarray, beta: float, atol: float) -> np.ndarray:
     """x for A x = b by one pass of flexible GMRES from x = 0 (Saad 1993),
     right-preconditioned by M, on flat vectors: ``precondition(v)`` is
     z = M^{-1} v and ``matvec(v, z)`` is A z, with beta = ||b|| > 0. At most
     ``KRYLOV_DIM`` Arnoldi steps (modified Gram-Schmidt, Givens rotations,
     one triangular solve); x = sum y_i z_i from the z_i the products took, so
     M^{-1} is applied once per product and never to the result. The pass ends
-    when the rotated residual is at most tol (norm_A ||M^{-1} b|| + beta),
-    ||M^{-1} b|| being beta ||z_0||, or the Krylov space stops growing, an
-    exact solution (happy breakdown) or a vector that is not finite. No
-    product checks x; the caller judges it."""
+    when the rotated residual is at most atol, or the Krylov space stops
+    growing, an exact solution (happy breakdown) or a vector that is not
+    finite. No product checks x; the caller judges it."""
     n = b.size
     m = min(KRYLOV_DIM, n)
     eps = np.finfo(np.float64).eps
@@ -220,8 +223,6 @@ def _gmres(precondition, matvec, b: np.ndarray, beta: float, norm_A: float,
     for k in range(m):
         Z[k] = precondition(V[k])
         w = matvec(V[k], Z[k])
-        if k == 0:
-            atol = tol * (norm_A * beta * np.linalg.norm(Z[0]) + beta)
         h0 = np.linalg.norm(w)
         for i in range(k + 1):
             R[i, k] = V[i] @ w
@@ -250,14 +251,16 @@ def _gmres(precondition, matvec, b: np.ndarray, beta: float, norm_A: float,
 
 
 def _krylov_solve(d: np.ndarray, rhs: np.ndarray, grid: Grid,
-                  symbol: np.ndarray) -> np.ndarray | None:
-    """J^{-1} rhs for J = -Lap_0 - diag(d), by GMRES right-preconditioned with
-    P = lam_h - mean(d) (``symbol`` is lam_h), or None when the step is not
-    finite or misses ``BACKWARD_ERROR_TOL``. d, rhs and the step are node
-    fields. lam_h is the stencil's exact symbol, so J = P + diag(mean(d) - d)
-    and a product J z, z = P^{-1} v, is v + (mean(d) - d) z: one FFT pair per
-    product, and none besides, as the step is formed from the products' z.
-    A zero rhs has the zero step, with no FFT."""
+                  symbol: np.ndarray, eta: float) -> np.ndarray | None:
+    """An inexact J^{-1} rhs for J = -Lap_0 - diag(d): GMRES, right-
+    preconditioned with P = lam_h - mean(d) (``symbol`` is lam_h), stops at a
+    residual of eta ||rhs||. None when the step is not finite or does not
+    lower the true residual ||J s - rhs|| below ||rhs||, on the stencil J.
+    d, rhs and the step are node fields. lam_h is the stencil's exact symbol,
+    so J = P + diag(mean(d) - d) and a product J z, z = P^{-1} v, is
+    v + (mean(d) - d) z: one FFT pair per product, and none besides, as the
+    step is formed from the products' z. A zero rhs has the zero step, with
+    no FFT."""
     shape = grid.shape
     beta = l2_norm(rhs)
     if beta == 0.0:
@@ -271,14 +274,10 @@ def _krylov_solve(d: np.ndarray, rhs: np.ndarray, grid: Grid,
     def matvec(v, z):
         return v + shift * z
 
-    norm_J = _jacobian_norm_inf(d, grid)
-    step = _gmres(precondition, matvec, rhs.ravel(), beta, norm_J,
-                  0.1 * BACKWARD_ERROR_TOL).reshape(shape)
+    step = _gmres(precondition, matvec, rhs.ravel(), beta, eta * beta).reshape(shape)
     if not np.all(np.isfinite(step)):
         return None
-    backward_error = (l2_norm(_jacobian_apply(grid, d, step) - rhs)
-                      / (norm_J * np.linalg.norm(step) + beta))
-    return step if backward_error <= BACKWARD_ERROR_TOL else None
+    return step if l2_norm(_jacobian_apply(grid, d, step) - rhs) < beta else None
 
 
 @dataclass
@@ -314,17 +313,29 @@ def solve_mu(
         F = mu_residual(grid, mu, H, KN)
         norm = l2_norm(F)
         sol = MuSolution(problem, mu, F, [float(np.max(np.abs(F)))])
-        if np.all(KN + H * H <= 0):
+        # |H|^2 may underflow to 0, so only K_N < 0 can make the sum nonpositive
+        if np.all((KN < 0) & (KN + H * H <= 0)):
             sol.reason = NO_PERIODIC_SOLUTION
             return sol
         if not np.isfinite(norm):
             sol.reason = NON_FINITE_START
             return sol
         symbol = _operators(grid)
+        eta, norm_prev = FORCING_START, norm
         for it in range(max_iter):
             if sol.residual_history[-1] <= tol_newton:
                 break
-            step = _krylov_solve(_reaction_d(mu, H, KN), -F, grid, symbol)
+            if it > 0:
+                # Eisenstat-Walker choice 2; while eta is large, the safeguard
+                # keeps it from dropping faster than it did
+                safeguard = FORCING_GAMMA * eta**2
+                eta = FORCING_GAMMA * (norm / norm_prev) ** 2
+                if safeguard > FORCING_SAFEGUARD:
+                    eta = max(eta, safeguard)
+                eta = min(eta, FORCING_MAX)
+            norm_prev = norm
+            step = _krylov_solve(_reaction_d(mu, H, KN), -F, grid, symbol,
+                                 max(eta, FORCING_FLOOR / norm))
             if step is None:
                 J = _jacobian(mu, H, KN, grid)
                 # through the module attribute, which imports scipy on first use

@@ -799,6 +799,19 @@ class TestSolveMu:
         else:
             assert gap["l2"] == gap["linf"] == l2
 
+    @pytest.mark.parametrize("args,message", [
+        # |H|^2 underflows to 0, yet K_N + |H|^2 = 1e-400 > 0: a solution is not
+        # ruled out, but e^w / (2 |H|^2) overflows at the initial guess
+        (["--H", "1e-200"], "residual not finite at the initial guess"),
+        (["--H", "1", "--KN", "-2"], mu_solver.NO_PERIODIC_SOLUTION),
+    ])
+    def test_no_periodic_solution_test_does_not_underflow(self, runner, args, message):
+        # the first read K_N + |H|^2 as 0 and stopped with no periodic solution
+        res = runner.invoke(main, ["solve-mu", "--grid", "8x8", "--mu0", "1", *args])
+        assert res.exit_code == EXIT_NUMERICAL, res.output
+        assert res.stderr == f"numerical failure: {message}\n"
+        assert json.loads(res.stdout)["meta"]["iterations"] == 0
+
     def test_small_start_converges_to_root(self, runner):
         # from mu0 = 0.2 (root 2) the mu-form solver clipped every node to a
         # floor of 1e-8 and stalled next to the trivial root mu = 0; in
@@ -1216,13 +1229,15 @@ assert not scipy_modules(), scipy_modules()[:5]
 assert "concurrent.futures" not in sys.modules
 assert threading.active_count() == 1, threading.enumerate()
 
-# the positive control: with K_N = 2 cos x cos y one step misses the
-# backward-error bar and falls back to SuperLU, which loads scipy
+# the positive control: a step that the Krylov solve refuses falls back to
+# SuperLU, which loads scipy. No Krylov step of this solve is refused, so
+# every step is forced to fall back
 import numpy as np
 from biconsurf import mu_solver
 from biconsurf.grid import build_grid
 g = build_grid((0.0, 2.0 * np.pi), (0.0, 2.0 * np.pi), 32, 32, True, True)
 U, V = g.mesh()
+mu_solver._krylov_solve = lambda *args: None
 sol = mu_solver.solve_mu(mu_solver.MuProblem(g, 1.0, 2.0 * np.cos(U) * np.cos(V),
                                              2.0 * np.exp(0.1 * np.sin(3 * U) * np.cos(5 * V))))
 assert sol.converged

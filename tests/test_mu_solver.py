@@ -117,10 +117,10 @@ class TestNewton:
         hist = sol.residual_history
         assert all(b < a for a, b in zip(hist, hist[1:]))
 
-    @pytest.mark.parametrize("H,KN,iterations", [(1.0, 0.0, 5), (1.1, 0.3, 3)])
+    @pytest.mark.parametrize("H,KN,iterations", [(1.0, 0.0, 3), (1.1, 0.3, 3)])
     def test_iteration_counts_pinned(self, H, KN, iterations):
-        # the README problem excites the near-null sin x sin y mode; the
-        # generic (H, K_N) does not
+        # the README problem excites the near-null sin x sin y mode, which
+        # the preconditioner carries; the generic (H, K_N) does not
         sol = solve_mu(make_problem(H=H, KN=KN))
         assert sol.converged
         assert sol.iterations == iterations
@@ -169,6 +169,40 @@ class TestNewton:
         sol = solve_mu(make_problem(n=n, KN=-0.5, amp=0.9))
         assert sol.converged and sol.iterations <= 8
         assert np.max(sol.mu) - np.min(sol.mu) > 1.0
+
+
+def sweep_draw(g, amp, seed):
+    """A seeded (H, K_N, mu0): |H| uniform on [0.5, 1.5], K_N three random
+    Fourier modes of wavenumbers below 4 scaled to RMS amplitude about amp,
+    mu0 the constant root of the mean K_N (K_N + |H|^2 changes sign where
+    amp is large)."""
+    rng = np.random.default_rng(seed)
+    U, V = g.mesh()
+    H = float(rng.uniform(0.5, 1.5))
+    KN = np.zeros(g.shape)
+    for _ in range(3):
+        j, k = rng.integers(0, 4, 2)
+        c, phase = rng.standard_normal(), rng.uniform(0.0, TWO_PI)
+        KN += c * np.cos(j * U + k * V + phase)
+    KN *= amp / np.sqrt(3.0)
+    mu0 = np.full(g.shape, 2.0 * H * np.sqrt(max(np.mean(KN) + H * H, 0.1 * H * H)))
+    return MuProblem(g, H, KN, mu0)
+
+
+# the draws of seeds 0-13 (amp 0.8) and 0-10 (amp 1.5) on which Newton
+# converged when every step was solved to a direct solve's accuracy
+SWEEP = ([(0.8, seed) for seed in (0, 2, 4, 5, 6, 7, 9, 10, 11, 12, 13)]
+         + [(1.5, seed) for seed in (0, 2, 4, 5, 6, 7, 9, 10)]
+         + [pytest.param(0.8, 3, marks=pytest.mark.xfail(
+             strict=True, reason="ROADMAP item 28: the inexact path stops at a local "
+             "minimum of ||G|| (L-inf 1.46), which the direct-solve path passed by"))])
+
+
+@pytest.mark.parametrize("amp,seed", SWEEP)
+def test_sweep_converges_on_krylov_steps(monkeypatch, amp, seed):
+    monkeypatch.setattr(mu_solver, "spla", types.SimpleNamespace(spsolve=None))
+    sol = solve_mu(sweep_draw(torus_grid(32), amp, seed))
+    assert sol.converged and sol.iterations <= mu_solver.MAX_ITER
 
 
 def _circulant(n, offsets, values):
@@ -223,32 +257,60 @@ class TestLinearLayer:
         assert calls == {"operators": 1, "krylov": sol.iterations, "jacobian": 0, "spsolve": 0}
 
     @pytest.mark.parametrize("n,nv", [(64, None), (24, 40)])
-    def test_krylov_step_is_a_direct_solve(self, n, nv):
+    def test_krylov_step_meets_its_forcing_term(self, n, nv):
+        # an inexact Newton step: ||J s - rhs|| <= eta ||rhs|| on the stencil
+        # J, up to the rounding a direct solve's backward error of 1e-14 allows
         prob = make_problem(n=n, nv=nv)
         g, mu = prob.grid, prob.mu0
         J = mu_solver._jacobian(mu, prob.H, prob.KN, g)
+        d = mu_solver._reaction_d(mu, prob.H, prob.KN)
         rhs = -mu_residual(g, mu, prob.H, prob.KN)
-        step = mu_solver._krylov_solve(mu_solver._reaction_d(mu, prob.H, prob.KN), rhs, g,
-                                       mu_solver._operators(g))
-        assert step is not None
-        step, rhs = step.ravel(), rhs.ravel()
+        beta = np.linalg.norm(rhs)
         norm_J = abs(kron_jacobian(g, mu, prob.H, prob.KN)).sum(axis=1).max()
-        backward_error = (np.linalg.norm(J @ step - rhs)
-                          / (norm_J * np.linalg.norm(step) + np.linalg.norm(rhs)))
-        assert backward_error <= mu_solver.BACKWARD_ERROR_TOL
-        # the README Jacobian is nearly singular on sin x sin y: at 64^2 a
-        # backward error of 2.1e-16 there is a forward difference of 7.0e-13
-        ref = spla.spsolve(J.tocsc(), rhs, permc_spec="MMD_AT_PLUS_A")
+        floor = mu_solver.FORCING_FLOOR / beta
+        for eta in (mu_solver.FORCING_MAX, 1e-2, 1e-6, floor):
+            step = mu_solver._krylov_solve(d, rhs, g, mu_solver._operators(g), eta)
+            assert step is not None
+            step = step.ravel()
+            rounding = 1e-14 * (norm_J * np.linalg.norm(step) + beta)
+            assert np.linalg.norm(J @ step - rhs.ravel()) <= eta * beta + rounding
+        # at the floor the step is a direct solve's: a normwise backward error
+        # of at most 1e-14. The README Jacobian is nearly singular on
+        # sin x sin y: at 64^2 a backward error of 2.1e-16 there is a forward
+        # difference of 7.0e-13
+        backward_error = np.linalg.norm(J @ step - rhs.ravel()) / (
+            norm_J * np.linalg.norm(step) + beta)
+        assert backward_error <= 1e-14
+        ref = spla.spsolve(J.tocsc(), rhs.ravel(), permc_spec="MMD_AT_PLUS_A")
         assert np.max(np.abs(step - ref)) <= 1e-11 * np.max(np.abs(ref))
 
-    def test_lu_fallback_keeps_the_newton_path(self, monkeypatch):
-        # with K_N = 2 cos x cos y the solution is far from constant (mu from
-        # 0.4 to 65), and one Jacobian is too far from the constant-coefficient
-        # preconditioner for GMRES to reach the backward-error bar
-        g = torus_grid(32)
+    @staticmethod
+    def near_and_far_starts(n):
+        # H = 1 and K_N = 2 cos x cos y, whose solution is far from constant
+        # (mu from 0.4 to 65), from a 10% and a 100% perturbation in w
+        g = torus_grid(n)
         U, V = g.mesh()
-        prob = MuProblem(g, 1.0, 2.0 * np.cos(U) * np.cos(V),
-                         2.0 * np.exp(0.1 * np.sin(3 * U) * np.cos(5 * V)))
+        return [MuProblem(g, 1.0, 2.0 * np.cos(U) * np.cos(V),
+                          2.0 * np.exp(amp * np.sin(3 * U) * np.cos(5 * V)))
+                for amp in (0.1, 1.0)]
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_far_start_converges_without_superlu(self, monkeypatch, n):
+        # with steps solved to a direct solve's accuracy, the far start
+        # stopped unconverged after 14 (32^2) and 27 (64^2) steps, most of
+        # them SuperLU steps; with forcing terms capped at 0.9 the near one
+        # stalled at 32^2. Both reach the one root, on Krylov steps alone
+        monkeypatch.setattr(mu_solver, "spla", types.SimpleNamespace(spsolve=None))
+        near, far = (solve_mu(prob) for prob in self.near_and_far_starts(n))
+        assert near.converged and far.converged
+        np.testing.assert_allclose(far.mu, near.mu, rtol=1e-9)
+        assert np.max(near.mu) - np.min(near.mu) > 60.0
+
+    def test_lu_fallback_keeps_the_newton_path(self, monkeypatch):
+        # no Krylov step of these solves misses its gate, so the fallback is
+        # forced: on every step, the Newton path of a direct solver, and on
+        # one step of the Krylov path. Both reach the Krylov solve's root
+        prob = self.near_and_far_starts(32)[0]
         fallbacks = []
 
         def counted_spsolve(*args, **kwargs):
@@ -257,25 +319,30 @@ class TestLinearLayer:
 
         monkeypatch.setattr(mu_solver, "spla", types.SimpleNamespace(spsolve=counted_spsolve))
         sol = solve_mu(prob)
-        assert sol.converged
-        assert 1 <= len(fallbacks) < sol.iterations
+        assert sol.converged and fallbacks == []
 
-        fallbacks.clear()
+        krylov = mu_solver._krylov_solve
         monkeypatch.setattr(mu_solver, "_krylov_solve", lambda *args: None)
         lu = solve_mu(prob)
-        assert len(fallbacks) == lu.iterations
-        assert (sol.iterations, sol.converged) == (lu.iterations, lu.converged)
-        # the Krylov steps agree with the LU ones to round-off; the last
-        # residual is round-off itself. Each residual is evaluated from terms
-        # as large as max mu / (2 |H|^2) = 33, so it is known to a few ulps of
-        # that (7.1e-15 each): the 1.2e-7 of step 6 cannot agree to rtol alone
-        floor = 16 * np.finfo(np.float64).eps * np.max(lu.mu) / 2.0
-        np.testing.assert_allclose(sol.residual_history[:-1], lu.residual_history[:-1],
-                                   rtol=1e-9, atol=floor)
-        np.testing.assert_allclose(sol.mu, lu.mu, rtol=1e-10)
+        # the exact Newton path takes 7 steps; the inexact one takes 8
+        assert lu.converged and len(fallbacks) == lu.iterations == 7
+        assert sol.iterations == 8
+        np.testing.assert_allclose(lu.mu, sol.mu, rtol=1e-10)
+
+        fallbacks.clear()
+        steps = []
+
+        def second_step_falls_back(*args):
+            steps.append(None if len(steps) == 1 else krylov(*args))
+            return steps[-1]
+
+        monkeypatch.setattr(mu_solver, "_krylov_solve", second_step_falls_back)
+        mixed = solve_mu(prob)
+        assert mixed.converged and len(fallbacks) == 1 and steps[1] is None
+        np.testing.assert_allclose(mixed.mu, sol.mu, rtol=1e-10)
 
     def test_non_finite_lu_step_raises(self, monkeypatch):
-        # when the Krylov step misses the bar and SuperLU returns no finite
+        # when the Krylov step misses its gate and SuperLU returns no finite
         # step (a singular Jacobian), the solve stops with a SolverError
         def nan_spsolve(A, b, **kwargs):
             return np.full_like(b, np.nan)
@@ -327,21 +394,22 @@ class TestLinearLayer:
         # the benchmark's README problem, every step a Krylov step. A GMRES
         # product is one FFT pair and no stencil, and the step is formed from
         # the products' preconditioned vectors, so the solve takes no other
-        # FFT pair. The stencil runs for the start's residual, and per Newton
-        # step for the backward error and the one trial's residual
+        # FFT pair; each step meets its forcing term after one product. The
+        # stencil runs for the start's residual, and per Newton step for the
+        # step's true linear residual and the one trial's residual
         monkeypatch.setattr(mu_solver, "spla", types.SimpleNamespace(spsolve=None))
         calls = self.count_work(monkeypatch)
         sol = solve_mu(make_problem(n=128))
         assert sol.converged
-        assert sol.iterations == 6
-        assert calls == {"flat_laplacian": 13, "rfft2": 19, "irfft2": 19, "products": 19}
+        assert sol.iterations == 4
+        assert calls == {"flat_laplacian": 9, "rfft2": 4, "irfft2": 4, "products": 4}
 
     def test_non_square_iteration_count_pinned(self, monkeypatch):
         # an unequal grid: h_u != h_v in the stencil and in the preconditioner
         calls = self.count_work(monkeypatch)
         sol = solve_mu(make_problem(n=24, nv=40))
         assert sol.converged
-        assert sol.iterations == 4
+        assert sol.iterations == 3
         assert calls["rfft2"] == calls["irfft2"] == calls["products"] > 0
 
 
@@ -366,8 +434,7 @@ class TestKrylov:
         b = rng.standard_normal(n)
         atol = 1e-12 * np.linalg.norm(b)
         matvec, calls = self.counted(A)
-        x = mu_solver._gmres(lambda v: v, lambda v, z: matvec(z), b,
-                             np.linalg.norm(b), 0.0, 1e-12)
+        x = mu_solver._gmres(lambda v: v, lambda v, z: matvec(z), b, np.linalg.norm(b), atol)
         residual = np.linalg.norm(b - A @ x)
         if capped:
             assert len(calls) == mu_solver.KRYLOV_DIM
@@ -385,45 +452,50 @@ class TestKrylov:
         b = np.zeros(8)
         b[0] = 3.0
         matvec, calls = self.counted(A)
-        x = mu_solver._gmres(lambda v: v, lambda v, z: matvec(z), b,
-                             np.linalg.norm(b), 0.0, 0.0)
+        x = mu_solver._gmres(lambda v: v, lambda v, z: matvec(z), b, np.linalg.norm(b), 0.0)
         np.testing.assert_array_equal(x, b / A[0, 0])
         assert len(calls) == 1
 
     def test_krylov_edge_steps(self, monkeypatch):
         # a zero rhs has the zero step, with no FFT; an rhs holding inf has
-        # no finite step, and SuperLU is left to judge it
+        # no finite step, and a step that does not lower the true linear
+        # residual is refused: SuperLU is left to judge both
         prob = make_problem(n=16, H=1.1, KN=0.3)
         g = prob.grid
         symbol = mu_solver._operators(g)
         d = mu_solver._reaction_d(prob.mu0, prob.H, prob.KN)
         ffts = []
         monkeypatch.setattr(np.fft, "rfft2", lambda *args, **kwargs: ffts.append(1))
-        step = mu_solver._krylov_solve(d, np.zeros(g.shape), g, symbol)
+        step = mu_solver._krylov_solve(d, np.zeros(g.shape), g, symbol, 0.5)
         np.testing.assert_array_equal(step, np.zeros(g.shape))
         assert ffts == []
         monkeypatch.undo()
         rhs = -mu_residual(g, prob.mu0, prob.H, prob.KN)
+        assert mu_solver._krylov_solve(d, rhs, g, symbol, 0.5) is not None
+        monkeypatch.setattr(mu_solver, "_gmres", lambda precondition, matvec, b, beta, atol:
+                            np.zeros_like(b))
+        assert mu_solver._krylov_solve(d, rhs, g, symbol, 0.5) is None
+        monkeypatch.undo()
         rhs[3, 5] = np.inf
         with np.errstate(all="ignore"):  # as solve_mu calls it
-            assert mu_solver._krylov_solve(d, rhs, g, symbol) is None
+            assert mu_solver._krylov_solve(d, rhs, g, symbol, 0.5) is None
 
     def test_zero_in_preconditioner_symbol_falls_back(self, monkeypatch):
         # P = lam_h - mean(d) with an exact zero: the preconditioned vectors
         # are not finite, the Krylov step is None, and SuperLU takes the step
         krylov = mu_solver._krylov_solve
 
-        def zero_mode(d, rhs, grid, symbol):
+        def zero_mode(d, rhs, grid, symbol, eta):
             symbol = symbol.copy()
             symbol[1, 1] = np.mean(d)
-            return krylov(d, rhs, grid, symbol)
+            return krylov(d, rhs, grid, symbol, eta)
 
         prob = make_problem(n=16, H=1.1, KN=0.3)
         symbol = mu_solver._operators(prob.grid)
         d = mu_solver._reaction_d(prob.mu0, prob.H, prob.KN)
         rhs = -mu_residual(prob.grid, prob.mu0, prob.H, prob.KN)
         with np.errstate(all="ignore"):  # as solve_mu calls it
-            assert zero_mode(d, rhs, prob.grid, symbol) is None
+            assert zero_mode(d, rhs, prob.grid, symbol, 0.5) is None
 
         steps = []
 
@@ -445,7 +517,6 @@ class TestKrylov:
         d = mu_solver._reaction_d(mu, 1.3, KN)
         ref = kron_jacobian(g, mu, 1.3, KN)
         norm_ref = abs(ref).sum(axis=1).max()
-        assert abs(mu_solver._jacobian_norm_inf(d, g) - norm_ref) <= 1e-13 * norm_ref
         s = rng.standard_normal(g.shape)
         Js = mu_solver._jacobian_apply(g, d, s)
         expect = (ref @ s.ravel()).reshape(g.shape)

@@ -104,13 +104,13 @@ def cases() -> dict[str, list[str]]:
     for nu, nv in ((40, 72), (33, 48)):
         out[f"solve_mu_{nu}x{nv}"] = ["solve-mu", "--grid", f"{nu}x{nv}", "--perturb", "0.1",
                                       "--dump-fields", "--H", "1", "--KN", "0"]
-    # the benchmark's input: 6 Newton steps through the near-null sin x sin y mode
+    # the benchmark's input: 4 Newton steps through the near-null sin x sin y mode
     out["solve_mu_128"] = ["solve-mu", "--H", "1.0", "--KN", "0.0", "--grid", "128x128",
                            "--perturb", "0.1", "--tol-newton", "1e-10"]
     # far from constant.  Neither reaches the SuperLU fallback its name is
     # after; the names stay so that two trees pair by name.  K_N = -2 < -H^2
     # everywhere has no periodic solution and exits 4 before Newton runs; the
-    # strong perturbation converges to a non-constant mu in 6 steps.  Any
+    # strong perturbation converges to a non-constant mu in 8 steps.  Any
     # translate of that mu solves the equation too, so where Newton stops
     # along them rests on round-off, and it is compared on its summaries only
     # (no --dump-fields).
